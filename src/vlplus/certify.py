@@ -155,6 +155,7 @@ class _Context:
         self.duals = {m: contragredient(L, m) for m in self.labels}
         basis, gram1, index = orthogonal_sublattice(L)
         self.sub_basis = basis
+        self.sub_gram = gram1
         self.sub_index = index
         self._sub_cache: dict[ModuleLabel, BranchList] = {}
         self._orth_cache: dict[ModuleLabel, tuple] = {}
@@ -253,8 +254,7 @@ def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     if m1.kind != LabelKind.VAC_MINUS or m2.kind != LabelKind.VAC_PLUS:
         return None
-    norms = ",".join(str(ctx.sub_branch(VAC_PLUS).sublattice.gram[i][i])
-                     for i in range(ctx.L.rank))
+    norms = ",".join(str(ctx.sub_gram[i][i]) for i in range(ctx.L.rank))
     return ExtJustification(
         rule=RULE_VACUUM,
         citation=CITATIONS[RULE_VACUUM],

@@ -83,8 +83,13 @@ def _load_oracle(path: str | None) -> SignOracle:
             table = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read oracle table {path}: {e}")
-    pi_table = {k: v for k, v in table.get("pi", {}).items()}
-    c_table = {k: v for k, v in table.get("c", {}).items()}
+    if not isinstance(table, dict):
+        raise CliError(f"oracle table {path}: expected a JSON object")
+    for key in ("pi", "c"):
+        if not isinstance(table.get(key, {}), dict):
+            raise CliError(f'oracle table {path}: "{key}" must be a JSON object')
+    pi_table = dict(table.get("pi", {}))
+    c_table = dict(table.get("c", {}))
 
     def pi(lam, two_mu):
         return pi_table.get(_coords_key(lam) + "|" + _coords_key(two_mu))
@@ -223,7 +228,7 @@ def cmd_decompose(args, out):
             basis, _, _ = orthogonal_sublattice(L)
         else:
             try:
-                basis = tuple(tuple(v) for v in json.loads(args.sublattice))
+                basis = _parse_basis(json.loads(args.sublattice), L.rank)
             except json.JSONDecodeError:
                 raise CliError("--sublattice takes auto, orthogonal-base, or a JSON basis")
         try:
@@ -240,6 +245,19 @@ def cmd_decompose(args, out):
         out.write(f"# note: {note}\n")
     out.write(f"verified\t{str(ok).lower()}\torder\t{order}\n")
     return EXIT_OK if ok else EXIT_INVALID
+
+
+def _parse_basis(data, rank: int) -> tuple[tuple[int, ...], ...]:
+    """A JSON sublattice basis: a list of rank-length rows of integers."""
+    if not isinstance(data, list):
+        raise CliError("--sublattice basis must be a JSON list of rows")
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != rank:
+            raise CliError(f"--sublattice row {i} must be a list of {rank} integers")
+        for j, x in enumerate(row):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise CliError(f"--sublattice entry [{i}][{j}] is {json.dumps(x)}, not an integer")
+    return tuple(tuple(row) for row in data)
 
 
 def _part_str(p) -> str:

@@ -3,8 +3,9 @@
 A lattice is given by its integer Gram matrix in a fixed basis; lattice
 vectors are integer coordinate tuples, dual vectors are Fraction tuples
 in the same basis.  All operations below are pure and exact: coset
-canonicalization, short-vector enumeration (Fincke-Pohst over an LDL^T
-split, no floating point), discriminant groups via Smith normal form,
+canonicalization, short-vector enumeration (Fincke-Pohst in integers
+only: the coset is scaled by its denominator and walked over the integer
+numerators of an LDL^T split), discriminant groups via Smith normal form,
 the bimultiplicative 2-cocycle, mod-2 bilinear data, and orthogonal
 sublattice extraction.
 """
@@ -205,57 +206,119 @@ def validate_even_lattice(gram) -> EvenLattice:
 # short vector enumeration
 # ---------------------------------------------------------------------------
 
-def _floor_plus_sqrt(c: Fraction, t: Fraction) -> int:
-    """Largest integer x with x <= c + sqrt(t), t >= 0, exactly."""
-    x = math.floor(c) + math.isqrt(math.floor(t)) + 2
-    while True:
-        diff = x - c
-        if diff <= 0 or diff * diff <= t:
-            return x
-        x -= 1
-
-
-def _ceil_minus_sqrt(c: Fraction, t: Fraction) -> int:
-    """Smallest integer x with x >= c - sqrt(t), t >= 0, exactly."""
-    return -_floor_plus_sqrt(-c, t)
-
-
 @lru_cache(maxsize=None)
 def _ldl_cached(gram: tuple[tuple[int, ...], ...]):
+    """Integer LDL^T split of a Gram matrix: (M, A, P, C) with
+
+        M * q(x) = sum_i A[i] * (P[i] * x_i + sum_{j>i} C[i][j] * x_j) ** 2,
+
+    all entries integers and M, A[i], P[i] positive.  P[i] clears the
+    denominators of row i of the rational split, M those of the weights.
+    """
     d, c = intmat.ldl([list(r) for r in gram])
-    return tuple(d), tuple(tuple(r) for r in c)
+    n = len(gram)
+    P = [math.lcm(*(c[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    C = tuple(tuple(int(c[i][j] * P[i]) if j > i else 0 for j in range(n)) for i in range(n))
+    weights = [d[i] / (P[i] * P[i]) for i in range(n)]
+    M = math.lcm(*(w.denominator for w in weights))
+    A = tuple(int(w * M) for w in weights)
+    return M, A, tuple(P), C
+
+
+def _scaled(lam) -> tuple[int, list[int]]:
+    """(D, nums) with lam = nums / D and D the least common denominator."""
+    lam = [Fraction(x) for x in lam]
+    D = math.lcm(*(x.denominator for x in lam))
+    return D, [x.numerator * (D // x.denominator) for x in lam]
+
+
+def _budget(bound, scale: int) -> int:
+    """Largest integer S with S / scale <= bound, for a nonnegative bound."""
+    bound = Fraction(bound)
+    if bound < 0:
+        raise BoundNegative("enumeration bound must be nonnegative")
+    return scale * bound.numerator // bound.denominator
+
+
+def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
+    """Fincke-Pohst over the integer vectors w = nums (mod D), in integers only.
+
+    A leaf is w with S = M * q(w) <= budget, so w / D lies in the coset
+    nums / D + L with norm S / (M * D^2).  mode "vectors" returns every
+    leaf as (S, w) unsorted, "counts" returns {S: leaf count}, and
+    "minimum" returns the leaf least under (S, key); it lowers the
+    budget to the best S found, so only the minimal shell is walked.
+    """
+    _, A, P, C = _ldl_cached(gram)
+    d = len(gram)
+    w = [0] * d
+    out: list = []
+    counts: dict[int, int] = {}
+    best: list = []
+    a0, p0 = A[0], P[0]
+
+    def rec(i: int, used: int, budget: int) -> int:
+        rem = budget - used
+        if rem < 0:
+            return budget
+        ci = C[i]
+        s = 0
+        for j in range(i + 1, d):
+            s += ci[j] * w[j]
+        r = math.isqrt(rem // A[i])
+        p = P[i]
+        lo = -((r + s) // p)
+        lo += (nums[i] - lo) % D
+        hi = (r - s) // p + 1
+        if i:
+            a = A[i]
+            for x in range(lo, hi, D):
+                w[i] = x
+                y = p * x + s
+                budget = rec(i - 1, used + a * y * y, budget)
+            return budget
+        tail = tuple(w[1:])
+        if mode == "counts":
+            for x in range(lo, hi, D):
+                y = p0 * x + s
+                S = used + a0 * y * y
+                counts[S] = counts.get(S, 0) + 1
+        elif mode == "vectors":
+            for x in range(lo, hi, D):
+                y = p0 * x + s
+                out.append((used + a0 * y * y, (x,) + tail))
+        else:
+            for x in range(lo, hi, D):
+                y = p0 * x + s
+                S = used + a0 * y * y
+                if S > budget:
+                    continue
+                v = (x,) + tail
+                if not best or S < budget or _coords_key(v) < _coords_key(best[1]):
+                    best[:] = (S, v)
+                    budget = S
+        return budget
+
+    rec(d - 1, 0, budget)
+    if mode == "counts":
+        return counts
+    if mode == "vectors":
+        return out
+    return tuple(best)
 
 
 def enumerate_coset_with_norms(
     L: EvenLattice, lam: DualCoords, bound: Fraction
 ) -> list[tuple[DualCoords, Fraction]]:
     """All v in lam + L with (v,v) <= bound, with norms, sorted by (norm, key)."""
-    bound = Fraction(bound)
-    if bound < 0:
-        raise BoundNegative("enumeration bound must be nonnegative")
-    d = L.rank
-    diag, coef = _ldl_cached(L.gram)
-    lam = tuple(Fraction(x) for x in lam)
-    out: list[tuple[DualCoords, Fraction]] = []
-    v = [Fraction(0)] * d
-
-    def rec(i: int, rem: Fraction) -> None:
-        if i < 0:
-            out.append((tuple(v), bound - rem))
-            return
-        center = sum(coef[i][j] * v[j] for j in range(i + 1, d))
-        t = rem / diag[i]
-        lo = _ceil_minus_sqrt(-lam[i] - center, t)
-        hi = _floor_plus_sqrt(-lam[i] - center, t)
-        for x in range(lo, hi + 1):
-            v[i] = lam[i] + x
-            used = diag[i] * (v[i] + center) ** 2
-            rec(i - 1, rem - used)
-        v[i] = Fraction(0)
-
-    rec(d - 1, bound)
-    out.sort(key=lambda p: (p[1], _coords_key(p[0])))
-    return out
+    D, nums = _scaled(lam)
+    scale = _ldl_cached(L.gram)[0] * D * D
+    leaves = _walk(L.gram, D, nums, _budget(bound, scale), "vectors")
+    # v = w / D with D > 0, so the integer key orders exactly as (norm, key) of v
+    leaves.sort(key=lambda p: (p[0], *(2 * abs(x) + (x < 0) for x in p[1])))
+    coord = {x: Fraction(x, D) for x in {x for _, w in leaves for x in w}}
+    norm = {S: Fraction(S, scale) for S in {S for S, _ in leaves}}
+    return [(tuple(map(coord.__getitem__, w)), norm[S]) for S, w in leaves]
 
 
 def enumerate_coset_vectors(L: EvenLattice, lam: DualCoords, bound) -> list[DualCoords]:
@@ -263,14 +326,25 @@ def enumerate_coset_vectors(L: EvenLattice, lam: DualCoords, bound) -> list[Dual
     return [v for v, _ in enumerate_coset_with_norms(L, lam, Fraction(bound))]
 
 
+def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> dict[Fraction, int]:
+    """{norm: number of v in lam + L with that norm}, over norms <= bound."""
+    D, nums = _scaled(lam)
+    scale = _ldl_cached(L.gram)[0] * D * D
+    counts = _walk(L.gram, D, nums, _budget(bound, scale), "counts")
+    return {Fraction(S, scale): n for S, n in counts.items()}
+
+
 def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """Canonicalize an arbitrary dual vector to its coset representative."""
-    v = tuple(Fraction(x) for x in v)
-    # center the coordinates first so the initial norm bound is small
-    start = tuple(x - math.floor(x + Fraction(1, 2)) for x in v)
-    vecs = enumerate_coset_with_norms(L, start, Fraction(L.norm(start)))
-    rep, norm = vecs[0]
-    return CosetElement(rep=rep, min_norm=norm)
+    D, nums = _scaled(v)
+    # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
+    start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
+    g = L.gram
+    M = _ldl_cached(g)[0]
+    budget = M * sum(start[i] * g[i][j] * start[j]
+                     for i in range(L.rank) for j in range(L.rank))
+    S, w = _walk(g, D, start, budget, "minimum")
+    return CosetElement(rep=tuple(Fraction(x, D) for x in w), min_norm=Fraction(S, M * D * D))
 
 
 def zero_coset(L: EvenLattice) -> CosetElement:
@@ -280,10 +354,6 @@ def zero_coset(L: EvenLattice) -> CosetElement:
 
 def coset_neg(L: EvenLattice, c: CosetElement) -> CosetElement:
     return coset_element(L, tuple(-x for x in c.rep))
-
-
-def coset_add(L: EvenLattice, a: CosetElement, b: CosetElement) -> CosetElement:
-    return coset_element(L, tuple(x + y for x, y in zip(a.rep, b.rep)))
 
 
 def coset_is_trivial(c: CosetElement) -> bool:

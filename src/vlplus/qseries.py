@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import CosetElement, EvenLattice, enumerate_coset_with_norms, zero_coset
+from .lattice import CosetElement, EvenLattice, coset_norm_counts, zero_coset
 from .sectors import LabelKind, ModuleLabel
 
 
@@ -263,12 +263,8 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
     """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order."""
     order = Fraction(order)
     denom = denom or series_denominator(L)
-    terms: dict[Fraction, Fraction] = {}
-    if order > 0:
-        for _, n in enumerate_coset_with_norms(L, lam.rep, 2 * order):
-            e = n / 2
-            if e < order:
-                terms[e] = terms.get(e, Fraction(0)) + 1
+    counts = coset_norm_counts(L, lam.rep, 2 * order) if order > 0 else {}
+    terms = {n / 2: c for n, c in counts.items() if n < 2 * order}
     return QSeries.from_terms(denom, order, terms)
 
 

@@ -243,8 +243,10 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     if text == "V-":
         return VAC_MINUS
     kind = text[:1]
+    close = text.find("]")
+    if kind in ("U", "C", "T") and text[1:2] == "[" and close < 0:
+        raise ValueError(f"label {text!r} lacks its closing ']'")
     if kind in ("U", "C") and text[1:2] == "[":
-        close = text.index("]")
         coords = tuple(Fraction(p) for p in text[2:close].split(","))
         if len(coords) != L.rank:
             raise ValueError(f"label has {len(coords)} coordinates, lattice rank is {L.rank}")
@@ -260,7 +262,6 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
             raise ValueError("C labels require a nonzero self-paired coset")
         return coset_label(L, c, sign)
     if kind == "T" and text[1:2] == "[":
-        close = text.index("]")
         idx = int(text[2:close])
         chars = central_characters(L)
         if not 0 <= idx < len(chars):

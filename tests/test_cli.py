@@ -222,6 +222,36 @@ def test_unknown_label_rejected(tmp_path, capsys):
     assert code == EXIT_INVALID and "unrecognized" in err
 
 
+def test_unclosed_label_rejected(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2)
+    code, _, err = run_cli(capsys, ["char", "--gram", gram, "--module", "U[1/3"])
+    assert code == EXIT_INVALID and "closing ']'" in err
+
+
+def test_decompose_rejects_non_integer_basis_entry(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2)
+    for basis, named in (('[[1,"a"],[0,2]]', 'entry [0][1] is "a"'),
+                         ("[[1,true],[0,2]]", "entry [0][1] is true"),
+                         ("[[1],[0,2]]", "row 0"),
+                         ("7", "JSON list")):
+        code, _, err = run_cli(
+            capsys, ["decompose", "--gram", gram, "--module", "V+", "--sublattice", basis]
+        )
+        assert code == EXIT_INVALID and named in err, basis
+
+
+def test_fusion_rejects_malformed_oracle_table(tmp_path, capsys):
+    gram = write_gram(tmp_path, A1)
+    oracle = tmp_path / "oracle.json"
+    for table, named in (({"pi": [1]}, '"pi"'), ({"c": 3}, '"c"'), ([1], "JSON object")):
+        oracle.write_text(json.dumps(table))
+        code, _, err = run_cli(
+            capsys,
+            ["fusion", "--gram", gram, "--triple", "V+", "V+", "V+", "--oracle", str(oracle)],
+        )
+        assert code == EXIT_INVALID and named in err, table
+
+
 def test_fusion_requires_input(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     code, _, err = run_cli(capsys, ["fusion", "--gram", gram])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import A1, A2, D24, D224, TEST_GRAMS, box_enumerate, lat
 from vlplus import intmat
@@ -12,7 +13,9 @@ from vlplus.lattice import (
     NotPositiveDefinite,
     NotSymmetric,
     BoundNegative,
+    CosetElement,
     coset_element,
+    coset_norm_counts,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     delta_set,
@@ -26,6 +29,7 @@ from vlplus.lattice import (
     orthogonal_sublattice,
     validate_even_lattice,
 )
+from vlplus.qseries import theta_coset
 
 F = Fraction
 
@@ -167,6 +171,60 @@ def test_enumeration_norms_are_exact():
     L = lat(D224)
     for v, n in enumerate_coset_with_norms(L, (F(1, 2), F(0), F(1, 4)), 5):
         assert L.norm(v) == n
+
+
+@st.composite
+def shifted_cosets(draw):
+    """(L, rep, a): an even positive definite lattice of rank <= 3 and
+    det <= 16, a canonical coset representative, and a lattice vector."""
+    d = draw(st.integers(1, 3))
+    gram = [[0] * d for _ in range(d)]
+    for i in range(d):
+        gram[i][i] = 2 * draw(st.integers(1, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    minors = intmat.leading_minors(gram)
+    assume(all(m > 0 for m in minors) and minors[-1] <= 16)
+    L = lat(gram)
+    reps = minimal_coset_reps(L)
+    rep = reps[draw(st.integers(0, len(reps) - 1))].rep
+    a = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    return L, rep, a
+
+
+GENERATED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@GENERATED
+@given(shifted_cosets(), st.sampled_from([F(0), F(7, 3), F(4), F(13, 2)]))
+def test_enumerate_shifted_coset_matches_box_oracle(case, bound):
+    L, rep, a = case
+    shifted = tuple(x + y for x, y in zip(rep, a))
+    # same coset, so the same sorted vectors; the oracle scans from the short rep
+    assert enumerate_coset_vectors(L, shifted, bound) == box_enumerate(L.gram, rep, bound)
+
+
+@GENERATED
+@given(shifted_cosets(), st.sampled_from([F(1, 2), F(5, 4), F(5, 2)]))
+def test_norm_counts_and_theta_match_enumeration(case, order):
+    L, rep, a = case
+    shifted = tuple(x + y for x, y in zip(rep, a))
+    vecs = enumerate_coset_with_norms(L, shifted, 2 * order)
+    counts = {}
+    for _, n in vecs:
+        counts[n] = counts.get(n, 0) + 1
+    assert coset_norm_counts(L, shifted, 2 * order) == counts
+    theta = theta_coset(L, coset_element(L, shifted), order)
+    assert sum(theta.terms().values()) == sum(1 for _, n in vecs if n < 2 * order)
+
+
+@GENERATED
+@given(shifted_cosets())
+def test_coset_element_is_first_of_full_enumeration(case):
+    L, rep, a = case
+    shifted = tuple(x + y for x, y in zip(rep, a))
+    first, norm = enumerate_coset_with_norms(L, shifted, L.norm(shifted))[0]
+    assert coset_element(L, shifted) == CosetElement(rep=first, min_norm=norm)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .intmat import det_int, rational_inverse
 from .lattice import (
     Convention,
     CosetElement,
     EvenLattice,
-    NotFullRank,
     NotOrthogonalBase,
     coset_element,
     coset_is_trivial,
@@ -35,7 +33,7 @@ from .lattice import (
     coset_two_torsion,
     epsilon_cocycle,
     mod_two_data,
-    sublattice_as_lattice,
+    sublattice,
     validate_even_lattice,
 )
 from .qseries import QSeries, character, euler_product_inv, series_denominator
@@ -83,7 +81,6 @@ class BranchList:
     route: str  # "orthogonal" | "sublattice"
     parts: tuple[BranchPart, ...]
     sublattice: EvenLattice | None = None
-    basis: tuple[tuple[int, ...], ...] | None = None
     factors: tuple[EvenLattice, ...] | None = None
     notes: tuple[str, ...] = ()
 
@@ -206,28 +203,12 @@ def branch_sublattice(
     contribute placeholder blocks.
     """
     d = L.rank
-    if len(basis) != d:
-        raise NotFullRank("sublattice basis must have full rank")
-    cols = [[basis[j][i] for j in range(d)] for i in range(d)]
-    if det_int(cols) == 0:
-        raise NotFullRank("sublattice basis must have full rank")
-    sub = sublattice_as_lattice(L, basis)
-    sinv = rational_inverse(cols)
-    gammas = coset_reps_mod_sublattice(L, basis)
+    S = sublattice(L, tuple(map(tuple, basis)))
+    sub = S.lattice
+    gammas = coset_reps_mod_sublattice(L, S.basis)
     eps_l = epsilon_cocycle(L, convention)
     eps_1 = epsilon_cocycle(sub, convention)
     notes: list[str] = []
-
-    def to_sub(vec) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(sinv[r][s] * Fraction(vec[s]) for s in range(d)) for r in range(d)
-        )
-
-    def to_parent(vec_sub) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(Fraction(cols[r][s]) * Fraction(vec_sub[s]) for s in range(d))
-            for r in range(d)
-        )
 
     def exact_int(x) -> int:
         f = Fraction(x)
@@ -243,7 +224,7 @@ def branch_sublattice(
     def signed_part(parent_sign: int, c: CosetElement, parent_coset) -> SubmodulePart:
         # involution coefficient of the parent module on the canonical
         # vector of the class, divided by the local one
-        mu_parent = to_parent(c.rep)
+        mu_parent = S.to_parent(c.rep)
         if parent_coset is None:
             unit_g = 0
         else:
@@ -271,7 +252,7 @@ def branch_sublattice(
         seen = set()
         for g in gammas:
             vec = tuple(Fraction(x) + s for x, s in zip(g, shift))
-            c = coset_element(sub, to_sub(vec))
+            c = coset_element(sub, S.to_sub(vec))
             if c in seen:
                 continue
             if coset_two_torsion(sub, c):
@@ -285,7 +266,7 @@ def branch_sublattice(
     elif m.kind == LabelKind.UNTWISTED:
         for g in gammas:
             vec = tuple(Fraction(x) + s for x, s in zip(g, m.coset.rep))
-            c = coset_element(sub, to_sub(vec))
+            c = coset_element(sub, S.to_sub(vec))
             if coset_two_torsion(sub, c):
                 raise AssertionError("orbit parent cannot meet a self-paired class")
             parts.append(SubmodulePart(untwisted_label(sub, c)))
@@ -301,7 +282,6 @@ def branch_sublattice(
         route="sublattice",
         parts=tuple(parts),
         sublattice=sub,
-        basis=tuple(tuple(b) for b in basis),
         notes=tuple(notes),
     )
 

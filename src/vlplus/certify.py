@@ -33,14 +33,12 @@ from .branching import (
     part_is_twisted,
 )
 from .fusion import ZERO, admissible_triple, rank1_fusion, tensor_fusion
-from .intmat import rational_inverse
 from .lattice import (
     Convention,
     EvenLattice,
     coset_element,
     mod_two_data,
     orthogonal_sublattice,
-    validate_even_lattice,
     zero_coset,
 )
 from .qseries import series_denominator
@@ -64,6 +62,7 @@ RULE_VACUUM = "Vacuum"
 RULE_DUALITY = "Duality"
 RULE_FUSION = "FusionObstruction"
 ALL_RULES = (RULE_WEIGHT_GAP, RULE_VACUUM, RULE_DUALITY, RULE_FUSION)
+ROUTES = ("sublattice", "orthogonal")
 
 VERDICT_RATIONAL = "Rational"
 VERDICT_INCOMPLETE = "Incomplete"
@@ -153,26 +152,19 @@ class _Context:
         self.labels = classify_modules(L)
         self.weights = {m: lowest_weight(L, m) for m in self.labels}
         self.duals = {m: contragredient(L, m) for m in self.labels}
-        basis, gram1, index = orthogonal_sublattice(L)
-        self.sub_basis = basis
-        self.sub_gram = gram1
-        self.sub_index = index
+        self.sub = orthogonal_sublattice(L)
         self._sub_cache: dict[ModuleLabel, BranchList] = {}
         self._orth_cache: dict[ModuleLabel, tuple] = {}
         # an index-one orthogonal sublattice is an orthogonal basis of the
-        # whole lattice: the rank-one route then runs on the unimodular
-        # rebase, with labels transported across the basis change
-        self.rebase = None
-        if not L.is_diagonal() and index == 1:
-            rebased = validate_even_lattice([list(r) for r in gram1])
-            cols = [[basis[j][i] for j in range(L.rank)] for i in range(L.rank)]
-            self.rebase = (rebased, basis, rational_inverse(cols))
-        self.orth_lattice = L if L.is_diagonal() else (self.rebase[0] if self.rebase else None)
+        # whole lattice (L itself when diagonal): the rank-one route then
+        # runs on that unimodular rebase, with labels transported across
+        # the basis change
+        self.orth_lattice = self.sub.lattice if self.sub.index == 1 else None
 
     def sub_branch(self, m: ModuleLabel) -> BranchList:
         if m not in self._sub_cache:
             self._sub_cache[m] = branch_sublattice(
-                self.L, self.sub_basis, m, self.convention
+                self.L, self.sub.basis, m, self.convention
             )
         return self._sub_cache[m]
 
@@ -189,7 +181,7 @@ class _Context:
             return self._orth_cache[m]
         if self.L.is_diagonal():
             parts = branch_orthogonal(self.L, m).parts
-        elif self.rebase is None:
+        elif self.orth_lattice is None:
             parts = None
         else:
             parts = self._transported_parts(m)
@@ -197,15 +189,12 @@ class _Context:
         return parts
 
     def _transported_parts(self, m: ModuleLabel):
-        rebased, basis, sinv = self.rebase
+        rebased, basis = self.sub.lattice, self.sub.basis
         d = self.L.rank
         if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
             return branch_orthogonal(rebased, m).parts
         if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
-            moved = tuple(
-                sum(sinv[r][s] * m.coset.rep[s] for s in range(d)) for r in range(d)
-            )
-            c = coset_element(rebased, moved)
+            c = coset_element(rebased, self.sub.to_sub(m.coset.rep))
             if m.kind == LabelKind.UNTWISTED:
                 return branch_orthogonal(rebased, untwisted_label(rebased, c)).parts
             return (
@@ -254,7 +243,7 @@ def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     if m1.kind != LabelKind.VAC_MINUS or m2.kind != LabelKind.VAC_PLUS:
         return None
-    norms = ",".join(str(ctx.sub_gram[i][i]) for i in range(ctx.L.rank))
+    norms = ",".join(str(ctx.sub.lattice.gram[i][i]) for i in range(ctx.L.rank))
     return ExtJustification(
         rule=RULE_VACUUM,
         citation=CITATIONS[RULE_VACUUM],
@@ -273,11 +262,11 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     inapplicable; it is never unsound.
     """
     if route == "sublattice":
-        if ctx.sub_index == 1:
+        if ctx.sub.index == 1:
             # the fixed-point algebra of the sublattice would be the
             # algebra itself; a certificate must not cite its own verdict
             return None
-        sub = ctx.sub_branch(VAC_PLUS).sublattice
+        sub = ctx.sub.lattice
         parts1 = ctx.sub_branch(m1).parts
         parts_v = ctx.sub_branch(VAC_PLUS).parts
         parts2 = ctx.sub_branch(m2).parts
@@ -391,7 +380,7 @@ def _justify(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, disabled: frozense
         if j:
             return j
     if fus:
-        for route in ("sublattice", "orthogonal"):
+        for route in ROUTES:
             j = fusion_obstruction_rule(ctx, m1, m2, route)
             if j:
                 return j
@@ -494,36 +483,46 @@ def certify(
 # certificate re-verification
 # ---------------------------------------------------------------------------
 
-def verify_certificate(L: EvenLattice, cert: dict, convention: Convention = Convention()) -> list[str]:
+def verify_certificate(L: EvenLattice, cert, convention: Convention = Convention()) -> list[str]:
     """Re-check every recorded justification from scratch.
 
     Returns a list of problems; an empty list means the certificate
-    re-verifies.  Each pair's recorded rule is re-evaluated (not the
-    whole chain), coverage of the ordered-pair square is checked, and
-    the verdict is recomputed.
+    re-verifies.  Any JSON value is answered with problems, never an
+    exception.  Each pair's recorded rule is re-evaluated (not the whole
+    chain) and the recorded justification must equal the recomputed one
+    in full; coverage of the ordered-pair square is checked, and the
+    verdict is recomputed.
     """
-    problems: list[str] = []
+    if not isinstance(cert, dict):
+        return ["certificate is not a JSON object"]
     ctx = _Context(L, convention)
     expected_labels = [format_label(m) for m in ctx.labels]
     if cert.get("labels") != expected_labels:
-        problems.append("label census does not match the lattice")
-        return problems
-    if [list(r) for r in cert.get("gram", [])] != [list(r) for r in L.gram]:
-        problems.append("gram matrix mismatch")
-        return problems
+        return ["label census does not match the lattice"]
+    if cert.get("gram") != [list(r) for r in L.gram]:
+        return ["gram matrix mismatch"]
+    pairs, unknown = cert.get("pairs", []), cert.get("unknown", [])
+    if not isinstance(pairs, list) or not isinstance(unknown, list):
+        return ["pairs and unknown must be lists"]
     by_name = {format_label(m): m for m in ctx.labels}
+    problems: list[str] = []
     seen = set()
-    for entry in cert.get("pairs", []):
-        a, b = entry["m1"], entry["m2"]
+    for i, entry in enumerate(pairs):
+        a, b = (entry.get("m1"), entry.get("m2")) if isinstance(entry, dict) else (None, None)
+        if not all(isinstance(x, str) and x in by_name for x in (a, b)):
+            problems.append(f"pairs[{i}] does not name two labels of the lattice")
+            continue
         if (a, b) in seen:
             problems.append(f"duplicate pair ({a}, {b})")
             continue
         seen.add((a, b))
-        j = entry["justification"]
-        problem = _recheck(ctx, by_name[a], by_name[b], j)
+        problem = _recheck(ctx, by_name[a], by_name[b], entry.get("justification"))
         if problem:
             problems.append(f"pair ({a}, {b}): {problem}")
-    for pair in cert.get("unknown", []):
+    for i, pair in enumerate(unknown):
+        if not (isinstance(pair, list) and all(isinstance(x, str) for x in pair)):
+            problems.append(f"unknown[{i}] is not a list of labels")
+            continue
         seen.add(tuple(pair))
     want = {(a, b) for a in expected_labels for b in expected_labels}
     missing = want - seen
@@ -532,44 +531,41 @@ def verify_certificate(L: EvenLattice, cert: dict, convention: Convention = Conv
         problems.append(f"{len(missing)} ordered pairs missing")
     if extra:
         problems.append(f"{len(extra)} unexpected pairs recorded")
-    verdict = VERDICT_RATIONAL if not cert.get("unknown") else VERDICT_INCOMPLETE
+    verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     if cert.get("verdict") != verdict:
         problems.append("verdict inconsistent with the unknown list")
     return problems
 
 
-def _recheck(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict) -> str | None:
-    rule = j.get("rule")
+def _recheck(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j) -> str | None:
+    if not isinstance(j, dict):
+        return "justification missing"
+    fresh = _rerun(ctx, m1, m2, j)
+    if fresh is None:
+        return f"recorded rule {j.get('rule')!r:.60} does not apply"
+    return None if fresh.to_json() == j else "recorded justification differs"
+
+
+def _rerun(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict):
+    """The justification the rule (and route) named in j gives for the pair, or None."""
+    rule, detail, inner = j.get("rule"), j.get("detail"), j.get("inner")
     if rule == RULE_WEIGHT_GAP:
-        fresh = weight_gap_rule(ctx, m1, m2)
-        if fresh is None:
-            return "weight gap rule does not apply"
-        if dict(fresh.detail)["gap"] != j.get("detail", {}).get("gap"):
-            return "recorded gap differs"
-        return None
+        return weight_gap_rule(ctx, m1, m2)
     if rule == RULE_VACUUM:
-        return None if vacuum_rule(ctx, m1, m2) else "vacuum rule does not apply"
-    if rule == RULE_FUSION:
-        route = j.get("detail", {}).get("route")
-        fresh = fusion_obstruction_rule(ctx, m1, m2, route)
-        if fresh is None:
-            return f"fusion obstruction ({route}) does not apply"
-        if dict(fresh.detail)["triples"] != j.get("detail", {}).get("triples"):
-            return "triple count differs"
-        return None
-    if rule == RULE_DUALITY:
-        inner = j.get("inner")
-        if not inner:
-            return "duality without inner justification"
-        if inner.get("rule") == RULE_DUALITY:
-            return "duality may not wrap duality"
-        d1, d2 = ctx.duals[m2], ctx.duals[m1]
-        return _recheck(ctx, d1, d2, inner)
-    return f"unknown rule {rule!r}"
+        return vacuum_rule(ctx, m1, m2)
+    if rule == RULE_FUSION and isinstance(detail, dict) and detail.get("route") in ROUTES:
+        return fusion_obstruction_rule(ctx, m1, m2, detail["route"])
+    if rule == RULE_DUALITY and isinstance(inner, dict) and inner.get("rule") != RULE_DUALITY:
+        return duality_rule(ctx, m1, m2, [lambda c, a, b: _rerun(c, a, b, inner)])
+    return None
 
 
 def load_certificate(text: str) -> dict:
-    cert = json.loads(text)
-    if cert.get("format") != "vlplus-certificate-v1":
+    """Parse a certificate file; ValueError if it is not one."""
+    try:
+        cert = json.loads(text)
+    except RecursionError:
+        raise ValueError("certificate nests too deeply")
+    if not isinstance(cert, dict) or cert.get("format") != "vlplus-certificate-v1":
         raise ValueError("not a certificate file")
     return cert

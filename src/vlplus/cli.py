@@ -122,15 +122,15 @@ def cmd_analyze(args, out):
     L = _load_gram(args.gram)
     dg = discriminant_group(L)
     m2 = mod_two_data(L)
-    basis, gram1, index = orthogonal_sublattice(L)
+    orth = orthogonal_sublattice(L)
     report = {
         "rank": L.rank,
         "det": L.det,
         "discriminant_group": " x ".join(f"Z/{f}" for f in dg.invariant_factors) or "trivial",
         "norm2_count": len(norm2_vectors(L)),
         "r2": m2.r2,
-        "orthogonal_sublattice_norms": [gram1[i][i] for i in range(L.rank)],
-        "orthogonal_sublattice_index": index,
+        "orthogonal_sublattice_norms": [orth.lattice.gram[i][i] for i in range(L.rank)],
+        "orthogonal_sublattice_index": orth.index,
         "module_count": len(classify_modules(L)),
         "series_denominator": series_denominator(L),
     }
@@ -225,7 +225,7 @@ def cmd_decompose(args, out):
             raise CliError(str(e))
     else:
         if args.sublattice == "auto":
-            basis, _, _ = orthogonal_sublattice(L)
+            basis = orthogonal_sublattice(L).basis
         else:
             try:
                 basis = _parse_basis(json.loads(args.sublattice), L.rank)

@@ -6,8 +6,10 @@ in the same basis.  All operations below are pure and exact: coset
 canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), discriminant groups via Smith normal form,
-the bimultiplicative 2-cocycle, mod-2 bilinear data, and orthogonal
-sublattice extraction.
+the bimultiplicative 2-cocycle and mod-2 bilinear data.  A full-rank
+sublattice is one Sublattice value (basis, Gram, index and the change
+of basis both ways), cached per lattice and basis; the orthogonal
+sublattice from Gram-Schmidt is one.
 """
 
 from __future__ import annotations
@@ -440,45 +442,71 @@ def delta_set(L: EvenLattice, lam: CosetElement) -> tuple[Coords, ...]:
     return tuple(sorted(out))
 
 
-def orthogonal_sublattice(
-    L: EvenLattice,
-) -> tuple[tuple[Coords, ...], tuple[tuple[int, ...], ...], int]:
+@dataclass(frozen=True)
+class Sublattice:
+    """A full-rank sublattice with its change of basis.
+
+    basis holds the generators as rows B in the parent's coordinates;
+    lattice is the sublattice in that basis (Gram B G B^T), index is
+    |det B| and inverse is B^-1.  A vector x in sublattice coordinates
+    is x B in parent coordinates.
+    """
+
+    parent: EvenLattice
+    basis: tuple[Coords, ...]
+    lattice: EvenLattice
+    index: int
+    inverse: tuple[tuple[Fraction, ...], ...]
+
+    def to_sub(self, v) -> DualCoords:
+        """Parent coordinates to sublattice coordinates, v B^-1."""
+        return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*self.inverse))
+
+    def to_parent(self, x) -> DualCoords:
+        """Sublattice coordinates to parent coordinates, x B."""
+        return tuple(sum(a * b for a, b in zip(x, col)) for col in zip(*self.basis))
+
+
+@lru_cache(maxsize=None)
+def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
+    """The sublattice spanned by the rows of basis; raises NotFullRank."""
+    d = L.rank
+    rows = [list(b) for b in basis]
+    square = len(rows) == d and all(len(r) == d for r in rows)
+    index = abs(intmat.det_int(rows)) if square else 0
+    if index == 0:
+        raise NotFullRank("sublattice basis must have full rank")
+    sub = validate_even_lattice(intmat.mat_mul(intmat.mat_mul(rows, L.gram), list(zip(*rows))))
+    if sub.det != index * index * L.det:
+        raise AssertionError("sublattice determinant must be index^2 * det")
+    inverse = tuple(map(tuple, intmat.rational_inverse(rows)))
+    return Sublattice(parent=L, basis=basis, lattice=sub, index=index, inverse=inverse)
+
+
+@lru_cache(maxsize=None)
+def orthogonal_sublattice(L: EvenLattice) -> Sublattice:
     """Full-rank pairwise-orthogonal sublattice from rational Gram-Schmidt.
 
     Each orthogonalized basis vector is scaled by the least positive
-    integer clearing its coordinate denominators.  Returns (basis in
-    lattice coordinates, diagonal Gram matrix, index in the lattice).
-    A diagonal input is returned unchanged with index 1.
+    integer clearing its coordinate denominators, so the sublattice
+    Gram is diagonal.  A diagonal input comes back with the identity
+    basis and index 1.
     """
     d = L.rank
     basis_q: list[list[Fraction]] = []
+    basis: list[Coords] = []
     for i in range(d):
         vec = [Fraction(int(i == j)) for j in range(d)]
         for prev in basis_q:
             mu = Fraction(L.pairing(vec, prev)) / Fraction(L.pairing(prev, prev))
             vec = [x - mu * y for x, y in zip(vec, prev)]
         basis_q.append(vec)
-    basis: list[Coords] = []
-    for vec in basis_q:
-        m = 1
-        for x in vec:
-            m = m * x.denominator // math.gcd(m, x.denominator)
+        m = math.lcm(*(x.denominator for x in vec))
         basis.append(tuple(int(x * m) for x in vec))
-    gram1 = tuple(
-        tuple(int(L.pairing(a, b)) for b in basis) for a in basis
-    )
-    det1 = 1
-    for i in range(d):
-        det1 *= gram1[i][i]
-    index_sq, rem = divmod(det1, L.det)
-    if rem != 0:
-        raise AssertionError("sublattice determinant not a multiple of det")
-    index = math.isqrt(index_sq)
-    if index * index != index_sq:
-        raise AssertionError("index squared is not a perfect square")
-    return tuple(basis), gram1, index
+    return sublattice(L, tuple(basis))
 
 
+@lru_cache(maxsize=None)
 def coset_reps_mod_sublattice(
     L: EvenLattice, basis: tuple[Coords, ...]
 ) -> tuple[Coords, ...]:
@@ -487,44 +515,23 @@ def coset_reps_mod_sublattice(
     Zero first, the rest sorted by (norm, key); each representative has
     minimal norm in its class.
     """
-    d = L.rank
-    cols = [list(b) for b in basis]
-    m = [[cols[j][i] for j in range(len(cols))] for i in range(d)]
-    if len(basis) != d or intmat.det_int(m) == 0:
-        raise NotFullRank("sublattice basis must have full rank")
-    diag, u, _ = intmat.snf(m)
+    S = sublattice(L, basis)
+    # L / S is Z^d modulo the columns of B^T; its Smith form lists the classes
+    diag, u, _ = intmat.snf([list(c) for c in zip(*basis)])
     uinv = intmat.rational_inverse(u)
-    sub = sublattice_as_lattice(L, basis)
-    sinv = intmat.rational_inverse(m)
-    reps = {}
+    d = L.rank
+    out = []
     for combo in product(*(range(f) for f in diag)):
-        vec = [
-            sum(uinv[r][i] * combo[i] for i in range(d)) for r in range(d)
-        ]
+        vec = [sum(uinv[r][i] * combo[i] for i in range(d)) for r in range(d)]
         if any(x.denominator != 1 for x in vec):
             raise AssertionError("group generator produced non-integer vector")
-        vec_int = tuple(int(x) for x in vec)
-        # canonicalize inside vec + L1 by enumerating over the sublattice
-        in_sub = tuple(
-            sum(sinv[r][s] * vec_int[s] for s in range(d)) for r in range(d)
-        )
-        elem = coset_element(sub, in_sub)
-        canon = tuple(
-            int(sum(m[r][s] * elem.rep[s] for s in range(d))) for r in range(d)
-        )
-        key = _coset_key(tuple(Fraction(x) for x in elem.rep))
-        if key not in reps:
-            reps[key] = (elem.min_norm, canon)
-    out = sorted(reps.values(), key=lambda p: (p[0], _coords_key(p[1])))
+        # canonicalize inside vec + S by enumerating over the sublattice
+        elem = coset_element(S.lattice, S.to_sub(vec))
+        out.append((elem.min_norm, tuple(int(x) for x in S.to_parent(elem.rep))))
+    out.sort(key=lambda p: (p[0], _coords_key(p[1])))
     if out[0][0] != 0:
         raise AssertionError("zero class missing")
     return tuple(v for _, v in out)
-
-
-def sublattice_as_lattice(L: EvenLattice, basis: tuple[Coords, ...]) -> EvenLattice:
-    """The sublattice spanned by the given vectors as a lattice in its own basis."""
-    gram = [[int(L.pairing(a, b)) for b in basis] for a in basis]
-    return validate_even_lattice(gram)
 
 
 def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:

@@ -170,7 +170,7 @@ class QSeries:
         if a.nums and min(a.nums) < 0 or b.nums and min(b.nums) < 0:
             raise ValueError("truncated products require nonnegative exponents")
         order_key = min(a.order_key, b.order_key)
-        out = [0] * order_key
+        nums: dict[int, int] = {}
         bi = sorted((k, v) for k, v in b.nums.items() if k < order_key)
         for k1, v1 in a.nums.items():
             if k1 >= order_key:
@@ -179,8 +179,7 @@ class QSeries:
             for k2, v2 in bi:
                 if k2 >= lim:
                     break
-                out[k1 + k2] += v1 * v2
-        nums = {k: v for k, v in enumerate(out) if v}
+                nums[k1 + k2] = nums.get(k1 + k2, 0) + v1 * v2
         return QSeries(a.denom, order_key, a.scale * b.scale, nums)._normalized()
 
     def shifted(self, e) -> "QSeries":

@@ -190,7 +190,8 @@ def test_acceptance_5_branching_identities():
 
     sub_cases = set()
     L = lat(A2)
-    basis, gram1, _ = orthogonal_sublattice(L)
+    S = orthogonal_sublattice(L)
+    basis, gram1 = S.basis, S.lattice.gram
     assert tuple(gram1[i][i] for i in range(2)) == (2, 6)
     for m in classify_modules(L):
         bl = branch_sublattice(L, basis, m)

@@ -159,9 +159,9 @@ def test_corrupted_branch_fails_verification():
 
 def a2_sublattice():
     L = lat(A2)
-    basis, _, index = orthogonal_sublattice(L)
-    assert index == 2
-    return L, basis
+    S = orthogonal_sublattice(L)
+    assert S.index == 2
+    return L, S.basis
 
 
 def test_sublattice_vacuum_parts_a2():

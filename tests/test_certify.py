@@ -163,14 +163,12 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
 
     skew = lat([[2, -2], [-2, 8]])
     ctx = _Context(skew, Convention())
-    assert ctx.rebase is not None
-    rebased, basis, sinv = ctx.rebase
+    assert ctx.sub.index == 1
+    rebased, basis = ctx.sub.lattice, ctx.sub.basis
     d = skew.rank
 
     def move_coset(rep):
-        return coset_element(
-            rebased, tuple(sum(sinv[r][s] * rep[s] for s in range(d)) for r in range(d))
-        )
+        return coset_element(rebased, ctx.sub.to_sub(rep))
 
     def move_char(chi):
         values = tuple(_sign_power(chi.values, basis[j]) for j in range(d))
@@ -274,7 +272,7 @@ def test_sublattice_route_blocked_at_index_one():
     labels = classify_modules(L)
     tw = [m for m in labels if m.kind == LabelKind.TWISTED][0]
     u = [m for m in labels if m.kind == LabelKind.UNTWISTED][0]
-    assert ctx.sub_index == 1
+    assert ctx.sub.index == 1
     assert fusion_obstruction_rule(ctx, tw, u, "sublattice") is None
     assert fusion_obstruction_rule(ctx, tw, u, "orthogonal") is not None
 
@@ -367,6 +365,46 @@ def test_verify_rejects_tampered_certificates():
             entry["justification"] = {"rule": RULE_WEIGHT_GAP, "citation": "", "detail": {"gap": "1"}}
     assert any("does not apply" in p or "differs" in p for p in verify_certificate(L, tampered))
 
+    # malformed entries and perturbed details: problems, never an exception
+    L = lat([[2, 0], [0, 6]])
+    good = certify(L).to_json()
+    assert verify_certificate(L, good) == []
+    rules = [p["justification"]["rule"] for p in good["pairs"]]
+    gap_at, vacuum_at = rules.index(RULE_WEIGHT_GAP), rules.index(RULE_VACUUM)
+    fusion_at, duality_at = rules.index(RULE_FUSION), rules.index(RULE_DUALITY)
+
+    def mutant(change):
+        cert = json.loads(json.dumps(good))
+        change(cert)
+        return cert
+
+    def detail(cert, i):
+        return cert["pairs"][i]["justification"]["detail"]
+
+    cases = {
+        "unknown label": mutant(lambda c: c["pairs"][0].update(m1="U[9/7,0]")),
+        "list m1": mutant(lambda c: c["pairs"][0].update(m1=["V+"])),
+        "integer m2": mutant(lambda c: c["pairs"][0].update(m2=3)),
+        "pair not an object": mutant(lambda c: c["pairs"].append(5)),
+        "bogus route": mutant(lambda c: detail(c, fusion_at).update(route="bogus")),
+        "pairs not a list": mutant(lambda c: c.update(pairs=7)),
+        "unknown not pairs": mutant(lambda c: c.update(unknown=[5])),
+        "perturbed weights": mutant(lambda c: detail(c, gap_at).update(weights="17,17")),
+        "perturbed subalgebra": mutant(lambda c: detail(c, vacuum_at).update(subalgebra="A1")),
+        "perturbed inner": mutant(
+            lambda c: c["pairs"][duality_at]["justification"]["inner"]["detail"].clear()),
+        "extra field": mutant(lambda c: c["pairs"][fusion_at]["justification"].update(note="")),
+        "a list": [good],
+        "a string": "certificate",
+        "null": None,
+    }
+    for name, bad in cases.items():
+        assert verify_certificate(L, bad), name
+    missing = mutant(lambda c: c["pairs"][0].pop("justification"))
+    assert any("missing" in p for p in verify_certificate(L, missing))
+    for name in ("perturbed weights", "perturbed subalgebra", "perturbed inner"):
+        assert any("differs" in p for p in verify_certificate(L, cases[name])), name
+
 
 def test_load_certificate_roundtrip(tmp_path):
     cert = certify(lat(A1))
@@ -374,8 +412,9 @@ def test_load_certificate_roundtrip(tmp_path):
     path.write_text(cert.dumps())
     loaded = load_certificate(path.read_text())
     assert loaded["verdict"] == VERDICT_RATIONAL
-    with pytest.raises(ValueError):
-        load_certificate("{}")
+    for text in ("{}", "[]", "7", "[" * 100000):
+        with pytest.raises(ValueError):
+            load_certificate(text)
 
 
 def test_duality_never_nests():

@@ -27,6 +27,7 @@ from vlplus.lattice import (
     mod_two_data,
     norm2_vectors,
     orthogonal_sublattice,
+    sublattice,
     validate_even_lattice,
 )
 from vlplus.qseries import theta_coset
@@ -326,24 +327,25 @@ def test_delta_set_negation_symmetry():
 
 def test_orthogonal_sublattice_diagonal_fixed_point():
     L = lat(D24)
-    basis, gram1, index = orthogonal_sublattice(L)
-    assert basis == ((1, 0), (0, 1))
-    assert gram1 == ((2, 0), (0, 4))
-    assert index == 1
+    S = orthogonal_sublattice(L)
+    assert S.basis == ((1, 0), (0, 1))
+    assert S.lattice.gram == ((2, 0), (0, 4))
+    assert S.index == 1
 
 
 def test_orthogonal_sublattice_a2():
     L = lat(A2)
-    basis, gram1, index = orthogonal_sublattice(L)
-    assert gram1 == ((2, 0), (0, 6))
-    assert index == 2
-    assert basis[1] in ((-1, 2), (1, -2))  # beta_2 = +-(2a_2 - a_1)
+    S = orthogonal_sublattice(L)
+    assert S.lattice.gram == ((2, 0), (0, 6))
+    assert S.index == 2
+    assert S.basis[1] in ((-1, 2), (1, -2))  # beta_2 = +-(2a_2 - a_1)
 
 
 def test_orthogonal_sublattice_identities():
     for gram in TEST_GRAMS:
         L = lat(gram)
-        basis, gram1, index = orthogonal_sublattice(L)
+        S = orthogonal_sublattice(L)
+        basis, gram1, index = S.basis, S.lattice.gram, S.index
         d = L.rank
         for i in range(d):
             for j in range(d):
@@ -358,9 +360,9 @@ def test_orthogonal_sublattice_identities():
 
 def test_coset_reps_mod_sublattice_a2():
     L = lat(A2)
-    basis, _, index = orthogonal_sublattice(L)
-    reps = coset_reps_mod_sublattice(L, basis)
-    assert len(reps) == index == 2
+    S = orthogonal_sublattice(L)
+    reps = coset_reps_mod_sublattice(L, S.basis)
+    assert len(reps) == S.index == 2
     assert reps == ((0, 0), (0, 1))  # zero first, then the second simple root
     assert L.norm(reps[1]) == 2
 
@@ -375,6 +377,26 @@ def test_coset_reps_trivial_and_doubled():
     assert reps[0] == (0, 0)
     d22 = lat([[2, 0], [0, 2]])
     assert len(coset_reps_mod_sublattice(d22, doubled)) == 4
+
+
+@GENERATED
+@given(shifted_cosets(), st.booleans())
+def test_sublattice_change_of_basis(case, doubled):
+    L, rep, a = case
+    d = L.rank
+    if doubled:
+        S = sublattice(L, tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d)))
+    else:
+        S = orthogonal_sublattice(L)
+    for v in (a, tuple(x + y for x, y in zip(rep, a))):
+        assert S.to_parent(S.to_sub(v)) == v
+    for i, b in enumerate(S.basis):
+        assert S.to_sub(b) == tuple(int(i == j) for j in range(d))
+        for j, c in enumerate(S.basis):
+            assert S.lattice.gram[i][j] == L.pairing(b, c)
+    assert S.index == abs(intmat.det_int([list(b) for b in S.basis]))
+    assert S.lattice.det == S.index ** 2 * L.det
+    assert len(coset_reps_mod_sublattice(L, S.basis)) == S.index
 
 
 def test_coset_reps_rejects_singular_basis():

@@ -2,12 +2,15 @@
 
 Two routes: over the tensor product of the rank-one subalgebras of an
 orthogonal base (diagonal Gram only), and over the fixed-point algebra
-of a full-rank sublattice.  Every decomposition is verified by an exact
-character identity, which is the normative check: for a nonzero
-self-paired coset the two signed modules have equal characters, so the
-sign chosen for such a part is reported as convention-dependent
-metadata, computed from the involution coefficient on the canonical
-lowest-weight vector.
+of a full-rank sublattice.  An orthogonal branching is kept as a
+structure: per-factor options, each a (rank-one label, sign bit), and
+one parity constraint on the sign bits (None for an orbit parent); its
+parts are the options' product filtered by the parity.  Every
+decomposition is verified by an exact character identity, which is the
+normative check: for a nonzero self-paired coset the two signed modules
+have equal characters, so the sign chosen for such a part is reported
+as convention-dependent metadata, computed from the involution
+coefficient on the canonical lowest-weight vector.
 
 Twisted parents over a sublattice branch into abstract placeholders
 carrying only sign and multiplicity; the census of the finer twisted
@@ -83,6 +86,10 @@ class BranchList:
     sublattice: EvenLattice | None = None
     factors: tuple[EvenLattice, ...] | None = None
     notes: tuple[str, ...] = ()
+    # orthogonal route: per-factor (label, sign bit) options, and the
+    # parity every part's sign bits sum to (None: no constraint)
+    options: tuple[tuple[tuple[ModuleLabel, int], ...], ...] | None = None
+    parity: int | None = None
 
 
 def part_is_twisted(p: BranchPart) -> bool:
@@ -97,80 +104,50 @@ def part_is_twisted(p: BranchPart) -> bool:
 # orthogonal base route
 # ---------------------------------------------------------------------------
 
-def _sign_vectors(d: int, parity: int):
-    """All sign tuples in {+1,-1}^d whose count of -1 entries has the parity."""
-    for combo in product((1, -1), repeat=d):
-        if sum(1 for s in combo if s == -1) % 2 == parity:
-            yield combo
-
-
-def _rank1_vacuum(sign: int) -> ModuleLabel:
-    return VAC_PLUS if sign == 1 else VAC_MINUS
+def _coset_options(factor: EvenLattice, c: CosetElement):
+    """A factor's (label, sign bit) options for one coordinate coset."""
+    if coset_is_trivial(c):
+        return ((VAC_PLUS, 0), (VAC_MINUS, 1))
+    if coset_two_torsion(factor, c):
+        return ((coset_label(factor, c, +1), 0), (coset_label(factor, c, -1), 1))
+    return ((untwisted_label(factor, c), 0),)
 
 
 def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     """Decompose over the tensor product of the rank-one fixed-point algebras.
 
-    Requires a diagonal Gram matrix.  Vacuum and self-paired-coset
-    parents spread over the sign vectors of matching parity; an orbit
-    parent is the single product of its coordinate cosets, with every
-    split factor expanded; twisted parents factor through the coordinate
-    characters with matching sign parity.
+    Requires a diagonal Gram matrix.  Each factor offers one or two
+    (label, sign bit) options: the signed pair of a trivial or
+    self-paired coordinate coset or of a coordinate twisted character,
+    else the orbit label of the coordinate coset.  A part picks one
+    option per factor, with sign bits summing to the parent's sign
+    parity; an orbit parent has no constraint.
     """
     if not L.is_diagonal():
         raise NotOrthogonalBase("orthogonal branching needs a diagonal Gram matrix")
     d = L.rank
     factors = tuple(validate_even_lattice([[L.gram[i][i]]]) for i in range(d))
-    parts: list[BranchPart] = []
-    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-        parity = 0 if m.kind == LabelKind.VAC_PLUS else 1
-        for combo in _sign_vectors(d, parity):
-            parts.append(TensorPart(tuple(_rank1_vacuum(s) for s in combo)))
-    elif m.kind == LabelKind.UNTWISTED:
-        options = []
-        for i in range(d):
-            c = coset_element(factors[i], (m.coset.rep[i],))
-            if coset_is_trivial(c):
-                options.append((VAC_PLUS, VAC_MINUS))
-            elif coset_two_torsion(factors[i], c):
-                options.append(
-                    (coset_label(factors[i], c, +1), coset_label(factors[i], c, -1))
-                )
-            else:
-                options.append((untwisted_label(factors[i], c),))
-        for combo in product(*options):
-            parts.append(TensorPart(tuple(combo)))
-    elif m.kind == LabelKind.COSET:
-        options = []
-        for i in range(d):
-            c = coset_element(factors[i], (m.coset.rep[i],))
-            if coset_is_trivial(c):
-                options.append({1: VAC_PLUS, -1: VAC_MINUS})
-            else:
-                options.append(
-                    {1: coset_label(factors[i], c, +1), -1: coset_label(factors[i], c, -1)}
-                )
-        parity = 0 if m.sign == 1 else 1
-        for combo in _sign_vectors(d, parity):
-            parts.append(TensorPart(tuple(opt[s] for opt, s in zip(options, combo))))
-    else:
+    if m.kind == LabelKind.TWISTED:
         radical = mod_two_data(L).radical_basis
         std = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         if radical != std:
             raise AssertionError("diagonal lattice must have the standard radical basis")
-        factor_chars = []
-        for i in range(d):
-            chars = central_characters(factors[i])
-            factor_chars.append(chars[0] if m.char.values[i] == 1 else chars[1])
-        parity = 0 if m.sign == 1 else 1
-        for combo in _sign_vectors(d, parity):
-            parts.append(
-                TensorPart(
-                    tuple(twisted_label(ch, s) for ch, s in zip(factor_chars, combo))
-                )
-            )
+        values = m.char.values
+        chars = (central_characters(f)[0 if v == 1 else 1] for f, v in zip(factors, values))
+        options = tuple(((twisted_label(c, +1), 0), (twisted_label(c, -1), 1)) for c in chars)
+    else:
+        rep = m.coset.rep if m.coset is not None else (0,) * d
+        options = tuple(_coset_options(f, coset_element(f, (x,))) for f, x in zip(factors, rep))
+    sign = {LabelKind.VAC_PLUS: 1, LabelKind.VAC_MINUS: -1}.get(m.kind, m.sign)
+    parity = None if sign is None else (1 - sign) // 2
+    parts = tuple(
+        TensorPart(tuple(label for label, _ in combo))
+        for combo in product(*options)
+        if parity is None or sum(bit for _, bit in combo) % 2 == parity
+    )
     return BranchList(
-        parent_lattice=L, parent=m, route="orthogonal", parts=tuple(parts), factors=factors
+        parent_lattice=L, parent=m, route="orthogonal", parts=parts, factors=factors,
+        options=options, parity=parity,
     )
 
 

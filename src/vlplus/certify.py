@@ -24,22 +24,17 @@ the square-root branch; those conventions only move sign metadata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from .branching import (
-    BranchList,
-    SubmodulePart,
-    branch_orthogonal,
-    branch_sublattice,
-    part_is_twisted,
-)
-from .fusion import ZERO, admissible_triple, rank1_fusion, tensor_fusion
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from .branching import BranchList, branch_orthogonal, branch_sublattice
+from .fusion import ZERO, rank1_fusion
 from .lattice import (
     Convention,
     EvenLattice,
     coset_element,
     mod_two_data,
     orthogonal_sublattice,
-    zero_coset,
 )
 from .qseries import series_denominator
 from .sectors import (
@@ -144,7 +139,9 @@ def _rule_path(j: ExtJustification) -> str:
 
 
 class _Context:
-    """Shared per-lattice data for the rule chain."""
+    """Shared per-lattice data for the rule chain, cached per label:
+    sublattice branchings and the classes mod L of their constituents,
+    and rank-one branchings in their options/parity form."""
 
     def __init__(self, L: EvenLattice, convention: Convention):
         self.L = L
@@ -154,7 +151,8 @@ class _Context:
         self.duals = {m: contragredient(L, m) for m in self.labels}
         self.sub = orthogonal_sublattice(L)
         self._sub_cache: dict[ModuleLabel, BranchList] = {}
-        self._orth_cache: dict[ModuleLabel, tuple] = {}
+        self._class_cache: dict[ModuleLabel, frozenset] = {}
+        self._orth_cache: dict[ModuleLabel, BranchList | None] = {}
         # an index-one orthogonal sublattice is an orthogonal basis of the
         # whole lattice (L itself when diagonal): the rank-one route then
         # runs on that unimodular rebase, with labels transported across
@@ -168,39 +166,47 @@ class _Context:
             )
         return self._sub_cache[m]
 
-    def orth_parts(self, m: ModuleLabel):
-        """Rank-one tensor constituents of the labelled module, or None.
+    def sub_classes(self, m: ModuleLabel) -> frozenset:
+        """Classes mod L of the untwisted sublattice constituents of m."""
+        if m not in self._class_cache:
+            self._class_cache[m] = frozenset(
+                tuple(Fraction(x) % 1 for x in self.sub.to_parent(p.label.coset.rep))
+                if p.label.coset is not None else (Fraction(0),) * self.L.rank
+                for p in self.sub_branch(m).parts
+            )
+        return self._class_cache[m]
 
-        On a diagonal lattice these are the exact constituents; on an
+    def orth_branch(self, m: ModuleLabel) -> BranchList | None:
+        """Structured rank-one branching of the labelled module, or None.
+
+        On a diagonal lattice this is the exact branching; on an
         index-one rebase vacuum, orbit and twisted labels transport
-        intrinsically, while the convention-bound coset signs are
-        replaced by the union of both sign lists (a superset of the true
-        constituents, so vanishing conclusions stay sound).
+        intrinsically, while the convention-bound coset sign is dropped:
+        the options lose their parity constraint and the parts are both
+        sign lists together (a superset of the true constituents, so
+        vanishing conclusions stay sound).
         """
-        if m in self._orth_cache:
-            return self._orth_cache[m]
-        if self.L.is_diagonal():
-            parts = branch_orthogonal(self.L, m).parts
-        elif self.orth_lattice is None:
-            parts = None
-        else:
-            parts = self._transported_parts(m)
-        self._orth_cache[m] = parts
-        return parts
+        if m not in self._orth_cache:
+            if self.L.is_diagonal():
+                self._orth_cache[m] = branch_orthogonal(self.L, m)
+            elif self.orth_lattice is None:
+                self._orth_cache[m] = None
+            else:
+                self._orth_cache[m] = self._transported_branch(m)
+        return self._orth_cache[m]
 
-    def _transported_parts(self, m: ModuleLabel):
+    def _transported_branch(self, m: ModuleLabel) -> BranchList:
         rebased, basis = self.sub.lattice, self.sub.basis
         d = self.L.rank
         if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-            return branch_orthogonal(rebased, m).parts
+            return branch_orthogonal(rebased, m)
         if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
             c = coset_element(rebased, self.sub.to_sub(m.coset.rep))
             if m.kind == LabelKind.UNTWISTED:
-                return branch_orthogonal(rebased, untwisted_label(rebased, c)).parts
-            return (
-                branch_orthogonal(rebased, coset_label(rebased, c, +1)).parts
-                + branch_orthogonal(rebased, coset_label(rebased, c, -1)).parts
-            )
+                return branch_orthogonal(rebased, untwisted_label(rebased, c))
+            plus = branch_orthogonal(rebased, coset_label(rebased, c, +1))
+            minus = branch_orthogonal(rebased, coset_label(rebased, c, -1))
+            return replace(plus, parts=plus.parts + minus.parts, parity=None)
         # twisted: an index-one rebase forces the mod-2 form to vanish, so
         # the character lives on the whole lattice mod 2 and transports by
         # evaluating on the new basis vectors
@@ -215,7 +221,7 @@ class _Context:
         target = central_characters(rebased)[chi.index]
         if target.values != values:
             raise AssertionError("transported character out of order")
-        return branch_orthogonal(rebased, twisted_label(target, m.sign)).parts
+        return branch_orthogonal(rebased, twisted_label(target, m.sign))
 
 
 def _sign_power(values: tuple[int, ...], coords) -> int:
@@ -254,42 +260,32 @@ def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, route: str):
     """Obstruction rule: every subalgebra intertwiner type must be Zero.
 
-    The sublattice route uses only the two decided vanishing gates
-    (exactly one twisted constituent, or an inadmissible coset triple)
-    over a proper sublattice; the orthogonal route factors through the
-    complete rank-one vacuum rows and is available when the Gram matrix
-    is diagonal.  Any triple that is not decidably Zero makes the rule
-    inapplicable; it is never unsound.
+    Sublattice route (a proper sublattice L'): one twisted side makes
+    every triple Zero by parity, two cannot be compared; otherwise the V+
+    constituents are one per +- pair of classes of L mod L', so a coset
+    triple is admissible iff a constituent class of m2 is +- one of m1
+    mod L.  Orthogonal route: a triple is nonzero iff every factor's
+    rank-one vacuum row is, so a walk over the factors keeps the
+    reachable (V+, m2, m1) sign-bit parities and the rule applies iff
+    none meets the three parity constraints.  Any triple that is not
+    decidably Zero makes the rule inapplicable; it is never unsound.
     """
     if route == "sublattice":
         if ctx.sub.index == 1:
             # the fixed-point algebra of the sublattice would be the
             # algebra itself; a certificate must not cite its own verdict
             return None
+        t1, t2 = m1.kind == LabelKind.TWISTED, m2.kind == LabelKind.TWISTED
+        if t1 and t2:
+            return None  # twisted placeholders cannot be compared
+        if t1 == t2:
+            classes1 = ctx.sub_classes(m1)
+            classes1 |= {tuple((-x) % 1 for x in c) for c in classes1}
+            if not ctx.sub_classes(m2).isdisjoint(classes1):
+                return None
         sub = ctx.sub.lattice
-        parts1 = ctx.sub_branch(m1).parts
-        parts_v = ctx.sub_branch(VAC_PLUS).parts
-        parts2 = ctx.sub_branch(m2).parts
-        zero_parity = 0
-        zero_adm = 0
-        total = 0
-        for n in parts_v:
-            assert isinstance(n, SubmodulePart) and not part_is_twisted(n)
-            n_coset = _part_coset(sub, n)
-            for n2 in parts2:
-                for n1 in parts1:
-                    total += 1
-                    t1, t2 = part_is_twisted(n1), part_is_twisted(n2)
-                    if t1 != t2:
-                        zero_parity += 1
-                        continue
-                    if t1 and t2:
-                        return None  # twisted placeholders cannot be compared
-                    if admissible_triple(
-                        sub, n_coset, _part_coset(sub, n2), _part_coset(sub, n1)
-                    ):
-                        return None
-                    zero_adm += 1
+        total = (len(ctx.sub_branch(VAC_PLUS).parts) * len(ctx.sub_branch(m2).parts)
+                 * len(ctx.sub_branch(m1).parts))
         norms = ",".join(str(sub.gram[i][i]) for i in range(sub.rank))
         return ExtJustification(
             rule=RULE_FUSION,
@@ -298,8 +294,8 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
                 ("route", "sublattice"),
                 ("subalgebra", f"fixed points over sublattice of norms [{norms}]"),
                 ("triples", str(total)),
-                ("zero_by_parity", str(zero_parity)),
-                ("zero_by_admissibility", str(zero_adm)),
+                ("zero_by_parity", str(total if t1 != t2 else 0)),
+                ("zero_by_admissibility", str(0 if t1 != t2 else total)),
             ),
         )
     if route == "orthogonal":
@@ -307,21 +303,19 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
             # no orthogonal basis: the algebra has constituents outside
             # the complete rank-one rows
             return None
-        parts1 = ctx.orth_parts(m1)
-        parts_v = ctx.orth_parts(VAC_PLUS)
-        parts2 = ctx.orth_parts(m2)
+        bv, b2, b1 = ctx.orth_branch(VAC_PLUS), ctx.orth_branch(m2), ctx.orth_branch(m1)
         ks = [ctx.orth_lattice.gram[i][i] // 2 for i in range(ctx.L.rank)]
-        total = 0
-        for n in parts_v:
-            for n2 in parts2:
-                for n1 in parts1:
-                    total += 1
-                    answers = [
-                        rank1_fusion(k, w_n, w_n2, w_n1)
-                        for k, w_n, w_n2, w_n1 in zip(ks, n.labels, n2.labels, n1.labels)
-                    ]
-                    if tensor_fusion(answers) != ZERO:
-                        return None
+        reachable = {(0, 0, 0)}
+        for k, opts_v, opts2, opts1 in zip(ks, bv.options, b2.options, b1.options):
+            steps = {
+                (x, y, z)
+                for n, x in opts_v for n2, y in opts2 for n1, z in opts1
+                if rank1_fusion(k, n, n2, n1) != ZERO
+            }
+            reachable = {(a ^ x, b ^ y, c ^ z) for a, b, c in reachable for x, y, z in steps}
+        wanted = (bv.parity, b2.parity, b1.parity)
+        if any(all(w is None or w == r for w, r in zip(wanted, state)) for state in reachable):
+            return None
         norms = ",".join(str(2 * k) for k in ks)
         return ExtJustification(
             rule=RULE_FUSION,
@@ -329,16 +323,10 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
             detail=(
                 ("route", "orthogonal"),
                 ("subalgebra", f"tensor of rank-one fixed points, norms [{norms}]"),
-                ("triples", str(total)),
+                ("triples", str(len(bv.parts) * len(b2.parts) * len(b1.parts))),
             ),
         )
     raise ValueError(f"unknown route {route!r}")
-
-
-def _part_coset(sub: EvenLattice, p: SubmodulePart):
-    if p.label.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-        return zero_coset(sub)
-    return p.label.coset
 
 
 def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):

@@ -51,6 +51,7 @@ from .sectors import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCOMPLETE = 3
+FORMATS = ("tsv", "json")
 
 
 class CliError(Exception):
@@ -303,10 +304,24 @@ def cmd_certify(args, out):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _output_format(text: str) -> str:
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(f"format must be tsv or json, got {text!r}")
+    return text
+
+
+def _jobs(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"jobs must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # string defaults go through the argument's type, so a malformed
+    # environment value is reported like a malformed flag (exit 2)
     default_order = os.environ.get("VLPLUS_ORDER", "12")
     default_format = os.environ.get("VLPLUS_FORMAT", "tsv")
-    default_jobs = int(os.environ.get("VLPLUS_JOBS", "1"))
+    default_jobs = os.environ.get("VLPLUS_JOBS", "1")
 
     p = argparse.ArgumentParser(prog="vlplus", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -315,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, order=False, fmt=True):
         sp.add_argument("--gram", required=True, help="JSON file with the Gram matrix")
         if fmt:
-            sp.add_argument("--format", choices=("tsv", "json"), default=default_format)
+            sp.add_argument("--format", type=_output_format, choices=FORMATS,
+                            default=default_format)
         if order:
             sp.add_argument("--order", default=default_order,
                             help="truncation order (rational, default 12)")
@@ -354,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, fmt=False)
     sp.add_argument("--out", help="write the certificate JSON here")
     sp.add_argument("--verify", help="re-check an existing certificate file")
-    sp.add_argument("--jobs", type=int, default=default_jobs)
+    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
     sp.add_argument("--disable-rule", action="append", choices=ALL_RULES,
                     help="drop a rule from the chain (falsifiability hook)")
     sp.add_argument("--cocycle", choices=("upper", "lower"), default="upper")

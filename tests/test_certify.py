@@ -240,6 +240,15 @@ def test_sublattice_route_fires_in_chain_on_nondiagonal_lattice():
     assert verify_certificate(L, cert.to_json()) == []
 
 
+def test_index_210_gram_schmidt_lattice_certifies():
+    # Gram-Schmidt sublattice of norms 6, 210, 2240: its sublattice-route
+    # pairs must be decided from class sets, not 210-part triple loops
+    L = lat([[6, -1, 0], [-1, 6, -1], [0, -1, 2]])
+    cert = certify(L)
+    assert cert.verdict == VERDICT_RATIONAL
+    assert verify_certificate(L, cert.to_json()) == []
+
+
 # ---------------------------------------------------------------------------
 # rule-level behaviour
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import A1, A2, D24
 from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 
@@ -272,3 +274,30 @@ def test_env_var_defaults(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["char", "--gram", gram, "--module", "V+"])
     assert code == EXIT_OK
     assert out.splitlines() == ["0\t1", "1\t1"]
+
+
+@pytest.mark.parametrize(
+    "env,argv,message",
+    [
+        ({"VLPLUS_JOBS": "two"}, ["certify"], "--jobs: jobs must be a positive integer, got 'two'"),
+        ({"VLPLUS_JOBS": "0"}, ["certify"], "--jobs: jobs must be a positive integer, got '0'"),
+        ({}, ["certify", "--jobs", "-1"], "--jobs: jobs must be a positive integer, got '-1'"),
+        ({"VLPLUS_FORMAT": "xml"}, ["analyze"], "--format: format must be tsv or json, got 'xml'"),
+        ({}, ["modules", "--format", "xml"], "--format: format must be tsv or json, got 'xml'"),
+    ],
+)
+def test_malformed_jobs_and_format_exit_two(tmp_path, capsys, monkeypatch, env, argv, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    gram = write_gram(tmp_path, A1)
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--gram", gram])
+    assert e.value.code == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def test_jobs_variable_only_concerns_certify(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VLPLUS_JOBS", "two")
+    gram = write_gram(tmp_path, A1)
+    code, out, _ = run_cli(capsys, ["analyze", "--gram", gram])
+    assert code == EXIT_OK and "det\t2" in out

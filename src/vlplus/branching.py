@@ -29,6 +29,7 @@ from .lattice import (
     CosetElement,
     EvenLattice,
     NotOrthogonalBase,
+    Sublattice,
     coset_element,
     coset_is_trivial,
     coset_neg,
@@ -261,6 +262,22 @@ def branch_sublattice(
         sublattice=sub,
         notes=tuple(notes),
     )
+
+
+def sublattice_part_count(S: Sublattice, m: ModuleLabel) -> int:
+    """Number of parts branch_sublattice gives for m, from the Smith form.
+
+    An orbit parent has one per class of its coset mod the sublattice (N =
+    index); otherwise negation pairs the N classes of lambda + L and fixes
+    2^(#even d_i) of them iff U 2lambda is even in every slot of even d_i."""
+    if m.kind == LabelKind.TWISTED:
+        return 1
+    if m.kind == LabelKind.UNTWISTED:
+        return S.index
+    two_lam = [0] * len(S.smith) if m.coset is None else [int(2 * x) for x in m.coset.rep]
+    image = (sum(u * x for u, x in zip(row, two_lam)) for row in S.smith_u)
+    solvable = all(d % 2 or y % 2 == 0 for d, y in zip(S.smith, image))
+    return (S.index + solvable * 2 ** sum(d % 2 == 0 for d in S.smith)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from math import prod
 
-from .branching import BranchList, branch_orthogonal, branch_sublattice
+from .branching import BranchList, branch_orthogonal, sublattice_part_count
 from .fusion import ZERO, rank1_fusion
 from .lattice import (
     Convention,
@@ -139,9 +139,9 @@ def _rule_path(j: ExtJustification) -> str:
 
 
 class _Context:
-    """Shared per-lattice data for the rule chain, cached per label:
-    sublattice branchings and the classes mod L of their constituents,
-    and rank-one branchings in their options/parity form."""
+    """Shared per-lattice data for the rule chain: labels, weights, duals,
+    the orthogonal sublattice, and rank-one branchings in their
+    options/parity form, cached per label."""
 
     def __init__(self, L: EvenLattice, convention: Convention):
         self.L = L
@@ -150,31 +150,13 @@ class _Context:
         self.weights = {m: lowest_weight(L, m) for m in self.labels}
         self.duals = {m: contragredient(L, m) for m in self.labels}
         self.sub = orthogonal_sublattice(L)
-        self._sub_cache: dict[ModuleLabel, BranchList] = {}
-        self._class_cache: dict[ModuleLabel, frozenset] = {}
+        self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
         self._orth_cache: dict[ModuleLabel, BranchList | None] = {}
         # an index-one orthogonal sublattice is an orthogonal basis of the
         # whole lattice (L itself when diagonal): the rank-one route then
         # runs on that unimodular rebase, with labels transported across
         # the basis change
         self.orth_lattice = self.sub.lattice if self.sub.index == 1 else None
-
-    def sub_branch(self, m: ModuleLabel) -> BranchList:
-        if m not in self._sub_cache:
-            self._sub_cache[m] = branch_sublattice(
-                self.L, self.sub.basis, m, self.convention
-            )
-        return self._sub_cache[m]
-
-    def sub_classes(self, m: ModuleLabel) -> frozenset:
-        """Classes mod L of the untwisted sublattice constituents of m."""
-        if m not in self._class_cache:
-            self._class_cache[m] = frozenset(
-                tuple(Fraction(x) % 1 for x in self.sub.to_parent(p.label.coset.rep))
-                if p.label.coset is not None else (Fraction(0),) * self.L.rank
-                for p in self.sub_branch(m).parts
-            )
-        return self._class_cache[m]
 
     def orth_branch(self, m: ModuleLabel) -> BranchList | None:
         """Structured rank-one branching of the labelled module, or None.
@@ -249,11 +231,10 @@ def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     if m1.kind != LabelKind.VAC_MINUS or m2.kind != LabelKind.VAC_PLUS:
         return None
-    norms = ",".join(str(ctx.sub.lattice.gram[i][i]) for i in range(ctx.L.rank))
     return ExtJustification(
         rule=RULE_VACUUM,
         citation=CITATIONS[RULE_VACUUM],
-        detail=(("subalgebra", f"orthogonal sublattice of norms [{norms}]"),),
+        detail=(("subalgebra", f"orthogonal sublattice of norms [{ctx.sub_norms}]"),),
     )
 
 
@@ -261,14 +242,15 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     """Obstruction rule: every subalgebra intertwiner type must be Zero.
 
     Sublattice route (a proper sublattice L'): one twisted side makes
-    every triple Zero by parity, two cannot be compared; otherwise the V+
-    constituents are one per +- pair of classes of L mod L', so a coset
-    triple is admissible iff a constituent class of m2 is +- one of m1
-    mod L.  Orthogonal route: a triple is nonzero iff every factor's
-    rank-one vacuum row is, so a walk over the factors keeps the
-    reachable (V+, m2, m1) sign-bit parities and the rule applies iff
-    none meets the three parity constraints.  Any triple that is not
-    decidably Zero makes the rule inapplicable; it is never unsound.
+    every triple Zero by parity, two cannot be compared; otherwise the
+    constituents of a label with coset lambda (0 for V+-) lift to
+    +-lambda mod L and those of V+ meet every class of L mod L', so some
+    triple is admissible iff lambda2 = +-lambda1 mod L.  Orthogonal
+    route: a triple is nonzero iff every factor's rank-one vacuum row is,
+    so a walk over the factors keeps the reachable (V+, m2, m1) sign-bit
+    parities and the rule applies iff none meets the three parity
+    constraints.  Any triple that is not decidably Zero makes the rule
+    inapplicable; it is never unsound.
     """
     if route == "sublattice":
         if ctx.sub.index == 1:
@@ -279,20 +261,17 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
         if t1 and t2:
             return None  # twisted placeholders cannot be compared
         if t1 == t2:
-            classes1 = ctx.sub_classes(m1)
-            classes1 |= {tuple((-x) % 1 for x in c) for c in classes1}
-            if not ctx.sub_classes(m2).isdisjoint(classes1):
+            lam1, lam2 = (m.coset.rep if m.coset else (0,) * ctx.L.rank for m in (m1, m2))
+            if any(all((a - s * b).denominator == 1 for a, b in zip(lam2, lam1))
+                   for s in (1, -1)):
                 return None
-        sub = ctx.sub.lattice
-        total = (len(ctx.sub_branch(VAC_PLUS).parts) * len(ctx.sub_branch(m2).parts)
-                 * len(ctx.sub_branch(m1).parts))
-        norms = ",".join(str(sub.gram[i][i]) for i in range(sub.rank))
+        total = prod(sublattice_part_count(ctx.sub, m) for m in (VAC_PLUS, m2, m1))
         return ExtJustification(
             rule=RULE_FUSION,
             citation=CITATIONS[RULE_FUSION],
             detail=(
                 ("route", "sublattice"),
-                ("subalgebra", f"fixed points over sublattice of norms [{norms}]"),
+                ("subalgebra", f"fixed points over sublattice of norms [{ctx.sub_norms}]"),
                 ("triples", str(total)),
                 ("zero_by_parity", str(total if t1 != t2 else 0)),
                 ("zero_by_admissibility", str(0 if t1 != t2 else total)),

@@ -7,9 +7,9 @@ canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), discriminant groups via Smith normal form,
 the bimultiplicative 2-cocycle and mod-2 bilinear data.  A full-rank
-sublattice is one Sublattice value (basis, Gram, index and the change
-of basis both ways), cached per lattice and basis; the orthogonal
-sublattice from Gram-Schmidt is one.
+sublattice is one Sublattice value (basis, Gram, index, the change of
+basis both ways and the Smith form of the quotient), cached per lattice
+and basis; the orthogonal sublattice from Gram-Schmidt is one.
 """
 
 from __future__ import annotations
@@ -449,7 +449,8 @@ class Sublattice:
     basis holds the generators as rows B in the parent's coordinates;
     lattice is the sublattice in that basis (Gram B G B^T), index is
     |det B| and inverse is B^-1.  A vector x in sublattice coordinates
-    is x B in parent coordinates.
+    is x B in parent coordinates; with U B^T V = diag(smith) the Smith
+    form, a parent vector v lies in the class U v mod smith of the quotient.
     """
 
     parent: EvenLattice
@@ -457,6 +458,8 @@ class Sublattice:
     lattice: EvenLattice
     index: int
     inverse: tuple[tuple[Fraction, ...], ...]
+    smith: tuple[int, ...]
+    smith_u: tuple[Coords, ...]
 
     def to_sub(self, v) -> DualCoords:
         """Parent coordinates to sublattice coordinates, v B^-1."""
@@ -480,7 +483,9 @@ def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
     if sub.det != index * index * L.det:
         raise AssertionError("sublattice determinant must be index^2 * det")
     inverse = tuple(map(tuple, intmat.rational_inverse(rows)))
-    return Sublattice(parent=L, basis=basis, lattice=sub, index=index, inverse=inverse)
+    smith, u, _ = intmat.snf([list(c) for c in zip(*rows)])
+    return Sublattice(parent=L, basis=basis, lattice=sub, index=index, inverse=inverse,
+                      smith=tuple(smith), smith_u=tuple(map(tuple, u)))
 
 
 @lru_cache(maxsize=None)
@@ -516,12 +521,10 @@ def coset_reps_mod_sublattice(
     minimal norm in its class.
     """
     S = sublattice(L, basis)
-    # L / S is Z^d modulo the columns of B^T; its Smith form lists the classes
-    diag, u, _ = intmat.snf([list(c) for c in zip(*basis)])
-    uinv = intmat.rational_inverse(u)
+    uinv = intmat.rational_inverse([list(r) for r in S.smith_u])
     d = L.rank
     out = []
-    for combo in product(*(range(f) for f in diag)):
+    for combo in product(*(range(f) for f in S.smith)):
         vec = [sum(uinv[r][i] * combo[i] for i in range(d)) for r in range(d)]
         if any(x.denominator != 1 for x in vec):
             raise AssertionError("group generator produced non-integer vector")

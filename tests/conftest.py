@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, strategies as st
 
+from vlplus import intmat
 from vlplus.lattice import EvenLattice, validate_even_lattice
 
 A1 = [[2]]
@@ -13,6 +15,9 @@ D24 = [[2, 0], [0, 4]]
 D224 = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 ODD7 = [[2, 1], [1, 4]]  # det 7, no self-paired cosets beyond 0
+E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
+      [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
 
 # rank <= 3, det <= 16 suite used by the census-wide tests
 TEST_GRAMS = [
@@ -33,6 +38,20 @@ CERT_GRAMS = [A1, A1_4, D22, D24, A2, D224]
 
 def lat(gram) -> EvenLattice:
     return validate_even_lattice(gram)
+
+
+@st.composite
+def even_grams(draw):
+    """Even positive definite Gram matrices of rank <= 3 and det <= 16."""
+    d = draw(st.integers(1, 3))
+    gram = [[0] * d for _ in range(d)]
+    for i in range(d):
+        gram[i][i] = 2 * draw(st.integers(1, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    minors = intmat.leading_minors(gram)
+    assume(all(m > 0 for m in minors) and minors[-1] <= 16)
+    return gram
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import A2, D22, D24, D224, lat
-from vlplus.lattice import Convention, NotOrthogonalBase, orthogonal_sublattice
+from conftest import A2, D22, D24, D224, even_grams, lat
+from vlplus.lattice import Convention, NotOrthogonalBase, orthogonal_sublattice, sublattice
 from vlplus.branching import (
     BranchList,
     SubmodulePart,
@@ -13,6 +14,7 @@ from vlplus.branching import (
     branch_sublattice,
     part_is_twisted,
     rank1_m1_branch,
+    sublattice_part_count,
     verify_branch,
 )
 from vlplus.qseries import character
@@ -270,6 +272,46 @@ def test_sublattice_part_census_matches_quotient():
             else:
                 total += 1
         assert total == n_classes
+
+
+@st.composite
+def sublattice_bases(draw):
+    """(L, B): a generated lattice and a full-rank basis B of a sublattice,
+    Gram-Schmidt, doubled, or T U with T lower triangular (diagonal 1..3)
+    and U upper unitriangular, so |det B| <= 27."""
+    L = lat(draw(even_grams()))
+    d = L.rank
+    kind = draw(st.sampled_from(("orthogonal", "doubled", "random")))
+    if kind == "orthogonal":
+        return L, orthogonal_sublattice(L).basis
+    if kind == "doubled":
+        return L, tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
+    small = st.integers(-2, 2)
+    t = [[draw(st.integers(1, 3)) if i == j else draw(small) if j < i else 0
+          for j in range(d)] for i in range(d)]
+    u = [[1 if i == j else draw(small) if j > i else 0 for j in range(d)] for i in range(d)]
+    return L, tuple(tuple(sum(t[i][k] * u[k][j] for k in range(d)) for j in range(d))
+                    for i in range(d))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sublattice_bases())
+def test_sublattice_part_count_and_constituent_classes(case):
+    # the closed-form count is the branching's length, and every untwisted
+    # constituent lifts to +- the parent's coset mod L
+    L, basis = case
+    S = sublattice(L, basis)
+    zero = (0,) * L.rank
+    for m in classify_modules(L):
+        bl = branch_sublattice(L, basis, m)
+        assert sublattice_part_count(S, m) == len(bl.parts), str(m)
+        if m.kind == LabelKind.TWISTED:
+            continue
+        lam = zero if m.coset is None else m.coset.rep
+        for p in bl.parts:
+            mu = zero if p.label.coset is None else S.to_parent(p.label.coset.rep)
+            assert any(all((x - s * y).denominator == 1 for x, y in zip(mu, lam))
+                       for s in (1, -1)), (str(m), str(p.label))
 
 
 def test_two_stage_consistency_character_level():

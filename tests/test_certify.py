@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import A1, A2, D24, D224, CERT_GRAMS, lat
+from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, lat
 from vlplus.lattice import Convention, coset_element
 from vlplus.certify import (
     RULE_DUALITY,
@@ -49,6 +50,29 @@ def test_certify_a1_complete():
     assert cert.verdict == VERDICT_RATIONAL
     assert len(cert.pairs) == 64 and not cert.unknown
     assert verify_certificate(L, cert.to_json()) == []
+
+
+def test_certify_e8_index_40320_sublattice_route(tmp_path):
+    # two pairs reach FusionObstruction over the index-40320 Gram-Schmidt
+    # sublattice; the route reads the labels and a Smith form, so this
+    # certifies and re-verifies in well under a second
+    from vlplus.cli import EXIT_OK, main
+
+    L = lat(E8)
+    cert = certify(L)
+    assert cert.verdict == VERDICT_RATIONAL
+    assert len(cert.pairs) == 16 and not cert.unknown
+    assert Counter(cert.rule_map().values()) == {
+        "WeightGap": 12, "Vacuum": 1, "Duality(Vacuum)": 1,
+        "FusionObstruction[sublattice]": 2,
+    }
+    for pair in (("V+", "T[0]-"), ("T[0]-", "V+")):
+        assert dict(rule_of(cert, *pair).detail)["triples"] == "406748224"
+    assert verify_certificate(L, cert.to_json()) == []
+    gram, cert_path = tmp_path / "e8.json", tmp_path / "e8.cert"
+    gram.write_text(json.dumps({"gram": E8}))
+    cert_path.write_text(cert.dumps())
+    assert main(["certify", "--gram", str(gram), "--verify", str(cert_path)]) == EXIT_OK
 
 
 def test_certify_a2_complete():

@@ -1,12 +1,12 @@
 """Brute-force oracles for the two FusionObstruction routes.
 
-The rule decides each route from the shape of the branchings: a
-sign-parity walk over the rank-one factors, and one class-set test
-over the sublattice.  The oracles here expand every branching into its
-list of parts and test every (V+, m2, m1) triple directly, with
-rank1_fusion and tensor_fusion, or admissible_triple.  The rule's
-justification must match the oracle's on every ordered pair, counts
-included.
+The rule decides the orthogonal route by a sign-parity walk over the
+rank-one factors, and the sublattice route by a +-lambda test on the two
+labels with part counts from a Smith form.  The oracles here expand
+every branching into its list of parts and test every (V+, m2, m1)
+triple directly, with rank1_fusion and tensor_fusion, or
+admissible_triple.  The rule's justification must match the oracle's on
+every ordered pair, counts included.
 """
 
 from functools import lru_cache
@@ -16,7 +16,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lat
-from vlplus.branching import SubmodulePart, branch_orthogonal, part_is_twisted
+from vlplus.branching import (
+    SubmodulePart,
+    branch_orthogonal,
+    branch_sublattice,
+    part_is_twisted,
+)
 from vlplus.certify import (
     _Context,
     _sign_power,
@@ -77,6 +82,11 @@ def orthogonal_oracle(ctx, m1, m2):
     return {"route": "orthogonal", "triples": str(total)}
 
 
+@lru_cache(maxsize=4096)
+def sublattice_parts(ctx, m):
+    return branch_sublattice(ctx.L, ctx.sub.basis, m, ctx.convention).parts
+
+
 def part_coset(sub, p):
     if p.label.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
         return zero_coset(sub)
@@ -87,7 +97,7 @@ def sublattice_oracle(ctx, m1, m2):
     if ctx.sub.index == 1:
         return None
     sub = ctx.sub.lattice
-    parts_v, parts2, parts1 = (ctx.sub_branch(m).parts for m in (VAC_PLUS, m2, m1))
+    parts_v, parts2, parts1 = (sublattice_parts(ctx, m) for m in (VAC_PLUS, m2, m1))
     total = zero_parity = zero_adm = 0
     for n in parts_v:
         assert isinstance(n, SubmodulePart) and not part_is_twisted(n)

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, TEST_GRAMS, box_enumerate, lat
+from conftest import A1, A2, D24, D224, TEST_GRAMS, box_enumerate, even_grams, lat
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
@@ -178,18 +178,10 @@ def test_enumeration_norms_are_exact():
 def shifted_cosets(draw):
     """(L, rep, a): an even positive definite lattice of rank <= 3 and
     det <= 16, a canonical coset representative, and a lattice vector."""
-    d = draw(st.integers(1, 3))
-    gram = [[0] * d for _ in range(d)]
-    for i in range(d):
-        gram[i][i] = 2 * draw(st.integers(1, 4))
-        for j in range(i):
-            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
-    minors = intmat.leading_minors(gram)
-    assume(all(m > 0 for m in minors) and minors[-1] <= 16)
-    L = lat(gram)
+    L = lat(draw(even_grams()))
     reps = minimal_coset_reps(L)
     rep = reps[draw(st.integers(0, len(reps) - 1))].rep
-    a = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    a = tuple(draw(st.integers(-3, 3)) for _ in range(L.rank))
     return L, rep, a
 
 

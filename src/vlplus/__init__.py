@@ -54,7 +54,6 @@ from .branching import (
     BranchList,
     branch_orthogonal,
     branch_sublattice,
-    rank1_m1_branch,
     verify_branch,
 )
 from .certify import ExtCertificate, ExtJustification, certify, verify_certificate
@@ -96,7 +95,6 @@ __all__ = [
     "orthogonal_sublattice",
     "parse_label",
     "rank1_fusion",
-    "rank1_m1_branch",
     "series_denominator",
     "tensor_fusion",
     "theta_coset",

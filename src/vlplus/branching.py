@@ -40,7 +40,7 @@ from .lattice import (
     sublattice,
     validate_even_lattice,
 )
-from .qseries import QSeries, character, euler_product_inv, series_denominator
+from .qseries import QSeries, character, series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -91,14 +91,6 @@ class BranchList:
     # parity every part's sign bits sum to (None: no constraint)
     options: tuple[tuple[tuple[ModuleLabel, int], ...], ...] | None = None
     parity: int | None = None
-
-
-def part_is_twisted(p: BranchPart) -> bool:
-    if isinstance(p, TwistedBlockPart):
-        return True
-    if isinstance(p, SubmodulePart):
-        return p.label.kind == LabelKind.TWISTED
-    return any(l.kind == LabelKind.TWISTED for l in p.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -309,56 +301,3 @@ def verify_branch(bl: BranchList, order) -> bool:
         total = total + part_character(bl, p, order)
     common = min(parent.order, total.order)
     return parent.truncate(common) == total.truncate(common)
-
-
-# ---------------------------------------------------------------------------
-# rank-one free-field assembly
-# ---------------------------------------------------------------------------
-
-def rank1_m1_branch(k: int, m: ModuleLabel, order) -> QSeries:
-    """Character assembled from the rank-one free-field module list.
-
-    Vacuum signs: invariant/anti-invariant free-field pieces plus one
-    full momentum module per positive multiple of the generator; coset
-    labels: half of the coset momenta; twisted labels: the half-integer
-    modes.  Must reproduce the direct character.
-    """
-    order = Fraction(order)
-    L = validate_even_lattice([[2 * k]])
-    denom = series_denominator(L)
-    phi_inv = euler_product_inv(1, order, denom)
-    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-        psi_inv = euler_product_inv(1, order, denom, alternating=True)
-        sign = 1 if m.kind == LabelKind.VAC_PLUS else -1
-        total = (phi_inv + psi_inv.scaled(sign)).scaled(Fraction(1, 2))
-        mm = 1
-        while Fraction(k) * mm * mm < order:
-            total = total + phi_inv.shifted(Fraction(k) * mm * mm).truncate(order)
-            mm += 1
-        return total
-    if m.kind == LabelKind.UNTWISTED:
-        total = QSeries.zero(denom, order)
-        from .lattice import enumerate_coset_with_norms
-
-        for _, n in enumerate_coset_with_norms(L, m.coset.rep, 2 * order):
-            e = Fraction(n) / 2
-            if e < order:
-                total = total + phi_inv.shifted(e).truncate(order)
-        return total
-    if m.kind == LabelKind.COSET:
-        total = QSeries.zero(denom, order)
-        mm = 0
-        while True:
-            e = Fraction(k) * (Fraction(1, 2) + mm) ** 2
-            if e >= order:
-                break
-            total = total + phi_inv.shifted(e).truncate(order)
-            mm += 1
-        return total
-    inner = order - Fraction(1, 16)
-    if inner <= 0:
-        return QSeries.zero(denom, order)
-    h_minus = euler_product_inv(1, inner, denom, half_integer=True)
-    h_plus = euler_product_inv(1, inner, denom, alternating=True, half_integer=True)
-    sign = 1 if m.sign == 1 else -1
-    return (h_minus + h_plus.scaled(sign)).scaled(Fraction(1, 2)).shifted(Fraction(1, 16))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from math import prod
 
 from .branching import BranchList, branch_orthogonal, sublattice_part_count
@@ -139,15 +140,13 @@ def _rule_path(j: ExtJustification) -> str:
 
 
 class _Context:
-    """Shared per-lattice data for the rule chain: labels, weights, duals,
-    the orthogonal sublattice, and rank-one branchings in their
+    """Shared per-lattice data for the rule chain: labels, duals, the
+    orthogonal sublattice, and rank-one branchings in their
     options/parity form, cached per label."""
 
-    def __init__(self, L: EvenLattice, convention: Convention):
+    def __init__(self, L: EvenLattice):
         self.L = L
-        self.convention = convention
         self.labels = classify_modules(L)
-        self.weights = {m: lowest_weight(L, m) for m in self.labels}
         self.duals = {m: contragredient(L, m) for m in self.labels}
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
@@ -215,7 +214,8 @@ def _sign_power(values: tuple[int, ...], coords) -> int:
 
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
-    gap = ctx.weights[m1] - ctx.weights[m2]
+    w1, w2 = lowest_weight(ctx.L, m1), lowest_weight(ctx.L, m2)
+    gap = w1 - w2
     if gap != 0 and gap.denominator == 1:
         return None
     return ExtJustification(
@@ -223,7 +223,7 @@ def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
         citation=CITATIONS[RULE_WEIGHT_GAP],
         detail=(
             ("gap", str(gap)),
-            ("weights", f"{ctx.weights[m1]},{ctx.weights[m2]}"),
+            ("weights", f"{w1},{w2}"),
         ),
     )
 
@@ -322,112 +322,46 @@ def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):
     return None
 
 
-def _justify(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, disabled: frozenset):
-    """First applicable rule in the fixed chain, or None."""
-    wg = RULE_WEIGHT_GAP not in disabled
-    vac = RULE_VACUUM not in disabled
-    dual = RULE_DUALITY not in disabled
-    fus = RULE_FUSION not in disabled
+def _chain(disabled: frozenset) -> list:
+    """The enabled rules in rule_order, each called as rule(ctx, m1, m2).
 
-    if wg:
-        j = weight_gap_rule(ctx, m1, m2)
-        if j:
-            return j
-    if vac:
-        j = vacuum_rule(ctx, m1, m2)
-        if j:
-            return j
-    if dual:
-        base = []
-        if wg:
-            base.append(weight_gap_rule)
-        if vac:
-            base.append(vacuum_rule)
-        j = duality_rule(ctx, m1, m2, base)
-        if j:
-            return j
-    if fus:
-        for route in ROUTES:
-            j = fusion_obstruction_rule(ctx, m1, m2, route)
-            if j:
-                return j
-    if fus and dual:
-        j = duality_rule(
-            ctx,
-            m1,
-            m2,
-            [
-                lambda c, a, b: fusion_obstruction_rule(c, a, b, "sublattice"),
-                lambda c, a, b: fusion_obstruction_rule(c, a, b, "orthogonal"),
-            ],
-        )
-        if j:
-            return j
-    return None
-
-
-_WORKER_STATE: dict = {}
-
-
-def _pair_worker(args):
-    gram, convention, disabled, index_pairs = args
-    key = (gram, convention, disabled)
-    if _WORKER_STATE.get("key") != key:
-        from .lattice import validate_even_lattice
-
-        L = validate_even_lattice([list(r) for r in gram])
-        _WORKER_STATE["key"] = key
-        _WORKER_STATE["ctx"] = _Context(L, convention)
-    ctx = _WORKER_STATE["ctx"]
-    out = []
-    for idx, (i, j) in index_pairs:
-        m1, m2 = ctx.labels[i], ctx.labels[j]
-        out.append((idx, _justify(ctx, m1, m2, disabled)))
-    return out
+    Built per call, not at import: a tracer that rebinds the module's
+    rule names (perfbench/spans.py) then sees every rule call.
+    """
+    base = [rule for name, rule in ((RULE_WEIGHT_GAP, weight_gap_rule), (RULE_VACUUM, vacuum_rule))
+            if name not in disabled]
+    fusion = [] if RULE_FUSION in disabled else [
+        partial(fusion_obstruction_rule, route=route) for route in ROUTES]
+    if RULE_DUALITY in disabled:
+        return base + fusion
+    dual_fusion = [partial(duality_rule, base_rules=fusion)] if fusion else []
+    return base + [partial(duality_rule, base_rules=base)] + fusion + dual_fusion
 
 
 def certify(
     L: EvenLattice,
     convention: Convention = Convention(),
     disabled: frozenset = frozenset(),
-    jobs: int = 1,
 ) -> ExtCertificate:
     """Certificate over all ordered pairs of irreducible labels.
 
-    Deterministic: identical Gram matrices yield byte-identical output,
-    independent of the parallelism degree.
+    Deterministic: identical Gram matrices yield byte-identical output.
+    Each pair is justified by the first rule of the chain that applies.
     """
-    ctx = _Context(L, convention)
-    n = len(ctx.labels)
-    pair_indices = [(i, j) for i in range(n) for j in range(n)]
-    results: list = [None] * len(pair_indices)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = []
-        step = max(1, len(pair_indices) // (4 * jobs))
-        for start in range(0, len(pair_indices), step):
-            chunk = [
-                (idx, pair_indices[idx])
-                for idx in range(start, min(start + step, len(pair_indices)))
-            ]
-            chunks.append((L.gram, convention, disabled, chunk))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_pair_worker, chunks):
-                for idx, j in batch:
-                    results[idx] = j
-    else:
-        for idx, (i, j) in enumerate(pair_indices):
-            results[idx] = _justify(ctx, ctx.labels[i], ctx.labels[j], disabled)
-
+    ctx = _Context(L)
+    chain = _chain(disabled)
+    names = [format_label(m) for m in ctx.labels]
     pairs = []
     unknown = []
-    for idx, (i, j) in enumerate(pair_indices):
-        a, b = format_label(ctx.labels[i]), format_label(ctx.labels[j])
-        if results[idx] is None:
-            unknown.append((a, b))
-        else:
-            pairs.append((a, b, results[idx]))
+    for m1, a in zip(ctx.labels, names):
+        for m2, b in zip(ctx.labels, names):
+            for rule in chain:
+                j = rule(ctx, m1, m2)
+                if j is not None:
+                    pairs.append((a, b, j))
+                    break
+            else:
+                unknown.append((a, b))
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
         ("denominator", str(series_denominator(L))),
@@ -438,7 +372,7 @@ def certify(
     )
     return ExtCertificate(
         gram=L.gram,
-        labels=tuple(format_label(m) for m in ctx.labels),
+        labels=tuple(names),
         pairs=tuple(pairs),
         unknown=tuple(unknown),
         verdict=verdict,
@@ -450,7 +384,7 @@ def certify(
 # certificate re-verification
 # ---------------------------------------------------------------------------
 
-def verify_certificate(L: EvenLattice, cert, convention: Convention = Convention()) -> list[str]:
+def verify_certificate(L: EvenLattice, cert) -> list[str]:
     """Re-check every recorded justification from scratch.
 
     Returns a list of problems; an empty list means the certificate
@@ -462,7 +396,7 @@ def verify_certificate(L: EvenLattice, cert, convention: Convention = Convention
     """
     if not isinstance(cert, dict):
         return ["certificate is not a JSON object"]
-    ctx = _Context(L, convention)
+    ctx = _Context(L)
     expected_labels = [format_label(m) for m in ctx.labels]
     if cert.get("labels") != expected_labels:
         return ["label census does not match the lattice"]
@@ -471,7 +405,7 @@ def verify_certificate(L: EvenLattice, cert, convention: Convention = Convention
     pairs, unknown = cert.get("pairs", []), cert.get("unknown", [])
     if not isinstance(pairs, list) or not isinstance(unknown, list):
         return ["pairs and unknown must be lists"]
-    by_name = {format_label(m): m for m in ctx.labels}
+    by_name = dict(zip(expected_labels, ctx.labels))
     problems: list[str] = []
     seen = set()
     for i, entry in enumerate(pairs):
@@ -521,9 +455,9 @@ def _rerun(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict):
     if rule == RULE_VACUUM:
         return vacuum_rule(ctx, m1, m2)
     if rule == RULE_FUSION and isinstance(detail, dict) and detail.get("route") in ROUTES:
-        return fusion_obstruction_rule(ctx, m1, m2, detail["route"])
+        return fusion_obstruction_rule(ctx, m1, m2, route=detail["route"])
     if rule == RULE_DUALITY and isinstance(inner, dict) and inner.get("rule") != RULE_DUALITY:
-        return duality_rule(ctx, m1, m2, [lambda c, a, b: _rerun(c, a, b, inner)])
+        return duality_rule(ctx, m1, m2, [partial(_rerun, j=inner)])
     return None
 
 

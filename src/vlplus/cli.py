@@ -6,9 +6,10 @@ entries; rationals in all outputs are exact "p/q" strings in lowest
 terms.  Exit codes: 0 success, 2 validation or input error, 3 an
 incomplete certificate (or a failed certificate re-check).
 
-Defaults (stable): truncation order 12, tsv output, one worker.  The
-environment variables VLPLUS_ORDER, VLPLUS_FORMAT and VLPLUS_JOBS
-override them.
+Defaults (stable): truncation order 12, tsv output.  The environment
+variables VLPLUS_ORDER and VLPLUS_FORMAT override them.  certify runs
+in one process; --jobs and VLPLUS_JOBS are still validated, for
+compatibility only, and change nothing.
 """
 
 from __future__ import annotations
@@ -274,22 +275,22 @@ def _part_str(p) -> str:
 
 def cmd_certify(args, out):
     L = _load_gram(args.gram)
-    convention = Convention(cocycle_mode=args.cocycle, root_branch=args.root_branch)
     if args.verify:
         try:
             with open(args.verify) as fh:
                 cert = load_certificate(fh.read())
         except (OSError, ValueError) as e:
             raise CliError(f"cannot load certificate: {e}")
-        problems = verify_certificate(L, cert, convention)
+        problems = verify_certificate(L, cert)
         if problems:
             for p in problems:
                 out.write(f"problem\t{p}\n")
             return EXIT_INCOMPLETE
         out.write("certificate verified\n")
         return EXIT_OK
+    convention = Convention(cocycle_mode=args.cocycle, root_branch=args.root_branch)
     disabled = frozenset(args.disable_rule or [])
-    cert = certify(L, convention=convention, disabled=disabled, jobs=args.jobs)
+    cert = certify(L, convention=convention, disabled=disabled)
     text = cert.dumps()
     if args.out:
         with open(args.out, "w") as fh:
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, fmt=False)
     sp.add_argument("--out", help="write the certificate JSON here")
     sp.add_argument("--verify", help="re-check an existing certificate file")
-    sp.add_argument("--jobs", type=_jobs, default=default_jobs)
+    sp.add_argument("--jobs", type=_jobs, default=default_jobs,
+                    help="accepted for compatibility; certify runs in one process")
     sp.add_argument("--disable-rule", action="append", choices=ALL_RULES,
                     help="drop a rule from the chain (falsifiability hook)")
     sp.add_argument("--cocycle", choices=("upper", "lower"), default="upper")

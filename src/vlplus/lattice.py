@@ -77,14 +77,6 @@ class EvenLattice:
     def norm(self, v) -> Fraction | int:
         return self.pairing(v, v)
 
-    def is_dual_vector(self, v: DualCoords) -> bool:
-        """True iff v pairs integrally with every lattice vector."""
-        g = self.gram
-        for i in range(self.rank):
-            if sum(g[i][j] * v[j] for j in range(self.rank)).denominator != 1:
-                return False
-        return True
-
     def is_diagonal(self) -> bool:
         return all(self.gram[i][j] == 0
                    for i in range(self.rank) for j in range(self.rank) if i != j)
@@ -164,10 +156,6 @@ class ModTwoData:
         g = self._gram
         n = sum(v[i] * g[i][j] * v[j] for i in range(len(g)) for j in range(len(g)))
         return (n // 2) & 1
-
-    def b(self, v: Coords, w: Coords) -> int:
-        g = self._gram
-        return sum(v[i] * g[i][j] * w[j] for i in range(len(g)) for j in range(len(g))) & 1
 
 
 def _coords_key(v) -> tuple:

@@ -303,11 +303,3 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     sign = 1 if m.sign == 1 else -1
     combo = (halves_minus + halves_plus.scaled(sign)).scaled(Fraction(m.char.dim_t, 2))
     return combo.shifted(shift)
-
-
-def full_lattice_character(L: EvenLattice, order: Fraction) -> QSeries:
-    """Graded dimension of the whole untwisted algebra: theta_L / phi^d."""
-    denom = series_denominator(L)
-    return theta_coset(L, zero_coset(L), order, denom) * euler_product_inv(
-        L.rank, Fraction(order), denom
-    )

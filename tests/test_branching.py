@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import A2, D22, D24, D224, even_grams, lat
-from vlplus.lattice import Convention, NotOrthogonalBase, orthogonal_sublattice, sublattice
+from vlplus.lattice import (
+    Convention,
+    NotOrthogonalBase,
+    enumerate_coset_with_norms,
+    orthogonal_sublattice,
+    sublattice,
+    validate_even_lattice,
+)
 from vlplus.branching import (
     BranchList,
     SubmodulePart,
@@ -12,12 +19,10 @@ from vlplus.branching import (
     TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
-    part_is_twisted,
-    rank1_m1_branch,
     sublattice_part_count,
     verify_branch,
 )
-from vlplus.qseries import character
+from vlplus.qseries import QSeries, character, euler_product_inv, series_denominator
 from vlplus.sectors import (
     LabelKind,
     VAC_MINUS,
@@ -213,7 +218,6 @@ def test_sublattice_twisted_placeholders_a2():
         p = bl.parts[0]
         assert isinstance(p, TwistedBlockPart)
         assert p.sign == m.sign and p.multiplicity == 2
-        assert part_is_twisted(p)
         assert verify_branch(bl, F(12))
 
 
@@ -362,6 +366,53 @@ def test_sign_metadata_flips_with_root_branch_but_verification_stands():
 # ---------------------------------------------------------------------------
 # rank-one free-field assembly
 # ---------------------------------------------------------------------------
+
+def rank1_m1_branch(k: int, m, order) -> QSeries:
+    """Character assembled from the rank-one free-field module list.
+
+    Vacuum signs: invariant/anti-invariant free-field pieces plus one
+    full momentum module per positive multiple of the generator; coset
+    labels: half of the coset momenta; twisted labels: the half-integer
+    modes.  Must reproduce the direct character.
+    """
+    order = Fraction(order)
+    L = validate_even_lattice([[2 * k]])
+    denom = series_denominator(L)
+    phi_inv = euler_product_inv(1, order, denom)
+    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
+        psi_inv = euler_product_inv(1, order, denom, alternating=True)
+        sign = 1 if m.kind == LabelKind.VAC_PLUS else -1
+        total = (phi_inv + psi_inv.scaled(sign)).scaled(Fraction(1, 2))
+        mm = 1
+        while Fraction(k) * mm * mm < order:
+            total = total + phi_inv.shifted(Fraction(k) * mm * mm).truncate(order)
+            mm += 1
+        return total
+    if m.kind == LabelKind.UNTWISTED:
+        total = QSeries.zero(denom, order)
+        for _, n in enumerate_coset_with_norms(L, m.coset.rep, 2 * order):
+            e = Fraction(n) / 2
+            if e < order:
+                total = total + phi_inv.shifted(e).truncate(order)
+        return total
+    if m.kind == LabelKind.COSET:
+        total = QSeries.zero(denom, order)
+        mm = 0
+        while True:
+            e = Fraction(k) * (Fraction(1, 2) + mm) ** 2
+            if e >= order:
+                break
+            total = total + phi_inv.shifted(e).truncate(order)
+            mm += 1
+        return total
+    inner = order - Fraction(1, 16)
+    if inner <= 0:
+        return QSeries.zero(denom, order)
+    h_minus = euler_product_inv(1, inner, denom, half_integer=True)
+    h_plus = euler_product_inv(1, inner, denom, alternating=True, half_integer=True)
+    sign = 1 if m.sign == 1 else -1
+    return (h_minus + h_plus.scaled(sign)).scaled(Fraction(1, 2)).shifted(Fraction(1, 16))
+
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rank1_free_field_assembly_matches_characters(k):

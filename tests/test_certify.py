@@ -1,12 +1,18 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, lat
+from itertools import combinations
+
+from hypothesis import given, settings
+
+from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, even_grams, lat
 from vlplus.lattice import Convention, coset_element
 from vlplus.certify import (
+    ALL_RULES,
     RULE_DUALITY,
     RULE_FUSION,
     RULE_VACUUM,
@@ -15,6 +21,7 @@ from vlplus.certify import (
     VERDICT_RATIONAL,
     _Context,
     certify,
+    duality_rule,
     fusion_obstruction_rule,
     load_certificate,
     verify_certificate,
@@ -92,12 +99,9 @@ def test_certify_all_target_lattices_rational():
         assert verify_certificate(L, cert.to_json()) == [], gram
 
 
-def test_certify_deterministic_and_parallel_identical():
+def test_certify_deterministic():
     L = lat(A1)
-    one = certify(L).dumps()
-    two = certify(L).dumps()
-    par = certify(L, jobs=2).dumps()
-    assert one == two == par
+    assert certify(L).dumps() == certify(L).dumps()
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +185,12 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
     # character-shift fusion answers are intrinsic, so the transported
     # queries on the rebased presentation must reproduce the skew ones
     from vlplus.fusion import fusion_dim
-    from vlplus.lattice import Convention, coset_element
+    from vlplus.lattice import coset_element
     from vlplus.sectors import CentralCharacter, central_characters, twisted_label, untwisted_label
     from vlplus.certify import _Context, _sign_power
 
     skew = lat([[2, -2], [-2, 8]])
-    ctx = _Context(skew, Convention())
+    ctx = _Context(skew)
     assert ctx.sub.index == 1
     rebased, basis = ctx.sub.lattice, ctx.sub.basis
     d = skew.rank
@@ -279,7 +283,7 @@ def test_index_210_gram_schmidt_lattice_certifies():
 
 def test_sublattice_route_rule_level_a2():
     L = lat(A2)
-    ctx = _Context(L, Convention())
+    ctx = _Context(L)
     labels = classify_modules(L)
     tw = [m for m in labels if m.kind == LabelKind.TWISTED][0]
     u = [m for m in labels if m.kind == LabelKind.UNTWISTED][0]
@@ -301,7 +305,7 @@ def test_sublattice_route_rule_level_a2():
 
 def test_sublattice_route_blocked_at_index_one():
     L = lat(D24)
-    ctx = _Context(L, Convention())
+    ctx = _Context(L)
     labels = classify_modules(L)
     tw = [m for m in labels if m.kind == LabelKind.TWISTED][0]
     u = [m for m in labels if m.kind == LabelKind.UNTWISTED][0]
@@ -312,7 +316,7 @@ def test_sublattice_route_blocked_at_index_one():
 
 def test_weight_gap_rule_direct():
     L = lat(A1)
-    ctx = _Context(L, Convention())
+    ctx = _Context(L)
     assert weight_gap_rule(ctx, VAC_PLUS, VAC_PLUS) is not None  # gap zero applies
     assert weight_gap_rule(ctx, VAC_PLUS, VAC_MINUS) is None  # gap -1
     assert vacuum_rule(ctx, VAC_MINUS, VAC_PLUS) is not None
@@ -457,3 +461,60 @@ def test_duality_never_nests():
             if j.rule == RULE_DUALITY:
                 assert j.inner is not None
                 assert j.inner.rule != RULE_DUALITY
+
+
+# ---------------------------------------------------------------------------
+# the rule chain on generated lattices, under every set of disabled rules
+# ---------------------------------------------------------------------------
+
+def fixed_order(disabled):
+    """The enabled steps of rule_order as (step, rule), built here from the rules."""
+    base = [r for name, r in ((RULE_WEIGHT_GAP, weight_gap_rule), (RULE_VACUUM, vacuum_rule))
+            if name not in disabled]
+    routes = [lambda ctx, a, b, route=route: fusion_obstruction_rule(ctx, a, b, route=route)
+              for route in ("sublattice", "orthogonal")]
+    steps = [
+        ("WeightGap", {RULE_WEIGHT_GAP}, weight_gap_rule),
+        ("Vacuum", {RULE_VACUUM}, vacuum_rule),
+        ("Duality[base]", {RULE_DUALITY}, lambda ctx, a, b: duality_rule(ctx, a, b, base)),
+        ("FusionObstruction[sublattice]", {RULE_FUSION}, routes[0]),
+        ("FusionObstruction[orthogonal]", {RULE_FUSION}, routes[1]),
+        ("Duality[FusionObstruction]", {RULE_DUALITY, RULE_FUSION},
+         lambda ctx, a, b: duality_rule(ctx, a, b, routes)),
+    ]
+    return [(step, rule) for step, needs, rule in steps if not needs & disabled]
+
+
+def step_of(path: str) -> str:
+    if path.startswith("Duality(FusionObstruction"):
+        return "Duality[FusionObstruction]"
+    if path.startswith("Duality("):
+        return "Duality[base]"
+    return path
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(even_grams())
+def test_rule_chain_respects_disabled_rules_and_order(gram):
+    L = lat(gram)
+    ctx = _Context(L)
+    by_name = {format_label(m): m for m in ctx.labels}
+    for size in range(len(ALL_RULES) + 1):
+        for off in combinations(ALL_RULES, size):
+            disabled = frozenset(off)
+            cert = certify(L, disabled=disabled)
+            order = fixed_order(disabled)
+            steps = [step for step, _ in order]
+            for (a, b), path in cert.rule_map().items():
+                assert disabled.isdisjoint(re.findall(r"[A-Za-z]+", path)), (path, off)
+                at = steps.index(step_of(path))
+                m1, m2 = by_name[a], by_name[b]
+                for step, applies in order[:at]:
+                    assert applies(ctx, m1, m2) is None, (gram, off, a, b, step)
+            for a, b in cert.unknown:
+                m1, m2 = by_name[a], by_name[b]
+                for step, applies in order:
+                    assert applies(ctx, m1, m2) is None, (gram, off, a, b, step)
+            assert verify_certificate(L, cert.to_json()) == [], (gram, off)
+            lower = certify(L, Convention("lower", -1), disabled=disabled)
+            assert lower.rule_map() == cert.rule_map(), (gram, off)

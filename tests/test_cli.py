@@ -296,6 +296,20 @@ def test_malformed_jobs_and_format_exit_two(tmp_path, capsys, monkeypatch, env, 
     assert message in capsys.readouterr().err
 
 
+def test_jobs_accepted_and_certificate_bytes_unchanged(tmp_path, capsys, monkeypatch):
+    gram = write_gram(tmp_path, A2)
+    outputs = []
+    for env, flags in (({}, ["--jobs", "1"]), ({}, ["--jobs", "2"]), ({"VLPLUS_JOBS": "2"}, [])):
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            path = tmp_path / f"cert{len(outputs)}.json"
+            code, out, _ = run_cli(capsys, ["certify", "--gram", gram, "--out", str(path)] + flags)
+        assert code == EXIT_OK
+        outputs.append((out, path.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_jobs_variable_only_concerns_certify(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VLPLUS_JOBS", "two")
     gram = write_gram(tmp_path, A1)

@@ -18,9 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import lat
 from vlplus.branching import (
     SubmodulePart,
+    TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
-    part_is_twisted,
 )
 from vlplus.certify import (
     _Context,
@@ -30,7 +30,7 @@ from vlplus.certify import (
     weight_gap_rule,
 )
 from vlplus.fusion import ZERO, admissible_triple, rank1_fusion, tensor_fusion
-from vlplus.lattice import Convention, coset_element, zero_coset
+from vlplus.lattice import coset_element, zero_coset
 from vlplus.sectors import (
     CentralCharacter,
     LabelKind,
@@ -84,7 +84,12 @@ def orthogonal_oracle(ctx, m1, m2):
 
 @lru_cache(maxsize=4096)
 def sublattice_parts(ctx, m):
-    return branch_sublattice(ctx.L, ctx.sub.basis, m, ctx.convention).parts
+    return branch_sublattice(ctx.L, ctx.sub.basis, m).parts
+
+
+def part_is_twisted(p) -> bool:
+    """A sublattice part is twisted iff it is a placeholder block or a twisted label."""
+    return isinstance(p, TwistedBlockPart) or p.label.kind == LabelKind.TWISTED
 
 
 def part_coset(sub, p):
@@ -132,7 +137,7 @@ def reached_or_twisted(ctx, m1, m2):
 
 def assert_routes_match_oracles(gram, pairs=lambda ctx, m1, m2: True):
     """Both routes against their oracles on the chosen ordered pairs; returns hits."""
-    ctx = _Context(lat(gram), Convention())
+    ctx = _Context(lat(gram))
     applied = {"orthogonal": 0, "sublattice": 0}
     for route, oracle in ORACLES.items():
         for m1 in ctx.labels:
@@ -177,7 +182,7 @@ def test_sublattice_route_matches_oracle_on_det36():
 def test_transported_coset_counts_both_sign_lists():
     # on the skew presentation of diag(2,6) a self-paired coset has two
     # rank-one parts per sign; the rule counts both sign lists
-    ctx = _Context(lat([[2, -2], [-2, 8]]), Convention())
+    ctx = _Context(lat([[2, -2], [-2, 8]]))
     m = next(m for m in ctx.labels if m.kind == LabelKind.COSET)
     j = fusion_obstruction_rule(ctx, m, VAC_PLUS, "orthogonal")
     assert dict(j.detail)["triples"] == "16"

@@ -8,7 +8,6 @@ from vlplus.qseries import (
     QSeries,
     character,
     euler_product_inv,
-    full_lattice_character,
     series_denominator,
     theta_coset,
 )
@@ -316,6 +315,12 @@ def test_characters_match_state_count_oracle():
             while w < order:
                 assert ch.coeff(w) == state_count_dimension(gram, m, w), (gram, str(m), w)
                 w += F(1, 2) if m.kind == LabelKind.TWISTED else F(1, 4)
+
+
+def full_lattice_character(L, order):
+    """Graded dimension of the whole untwisted algebra: theta_L / phi^d."""
+    denom = series_denominator(L)
+    return theta_coset(L, zero_coset(L), order, denom) * euler_product_inv(L.rank, order, denom)
 
 
 def test_vacuum_characters_sum_to_full_algebra():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from math import prod
 
 from .branching import BranchList, branch_orthogonal, sublattice_part_count
@@ -124,7 +124,32 @@ class ExtCertificate:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_json(), sort_keys=True, indent=2) and a final
+        newline, byte for byte.
+
+        Each distinct justification object is encoded once (WeightGap
+        pairs share one per weight pair) and its continuation lines are
+        indented to the depth of a pair record; the records are joined
+        and spliced into the encoding of the rest of the document.
+        """
+        head = json.dumps(replace(self, pairs=()).to_json(), sort_keys=True, indent=2)
+        if not self.pairs:
+            return head + "\n"
+        fragments: dict[int, str] = {}
+        quoted = {a: json.dumps(a) for a in self.labels}
+        records = []
+        for a, b, j in self.pairs:
+            frag = fragments.get(id(j))
+            if frag is None:
+                frag = json.dumps(j.to_json(), sort_keys=True, indent=2).replace("\n", "\n      ")
+                fragments[id(j)] = frag
+            qa, qb = quoted.get(a) or json.dumps(a), quoted.get(b) or json.dumps(b)
+            records.append(f'    {{\n      "justification": {frag},\n'
+                           f'      "m1": {qa},\n      "m2": {qb}\n    }}')
+        # a key at depth one is the only place an unescaped quote can
+        # follow a newline and two spaces, so the marker is unique
+        before, after = head.split('\n  "pairs": [],', 1)
+        return "".join((before, '\n  "pairs": [\n', ",\n".join(records), "\n  ],", after, "\n"))
 
     def rule_map(self) -> dict[tuple[str, str], str]:
         """Pair-to-rule-name view, the convention-independent core."""
@@ -140,14 +165,28 @@ def _rule_path(j: ExtJustification) -> str:
 
 
 class _Context:
-    """Shared per-lattice data for the rule chain: labels, duals, the
-    orthogonal sublattice, and rank-one branchings in their
-    options/parity form, cached per label."""
+    """Shared per-lattice data for the rule chain: labels and their
+    names, duals, the WeightGap table over weight ids, the orthogonal
+    sublattice, and rank-one branchings in their options/parity form,
+    cached per label."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
         self.labels = classify_modules(L)
+        self.names = [format_label(m) for m in self.labels]
         self.duals = {m: contragredient(L, m) for m in self.labels}
+        # weight_ids[i] numbers the exact lowest weight of labels[i], keyed
+        # by (numerator, denominator): Fraction and label hashes run in Python
+        ids: dict[tuple[int, int], int] = {}
+        self.weight_reps: list[ModuleLabel] = []
+        self.weight_ids = []
+        for m in self.labels:
+            w = lowest_weight(L, m)
+            key = (w.numerator, w.denominator)
+            if key not in ids:
+                ids[key] = len(self.weight_reps)
+                self.weight_reps.append(m)
+            self.weight_ids.append(ids[key])
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
         self._orth_cache: dict[ModuleLabel, BranchList | None] = {}
@@ -156,6 +195,22 @@ class _Context:
         # runs on that unimodular rebase, with labels transported across
         # the basis change
         self.orth_lattice = self.sub.lattice if self.sub.index == 1 else None
+
+    @cached_property
+    def gaps(self) -> list[list[ExtJustification | None]]:
+        """gaps[w1][w2] is weight_gap_rule on labels of weight ids w1, w2.
+
+        The rule reads only the two lowest weights, so one call per
+        ordered pair of weights (on representative labels) decides every
+        pair of labels, and pairs of equal weights share one object.
+        """
+        reps = self.weight_reps
+        return [[weight_gap_rule(self, a, b) for b in reps] for a in reps]
+
+    @cached_property
+    def gap_json(self) -> list[list[dict | None]]:
+        """to_json() of each gaps entry, for comparing recorded WeightGap pairs."""
+        return [[None if j is None else j.to_json() for j in row] for row in self.gaps]
 
     def orth_branch(self, m: ModuleLabel) -> BranchList | None:
         """Structured rank-one branching of the labelled module, or None.
@@ -338,6 +393,14 @@ def _chain(disabled: frozenset) -> list:
     return base + [partial(duality_rule, base_rules=base)] + fusion + dual_fusion
 
 
+def _first_applying(chain, ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
+    for rule in chain:
+        j = rule(ctx, m1, m2)
+        if j is not None:
+            return j
+    return None
+
+
 def certify(
     L: EvenLattice,
     convention: Convention = Convention(),
@@ -350,18 +413,22 @@ def certify(
     """
     ctx = _Context(L)
     chain = _chain(disabled)
-    names = [format_label(m) for m in ctx.labels]
+    if RULE_WEIGHT_GAP in disabled:
+        gaps = [[None] * len(ctx.weight_reps)] * len(ctx.weight_reps)
+    else:
+        # WeightGap heads the chain; the table stands in for it
+        gaps, chain = ctx.gaps, chain[1:]
+    rows = list(zip(ctx.labels, ctx.weight_ids, ctx.names))
     pairs = []
     unknown = []
-    for m1, a in zip(ctx.labels, names):
-        for m2, b in zip(ctx.labels, names):
-            for rule in chain:
-                j = rule(ctx, m1, m2)
-                if j is not None:
-                    pairs.append((a, b, j))
-                    break
-            else:
+    for m1, w1, a in rows:
+        gap_row = gaps[w1]
+        for m2, w2, b in rows:
+            j = gap_row[w2] or _first_applying(chain, ctx, m1, m2)
+            if j is None:
                 unknown.append((a, b))
+            else:
+                pairs.append((a, b, j))
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
         ("denominator", str(series_denominator(L))),
@@ -372,7 +439,7 @@ def certify(
     )
     return ExtCertificate(
         gram=L.gram,
-        labels=tuple(names),
+        labels=tuple(ctx.names),
         pairs=tuple(pairs),
         unknown=tuple(unknown),
         verdict=verdict,
@@ -397,54 +464,70 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     if not isinstance(cert, dict):
         return ["certificate is not a JSON object"]
     ctx = _Context(L)
-    expected_labels = [format_label(m) for m in ctx.labels]
-    if cert.get("labels") != expected_labels:
+    if cert.get("labels") != ctx.names:
         return ["label census does not match the lattice"]
     if cert.get("gram") != [list(r) for r in L.gram]:
         return ["gram matrix mismatch"]
     pairs, unknown = cert.get("pairs", []), cert.get("unknown", [])
     if not isinstance(pairs, list) or not isinstance(unknown, list):
         return ["pairs and unknown must be lists"]
-    by_name = dict(zip(expected_labels, ctx.labels))
+    index = {a: i for i, a in enumerate(ctx.names)}
     problems: list[str] = []
-    seen = set()
+    justified = set()
     for i, entry in enumerate(pairs):
         a, b = (entry.get("m1"), entry.get("m2")) if isinstance(entry, dict) else (None, None)
-        if not all(isinstance(x, str) and x in by_name for x in (a, b)):
+        if not _names_labels(index, a, b):
             problems.append(f"pairs[{i}] does not name two labels of the lattice")
             continue
-        if (a, b) in seen:
+        if (a, b) in justified:
             problems.append(f"duplicate pair ({a}, {b})")
             continue
-        seen.add((a, b))
-        problem = _recheck(ctx, by_name[a], by_name[b], entry.get("justification"))
+        justified.add((a, b))
+        problem = _recheck(ctx, index[a], index[b], entry.get("justification"))
         if problem:
             problems.append(f"pair ({a}, {b}): {problem}")
+    unresolved = set()
     for i, pair in enumerate(unknown):
-        if not (isinstance(pair, list) and all(isinstance(x, str) for x in pair)):
-            problems.append(f"unknown[{i}] is not a list of labels")
+        a, b = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+        if not _names_labels(index, a, b):
+            problems.append(f"unknown[{i}] does not name two labels of the lattice")
             continue
-        seen.add(tuple(pair))
-    want = {(a, b) for a in expected_labels for b in expected_labels}
-    missing = want - seen
-    extra = seen - want
+        if (a, b) in justified:
+            problems.append(f"pair ({a}, {b}) is both justified and unknown")
+        elif (a, b) in unresolved:
+            problems.append(f"duplicate unknown pair ({a}, {b})")
+        else:
+            unresolved.add((a, b))
+    # every counted pair names two labels and is counted once
+    missing = len(index) ** 2 - len(justified) - len(unresolved)
     if missing:
-        problems.append(f"{len(missing)} ordered pairs missing")
-    if extra:
-        problems.append(f"{len(extra)} unexpected pairs recorded")
+        problems.append(f"{missing} ordered pairs missing")
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     if cert.get("verdict") != verdict:
         problems.append("verdict inconsistent with the unknown list")
     return problems
 
 
-def _recheck(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j) -> str | None:
+def _names_labels(index: dict[str, int], a, b) -> bool:
+    return isinstance(a, str) and isinstance(b, str) and a in index and b in index
+
+
+def _recheck(ctx: _Context, i1: int, i2: int, j) -> str | None:
+    """Problem with the justification recorded for (labels[i1], labels[i2]), or None.
+
+    A WeightGap record is compared with the table entry for the two
+    weight ids; any other rule is re-run.
+    """
     if not isinstance(j, dict):
         return "justification missing"
-    fresh = _rerun(ctx, m1, m2, j)
+    if j.get("rule") == RULE_WEIGHT_GAP:
+        fresh = ctx.gap_json[ctx.weight_ids[i1]][ctx.weight_ids[i2]]
+    else:
+        rerun = _rerun(ctx, ctx.labels[i1], ctx.labels[i2], j)
+        fresh = None if rerun is None else rerun.to_json()
     if fresh is None:
         return f"recorded rule {j.get('rule')!r:.60} does not apply"
-    return None if fresh.to_json() == j else "recorded justification differs"
+    return None if fresh == j else "recorded justification differs"
 
 
 def _rerun(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict):

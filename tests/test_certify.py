@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from hypothesis import given, settings
 
-from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, even_grams, lat
+from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, TEST_GRAMS, even_grams, lat
 from vlplus.lattice import Convention, coset_element
 from vlplus.certify import (
     ALL_RULES,
@@ -379,7 +379,7 @@ def test_certificates_independent_of_conventions():
 # re-verification catches tampering
 # ---------------------------------------------------------------------------
 
-def test_verify_rejects_tampered_certificates():
+def test_verify_rejects_tampered_certificates(tmp_path, capsys):
     L = lat(A1)
     cert = certify(L)
     data = json.loads(cert.dumps())
@@ -441,6 +441,74 @@ def test_verify_rejects_tampered_certificates():
     assert any("missing" in p for p in verify_certificate(L, missing))
     for name in ("perturbed weights", "perturbed subalgebra", "perturbed inner"):
         assert any("differs" in p for p in verify_certificate(L, cases[name])), name
+
+    # WeightGap records are checked against the weight table: each mutant
+    # gets the problem line a re-run of weight_gap_rule gives
+    gap_json = good["pairs"][gap_at]["justification"]
+    split_at = next(i for i, p in enumerate(good["pairs"])
+                    if p["justification"]["rule"] == RULE_WEIGHT_GAP
+                    and len(set(p["justification"]["detail"]["weights"].split(","))) == 2)
+
+    def names(i):
+        return f"({good['pairs'][i]['m1']}, {good['pairs'][i]['m2']})"
+
+    def justification(i, change):
+        return mutant(lambda c: change(c["pairs"][i]["justification"]))
+
+    def swap_weights(j):
+        j["detail"]["weights"] = ",".join(reversed(j["detail"]["weights"].split(",")))
+
+    gap_cases = {
+        "gap on vacuum": (mutant(lambda c: c["pairs"][vacuum_at].update(justification=gap_json)),
+                          f"pair {names(vacuum_at)}: recorded rule 'WeightGap' does not apply"),
+        "gap on fusion": (mutant(lambda c: c["pairs"][fusion_at].update(justification=gap_json)),
+                          f"pair {names(fusion_at)}: recorded rule 'WeightGap' does not apply"),
+        "swapped weights": (justification(split_at, swap_weights),
+                            f"pair {names(split_at)}: recorded justification differs"),
+        "null inner": (justification(gap_at, lambda j: j.update(inner=None)),
+                       f"pair {names(gap_at)}: recorded justification differs"),
+        "citation off by one": (
+            justification(gap_at, lambda j: j.update(citation=j["citation"][:-1] + "!")),
+            f"pair {names(gap_at)}: recorded justification differs"),
+        "justification a list": (
+            mutant(lambda c: c["pairs"][gap_at].update(justification=[gap_json])),
+            f"pair {names(gap_at)}: justification missing"),
+    }
+    for name, (bad, problem) in gap_cases.items():
+        assert verify_certificate(L, bad) == [problem], name
+
+    # a pair may be counted once only, in pairs or in unknown, and every
+    # unknown entry names two labels; the verdict is made to match
+    def incomplete(change):
+        return mutant(lambda c: (change(c), c.update(verdict=VERDICT_INCOMPLETE)))
+
+    def unknown_twice(c):
+        p = c["pairs"].pop(gap_at)
+        c["unknown"] += [[p["m1"], p["m2"]]] * 2
+
+    counted = {
+        "justified and unknown": (
+            incomplete(lambda c: c["unknown"].append([c["pairs"][gap_at][k] for k in ("m1", "m2")])),
+            f"pair {names(gap_at)} is both justified and unknown"),
+        "unknown twice": (incomplete(unknown_twice), f"duplicate unknown pair {names(gap_at)}"),
+        "unknown names one label": (
+            incomplete(lambda c: c["unknown"].append(["V+"])),
+            "unknown[0] does not name two labels of the lattice"),
+    }
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps({"gram": [[2, 0], [0, 6]]}))
+    from vlplus.cli import EXIT_INCOMPLETE, main
+
+    for name, (bad, problem) in counted.items():
+        assert problem in verify_certificate(L, bad), name
+        cert_path = tmp_path / "bad.cert"
+        cert_path.write_text(json.dumps(bad))
+        assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) \
+            == EXIT_INCOMPLETE, name
+        assert f"problem\t{problem}\n" in capsys.readouterr().out, name
+    for entry in (["V+", "V+", "V+"], ["V+", "U[9/7,0]"], ["V+", 3], "V+"):
+        bad = incomplete(lambda c: c["unknown"].append(entry))
+        assert "unknown[0] does not name two labels of the lattice" in verify_certificate(L, bad)
 
 
 def test_load_certificate_roundtrip(tmp_path):
@@ -518,3 +586,67 @@ def test_rule_chain_respects_disabled_rules_and_order(gram):
             assert verify_certificate(L, cert.to_json()) == [], (gram, off)
             lower = certify(L, Convention("lower", -1), disabled=disabled)
             assert lower.rule_map() == cert.rule_map(), (gram, off)
+
+
+# ---------------------------------------------------------------------------
+# dumps() and the WeightGap table against their references
+# ---------------------------------------------------------------------------
+
+# certify-ladder rungs that TEST_GRAMS lacks: A4, D4, E6, det 36, A1^5, diag(2,4,6)
+LADDER_GRAMS = [
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+     [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]],
+    [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]],
+    [[2 * (i == j) for j in range(5)] for i in range(5)],
+    [[2, 0, 0], [0, 4, 0], [0, 0, 6]],
+]
+
+
+def assert_dumps_is_the_reference(L):
+    variants = [(Convention(), frozenset()), (Convention("lower", -1), frozenset()),
+                (Convention(), frozenset(ALL_RULES))]
+    variants += [(Convention(), frozenset({rule})) for rule in ALL_RULES]
+    for convention, disabled in variants:
+        cert = certify(L, convention, disabled=disabled)
+        if disabled == frozenset(ALL_RULES):
+            assert not cert.pairs and len(cert.unknown) == len(cert.labels) ** 2
+        reference = json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
+        assert first_difference(cert.dumps(), reference) is None, (
+            L.gram, convention, sorted(disabled))
+
+
+def first_difference(text, reference):
+    """None if equal, else (line, text's, reference's): pytest's own diff of
+    two multi-megabyte strings takes minutes."""
+    if text == reference:
+        return None
+    lines = zip_longest(text.split("\n"), reference.split("\n"))
+    return next((n, a, b) for n, (a, b) in enumerate(lines) if a != b)
+
+
+def assert_gap_table_is_the_rule(L):
+    ctx = _Context(L)
+    for m1, w1 in zip(ctx.labels, ctx.weight_ids):
+        for m2, w2 in zip(ctx.labels, ctx.weight_ids):
+            entry, want = ctx.gaps[w1][w2], weight_gap_rule(ctx, m1, m2)
+            if want is None:
+                assert entry is None and ctx.gap_json[w1][w2] is None, (L.gram, m1, m2)
+            else:
+                assert entry.to_json() == want.to_json() == ctx.gap_json[w1][w2], (L.gram, m1, m2)
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS)
+def test_dumps_and_gap_table_on_fixed_grams(gram):
+    L = lat(gram)
+    assert_dumps_is_the_reference(L)
+    assert_gap_table_is_the_rule(L)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(even_grams())
+def test_dumps_and_gap_table_on_generated_grams(gram):
+    L = lat(gram)
+    assert_dumps_is_the_reference(L)
+    assert_gap_table_is_the_rule(L)

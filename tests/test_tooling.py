@@ -23,3 +23,23 @@ def test_traced_names_resolve():
         assert callable(target), f"{modname}.{attr} is not callable"
         if kind == "lru":
             assert hasattr(target, "cache_info"), f"{modname}.{attr} is traced as lru, uncached"
+
+
+def test_tracer_sees_weight_gap_calls(monkeypatch):
+    # the tracer counts WeightGap by rebinding the module global
+    # weight_gap_rule; certify must reach the rule through that name
+    from vlplus.lattice import validate_even_lattice
+
+    module = importlib.import_module("vlplus.certify")  # the package attribute is the function
+    L = validate_even_lattice([[2, 0], [0, 6]])
+    reference = module.certify(L).dumps()
+    calls = []
+    original = module.weight_gap_rule
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "weight_gap_rule", counting)
+    assert module.certify(L).dumps() == reference
+    assert calls

@@ -63,6 +63,11 @@ ROUTES = ("sublattice", "orthogonal")
 VERDICT_RATIONAL = "Rational"
 VERDICT_INCOMPLETE = "Incomplete"
 
+CERT_FORMAT = "vlplus-certificate-v1"
+CERT_KEYS = frozenset(("format", "gram", "labels", "verdict", "pairs", "unknown", "metadata"))
+RULE_ORDER = ("WeightGap,Vacuum,Duality[base],FusionObstruction[sublattice],"
+              "FusionObstruction[orthogonal],Duality[FusionObstruction]")
+
 CITATIONS = {
     RULE_WEIGHT_GAP: (
         "the lowest weights differ by a non-integer or by zero, and the "
@@ -112,7 +117,7 @@ class ExtCertificate:
 
     def to_json(self) -> dict:
         return {
-            "format": "vlplus-certificate-v1",
+            "format": CERT_FORMAT,
             "gram": [list(r) for r in self.gram],
             "labels": list(self.labels),
             "verdict": self.verdict,
@@ -434,8 +439,7 @@ def certify(
         ("denominator", str(series_denominator(L))),
         ("cocycle_mode", convention.cocycle_mode),
         ("root_branch", str(convention.root_branch)),
-        ("rule_order", "WeightGap,Vacuum,Duality[base],FusionObstruction[sublattice],"
-                       "FusionObstruction[orthogonal],Duality[FusionObstruction]"),
+        ("rule_order", RULE_ORDER),
     )
     return ExtCertificate(
         gram=L.gram,
@@ -459,7 +463,9 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     exception.  Each pair's recorded rule is re-evaluated (not the whole
     chain) and the recorded justification must equal the recomputed one
     in full; coverage of the ordered-pair square is checked, and the
-    verdict is recomputed.
+    verdict is recomputed.  The top-level keys must be exactly those of
+    the format, and the metadata must hold the lattice's series
+    denominator, the fixed rule order and a known convention.
     """
     if not isinstance(cert, dict):
         return ["certificate is not a JSON object"]
@@ -472,7 +478,7 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     if not isinstance(pairs, list) or not isinstance(unknown, list):
         return ["pairs and unknown must be lists"]
     index = {a: i for i, a in enumerate(ctx.names)}
-    problems: list[str] = []
+    problems = _header_problems(L, cert)
     justified = set()
     for i, entry in enumerate(pairs):
         a, b = (entry.get("m1"), entry.get("m2")) if isinstance(entry, dict) else (None, None)
@@ -505,6 +511,28 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     if cert.get("verdict") != verdict:
         problems.append("verdict inconsistent with the unknown list")
+    return problems
+
+
+def _header_problems(L: EvenLattice, cert: dict) -> list[str]:
+    """Problems with the format, the top-level keys and the metadata."""
+    problems = []
+    if cert.get("format") != CERT_FORMAT or cert.keys() != CERT_KEYS:
+        problems.append(f"top-level keys or format are not those of {CERT_FORMAT}")
+    meta = cert.get("metadata")
+    if not isinstance(meta, dict):
+        return problems + ["metadata is not a JSON object"]
+    allowed = {
+        "denominator": (str(series_denominator(L)),),
+        "cocycle_mode": ("upper", "lower"),
+        "root_branch": ("1", "-1"),
+        "rule_order": (RULE_ORDER,),
+    }
+    if meta.keys() != allowed.keys():
+        problems.append("metadata keys are not " + ", ".join(allowed))
+    for key, values in allowed.items():
+        if meta.get(key) not in values:
+            problems.append(f"metadata {key} is not {' or '.join(values)}")
     return problems
 
 
@@ -550,6 +578,6 @@ def load_certificate(text: str) -> dict:
         cert = json.loads(text)
     except RecursionError:
         raise ValueError("certificate nests too deeply")
-    if not isinstance(cert, dict) or cert.get("format") != "vlplus-certificate-v1":
+    if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
         raise ValueError("not a certificate file")
     return cert

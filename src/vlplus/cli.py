@@ -171,13 +171,23 @@ def _parse_order(text) -> Fraction:
     return order
 
 
+def _check_grids(order: Fraction, lattices) -> None:
+    """Exit 2 unless the order lies on the series grid of every lattice."""
+    for M in lattices:
+        n = series_denominator(M)
+        if (order * n).denominator != 1:
+            raise CliError(f"order {order} is not on the grid 1/{n} of the characters")
+
+
 def cmd_char(args, out):
     L = _load_gram(args.gram)
     try:
         m = parse_label(L, args.module)
     except ValueError as e:
         raise CliError(str(e))
-    ch = character(L, m, _parse_order(args.order))
+    order = _parse_order(args.order)
+    _check_grids(order, [L])
+    ch = character(L, m, order)
     for e, c in ch.terms().items():
         out.write(f"{e}\t{c}\n")
     return EXIT_OK
@@ -237,6 +247,7 @@ def cmd_decompose(args, out):
             bl = branch_sublattice(L, basis, m)
         except LatticeError as e:
             raise CliError(str(e))
+    _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
     counts: dict[str, int] = {}
     for p in bl.parts:
         counts[_part_str(p)] = counts.get(_part_str(p), 0) + 1

@@ -228,29 +228,26 @@ def euler_product_inv(
     """Inverse product over n >= 1 of (1 -+ q^e)^d with e = n or n - 1/2.
 
     alternating=False gives (1 - q^e)^(-d); alternating=True gives
-    (1 + q^e)^(-d).  Each factor is expanded through the closed form
-    (1 - s q^e)^(-d) = sum_m binom(m+d-1, d-1) s^m q^(m e).
+    (1 + q^e)^(-d).  Integer coefficients live in one dense list on the
+    factors' grid (step 1, or 1/2 for half_integer); each factor
+    (1 - s q^e)^(-1) is one in-place pass c[k] += s c[k - e], k
+    ascending, applied d times per factor.
     """
     if d < 0:
         raise ValueError("exponent must be nonnegative")
     order = Fraction(order)
-    result = QSeries.one(denom, order)
-    if d == 0:
-        return result
+    order_key = _key(order, denom)
+    unit = 2 if half_integer else 1
+    size = max(0, math.ceil(unit * order))
+    if d and half_integer and size > 1 and denom % 2:
+        raise ValueError(f"exponent 1/2 is not on the grid 1/{denom}")
+    c = [1] + [0] * (size - 1) if size else []
     sign = -1 if alternating else 1
-    n = 1
-    while True:
-        e = Fraction(2 * n - 1, 2) if half_integer else Fraction(n)
-        if e >= order:
-            break
-        terms = {Fraction(0): Fraction(1)}
-        m = 1
-        while m * e < order:
-            terms[m * e] = Fraction(math.comb(m + d - 1, d - 1) * sign**m)
-            m += 1
-        result = result * QSeries.from_terms(denom, order, terms)
-        n += 1
-    return result
+    for e in range(1, size, unit):
+        for _ in range(d):
+            for k in range(e, size):
+                c[k] += sign * c[k - e]
+    return QSeries(denom, order_key, 1, {k * denom // unit: v for k, v in enumerate(c) if v})
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,36 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
     for name, (bad, problem) in gap_cases.items():
         assert verify_certificate(L, bad) == [problem], name
 
+    # the top-level keys are exactly the format's, and the metadata holds
+    # the series denominator, the fixed rule order and a known convention
+    keys = "top-level keys or format are not those of vlplus-certificate-v1"
+    not_object = "metadata is not a JSON object"
+    header_cases = {
+        "denominator": (mutant(lambda c: c["metadata"].update(denominator="999")),
+                        ["metadata denominator is not 48"]),
+        "rule order": (mutant(lambda c: c["metadata"].update(rule_order="bogus")),
+                       [f"metadata rule_order is not {good['metadata']['rule_order']}"]),
+        "cocycle": (mutant(lambda c: c["metadata"].update(cocycle_mode="sideways")),
+                    ["metadata cocycle_mode is not upper or lower"]),
+        "metadata a list": (mutant(lambda c: c.update(metadata=[])), [not_object]),
+        "metadata removed": (mutant(lambda c: c.pop("metadata")), [keys, not_object]),
+        "extra key": (mutant(lambda c: c.update(extra=1)), [keys]),
+    }
+    from vlplus.cli import EXIT_INCOMPLETE, main
+
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps({"gram": [[2, 0], [0, 6]]}))
+    cert_path = tmp_path / "bad.cert"
+    for name, (bad, problems) in header_cases.items():
+        assert verify_certificate(L, bad) == problems, name
+        cert_path.write_text(json.dumps(bad))
+        assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) \
+            == EXIT_INCOMPLETE, name
+        assert capsys.readouterr().out == "".join(f"problem\t{p}\n" for p in problems), name
+    lower = certify(L, convention=Convention("lower", -1)).to_json()
+    assert lower["metadata"]["root_branch"] == "-1"
+    assert verify_certificate(L, lower) == []
+
     # a pair may be counted once only, in pairs or in unknown, and every
     # unknown entry names two labels; the verdict is made to match
     def incomplete(change):
@@ -495,13 +525,8 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
             incomplete(lambda c: c["unknown"].append(["V+"])),
             "unknown[0] does not name two labels of the lattice"),
     }
-    gram_path = tmp_path / "gram.json"
-    gram_path.write_text(json.dumps({"gram": [[2, 0], [0, 6]]}))
-    from vlplus.cli import EXIT_INCOMPLETE, main
-
     for name, (bad, problem) in counted.items():
         assert problem in verify_certificate(L, bad), name
-        cert_path = tmp_path / "bad.cert"
         cert_path.write_text(json.dumps(bad))
         assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) \
             == EXIT_INCOMPLETE, name

@@ -268,6 +268,31 @@ def test_order_must_be_at_least_one(tmp_path, capsys):
     assert code == EXIT_INVALID and "rational" in err
 
 
+@pytest.mark.parametrize("gram,argv,grid", [
+    (A1, ["char", "--module", "V+", "--order", "4/3"], 16),
+    (A2, ["char", "--module", "T[0]+", "--order", "7/5"], 48),
+    (A2, ["decompose", "--module", "V+", "--order", "10/7"], 48),
+    # on the parent's grid 1/48, off the rank-one factor A1's grid 1/16
+    ([[2, 0], [0, 6]],
+     ["decompose", "--module", "V+", "--sublattice", "orthogonal-base", "--order", "4/3"], 16),
+])
+def test_order_off_a_series_grid_exits_two(tmp_path, capsys, gram, argv, grid):
+    path = write_gram(tmp_path, gram)
+    code, out, err = run_cli(capsys, argv[:1] + ["--gram", path] + argv[1:])
+    assert code == EXIT_INVALID and out == ""
+    order = argv[-1]
+    assert err == f"error: order {order} is not on the grid 1/{grid} of the characters\n"
+
+
+def test_orders_on_every_grid_still_run(tmp_path, capsys):
+    a2 = write_gram(tmp_path, A2)
+    code, out, _ = run_cli(capsys, ["decompose", "--gram", a2, "--module", "V+",
+                                    "--sublattice", "[[2,-1],[0,3]]", "--order", "49/48"])
+    assert code == EXIT_OK
+    assert out.splitlines() == ["part\tmultiplicity", "C[1/2,1/2]+\t1", "U[0,1/3]\t1",
+                                "U[1/2,1/6]\t1", "V+\t1", "verified\ttrue\torder\t49/48"]
+
+
 def test_env_var_defaults(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VLPLUS_ORDER", "2")
     gram = write_gram(tmp_path, A1)

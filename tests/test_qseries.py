@@ -1,5 +1,8 @@
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import A1, A2, D24, TEST_GRAMS, lat
 from vlplus.intmat import rational_inverse
@@ -213,6 +216,99 @@ def test_euler_product_half_integer_matches_oracle():
 
 def test_euler_product_degree_zero():
     assert euler_product_inv(0, F(5), 1).terms() == {F(0): F(1)}
+
+
+def factorwise_euler_product_inv(d, order, denom, alternating=False, half_integer=False):
+    """Oracle: one series product per factor, each factor expanded through
+    (1 - s q^e)^(-d) = sum_m binom(m+d-1, d-1) s^m q^(m e)."""
+    if d < 0:
+        raise ValueError("exponent must be nonnegative")
+    order = F(order)
+    result = QSeries.one(denom, order)
+    if d == 0:
+        return result
+    sign = -1 if alternating else 1
+    n = 1
+    while True:
+        e = F(2 * n - 1, 2) if half_integer else F(n)
+        if e >= order:
+            break
+        terms = {F(0): F(1)}
+        m = 1
+        while m * e < order:
+            terms[m * e] = F(math.comb(m + d - 1, d - 1) * sign**m)
+            m += 1
+        result = result * QSeries.from_terms(denom, order, terms)
+        n += 1
+    return result
+
+
+def fields_or_error(f, *args):
+    try:
+        s = f(*args)
+    except ValueError:
+        return ValueError
+    return s.denom, s.order_key, s.scale, s.nums
+
+
+GRIDS = (1, 2, 3, 16, 48, 240)
+
+
+@st.composite
+def euler_cases(draw):
+    """(d, order, denom, alternating, half_integer); the order runs from -1
+    to 60, on the series grid 1/denom mostly and on another grid at times."""
+    denom = draw(st.sampled_from(GRIDS))
+    g = draw(st.sampled_from((denom,) * 6 + GRIDS))
+    order = F(draw(st.integers(-g, 60 * g)), g)
+    return draw(st.integers(0, 8)), order, denom, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(euler_cases())
+@example((2, F(5, 2), 1, False, False))   # fractional order on the integer grid
+@example((1, F(3), 3, False, True))       # half-integer exponents on an odd grid
+@example((0, F(3), 3, True, True))        # no factors, so no half-integer exponent
+@example((1, F(1, 3), 3, False, True))    # below the first factor q^(1/2)
+@example((3, F(7, 16), 48, True, False))  # off the grid: ValueError
+@example((2, F(-1), 16, True, True))
+@example((-1, F(3), 1, False, False))   # negative degree: ValueError
+def test_euler_product_matches_factorwise_expansion(args):
+    assert fields_or_error(euler_product_inv.__wrapped__, *args) \
+        == fields_or_error(factorwise_euler_product_inv, *args)
+
+
+def partition_numbers(n):
+    """p(0..n-1) from Euler's pentagonal-number recurrence."""
+    p = [1]
+    for m in range(1, n):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
+def test_euler_product_partition_numbers_to_order_200():
+    p = partition_numbers(200)
+    assert (p[100], p[199]) == (190569292, 3646072432125)
+    s = euler_product_inv(1, F(200), 1)
+    assert [s.coeff(n) for n in range(200)] == p
+
+
+def test_euler_product_inverts_the_pentagonal_series():
+    # prod (1 - q^n) = sum over all integers k of (-1)^k q^(k(3k-1)/2)
+    pentagonal = {}
+    for k in range(-12, 13):
+        e = k * (3 * k - 1) // 2
+        if e < 200:
+            pentagonal[F(e)] = F((-1) ** k)
+    product = euler_product_inv(1, F(200), 48) * QSeries.from_terms(48, F(200), pentagonal)
+    assert product.terms() == {F(0): F(1)} and product.order == 200
 
 
 # ---------------------------------------------------------------------------

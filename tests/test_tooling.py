@@ -43,3 +43,23 @@ def test_tracer_sees_weight_gap_calls(monkeypatch):
     monkeypatch.setattr(module, "weight_gap_rule", counting)
     assert module.certify(L).dumps() == reference
     assert calls
+
+
+def test_euler_products_make_no_series_products(monkeypatch):
+    # the tracer's qseries.mul layer times QSeries.__mul__; building an
+    # Euler product must not go through it, so mul_calls counts only the
+    # products of characters
+    from fractions import Fraction
+
+    from vlplus.qseries import QSeries, euler_product_inv
+
+    calls = []
+    original = QSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    assert euler_product_inv.__wrapped__(2, Fraction(200), 48).coeff(1) == 2
+    assert calls == []

@@ -22,7 +22,6 @@ from .lattice import (
     coset_reps_mod_sublattice,
     delta_set,
     discriminant_group,
-    enumerate_coset_vectors,
     epsilon_cocycle,
     minimal_coset_reps,
     mod_two_data,
@@ -39,7 +38,6 @@ from .sectors import (
     lowest_weight,
     parse_label,
     top_level_dimension,
-    zhu_block_report,
 )
 from .qseries import QSeries, character, euler_product_inv, series_denominator, theta_coset
 from .fusion import (
@@ -83,7 +81,6 @@ __all__ = [
     "coset_reps_mod_sublattice",
     "delta_set",
     "discriminant_group",
-    "enumerate_coset_vectors",
     "epsilon_cocycle",
     "euler_product_inv",
     "format_label",
@@ -102,5 +99,4 @@ __all__ = [
     "validate_even_lattice",
     "verify_branch",
     "verify_certificate",
-    "zhu_block_report",
 ]

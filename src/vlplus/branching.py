@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .intmat import identity
 from .lattice import (
     Convention,
     CosetElement,
@@ -31,12 +32,9 @@ from .lattice import (
     NotOrthogonalBase,
     Sublattice,
     coset_element,
-    coset_is_trivial,
-    coset_neg,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     epsilon_cocycle,
-    mod_two_data,
     sublattice,
     validate_even_lattice,
 )
@@ -44,10 +42,11 @@ from .qseries import QSeries, character, series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
-    VAC_MINUS,
-    VAC_PLUS,
     central_characters,
-    coset_label,
+    character_values,
+    coset_labels,
+    label_coset,
+    label_sign,
     twisted_label,
     untwisted_label,
 )
@@ -97,15 +96,6 @@ class BranchList:
 # orthogonal base route
 # ---------------------------------------------------------------------------
 
-def _coset_options(factor: EvenLattice, c: CosetElement):
-    """A factor's (label, sign bit) options for one coordinate coset."""
-    if coset_is_trivial(c):
-        return ((VAC_PLUS, 0), (VAC_MINUS, 1))
-    if coset_two_torsion(factor, c):
-        return ((coset_label(factor, c, +1), 0), (coset_label(factor, c, -1), 1))
-    return ((untwisted_label(factor, c), 0),)
-
-
 def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     """Decompose over the tensor product of the rank-one fixed-point algebras.
 
@@ -121,18 +111,15 @@ def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     d = L.rank
     factors = tuple(validate_even_lattice([[L.gram[i][i]]]) for i in range(d))
     if m.kind == LabelKind.TWISTED:
-        radical = mod_two_data(L).radical_basis
-        std = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        if radical != std:
-            raise AssertionError("diagonal lattice must have the standard radical basis")
-        values = m.char.values
+        values = character_values(L, m.char, identity(d))
         chars = (central_characters(f)[0 if v == 1 else 1] for f, v in zip(factors, values))
-        options = tuple(((twisted_label(c, +1), 0), (twisted_label(c, -1), 1)) for c in chars)
+        choices = [(twisted_label(c, +1), twisted_label(c, -1)) for c in chars]
     else:
-        rep = m.coset.rep if m.coset is not None else (0,) * d
-        options = tuple(_coset_options(f, coset_element(f, (x,))) for f, x in zip(factors, rep))
-    sign = {LabelKind.VAC_PLUS: 1, LabelKind.VAC_MINUS: -1}.get(m.kind, m.sign)
-    parity = None if sign is None else (1 - sign) // 2
+        rep = label_coset(L, m).rep
+        choices = [coset_labels(f, coset_element(f, (x,))) for f, x in zip(factors, rep)]
+    options = tuple(tuple((label, int(label_sign(label) == -1)) for label in c) for c in choices)
+    sign = label_sign(m)
+    parity = None if sign is None else int(sign == -1)
     parts = tuple(
         TensorPart(tuple(label for label, _ in combo))
         for combo in product(*options)
@@ -172,7 +159,6 @@ def branch_sublattice(
     Paired classes contribute one orbit module per pair; twisted parents
     contribute placeholder blocks.
     """
-    d = L.rank
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
     gammas = coset_reps_mod_sublattice(L, S.basis)
@@ -188,21 +174,17 @@ def branch_sublattice(
 
     def local_unit(c: CosetElement) -> int:
         two_mu = tuple(exact_int(2 * x) for x in c.rep)
-        zero = all(x == 0 for x in two_mu)
-        return _root_unit(eps_1(two_mu, two_mu), convention.root_branch, zero)
+        return _root_unit(eps_1(two_mu, two_mu), convention.root_branch, not any(two_mu))
 
-    def signed_part(parent_sign: int, c: CosetElement, parent_coset) -> SubmodulePart:
+    def signed_part(parent_sign: int, lam: CosetElement, c: CosetElement) -> SubmodulePart:
         # involution coefficient of the parent module on the canonical
         # vector of the class, divided by the local one
-        mu_parent = S.to_parent(c.rep)
-        if parent_coset is None:
-            unit_g = 0
-        else:
-            two_lam = tuple(exact_int(2 * x) for x in parent_coset.rep)
-            zero = all(x == 0 for x in two_lam)
-            x_vec = tuple(exact_int(a - b) for a, b in zip(mu_parent, parent_coset.rep))
-            unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
-            if not zero and eps_l(x_vec, two_lam) == -1:
+        two_lam = tuple(exact_int(2 * x) for x in lam.rep)
+        zero = not any(two_lam)
+        unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
+        if not zero:
+            x_vec = tuple(exact_int(a - b) for a, b in zip(S.to_parent(c.rep), lam.rep))
+            if eps_l(x_vec, two_lam) == -1:
                 unit_g = (unit_g + 2) % 4
         ratio = (unit_g - local_unit(c)) % 4
         if ratio % 2 == 1:
@@ -210,42 +192,30 @@ def branch_sublattice(
             sigma = parent_sign
         else:
             sigma = parent_sign * (1 if ratio == 0 else -1)
-        if coset_is_trivial(c):
-            return SubmodulePart(VAC_PLUS if sigma == 1 else VAC_MINUS)
-        return SubmodulePart(coset_label(sub, c, sigma))
+        return SubmodulePart(coset_labels(sub, c)[sigma == -1])
 
     parts: list[BranchPart] = []
-    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS, LabelKind.COSET):
-        parent_sign = 1 if m.kind == LabelKind.VAC_PLUS else (-1 if m.kind == LabelKind.VAC_MINUS else m.sign)
-        parent_coset = m.coset if m.kind == LabelKind.COSET else None
-        shift = parent_coset.rep if parent_coset else tuple(Fraction(0) for _ in range(d))
-        seen = set()
-        for g in gammas:
-            vec = tuple(Fraction(x) + s for x, s in zip(g, shift))
-            c = coset_element(sub, S.to_sub(vec))
-            if c in seen:
-                continue
-            if coset_two_torsion(sub, c):
-                seen.add(c)
-                parts.append(signed_part(parent_sign, c, parent_coset))
-            else:
-                partner = coset_neg(sub, c)
-                seen.add(c)
-                seen.add(partner)
-                parts.append(SubmodulePart(untwisted_label(sub, c)))
-    elif m.kind == LabelKind.UNTWISTED:
-        for g in gammas:
-            vec = tuple(Fraction(x) + s for x, s in zip(g, m.coset.rep))
-            c = coset_element(sub, S.to_sub(vec))
-            if coset_two_torsion(sub, c):
-                raise AssertionError("orbit parent cannot meet a self-paired class")
-            parts.append(SubmodulePart(untwisted_label(sub, c)))
-    else:
+    if m.kind == LabelKind.TWISTED:
         sub_dim_t = central_characters(sub)[0].dim_t
         mult, rem = divmod(m.char.dim_t, sub_dim_t)
         if rem:
             raise AssertionError("twisted dimensions must refine")
         parts.append(TwistedBlockPart(sign=m.sign, multiplicity=mult))
+    else:
+        sign, lam = label_sign(m), label_coset(L, m)
+        seen = set()
+        for g in gammas:
+            c = coset_element(sub, S.to_sub(tuple(x + s for x, s in zip(g, lam.rep))))
+            if not coset_two_torsion(sub, c):
+                # a self-paired parent meets the class of -c too
+                label = untwisted_label(sub, c)
+                if label not in seen:
+                    seen.add(label)
+                    parts.append(SubmodulePart(label))
+            elif sign is None:
+                raise AssertionError("orbit parent cannot meet a self-paired class")
+            else:
+                parts.append(signed_part(sign, lam, c))
     return BranchList(
         parent_lattice=L,
         parent=m,
@@ -266,7 +236,7 @@ def sublattice_part_count(S: Sublattice, m: ModuleLabel) -> int:
         return 1
     if m.kind == LabelKind.UNTWISTED:
         return S.index
-    two_lam = [0] * len(S.smith) if m.coset is None else [int(2 * x) for x in m.coset.rep]
+    two_lam = [int(2 * x) for x in label_coset(S.parent, m).rep]
     image = (sum(u * x for u, x in zip(row, two_lam)) for row in S.smith_u)
     solvable = all(d % 2 or y % 2 == 0 for d, y in zip(S.smith, image))
     return (S.index + solvable * 2 ** sum(d % 2 == 0 for d in S.smith)) // 2

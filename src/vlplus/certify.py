@@ -29,13 +29,13 @@ from functools import cached_property, partial
 from math import prod
 
 from .branching import BranchList, branch_orthogonal, sublattice_part_count
-from .fusion import ZERO, rank1_fusion
+from .fusion import ZERO, admissible_triple, rank1_fusion
 from .lattice import (
     Convention,
     EvenLattice,
     coset_element,
-    mod_two_data,
     orthogonal_sublattice,
+    zero_coset,
 )
 from .qseries import series_denominator
 from .sectors import (
@@ -44,13 +44,14 @@ from .sectors import (
     ModuleLabel,
     VAC_PLUS,
     central_characters,
+    character_values,
     classify_modules,
     contragredient,
-    coset_label,
+    coset_labels,
     format_label,
+    label_coset,
     lowest_weight,
     twisted_label,
-    untwisted_label,
 )
 
 RULE_WEIGHT_GAP = "WeightGap"
@@ -238,39 +239,21 @@ class _Context:
 
     def _transported_branch(self, m: ModuleLabel) -> BranchList:
         rebased, basis = self.sub.lattice, self.sub.basis
-        d = self.L.rank
         if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
             return branch_orthogonal(rebased, m)
-        if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
-            c = coset_element(rebased, self.sub.to_sub(m.coset.rep))
-            if m.kind == LabelKind.UNTWISTED:
-                return branch_orthogonal(rebased, untwisted_label(rebased, c))
-            plus = branch_orthogonal(rebased, coset_label(rebased, c, +1))
-            minus = branch_orthogonal(rebased, coset_label(rebased, c, -1))
-            return replace(plus, parts=plus.parts + minus.parts, parity=None)
-        # twisted: an index-one rebase forces the mod-2 form to vanish, so
-        # the character lives on the whole lattice mod 2 and transports by
-        # evaluating on the new basis vectors
-        m2 = mod_two_data(self.L)
-        std = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        if m2.radical_basis != std:
-            raise AssertionError("index-one rebase requires a vanishing mod-2 form")
-        values = tuple(
-            _sign_power(m.char.values, basis[j]) for j in range(d)
-        )
-        chi = CentralCharacter(values=values, dim_t=m.char.dim_t)
-        target = central_characters(rebased)[chi.index]
-        if target.values != values:
-            raise AssertionError("transported character out of order")
-        return branch_orthogonal(rebased, twisted_label(target, m.sign))
-
-
-def _sign_power(values: tuple[int, ...], coords) -> int:
-    out = 1
-    for v, c in zip(values, coords):
-        if c % 2:
-            out *= v
-    return out
+        if m.kind == LabelKind.TWISTED:
+            # an index-one rebase forces the mod-2 form to vanish, so the
+            # character lives on the whole lattice mod 2 and transports by
+            # evaluating on the new basis vectors
+            values = character_values(self.L, m.char, basis)
+            target = central_characters(rebased)[
+                CentralCharacter(values=values, dim_t=m.char.dim_t).index]
+            if target.values != values:
+                raise AssertionError("transported character out of order")
+            return branch_orthogonal(rebased, twisted_label(target, m.sign))
+        c = coset_element(rebased, self.sub.to_sub(m.coset.rep))
+        branches = [branch_orthogonal(rebased, n) for n in coset_labels(rebased, c)]
+        return replace(branches[0], parts=sum((b.parts for b in branches), ()), parity=None)
 
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
@@ -305,7 +288,8 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     every triple Zero by parity, two cannot be compared; otherwise the
     constituents of a label with coset lambda (0 for V+-) lift to
     +-lambda mod L and those of V+ meet every class of L mod L', so some
-    triple is admissible iff lambda2 = +-lambda1 mod L.  Orthogonal
+    triple is admissible iff lambda2 = +-lambda1 mod L, fusion_dim's
+    admissible-triple gate on the cosets (0, lambda2, lambda1).  Orthogonal
     route: a triple is nonzero iff every factor's rank-one vacuum row is,
     so a walk over the factors keeps the reachable (V+, m2, m1) sign-bit
     parities and the rule applies iff none meets the three parity
@@ -320,11 +304,9 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
         t1, t2 = m1.kind == LabelKind.TWISTED, m2.kind == LabelKind.TWISTED
         if t1 and t2:
             return None  # twisted placeholders cannot be compared
-        if t1 == t2:
-            lam1, lam2 = (m.coset.rep if m.coset else (0,) * ctx.L.rank for m in (m1, m2))
-            if any(all((a - s * b).denominator == 1 for a, b in zip(lam2, lam1))
-                   for s in (1, -1)):
-                return None
+        if t1 == t2 and admissible_triple(
+                ctx.L, zero_coset(ctx.L), label_coset(ctx.L, m2), label_coset(ctx.L, m1)):
+            return None
         total = prod(sublattice_part_count(ctx.sub, m) for m in (VAC_PLUS, m2, m1))
         return ExtJustification(
             rule=RULE_FUSION,

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .branching import branch_orthogonal, branch_sublattice, verify_branch
 from .certify import (
@@ -67,7 +68,9 @@ def _load_gram(path: str):
             data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"gram file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise CliError(f"cannot read gram file {path}: {e}")
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
         raise CliError(f"malformed JSON in {path}: {e}")
     if not isinstance(data, dict) or "gram" not in data:
         raise CliError(f'{path}: expected an object with a "gram" key')
@@ -83,7 +86,7 @@ def _load_oracle(path: str | None) -> SignOracle:
     try:
         with open(path) as fh:
             table = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise CliError(f"cannot read oracle table {path}: {e}")
     if not isinstance(table, dict):
         raise CliError(f"oracle table {path}: expected a JSON object")
@@ -200,7 +203,7 @@ def cmd_fusion(args, out):
         try:
             with open(args.batch) as fh:
                 triples = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             raise CliError(f"cannot read batch file: {e}")
         if not isinstance(triples, list):
             raise CliError("batch file must hold a JSON list of label triples")
@@ -209,9 +212,9 @@ def cmd_fusion(args, out):
     else:
         raise CliError("fusion needs --triple M1 M2 M3 or --batch FILE")
     rows = []
-    for t in triples:
-        if len(t) != 3:
-            raise CliError(f"not a triple: {t!r}")
+    for i, t in enumerate(triples):
+        if not (isinstance(t, list) and len(t) == 3 and all(isinstance(s, str) for s in t)):
+            raise CliError(f"batch entry {i} is not a triple of label strings: {json.dumps(t):.60}")
         try:
             m1, m2, m3 = (parse_label(L, s) for s in t)
             ans = fusion_dim(L, m1, m2, m3, oracle)
@@ -328,13 +331,12 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=8)
+def build_parser(default_order: str, default_format: str, default_jobs: str) -> argparse.ArgumentParser:
+    """The parser for one set of defaults (main passes VLPLUS_ORDER,
+    VLPLUS_FORMAT and VLPLUS_JOBS); built once per distinct set."""
     # string defaults go through the argument's type, so a malformed
     # environment value is reported like a malformed flag (exit 2)
-    default_order = os.environ.get("VLPLUS_ORDER", "12")
-    default_format = os.environ.get("VLPLUS_FORMAT", "tsv")
-    default_jobs = os.environ.get("VLPLUS_JOBS", "1")
-
     p = argparse.ArgumentParser(prog="vlplus", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -393,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    env = os.environ
+    parser = build_parser(env.get("VLPLUS_ORDER", "12"), env.get("VLPLUS_FORMAT", "tsv"),
+                          env.get("VLPLUS_JOBS", "1"))
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)

@@ -16,14 +16,15 @@ argument is available separately as rank1_fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .lattice import CosetElement, EvenLattice, zero_coset
+from .lattice import CosetElement, EvenLattice
 from .sectors import (
     CentralCharacter,
     LabelKind,
     ModuleLabel,
+    label_coset,
+    label_sign,
     shift_character,
 )
 
@@ -74,13 +75,10 @@ def admissible_triple(
     L: EvenLattice, lam: CosetElement, mu: CosetElement, nu: CosetElement
 ) -> bool:
     """True iff some sign combination of the three cosets lands in the lattice."""
-    lam_r, mu_r, nu_r = lam.rep, mu.rep, nu.rep
-    for q in (1, -1):
-        for r in (1, -1):
-            vec = tuple(a + q * b + r * c for a, b, c in zip(lam_r, mu_r, nu_r))
-            if all(Fraction(x).denominator == 1 for x in vec):
-                return True
-    return False
+    mus = (mu.rep, tuple(-x for x in mu.rep))
+    nus = (nu.rep, tuple(-x for x in nu.rep))
+    return any(all((a + b + c).denominator == 1 for a, b, c in zip(lam.rep, m, n))
+               for m in mus for n in nus)
 
 
 def tensor_fusion(answers) -> FusionAnswer:
@@ -131,21 +129,6 @@ def rank1_fusion(k: int, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> F
 # general lattice, untwisted first slot
 # ---------------------------------------------------------------------------
 
-def _coset_of(L: EvenLattice, m: ModuleLabel) -> CosetElement:
-    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-        return zero_coset(L)
-    return m.coset
-
-
-def _untwisted_sign(m: ModuleLabel) -> int:
-    # vacuum and self-paired coset labels carry a sign; orbit labels do not
-    if m.kind == LabelKind.VAC_PLUS:
-        return 1
-    if m.kind == LabelKind.VAC_MINUS:
-        return -1
-    return m.sign
-
-
 def fusion_dim(
     L: EvenLattice,
     m1: ModuleLabel,
@@ -174,7 +157,7 @@ def fusion_dim(
     if t2 != t3:
         return ZERO
 
-    lam = _coset_of(L, m1)
+    lam = label_coset(L, m1)
 
     if t2 and t3:
         shifted = shift_character(L, m2.char, lam.rep)
@@ -182,15 +165,15 @@ def fusion_dim(
             return ZERO
         if m1.kind == LabelKind.UNTWISTED:
             return ONE
-        s1 = _untwisted_sign(m1)
+        s1 = label_sign(m1)
         c = oracle.c(m2.char, lam.rep) if oracle.c is not None else None
         if c is None:
             return unknown("twisted-pair sign requires the c oracle")
         want_same = (c == 1) if s1 == 1 else (c == -1)
         return ONE if (m2.sign == m3.sign) == want_same else ZERO
 
-    mu = _coset_of(L, m2)
-    nu = _coset_of(L, m3)
+    mu = label_coset(L, m2)
+    nu = label_coset(L, m3)
     if not admissible_triple(L, lam, mu, nu):
         return ZERO
     orbit2 = m2.kind == LabelKind.UNTWISTED
@@ -204,11 +187,11 @@ def fusion_dim(
     if orbit2 != orbit3:
         # mixed torsion cannot be admissible with a self-paired first slot
         return ZERO
-    s1 = _untwisted_sign(m1)
+    s1 = label_sign(m1)
     two_mu = tuple(2 * x for x in mu.rep)
     p = oracle.pi(lam.rep, two_mu) if oracle.pi is not None else None
     if p is None:
         return unknown("coset-pair sign requires the pi oracle")
     want_same = (p == 1) if s1 == 1 else (p == -1)
-    same = _untwisted_sign(m2) == _untwisted_sign(m3)
+    same = label_sign(m2) == label_sign(m3)
     return ONE if same == want_same else ZERO

@@ -311,11 +311,6 @@ def enumerate_coset_with_norms(
     return [(tuple(map(coord.__getitem__, w)), norm[S]) for S, w in leaves]
 
 
-def enumerate_coset_vectors(L: EvenLattice, lam: DualCoords, bound) -> list[DualCoords]:
-    """All v in lam + L with (v,v) <= bound, each exactly once, sorted."""
-    return [v for v, _ in enumerate_coset_with_norms(L, lam, Fraction(bound))]
-
-
 def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> dict[Fraction, int]:
     """{norm: number of v in lam + L with that norm}, over norms <= bound."""
     D, nums = _scaled(lam)
@@ -337,6 +332,7 @@ def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     return CosetElement(rep=tuple(Fraction(x, D) for x in w), min_norm=Fraction(S, M * D * D))
 
 
+@lru_cache(maxsize=None)
 def zero_coset(L: EvenLattice) -> CosetElement:
     z = tuple(Fraction(0) for _ in range(L.rank))
     return CosetElement(rep=z, min_norm=Fraction(0))

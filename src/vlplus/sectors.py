@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .lattice import (
     CosetElement,
@@ -33,6 +34,7 @@ from .lattice import (
     minimal_coset_reps,
     mod_two_data,
     norm2_vectors,
+    zero_coset,
 )
 
 
@@ -99,6 +101,32 @@ def twisted_label(char: CentralCharacter, sign: int) -> ModuleLabel:
     return ModuleLabel(LabelKind.TWISTED, char=char, sign=sign)
 
 
+def coset_labels(L: EvenLattice, c: CosetElement) -> tuple[ModuleLabel, ...]:
+    """The labels a dual coset gives: V+ and V- for the zero coset, the
+    signed pair (+ first) of a self-paired coset, else its orbit label."""
+    if coset_is_trivial(c):
+        return (VAC_PLUS, VAC_MINUS)
+    if coset_two_torsion(L, c):
+        return (coset_label(L, c, +1), coset_label(L, c, -1))
+    return (untwisted_label(L, c),)
+
+
+def label_sign(m: ModuleLabel) -> int | None:
+    """+1 for V+, -1 for V-, the sign of any other signed label; None for an orbit label."""
+    if m.kind == LabelKind.VAC_PLUS:
+        return 1
+    if m.kind == LabelKind.VAC_MINUS:
+        return -1
+    return m.sign
+
+
+def label_coset(L: EvenLattice, m: ModuleLabel) -> CosetElement | None:
+    """The label's dual coset: the zero coset for V+-, None for a twisted label."""
+    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
+        return zero_coset(L)
+    return m.coset
+
+
 @lru_cache(maxsize=None)
 def central_characters(L: EvenLattice) -> tuple[CentralCharacter, ...]:
     """All central characters, ordered by their sign-bit index."""
@@ -132,25 +160,25 @@ def prime_character(L: EvenLattice, chi: CentralCharacter) -> CentralCharacter:
     return CentralCharacter(values=new_vals, dim_t=chi.dim_t)
 
 
+def character_values(L: EvenLattice, chi: CentralCharacter, vectors) -> tuple[int, ...]:
+    """chi at each integer vector, on a lattice whose mod-2 form vanishes.
+
+    The radical is then all of L/2L on the standard basis, so chi(v) is
+    the product of chi's values over the odd coordinates of v.
+    """
+    d = L.rank
+    if mod_two_data(L).radical_basis != tuple(tuple(int(i == j) for j in range(d)) for i in range(d)):
+        raise AssertionError("character values need a vanishing mod-2 form")
+    return tuple(prod(x for x, c in zip(chi.values, v) if c % 2) for v in vectors)
+
+
 @lru_cache(maxsize=None)
 def classify_modules(L: EvenLattice) -> tuple[ModuleLabel, ...]:
     """Complete duplicate-free list of irreducible-module labels, canonically ordered."""
-    labels = [VAC_PLUS, VAC_MINUS]
-    seen_orbits = set()
-    for c in minimal_coset_reps(L):
-        if coset_is_trivial(c):
-            continue
-        if coset_two_torsion(L, c):
-            labels.append(coset_label(L, c, +1))
-            labels.append(coset_label(L, c, -1))
-        else:
-            lab = untwisted_label(L, c)
-            if lab.coset not in seen_orbits:
-                seen_orbits.add(lab.coset)
-                labels.append(lab)
-    for chi in central_characters(L):
-        labels.append(twisted_label(chi, +1))
-        labels.append(twisted_label(chi, -1))
+    # an orbit label stores the smaller of c and -c: keep it at that coset only
+    labels = [m for c in minimal_coset_reps(L) for m in coset_labels(L, c)
+              if m.kind != LabelKind.UNTWISTED or m.coset == c]
+    labels += (twisted_label(chi, s) for chi in central_characters(L) for s in (1, -1))
     return tuple(sorted(labels, key=ModuleLabel.sort_key))
 
 
@@ -199,24 +227,6 @@ def contragredient(L: EvenLattice, m: ModuleLabel) -> ModuleLabel:
     return twisted_label(prime_character(L, m.char), m.sign)
 
 
-@dataclass(frozen=True)
-class ZhuBlockReport:
-    dim_au: int
-    dim_at: int
-    dim_ah: int
-    total_semisimple_dim: int
-
-
-def zhu_block_report(L: EvenLattice) -> ZhuBlockReport:
-    """Block dimensions of the finite semisimple algebra attached to the census."""
-    d = L.rank
-    dim_au = top_level_dimension(L, VAC_MINUS) ** 2
-    dim_at = d * d * (1 << d)
-    dim_ah = 1 << d
-    total = sum(top_level_dimension(L, m) ** 2 for m in classify_modules(L))
-    return ZhuBlockReport(dim_au, dim_at, dim_ah, total)
-
-
 # ---------------------------------------------------------------------------
 # stable label grammar: V+ | V- | U[...] | C[...]+- | T[i]+-
 # ---------------------------------------------------------------------------
@@ -247,9 +257,14 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     if kind in ("U", "C", "T") and text[1:2] == "[" and close < 0:
         raise ValueError(f"label {text!r} lacks its closing ']'")
     if kind in ("U", "C") and text[1:2] == "[":
-        coords = tuple(Fraction(p) for p in text[2:close].split(","))
+        try:
+            coords = tuple(Fraction(p) for p in text[2:close].split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"label {text!r} has a zero denominator")
         if len(coords) != L.rank:
             raise ValueError(f"label has {len(coords)} coordinates, lattice rank is {L.rank}")
+        if any(sum(g * x for g, x in zip(row, coords)).denominator != 1 for row in L.gram):
+            raise ValueError(f"label {text!r}: coordinates are not a dual vector (G v is not integral)")
         c = coset_element(L, coords)
         if kind == "U":
             if text[close + 1:]:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import A1, A2, D22, D24, D224, CERT_GRAMS, TEST_GRAMS, box_enumerate, lat
+from test_lattice import enumerate_coset_vectors
 from vlplus.branching import branch_orthogonal, branch_sublattice, verify_branch
 from vlplus.certify import (
     ALL_RULES,
@@ -22,7 +23,6 @@ from vlplus.certify import (
 from vlplus.fusion import ONE, ZERO, admissible_triple, rank1_fusion
 from vlplus.lattice import (
     Convention,
-    enumerate_coset_vectors,
     minimal_coset_reps,
     orthogonal_sublattice,
 )

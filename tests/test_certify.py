@@ -186,20 +186,20 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
     # queries on the rebased presentation must reproduce the skew ones
     from vlplus.fusion import fusion_dim
     from vlplus.lattice import coset_element
-    from vlplus.sectors import CentralCharacter, central_characters, twisted_label, untwisted_label
-    from vlplus.certify import _Context, _sign_power
+    from vlplus.sectors import (
+        CentralCharacter, central_characters, character_values, twisted_label, untwisted_label)
+    from vlplus.certify import _Context
 
     skew = lat([[2, -2], [-2, 8]])
     ctx = _Context(skew)
     assert ctx.sub.index == 1
     rebased, basis = ctx.sub.lattice, ctx.sub.basis
-    d = skew.rank
 
     def move_coset(rep):
         return coset_element(rebased, ctx.sub.to_sub(rep))
 
     def move_char(chi):
-        values = tuple(_sign_power(chi.values, basis[j]) for j in range(d))
+        values = character_values(skew, chi, basis)
         moved = CentralCharacter(values=values, dim_t=chi.dim_t)
         return central_characters(rebased)[moved.index]
 

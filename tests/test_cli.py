@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24
-from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
+from conftest import A1, A2, D24, even_grams
+from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, build_parser, main
+from vlplus.lattice import validate_even_lattice
+from vlplus.sectors import classify_modules, format_label
 
 
 def write_gram(tmp_path, gram, name="gram.json"):
@@ -340,3 +347,124 @@ def test_jobs_variable_only_concerns_certify(tmp_path, capsys, monkeypatch):
     gram = write_gram(tmp_path, A1)
     code, out, _ = run_cli(capsys, ["analyze", "--gram", gram])
     assert code == EXIT_OK and "det\t2" in out
+
+
+# ---------------------------------------------------------------------------
+# labels off the dual lattice, malformed batch entries, cached parsers
+# ---------------------------------------------------------------------------
+
+A2_NEG = [[2, -1], [-1, 2]]  # census V+-, U[1/3,-1/3], T[0]+-
+
+
+@pytest.mark.parametrize("label,named", [
+    ("C[1/2,0]+", "not a dual vector"),
+    ("U[1/5,0]", "not a dual vector"),
+    ("U[1/2,1/2]", "not a dual vector"),
+    ("U[1/0,0]", "zero denominator"),
+])
+@pytest.mark.parametrize("command", ["char", "decompose"])
+def test_label_off_the_dual_lattice_exits_two(tmp_path, capsys, label, named, command):
+    gram = write_gram(tmp_path, A2_NEG)
+    code, out, err = run_cli(capsys, [command, "--gram", gram, "--module", label, "--order", "2"])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith(f"error: label {label!r}") and named in err
+
+
+@pytest.mark.parametrize("batch,entry", [
+    ([5], "0 is not a triple of label strings: 5"),
+    ([[1, 2, 3]], "0 is not a triple of label strings: [1, 2, 3]"),
+    ([["V+", "V+", None]], '0 is not a triple of label strings: ["V+", "V+", null]'),
+    ([["V+", "V+", "V+"], ["V+", "V+"]], '1 is not a triple of label strings: ["V+", "V+"]'),
+    (["V+-"], '0 is not a triple of label strings: "V+-"'),
+    ([{"m1": "V+"}], '0 is not a triple of label strings: {"m1": "V+"}'),
+])
+def test_malformed_batch_entry_exits_two(tmp_path, capsys, batch, entry):
+    gram = write_gram(tmp_path, A1)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(batch))
+    code, out, err = run_cli(capsys, ["fusion", "--gram", gram, "--batch", str(path)])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: batch entry {entry}\n"
+
+
+@pytest.mark.parametrize("text", ["\xff\xfe[", "[" * 100000])
+def test_unreadable_json_files_exit_two(tmp_path, capsys, text):
+    gram = write_gram(tmp_path, A1)
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("latin-1"))
+    for argv in (["analyze", "--gram", str(path)],
+                 ["fusion", "--gram", gram, "--batch", str(path)],
+                 ["fusion", "--gram", gram, "--triple", "V+", "V+", "V+", "--oracle", str(path)]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_INVALID and out == "" and err.startswith("error: "), argv
+
+
+def test_env_order_change_between_calls_takes_effect(tmp_path, capsys, monkeypatch):
+    gram = write_gram(tmp_path, A1)
+    build_parser.cache_clear()
+    outs = []
+    for order in ("2", "3", "2", "2"):
+        monkeypatch.setenv("VLPLUS_ORDER", order)
+        code, out, _ = run_cli(capsys, ["char", "--gram", gram, "--module", "V+"])
+        assert code == EXIT_OK
+        outs.append(out.splitlines())
+    assert outs == [["0\t1", "1\t1"], ["0\t1", "1\t1", "2\t2"], ["0\t1", "1\t1"], ["0\t1", "1\t1"]]
+    # one parser per distinct environment
+    assert build_parser.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random labels and batch files exit 0 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+LABELISH = st.text(alphabet="UCTV[]+-/,0123456789 ", max_size=14)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | LABELISH,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LABELISH, inner, max_size=2),
+    max_leaves=12,
+)
+
+
+def label_texts(rank: int):
+    """Label-shaped strings: U/C with about rank p/q coordinates (q may be 0), or T[i]."""
+    coord = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(0, 6))
+    coords = st.lists(coord, min_size=max(rank - 1, 1), max_size=rank + 1).map(",".join)
+    return st.one_of(
+        st.builds("{}[{}]{}".format, st.sampled_from("UC"), coords, st.sampled_from(["", "+", "-", "+-"])),
+        st.builds("T[{}]{}".format, st.integers(-1, 9), st.sampled_from(["", "+", "-"])),
+    )
+
+
+def run_isolated(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process call; any other exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(even_grams(), st.data())
+def test_cli_fuzz_labels_and_batches_exit_zero_or_two(gram, data):
+    names = [format_label(m) for m in classify_modules(validate_even_lattice(gram))]
+    labels = st.sampled_from(names) | label_texts(len(gram))
+    label = data.draw(labels | LABELISH | st.text(max_size=10))
+    batch = data.draw(JSON_VALUES | st.lists(st.lists(labels, min_size=3, max_size=3), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        gram_path = os.path.join(tmp, "gram.json")
+        batch_path = os.path.join(tmp, "batch.json")
+        with open(gram_path, "w") as fh:
+            json.dump({"gram": gram}, fh)
+        with open(batch_path, "w") as fh:
+            json.dump(batch, fh)
+        for argv in (["char", "--gram", gram_path, f"--module={label}", "--order", "2"],
+                     ["decompose", "--gram", gram_path, f"--module={label}", "--order", "1"],
+                     ["fusion", "--gram", gram_path, "--batch", batch_path]):
+            code, err = run_isolated(argv)
+            assert code in (EXIT_OK, EXIT_INVALID), (argv, err)
+            assert "Traceback" not in err
+            if code == EXIT_INVALID:
+                assert err.startswith(("error: ", "usage: ")), err

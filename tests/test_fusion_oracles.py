@@ -24,7 +24,6 @@ from vlplus.branching import (
 )
 from vlplus.certify import (
     _Context,
-    _sign_power,
     fusion_obstruction_rule,
     vacuum_rule,
     weight_gap_rule,
@@ -36,6 +35,7 @@ from vlplus.sectors import (
     LabelKind,
     VAC_PLUS,
     central_characters,
+    character_values,
     coset_label,
     twisted_label,
     untwisted_label,
@@ -51,7 +51,7 @@ def orthogonal_parts(ctx, m):
     if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
         targets = [m]
     elif m.kind == LabelKind.TWISTED:
-        values = tuple(_sign_power(m.char.values, b) for b in ctx.sub.basis)
+        values = character_values(ctx.L, m.char, ctx.sub.basis)
         chi = CentralCharacter(values=values, dim_t=m.char.dim_t)
         targets = [twisted_label(central_characters(rebased)[chi.index], m.sign)]
     else:

@@ -20,7 +20,6 @@ from vlplus.lattice import (
     coset_two_torsion,
     delta_set,
     discriminant_group,
-    enumerate_coset_vectors,
     enumerate_coset_with_norms,
     epsilon_cocycle,
     minimal_coset_reps,
@@ -33,6 +32,11 @@ from vlplus.lattice import (
 from vlplus.qseries import theta_coset
 
 F = Fraction
+
+
+def enumerate_coset_vectors(L, lam, bound):
+    """All v in lam + L with (v,v) <= bound, each exactly once, sorted."""
+    return [v for v, _ in enumerate_coset_with_norms(L, lam, Fraction(bound))]
 
 
 def is_dual_vector(L, v) -> bool:

@@ -1,25 +1,31 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, TEST_GRAMS, lat
-from vlplus.lattice import coset_element, minimal_coset_reps, mod_two_data
+from conftest import A1, A2, D24, D224, TEST_GRAMS, even_grams, lat
+from vlplus import intmat
+from vlplus.lattice import coset_element, coset_neg, minimal_coset_reps, mod_two_data
 from vlplus.sectors import (
     LabelKind,
+    ModuleLabel,
     VAC_MINUS,
     VAC_PLUS,
     central_characters,
     classify_modules,
     contragredient,
     coset_label,
+    coset_labels,
     format_label,
+    label_coset,
+    label_sign,
     lowest_weight,
     parse_label,
     prime_character,
     shift_character,
     top_level_dimension,
     twisted_label,
-    zhu_block_report,
 )
 
 F = Fraction
@@ -227,6 +233,24 @@ def test_character_shift_is_involution():
 # block dimensions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ZhuBlockReport:
+    dim_au: int
+    dim_at: int
+    dim_ah: int
+    total_semisimple_dim: int
+
+
+def zhu_block_report(L) -> ZhuBlockReport:
+    """Block dimensions of the finite semisimple algebra attached to the census."""
+    d = L.rank
+    dim_au = top_level_dimension(L, VAC_MINUS) ** 2
+    dim_at = d * d * (1 << d)
+    dim_ah = 1 << d
+    total = sum(top_level_dimension(L, m) ** 2 for m in classify_modules(L))
+    return ZhuBlockReport(dim_au, dim_at, dim_ah, total)
+
+
 @pytest.mark.parametrize(
     "gram,expected",
     [
@@ -273,3 +297,59 @@ def test_label_count_identity():
         r2 = mod_two_data(L).r2
         assert tw == 2 * (1 << r2)
         assert len(labels) == 2 + untw + cos + tw
+
+
+# ---------------------------------------------------------------------------
+# generated lattices: the label helpers and the label grammar
+# ---------------------------------------------------------------------------
+
+GENERATED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@GENERATED
+@given(even_grams())
+def test_coset_labels_and_twisted_pairs_are_the_census(gram):
+    L = lat(gram)
+    labels = set()
+    for c in minimal_coset_reps(L):
+        from_coset = coset_labels(L, c)
+        labels.update(from_coset)
+        # a signed pair, + first, or one orbit label without a sign
+        signs = [label_sign(m) for m in from_coset]
+        assert signs == ([None] if len(from_coset) == 1 else [1, -1])
+        for m in from_coset:
+            assert label_coset(L, m) in (c, coset_neg(L, c))
+    labels.update(twisted_label(chi, s) for chi in central_characters(L) for s in (1, -1))
+    assert sorted(labels, key=ModuleLabel.sort_key) == list(classify_modules(L))
+
+
+@GENERATED
+@given(even_grams())
+def test_every_census_label_parses_back(gram):
+    L = lat(gram)
+    for m in classify_modules(L):
+        assert parse_label(L, format_label(m)) == m
+
+
+@GENERATED
+@given(even_grams(), st.data())
+def test_coordinates_parse_iff_they_form_a_dual_vector(gram, data):
+    L = lat(gram)
+    d = L.rank
+    # G^-1 w is dual for integer w; a nudge p/q mostly leaves the dual lattice
+    inv = intmat.rational_inverse(gram)
+    w = [data.draw(st.integers(-3, 3)) for _ in range(d)]
+    nudge = [F(data.draw(st.integers(0, 1)), data.draw(st.integers(1, 7))) for _ in range(d)]
+    v = [sum(inv[i][j] * w[j] for j in range(d)) + nudge[i] for i in range(d)]
+    dual = all(sum(gram[i][j] * v[j] for j in range(d)).denominator == 1 for i in range(d))
+    text = ",".join(str(x) for x in v)
+    accepted = []
+    for label in (f"U[{text}]", f"C[{text}]+"):
+        try:
+            parse_label(L, label)
+        except ValueError as e:
+            assert dual or "not a dual vector" in str(e)
+        else:
+            accepted.append(label)
+    # a dual vector outside L names exactly one of an orbit or a self-paired coset
+    assert len(accepted) == (dual and any(x.denominator != 1 for x in v))

@@ -173,8 +173,8 @@ def _rule_path(j: ExtJustification) -> str:
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
     names, duals, the WeightGap table over weight ids, the orthogonal
-    sublattice, and rank-one branchings in their options/parity form,
-    cached per label."""
+    sublattice and the part count of V+ over it, and rank-one branchings
+    in their options/parity form, cached per label."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
@@ -195,6 +195,7 @@ class _Context:
             self.weight_ids.append(ids[key])
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
+        self.vacuum_parts = sublattice_part_count(self.sub, VAC_PLUS)
         self._orth_cache: dict[ModuleLabel, BranchList | None] = {}
         # an index-one orthogonal sublattice is an orthogonal basis of the
         # whole lattice (L itself when diagonal): the rank-one route then
@@ -307,7 +308,7 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
         if t1 == t2 and admissible_triple(
                 ctx.L, zero_coset(ctx.L), label_coset(ctx.L, m2), label_coset(ctx.L, m1)):
             return None
-        total = prod(sublattice_part_count(ctx.sub, m) for m in (VAC_PLUS, m2, m1))
+        total = ctx.vacuum_parts * prod(sublattice_part_count(ctx.sub, m) for m in (m2, m1))
         return ExtJustification(
             rule=RULE_FUSION,
             citation=CITATIONS[RULE_FUSION],

@@ -33,7 +33,6 @@ from .fusion import SignOracle, fusion_dim
 from .lattice import (
     Convention,
     LatticeError,
-    NotOrthogonalBase,
     discriminant_group,
     mod_two_data,
     norm2_vectors,
@@ -234,10 +233,7 @@ def cmd_decompose(args, out):
         raise CliError(str(e))
     order = _parse_order(args.order)
     if args.sublattice == "orthogonal-base":
-        try:
-            bl = branch_orthogonal(L, m)
-        except NotOrthogonalBase as e:
-            raise CliError(str(e))
+        bl = branch_orthogonal(L, m)
     else:
         if args.sublattice == "auto":
             basis = orthogonal_sublattice(L).basis
@@ -246,10 +242,7 @@ def cmd_decompose(args, out):
                 basis = _parse_basis(json.loads(args.sublattice), L.rank)
             except json.JSONDecodeError:
                 raise CliError("--sublattice takes auto, orthogonal-base, or a JSON basis")
-        try:
-            bl = branch_sublattice(L, basis, m)
-        except LatticeError as e:
-            raise CliError(str(e))
+        bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
     counts: dict[str, int] = {}
     for p in bl.parts:
@@ -307,8 +300,11 @@ def cmd_certify(args, out):
     cert = certify(L, convention=convention, disabled=disabled)
     text = cert.dumps()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write certificate to {args.out}: {e.strerror or e}")
         out.write(f"verdict\t{cert.verdict}\tpairs\t{len(cert.pairs)}\tunknown\t{len(cert.unknown)}\n")
     else:
         out.write(text)
@@ -401,9 +397,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except CliError as e:
+    except (CliError, LatticeError) as e:  # a lattice error is an input error
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return getattr(e, "code", EXIT_INVALID)
     except BrokenPipeError:
         return EXIT_OK
 

@@ -5,11 +5,11 @@ vectors are integer coordinate tuples, dual vectors are Fraction tuples
 in the same basis.  All operations below are pure and exact: coset
 canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
-numerators of an LDL^T split), discriminant groups via Smith normal form,
-the bimultiplicative 2-cocycle and mod-2 bilinear data.  A full-rank
-sublattice is one Sublattice value (basis, Gram, index, the change of
-basis both ways and the Smith form of the quotient), cached per lattice
-and basis; the orthogonal sublattice from Gram-Schmidt is one.
+numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
+bilinear data.  Both quotients, L°/L and L modulo a full-rank sublattice,
+are enumerated by one class walker from a Smith form.  A sublattice is
+one Sublattice value (basis, Gram, index, the Smith form and transforms
+that give the change of basis both ways), cached per lattice and basis.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ class NotFullRank(LatticeError):
 
 class NotOrthogonalBase(LatticeError):
     pass
+
+
+class QuotientTooLarge(LatticeError):
+    limit = 10**6  # the most classes of L°/L or L/L' that are enumerated one by one
 
 
 @dataclass(frozen=True)
@@ -319,17 +323,22 @@ def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> dict[Fraction, 
     return {Fraction(S, scale): n for S, n in counts.items()}
 
 
+def _coset_minimum(gram, D: int, nums) -> tuple[int, Coords]:
+    """(S, w): the least leaf under (S, key) of the walk over nums (mod D)."""
+    # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
+    start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
+    n = len(gram)
+    budget = _ldl_cached(gram)[0] * sum(start[i] * gram[i][j] * start[j]
+                                        for i in range(n) for j in range(n))
+    return _walk(gram, D, start, budget, "minimum")
+
+
 def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """Canonicalize an arbitrary dual vector to its coset representative."""
     D, nums = _scaled(v)
-    # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
-    start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
-    g = L.gram
-    M = _ldl_cached(g)[0]
-    budget = M * sum(start[i] * g[i][j] * start[j]
-                     for i in range(L.rank) for j in range(L.rank))
-    S, w = _walk(g, D, start, budget, "minimum")
-    return CosetElement(rep=tuple(Fraction(x, D) for x in w), min_norm=Fraction(S, M * D * D))
+    S, w = _coset_minimum(L.gram, D, nums)
+    return CosetElement(rep=tuple(Fraction(x, D) for x in w),
+                        min_norm=Fraction(S, _ldl_cached(L.gram)[0] * D * D))
 
 
 @lru_cache(maxsize=None)
@@ -353,34 +362,37 @@ def coset_two_torsion(L: EvenLattice, c: CosetElement) -> bool:
 
 @lru_cache(maxsize=None)
 def discriminant_group(L: EvenLattice) -> DiscriminantGroup:
-    """Dual-quotient structure from the Smith normal form of the Gram matrix."""
-    d, u, _ = intmat.snf([list(r) for r in L.gram])
-    ginv = intmat.rational_inverse([list(r) for r in L.gram])
-    uinv = intmat.rational_inverse(u)
-    factors = []
-    gens = []
-    n = L.rank
-    for i in range(n):
-        if d[i] == 1:
-            continue
-        col = [uinv[r][i] for r in range(n)]
-        gen = tuple(
-            sum(ginv[r][s] * col[s] for s in range(n)) for r in range(n)
-        )
-        factors.append(d[i])
-        gens.append(gen)
-    order = 1
-    for f in d:
-        order *= f
-    if order != L.det:
+    """Dual-quotient structure from the Smith form u G v = diag(d) of the Gram
+    matrix: G^-1 u^-1 = v diag(d)^-1, so generator i is column i of v over d_i."""
+    d, _, v = intmat.snf([list(r) for r in L.gram])
+    if math.prod(d) != L.det:
         raise AssertionError("discriminant order must equal det(gram)")
-    return DiscriminantGroup(
-        invariant_factors=tuple(factors), generators=tuple(gens), order=order
-    )
+    keep = [i for i, f in enumerate(d) if f != 1]
+    gens = tuple(tuple(Fraction(row[i], d[i]) for row in v) for i in keep)
+    return DiscriminantGroup(invariant_factors=tuple(d[i] for i in keep), generators=gens,
+                             order=L.det)
 
 
-def _coset_key(v: DualCoords) -> tuple:
-    return tuple(x - math.floor(x) for x in v)
+def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
+    """[(S, lift(w))] over the classes of prod Z/smith_i: zero first, then by (S, key).
+
+    Class c is x = v diag(smith)^-1 c, walked in gram as its integer
+    numerators over D = smith[-1]; w / D attains the minimal norm S / (M D^2)."""
+    order = math.prod(smith)
+    if order > QuotientTooLarge.limit:
+        raise QuotientTooLarge(f"the quotient has {order} classes; at most "
+                               f"{QuotientTooLarge.limit} can be enumerated")
+    D = smith[-1]
+    out = []
+    for c in product(*(range(f) for f in smith)):
+        x = [ci * (D // f) for ci, f in zip(c, smith)]
+        out.append(_coset_minimum(gram, D, [sum(a * b for a, b in zip(row, x)) for row in v]))
+    if len({tuple(y % D for y in w) for _, w in out}) != order:
+        raise AssertionError("duplicate class generated from the Smith form")
+    out = sorted(((S, lift(w)) for S, w in out), key=lambda p: (p[0], _coords_key(p[1])))
+    if out[0][0] != 0:
+        raise AssertionError("zero class missing")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -389,22 +401,10 @@ def minimal_coset_reps(L: EvenLattice) -> tuple[CosetElement, ...]:
 
     The zero coset comes first; the rest are sorted by (min_norm, key).
     """
-    dg = discriminant_group(L)
-    seen = {}
-    for combo in product(*(range(f) for f in dg.invariant_factors)):
-        vec = tuple(
-            sum((c * g[i] for c, g in zip(combo, dg.generators)), Fraction(0))
-            for i in range(L.rank)
-        )
-        elem = coset_element(L, vec)
-        key = _coset_key(elem.rep)
-        if key in seen:
-            raise AssertionError("duplicate coset generated from invariant factors")
-        seen[key] = elem
-    reps = sorted(seen.values(), key=CosetElement.sort_key)
-    if reps[0].min_norm != 0:
-        raise AssertionError("zero coset missing")
-    return tuple(reps)
+    d, _, v = intmat.snf([list(r) for r in L.gram])
+    D, M = d[-1], _ldl_cached(L.gram)[0]
+    return tuple(CosetElement(rep=tuple(Fraction(x, D) for x in w), min_norm=Fraction(S, M * D * D))
+                 for S, w in _class_minima(L.gram, d, v))
 
 
 def norm2_vectors(L: EvenLattice) -> tuple[Coords, ...]:
@@ -432,26 +432,31 @@ class Sublattice:
 
     basis holds the generators as rows B in the parent's coordinates;
     lattice is the sublattice in that basis (Gram B G B^T), index is
-    |det B| and inverse is B^-1.  A vector x in sublattice coordinates
-    is x B in parent coordinates; with U B^T V = diag(smith) the Smith
-    form, a parent vector v lies in the class U v mod smith of the quotient.
+    |det B|.  With U B^T V = diag(smith) the Smith form, a parent vector v
+    lies in the class U v mod smith and B^-1 = U^T diag(smith)^-1 V^T; a
+    vector x in sublattice coordinates is x B in parent coordinates.
     """
 
     parent: EvenLattice
     basis: tuple[Coords, ...]
     lattice: EvenLattice
     index: int
-    inverse: tuple[tuple[Fraction, ...], ...]
     smith: tuple[int, ...]
     smith_u: tuple[Coords, ...]
+    smith_v: tuple[Coords, ...]
 
     def to_sub(self, v) -> DualCoords:
-        """Parent coordinates to sublattice coordinates, v B^-1."""
-        return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*self.inverse))
+        """Parent coordinates to sublattice coordinates, v U^T diag(smith)^-1 V^T."""
+        D, nums = _scaled(v)
+        top = self.smith[-1]
+        y = [top // f * sum(a * b for a, b in zip(nums, row))
+             for f, row in zip(self.smith, self.smith_u)]
+        return tuple(Fraction(sum(a * b for a, b in zip(y, row)), D * top) for row in self.smith_v)
 
     def to_parent(self, x) -> DualCoords:
         """Sublattice coordinates to parent coordinates, x B."""
-        return tuple(sum(a * b for a, b in zip(x, col)) for col in zip(*self.basis))
+        D, nums = _scaled(x)
+        return tuple(Fraction(sum(a * b for a, b in zip(nums, col)), D) for col in zip(*self.basis))
 
 
 @lru_cache(maxsize=None)
@@ -466,10 +471,9 @@ def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
     sub = validate_even_lattice(intmat.mat_mul(intmat.mat_mul(rows, L.gram), list(zip(*rows))))
     if sub.det != index * index * L.det:
         raise AssertionError("sublattice determinant must be index^2 * det")
-    inverse = tuple(map(tuple, intmat.rational_inverse(rows)))
-    smith, u, _ = intmat.snf([list(c) for c in zip(*rows)])
-    return Sublattice(parent=L, basis=basis, lattice=sub, index=index, inverse=inverse,
-                      smith=tuple(smith), smith_u=tuple(map(tuple, u)))
+    smith, u, v = intmat.snf([list(c) for c in zip(*rows)])
+    return Sublattice(parent=L, basis=basis, lattice=sub, index=index, smith=tuple(smith),
+                      smith_u=tuple(map(tuple, u)), smith_v=tuple(map(tuple, v)))
 
 
 @lru_cache(maxsize=None)
@@ -501,24 +505,20 @@ def coset_reps_mod_sublattice(
 ) -> tuple[Coords, ...]:
     """Canonical representatives of the lattice modulo a full-rank sublattice.
 
-    Zero first, the rest sorted by (norm, key); each representative has
-    minimal norm in its class.
+    Zero first, the rest sorted by (norm, key); each has minimal norm in its
+    class.  Class c of U v mod smith is V diag(smith)^-1 c = B^-T U^-1 c in
+    sublattice coordinates, walked there and mapped back as w B / D.
     """
     S = sublattice(L, basis)
-    uinv = intmat.rational_inverse([list(r) for r in S.smith_u])
-    d = L.rank
-    out = []
-    for combo in product(*(range(f) for f in S.smith)):
-        vec = [sum(uinv[r][i] * combo[i] for i in range(d)) for r in range(d)]
-        if any(x.denominator != 1 for x in vec):
-            raise AssertionError("group generator produced non-integer vector")
-        # canonicalize inside vec + S by enumerating over the sublattice
-        elem = coset_element(S.lattice, S.to_sub(vec))
-        out.append((elem.min_norm, tuple(int(x) for x in S.to_parent(elem.rep))))
-    out.sort(key=lambda p: (p[0], _coords_key(p[1])))
-    if out[0][0] != 0:
-        raise AssertionError("zero class missing")
-    return tuple(v for _, v in out)
+    D = S.smith[-1]
+
+    def lift(w):
+        vec = [sum(a * b for a, b in zip(w, col)) for col in zip(*S.basis)]
+        if any(x % D for x in vec):
+            raise AssertionError("class representative is not a lattice vector")
+        return tuple(x // D for x in vec)
+
+    return tuple(v for _, v in _class_minima(S.lattice.gram, S.smith, S.smith_v, lift))
 
 
 def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:

@@ -15,6 +15,8 @@ D24 = [[2, 0], [0, 4]]
 D224 = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 ODD7 = [[2, 1], [1, 4]]  # det 7, no self-paired cosets beyond 0
+E6 = [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+      [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]]
 E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
       [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
       [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]

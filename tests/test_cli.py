@@ -249,6 +249,33 @@ def test_decompose_rejects_non_integer_basis_entry(tmp_path, capsys):
         assert code == EXIT_INVALID and named in err, basis
 
 
+HUGE_DET = [[99999999999999999999999999999998]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "modules", "certify"])
+def test_oversized_discriminant_group_exits_two(tmp_path, capsys, command):
+    gram = write_gram(tmp_path, HUGE_DET)
+    code, out, err = run_cli(capsys, [command, "--gram", gram])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: the quotient has 99999999999999999999999999999998 classes")
+    assert "at most 1000000" in err
+
+
+def test_oversized_sublattice_quotient_exits_two(tmp_path, capsys):
+    gram = write_gram(tmp_path, [[2, 0], [0, 2]])
+    code, out, err = run_cli(capsys, ["decompose", "--gram", gram, "--module", "V+", "--order", "1",
+                                      "--sublattice", "[[100000000000000000000000,0],[0,1]]"])
+    assert code == EXIT_INVALID and out == ""
+    assert "100000000000000000000000 classes; at most 1000000" in err
+
+
+def test_certify_out_to_a_directory_exits_two(tmp_path, capsys):
+    gram = write_gram(tmp_path, A1)
+    code, out, err = run_cli(capsys, ["certify", "--gram", gram, "--out", str(tmp_path)])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith(f"error: cannot write certificate to {tmp_path}")
+
+
 def test_fusion_rejects_malformed_oracle_table(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     oracle = tmp_path / "oracle.json"

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, TEST_GRAMS, box_enumerate, even_grams, lat
+from conftest import A1, A2, D24, D224, E6, TEST_GRAMS, box_enumerate, even_grams, lat
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
     NotEven,
     NotFullRank,
+    QuotientTooLarge,
     NotPositiveDefinite,
     NotSymmetric,
     BoundNegative,
@@ -409,6 +411,122 @@ def test_coset_reps_rejects_singular_basis():
     L = lat(D24)
     with pytest.raises(NotFullRank):
         coset_reps_mod_sublattice(L, ((1, 0), (2, 0)))
+
+
+# ---------------------------------------------------------------------------
+# Smith-form class enumeration against the Fraction change of basis
+# ---------------------------------------------------------------------------
+
+def fraction_discriminant_group(L):
+    """(factors, generators) from G^-1 times the columns of u^-1, over Fractions."""
+    gram = [list(r) for r in L.gram]
+    d, u, _ = intmat.snf(gram)
+    ginv, uinv = intmat.rational_inverse(gram), intmat.rational_inverse(u)
+    n = L.rank
+    keep = [i for i in range(n) if d[i] != 1]
+    gens = tuple(tuple(sum(ginv[r][s] * uinv[s][i] for s in range(n)) for r in range(n))
+                 for i in keep)
+    return tuple(d[i] for i in keep), gens
+
+
+def fraction_minimal_coset_reps(L):
+    """Generator sums over the invariant factors, each canonicalized by coset_element."""
+    factors, gens = fraction_discriminant_group(L)
+    reps = [coset_element(L, tuple(sum((c * g[i] for c, g in zip(combo, gens)), F(0))
+                                   for i in range(L.rank)))
+            for combo in product(*(range(f) for f in factors))]
+    return tuple(sorted(reps, key=CosetElement.sort_key))
+
+
+def fraction_to_sub(basis, v):
+    inverse = intmat.rational_inverse([list(b) for b in basis])
+    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*inverse))
+
+
+def fraction_to_parent(basis, x):
+    return tuple(sum(a * b for a, b in zip(x, col)) for col in zip(*basis))
+
+
+def fraction_reps_mod_sublattice(L, basis):
+    """u^-1 of the Smith form of B^T over Fractions, then B^-1, canonicalize, x B."""
+    S = sublattice(L, basis)
+    uinv = intmat.rational_inverse([list(r) for r in S.smith_u])
+    d = L.rank
+    out = []
+    for combo in product(*(range(f) for f in S.smith)):
+        vec = [sum(uinv[r][i] * combo[i] for i in range(d)) for r in range(d)]
+        assert all(x.denominator == 1 for x in vec)
+        elem = coset_element(S.lattice, fraction_to_sub(basis, vec))
+        out.append((elem.min_norm, tuple(int(x) for x in fraction_to_parent(basis, elem.rep))))
+    out.sort(key=lambda p: (p[0], tuple((abs(c), c < 0) for c in p[1])))
+    return tuple(v for _, v in out)
+
+
+def assert_matches_fraction_paths(L, basis, vectors=()):
+    dg = discriminant_group(L)
+    assert (dg.invariant_factors, dg.generators) == fraction_discriminant_group(L)
+    assert minimal_coset_reps(L) == fraction_minimal_coset_reps(L)
+    assert coset_reps_mod_sublattice(L, basis) == fraction_reps_mod_sublattice(L, basis)
+    S = sublattice(L, basis)
+    assert S.smith[-1] % S.smith[0] == 0 and len(S.smith_v) == L.rank
+    for v in vectors:
+        x = S.to_sub(v)
+        assert x == fraction_to_sub(basis, v)
+        assert S.to_parent(x) == fraction_to_parent(basis, x) == tuple(v)
+
+
+@st.composite
+def grams_with_bases(draw):
+    """(L, basis, vectors): an even_grams lattice, a full-rank sublattice basis
+    (Gram-Schmidt, doubled standard or drawn with |det| <= 12) and dual vectors."""
+    L = lat(draw(even_grams()))
+    d = L.rank
+    kind = draw(st.sampled_from(["gram-schmidt", "doubled", "drawn"]))
+    if kind == "gram-schmidt":
+        basis = orthogonal_sublattice(L).basis
+    elif kind == "doubled":
+        basis = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
+    else:
+        basis = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d))
+        assume(0 < abs(intmat.det_int([list(b) for b in basis])) <= 12)
+    reps = minimal_coset_reps(L)
+    vectors = [tuple(x + draw(st.integers(-2, 2)) for x in reps[draw(st.integers(0, len(reps) - 1))].rep)
+               for _ in range(3)]
+    return L, basis, vectors
+
+
+@GENERATED
+@given(grams_with_bases())
+def test_smith_enumerators_match_fraction_paths(case):
+    L, basis, vectors = case
+    assert_matches_fraction_paths(L, basis, vectors + [tuple(basis[0])])
+
+
+# bases whose Smith transform V is not symmetric, so V and V^T give different classes
+@pytest.mark.parametrize("gram,basis", [
+    (A2, ((-2, 1), (3, 3))),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], ((-3, 0, 2), (-2, 0, 2), (-3, 1, -2))),
+    ([[2, 1], [1, 4]], ((2, -1), (2, 2))),
+])
+def test_smith_enumerators_match_fraction_paths_skew_bases(gram, basis):
+    L = lat(gram)
+    S = sublattice(L, basis)
+    assert S.smith_v != tuple(zip(*S.smith_v))
+    assert_matches_fraction_paths(L, basis, [c.rep for c in minimal_coset_reps(L)])
+
+
+def test_smith_enumerators_match_fraction_paths_e6():
+    L = lat(E6)
+    S = orthogonal_sublattice(L)
+    assert S.index == 240
+    assert_matches_fraction_paths(L, S.basis, [c.rep for c in minimal_coset_reps(L)])
+
+
+def test_oversized_quotients_raise_a_named_error():
+    with pytest.raises(QuotientTooLarge, match=str(QuotientTooLarge.limit)):
+        minimal_coset_reps(lat([[2 * (QuotientTooLarge.limit + 1)]]))
+    with pytest.raises(QuotientTooLarge, match="classes"):
+        coset_reps_mod_sublattice(lat(A2), ((QuotientTooLarge.limit + 1, 0), (0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Two routes: over the tensor product of the rank-one subalgebras of an
 orthogonal base (diagonal Gram only), and over the fixed-point algebra
-of a full-rank sublattice.  An orthogonal branching is kept as a
-structure: per-factor options, each a (rank-one label, sign bit), and
-one parity constraint on the sign bits (None for an orbit parent); its
-parts are the options' product filtered by the parity.  Every
+of a full-rank sublattice.  An orthogonal branching picks one rank-one
+label per factor; where factors offer signed pairs, a signed parent
+keeps the parts whose signs multiply to its own.  Every
 decomposition is verified by an exact character identity, which is the
 normative check: for a nonzero self-paired coset the two signed modules
 have equal characters, so the sign chosen for such a part is reported
@@ -23,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .intmat import identity
 from .lattice import (
@@ -86,10 +86,6 @@ class BranchList:
     sublattice: EvenLattice | None = None
     factors: tuple[EvenLattice, ...] | None = None
     notes: tuple[str, ...] = ()
-    # orthogonal route: per-factor (label, sign bit) options, and the
-    # parity every part's sign bits sum to (None: no constraint)
-    options: tuple[tuple[tuple[ModuleLabel, int], ...], ...] | None = None
-    parity: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +96,10 @@ def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     """Decompose over the tensor product of the rank-one fixed-point algebras.
 
     Requires a diagonal Gram matrix.  Each factor offers one or two
-    (label, sign bit) options: the signed pair of a trivial or
-    self-paired coordinate coset or of a coordinate twisted character,
-    else the orbit label of the coordinate coset.  A part picks one
-    option per factor, with sign bits summing to the parent's sign
-    parity; an orbit parent has no constraint.
+    labels: the signed pair of a trivial or self-paired coordinate coset
+    or of a coordinate twisted character, else the orbit label of the
+    coordinate coset.  A part picks one label per factor, with signs
+    multiplying to the parent's sign; an orbit parent has no constraint.
     """
     if not L.is_diagonal():
         raise NotOrthogonalBase("orthogonal branching needs a diagonal Gram matrix")
@@ -117,18 +112,12 @@ def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     else:
         rep = label_coset(L, m).rep
         choices = [coset_labels(f, coset_element(f, (x,))) for f, x in zip(factors, rep)]
-    options = tuple(tuple((label, int(label_sign(label) == -1)) for label in c) for c in choices)
     sign = label_sign(m)
-    parity = None if sign is None else int(sign == -1)
     parts = tuple(
-        TensorPart(tuple(label for label, _ in combo))
-        for combo in product(*options)
-        if parity is None or sum(bit for _, bit in combo) % 2 == parity
+        TensorPart(combo) for combo in product(*choices)
+        if sign is None or prod(map(label_sign, combo)) == sign
     )
-    return BranchList(
-        parent_lattice=L, parent=m, route="orthogonal", parts=parts, factors=factors,
-        options=options, parity=parity,
-    )
+    return BranchList(parent_lattice=L, parent=m, route="orthogonal", parts=parts, factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ m1 splits, and records the first rule that applies:
   FusionObstruction  every intertwiner type over a proper rational
                      fixed-point subalgebra vanishes (sublattice route:
                      parity and admissibility gates; orthogonal route:
-                     the complete rank-one vacuum rows, factorwise)
+                     the rank-one families and signs of the two labels)
 
 A rule is recorded only when its hypothesis is decided exactly; an
 Unknown never counts as vanishing.  If no rule applies the pair is
@@ -28,30 +28,21 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from math import prod
 
-from .branching import BranchList, branch_orthogonal, sublattice_part_count
-from .fusion import ZERO, admissible_triple, rank1_fusion
-from .lattice import (
-    Convention,
-    EvenLattice,
-    coset_element,
-    orthogonal_sublattice,
-    zero_coset,
-)
+from .branching import sublattice_part_count
+from .fusion import admissible_triple
+from .lattice import Convention, EvenLattice, orthogonal_sublattice, zero_coset
 from .qseries import series_denominator
 from .sectors import (
-    CentralCharacter,
     LabelKind,
     ModuleLabel,
     VAC_PLUS,
-    central_characters,
     character_values,
     classify_modules,
     contragredient,
-    coset_labels,
     format_label,
     label_coset,
+    label_sign,
     lowest_weight,
-    twisted_label,
 )
 
 RULE_WEIGHT_GAP = "WeightGap"
@@ -173,8 +164,8 @@ def _rule_path(j: ExtJustification) -> str:
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
     names, duals, the WeightGap table over weight ids, the orthogonal
-    sublattice and the part count of V+ over it, and rank-one branchings
-    in their options/parity form, cached per label."""
+    sublattice and the part count of V+ over it, and, when that
+    sublattice has index one, each label's rank-one frame data."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
@@ -194,14 +185,45 @@ class _Context:
                 self.weight_reps.append(m)
             self.weight_ids.append(ids[key])
         self.sub = orthogonal_sublattice(L)
-        self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
+        norms = [row[i] for i, row in enumerate(self.sub.lattice.gram)]
+        self.sub_norms = ",".join(map(str, norms))
         self.vacuum_parts = sublattice_part_count(self.sub, VAC_PLUS)
-        self._orth_cache: dict[ModuleLabel, BranchList | None] = {}
-        # an index-one orthogonal sublattice is an orthogonal basis of the
-        # whole lattice (L itself when diagonal): the rank-one route then
-        # runs on that unimodular rebase, with labels transported across
-        # the basis change
-        self.orth_lattice = self.sub.lattice if self.sub.index == 1 else None
+        # an index-one orthogonal sublattice is an orthogonal frame of the
+        # whole lattice (L itself when diagonal); the orthogonal route
+        # reads each label's rank-one data on it
+        self.frames = ({m: self._frame(m, norms) for m in self.labels}
+                       if self.sub.index == 1 else None)
+
+    def _frame(self, m: ModuleLabel, norms: list[int]) -> tuple[tuple, int | None, int]:
+        """(families, parity, part count) of m over the rank-one factors of the frame.
+
+        A factor's family is its rank-one label up to sign: the frame
+        coordinate x of the label's coset taken mod +-1 (0 for V+-), as
+        the integer 2k*x in [0, k] on a factor of norm 2k, or, for a
+        twisted label, the character value on the frame vector; a
+        leading flag keeps the two kinds apart.  The parity is the sign
+        bit: None for an orbit label, and for a coset label on a
+        non-diagonal frame, whose rebased sign is set by convention.  A
+        factor of family 0 or k (x = 1/2), and every factor of a twisted
+        label, offers both signs: the part count is 2 to the number of
+        such factors, halved by a parity.
+        """
+        sign = label_sign(m)
+        if m.kind == LabelKind.TWISTED:
+            # an orthogonal frame of index one forces the mod-2 form of L
+            # to vanish, so the character is evaluated on the frame vectors
+            families = character_values(self.L, m.char, self.sub.basis)
+            signed = self.L.rank
+        else:
+            x = self.sub.to_sub(label_coset(self.L, m).rep)
+            coords = [int(v * n) % n for v, n in zip(x, norms)]
+            families = tuple(min(c, n - c) for c, n in zip(coords, norms))
+            signed = sum(2 * c % n == 0 for c, n in zip(families, norms))
+            if m.kind == LabelKind.COSET and not self.L.is_diagonal():
+                sign = None
+        parity = None if sign is None else int(sign == -1)
+        parts = 2 ** signed if parity is None else 2 ** (signed - 1)
+        return (m.kind == LabelKind.TWISTED, families), parity, parts
 
     @cached_property
     def gaps(self) -> list[list[ExtJustification | None]]:
@@ -218,43 +240,6 @@ class _Context:
     def gap_json(self) -> list[list[dict | None]]:
         """to_json() of each gaps entry, for comparing recorded WeightGap pairs."""
         return [[None if j is None else j.to_json() for j in row] for row in self.gaps]
-
-    def orth_branch(self, m: ModuleLabel) -> BranchList | None:
-        """Structured rank-one branching of the labelled module, or None.
-
-        On a diagonal lattice this is the exact branching; on an
-        index-one rebase vacuum, orbit and twisted labels transport
-        intrinsically, while the convention-bound coset sign is dropped:
-        the options lose their parity constraint and the parts are both
-        sign lists together (a superset of the true constituents, so
-        vanishing conclusions stay sound).
-        """
-        if m not in self._orth_cache:
-            if self.L.is_diagonal():
-                self._orth_cache[m] = branch_orthogonal(self.L, m)
-            elif self.orth_lattice is None:
-                self._orth_cache[m] = None
-            else:
-                self._orth_cache[m] = self._transported_branch(m)
-        return self._orth_cache[m]
-
-    def _transported_branch(self, m: ModuleLabel) -> BranchList:
-        rebased, basis = self.sub.lattice, self.sub.basis
-        if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-            return branch_orthogonal(rebased, m)
-        if m.kind == LabelKind.TWISTED:
-            # an index-one rebase forces the mod-2 form to vanish, so the
-            # character lives on the whole lattice mod 2 and transports by
-            # evaluating on the new basis vectors
-            values = character_values(self.L, m.char, basis)
-            target = central_characters(rebased)[
-                CentralCharacter(values=values, dim_t=m.char.dim_t).index]
-            if target.values != values:
-                raise AssertionError("transported character out of order")
-            return branch_orthogonal(rebased, twisted_label(target, m.sign))
-        c = coset_element(rebased, self.sub.to_sub(m.coset.rep))
-        branches = [branch_orthogonal(rebased, n) for n in coset_labels(rebased, c)]
-        return replace(branches[0], parts=sum((b.parts for b in branches), ()), parity=None)
 
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
@@ -291,11 +276,17 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     +-lambda mod L and those of V+ meet every class of L mod L', so some
     triple is admissible iff lambda2 = +-lambda1 mod L, fusion_dim's
     admissible-triple gate on the cosets (0, lambda2, lambda1).  Orthogonal
-    route: a triple is nonzero iff every factor's rank-one vacuum row is,
-    so a walk over the factors keeps the reachable (V+, m2, m1) sign-bit
-    parities and the rule applies iff none meets the three parity
-    constraints.  Any triple that is not decidably Zero makes the rule
-    inapplicable; it is never unsound.
+    route: a triple is nonzero iff every factor's rank-one vacuum row is.
+    There V+ is the identity and V- a simple current flipping the sign,
+    so a factor's step is nonzero iff m2 and m1 have the same family
+    there, and the V+ sign bit of the step is the sum of theirs on a
+    signed factor and free on an orbit factor.  With every factor signed
+    the reachable parities are exactly a = b + c mod 2, and V+'s parity
+    0 forces equal signs; an orbit factor makes every parity reachable
+    (and leaves both labels unsigned).  So the rule applies iff the
+    families differ or both parities are set and differ.  Any triple
+    that is not decidably Zero makes the rule inapplicable; it is never
+    unsound.
     """
     if route == "sublattice":
         if ctx.sub.index == 1:
@@ -321,31 +312,20 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
             ),
         )
     if route == "orthogonal":
-        if ctx.orth_lattice is None:
-            # no orthogonal basis: the algebra has constituents outside
+        if ctx.frames is None:
+            # no orthogonal frame: the algebra has constituents outside
             # the complete rank-one rows
             return None
-        bv, b2, b1 = ctx.orth_branch(VAC_PLUS), ctx.orth_branch(m2), ctx.orth_branch(m1)
-        ks = [ctx.orth_lattice.gram[i][i] // 2 for i in range(ctx.L.rank)]
-        reachable = {(0, 0, 0)}
-        for k, opts_v, opts2, opts1 in zip(ks, bv.options, b2.options, b1.options):
-            steps = {
-                (x, y, z)
-                for n, x in opts_v for n2, y in opts2 for n1, z in opts1
-                if rank1_fusion(k, n, n2, n1) != ZERO
-            }
-            reachable = {(a ^ x, b ^ y, c ^ z) for a, b, c in reachable for x, y, z in steps}
-        wanted = (bv.parity, b2.parity, b1.parity)
-        if any(all(w is None or w == r for w, r in zip(wanted, state)) for state in reachable):
+        (f2, p2, n2), (f1, p1, n1) = ctx.frames[m2], ctx.frames[m1]
+        if f2 == f1 and (p2 is None or p1 is None or p2 == p1):
             return None
-        norms = ",".join(str(2 * k) for k in ks)
         return ExtJustification(
             rule=RULE_FUSION,
             citation=CITATIONS[RULE_FUSION],
             detail=(
                 ("route", "orthogonal"),
-                ("subalgebra", f"tensor of rank-one fixed points, norms [{norms}]"),
-                ("triples", str(len(bv.parts) * len(b2.parts) * len(b1.parts))),
+                ("subalgebra", f"tensor of rank-one fixed points, norms [{ctx.sub_norms}]"),
+                ("triples", str(ctx.frames[VAC_PLUS][2] * n2 * n1)),
             ),
         )
     raise ValueError(f"unknown route {route!r}")

@@ -53,6 +53,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCOMPLETE = 3
 FORMATS = ("tsv", "json")
+# a series to order N keeps dense coefficient lists of length about N and
+# costs about N^2 passes; an order past this is refused before any is built
+MAX_ORDER = 10**4
 
 
 class CliError(Exception):
@@ -170,6 +173,8 @@ def _parse_order(text) -> Fraction:
         raise CliError(f"order must be a rational number, got {text!r}")
     if order < 1:
         raise CliError("order must be at least 1")
+    if order > MAX_ORDER:
+        raise CliError(f"order must be at most {MAX_ORDER}, got {order}")
     return order
 
 

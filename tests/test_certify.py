@@ -536,6 +536,55 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
         assert "unknown[0] does not name two labels of the lattice" in verify_certificate(L, bad)
 
 
+@pytest.mark.parametrize("gram", [[[2, 0], [0, 6]], [[2, -2], [-2, 8]]], ids=["diag26", "skew"])
+def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
+    from vlplus.cli import EXIT_INCOMPLETE, main
+
+    L = lat(gram)
+    good = certify(L).to_json()
+    ctx = _Context(L)
+    by_name = dict(zip(ctx.names, ctx.labels))
+    at = next(i for i, p in enumerate(good["pairs"])
+              if p["justification"]["detail"].get("route") == "orthogonal")
+    record = good["pairs"][at]["justification"]
+    # a pair whose labels have equal rank-one families and signs, two
+    # distinct labels where the lattice has such a pair
+    same = [i for i, p in enumerate(good["pairs"])
+            if ctx.frames[by_name[p["m1"]]][:2] == ctx.frames[by_name[p["m2"]]][:2]]
+    to = max(same, key=lambda i: good["pairs"][i]["m1"] != good["pairs"][i]["m2"])
+
+    def names(i):
+        return f"({good['pairs'][i]['m1']}, {good['pairs'][i]['m2']})"
+
+    def mutant(i, change):
+        cert = json.loads(json.dumps(good))
+        change(cert["pairs"][i])
+        return cert
+
+    def more_triples(p):
+        p["justification"]["detail"]["triples"] += "1"
+
+    cases = {
+        "perturbed triples": (mutant(at, more_triples),
+                              f"pair {names(at)}: recorded justification differs"),
+        "route flipped": (
+            mutant(at, lambda p: p["justification"]["detail"].update(route="sublattice")),
+            f"pair {names(at)}: recorded rule 'FusionObstruction' does not apply"),
+        "moved to equal families": (
+            mutant(to, lambda p: p.update(justification=record)),
+            f"pair {names(to)}: recorded rule 'FusionObstruction' does not apply"),
+    }
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps({"gram": gram}))
+    cert_path = tmp_path / "bad.cert"
+    for name, (bad, problem) in cases.items():
+        assert verify_certificate(L, bad) == [problem], name
+        cert_path.write_text(json.dumps(bad))
+        assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) \
+            == EXIT_INCOMPLETE, name
+        assert capsys.readouterr().out == f"problem\t{problem}\n", name
+
+
 def test_load_certificate_roundtrip(tmp_path):
     cert = certify(lat(A1))
     path = tmp_path / "cert.json"

@@ -302,6 +302,16 @@ def test_order_must_be_at_least_one(tmp_path, capsys):
     assert code == EXIT_INVALID and "rational" in err
 
 
+@pytest.mark.parametrize("command", ["char", "decompose"])
+def test_huge_order_is_refused_before_any_series(tmp_path, capsys, command):
+    # an order of 10^13 once ended in a MemoryError from the Euler product
+    gram = write_gram(tmp_path, [[2, 0], [0, 6]])
+    code, out, err = run_cli(capsys, [command, "--gram", gram, "--module", "V+",
+                                      "--order", "10000000000000"])
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: order must be at most 10000, got 10000000000000\n"
+
+
 @pytest.mark.parametrize("gram,argv,grid", [
     (A1, ["char", "--module", "V+", "--order", "4/3"], 16),
     (A2, ["char", "--module", "T[0]+", "--order", "7/5"], 48),

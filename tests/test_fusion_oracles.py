@@ -1,8 +1,8 @@
 """Brute-force oracles for the two FusionObstruction routes.
 
-The rule decides the orthogonal route by a sign-parity walk over the
-rank-one factors, and the sublattice route by a +-lambda test on the two
-labels with part counts from a Smith form.  The oracles here expand
+The rule decides the orthogonal route from each label's rank-one
+families and sign, and the sublattice route by a +-lambda test on the
+two labels with part counts from a Smith form.  The oracles here expand
 every branching into its list of parts and test every (V+, m2, m1)
 triple directly, with rank1_fusion and tensor_fusion, or
 admissible_triple.  The rule's justification must match the oracle's on
@@ -64,9 +64,9 @@ def orthogonal_parts(ctx, m):
 
 
 def orthogonal_oracle(ctx, m1, m2):
-    if ctx.orth_lattice is None:
+    if ctx.sub.index != 1:
         return None
-    ks = [ctx.orth_lattice.gram[i][i] // 2 for i in range(ctx.L.rank)]
+    ks = [ctx.sub.lattice.gram[i][i] // 2 for i in range(ctx.L.rank)]
     parts_v, parts2, parts1 = (orthogonal_parts(ctx, m) for m in (VAC_PLUS, m2, m1))
     total = 0
     for n in parts_v:
@@ -199,4 +199,27 @@ def diagonal_grams(draw):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(diagonal_grams())
 def test_orthogonal_route_matches_oracle_on_generated_diagonals(gram):
+    assert_routes_match_oracles(gram)
+
+
+@st.composite
+def skew_orthogonal_grams(draw):
+    """U D U^T for a diagonal D of norms 2-6 and a lower unitriangular U
+    with entries in -2..2: the Gram-Schmidt frame of the rows of U is the
+    orthogonal basis of D itself, so the orthogonal sublattice has index one."""
+    d = draw(st.integers(2, 3))
+    norms = [2 * draw(st.integers(1, 3)) for _ in range(d)]
+    assume(prod(norms) <= 16)
+    u = [[1 if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(d)]
+         for i in range(d)]
+    gram = [[sum(u[i][k] * norms[k] * u[j][k] for k in range(d)) for j in range(d)]
+            for i in range(d)]
+    assume(any(gram[i][j] for i in range(d) for j in range(d) if i != j))
+    return gram
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(skew_orthogonal_grams())
+def test_orthogonal_route_matches_oracle_on_generated_skew_presentations(gram):
+    assert _Context(lat(gram)).sub.index == 1
     assert_routes_match_oracles(gram)

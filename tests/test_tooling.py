@@ -63,3 +63,29 @@ def test_euler_products_make_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", counting)
     assert euler_product_inv.__wrapped__(2, Fraction(200), 48).coeff(1) == 2
     assert calls == []
+
+
+def test_certify_neither_branches_nor_walks_rank_one_fusion(monkeypatch):
+    # the tracer's branching.orthogonal and fusion.rank1 layers count these
+    # calls; the orthogonal route decides from per-label frame data, so
+    # certify must make none, whichever module's binding it would use
+    import sys
+
+    from vlplus.lattice import validate_even_lattice
+
+    module = importlib.import_module("vlplus.certify")
+    calls = []
+    for name in ("branch_orthogonal", "rank1_fusion"):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("vlplus") and hasattr(mod, name):
+                original = getattr(mod, name)
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counting)
+    for gram in ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [[2, -2], [-2, 8]]):
+        cert = module.certify(validate_even_lattice(gram))
+        assert "FusionObstruction[orthogonal]" in cert.rule_map().values()
+    assert calls == []

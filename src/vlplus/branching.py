@@ -32,9 +32,11 @@ from .lattice import (
     NotOrthogonalBase,
     Sublattice,
     coset_element,
+    coset_pair,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     epsilon_cocycle,
+    residue,
     sublattice,
     validate_even_lattice,
 )
@@ -47,8 +49,8 @@ from .sectors import (
     coset_labels,
     label_coset,
     label_sign,
+    orbit_label,
     twisted_label,
-    untwisted_label,
 )
 
 
@@ -194,13 +196,13 @@ def branch_sublattice(
         sign, lam = label_sign(m), label_coset(L, m)
         seen = set()
         for g in gammas:
-            c = coset_element(sub, S.to_sub(tuple(x + s for x, s in zip(g, lam.rep))))
+            x = S.to_sub(tuple(a + b for a, b in zip(g, lam.rep)))
+            if residue(x, -1) in seen:
+                continue  # a self-paired parent meets the class of -x too
+            c, neg = coset_pair(sub, x)
             if not coset_two_torsion(sub, c):
-                # a self-paired parent meets the class of -c too
-                label = untwisted_label(sub, c)
-                if label not in seen:
-                    seen.add(label)
-                    parts.append(SubmodulePart(label))
+                seen.add(residue(x))
+                parts.append(SubmodulePart(orbit_label(c, neg)))
             elif sign is None:
                 raise AssertionError("orbit parent cannot meet a self-paired class")
             else:

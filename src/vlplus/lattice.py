@@ -6,10 +6,13 @@ in the same basis.  All operations below are pure and exact: coset
 canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
-bilinear data.  Both quotients, L°/L and L modulo a full-rank sublattice,
-are enumerated by one class walker from a Smith form.  A sublattice is
-one Sublattice value (basis, Gram, index, the Smith form and transforms
-that give the change of basis both ways), cached per lattice and basis.
+bilinear data.  The walker uses v -> -v: a class closed under negation is
+counted from half its tree, and one walk of a minimal shell canonicalizes
+a coset and its negation.  Both quotients, L°/L and L modulo a full-rank
+sublattice, are enumerated by one class walker from a Smith form.  A
+sublattice is one Sublattice value (basis, Gram, index, the Smith form and
+transforms that give the change of basis both ways), cached per lattice
+and basis.
 """
 
 from __future__ import annotations
@@ -98,6 +101,14 @@ class CosetElement:
 
     rep: DualCoords
     min_norm: Fraction
+
+    def __hash__(self):
+        # labels key certify's per-label tables: hash the Fractions once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rep, self.min_norm))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def sort_key(self):
         return (self.min_norm, _coords_key(self.rep))
@@ -240,43 +251,58 @@ def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
     A leaf is w with S = M * q(w) <= budget, so w / D lies in the coset
     nums / D + L with norm S / (M * D^2).  mode "vectors" returns every
     leaf as (S, w) unsorted, "counts" returns {S: leaf count}, and
-    "minimum" returns the leaf least under (S, key); it lowers the
-    budget to the best S found, so only the minimal shell is walked.
+    "minimum" returns (S, shell), the least S and every leaf at it; it
+    lowers the budget to the best S found, so only the minimal shell is
+    walked.  In "counts" a class closed under negation (2 nums = 0 mod D)
+    is walked over x >= 0 at each level where every coordinate above is
+    0; a subtree under x > 0 stands for its negation too and counts twice.
     """
     _, A, P, C = _ldl_cached(gram)
     d = len(gram)
     w = [0] * d
     out: list = []
     counts: dict[int, int] = {}
-    best: list = []
+    shell: list = []
     a0, p0 = A[0], P[0]
 
-    def rec(i: int, used: int, budget: int) -> int:
+    def rec(i: int, used: int, budget: int, k: int) -> int:
+        # k weighs each leaf; 0 while every coordinate above i is 0 in a closed class
         rem = budget - used
         if rem < 0:
             return budget
-        ci = C[i]
-        s = 0
-        for j in range(i + 1, d):
-            s += ci[j] * w[j]
         r = math.isqrt(rem // A[i])
         p = P[i]
-        lo = -((r + s) // p)
-        lo += (nums[i] - lo) % D
+        if k:
+            ci = C[i]
+            s = 0
+            for j in range(i + 1, d):
+                s += ci[j] * w[j]
+            lo = -((r + s) // p)
+            lo += (nums[i] - lo) % D
+        else:
+            s, lo, k = 0, nums[i] % D, 2
+            if lo == 0:
+                # x = 0 is its own negation: keep halving below it
+                w[i] = 0
+                if i:
+                    rec(i - 1, used, budget, 0)
+                else:
+                    counts[used] = counts.get(used, 0) + 1
+                lo = D
         hi = (r - s) // p + 1
         if i:
             a = A[i]
             for x in range(lo, hi, D):
                 w[i] = x
                 y = p * x + s
-                budget = rec(i - 1, used + a * y * y, budget)
+                budget = rec(i - 1, used + a * y * y, budget, k)
             return budget
         tail = tuple(w[1:])
         if mode == "counts":
             for x in range(lo, hi, D):
                 y = p0 * x + s
                 S = used + a0 * y * y
-                counts[S] = counts.get(S, 0) + 1
+                counts[S] = counts.get(S, 0) + k
         elif mode == "vectors":
             for x in range(lo, hi, D):
                 y = p0 * x + s
@@ -285,20 +311,20 @@ def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
             for x in range(lo, hi, D):
                 y = p0 * x + s
                 S = used + a0 * y * y
-                if S > budget:
-                    continue
-                v = (x,) + tail
-                if not best or S < budget or _coords_key(v) < _coords_key(best[1]):
-                    best[:] = (S, v)
-                    budget = S
+                if S <= budget:
+                    if S < budget or not shell:
+                        shell.clear()
+                        budget = S
+                    shell.append((x,) + tail)
         return budget
 
-    rec(d - 1, 0, budget)
+    closed = mode == "counts" and all(2 * x % D == 0 for x in nums)
+    budget = rec(d - 1, 0, budget, 0 if closed else 1)
     if mode == "counts":
         return counts
     if mode == "vectors":
         return out
-    return tuple(best)
+    return budget, shell
 
 
 def enumerate_coset_with_norms(
@@ -323,8 +349,11 @@ def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> dict[Fraction, 
     return {Fraction(S, scale): n for S, n in counts.items()}
 
 
-def _coset_minimum(gram, D: int, nums) -> tuple[int, Coords]:
-    """(S, w): the least leaf under (S, key) of the walk over nums (mod D)."""
+def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords]]:
+    """(S, shell): the least S of the walk over nums (mod D) and every leaf at it.
+
+    The minimal shell of -nums (mod D) is the negated shell, so one walk
+    canonicalizes a class and its negation."""
     # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
     start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
     n = len(gram)
@@ -333,22 +362,40 @@ def _coset_minimum(gram, D: int, nums) -> tuple[int, Coords]:
     return _walk(gram, D, start, budget, "minimum")
 
 
+def _least(shell, sign: int = 1) -> Coords:
+    """The shell vector, negated when sign is -1, that is least under the key."""
+    return min((tuple(sign * x for x in w) for w in shell), key=_coords_key)
+
+
+def _element(gram, D: int, S: int, w: Coords) -> CosetElement:
+    return CosetElement(rep=tuple(Fraction(x, D) for x in w),
+                        min_norm=Fraction(S, _ldl_cached(gram)[0] * D * D))
+
+
 def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """Canonicalize an arbitrary dual vector to its coset representative."""
     D, nums = _scaled(v)
-    S, w = _coset_minimum(L.gram, D, nums)
-    return CosetElement(rep=tuple(Fraction(x, D) for x in w),
-                        min_norm=Fraction(S, _ldl_cached(L.gram)[0] * D * D))
+    S, shell = _coset_shell(L.gram, D, nums)
+    return _element(L.gram, D, S, _least(shell))
+
+
+def coset_pair(L: EvenLattice, v: DualCoords) -> tuple[CosetElement, CosetElement]:
+    """Canonical representatives of v + L and of -v + L, from one walk."""
+    D, nums = _scaled(v)
+    S, shell = _coset_shell(L.gram, D, nums)
+    return _element(L.gram, D, S, _least(shell)), _element(L.gram, D, S, _least(shell, -1))
+
+
+def residue(v, sign: int = 1) -> tuple[tuple[int, int], ...]:
+    """sign * v modulo integer vectors, as (numerator mod denominator, denominator)
+    per coordinate: equal for two vectors iff they lie in one coset of Z^d."""
+    return tuple((sign * x.numerator % x.denominator, x.denominator) for x in v)
 
 
 @lru_cache(maxsize=None)
 def zero_coset(L: EvenLattice) -> CosetElement:
     z = tuple(Fraction(0) for _ in range(L.rank))
     return CosetElement(rep=z, min_norm=Fraction(0))
-
-
-def coset_neg(L: EvenLattice, c: CosetElement) -> CosetElement:
-    return coset_element(L, tuple(-x for x in c.rep))
 
 
 def coset_is_trivial(c: CosetElement) -> bool:
@@ -377,7 +424,8 @@ def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     """[(S, lift(w))] over the classes of prod Z/smith_i: zero first, then by (S, key).
 
     Class c is x = v diag(smith)^-1 c, walked in gram as its integer
-    numerators over D = smith[-1]; w / D attains the minimal norm S / (M D^2)."""
+    numerators over D = smith[-1]; w / D attains the minimal norm S / (M D^2).
+    One walk serves c and -c, whose minimal shells are negatives."""
     order = math.prod(smith)
     if order > QuotientTooLarge.limit:
         raise QuotientTooLarge(f"the quotient has {order} classes; at most "
@@ -385,8 +433,14 @@ def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     D = smith[-1]
     out = []
     for c in product(*(range(f) for f in smith)):
+        neg = tuple(-ci % f for ci, f in zip(c, smith))
+        if neg < c:
+            continue  # came with the walk of neg, the earlier class
         x = [ci * (D // f) for ci, f in zip(c, smith)]
-        out.append(_coset_minimum(gram, D, [sum(a * b for a, b in zip(row, x)) for row in v]))
+        S, shell = _coset_shell(gram, D, [sum(a * b for a, b in zip(row, x)) for row in v])
+        out.append((S, _least(shell)))
+        if neg != c:
+            out.append((S, _least(shell, -1)))
     if len({tuple(y % D for y in w) for _, w in out}) != order:
         raise AssertionError("duplicate class generated from the Smith form")
     out = sorted(((S, lift(w)) for S, w in out), key=lambda p: (p[0], _coords_key(p[1])))
@@ -402,9 +456,7 @@ def minimal_coset_reps(L: EvenLattice) -> tuple[CosetElement, ...]:
     The zero coset comes first; the rest are sorted by (min_norm, key).
     """
     d, _, v = intmat.snf([list(r) for r in L.gram])
-    D, M = d[-1], _ldl_cached(L.gram)[0]
-    return tuple(CosetElement(rep=tuple(Fraction(x, D) for x in w), min_norm=Fraction(S, M * D * D))
-                 for S, w in _class_minima(L.gram, d, v))
+    return tuple(_element(L.gram, d[-1], S, w) for S, w in _class_minima(L.gram, d, v))
 
 
 def norm2_vectors(L: EvenLattice) -> tuple[Coords, ...]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from vlplus import intmat
-from vlplus.lattice import EvenLattice, validate_even_lattice
+from vlplus.lattice import CosetElement, EvenLattice, coset_element, validate_even_lattice
 
 A1 = [[2]]
 A1_4 = [[4]]
@@ -74,6 +74,11 @@ def d24():
 @pytest.fixture(scope="session")
 def d224():
     return lat(D224)
+
+
+def coset_neg(L: EvenLattice, c: CosetElement) -> CosetElement:
+    """Oracle: the canonical representative of -c, from a walk of its own."""
+    return coset_element(L, tuple(-x for x in c.rep))
 
 
 def frac(s) -> Fraction:

@@ -421,3 +421,16 @@ def test_rank1_free_field_assembly_matches_characters(k):
         assembled = rank1_m1_branch(k, m, F(10))
         direct = character(L, m, F(10))
         assert assembled == direct, str(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+def test_verify_branch_holds_on_generated_grams(gram):
+    # both routes on every label: the Gram-Schmidt sublattice for every draw,
+    # the orthogonal base where the Gram is diagonal
+    L = lat(gram)
+    basis = orthogonal_sublattice(L).basis
+    for m in classify_modules(L):
+        assert verify_branch(branch_sublattice(L, basis, m), F(4)), (gram, str(m))
+        if L.is_diagonal():
+            assert verify_branch(branch_orthogonal(L, m), F(4)), (gram, str(m))

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, E6, TEST_GRAMS, box_enumerate, even_grams, lat
+from conftest import A1, A2, D24, D224, E6, TEST_GRAMS, box_enumerate, coset_neg, even_grams, lat
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
@@ -16,8 +16,12 @@ from vlplus.lattice import (
     NotSymmetric,
     BoundNegative,
     CosetElement,
+    _class_minima,
+    _coords_key,
+    _coset_shell,
     coset_element,
     coset_norm_counts,
+    coset_pair,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     delta_set,
@@ -32,6 +36,7 @@ from vlplus.lattice import (
     validate_even_lattice,
 )
 from vlplus.qseries import theta_coset
+from vlplus.sectors import LabelKind, classify_modules
 
 F = Fraction
 
@@ -234,6 +239,49 @@ def test_coset_element_is_first_of_full_enumeration(case):
     shifted = tuple(x + y for x, y in zip(rep, a))
     first, norm = enumerate_coset_with_norms(L, shifted, L.norm(shifted))[0]
     assert coset_element(L, shifted) == CosetElement(rep=first, min_norm=norm)
+
+
+def full_walk_counts(L, lam, bound):
+    """Oracle: {norm: count} from every vector of the walk, none paired with its negation."""
+    counts = {}
+    for _, n in enumerate_coset_with_norms(L, lam, bound):
+        counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def class_minima_one_walk_each(gram, smith, v):
+    """Oracle: _class_minima with a walk of its own for every class."""
+    D = smith[-1]
+    out = []
+    for c in product(*(range(f) for f in smith)):
+        x = [ci * (D // f) for ci, f in zip(c, smith)]
+        S, shell = _coset_shell(gram, D, [sum(a * b for a, b in zip(row, x)) for row in v])
+        out.append((S, min(shell, key=_coords_key)))
+    return sorted(out, key=lambda p: (p[0], _coords_key(p[1])))
+
+
+@GENERATED
+@given(even_grams(), st.sampled_from([F(0), F(7, 3), F(4), F(13, 2)]))
+def test_negation_halves_walks_without_changing_results(gram, bound):
+    # the counts of a class closed under negation come from half its tree and
+    # one shell serves c and -c; both must agree with walks that ignore v -> -v
+    L = lat(gram)
+    reps = minimal_coset_reps(L)
+    assert any(coset_two_torsion(L, c) for c in reps)  # the zero class at least
+    shift = tuple(range(1, L.rank + 1))
+    for c in reps:
+        shifted = tuple(x + a for x, a in zip(c.rep, shift))
+        for lam in (c.rep, shifted):
+            assert coset_norm_counts(L, lam, bound) == full_walk_counts(L, lam, bound)
+        assert coset_pair(L, shifted) == (c, coset_neg(L, c))
+    orbits = {m.coset for m in classify_modules(L) if m.kind == LabelKind.UNTWISTED}
+    assert orbits == {min(c, coset_neg(L, c), key=CosetElement.sort_key)
+                      for c in reps if not coset_two_torsion(L, c)}
+    d, _, v = intmat.snf([list(r) for r in gram])
+    assert _class_minima(L.gram, d, v) == class_minima_one_walk_each(L.gram, d, v)
+    S = orthogonal_sublattice(L)
+    assert (_class_minima(S.lattice.gram, S.smith, S.smith_v)
+            == class_minima_one_walk_each(S.lattice.gram, S.smith, S.smith_v))
 
 
 # ---------------------------------------------------------------------------

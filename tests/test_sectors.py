@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, TEST_GRAMS, even_grams, lat
+from conftest import A1, A2, D24, D224, TEST_GRAMS, coset_neg, even_grams, lat
 from vlplus import intmat
-from vlplus.lattice import coset_element, coset_neg, minimal_coset_reps, mod_two_data
+from vlplus.lattice import coset_element, minimal_coset_reps, mod_two_data
 from vlplus.sectors import (
     LabelKind,
     ModuleLabel,

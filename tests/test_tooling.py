@@ -89,3 +89,42 @@ def test_certify_neither_branches_nor_walks_rank_one_fusion(monkeypatch):
         cert = module.certify(validate_even_lattice(gram))
         assert "FusionObstruction[orthogonal]" in cert.rule_map().values()
     assert calls == []
+
+
+def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
+    # the shell of -c is the negated shell of c: the census walks one class
+    # of each +- pair and the branching one class of each orbit
+    from conftest import A3, E6, lat
+    from vlplus import lattice
+    from vlplus.branching import branch_sublattice
+    from vlplus.lattice import (coset_reps_mod_sublattice, coset_two_torsion,
+                                minimal_coset_reps, orthogonal_sublattice)
+    from vlplus.sectors import VAC_PLUS, classify_modules
+
+    # every enumeration and canonicalization goes through lattice._walk
+    calls = []
+    original = lattice._walk
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "_walk", counting)
+    for cached in (minimal_coset_reps, classify_modules, coset_reps_mod_sublattice):
+        cached.cache_clear()
+    L = lat(E6)
+    classify_modules(L)
+    walks = len(calls)
+    reps = minimal_coset_reps(L)  # cached by the census
+    pairs = (len(reps) + sum(coset_two_torsion(L, c) for c in reps)) // 2
+    assert pairs == 2 and walks <= pairs
+
+    L = lat(A3)
+    S = orthogonal_sublattice(L)
+    calls.clear()
+    classes = coset_reps_mod_sublattice(L, S.basis)
+    self_paired = sum(all((2 * x).denominator == 1 for x in S.to_sub(g)) for g in classes)
+    assert len(calls) <= (len(classes) + self_paired) // 2
+    calls.clear()
+    bl = branch_sublattice(L, S.basis, VAC_PLUS)
+    assert len(bl.parts) < len(classes) and len(calls) <= len(bl.parts)

@@ -2,14 +2,16 @@
 
 Two routes: over the tensor product of the rank-one subalgebras of an
 orthogonal base (diagonal Gram only), and over the fixed-point algebra
-of a full-rank sublattice.  An orthogonal branching picks one rank-one
-label per factor; where factors offer signed pairs, a signed parent
-keeps the parts whose signs multiply to its own.  Every
-decomposition is verified by an exact character identity, which is the
-normative check: for a nonzero self-paired coset the two signed modules
-have equal characters, so the sign chosen for such a part is reported
-as convention-dependent metadata, computed from the involution
-coefficient on the canonical lowest-weight vector.
+of a full-rank sublattice.  An orthogonal branching is a structure: the
+rank-one labels each factor offers, plus a parity, the parent's sign,
+that a part's signs must multiply to.  Its parts are that product
+expanded, and its character is checked in factored form.  A sublattice
+branching walks the classes of (lambda + L)/L' in integers, one walk
+per +- pair.  Every decomposition is verified by an exact character
+identity, which is the normative check: for a nonzero self-paired coset
+the two signed modules have equal characters, so the sign chosen for
+such a part is reported as convention-dependent metadata, computed from
+the involution coefficient on the canonical lowest-weight vector.
 
 Twisted parents over a sublattice branch into abstract placeholders
 carrying only sign and multiplicity; the census of the finer twisted
@@ -32,12 +34,9 @@ from .lattice import (
     NotOrthogonalBase,
     Sublattice,
     coset_element,
-    coset_pair,
-    coset_reps_mod_sublattice,
-    coset_two_torsion,
     epsilon_cocycle,
-    residue,
     sublattice,
+    sublattice_classes,
     validate_even_lattice,
 )
 from .qseries import QSeries, character, series_denominator
@@ -49,7 +48,6 @@ from .sectors import (
     coset_labels,
     label_coset,
     label_sign,
-    orbit_label,
     twisted_label,
 )
 
@@ -81,13 +79,32 @@ BranchPart = SubmodulePart | TensorPart | TwistedBlockPart
 
 @dataclass(frozen=True)
 class BranchList:
+    """A decomposition of parent over a sublattice or over orthogonal factors.
+
+    An orthogonal branching is given by choices (the labels factor i
+    offers) and the parent's sign; parts is derived from them here, as
+    the combinations whose signs multiply to the parent's (all of them
+    for an orbit parent), so it is never passed alongside choices.
+    """
+
     parent_lattice: EvenLattice
     parent: ModuleLabel
     route: str  # "orthogonal" | "sublattice"
-    parts: tuple[BranchPart, ...]
+    parts: tuple[BranchPart, ...] = ()
     sublattice: EvenLattice | None = None
     factors: tuple[EvenLattice, ...] | None = None
     notes: tuple[str, ...] = ()
+    choices: tuple[tuple[ModuleLabel, ...], ...] | None = None
+
+    def __post_init__(self):
+        if self.choices is not None:
+            if self.parts:
+                raise ValueError("an orthogonal branching derives its parts from its choices")
+            sign = label_sign(self.parent)
+            object.__setattr__(self, "parts", tuple(
+                TensorPart(combo) for combo in product(*self.choices)
+                if sign is None or prod(map(label_sign, combo)) == sign
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +127,12 @@ def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     if m.kind == LabelKind.TWISTED:
         values = character_values(L, m.char, identity(d))
         chars = (central_characters(f)[0 if v == 1 else 1] for f, v in zip(factors, values))
-        choices = [(twisted_label(c, +1), twisted_label(c, -1)) for c in chars]
+        choices = tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
     else:
         rep = label_coset(L, m).rep
-        choices = [coset_labels(f, coset_element(f, (x,))) for f, x in zip(factors, rep)]
-    sign = label_sign(m)
-    parts = tuple(
-        TensorPart(combo) for combo in product(*choices)
-        if sign is None or prod(map(label_sign, combo)) == sign
-    )
-    return BranchList(parent_lattice=L, parent=m, route="orthogonal", parts=parts, factors=factors)
+        choices = tuple(coset_labels(f, coset_element(f, (x,))) for f, x in zip(factors, rep))
+    return BranchList(parent_lattice=L, parent=m, route="orthogonal", factors=factors,
+                      choices=choices)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +161,11 @@ def branch_sublattice(
     coefficients on the canonical lowest-weight vector; when that ratio
     is imaginary the positive label is reported and flagged in notes.
     Paired classes contribute one orbit module per pair; twisted parents
-    contribute placeholder blocks.
+    contribute placeholder blocks.  Parts and notes follow the sort_key
+    of the class representative.
     """
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
-    gammas = coset_reps_mod_sublattice(L, S.basis)
     eps_l = epsilon_cocycle(L, convention)
     eps_1 = epsilon_cocycle(sub, convention)
     notes: list[str] = []
@@ -194,15 +207,10 @@ def branch_sublattice(
         parts.append(TwistedBlockPart(sign=m.sign, multiplicity=mult))
     else:
         sign, lam = label_sign(m), label_coset(L, m)
-        seen = set()
-        for g in gammas:
-            x = S.to_sub(tuple(a + b for a, b in zip(g, lam.rep)))
-            if residue(x, -1) in seen:
-                continue  # a self-paired parent meets the class of -x too
-            c, neg = coset_pair(sub, x)
-            if not coset_two_torsion(sub, c):
-                seen.add(residue(x))
-                parts.append(SubmodulePart(orbit_label(c, neg)))
+        for c, self_paired in sublattice_classes(S, lam.rep):
+            if not self_paired:
+                # c is already the smaller rep of the orbit {x, -x}
+                parts.append(SubmodulePart(ModuleLabel(LabelKind.UNTWISTED, coset=c)))
             elif sign is None:
                 raise AssertionError("orbit parent cannot meet a self-paired class")
             else:
@@ -252,13 +260,45 @@ def part_character(bl: BranchList, p: BranchPart, order: Fraction) -> QSeries:
     return single.scaled(p.multiplicity)
 
 
+def _factor_product(bl: BranchList, order: Fraction, signed: bool) -> QSeries:
+    """prod_i sum_l ch(l) over factor i's choices, each term times sign(l) if signed."""
+    total = None
+    for lat1, labels in zip(bl.factors, bl.choices):
+        s = None
+        for lab in labels:
+            ch = character(lat1, lab, order)
+            if signed and label_sign(lab) == -1:
+                ch = ch.scaled(-1)
+            s = ch if s is None else s + ch
+        total = s if total is None else total * s
+    return total
+
+
+def branch_character(bl: BranchList, order) -> QSeries:
+    """Character of the sum of the parts, exact to the given order.
+
+    An orthogonal branching is summed in factored form: prod_i A_i for an
+    orbit parent, (prod_i A_i + s prod_i B_i) / 2 for a parent of sign s,
+    with A_i = sum ch(l) and B_i = sum sign(l) ch(l) over factor i's
+    choices: a combination of sign product t counts (1 + s t) / 2 times.
+    """
+    order = Fraction(order)
+    if bl.choices is not None:
+        a = _factor_product(bl, order, False)
+        sign = label_sign(bl.parent)
+        if sign is None:
+            return a
+        return (a + _factor_product(bl, order, True).scaled(sign)).scaled(Fraction(1, 2))
+    total = QSeries.zero(series_denominator(bl.parent_lattice), order)
+    for p in bl.parts:
+        total = total + part_character(bl, p, order)
+    return total
+
+
 def verify_branch(bl: BranchList, order) -> bool:
     """Exact character identity: parent equals the sum of the parts."""
     order = Fraction(order)
     parent = character(bl.parent_lattice, bl.parent, order)
-    denom = series_denominator(bl.parent_lattice)
-    total = QSeries.zero(denom, order)
-    for p in bl.parts:
-        total = total + part_character(bl, p, order)
+    total = branch_character(bl, order)
     common = min(parent.order, total.order)
     return parent.truncate(common) == total.truncate(common)

@@ -389,14 +389,19 @@ def certify(
     rows = list(zip(ctx.labels, ctx.weight_ids, ctx.names))
     pairs = []
     unknown = []
+    # equal chain justifications share the first object, so dumps() encodes each once
+    shared: dict[ExtJustification, ExtJustification] = {}
     for m1, w1, a in rows:
         gap_row = gaps[w1]
         for m2, w2, b in rows:
-            j = gap_row[w2] or _first_applying(chain, ctx, m1, m2)
+            j = gap_row[w2]
             if j is None:
-                unknown.append((a, b))
-            else:
-                pairs.append((a, b, j))
+                j = _first_applying(chain, ctx, m1, m2)
+                if j is None:
+                    unknown.append((a, b))
+                    continue
+                j = shared.setdefault(j, j)
+            pairs.append((a, b, j))
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
         ("denominator", str(series_denominator(L))),

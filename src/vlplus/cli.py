@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -249,11 +250,9 @@ def cmd_decompose(args, out):
                 raise CliError("--sublattice takes auto, orthogonal-base, or a JSON basis")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
-    counts: dict[str, int] = {}
-    for p in bl.parts:
-        counts[_part_str(p)] = counts.get(_part_str(p), 0) + 1
+    counts = Counter(map(_part_str, bl.parts))
     ok = verify_branch(bl, order)
-    rows = [(name, mult) for name, mult in sorted(counts.items())]
+    rows = sorted(counts.items())
     _emit_rows(rows, ("part", "multiplicity"), args.format, out)
     for note in bl.notes:
         out.write(f"# note: {note}\n")

@@ -8,8 +8,10 @@ only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
 bilinear data.  The walker uses v -> -v: a class closed under negation is
 counted from half its tree, and one walk of a minimal shell canonicalizes
-a coset and its negation.  Both quotients, L°/L and L modulo a full-rank
-sublattice, are enumerated by one class walker from a Smith form.  A
+a coset and its negation.  One class walker, driven by a Smith form,
+enumerates L°/L, L modulo a full-rank sublattice L', and the shifted
+classes (lam + L)/L' that a sublattice branching meets, in integers and
+one walk per +- pair.  A
 sublattice is one Sublattice value (basis, Gram, index, the Smith form and
 transforms that give the change of basis both ways), cached per lattice
 and basis.
@@ -420,28 +422,49 @@ def discriminant_group(L: EvenLattice) -> DiscriminantGroup:
                              order=L.det)
 
 
+def _class_walks(gram, smith, v, shift, den: int):
+    """Walk one class of each +- pair x = v diag(smith)^-1 (shift / den + c), c in prod Z/smith_i.
+
+    Yields (self_paired, S, shell): x walked in gram as its integer
+    numerators over E = den * smith[-1], and the least S of the walk with
+    every leaf at it.  The classes are closed under negation iff 2 shift /
+    den is integral; then -x is the class c' = -c - 2 shift / den (mod
+    smith), whose shell is the negated one, and the later of c and c' is
+    not walked.  x is self-paired iff c' = c."""
+    order = math.prod(smith)
+    if order > QuotientTooLarge.limit:
+        raise QuotientTooLarge(f"the quotient has {order} classes; at most "
+                               f"{QuotientTooLarge.limit} can be enumerated")
+    top = smith[-1]
+    E = den * top
+    closed = all(2 * t % den == 0 for t in shift)
+    twice = [2 * t // den for t in shift]
+    base = [top // f * t for t, f in zip(shift, smith)]
+    step = [top // f * den for f in smith]
+    neg = None
+    for c in product(*(range(f) for f in smith)):
+        if closed:
+            neg = tuple((-t - ci) % f for t, ci, f in zip(twice, c, smith))
+            if neg < c:
+                continue  # came with the walk of its negation, the earlier class
+        y = [b + s * ci for b, s, ci in zip(base, step, c)]
+        nums = [sum(a * b for a, b in zip(row, y)) for row in v]
+        yield (neg == c, *_coset_shell(gram, E, nums))
+
+
 def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     """[(S, lift(w))] over the classes of prod Z/smith_i: zero first, then by (S, key).
 
     Class c is x = v diag(smith)^-1 c, walked in gram as its integer
     numerators over D = smith[-1]; w / D attains the minimal norm S / (M D^2).
     One walk serves c and -c, whose minimal shells are negatives."""
-    order = math.prod(smith)
-    if order > QuotientTooLarge.limit:
-        raise QuotientTooLarge(f"the quotient has {order} classes; at most "
-                               f"{QuotientTooLarge.limit} can be enumerated")
     D = smith[-1]
     out = []
-    for c in product(*(range(f) for f in smith)):
-        neg = tuple(-ci % f for ci, f in zip(c, smith))
-        if neg < c:
-            continue  # came with the walk of neg, the earlier class
-        x = [ci * (D // f) for ci, f in zip(c, smith)]
-        S, shell = _coset_shell(gram, D, [sum(a * b for a, b in zip(row, x)) for row in v])
+    for self_paired, S, shell in _class_walks(gram, smith, v, [0] * len(smith), 1):
         out.append((S, _least(shell)))
-        if neg != c:
+        if not self_paired:
             out.append((S, _least(shell, -1)))
-    if len({tuple(y % D for y in w) for _, w in out}) != order:
+    if len({tuple(y % D for y in w) for _, w in out}) != math.prod(smith):
         raise AssertionError("duplicate class generated from the Smith form")
     out = sorted(((S, lift(w)) for S, w in out), key=lambda p: (p[0], _coords_key(p[1])))
     if out[0][0] != 0:
@@ -571,6 +594,25 @@ def coset_reps_mod_sublattice(
         return tuple(x // D for x in vec)
 
     return tuple(v for _, v in _class_minima(S.lattice.gram, S.smith, S.smith_v, lift))
+
+
+def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElement, bool]]:
+    """The classes of (lam + L) modulo the sublattice, up to negation, in its coordinates.
+
+    One (c, self_paired) per class x, with x and -x counted once where both
+    are classes (2 lam in L): c is the canonical rep of the smaller of x + L'
+    and -x + L', sorted by sort_key.  A parent vector lam + g with U g = c
+    (mod smith) is x = V diag(smith)^-1 (U lam + c) in sublattice coordinates,
+    so the classes are walked in integers, one walk per pair."""
+    D, nums = _scaled(lam)
+    shift = [sum(u * x for u, x in zip(row, nums)) for row in S.smith_u]
+    gram, E = S.lattice.gram, D * S.smith[-1]
+    kept = []
+    for self_paired, norm, shell in _class_walks(gram, S.smith, S.smith_v, shift, D):
+        w = min(_least(shell), _least(shell, -1), key=_coords_key)
+        kept.append((norm, _coords_key(w), w, self_paired))
+    kept.sort(key=lambda k: k[:2])
+    return [(_element(gram, E, norm, w), self_paired) for norm, _, w, self_paired in kept]
 
 
 def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:

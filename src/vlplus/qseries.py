@@ -98,12 +98,17 @@ class QSeries:
         return not self.nums
 
     def __eq__(self, other) -> bool:
+        # every constructor leaves a series normalized (no zero entry, scale
+        # coprime to the entries), so on one grid equal series store equal integers
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and self.terms() == other.terms()
+        a, b = _align(self, other)
+        return a.order_key == b.order_key and a.scale == b.scale and a.nums == b.nums
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.terms().items()))))
+        # grid-free, as equality aligns grids
+        return hash((self.order, self.scale,
+                     frozenset((Fraction(k, self.denom), v) for k, v in self.nums.items())))
 
     def __repr__(self) -> str:
         parts = [f"{c}*q^{e}" for e, c in list(self.terms().items())[:6]]

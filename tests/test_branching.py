@@ -6,9 +6,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import A2, D22, D24, D224, even_grams, lat
 from vlplus.lattice import (
     Convention,
+    CosetElement,
     NotOrthogonalBase,
+    QuotientTooLarge,
+    coset_pair,
+    coset_reps_mod_sublattice,
+    coset_two_torsion,
     enumerate_coset_with_norms,
+    epsilon_cocycle,
     orthogonal_sublattice,
+    residue,
     sublattice,
     validate_even_lattice,
 )
@@ -17,8 +24,11 @@ from vlplus.branching import (
     SubmodulePart,
     TensorPart,
     TwistedBlockPart,
+    _root_unit,
+    branch_character,
     branch_orthogonal,
     branch_sublattice,
+    part_character,
     sublattice_part_count,
     verify_branch,
 )
@@ -27,9 +37,14 @@ from vlplus.sectors import (
     LabelKind,
     VAC_MINUS,
     VAC_PLUS,
+    central_characters,
     classify_modules,
     coset_label,
+    coset_labels,
+    label_coset,
+    label_sign,
     lowest_weight,
+    orbit_label,
 )
 
 F = Fraction
@@ -316,6 +331,116 @@ def test_sublattice_part_count_and_constituent_classes(case):
             mu = zero if p.label.coset is None else S.to_parent(p.label.coset.rep)
             assert any(all((x - s * y).denominator == 1 for x, y in zip(mu, lam))
                        for s in (1, -1)), (str(m), str(p.label))
+
+
+def oracle_branch_sublattice(L, basis, m, convention=Convention()):
+    """Oracle: (parts, notes) from the Fraction path.
+
+    Lifts every class rep of L/L' by lambda, takes it to sublattice
+    coordinates with S.to_sub and canonicalizes it with coset_pair, skipping
+    a class whose negation was met; it shares no class walk with
+    sublattice_classes."""
+    S = sublattice(L, basis)
+    sub = S.lattice
+    if m.kind == LabelKind.TWISTED:
+        mult = m.char.dim_t // central_characters(sub)[0].dim_t
+        return [TwistedBlockPart(sign=m.sign, multiplicity=mult)], []
+    eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
+    sign, lam = label_sign(m), label_coset(L, m)
+    two_lam = tuple(int(2 * x) for x in lam.rep)
+    parts, notes, seen = [], [], set()
+    for g in coset_reps_mod_sublattice(L, S.basis):
+        x = S.to_sub(tuple(a + b for a, b in zip(g, lam.rep)))
+        if residue(x, -1) in seen:
+            continue
+        c, neg = coset_pair(sub, x)
+        if not coset_two_torsion(sub, c):
+            seen.add(residue(x))
+            parts.append(SubmodulePart(orbit_label(c, neg)))
+            continue
+        zero = not any(two_lam)
+        unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
+        if not zero:
+            x_vec = tuple(int(a - b) for a, b in zip(S.to_parent(c.rep), lam.rep))
+            if eps_l(x_vec, two_lam) == -1:
+                unit_g = (unit_g + 2) % 4
+        two_mu = tuple(int(2 * x) for x in c.rep)
+        ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
+                                     not any(two_mu))) % 4
+        if ratio % 2:
+            notes.append(f"imaginary involution ratio on class {c.rep}; reported +")
+        sigma = sign if ratio % 2 or ratio == 0 else -sign
+        parts.append(SubmodulePart(coset_labels(sub, c)[sigma == -1]))
+    return parts, notes
+
+
+def parts_multiset(parts):
+    return sorted(map(repr, parts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(even_grams(), st.sampled_from((1, -1)))
+def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
+    # the integer class walk gives the parts and notes of the Fraction path,
+    # over the Gram-Schmidt and the doubled bases, in the sort_key order
+    L = lat(gram)
+    d = L.rank
+    convention = Convention(root_branch=root_branch)
+    for basis in (orthogonal_sublattice(L).basis,
+                  tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))):
+        for m in classify_modules(L):
+            bl = branch_sublattice(L, basis, m, convention)
+            parts, notes = oracle_branch_sublattice(L, basis, m, convention)
+            assert parts_multiset(bl.parts) == parts_multiset(parts), (gram, str(m))
+            assert set(bl.notes) == set(notes) and len(bl.notes) == len(notes), (gram, str(m))
+            if m.kind != LabelKind.TWISTED:
+                reps = [p.label.coset or CosetElement(rep=(F(0),) * d, min_norm=F(0))
+                        for p in bl.parts]
+                assert reps == sorted(reps, key=CosetElement.sort_key)
+
+
+def test_twisted_parent_is_not_refused_over_a_large_index():
+    # a twisted parent branches from dimensions alone, with no class walk
+    L = lat(D22)
+    big = QuotientTooLarge.limit + 1
+    for m in classify_modules(L):
+        if m.kind == LabelKind.TWISTED:
+            bl = branch_sublattice(L, ((big, 0), (0, 1)), m)
+            assert bl.parts == (TwistedBlockPart(sign=m.sign, multiplicity=1),)
+        else:
+            with pytest.raises(QuotientTooLarge):
+                branch_sublattice(L, ((big, 0), (0, 1)), m)
+
+
+@st.composite
+def diagonal_grams(draw):
+    """Diagonal even Grams of rank 1 to 4, entries 2, 4 or 6."""
+    d = draw(st.integers(1, 4))
+    norms = [draw(st.sampled_from((2, 4, 6))) for _ in range(d)]
+    return [[norms[i] * (i == j) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(diagonal_grams())
+def test_factored_orthogonal_sum_equals_expanded_sum(gram):
+    # the factored character that verify_branch reads is the sum over parts
+    L = lat(gram)
+    order = F(3)
+    for m in classify_modules(L):
+        bl = branch_orthogonal(L, m)
+        expanded = QSeries.zero(series_denominator(L), order)
+        for p in bl.parts:
+            expanded = expanded + part_character(bl, p, order)
+        assert branch_character(bl, order) == expanded, (gram, str(m))
+
+
+def test_orthogonal_parts_are_derived_from_choices():
+    L = lat(D224)
+    bl = branch_orthogonal(L, VAC_PLUS)
+    assert len(bl.choices) == 3 and len(bl.parts) == 4
+    with pytest.raises(ValueError):
+        BranchList(parent_lattice=L, parent=VAC_PLUS, route="orthogonal", parts=bl.parts,
+                   factors=bl.factors, choices=bl.choices)
 
 
 def test_two_stage_consistency_character_level():

@@ -689,6 +689,10 @@ def assert_dumps_is_the_reference(L):
         reference = json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
         assert first_difference(cert.dumps(), reference) is None, (
             L.gram, convention, sorted(disabled))
+        # equal justifications are one object, so dumps() encodes each value once
+        justifications = [j for _, _, j in cert.pairs]
+        assert len(set(map(id, justifications))) == len(set(justifications)), (
+            L.gram, convention, sorted(disabled))
 
 
 def first_difference(text, reference):

@@ -131,6 +131,23 @@ def test_series_ring_axioms_random():
         assert a + b == b + a
 
 
+def test_series_equality_is_grid_free_and_exact():
+    # equality compares integers on a common grid: a rescale is the same
+    # series, one coefficient or the order apart is not, and equal series hash equal
+    rng = random.Random(5)
+    for _ in range(40):
+        a = random_series(rng, rng.choice([1, 2, 3]), rng.randint(1, 12))
+        f = rng.choice([2, 3, 16])
+        assert a.rescale(a.denom * f) == a and hash(a.rescale(a.denom * f)) == hash(a)
+        assert a.scaled(F(3, 7)).scaled(F(7, 3)) == a
+        k = F(rng.randint(0, a.order_key - 1), a.denom)
+        bumped = a + QSeries.from_terms(a.denom, a.order, {k: F(1, 5)})
+        assert bumped != a and bumped.rescale(bumped.denom * f) != a
+        if a.order_key > 1:
+            assert a.truncate(a.order - F(1, a.denom)) != a.truncate(a.order)
+    assert QSeries.zero(2, F(1)) == QSeries.zero(4, F(1)) != QSeries.zero(4, F(3, 4))
+
+
 def test_series_no_zero_coefficients_stored():
     a = QSeries.from_terms(2, F(3), {F(1): F(1), F(2): F(0)})
     assert a.terms() == {F(1): F(1)}

@@ -3,12 +3,14 @@
 Two routes: over the tensor product of the rank-one subalgebras of an
 orthogonal base (diagonal Gram only), and over the fixed-point algebra
 of a full-rank sublattice.  An orthogonal branching is a structure: the
-rank-one labels each factor offers, plus a parity, the parent's sign,
-that a part's signs must multiply to.  Its parts are that product
-expanded, and its character is checked in factored form.  A sublattice
-branching walks the classes of (lambda + L)/L' in integers, one walk
-per +- pair.  Every decomposition is verified by an exact character
-identity, which is the normative check: for a nonzero self-paired coset
+rank-one labels each factor offers (frame_choices, on any index-one
+orthogonal frame), plus a parity, the parent's sign, that a part's
+signs must multiply to.  Its parts are that product expanded, and its
+character is checked in factored form.  A sublattice branching walks
+the classes of (lambda + L)/L' in integers, one walk per +- pair, and
+sublattice_part_count gives its part count from the Smith form alone.
+Every decomposition is verified by an exact character identity, which
+is the normative check: for a nonzero self-paired coset
 the two signed modules have equal characters, so the sign chosen for
 such a part is reported as convention-dependent metadata, computed from
 the involution coefficient on the canonical lowest-weight vector.
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .intmat import identity
 from .lattice import (
     Convention,
     CosetElement,
@@ -35,6 +37,7 @@ from .lattice import (
     Sublattice,
     coset_element,
     epsilon_cocycle,
+    orthogonal_sublattice,
     sublattice,
     sublattice_classes,
     validate_even_lattice,
@@ -114,25 +117,44 @@ class BranchList:
 def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     """Decompose over the tensor product of the rank-one fixed-point algebras.
 
-    Requires a diagonal Gram matrix.  Each factor offers one or two
-    labels: the signed pair of a trivial or self-paired coordinate coset
-    or of a coordinate twisted character, else the orbit label of the
-    coordinate coset.  A part picks one label per factor, with signs
+    Requires a diagonal Gram matrix; the choices are frame_choices on the
+    identity frame.  A part picks one label per factor, with signs
     multiplying to the parent's sign; an orbit parent has no constraint.
     """
     if not L.is_diagonal():
         raise NotOrthogonalBase("orthogonal branching needs a diagonal Gram matrix")
-    d = L.rank
-    factors = tuple(validate_even_lattice([[L.gram[i][i]]]) for i in range(d))
+    return BranchList(parent_lattice=L, parent=m, route="orthogonal", factors=_factors(L),
+                      choices=frame_choices(orthogonal_sublattice(L), m))
+
+
+def frame_choices(S: Sublattice, m: ModuleLabel) -> tuple[tuple[ModuleLabel, ...], ...]:
+    """The rank-one labels each factor of an index-one orthogonal frame offers m.
+
+    Factor i is the rank-one lattice of the frame's i-th norm.  It offers
+    the signed pair of a trivial or self-paired frame coordinate of m's
+    coset, or of the factor character a twisted m takes on frame vector
+    i, else the orbit label of the coordinate.
+    """
+    factors = _factors(S.lattice)
     if m.kind == LabelKind.TWISTED:
-        values = character_values(L, m.char, identity(d))
+        # an orthogonal frame of index one forces the mod-2 form to vanish
+        values = character_values(S.parent, m.char, S.basis)
         chars = (central_characters(f)[0 if v == 1 else 1] for f, v in zip(factors, values))
-        choices = tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
-    else:
-        rep = label_coset(L, m).rep
-        choices = tuple(coset_labels(f, coset_element(f, (x,))) for f, x in zip(factors, rep))
-    return BranchList(parent_lattice=L, parent=m, route="orthogonal", factors=factors,
-                      choices=choices)
+        return tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
+    x = S.to_sub(label_coset(S.parent, m).rep)
+    return tuple(map(_coordinate_labels, factors, x))
+
+
+@lru_cache(maxsize=None)
+def _factors(frame: EvenLattice) -> tuple[EvenLattice, ...]:
+    """The rank-one lattices of a diagonal Gram's norms."""
+    return tuple(validate_even_lattice([[row[i]]]) for i, row in enumerate(frame.gram))
+
+
+@lru_cache(maxsize=None)
+def _coordinate_labels(factor: EvenLattice, x: Fraction) -> tuple[ModuleLabel, ...]:
+    """The labels the coset of x gives on a rank-one factor."""
+    return coset_labels(factor, coset_element(factor, (x,)))
 
 
 # ---------------------------------------------------------------------------

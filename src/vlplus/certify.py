@@ -9,9 +9,10 @@ m1 splits, and records the first rule that applies:
                      vector generates a complemented algebra copy
   Duality            a base rule applies to the contragredient pair
   FusionObstruction  every intertwiner type over a proper rational
-                     fixed-point subalgebra vanishes (sublattice route:
-                     parity and admissibility gates; orthogonal route:
-                     the rank-one families and signs of the two labels)
+                     fixed-point subalgebra vanishes: the two labels'
+                     constituent keys differ, or their parities do
+                     (one route is live per lattice: orthogonal over an
+                     index-one frame, else sublattice)
 
 A rule is recorded only when its hypothesis is decided exactly; an
 Unknown never counts as vanishing.  If no rule applies the pair is
@@ -26,17 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from math import prod
 
-from .branching import sublattice_part_count
-from .fusion import admissible_triple
-from .lattice import Convention, EvenLattice, orthogonal_sublattice, zero_coset
+from .branching import frame_choices, sublattice_part_count
+from .lattice import Convention, EvenLattice, orthogonal_sublattice
 from .qseries import series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
     VAC_PLUS,
-    character_values,
     classify_modules,
     contragredient,
     format_label,
@@ -164,8 +162,8 @@ def _rule_path(j: ExtJustification) -> str:
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
     names, duals, the WeightGap table over weight ids, the orthogonal
-    sublattice and the part count of V+ over it, and, when that
-    sublattice has index one, each label's rank-one frame data."""
+    sublattice, the one FusionObstruction route it makes live, and each
+    label's constituents over that route's subalgebra."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
@@ -185,45 +183,31 @@ class _Context:
                 self.weight_reps.append(m)
             self.weight_ids.append(ids[key])
         self.sub = orthogonal_sublattice(L)
-        norms = [row[i] for i, row in enumerate(self.sub.lattice.gram)]
-        self.sub_norms = ",".join(map(str, norms))
-        self.vacuum_parts = sublattice_part_count(self.sub, VAC_PLUS)
-        # an index-one orthogonal sublattice is an orthogonal frame of the
-        # whole lattice (L itself when diagonal); the orthogonal route
-        # reads each label's rank-one data on it
-        self.frames = ({m: self._frame(m, norms) for m in self.labels}
-                       if self.sub.index == 1 else None)
+        self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
+        # at index one the sublattice's fixed points are the algebra itself,
+        # which a certificate must not cite for its own verdict; above it
+        # there is no orthogonal frame, and the algebra has constituents
+        # outside the complete rank-one rows
+        self.route = "orthogonal" if self.sub.index == 1 else "sublattice"
+        self.constituents = {m: self._constituents(m) for m in self.labels}
 
-    def _frame(self, m: ModuleLabel, norms: list[int]) -> tuple[tuple, int | None, int]:
-        """(families, parity, part count) of m over the rank-one factors of the frame.
+    def _constituents(self, m: ModuleLabel) -> tuple:
+        """(key, parity, parts): m's constituents over the live route's subalgebra.
 
-        A factor's family is its rank-one label up to sign: the frame
-        coordinate x of the label's coset taken mod +-1 (0 for V+-), as
-        the integer 2k*x in [0, k] on a factor of norm 2k, or, for a
-        twisted label, the character value on the frame vector; a
-        leading flag keeps the two kinds apart.  The parity is the sign
-        bit: None for an orbit label, and for a coset label on a
-        non-diagonal frame, whose rebased sign is set by convention.  A
-        factor of family 0 or k (x = 1/2), and every factor of a twisted
-        label, offers both signs: the part count is 2 to the number of
-        such factors, halved by a parity.
+        Orthogonal: the key is the rank-one labels each frame factor
+        offers, the parity m's sign (None for an orbit label, and for a
+        coset label on a non-diagonal frame, whose rebased sign is set by
+        convention), and the parts 2 to the number of factors offering
+        two labels, halved by a parity.  Sublattice: the key is m's coset
+        (None for a twisted label), with no parity, and the parts are
+        those branch_sublattice gives.
         """
-        sign = label_sign(m)
-        if m.kind == LabelKind.TWISTED:
-            # an orthogonal frame of index one forces the mod-2 form of L
-            # to vanish, so the character is evaluated on the frame vectors
-            families = character_values(self.L, m.char, self.sub.basis)
-            signed = self.L.rank
-        else:
-            x = self.sub.to_sub(label_coset(self.L, m).rep)
-            coords = [int(v * n) % n for v, n in zip(x, norms)]
-            families = tuple(min(c, n - c) for c, n in zip(coords, norms))
-            signed = sum(2 * c % n == 0 for c, n in zip(families, norms))
-            if m.kind == LabelKind.COSET and not self.L.is_diagonal():
-                sign = None
-        parity = None if sign is None else int(sign == -1)
-        parts = 2 ** signed if parity is None else 2 ** (signed - 1)
-        return (m.kind == LabelKind.TWISTED, families), parity, parts
+        if self.route == "sublattice":
+            return label_coset(self.L, m), None, sublattice_part_count(self.sub, m)
+        choices = frame_choices(self.sub, m)
+        parity = (None if m.kind == LabelKind.COSET and not self.L.is_diagonal()
+                  else label_sign(m))
+        return choices, parity, 2 ** (sum(len(c) == 2 for c in choices) - (parity is not None))
 
     @cached_property
     def gaps(self) -> list[list[ExtJustification | None]]:
@@ -270,65 +254,48 @@ def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, route: str):
     """Obstruction rule: every subalgebra intertwiner type must be Zero.
 
-    Sublattice route (a proper sublattice L'): one twisted side makes
-    every triple Zero by parity, two cannot be compared; otherwise the
-    constituents of a label with coset lambda (0 for V+-) lift to
-    +-lambda mod L and those of V+ meet every class of L mod L', so some
-    triple is admissible iff lambda2 = +-lambda1 mod L, fusion_dim's
-    admissible-triple gate on the cosets (0, lambda2, lambda1).  Orthogonal
-    route: a triple is nonzero iff every factor's rank-one vacuum row is.
-    There V+ is the identity and V- a simple current flipping the sign,
-    so a factor's step is nonzero iff m2 and m1 have the same family
-    there, and the V+ sign bit of the step is the sum of theirs on a
-    signed factor and free on an orbit factor.  With every factor signed
-    the reachable parities are exactly a = b + c mod 2, and V+'s parity
-    0 forces equal signs; an orbit factor makes every parity reachable
-    (and leaves both labels unsigned).  So the rule applies iff the
-    families differ or both parities are set and differ.  Any triple
-    that is not decidably Zero makes the rule inapplicable; it is never
-    unsound.
+    Only the lattice's live route applies.  On either route some triple
+    (V+ part, m2 part, m1 part) is nonzero iff the two labels have equal
+    keys and, where both have one, equal parities; so the rule applies
+    iff the keys differ or both parities are set and differ.
+    Sublattice route (a proper sublattice L'): the constituents of a
+    label with coset lambda (0 for V+-) lift to +-lambda mod L and those
+    of V+ meet every class of L mod L', so some triple is admissible iff
+    lambda2 = +-lambda1 mod L, i.e. the cosets are equal; one twisted
+    side makes every triple Zero by parity, and two twisted labels, both
+    keyed None, cannot be compared.  Orthogonal route: a triple is
+    nonzero iff every factor's rank-one vacuum row is.  There V+ is the
+    identity and V- a simple current flipping the sign, so a factor's
+    step is nonzero iff m2 and m1 offer the same labels there, and the
+    V+ sign bit of the step is the sum of theirs on a signed factor and
+    free on an orbit factor.  With every factor signed the reachable
+    parities are exactly a = b + c mod 2, and V+'s parity 0 forces equal
+    signs; an orbit factor makes every parity reachable (and leaves both
+    labels unsigned).  Any triple that is not decidably Zero makes the
+    rule inapplicable; it is never unsound.
     """
-    if route == "sublattice":
-        if ctx.sub.index == 1:
-            # the fixed-point algebra of the sublattice would be the
-            # algebra itself; a certificate must not cite its own verdict
-            return None
-        t1, t2 = m1.kind == LabelKind.TWISTED, m2.kind == LabelKind.TWISTED
-        if t1 and t2:
-            return None  # twisted placeholders cannot be compared
-        if t1 == t2 and admissible_triple(
-                ctx.L, zero_coset(ctx.L), label_coset(ctx.L, m2), label_coset(ctx.L, m1)):
-            return None
-        total = ctx.vacuum_parts * prod(sublattice_part_count(ctx.sub, m) for m in (m2, m1))
-        return ExtJustification(
-            rule=RULE_FUSION,
-            citation=CITATIONS[RULE_FUSION],
-            detail=(
-                ("route", "sublattice"),
-                ("subalgebra", f"fixed points over sublattice of norms [{ctx.sub_norms}]"),
-                ("triples", str(total)),
-                ("zero_by_parity", str(total if t1 != t2 else 0)),
-                ("zero_by_admissibility", str(0 if t1 != t2 else total)),
-            ),
-        )
+    if route != ctx.route:
+        return None
+    (k2, p2, n2), (k1, p1, n1) = ctx.constituents[m2], ctx.constituents[m1]
+    if k2 == k1 and (p2 is None or p1 is None or p2 == p1):
+        return None
+    triples = str(ctx.constituents[VAC_PLUS][2] * n2 * n1)
     if route == "orthogonal":
-        if ctx.frames is None:
-            # no orthogonal frame: the algebra has constituents outside
-            # the complete rank-one rows
-            return None
-        (f2, p2, n2), (f1, p1, n1) = ctx.frames[m2], ctx.frames[m1]
-        if f2 == f1 and (p2 is None or p1 is None or p2 == p1):
-            return None
-        return ExtJustification(
-            rule=RULE_FUSION,
-            citation=CITATIONS[RULE_FUSION],
-            detail=(
-                ("route", "orthogonal"),
-                ("subalgebra", f"tensor of rank-one fixed points, norms [{ctx.sub_norms}]"),
-                ("triples", str(ctx.frames[VAC_PLUS][2] * n2 * n1)),
-            ),
+        detail = (
+            ("route", route),
+            ("subalgebra", f"tensor of rank-one fixed points, norms [{ctx.sub_norms}]"),
+            ("triples", triples),
         )
-    raise ValueError(f"unknown route {route!r}")
+    else:
+        by_parity = (k1 is None) != (k2 is None)  # exactly one side is twisted
+        detail = (
+            ("route", route),
+            ("subalgebra", f"fixed points over sublattice of norms [{ctx.sub_norms}]"),
+            ("triples", triples),
+            ("zero_by_parity", triples if by_parity else "0"),
+            ("zero_by_admissibility", "0" if by_parity else triples),
+        )
+    return ExtJustification(rule=RULE_FUSION, citation=CITATIONS[RULE_FUSION], detail=detail)
 
 
 def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):

@@ -609,7 +609,9 @@ def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElemen
     gram, E = S.lattice.gram, D * S.smith[-1]
     kept = []
     for self_paired, norm, shell in _class_walks(gram, S.smith, S.smith_v, shift, D):
-        w = min(_least(shell), _least(shell, -1), key=_coords_key)
+        # a self-paired class's shell is closed under negation
+        w = _least(shell) if self_paired else min(_least(shell), _least(shell, -1),
+                                                   key=_coords_key)
         kept.append((norm, _coords_key(w), w, self_paired))
     kept.sort(key=lambda k: k[:2])
     return [(_element(gram, E, norm, w), self_paired) for norm, _, w, self_paired in kept]

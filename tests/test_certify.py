@@ -9,16 +9,20 @@ from itertools import combinations, zip_longest
 
 from hypothesis import given, settings
 
-from conftest import A1, A2, D24, D224, CERT_GRAMS, E8, TEST_GRAMS, even_grams, lat
-from vlplus.lattice import Convention, coset_element
+from conftest import A1, A2, D24, D224, CERT_GRAMS, E6, E8, TEST_GRAMS, even_grams, lat
+from vlplus.branching import sublattice_part_count
+from vlplus.fusion import admissible_triple
+from vlplus.lattice import Convention, coset_element, orthogonal_sublattice, zero_coset
 from vlplus.certify import (
     ALL_RULES,
+    CITATIONS,
     RULE_DUALITY,
     RULE_FUSION,
     RULE_VACUUM,
     RULE_WEIGHT_GAP,
     VERDICT_INCOMPLETE,
     VERDICT_RATIONAL,
+    ExtJustification,
     _Context,
     certify,
     duality_rule,
@@ -32,12 +36,16 @@ from vlplus.sectors import (
     LabelKind,
     VAC_MINUS,
     VAC_PLUS,
+    character_values,
     classify_modules,
     coset_label,
     format_label,
+    label_coset,
+    label_sign,
 )
 
 F = Fraction
+DET36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]
 
 
 def rule_of(cert, a, b):
@@ -314,6 +322,81 @@ def test_sublattice_route_blocked_at_index_one():
     assert fusion_obstruction_rule(ctx, tw, u, "orthogonal") is not None
 
 
+def frame_oracle(L, S, m):
+    """Oracle: (families, parity, parts) of m over an index-one frame, in integers.
+
+    A factor of norm n = 2k holds the frame coordinate x of m's coset as
+    c = n x mod n, up to sign min(c, n - c); a twisted m holds its
+    character values on the frame vectors instead.  A factor offers both
+    signs at c = 0 or k, and every factor of a twisted m does."""
+    norms = [row[i] for i, row in enumerate(S.lattice.gram)]
+    sign = label_sign(m)
+    if m.kind == LabelKind.TWISTED:
+        families, signed = character_values(L, m.char, S.basis), L.rank
+    else:
+        coords = [int(v * n) % n for v, n in zip(S.to_sub(label_coset(L, m).rep), norms)]
+        families = tuple(min(c, n - c) for c, n in zip(coords, norms))
+        signed = sum(2 * c % n == 0 for c, n in zip(families, norms))
+        if m.kind == LabelKind.COSET and not L.is_diagonal():
+            sign = None
+    parity = None if sign is None else int(sign == -1)
+    return (m.kind == LabelKind.TWISTED, families), parity, 2 ** (signed - (parity is not None))
+
+
+def fusion_oracle(L, m1, m2, route):
+    """Oracle: the FusionObstruction justification as JSON, decided per pair.
+
+    Sublattice route: the admissible-triple gate on the cosets (0,
+    lambda2, lambda1), with part counts from sublattice_part_count.
+    Orthogonal route: the integer rank-one families of frame_oracle."""
+    S = orthogonal_sublattice(L)
+    norms = ",".join(str(row[i]) for i, row in enumerate(S.lattice.gram))
+    if route == "sublattice":
+        t1, t2 = m1.kind == LabelKind.TWISTED, m2.kind == LabelKind.TWISTED
+        if S.index == 1 or t1 and t2:
+            return None
+        if t1 == t2 and admissible_triple(L, zero_coset(L), label_coset(L, m2), label_coset(L, m1)):
+            return None
+        total = 1
+        for m in (VAC_PLUS, m2, m1):
+            total *= sublattice_part_count(S, m)
+        detail = (("route", route), ("subalgebra", f"fixed points over sublattice of norms [{norms}]"),
+                  ("triples", str(total)), ("zero_by_parity", str(total if t1 != t2 else 0)),
+                  ("zero_by_admissibility", str(0 if t1 != t2 else total)))
+    else:
+        if S.index != 1:
+            return None
+        (f2, p2, n2), (f1, p1, n1) = frame_oracle(L, S, m2), frame_oracle(L, S, m1)
+        if f2 == f1 and (p2 is None or p1 is None or p2 == p1):
+            return None
+        detail = (("route", route), ("subalgebra", f"tensor of rank-one fixed points, norms [{norms}]"),
+                  ("triples", str(frame_oracle(L, S, VAC_PLUS)[2] * n2 * n1)))
+    return ExtJustification(RULE_FUSION, CITATIONS[RULE_FUSION], detail).to_json()
+
+
+def assert_fusion_rule_is_the_oracle(gram):
+    L = lat(gram)
+    ctx = _Context(L)
+    for m1 in ctx.labels:
+        for m2 in ctx.labels:
+            for route in ("sublattice", "orthogonal"):
+                j = fusion_obstruction_rule(ctx, m1, m2, route)
+                got = None if j is None else j.to_json()
+                assert got == fusion_oracle(L, m1, m2, route), (gram, route, str(m1), str(m2))
+
+
+@pytest.mark.parametrize("gram", [DET36, [[2, 0], [0, 6]], [[2, -2], [-2, 8]], E6],
+                         ids=["det36", "diag26", "skew", "E6"])
+def test_fusion_rule_matches_per_pair_decisions_on_fixed_grams(gram):
+    assert_fusion_rule_is_the_oracle(gram)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(even_grams())
+def test_fusion_rule_matches_per_pair_decisions_on_generated_grams(gram):
+    assert_fusion_rule_is_the_oracle(gram)
+
+
 def test_weight_gap_rule_direct():
     L = lat(A1)
     ctx = _Context(L)
@@ -536,8 +619,11 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
         assert "unknown[0] does not name two labels of the lattice" in verify_certificate(L, bad)
 
 
-@pytest.mark.parametrize("gram", [[[2, 0], [0, 6]], [[2, -2], [-2, 8]]], ids=["diag26", "skew"])
+@pytest.mark.parametrize("gram", [[[2, 0], [0, 6]], [[2, -2], [-2, 8]], DET36],
+                         ids=["diag26", "skew", "det36"])
 def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
+    # FusionObstruction records of the live route, orthogonal on the first
+    # two lattices and sublattice on det36
     from vlplus.cli import EXIT_INCOMPLETE, main
 
     L = lat(gram)
@@ -545,12 +631,16 @@ def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
     ctx = _Context(L)
     by_name = dict(zip(ctx.names, ctx.labels))
     at = next(i for i, p in enumerate(good["pairs"])
-              if p["justification"]["detail"].get("route") == "orthogonal")
+              if p["justification"]["detail"].get("route") == ctx.route)
     record = good["pairs"][at]["justification"]
-    # a pair whose labels have equal rank-one families and signs, two
-    # distinct labels where the lattice has such a pair
-    same = [i for i, p in enumerate(good["pairs"])
-            if ctx.frames[by_name[p["m1"]]][:2] == ctx.frames[by_name[p["m2"]]][:2]]
+    other = {"orthogonal": "sublattice", "sublattice": "orthogonal"}[ctx.route]
+
+    def key(i, side):
+        return ctx.constituents[by_name[good["pairs"][i][side]]][:2]
+
+    # a pair whose labels have equal keys and parities, two distinct
+    # labels where the lattice has such a pair
+    same = [i for i in range(len(good["pairs"])) if key(i, "m1") == key(i, "m2")]
     to = max(same, key=lambda i: good["pairs"][i]["m1"] != good["pairs"][i]["m2"])
 
     def names(i):
@@ -561,19 +651,30 @@ def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
         change(cert["pairs"][i])
         return cert
 
-    def more_triples(p):
-        p["justification"]["detail"]["triples"] += "1"
+    def more(field):
+        def change(p):
+            p["justification"]["detail"][field] += "1"
+        return change
 
     cases = {
-        "perturbed triples": (mutant(at, more_triples),
+        "perturbed triples": (mutant(at, more("triples")),
                               f"pair {names(at)}: recorded justification differs"),
         "route flipped": (
-            mutant(at, lambda p: p["justification"]["detail"].update(route="sublattice")),
+            mutant(at, lambda p: p["justification"]["detail"].update(route=other)),
             f"pair {names(at)}: recorded rule 'FusionObstruction' does not apply"),
-        "moved to equal families": (
+        "moved to equal keys": (
             mutant(to, lambda p: p.update(justification=record)),
             f"pair {names(to)}: recorded rule 'FusionObstruction' does not apply"),
     }
+    if ctx.route == "sublattice":
+        # two twisted labels are both keyed None: the route stands down
+        twisted = next(i for i, p in enumerate(good["pairs"]) if p["m1"] != p["m2"]
+                       and by_name[p["m1"]].kind == by_name[p["m2"]].kind == LabelKind.TWISTED)
+        cases["perturbed zero_by_parity"] = (
+            mutant(at, more("zero_by_parity")), f"pair {names(at)}: recorded justification differs")
+        cases["moved to two twisted labels"] = (
+            mutant(twisted, lambda p: p.update(justification=record)),
+            f"pair {names(twisted)}: recorded rule 'FusionObstruction' does not apply")
     gram_path = tmp_path / "gram.json"
     gram_path.write_text(json.dumps({"gram": gram}))
     cert_path = tmp_path / "bad.cert"

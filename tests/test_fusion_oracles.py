@@ -1,8 +1,9 @@
 """Brute-force oracles for the two FusionObstruction routes.
 
-The rule decides the orthogonal route from each label's rank-one
-families and sign, and the sublattice route by a +-lambda test on the
-two labels with part counts from a Smith form.  The oracles here expand
+The rule decides both routes by comparing the two labels' keys and
+parities from a per-label table: rank-one choices and signs on the
+orthogonal route, cosets with part counts from a Smith form on the
+sublattice route.  The oracles here expand
 every branching into its list of parts and test every (V+, m2, m1)
 triple directly, with rank1_fusion and tensor_fusion, or
 admissible_triple.  The rule's justification must match the oracle's on

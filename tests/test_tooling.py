@@ -66,16 +66,17 @@ def test_euler_products_make_no_series_products(monkeypatch):
 
 
 def test_certify_neither_branches_nor_walks_rank_one_fusion(monkeypatch):
-    # the tracer's branching.orthogonal and fusion.rank1 layers count these
-    # calls; the orthogonal route decides from per-label frame data, so
-    # certify must make none, whichever module's binding it would use
+    # the tracer's branching.orthogonal, fusion.rank1 and fusion.admissible
+    # layers count these calls; both FusionObstruction routes decide from
+    # per-label constituents, so certify must make none, whichever
+    # module's binding it would use
     import sys
 
     from vlplus.lattice import validate_even_lattice
 
     module = importlib.import_module("vlplus.certify")
     calls = []
-    for name in ("branch_orthogonal", "rank1_fusion"):
+    for name in ("branch_orthogonal", "rank1_fusion", "admissible_triple"):
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("vlplus") and hasattr(mod, name):
                 original = getattr(mod, name)
@@ -85,9 +86,11 @@ def test_certify_neither_branches_nor_walks_rank_one_fusion(monkeypatch):
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(mod, name, counting)
-    for gram in ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [[2, -2], [-2, 8]]):
+    det36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]
+    for gram, route in (([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], "orthogonal"),
+                        ([[2, -2], [-2, 8]], "orthogonal"), (det36, "sublattice")):
         cert = module.certify(validate_even_lattice(gram))
-        assert "FusionObstruction[orthogonal]" in cert.rule_map().values()
+        assert f"FusionObstruction[{route}]" in cert.rule_map().values()
     assert calls == []
 
 

@@ -312,16 +312,16 @@ def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):
     return None
 
 
-def _chain(disabled: frozenset) -> list:
-    """The enabled rules in rule_order, each called as rule(ctx, m1, m2).
+def _chain(disabled: frozenset, route: str) -> list:
+    """The enabled rules in rule_order, FusionObstruction on the live route
+    only (no other can apply), each called as rule(ctx, m1, m2).
 
     Built per call, not at import: a tracer that rebinds the module's
     rule names (perfbench/spans.py) then sees every rule call.
     """
     base = [rule for name, rule in ((RULE_WEIGHT_GAP, weight_gap_rule), (RULE_VACUUM, vacuum_rule))
             if name not in disabled]
-    fusion = [] if RULE_FUSION in disabled else [
-        partial(fusion_obstruction_rule, route=route) for route in ROUTES]
+    fusion = [] if RULE_FUSION in disabled else [partial(fusion_obstruction_rule, route=route)]
     if RULE_DUALITY in disabled:
         return base + fusion
     dual_fusion = [partial(duality_rule, base_rules=fusion)] if fusion else []
@@ -347,7 +347,7 @@ def certify(
     Each pair is justified by the first rule of the chain that applies.
     """
     ctx = _Context(L)
-    chain = _chain(disabled)
+    chain = _chain(disabled, ctx.route)
     if RULE_WEIGHT_GAP in disabled:
         gaps = [[None] * len(ctx.weight_reps)] * len(ctx.weight_reps)
     else:

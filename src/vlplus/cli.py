@@ -93,11 +93,13 @@ def _load_oracle(path: str | None) -> SignOracle:
         raise CliError(f"cannot read oracle table {path}: {e}")
     if not isinstance(table, dict):
         raise CliError(f"oracle table {path}: expected a JSON object")
-    for key in ("pi", "c"):
-        if not isinstance(table.get(key, {}), dict):
+    pi_table, c_table = table.get("pi", {}), table.get("c", {})
+    for key, signs in (("pi", pi_table), ("c", c_table)):
+        if not isinstance(signs, dict):
             raise CliError(f'oracle table {path}: "{key}" must be a JSON object')
-    pi_table = dict(table.get("pi", {}))
-    c_table = dict(table.get("c", {}))
+        for entry, sign in signs.items():
+            if type(sign) is not int or sign not in (1, -1):  # bool is a subclass of int
+                raise CliError(f'oracle table {path}: "{key}" entry "{entry}" is not 1 or -1')
 
     def pi(lam, two_mu):
         return pi_table.get(_coords_key(lam) + "|" + _coords_key(two_mu))
@@ -246,7 +248,7 @@ def cmd_decompose(args, out):
         else:
             try:
                 basis = _parse_basis(json.loads(args.sublattice), L.rank)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
                 raise CliError("--sublattice takes auto, orthogonal-base, or a JSON basis")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])

@@ -7,14 +7,14 @@ canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
 bilinear data.  The walker uses v -> -v: a class closed under negation is
-counted from half its tree, and one walk of a minimal shell canonicalizes
-a coset and its negation.  One class walker, driven by a Smith form,
-enumerates L°/L, L modulo a full-rank sublattice L', and the shifted
-classes (lam + L)/L' that a sublattice branching meets, in integers and
-one walk per +- pair.  A
-sublattice is one Sublattice value (basis, Gram, index, the Smith form and
-transforms that give the change of basis both ways), cached per lattice
-and basis.
+counted from half its tree, and one walk of a minimal shell gives a +-
+orbit's rep, its least vector once each is turned to a positive first
+nonzero entry (_oriented).  One class walker, driven by a Smith form,
+enumerates L°/L, L modulo a full-rank sublattice L', and the classes
+(lam + L)/L' that a sublattice branching meets, in integers and one walk
+per +- pair; dual_orbits, sublattice_classes and orbit_element keep that
+rep.  A sublattice is one Sublattice value (basis, Gram, index, the Smith
+form and transforms that give the change of basis both ways), cached.
 """
 
 from __future__ import annotations
@@ -183,10 +183,12 @@ def _coords_key(v) -> tuple:
 def validate_even_lattice(gram) -> EvenLattice:
     """Validate a Gram matrix and cache its determinant.
 
-    Raises NotSymmetric, NotEven (1-based index of the odd diagonal
-    entry) or NotPositiveDefinite (1-based index of the first
-    non-positive leading minor).
+    Raises LatticeError unless gram is a list of rows, NotSymmetric, NotEven
+    (1-based index of the odd diagonal entry) or NotPositiveDefinite
+    (1-based index of the first non-positive leading minor).
     """
+    if not isinstance(gram, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in gram):
+        raise LatticeError("gram matrix must be a list of rows")
     rows = [list(r) for r in gram]
     d = len(rows)
     if d == 0 or any(len(r) != d for r in rows):
@@ -369,6 +371,11 @@ def _least(shell, sign: int = 1) -> Coords:
     return min((tuple(sign * x for x in w) for w in shell), key=_coords_key)
 
 
+def _oriented(w: Coords) -> Coords:
+    """w or -w, whichever has a positive first nonzero entry: the lesser under the key."""
+    return tuple(-x for x in w) if next((x for x in w if x), 0) < 0 else w
+
+
 def _element(gram, D: int, S: int, w: Coords) -> CosetElement:
     return CosetElement(rep=tuple(Fraction(x, D) for x in w),
                         min_norm=Fraction(S, _ldl_cached(gram)[0] * D * D))
@@ -381,17 +388,11 @@ def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     return _element(L.gram, D, S, _least(shell))
 
 
-def coset_pair(L: EvenLattice, v: DualCoords) -> tuple[CosetElement, CosetElement]:
-    """Canonical representatives of v + L and of -v + L, from one walk."""
+def orbit_element(L: EvenLattice, v: DualCoords) -> CosetElement:
+    """The lesser, under sort_key, of the canonical reps of v + L and -v + L: one walk."""
     D, nums = _scaled(v)
     S, shell = _coset_shell(L.gram, D, nums)
-    return _element(L.gram, D, S, _least(shell)), _element(L.gram, D, S, _least(shell, -1))
-
-
-def residue(v, sign: int = 1) -> tuple[tuple[int, int], ...]:
-    """sign * v modulo integer vectors, as (numerator mod denominator, denominator)
-    per coordinate: equal for two vectors iff they lie in one coset of Z^d."""
-    return tuple((sign * x.numerator % x.denominator, x.denominator) for x in v)
+    return _element(L.gram, D, S, min(map(_oriented, shell), key=_coords_key))
 
 
 @lru_cache(maxsize=None)
@@ -452,6 +453,15 @@ def _class_walks(gram, smith, v, shift, den: int):
         yield (neg == c, *_coset_shell(gram, E, nums))
 
 
+def _orbits(gram, smith, v, shift, den: int) -> list[tuple[CosetElement, bool]]:
+    """(c, self_paired) per class pair of _class_walks, sorted by sort_key: c is the
+    canonical rep of the lesser of x and -x (of x when self-paired), from one shell."""
+    reps = [(S, min(map(_oriented, shell), key=_coords_key), self_paired)
+            for self_paired, S, shell in _class_walks(gram, smith, v, shift, den)]
+    reps.sort(key=lambda r: (r[0], _coords_key(r[1])))
+    return [(_element(gram, den * smith[-1], S, w), self_paired) for S, w, self_paired in reps]
+
+
 def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     """[(S, lift(w))] over the classes of prod Z/smith_i: zero first, then by (S, key).
 
@@ -470,6 +480,13 @@ def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     if out[0][0] != 0:
         raise AssertionError("zero class missing")
     return out
+
+
+@lru_cache(maxsize=None)
+def dual_orbits(L: EvenLattice) -> tuple[tuple[CosetElement, bool], ...]:
+    """(c, self_paired) per +- orbit of L°/L, c its rep: the zero coset first, then by sort_key."""
+    d, _, v = intmat.snf([list(r) for r in L.gram])
+    return tuple(_orbits(L.gram, d, v, [0] * len(d), 1))
 
 
 @lru_cache(maxsize=None)
@@ -493,12 +510,9 @@ def norm2_vectors(L: EvenLattice) -> tuple[Coords, ...]:
 
 def delta_set(L: EvenLattice, lam: CosetElement) -> tuple[Coords, ...]:
     """Lattice shifts preserving the minimal coset norm: {a : |lam+a|^2 = |lam|^2}."""
-    vecs = enumerate_coset_with_norms(L, lam.rep, lam.min_norm)
-    out = []
-    for v, n in vecs:
-        if n == lam.min_norm:
-            out.append(tuple(int(x - r) for x, r in zip(v, lam.rep)))
-    return tuple(sorted(out))
+    D, nums = _scaled(lam.rep)
+    _, shell = _coset_shell(L.gram, D, nums)
+    return tuple(sorted(tuple((x - y) // D for x, y in zip(w, nums)) for w in shell))
 
 
 @dataclass(frozen=True)
@@ -600,21 +614,13 @@ def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElemen
     """The classes of (lam + L) modulo the sublattice, up to negation, in its coordinates.
 
     One (c, self_paired) per class x, with x and -x counted once where both
-    are classes (2 lam in L): c is the canonical rep of the smaller of x + L'
-    and -x + L', sorted by sort_key.  A parent vector lam + g with U g = c
-    (mod smith) is x = V diag(smith)^-1 (U lam + c) in sublattice coordinates,
-    so the classes are walked in integers, one walk per pair."""
+    are classes (2 lam in L), sorted by sort_key: c is the orbit rep of
+    {x + L', -x + L'}.  A parent vector lam + g with U g = c (mod smith) is
+    x = V diag(smith)^-1 (U lam + c) in sublattice coordinates, so the
+    classes are walked in integers, one walk per pair."""
     D, nums = _scaled(lam)
     shift = [sum(u * x for u, x in zip(row, nums)) for row in S.smith_u]
-    gram, E = S.lattice.gram, D * S.smith[-1]
-    kept = []
-    for self_paired, norm, shell in _class_walks(gram, S.smith, S.smith_v, shift, D):
-        # a self-paired class's shell is closed under negation
-        w = _least(shell) if self_paired else min(_least(shell), _least(shell, -1),
-                                                   key=_coords_key)
-        kept.append((norm, _coords_key(w), w, self_paired))
-    kept.sort(key=lambda k: k[:2])
-    return [(_element(gram, E, norm, w), self_paired) for norm, _, w, self_paired in kept]
+    return _orbits(S.lattice.gram, S.smith, S.smith_v, shift, D)
 
 
 def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:

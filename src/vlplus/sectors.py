@@ -26,14 +26,14 @@ from math import prod
 from .lattice import (
     CosetElement,
     EvenLattice,
-    coset_pair,
+    coset_element,
     coset_two_torsion,
     coset_is_trivial,
     delta_set,
-    minimal_coset_reps,
+    dual_orbits,
     mod_two_data,
     norm2_vectors,
-    residue,
+    orbit_element,
     zero_coset,
 )
 
@@ -86,15 +86,9 @@ VAC_PLUS = ModuleLabel(LabelKind.VAC_PLUS)
 VAC_MINUS = ModuleLabel(LabelKind.VAC_MINUS)
 
 
-def orbit_label(c: CosetElement, neg: CosetElement) -> ModuleLabel:
-    """Label of the orbit {c, neg} of a non-self-paired coset and its negation;
-    stores the smaller representative."""
-    return ModuleLabel(LabelKind.UNTWISTED, coset=min(c, neg, key=CosetElement.sort_key))
-
-
 def untwisted_label(L: EvenLattice, c: CosetElement) -> ModuleLabel:
     """Label for a non-self-paired coset; stores the smaller orbit representative."""
-    return orbit_label(*coset_pair(L, c.rep))
+    return ModuleLabel(LabelKind.UNTWISTED, coset=orbit_element(L, c.rep))
 
 
 def coset_label(L: EvenLattice, c: CosetElement, sign: int) -> ModuleLabel:
@@ -179,17 +173,10 @@ def character_values(L: EvenLattice, chi: CentralCharacter, vectors) -> tuple[in
 @lru_cache(maxsize=None)
 def classify_modules(L: EvenLattice) -> tuple[ModuleLabel, ...]:
     """Complete duplicate-free list of irreducible-module labels, canonically ordered."""
-    reps = minimal_coset_reps(L)
-    by_residue = {residue(c.rep): c for c in reps}
     labels = []
-    for c in reps:
-        if coset_two_torsion(L, c):
-            labels += coset_labels(L, c)
-            continue
-        # an orbit label stores the smaller of c and -c: keep it at that coset only
-        m = orbit_label(c, by_residue[residue(c.rep, -1)])
-        if m.coset == c:
-            labels.append(m)
+    for c, self_paired in dual_orbits(L):
+        # c is already the smaller rep of its orbit
+        labels += coset_labels(L, c) if self_paired else [ModuleLabel(LabelKind.UNTWISTED, coset=c)]
     labels += (twisted_label(chi, s) for chi in central_characters(L) for s in (1, -1))
     return tuple(sorted(labels, key=ModuleLabel.sort_key))
 
@@ -277,14 +264,15 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
             raise ValueError(f"label has {len(coords)} coordinates, lattice rank is {L.rank}")
         if any(sum(g * x for g, x in zip(row, coords)).denominator != 1 for row in L.gram):
             raise ValueError(f"label {text!r}: coordinates are not a dual vector (G v is not integral)")
-        c, neg = coset_pair(L, coords)
         if kind == "U":
             if text[close + 1:]:
                 raise ValueError("untwisted labels carry no sign")
+            c = orbit_element(L, coords)
             if coset_two_torsion(L, c):
                 raise ValueError("coset is self-paired; use a signed C label")
-            return orbit_label(c, neg)
+            return ModuleLabel(LabelKind.UNTWISTED, coset=c)
         sign = _parse_sign(text[close + 1:])
+        c = coset_element(L, coords)
         if not coset_two_torsion(L, c) or coset_is_trivial(c):
             raise ValueError("C labels require a nonzero self-paired coset")
         return coset_label(L, c, sign)

@@ -3,19 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A2, D22, D24, D224, even_grams, lat
+from conftest import A2, D22, D24, D224, coset_neg, even_grams, lat
 from vlplus.lattice import (
     Convention,
     CosetElement,
     NotOrthogonalBase,
     QuotientTooLarge,
-    coset_pair,
+    coset_element,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     enumerate_coset_with_norms,
     epsilon_cocycle,
     orthogonal_sublattice,
-    residue,
     sublattice,
     validate_even_lattice,
 )
@@ -35,6 +34,7 @@ from vlplus.branching import (
 from vlplus.qseries import QSeries, character, euler_product_inv, series_denominator
 from vlplus.sectors import (
     LabelKind,
+    ModuleLabel,
     VAC_MINUS,
     VAC_PLUS,
     central_characters,
@@ -44,7 +44,6 @@ from vlplus.sectors import (
     label_coset,
     label_sign,
     lowest_weight,
-    orbit_label,
 )
 
 F = Fraction
@@ -333,13 +332,18 @@ def test_sublattice_part_count_and_constituent_classes(case):
                        for s in (1, -1)), (str(m), str(p.label))
 
 
+def residue(v, sign=1):
+    """sign * v modulo integer vectors: equal for two vectors iff they lie in one coset of Z^d."""
+    return tuple((sign * x.numerator % x.denominator, x.denominator) for x in v)
+
+
 def oracle_branch_sublattice(L, basis, m, convention=Convention()):
     """Oracle: (parts, notes) from the Fraction path.
 
     Lifts every class rep of L/L' by lambda, takes it to sublattice
-    coordinates with S.to_sub and canonicalizes it with coset_pair, skipping
-    a class whose negation was met; it shares no class walk with
-    sublattice_classes."""
+    coordinates with S.to_sub and canonicalizes it and its negation with a
+    walk each, skipping a class whose negation was met; it shares no class
+    walk with sublattice_classes."""
     S = sublattice(L, basis)
     sub = S.lattice
     if m.kind == LabelKind.TWISTED:
@@ -353,10 +357,11 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
         x = S.to_sub(tuple(a + b for a, b in zip(g, lam.rep)))
         if residue(x, -1) in seen:
             continue
-        c, neg = coset_pair(sub, x)
+        c = coset_element(sub, x)
         if not coset_two_torsion(sub, c):
             seen.add(residue(x))
-            parts.append(SubmodulePart(orbit_label(c, neg)))
+            rep = min(c, coset_neg(sub, c), key=CosetElement.sort_key)
+            parts.append(SubmodulePart(ModuleLabel(LabelKind.UNTWISTED, coset=rep)))
             continue
         zero = not any(two_lam)
         unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)

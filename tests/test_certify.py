@@ -761,6 +761,7 @@ def test_rule_chain_respects_disabled_rules_and_order(gram):
             assert verify_certificate(L, cert.to_json()) == [], (gram, off)
             lower = certify(L, Convention("lower", -1), disabled=disabled)
             assert lower.rule_map() == cert.rule_map(), (gram, off)
+            assert verify_certificate(L, lower.to_json()) == [], (gram, off)
 
 
 # ---------------------------------------------------------------------------

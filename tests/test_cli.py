@@ -225,6 +225,14 @@ def test_invalid_lattice_reports_invariant(tmp_path, capsys):
     assert code == EXIT_INVALID and "diagonal entry at index 2" in err
 
 
+@pytest.mark.parametrize("gram", [5, [5], [None]])
+def test_gram_rows_that_are_not_lists_exit_two(tmp_path, capsys, gram):
+    path = write_gram(tmp_path, gram)
+    code, out, err = run_cli(capsys, ["analyze", "--gram", path])
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: invalid lattice: gram matrix must be a list of rows\n"
+
+
 def test_unknown_label_rejected(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     code, _, err = run_cli(capsys, ["char", "--gram", gram, "--module", "Q[1]"])
@@ -247,6 +255,14 @@ def test_decompose_rejects_non_integer_basis_entry(tmp_path, capsys):
             capsys, ["decompose", "--gram", gram, "--module", "V+", "--sublattice", basis]
         )
         assert code == EXIT_INVALID and named in err, basis
+
+
+def test_decompose_deeply_nested_basis_exits_two(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2)
+    code, out, err = run_cli(
+        capsys, ["decompose", "--gram", gram, "--module", "V+", "--sublattice", "[" * 100000])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: --sublattice takes auto, orthogonal-base, or a JSON basis")
 
 
 HUGE_DET = [[99999999999999999999999999999998]]
@@ -276,6 +292,11 @@ def test_certify_out_to_a_directory_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: cannot write certificate to {tmp_path}")
 
 
+# the sign entry an A1 query reads from each table, and that query
+ORACLE_QUERIES = {"pi": ("1/2|1", ["C[1/2]+", "C[1/2]+", "V+"]),
+                  "c": ("0|1/2", ["C[1/2]+", "T[0]+", "T[0]-"])}
+
+
 def test_fusion_rejects_malformed_oracle_table(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     oracle = tmp_path / "oracle.json"
@@ -286,6 +307,20 @@ def test_fusion_rejects_malformed_oracle_table(tmp_path, capsys):
             ["fusion", "--gram", gram, "--triple", "V+", "V+", "V+", "--oracle", str(oracle)],
         )
         assert code == EXIT_INVALID and named in err, table
+
+
+@pytest.mark.parametrize("table", ["pi", "c"])
+def test_fusion_rejects_oracle_signs_other_than_one_or_minus_one(tmp_path, capsys, table):
+    # each of these used to be read silently as a sign or as a missing entry
+    gram = write_gram(tmp_path, A1)
+    oracle = tmp_path / "oracle.json"
+    key, triple = ORACLE_QUERIES[table]
+    for sign in (0, 2, -2, 1.0, "yes", [1], None, True, False):
+        oracle.write_text(json.dumps({table: {key: sign}}))
+        code, out, err = run_cli(
+            capsys, ["fusion", "--gram", gram, "--triple", *triple, "--oracle", str(oracle)])
+        assert code == EXIT_INVALID and out == "", sign
+        assert err == f'error: oracle table {oracle}: "{table}" entry "{key}" is not 1 or -1\n'
 
 
 def test_fusion_requires_input(tmp_path, capsys):
@@ -505,3 +540,26 @@ def test_cli_fuzz_labels_and_batches_exit_zero_or_two(gram, data):
             assert "Traceback" not in err
             if code == EXIT_INVALID:
                 assert err.startswith(("error: ", "usage: ")), err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, JSON_VALUES, st.sampled_from(sorted(ORACLE_QUERIES)))
+def test_cli_fuzz_gram_values_and_oracle_tables_exit_zero_or_two(gram, value, table):
+    # any JSON value as the "gram" value, and as a sign-oracle table, its pi
+    # or c part, or the entry an A1 query reads: exit 0, or 2 with a message
+    key, triple = ORACLE_QUERIES[table]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{i}.json") for i in range(5)]
+        contents = [{"gram": gram}, {"gram": A1}, value, {table: value}, {table: {key: value}}]
+        for path, content in zip(paths, contents):
+            with open(path, "w") as fh:
+                json.dump(content, fh)
+        argvs = [["analyze", "--gram", paths[0]]]
+        argvs += [["fusion", "--gram", paths[1], "--triple", *triple, "--oracle", path]
+                  for path in paths[2:]]
+        for argv in argvs:
+            code, err = run_isolated(argv)
+            assert code in (EXIT_OK, EXIT_INVALID), (argv, err)
+            assert "Traceback" not in err
+            if code == EXIT_INVALID:
+                assert err.startswith("error: "), err

@@ -21,7 +21,6 @@ from vlplus.lattice import (
     _coset_shell,
     coset_element,
     coset_norm_counts,
-    coset_pair,
     coset_reps_mod_sublattice,
     coset_two_torsion,
     delta_set,
@@ -31,6 +30,7 @@ from vlplus.lattice import (
     minimal_coset_reps,
     mod_two_data,
     norm2_vectors,
+    orbit_element,
     orthogonal_sublattice,
     sublattice,
     validate_even_lattice,
@@ -273,7 +273,8 @@ def test_negation_halves_walks_without_changing_results(gram, bound):
         shifted = tuple(x + a for x, a in zip(c.rep, shift))
         for lam in (c.rep, shifted):
             assert coset_norm_counts(L, lam, bound) == full_walk_counts(L, lam, bound)
-        assert coset_pair(L, shifted) == (c, coset_neg(L, c))
+        assert coset_element(L, shifted) == c
+        assert orbit_element(L, shifted) == min(c, coset_neg(L, c), key=CosetElement.sort_key)
     orbits = {m.coset for m in classify_modules(L) if m.kind == LabelKind.UNTWISTED}
     assert orbits == {min(c, coset_neg(L, c), key=CosetElement.sort_key)
                       for c in reps if not coset_two_torsion(L, c)}

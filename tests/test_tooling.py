@@ -100,7 +100,7 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
     from conftest import A3, E6, lat
     from vlplus import lattice
     from vlplus.branching import branch_sublattice
-    from vlplus.lattice import (coset_reps_mod_sublattice, coset_two_torsion,
+    from vlplus.lattice import (coset_reps_mod_sublattice, coset_two_torsion, dual_orbits,
                                 minimal_coset_reps, orthogonal_sublattice)
     from vlplus.sectors import VAC_PLUS, classify_modules
 
@@ -113,12 +113,12 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lattice, "_walk", counting)
-    for cached in (minimal_coset_reps, classify_modules, coset_reps_mod_sublattice):
+    for cached in (dual_orbits, classify_modules, coset_reps_mod_sublattice):
         cached.cache_clear()
     L = lat(E6)
     classify_modules(L)
     walks = len(calls)
-    reps = minimal_coset_reps(L)  # cached by the census
+    reps = minimal_coset_reps(L)  # walked after the count
     pairs = (len(reps) + sum(coset_two_torsion(L, c) for c in reps)) // 2
     assert pairs == 2 and walks <= pairs
 

@@ -6,14 +6,18 @@ of a full-rank sublattice.  An orthogonal branching is a structure: the
 rank-one labels each factor offers (frame_choices, on any index-one
 orthogonal frame), plus a parity, the parent's sign, that a part's
 signs must multiply to.  Its parts are that product expanded, and its
-character is checked in factored form.  A sublattice branching walks
+character is checked in factored form, with the products of leading
+factor sums cached across branchings.  A sublattice branching walks
 the classes of (lambda + L)/L' in integers, one walk per +- pair, and
 sublattice_part_count gives its part count from the Smith form alone.
-Every decomposition is verified by an exact character identity, which
-is the normative check: for a nonzero self-paired coset
-the two signed modules have equal characters, so the sign chosen for
-such a part is reported as convention-dependent metadata, computed from
-the involution coefficient on the canonical lowest-weight vector.
+Its character is checked as the parts' thetas summed in integers under
+one Euler product of the sublattice; a part whose lowest weight reaches
+the order adds nothing there and is not walked.  Every decomposition is
+verified by an exact character identity, which is the normative check:
+for a nonzero self-paired coset the two signed modules have equal
+characters, so the sign chosen for such a part is reported as
+convention-dependent metadata, computed from the involution coefficient
+on the canonical lowest-weight vector.
 
 Twisted parents over a sublattice branch into abstract placeholders
 carrying only sign and multiplicity; the census of the finer twisted
@@ -42,7 +46,7 @@ from .lattice import (
     sublattice_classes,
     validate_even_lattice,
 )
-from .qseries import QSeries, character, series_denominator
+from .qseries import THETA_SHARE, QSeries, character, coset_character_sum, series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -282,18 +286,23 @@ def part_character(bl: BranchList, p: BranchPart, order: Fraction) -> QSeries:
     return single.scaled(p.multiplicity)
 
 
-def _factor_product(bl: BranchList, order: Fraction, signed: bool) -> QSeries:
-    """prod_i sum_l ch(l) over factor i's choices, each term times sign(l) if signed."""
-    total = None
-    for lat1, labels in zip(bl.factors, bl.choices):
-        s = None
-        for lab in labels:
-            ch = character(lat1, lab, order)
-            if signed and label_sign(lab) == -1:
-                ch = ch.scaled(-1)
-            s = ch if s is None else s + ch
-        total = s if total is None else total * s
-    return total
+@lru_cache(maxsize=None)
+def _factor_product(factors: tuple[EvenLattice, ...], choices: tuple[tuple[ModuleLabel, ...], ...],
+                    order: Fraction, signed: bool) -> QSeries:
+    """prod_i sum_l ch(l) over factor i's choices, each term times sign(l) if signed.
+
+    Cached per prefix of the factors, so branchings whose leading choices
+    agree (V+ and V-, or the two signs of a self-paired coset) share their
+    partial products."""
+    s = None
+    for lab in choices[-1]:
+        ch = character(factors[-1], lab, order)
+        if signed and label_sign(lab) == -1:
+            ch = ch.scaled(-1)
+        s = ch if s is None else s + ch
+    if len(choices) == 1:
+        return s
+    return _factor_product(factors[:-1], choices[:-1], order, signed) * s
 
 
 def branch_character(bl: BranchList, order) -> QSeries:
@@ -303,17 +312,27 @@ def branch_character(bl: BranchList, order) -> QSeries:
     orbit parent, (prod_i A_i + s prod_i B_i) / 2 for a parent of sign s,
     with A_i = sum ch(l) and B_i = sum sign(l) ch(l) over factor i's
     choices: a combination of sign product t counts (1 + s t) / 2 times.
+    Otherwise the non-vacuum untwisted parts are summed as thetas over one
+    Euler product of the sublattice (coset_character_sum), and vacuum,
+    tensor and twisted-block parts one by one.
     """
     order = Fraction(order)
     if bl.choices is not None:
-        a = _factor_product(bl, order, False)
+        a = _factor_product(bl.factors, bl.choices, order, False)
         sign = label_sign(bl.parent)
         if sign is None:
             return a
-        return (a + _factor_product(bl, order, True).scaled(sign)).scaled(Fraction(1, 2))
+        signed = _factor_product(bl.factors, bl.choices, order, True)
+        return (a + signed.scaled(sign)).scaled(Fraction(1, 2))
     total = QSeries.zero(series_denominator(bl.parent_lattice), order)
+    cosets = []
     for p in bl.parts:
-        total = total + part_character(bl, p, order)
+        if isinstance(p, SubmodulePart) and p.label.kind in THETA_SHARE:
+            cosets.append(p.label)
+        else:
+            total = total + part_character(bl, p, order)
+    if cosets:
+        total = total + coset_character_sum(bl.sublattice, cosets, order)
     return total
 
 

@@ -345,12 +345,14 @@ def enumerate_coset_with_norms(
     return [(tuple(map(coord.__getitem__, w)), norm[S]) for S, w in leaves]
 
 
-def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> dict[Fraction, int]:
-    """{norm: number of v in lam + L with that norm}, over norms <= bound."""
+def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> tuple[int, dict[int, int]]:
+    """(scale, {S: number of v in lam + L with norm S / scale}), over norms <= bound.
+
+    The counts are the walker's own, keyed by integer numerators over one
+    positive scale, so no norm is built as a Fraction."""
     D, nums = _scaled(lam)
     scale = _ldl_cached(L.gram)[0] * D * D
-    counts = _walk(L.gram, D, nums, _budget(bound, scale), "counts")
-    return {Fraction(S, scale): n for S, n in counts.items()}
+    return scale, _walk(L.gram, D, nums, _budget(bound, scale), "counts")
 
 
 def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords]]:

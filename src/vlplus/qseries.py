@@ -261,12 +261,27 @@ def euler_product_inv(
 
 @lru_cache(maxsize=None)
 def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int | None = None) -> QSeries:
-    """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order."""
+    """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order.
+
+    A count of norm S / scale sits at grid key S * denom / (2 * scale); a
+    coset whose least norm lam.min_norm reaches 2 * order is zero, unwalked."""
     order = Fraction(order)
     denom = denom or series_denominator(L)
-    counts = coset_norm_counts(L, lam.rep, 2 * order) if order > 0 else {}
-    terms = {n / 2: c for n, c in counts.items() if n < 2 * order}
-    return QSeries.from_terms(denom, order, terms)
+    order_key = _key(order, denom)
+    nums: dict[int, int] = {}
+    if 2 * order > lam.min_norm:
+        scale, counts = coset_norm_counts(L, lam.rep, 2 * order)
+        for S, n in counts.items():
+            k, r = divmod(S * denom, 2 * scale)
+            if r:
+                raise ValueError(f"exponent {Fraction(S, 2 * scale)} is not on the grid 1/{denom}")
+            if k < order_key:
+                nums[k] = n
+    return QSeries(denom, order_key, 1, nums)
+
+
+# a non-vacuum untwisted label carries this share of its coset's theta over phi^d
+THETA_SHARE = {LabelKind.UNTWISTED: Fraction(1), LabelKind.COSET: Fraction(1, 2)}
 
 
 @lru_cache(maxsize=None)
@@ -291,10 +306,8 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
         return (th_minus_1 * phi_inv).scaled(Fraction(1, 2)) + (
             phi_inv + psi_inv.scaled(sign)
         ).scaled(Fraction(1, 2))
-    if m.kind == LabelKind.UNTWISTED:
-        return theta_coset(L, m.coset, order, denom) * phi_inv
-    if m.kind == LabelKind.COSET:
-        return (theta_coset(L, m.coset, order, denom) * phi_inv).scaled(Fraction(1, 2))
+    if m.kind in THETA_SHARE:
+        return (theta_coset(L, m.coset, order, denom) * phi_inv).scaled(THETA_SHARE[m.kind])
     # twisted: build at a shifted order so the final truncation is exact
     shift = Fraction(d, 16)
     inner = order - shift
@@ -305,3 +318,25 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     sign = 1 if m.sign == 1 else -1
     combo = (halves_minus + halves_plus.scaled(sign)).scaled(Fraction(m.char.dim_t, 2))
     return combo.shifted(shift)
+
+
+def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
+    """Sum of character(L, m, order) over non-vacuum untwisted labels m.
+
+    By linearity (sum_m share(m) theta_m) / phi^d: the thetas, integer
+    counts, are summed twice over in integers and the Euler product is
+    taken once for the whole sum.  A label whose coset's least norm
+    reaches 2 * order adds nothing and is passed over."""
+    order = Fraction(order)
+    denom = series_denominator(L)
+    weight = {kind: int(2 * share) for kind, share in THETA_SHARE.items()}
+    bound = 2 * order
+    twice: dict[int, int] = {}
+    for m in labels:
+        if m.coset.min_norm >= bound:
+            continue
+        w = weight[m.kind]
+        for k, n in theta_coset(L, m.coset, order, denom).nums.items():
+            twice[k] = twice.get(k, 0) + w * n
+    total = QSeries(denom, _key(order, denom), 2, twice)._normalized()
+    return total * euler_product_inv(L.rank, order, denom)

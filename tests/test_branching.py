@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,44 @@ def a2_sublattice():
     S = orthogonal_sublattice(L)
     assert S.index == 2
     return L, S.basis
+
+
+def test_corrupted_sublattice_branch_fails_verification():
+    # D24 over 2L at order 2: parts of weight 0 (V+), 1 (C[1/2,0]+), 2 and 3
+    L = lat(D24)
+    order = F(2)
+    bl = branch_sublattice(L, ((2, 0), (0, 2)), VAC_PLUS)
+    weights = [lowest_weight(bl.sublattice, p.label) for p in bl.parts]
+    assert weights == [0, 1, 2, 3] and verify_branch(bl, order)
+    below = bl.parts[1]
+    assert not verify_branch(replace(bl, parts=bl.parts[:1] + bl.parts[2:]), order)
+    assert not verify_branch(replace(bl, parts=bl.parts + (below,)), order)
+    assert not verify_branch(replace(bl, parent=VAC_MINUS), order)
+    # truncation: a part whose lowest weight reaches the order adds nothing below it,
+    # so dropping it, or adding another, leaves the identity exact to that order
+    assert verify_branch(replace(bl, parts=bl.parts[:-1]), order)
+    assert verify_branch(replace(bl, parts=bl.parts + (bl.parts[2],)), order)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+def test_factored_sublattice_sum_equals_expanded_sum(gram):
+    # the thetas summed under one Euler product, parts at or above the order
+    # passed over, give the sum of the per-part characters
+    L = lat(gram)
+    d = L.rank
+    order = F(1)
+    doubled = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
+    for basis in (orthogonal_sublattice(L).basis, doubled):
+        for m in classify_modules(L):
+            bl = branch_sublattice(L, basis, m)
+            expanded = QSeries.zero(series_denominator(L), order)
+            for p in bl.parts:
+                expanded = expanded + part_character(bl, p, order)
+            assert branch_character(bl, order) == expanded, (gram, basis, str(m))
+    # over 2L every nonzero class of L / 2L has norm >= 2: weight at or above 1
+    bl = branch_sublattice(L, doubled, VAC_PLUS)
+    assert any(lowest_weight(bl.sublattice, p.label) >= order for p in bl.parts)
 
 
 def test_sublattice_vacuum_parts_a2():

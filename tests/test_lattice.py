@@ -218,18 +218,30 @@ def test_enumerate_shifted_coset_matches_box_oracle(case, bound):
     assert enumerate_coset_vectors(L, shifted, bound) == box_enumerate(L.gram, rep, bound)
 
 
+def full_walk_counts(L, lam, bound):
+    """Oracle: {norm: count} from every vector of the walk, none paired with its negation."""
+    counts = {}
+    for _, n in enumerate_coset_with_norms(L, lam, bound):
+        counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def norm_counts(L, lam, bound):
+    """coset_norm_counts with its integer keys S read as norms S / scale."""
+    scale, counts = coset_norm_counts(L, lam, bound)
+    return {F(S, scale): n for S, n in counts.items()}
+
+
 @GENERATED
 @given(shifted_cosets(), st.sampled_from([F(1, 2), F(5, 4), F(5, 2)]))
 def test_norm_counts_and_theta_match_enumeration(case, order):
     L, rep, a = case
     shifted = tuple(x + y for x, y in zip(rep, a))
-    vecs = enumerate_coset_with_norms(L, shifted, 2 * order)
-    counts = {}
-    for _, n in vecs:
-        counts[n] = counts.get(n, 0) + 1
-    assert coset_norm_counts(L, shifted, 2 * order) == counts
+    counts = full_walk_counts(L, shifted, 2 * order)
+    assert norm_counts(L, shifted, 2 * order) == counts
+    # term by term: each count sits at exponent norm / 2, none at or above the order
     theta = theta_coset(L, coset_element(L, shifted), order)
-    assert sum(theta.terms().values()) == sum(1 for _, n in vecs if n < 2 * order)
+    assert theta.terms() == {n / 2: c for n, c in counts.items() if n < 2 * order}
 
 
 @GENERATED
@@ -241,12 +253,6 @@ def test_coset_element_is_first_of_full_enumeration(case):
     assert coset_element(L, shifted) == CosetElement(rep=first, min_norm=norm)
 
 
-def full_walk_counts(L, lam, bound):
-    """Oracle: {norm: count} from every vector of the walk, none paired with its negation."""
-    counts = {}
-    for _, n in enumerate_coset_with_norms(L, lam, bound):
-        counts[n] = counts.get(n, 0) + 1
-    return counts
 
 
 def class_minima_one_walk_each(gram, smith, v):
@@ -272,7 +278,7 @@ def test_negation_halves_walks_without_changing_results(gram, bound):
     for c in reps:
         shifted = tuple(x + a for x, a in zip(c.rep, shift))
         for lam in (c.rep, shifted):
-            assert coset_norm_counts(L, lam, bound) == full_walk_counts(L, lam, bound)
+            assert norm_counts(L, lam, bound) == full_walk_counts(L, lam, bound)
         assert coset_element(L, shifted) == c
         assert orbit_element(L, shifted) == min(c, coset_neg(L, c), key=CosetElement.sort_key)
     orbits = {m.coset for m in classify_modules(L) if m.kind == LabelKind.UNTWISTED}

@@ -313,19 +313,25 @@ def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):
 
 
 def _chain(disabled: frozenset, route: str) -> list:
-    """The enabled rules in rule_order, FusionObstruction on the live route
-    only (no other can apply), each called as rule(ctx, m1, m2).
+    """The enabled rules that can decide a pair WeightGap leaves open, in
+    rule_order, each called as rule(ctx, m1, m2): Vacuum, Duality over
+    Vacuum, and FusionObstruction on the live route (no other can apply).
 
-    Built per call, not at import: a tracer that rebinds the module's
-    rule names (perfbench/spans.py) then sees every rule call.
+    A contragredient keeps its label's lowest weight and FusionObstruction
+    key and parity, and the rules' conditions are symmetric in the pair,
+    so Duality over WeightGap or FusionObstruction applies to a pair only
+    where the rule itself already does; neither is in the chain.  Built
+    per call, not at import: a tracer that rebinds the module's rule
+    names (perfbench/spans.py) then sees every rule call.
     """
-    base = [rule for name, rule in ((RULE_WEIGHT_GAP, weight_gap_rule), (RULE_VACUUM, vacuum_rule))
-            if name not in disabled]
-    fusion = [] if RULE_FUSION in disabled else [partial(fusion_obstruction_rule, route=route)]
-    if RULE_DUALITY in disabled:
-        return base + fusion
-    dual_fusion = [partial(duality_rule, base_rules=fusion)] if fusion else []
-    return base + [partial(duality_rule, base_rules=base)] + fusion + dual_fusion
+    chain = []
+    if RULE_VACUUM not in disabled:
+        chain.append(vacuum_rule)
+        if RULE_DUALITY not in disabled:
+            chain.append(partial(duality_rule, base_rules=[vacuum_rule]))
+    if RULE_FUSION not in disabled:
+        chain.append(partial(fusion_obstruction_rule, route=route))
+    return chain
 
 
 def _first_applying(chain, ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
@@ -348,11 +354,9 @@ def certify(
     """
     ctx = _Context(L)
     chain = _chain(disabled, ctx.route)
-    if RULE_WEIGHT_GAP in disabled:
-        gaps = [[None] * len(ctx.weight_reps)] * len(ctx.weight_reps)
-    else:
-        # WeightGap heads the chain; the table stands in for it
-        gaps, chain = ctx.gaps, chain[1:]
+    # WeightGap heads rule_order; the per-weight table stands in for it
+    n = len(ctx.weight_reps)
+    gaps = [[None] * n] * n if RULE_WEIGHT_GAP in disabled else ctx.gaps
     rows = list(zip(ctx.labels, ctx.weight_ids, ctx.names))
     pairs = []
     unknown = []

@@ -47,6 +47,7 @@ from .sectors import (
     format_label,
     lowest_weight,
     parse_label,
+    read_rational,
     top_level_dimension,
 )
 
@@ -171,9 +172,9 @@ def cmd_modules(args, out):
 
 def _parse_order(text) -> Fraction:
     try:
-        order = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"order must be a rational number, got {text!r}")
+        order = read_rational(text)
+    except ValueError as e:
+        raise CliError(f"order must be a rational number: {e}")
     if order < 1:
         raise CliError("order must be at least 1")
     if order > MAX_ORDER:
@@ -248,8 +249,8 @@ def cmd_decompose(args, out):
         else:
             try:
                 basis = _parse_basis(json.loads(args.sublattice), L.rank)
-            except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
-                raise CliError("--sublattice takes auto, orthogonal-base, or a JSON basis")
+            except (ValueError, RecursionError) as e:  # not JSON, nested too deep, or too many digits
+                raise CliError(f"--sublattice takes auto, orthogonal-base, or a JSON basis ({e})")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
     counts = Counter(map(_part_str, bl.parts))

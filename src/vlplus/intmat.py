@@ -71,94 +71,52 @@ def rational_inverse(m: list[list[int]]) -> list[list[Fraction]]:
 
 
 def snf(m: list[list[int]]) -> tuple[list[int], IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+    """Smith normal form with transforms, in one pass.
 
-    Returns (d, u, v) with u*m*v diagonal with entries d, u and v
-    unimodular, d nonnegative and d[i] | d[i+1].  Requires a square
-    nonsingular input.
+    Returns (d, u, v) with u*m*v = diag(d), u and v unimodular, d positive
+    and d[i] | d[i+1]; raises ZeroDivisionError on a singular input.  Step
+    t moves the least nonzero entry of the trailing block to (t, t) and
+    clears row and column t by floor division, starting over while a
+    remainder is left.  With both clear, a block entry that the pivot does
+    not divide has its row added to row t, and the step starts over; so
+    d[t] divides the whole remaining block when the step ends.
     """
     n = len(m)
     a = [row[:] for row in m]
-    u = identity(n)
-    v = identity(n)
+    u, v = identity(n), identity(n)
 
-    def row_op(i: int, j: int, q: int) -> None:
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    def add_row(i: int, j: int, q: int) -> None:  # row i += q * row j, in a and u
+        for w in (a, u):
+            w[i] = [x + q * y for x, y in zip(w[i], w[j])]
 
-    def col_op(i: int, j: int, q: int) -> None:
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+    def add_col(i: int, j: int, q: int) -> None:  # col i += q * col j, in a and v
+        for row in a + v:
+            row[i] += q * row[j]
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def diagonalize() -> None:
-        for t in range(n):
-            while True:
-                piv = None
-                for i in range(t, n):
-                    for j in range(t, n):
-                        if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                            piv = (i, j)
-                if piv is None:
-                    raise ZeroDivisionError("matrix is singular")
-                if piv != (t, t):
-                    if piv[0] != t:
-                        swap_rows(t, piv[0])
-                    if piv[1] != t:
-                        swap_cols(t, piv[1])
-                clean = True
-                for i in range(t + 1, n):
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_op(i, t, q)
-                    if a[i][t] != 0:
-                        clean = False
-                for j in range(t + 1, n):
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j] != 0:
-                        clean = False
-                if clean:
-                    break
-
-    diagonalize()
-    # sign fix, then enforce the divisibility chain
-    for i in range(n):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    while True:
-        bad = None
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if a[j][j] % a[i][i] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
+    for t in range(n):
+        while True:
+            block = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
+            if not block:
+                raise ZeroDivisionError("matrix is singular")
+            _, i, j = min(block)
+            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+            if j != t:
+                for row in a + v:
+                    row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for k in range(t + 1, n):
+                if a[k][t]:
+                    add_row(k, t, -(a[k][t] // p))
+                if a[t][k]:
+                    add_col(k, t, -(a[t][k] // p))
+            if any(a[k][t] or a[t][k] for k in range(t + 1, n)):
+                continue
+            bad = [k for k in range(t + 1, n) for x in a[k] if x % p]
+            if not bad:
                 break
-        if bad is None:
-            break
-        i, j = bad
-        row_op(i, j, -1)  # row i += row j, reintroduces an off-diagonal entry
-        diagonalize()
-        for t in range(n):
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
+            add_row(t, bad[0], 1)
+        if a[t][t] < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
     return [a[i][i] for i in range(n)], u, v
 
 

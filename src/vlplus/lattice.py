@@ -20,6 +20,7 @@ form and transforms that give the change of basis both ways), cached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -185,7 +186,10 @@ def validate_even_lattice(gram) -> EvenLattice:
 
     Raises LatticeError unless gram is a list of rows, NotSymmetric, NotEven
     (1-based index of the odd diagonal entry) or NotPositiveDefinite
-    (1-based index of the first non-positive leading minor).
+    (1-based index of the first non-positive leading minor); and
+    LatticeError for a determinant with more digits than Python turns into
+    a string (sys.get_int_max_str_digits(), 4300 by default), which no
+    report or message could then print.
     """
     if not isinstance(gram, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in gram):
         raise LatticeError("gram matrix must be a list of rows")
@@ -208,6 +212,9 @@ def validate_even_lattice(gram) -> EvenLattice:
     for i, m in enumerate(minors):
         if m <= 0:
             raise NotPositiveDefinite(i + 1)
+    digits = sys.get_int_max_str_digits()
+    if digits and minors[-1] >= 10**digits:
+        raise LatticeError(f"the determinant has more than {digits} digits")
     return EvenLattice(gram=tuple(tuple(r) for r in rows), det=minors[-1])
 
 
@@ -559,7 +566,10 @@ def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
     index = abs(intmat.det_int(rows)) if square else 0
     if index == 0:
         raise NotFullRank("sublattice basis must have full rank")
-    sub = validate_even_lattice(intmat.mat_mul(intmat.mat_mul(rows, L.gram), list(zip(*rows))))
+    try:
+        sub = validate_even_lattice(intmat.mat_mul(intmat.mat_mul(rows, L.gram), list(zip(*rows))))
+    except LatticeError as e:  # only a determinant too long to print: L is valid
+        raise LatticeError(f"sublattice: {e}")
     if sub.det != index * index * L.det:
         raise AssertionError("sublattice determinant must be index^2 * det")
     smith, u, v = intmat.snf([list(c) for c in zip(*rows)])

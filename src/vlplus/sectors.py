@@ -17,6 +17,7 @@ even.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -257,9 +258,9 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         raise ValueError(f"label {text!r} lacks its closing ']'")
     if kind in ("U", "C") and text[1:2] == "[":
         try:
-            coords = tuple(Fraction(p) for p in text[2:close].split(","))
-        except ZeroDivisionError:
-            raise ValueError(f"label {text!r} has a zero denominator")
+            coords = tuple(read_rational(p) for p in text[2:close].split(","))
+        except ValueError as e:
+            raise ValueError(f"label {text!r}: {e}")
         if len(coords) != L.rank:
             raise ValueError(f"label has {len(coords)} coordinates, lattice rank is {L.rank}")
         if any(sum(g * x for g, x in zip(row, coords)).denominator != 1 for row in L.gram):
@@ -283,6 +284,23 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
             raise ValueError(f"character index {idx} out of range (have {len(chars)})")
         return twisted_label(chars[idx], _parse_sign(text[close + 1:]))
     raise ValueError(f"unrecognized module label {text!r}")
+
+
+def read_rational(text: str) -> Fraction:
+    """An optionally signed integer or p/q over ASCII digits, as a Fraction.
+
+    ValueError naming the text for any other form, a zero denominator or
+    a part past Python's int-to-str digit limit.  Fraction() alone would
+    also take an exponent, whose 10^exp can take seconds to build.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"{text!r:.60} is not an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r:.60} has a zero denominator")
+    except ValueError:
+        raise ValueError(f"{text!r:.60} has too many digits")
 
 
 def _parse_sign(s: str) -> int:

@@ -764,6 +764,20 @@ def test_rule_chain_respects_disabled_rules_and_order(gram):
             assert verify_certificate(L, lower.to_json()) == [], (gram, off)
 
 
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(even_grams())
+def test_contragredient_pair_decides_weight_gap_and_fusion_alike(gram):
+    # so Duality over either rule never decides a pair first, and the chain omits it
+    L = lat(gram)
+    ctx = _Context(L)
+    rules = (weight_gap_rule, lambda c, a, b: fusion_obstruction_rule(c, a, b, route=ctx.route))
+    for m1 in ctx.labels:
+        for m2 in ctx.labels:
+            d1, d2 = ctx.duals[m2], ctx.duals[m1]
+            for rule in rules:
+                assert (rule(ctx, m1, m2) is None) == (rule(ctx, d1, d2) is None), (gram, m1, m2)
+
+
 # ---------------------------------------------------------------------------
 # dumps() and the WeightGap table against their references
 # ---------------------------------------------------------------------------

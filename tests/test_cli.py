@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -285,6 +286,59 @@ def test_oversized_sublattice_quotient_exits_two(tmp_path, capsys):
     assert "100000000000000000000000 classes; at most 1000000" in err
 
 
+# determinants past Python's int-to-str digit limit (4300 by default): the
+# first has 4401 digits, the second is the sublattice's, index^2 * det
+TOO_LONG = f"the determinant has more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("command", ["analyze", "modules"])
+def test_determinant_too_long_to_print_exits_two(tmp_path, capsys, command):
+    gram = write_gram(tmp_path, [[2 * 10**2200, 0], [0, 2 * 10**2200]])
+    code, out, err = run_cli(capsys, [command, "--gram", gram])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: invalid lattice: {TOO_LONG}\n"
+
+
+def test_sublattice_determinant_too_long_to_print_exits_two(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2)
+    basis = json.dumps([[10**2200, 0], [0, 10**2200]])
+    code, out, err = run_cli(capsys, ["decompose", "--gram", gram, "--module", "V+",
+                                      "--sublattice", basis])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: sublattice: {TOO_LONG}\n"
+
+
+def test_sublattice_entry_too_long_to_read_exits_two(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2)
+    basis = f"[[{'9' * 5000},0],[0,1]]"
+    code, out, err = run_cli(capsys, ["decompose", "--gram", gram, "--module", "V+",
+                                      "--sublattice", basis])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: --sublattice takes auto, orthogonal-base, or a JSON basis")
+
+
+@pytest.mark.parametrize("order,message", [
+    # Fraction() reads an exponent, and builds its 10^exp before any check
+    ("1e1000000", "'1e1000000' is not an integer or p/q"),
+    ("2.5", "'2.5' is not an integer or p/q"),
+    ("3/0", "'3/0' has a zero denominator"),
+    ("9" * 5000, f"{'9' * 5000!r:.60} has too many digits"),
+])
+def test_order_outside_the_number_grammar_exits_two(tmp_path, capsys, order, message):
+    gram = write_gram(tmp_path, A2)
+    code, out, err = run_cli(capsys, ["char", "--gram", gram, "--module", "V+", "--order", order])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: order must be a rational number: {message}\n"
+
+
+def test_order_variable_outside_the_grammar_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VLPLUS_ORDER", "1e5000")
+    gram = write_gram(tmp_path, A2)
+    code, out, err = run_cli(capsys, ["char", "--gram", gram, "--module", "V+"])
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: order must be a rational number: '1e5000' is not an integer or p/q\n"
+
+
 def test_certify_out_to_a_directory_exits_two(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     code, out, err = run_cli(capsys, ["certify", "--gram", gram, "--out", str(tmp_path)])
@@ -433,6 +487,11 @@ A2_NEG = [[2, -1], [-1, 2]]  # census V+-, U[1/3,-1/3], T[0]+-
     ("U[1/5,0]", "not a dual vector"),
     ("U[1/2,1/2]", "not a dual vector"),
     ("U[1/0,0]", "zero denominator"),
+    # numbers outside the grammar (integer or p/q) of README's File formats
+    ("U[1e10000000,0]", "'1e10000000' is not an integer or p/q"),
+    ("C[1e-10000000,0]+", "'1e-10000000' is not an integer or p/q"),
+    ("U[0.5,0]", "'0.5' is not an integer or p/q"),
+    ("U[1/3, 1/3]", "' 1/3' is not an integer or p/q"),
 ])
 @pytest.mark.parametrize("command", ["char", "decompose"])
 def test_label_off_the_dual_lattice_exits_two(tmp_path, capsys, label, named, command):
@@ -489,7 +548,7 @@ def test_env_order_change_between_calls_takes_effect(tmp_path, capsys, monkeypat
 # fuzz: random labels and batch files exit 0 or 2, never with a traceback
 # ---------------------------------------------------------------------------
 
-LABELISH = st.text(alphabet="UCTV[]+-/,0123456789 ", max_size=14)
+LABELISH = st.text(alphabet="UCTV[]+-/,.e0123456789 ", max_size=14)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | LABELISH,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LABELISH, inner, max_size=2),

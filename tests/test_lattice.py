@@ -99,23 +99,48 @@ def test_validate_rejects_non_integer_entries():
 # Smith normal form machinery
 # ---------------------------------------------------------------------------
 
+def smith_diagonal(m):
+    """d from intmat.snf(m), after checking u*m*v = diag(d), u and v
+    unimodular and the divisibility chain, which together pin d."""
+    n = len(m)
+    d, u, v = intmat.snf(m)
+    assert abs(intmat.det_int(u)) == 1
+    assert abs(intmat.det_int(v)) == 1
+    prod = intmat.mat_mul(intmat.mat_mul(u, m), v)
+    for i in range(n):
+        for j in range(n):
+            assert prod[i][j] == (d[i] if i == j else 0)
+    for i in range(n - 1):
+        assert d[i] > 0 and d[i + 1] % d[i] == 0
+    return d
+
+
 def test_snf_reconstruction_random():
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 4)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        bound = rng.choice((5, 10**6))
         while True:
-            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
             if intmat.det_int(m) != 0:
                 break
-        d, u, v = intmat.snf(m)
-        assert abs(intmat.det_int(u)) == 1
-        assert abs(intmat.det_int(v)) == 1
-        prod = intmat.mat_mul(intmat.mat_mul(u, m), v)
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (d[i] if i == j else 0)
-        for i in range(n - 1):
-            assert d[i] > 0 and d[i + 1] % d[i] == 0
+        smith_diagonal(m)
+
+
+@pytest.mark.parametrize("m,d", [
+    # diagonal already, but the chain needs the divisibility step
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+    ([[-3]], [3]),
+])
+def test_snf_divisibility_chain(m, d):
+    assert smith_diagonal(m) == d
+
+
+@pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]], [[2, 0, 0], [0, 0, 0], [0, 0, 3]]])
+def test_snf_singular_raises(m):
+    with pytest.raises(ZeroDivisionError):
+        intmat.snf(m)
 
 
 @pytest.mark.parametrize(

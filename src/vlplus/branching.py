@@ -10,9 +10,10 @@ character is checked in factored form, with the products of leading
 factor sums cached across branchings.  A sublattice branching walks
 the classes of (lambda + L)/L' in integers, one walk per +- pair, and
 sublattice_part_count gives its part count from the Smith form alone.
-Its character is checked as the parts' thetas summed in integers under
-one Euler product of the sublattice; a part whose lowest weight reaches
-the order adds nothing there and is not walked.  Every decomposition is
+Its character is checked by one coset_character_sum over every untwisted
+part, V+- included: the parts' thetas summed in integers under one Euler
+product of the sublattice; a part whose coset's least norm reaches twice
+the order adds no theta there and is not walked.  Every decomposition is
 verified by an exact character identity, which is the normative check:
 for a nonzero self-paired coset the two signed modules have equal
 characters, so the sign chosen for such a part is reported as
@@ -46,7 +47,7 @@ from .lattice import (
     sublattice_classes,
     validate_even_lattice,
 )
-from .qseries import THETA_SHARE, QSeries, character, coset_character_sum, series_denominator
+from .qseries import QSeries, character, coset_character_sum, series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -312,9 +313,11 @@ def branch_character(bl: BranchList, order) -> QSeries:
     orbit parent, (prod_i A_i + s prod_i B_i) / 2 for a parent of sign s,
     with A_i = sum ch(l) and B_i = sum sign(l) ch(l) over factor i's
     choices: a combination of sign product t counts (1 + s t) / 2 times.
-    Otherwise the non-vacuum untwisted parts are summed as thetas over one
-    Euler product of the sublattice (coset_character_sum), and vacuum,
-    tensor and twisted-block parts one by one.
+    Otherwise every untwisted part, V+- included, enters one
+    coset_character_sum over the sublattice: ch = (sum w theta phi^(-d) +
+    sum t psi^(-d)) / 2, the thetas summed in integers under one Euler
+    product; twisted blocks and the tensor parts of a hand-built BranchList
+    go through part_character one by one.
     """
     order = Fraction(order)
     if bl.choices is not None:
@@ -325,14 +328,14 @@ def branch_character(bl: BranchList, order) -> QSeries:
         signed = _factor_product(bl.factors, bl.choices, order, True)
         return (a + signed.scaled(sign)).scaled(Fraction(1, 2))
     total = QSeries.zero(series_denominator(bl.parent_lattice), order)
-    cosets = []
+    labels = []
     for p in bl.parts:
-        if isinstance(p, SubmodulePart) and p.label.kind in THETA_SHARE:
-            cosets.append(p.label)
+        if isinstance(p, SubmodulePart):
+            labels.append(p.label)
         else:
             total = total + part_character(bl, p, order)
-    if cosets:
-        total = total + coset_character_sum(bl.sublattice, cosets, order)
+    if labels:
+        total = total + coset_character_sum(bl.sublattice, labels, order)
     return total
 
 

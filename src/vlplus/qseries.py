@@ -8,7 +8,10 @@ coefficient of a sum or product is the true coefficient.
 
 Characters are graded dimensions in true conformal weights, without any
 central-charge prefactor, so direct sums add and tensor products
-multiply as literal series identities.
+multiply as literal series identities.  Every untwisted character is
+(w theta phi^(-d) + t psi^(-d)) / 2, from the theta of the label's coset,
+the plain and the sign-alternating inverse Euler products and the (w, t)
+that THETA_PSI gives the label's kind.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import CosetElement, EvenLattice, coset_norm_counts, zero_coset
-from .sectors import LabelKind, ModuleLabel
+from .lattice import CosetElement, EvenLattice, coset_norm_counts
+from .sectors import LabelKind, ModuleLabel, label_coset
 
 
 class QSeries:
@@ -42,13 +45,6 @@ class QSeries:
     @staticmethod
     def zero(denom: int, order: Fraction) -> "QSeries":
         return QSeries(denom, _key(order, denom), 1, {})
-
-    @staticmethod
-    def one(denom: int, order: Fraction) -> "QSeries":
-        s = QSeries.zero(denom, order)
-        if s.order_key > 0:
-            s.nums[0] = 1
-        return s
 
     @staticmethod
     def from_terms(denom: int, order: Fraction, terms: dict[Fraction, Fraction]) -> "QSeries":
@@ -280,63 +276,58 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
     return QSeries(denom, order_key, 1, nums)
 
 
-# a non-vacuum untwisted label carries this share of its coset's theta over phi^d
-THETA_SHARE = {LabelKind.UNTWISTED: Fraction(1), LabelKind.COSET: Fraction(1, 2)}
+# ch(m) = (w theta phi^(-d) + t psi^(-d)) / 2 over the theta of m's coset: the
+# (w, t) of each untwisted kind, the only data on how its character is built
+THETA_PSI = {LabelKind.VAC_PLUS: (1, 1), LabelKind.VAC_MINUS: (1, -1),
+             LabelKind.UNTWISTED: (2, 0), LabelKind.COSET: (1, 0)}
 
 
 @lru_cache(maxsize=None)
 def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     """Graded dimension of the labelled irreducible, exact to the given order.
 
-    Vacuum sectors: (theta_L - 1)/(2 phi^d) + (phi^(-d) +- psi^(-d))/2,
-    where phi^(-d) and psi^(-d) are the plain and sign-alternating
-    inverse Euler products.  Non-self-paired cosets contribute their
-    full theta over phi^d, self-paired cosets half of it per sign, and
-    twisted sectors dim(T) q^(d/16) times the half-integer products.
+    Untwisted labels: coset_character_sum of the label alone, so V+- are
+    (theta_L phi^(-d) +- psi^(-d))/2 with phi^(-d) and psi^(-d) the plain
+    and sign-alternating inverse Euler products.  Twisted sectors are
+    dim(T) q^(d/16) times the half-integer products.
     """
     order = Fraction(order)
+    if m.kind in THETA_PSI:
+        return coset_character_sum(L, (m,), order)
+    # twisted: build at a shifted order so the final truncation is exact
     denom = series_denominator(L)
     d = L.rank
-    phi_inv = euler_product_inv(d, order, denom)
-    if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
-        psi_inv = euler_product_inv(d, order, denom, alternating=True)
-        th = theta_coset(L, zero_coset(L), order, denom)
-        th_minus_1 = th - QSeries.one(denom, order)
-        sign = 1 if m.kind == LabelKind.VAC_PLUS else -1
-        return (th_minus_1 * phi_inv).scaled(Fraction(1, 2)) + (
-            phi_inv + psi_inv.scaled(sign)
-        ).scaled(Fraction(1, 2))
-    if m.kind in THETA_SHARE:
-        return (theta_coset(L, m.coset, order, denom) * phi_inv).scaled(THETA_SHARE[m.kind])
-    # twisted: build at a shifted order so the final truncation is exact
     shift = Fraction(d, 16)
     inner = order - shift
     if inner <= 0:
         return QSeries.zero(denom, order)
     halves_minus = euler_product_inv(d, inner, denom, half_integer=True)
     halves_plus = euler_product_inv(d, inner, denom, alternating=True, half_integer=True)
-    sign = 1 if m.sign == 1 else -1
-    combo = (halves_minus + halves_plus.scaled(sign)).scaled(Fraction(m.char.dim_t, 2))
+    combo = (halves_minus + halves_plus.scaled(m.sign)).scaled(Fraction(m.char.dim_t, 2))
     return combo.shifted(shift)
 
 
 def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
-    """Sum of character(L, m, order) over non-vacuum untwisted labels m.
+    """Sum of character(L, m, order) over untwisted labels m, V+- included.
 
-    By linearity (sum_m share(m) theta_m) / phi^d: the thetas, integer
-    counts, are summed twice over in integers and the Euler product is
-    taken once for the whole sum.  A label whose coset's least norm
-    reaches 2 * order adds nothing and is passed over."""
+    By linearity (sum_m w_m theta_m phi^(-d) + (sum_m t_m) psi^(-d)) / 2
+    with (w, t) from THETA_PSI and theta_m the theta of label_coset: the
+    thetas, integer counts, are summed in integers and each Euler product
+    is taken once for the whole sum.  A label whose coset's least norm
+    reaches 2 * order adds no theta and its coset is not walked."""
     order = Fraction(order)
     denom = series_denominator(L)
-    weight = {kind: int(2 * share) for kind, share in THETA_SHARE.items()}
-    bound = 2 * order
     twice: dict[int, int] = {}
+    psi_weight = 0
     for m in labels:
-        if m.coset.min_norm >= bound:
+        w, t = THETA_PSI[m.kind]
+        psi_weight += t
+        lam = label_coset(L, m)
+        if lam.min_norm >= 2 * order:
             continue
-        w = weight[m.kind]
-        for k, n in theta_coset(L, m.coset, order, denom).nums.items():
+        for k, n in theta_coset(L, lam, order, denom).nums.items():
             twice[k] = twice.get(k, 0) + w * n
-    total = QSeries(denom, _key(order, denom), 2, twice)._normalized()
-    return total * euler_product_inv(L.rank, order, denom)
+    total = QSeries(denom, _key(order, denom), 1, twice) * euler_product_inv(L.rank, order, denom)
+    if psi_weight:
+        total = total + euler_product_inv(L.rank, order, denom, alternating=True).scaled(psi_weight)
+    return total.scaled(Fraction(1, 2))

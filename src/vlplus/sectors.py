@@ -272,17 +272,20 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
             if coset_two_torsion(L, c):
                 raise ValueError("coset is self-paired; use a signed C label")
             return ModuleLabel(LabelKind.UNTWISTED, coset=c)
-        sign = _parse_sign(text[close + 1:])
+        sign = _parse_sign(text)
         c = coset_element(L, coords)
         if not coset_two_torsion(L, c) or coset_is_trivial(c):
             raise ValueError("C labels require a nonzero self-paired coset")
         return coset_label(L, c, sign)
     if kind == "T" and text[1:2] == "[":
-        idx = int(text[2:close])
-        chars = central_characters(L)
-        if not 0 <= idx < len(chars):
-            raise ValueError(f"character index {idx} out of range (have {len(chars)})")
-        return twisted_label(chars[idx], _parse_sign(text[close + 1:]))
+        digits, chars = text[2:close], central_characters(L)
+        if not re.fullmatch(r"[0-9]+", digits):
+            raise ValueError(f"label {text!r}: character index {digits!r:.60} is not ASCII digits")
+        index = digits.lstrip("0") or "0"
+        # lengths first: int() refuses more digits than Python converts
+        if len(index) > len(str(len(chars))) or int(index) >= len(chars):
+            raise ValueError(f"label {text!r}: character index {index:.60} out of range (have {len(chars)})")
+        return twisted_label(chars[int(index)], _parse_sign(text))
     raise ValueError(f"unrecognized module label {text!r}")
 
 
@@ -303,12 +306,12 @@ def read_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r:.60} has too many digits")
 
 
-def _parse_sign(s: str) -> int:
-    if s == "+":
-        return 1
-    if s == "-":
-        return -1
-    raise ValueError(f"expected sign suffix, got {s!r}")
+def _parse_sign(text: str) -> int:
+    """The sign suffix after the label's closing ']'."""
+    suffix = text[text.find("]") + 1:]
+    if suffix not in ("+", "-"):
+        raise ValueError(f"label {text!r}: expected sign suffix + or -, got {suffix!r}")
+    return 1 if suffix == "+" else -1
 
 
 def _sign_str(sign: int) -> str:

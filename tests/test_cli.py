@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -480,6 +481,7 @@ def test_jobs_variable_only_concerns_certify(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 A2_NEG = [[2, -1], [-1, 2]]  # census V+-, U[1/3,-1/3], T[0]+-
+DET36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]  # sublattice route
 
 
 @pytest.mark.parametrize("label,named", [
@@ -492,6 +494,15 @@ A2_NEG = [[2, -1], [-1, 2]]  # census V+-, U[1/3,-1/3], T[0]+-
     ("C[1e-10000000,0]+", "'1e-10000000' is not an integer or p/q"),
     ("U[0.5,0]", "'0.5' is not an integer or p/q"),
     ("U[1/3, 1/3]", "' 1/3' is not an integer or p/q"),
+    # a character index is a run of ASCII digits, below the character count
+    ("T[0_0]+", "'0_0' is not ASCII digits"),
+    ("T[ \u0660]+", "' \u0660' is not ASCII digits"),
+    ("T[ 0 ]+", "' 0 ' is not ASCII digits"),
+    ("T[-0]+", "'-0' is not ASCII digits"),
+    ("T[x]+", "'x' is not ASCII digits"),
+    ("T[1]+", "character index 1 out of range (have 1)"),
+    ("T[" + "9" * 5000 + "]+", "out of range (have 1)"),
+    ("T[0]", "expected sign suffix + or -, got ''"),
 ])
 @pytest.mark.parametrize("command", ["char", "decompose"])
 def test_label_off_the_dual_lattice_exits_two(tmp_path, capsys, label, named, command):
@@ -622,3 +633,48 @@ def test_cli_fuzz_gram_values_and_oracle_tables_exit_zero_or_two(gram, value, ta
             assert "Traceback" not in err
             if code == EXIT_INVALID:
                 assert err.startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory):
+    """Gram file and parsed certificate of diag(2,6) (orthogonal route) and det 36 (sublattice route)."""
+    out = {}
+    for name, gram in (("diag26", [[2, 0], [0, 6]]), ("det36", DET36)):
+        tmp = tmp_path_factory.mktemp(name)
+        gram_path, cert_path = write_gram(tmp, gram), str(tmp / "cert.json")
+        assert run_isolated(["certify", "--gram", gram_path, "--out", cert_path])[0] == EXIT_OK
+        with open(cert_path) as fh:
+            out[name] = gram_path, json.load(fh)
+    return out
+
+
+def mutate(data, doc):
+    """doc with one key dropped, or one value replaced by a JSON draw, at a drawn path."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["diag26", "det36"]), st.data())
+def test_cli_fuzz_certificate_files_exit_zero_two_or_three(certificates, name, data):
+    # one key dropped or one value replaced: exit 2 or 3 with no traceback,
+    # and 0 (verified) only for a mutant equal to the original
+    gram_path, original = certificates[name]
+    mutant = mutate(data, original)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w") as fh:
+            json.dump(mutant, fh)
+        code, err = run_isolated(["certify", "--gram", gram_path, "--verify", path])
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_INCOMPLETE), err
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert json.dumps(mutant, sort_keys=True) == json.dumps(original, sort_keys=True)

@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import A1, A2, D24, TEST_GRAMS, lat
+from conftest import A1, A2, D24, TEST_GRAMS, even_grams, lat
 from vlplus.intmat import rational_inverse
 from vlplus.lattice import coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
 from vlplus.qseries import (
@@ -241,7 +242,7 @@ def factorwise_euler_product_inv(d, order, denom, alternating=False, half_intege
     if d < 0:
         raise ValueError("exponent must be nonnegative")
     order = F(order)
-    result = QSeries.one(denom, order)
+    result = QSeries.from_terms(denom, order, {F(0): F(1)})
     if d == 0:
         return result
     sign = -1 if alternating else 1
@@ -436,12 +437,30 @@ def full_lattice_character(L, order):
     return theta_coset(L, zero_coset(L), order, denom) * euler_product_inv(L.rank, order, denom)
 
 
-def test_vacuum_characters_sum_to_full_algebra():
-    for gram in (A1, A2, D24):
-        L = lat(gram)
-        order = F(8)
-        lhs = character(L, VAC_PLUS, order) + character(L, VAC_MINUS, order)
-        assert lhs == full_lattice_character(L, order)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+@example(A1)
+@example(A2)
+@example(D24)
+def test_vacuum_characters_sum_to_full_algebra(gram):
+    # every untwisted character against a right side built here from theta
+    # series and Euler products: V+ + V- = theta_L phi^-d, V+ - V- = psi^-d,
+    # C[lam]+ = C[lam]- with sum theta_lam phi^-d, U[lam] = theta_lam phi^-d
+    L = lat(gram)
+    order = F(8)
+    denom = series_denominator(L)
+    phi_inv = euler_product_inv(L.rank, order, denom)
+    plus, minus = character(L, VAC_PLUS, order), character(L, VAC_MINUS, order)
+    assert plus + minus == full_lattice_character(L, order)
+    assert plus - minus == euler_product_inv(L.rank, order, denom, alternating=True)
+    for m in classify_modules(L):
+        full = theta_coset(L, m.coset, order, denom) * phi_inv if m.coset else None
+        if m.kind == LabelKind.COSET and m.sign == 1:
+            partner = character(L, replace(m, sign=-1), order)
+            assert character(L, m, order) == partner
+            assert character(L, m, order) + partner == full
+        elif m.kind == LabelKind.UNTWISTED:
+            assert character(L, m, order) == full
 
 
 def test_character_extension_stability():

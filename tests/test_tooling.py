@@ -136,13 +136,14 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
 def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkeypatch):
     # the tracer's qseries.mul layer and the walk counts see the character
     # check: one theta walk for the parent and for each part whose least
-    # norm is below twice the order, and the non-vacuum parts' thetas
-    # summed under one product with the sublattice's Euler product
+    # norm is below twice the order, and every part's theta summed under
+    # one product with the sublattice's Euler product; the V+- parts now
+    # share one walk of the sublattice's zero coset inside that product
     from fractions import Fraction
 
     from conftest import E6, lat
     from vlplus import lattice
-    from vlplus.branching import branch_sublattice, part_character, verify_branch
+    from vlplus.branching import branch_sublattice, verify_branch
     from vlplus.lattice import orthogonal_sublattice
     from vlplus.qseries import QSeries, euler_product_inv, series_denominator, theta_coset
     from vlplus.sectors import LabelKind, VAC_PLUS
@@ -152,8 +153,6 @@ def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkey
     bl = branch_sublattice(L, orthogonal_sublattice(L).basis, VAC_PLUS)
     sub = bl.sublattice
     vacuum = [p for p in bl.parts if p.label.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS)]
-    for p in vacuum:
-        part_character(bl, p, order)  # a vacuum part keeps its cached per-label character
     below = sum(p.label.coset is None or p.label.coset.min_norm < 2 * order for p in bl.parts)
     assert vacuum and below < len(bl.parts)
     phi_inv = euler_product_inv(sub.rank, order, series_denominator(sub))

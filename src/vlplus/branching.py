@@ -57,6 +57,7 @@ from .sectors import (
     label_coset,
     label_sign,
     twisted_label,
+    _coords_str,
 )
 
 
@@ -219,7 +220,7 @@ def branch_sublattice(
                 unit_g = (unit_g + 2) % 4
         ratio = (unit_g - local_unit(c)) % 4
         if ratio % 2 == 1:
-            notes.append(f"imaginary involution ratio on class {c.rep}; reported +")
+            notes.append(f"imaginary involution ratio on class [{_coords_str(c.rep)}]; reported +")
             sigma = parent_sign
         else:
             sigma = parent_sign * (1 if ratio == 0 else -1)
@@ -326,7 +327,9 @@ def branch_character(bl: BranchList, order) -> QSeries:
         if sign is None:
             return a
         signed = _factor_product(bl.factors, bl.choices, order, True)
-        return (a + signed.scaled(sign)).scaled(Fraction(1, 2))
+        # A_i - B_i is twice the sum over factor i's minus labels, so the
+        # two products agree mod 2
+        return (a + signed.scaled(sign)).halved()
     total = QSeries.zero(series_denominator(bl.parent_lattice), order)
     labels = []
     for p in bl.parts:

@@ -256,10 +256,16 @@ def cmd_decompose(args, out):
     counts = Counter(map(_part_str, bl.parts))
     ok = verify_branch(bl, order)
     rows = sorted(counts.items())
-    _emit_rows(rows, ("part", "multiplicity"), args.format, out)
-    for note in bl.notes:
-        out.write(f"# note: {note}\n")
-    out.write(f"verified\t{str(ok).lower()}\torder\t{order}\n")
+    if args.format == "json":
+        report = {"notes": list(bl.notes), "order": str(order), "verified": ok,
+                  "parts": [{"multiplicity": n, "part": p} for p, n in rows]}
+        json.dump(report, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        _emit_rows(rows, ("part", "multiplicity"), args.format, out)
+        for note in bl.notes:
+            out.write(f"# note: {note}\n")
+        out.write(f"verified\t{str(ok).lower()}\torder\t{order}\n")
     return EXIT_OK if ok else EXIT_INVALID
 
 

@@ -1,22 +1,24 @@
 """Exact truncated q-series and the graded dimensions they carry.
 
-A series lives on the exponent grid (1/D)Z with a truncation order:
-coefficients are exact rationals stored as integers over a common
-positive scale, so products reduce to integer convolutions.  Exponents
-are never negative here, which keeps truncation exact: every stored
-coefficient of a sum or product is the true coefficient.
+A series lives on the exponent grid (1/D)Z with a truncation order and
+integer coefficients: each is a theta count, an inverse Euler product or
+a graded dimension.  Exponents are never negative here, which keeps
+truncation exact: every stored coefficient of a sum or product is the
+true coefficient.
 
 Characters are graded dimensions in true conformal weights, without any
 central-charge prefactor, so direct sums add and tensor products
 multiply as literal series identities.  Every untwisted character is
 (w theta phi^(-d) + t psi^(-d)) / 2, from the theta of the label's coset,
 the plain and the sign-alternating inverse Euler products and the (w, t)
-that THETA_PSI gives the label's kind.
+that THETA_PSI gives the label's kind.  The one division is halved(),
+which refuses an odd coefficient; each caller says why its sum is even.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,45 +27,43 @@ from .sectors import LabelKind, ModuleLabel, label_coset
 
 
 class QSeries:
-    """Truncated series with rational coefficients on the grid (1/denom)Z.
+    """Truncated series with integer coefficients on the grid (1/denom)Z.
 
     Immutable by convention: arithmetic returns new instances and the
     internal table is never handed out.  Exponent e carries coefficient
-    nums[e * denom] / scale; all stored exponents are < order.
+    nums[e * denom]; no zero is stored and all stored exponents are < order.
+    halved() is the only division, and it refuses an odd coefficient.
     """
 
-    __slots__ = ("denom", "order_key", "scale", "nums")
+    __slots__ = ("denom", "order_key", "nums")
 
-    def __init__(self, denom: int, order_key: int, scale: int, nums: dict[int, int]):
+    def __init__(self, denom: int, order_key: int, nums: dict[int, int]):
         self.denom = denom
         self.order_key = order_key
-        self.scale = scale
         self.nums = nums
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def zero(denom: int, order: Fraction) -> "QSeries":
-        return QSeries(denom, _key(order, denom), 1, {})
+        return QSeries(denom, _key(order, denom), {})
 
     @staticmethod
-    def from_terms(denom: int, order: Fraction, terms: dict[Fraction, Fraction]) -> "QSeries":
+    def from_terms(denom: int, order: Fraction, terms: dict[Fraction, int]) -> "QSeries":
         order_key = _key(order, denom)
-        scale = 1
-        for c in terms.values():
-            c = Fraction(c)
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
         nums: dict[int, int] = {}
         for e, c in terms.items():
             e, c = Fraction(e), Fraction(c)
+            if c.denominator != 1:
+                raise ValueError(f"coefficient {c} of q^{e} is not an integer")
             if c == 0:
                 continue
             k = e * denom
             if k.denominator != 1:
                 raise ValueError(f"exponent {e} is not on the grid 1/{denom}")
             if int(k) < order_key:
-                nums[int(k)] = int(c * scale)
-        return QSeries(denom, order_key, scale, nums)._normalized()
+                nums[int(k)] = int(c)
+        return QSeries(denom, order_key, nums)
 
     # -- views --------------------------------------------------------------
 
@@ -71,40 +71,35 @@ class QSeries:
     def order(self) -> Fraction:
         return Fraction(self.order_key, self.denom)
 
-    def coeff(self, e) -> Fraction:
+    def coeff(self, e) -> int:
         k = Fraction(e) * self.denom
         if k.denominator != 1:
-            return Fraction(0)
-        return Fraction(self.nums.get(int(k), 0), self.scale)
+            return 0
+        return self.nums.get(int(k), 0)
 
-    def terms(self) -> dict[Fraction, Fraction]:
-        return {
-            Fraction(k, self.denom): Fraction(v, self.scale)
-            for k, v in sorted(self.nums.items())
-        }
+    def terms(self) -> dict[Fraction, int]:
+        return {Fraction(k, self.denom): v for k, v in sorted(self.nums.items())}
 
-    def leading(self) -> tuple[Fraction, Fraction] | None:
+    def leading(self) -> tuple[Fraction, int] | None:
         """(exponent, coefficient) of the lowest term, or None if zero."""
         if not self.nums:
             return None
         k = min(self.nums)
-        return Fraction(k, self.denom), Fraction(self.nums[k], self.scale)
+        return Fraction(k, self.denom), self.nums[k]
 
     def is_zero(self) -> bool:
         return not self.nums
 
     def __eq__(self, other) -> bool:
-        # every constructor leaves a series normalized (no zero entry, scale
-        # coprime to the entries), so on one grid equal series store equal integers
+        # no constructor stores a zero, so on one grid equal series store equal integers
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = _align(self, other)
-        return a.order_key == b.order_key and a.scale == b.scale and a.nums == b.nums
+        return a.order_key == b.order_key and a.nums == b.nums
 
     def __hash__(self):
         # grid-free, as equality aligns grids
-        return hash((self.order, self.scale,
-                     frozenset((Fraction(k, self.denom), v) for k, v in self.nums.items())))
+        return hash((self.order, frozenset((Fraction(k, self.denom), v) for k, v in self.nums.items())))
 
     def __repr__(self) -> str:
         parts = [f"{c}*q^{e}" for e, c in list(self.terms().items())[:6]]
@@ -115,56 +110,43 @@ class QSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _normalized(self) -> "QSeries":
-        nums = {k: v for k, v in self.nums.items() if v != 0}
-        if not nums:
-            return QSeries(self.denom, self.order_key, 1, {})
-        g = self.scale
-        for v in nums.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = {k: v // g for k, v in nums.items()}
-            return QSeries(self.denom, self.order_key, self.scale // g, nums)
-        return QSeries(self.denom, self.order_key, self.scale, nums)
-
     def rescale(self, denom: int) -> "QSeries":
         if denom == self.denom:
             return self
         if denom % self.denom:
             raise ValueError("new grid must refine the old one")
         f = denom // self.denom
-        return QSeries(denom, self.order_key * f, self.scale,
-                       {k * f: v for k, v in self.nums.items()})
+        return QSeries(denom, self.order_key * f, {k * f: v for k, v in self.nums.items()})
 
     def truncate(self, order: Fraction) -> "QSeries":
         key = _key(order, self.denom)
         if key > self.order_key:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.denom, key, self.scale,
-                       {k: v for k, v in self.nums.items() if k < key})._normalized()
+        return QSeries(self.denom, key, {k: v for k, v in self.nums.items() if k < key})
 
     def __add__(self, other: "QSeries") -> "QSeries":
         a, b = _align(self, other)
         order_key = min(a.order_key, b.order_key)
-        scale = a.scale * b.scale // math.gcd(a.scale, b.scale)
-        fa, fb = scale // a.scale, scale // b.scale
-        nums = {k: v * fa for k, v in a.nums.items() if k < order_key}
+        nums = {k: v for k, v in a.nums.items() if k < order_key}
         for k, v in b.nums.items():
             if k < order_key:
-                nums[k] = nums.get(k, 0) + v * fb
-        return QSeries(a.denom, order_key, scale, nums)._normalized()
+                nums[k] = nums.get(k, 0) + v
+        return QSeries(a.denom, order_key, {k: v for k, v in nums.items() if v})
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scaled(-1)
 
-    def scaled(self, c) -> "QSeries":
-        c = Fraction(c)
-        if c == 0:
-            return QSeries(self.denom, self.order_key, 1, {})
-        nums = {k: v * c.numerator for k, v in self.nums.items()}
-        return QSeries(self.denom, self.order_key, self.scale * c.denominator, nums)._normalized()
+    def scaled(self, c: int) -> "QSeries":
+        c = operator.index(c)
+        return QSeries(self.denom, self.order_key, {k: v * c for k, v in self.nums.items()} if c else {})
+
+    def halved(self) -> "QSeries":
+        """The series over 2.  Each caller halves a sum of two series that
+        agree mod 2, so an odd coefficient is a bug: AssertionError."""
+        for k, v in self.nums.items():
+            if v % 2:
+                raise AssertionError(f"odd coefficient {v} of q^{Fraction(k, self.denom)} cannot be halved")
+        return QSeries(self.denom, self.order_key, {k: v // 2 for k, v in self.nums.items()})
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         a, b = _align(self, other)
@@ -181,7 +163,7 @@ class QSeries:
                 if k2 >= lim:
                     break
                 nums[k1 + k2] = nums.get(k1 + k2, 0) + v1 * v2
-        return QSeries(a.denom, order_key, a.scale * b.scale, nums)._normalized()
+        return QSeries(a.denom, order_key, {k: v for k, v in nums.items() if v})
 
     def shifted(self, e) -> "QSeries":
         """Multiply by q^e; the truncation order moves with the terms."""
@@ -191,8 +173,7 @@ class QSeries:
             denom = self.denom * k.denominator
             return self.rescale(denom).shifted(e)
         k = int(k)
-        return QSeries(self.denom, self.order_key + k, self.scale,
-                       {kk + k: v for kk, v in self.nums.items()})
+        return QSeries(self.denom, self.order_key + k, {kk + k: v for kk, v in self.nums.items()})
 
 
 def _key(order, denom: int) -> int:
@@ -248,7 +229,7 @@ def euler_product_inv(
         for _ in range(d):
             for k in range(e, size):
                 c[k] += sign * c[k - e]
-    return QSeries(denom, order_key, 1, {k * denom // unit: v for k, v in enumerate(c) if v})
+    return QSeries(denom, order_key, {k * denom // unit: v for k, v in enumerate(c) if v})
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +254,7 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
                 raise ValueError(f"exponent {Fraction(S, 2 * scale)} is not on the grid 1/{denom}")
             if k < order_key:
                 nums[k] = n
-    return QSeries(denom, order_key, 1, nums)
+    return QSeries(denom, order_key, nums)
 
 
 # ch(m) = (w theta phi^(-d) + t psi^(-d)) / 2 over the theta of m's coset: the
@@ -303,7 +284,9 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
         return QSeries.zero(denom, order)
     halves_minus = euler_product_inv(d, inner, denom, half_integer=True)
     halves_plus = euler_product_inv(d, inner, denom, alternating=True, half_integer=True)
-    combo = (halves_minus + halves_plus.scaled(m.sign)).scaled(Fraction(m.char.dim_t, 2))
+    # (1 + q^(1/2))^(-1) is (1 - q^(1/2))^(-1) at -q^(1/2): the two products'
+    # coefficients of q^(j/2) differ by (-1)^j, so their sum and difference are even
+    combo = (halves_minus + halves_plus.scaled(m.sign)).halved().scaled(m.char.dim_t)
     return combo.shifted(shift)
 
 
@@ -327,7 +310,9 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
             continue
         for k, n in theta_coset(L, lam, order, denom).nums.items():
             twice[k] = twice.get(k, 0) + w * n
-    total = QSeries(denom, _key(order, denom), 1, twice) * euler_product_inv(L.rank, order, denom)
+    total = QSeries(denom, _key(order, denom), twice) * euler_product_inv(L.rank, order, denom)
     if psi_weight:
         total = total + euler_product_inv(L.rank, order, denom, alternating=True).scaled(psi_weight)
-    return total.scaled(Fraction(1, 2))
+    # even term by term: phi^(-d) = psi^(-d) mod 2; v -> -v pairs the vectors of
+    # a coset but for 0 in L, so theta_L = 1 and a C coset's theta = 0 mod 2; w_U = 2
+    return total.halved()

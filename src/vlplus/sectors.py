@@ -262,20 +262,20 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         except ValueError as e:
             raise ValueError(f"label {text!r}: {e}")
         if len(coords) != L.rank:
-            raise ValueError(f"label has {len(coords)} coordinates, lattice rank is {L.rank}")
+            raise ValueError(f"label {text!r}: has {len(coords)} coordinates, lattice rank is {L.rank}")
         if any(sum(g * x for g, x in zip(row, coords)).denominator != 1 for row in L.gram):
             raise ValueError(f"label {text!r}: coordinates are not a dual vector (G v is not integral)")
         if kind == "U":
             if text[close + 1:]:
-                raise ValueError("untwisted labels carry no sign")
+                raise ValueError(f"label {text!r}: untwisted labels carry no sign")
             c = orbit_element(L, coords)
             if coset_two_torsion(L, c):
-                raise ValueError("coset is self-paired; use a signed C label")
+                raise ValueError(f"label {text!r}: coset is self-paired; use a signed C label")
             return ModuleLabel(LabelKind.UNTWISTED, coset=c)
         sign = _parse_sign(text)
         c = coset_element(L, coords)
         if not coset_two_torsion(L, c) or coset_is_trivial(c):
-            raise ValueError("C labels require a nonzero self-paired coset")
+            raise ValueError(f"label {text!r}: C labels require a nonzero self-paired coset")
         return coset_label(L, c, sign)
     if kind == "T" and text[1:2] == "[":
         digits, chars = text[2:close], central_characters(L)

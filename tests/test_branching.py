@@ -412,7 +412,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
         ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
                                      not any(two_mu))) % 4
         if ratio % 2:
-            notes.append(f"imaginary involution ratio on class {c.rep}; reported +")
+            notes.append(f"imaginary involution ratio on class [{','.join(map(str, c.rep))}]; reported +")
         sigma = sign if ratio % 2 or ratio == 0 else -sign
         parts.append(SubmodulePart(coset_labels(sub, c)[sigma == -1]))
     return parts, notes
@@ -551,7 +551,7 @@ def rank1_m1_branch(k: int, m, order) -> QSeries:
     if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
         psi_inv = euler_product_inv(1, order, denom, alternating=True)
         sign = 1 if m.kind == LabelKind.VAC_PLUS else -1
-        total = (phi_inv + psi_inv.scaled(sign)).scaled(Fraction(1, 2))
+        total = (phi_inv + psi_inv.scaled(sign)).halved()
         mm = 1
         while Fraction(k) * mm * mm < order:
             total = total + phi_inv.shifted(Fraction(k) * mm * mm).truncate(order)
@@ -580,7 +580,7 @@ def rank1_m1_branch(k: int, m, order) -> QSeries:
     h_minus = euler_product_inv(1, inner, denom, half_integer=True)
     h_plus = euler_product_inv(1, inner, denom, alternating=True, half_integer=True)
     sign = 1 if m.sign == 1 else -1
-    return (h_minus + h_plus.scaled(sign)).scaled(Fraction(1, 2)).shifted(Fraction(1, 16))
+    return (h_minus + h_plus.scaled(sign)).halved().shifted(Fraction(1, 16))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

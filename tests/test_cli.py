@@ -166,6 +166,52 @@ def test_decompose_explicit_basis(tmp_path, capsys):
     assert "verified\ttrue" in out
 
 
+# a C parent over an index-2 sublattice whose self-paired classes both
+# have an imaginary involution ratio
+A2_RANK3 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 4]]
+NOTED = ["decompose", "--module", "C[1/2,1/2,1/2]+", "--sublattice", "[[1,0,0],[1,2,0],[1,1,1]]",
+         "--order", "2"]
+
+
+def test_decompose_notes_name_the_class_in_label_coordinates(tmp_path, capsys):
+    gram = write_gram(tmp_path, A2_RANK3)
+    code, out, _ = run_cli(capsys, [NOTED[0], "--gram", gram, *NOTED[1:]])
+    assert code == EXIT_OK
+    assert out == (
+        "part\tmultiplicity\n"
+        "C[0,0,1/2]+\t1\n"
+        "C[1/2,1/2,1/2]+\t1\n"
+        "# note: imaginary involution ratio on class [0,0,1/2]; reported +\n"
+        "# note: imaginary involution ratio on class [1/2,1/2,1/2]; reported +\n"
+        "verified\ttrue\torder\t2\n"
+    )
+
+
+@pytest.mark.parametrize("gram,argv,report", [
+    (A2_RANK3, NOTED[1:], {
+        "notes": ["imaginary involution ratio on class [0,0,1/2]; reported +",
+                  "imaginary involution ratio on class [1/2,1/2,1/2]; reported +"],
+        "order": "2",
+        "parts": [{"multiplicity": 1, "part": "C[0,0,1/2]+"},
+                  {"multiplicity": 1, "part": "C[1/2,1/2,1/2]+"}],
+        "verified": True,
+    }),
+    (D24, ["--module", "V-", "--sublattice", "orthogonal-base", "--order", "5/2"], {
+        "notes": [],
+        "order": "5/2",
+        "parts": [{"multiplicity": 1, "part": "V+ (x) V-"},
+                  {"multiplicity": 1, "part": "V- (x) V+"}],
+        "verified": True,
+    }),
+])
+def test_decompose_json_is_one_object(tmp_path, capsys, gram, argv, report):
+    path = write_gram(tmp_path, gram)
+    code, out, _ = run_cli(capsys, ["decompose", "--gram", path, "--format", "json", *argv])
+    assert code == EXIT_OK
+    assert json.loads(out) == report
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_certify_roundtrip(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     cert_path = tmp_path / "cert.json"
@@ -503,6 +549,12 @@ DET36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]  # sublat
     ("T[1]+", "character index 1 out of range (have 1)"),
     ("T[" + "9" * 5000 + "]+", "out of range (have 1)"),
     ("T[0]", "expected sign suffix + or -, got ''"),
+    # well-formed dual coordinates that no label of that kind takes
+    ("U[1/3,-1/3]+", "untwisted labels carry no sign"),
+    ("U[0,0]", "coset is self-paired; use a signed C label"),
+    ("C[0,0]+", "C labels require a nonzero self-paired coset"),
+    ("C[1/3,-1/3]+", "C labels require a nonzero self-paired coset"),
+    ("U[1/3]", "has 1 coordinates, lattice rank is 2"),
 ])
 @pytest.mark.parametrize("command", ["char", "decompose"])
 def test_label_off_the_dual_lattice_exits_two(tmp_path, capsys, label, named, command):

@@ -54,10 +54,10 @@ from .sectors import (
     central_characters,
     character_values,
     coset_labels,
+    format_coords,
     label_coset,
     label_sign,
     twisted_label,
-    _coords_str,
 )
 
 
@@ -98,7 +98,6 @@ class BranchList:
 
     parent_lattice: EvenLattice
     parent: ModuleLabel
-    route: str  # "orthogonal" | "sublattice"
     parts: tuple[BranchPart, ...] = ()
     sublattice: EvenLattice | None = None
     factors: tuple[EvenLattice, ...] | None = None
@@ -129,7 +128,7 @@ def branch_orthogonal(L: EvenLattice, m: ModuleLabel) -> BranchList:
     """
     if not L.is_diagonal():
         raise NotOrthogonalBase("orthogonal branching needs a diagonal Gram matrix")
-    return BranchList(parent_lattice=L, parent=m, route="orthogonal", factors=_factors(L),
+    return BranchList(parent_lattice=L, parent=m, factors=_factors(L),
                       choices=frame_choices(orthogonal_sublattice(L), m))
 
 
@@ -220,7 +219,7 @@ def branch_sublattice(
                 unit_g = (unit_g + 2) % 4
         ratio = (unit_g - local_unit(c)) % 4
         if ratio % 2 == 1:
-            notes.append(f"imaginary involution ratio on class [{_coords_str(c.rep)}]; reported +")
+            notes.append(f"imaginary involution ratio on class [{format_coords(c.rep)}]; reported +")
             sigma = parent_sign
         else:
             sigma = parent_sign * (1 if ratio == 0 else -1)
@@ -246,7 +245,6 @@ def branch_sublattice(
     return BranchList(
         parent_lattice=L,
         parent=m,
-        route="sublattice",
         parts=tuple(parts),
         sublattice=sub,
         notes=tuple(notes),

@@ -17,9 +17,13 @@ m1 splits, and records the first rule that applies:
 A rule is recorded only when its hypothesis is decided exactly; an
 Unknown never counts as vanishing.  If no rule applies the pair is
 reported in the unknown list and the verdict is Incomplete, so the
-procedure is falsifiable by construction.  The verdict, pair-to-rule
-map and all counts are independent of the cocycle normalization and of
-the square-root branch; those conventions only move sign metadata.
+procedure is falsifiable by construction.
+
+No rule reads the 2-cocycle normalization or the square-root branch
+that lift the involution: the algebra and its modules do not depend on
+them, so neither is an input.  The v1 metadata still records the
+defaults (cocycle_mode "upper", root_branch "1"), and verification
+also accepts "lower" and "-1", which older writers could record.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from .branching import frame_choices, sublattice_part_count
-from .lattice import Convention, EvenLattice, orthogonal_sublattice
+from .lattice import EvenLattice, orthogonal_sublattice
 from .qseries import series_denominator
 from .sectors import (
     LabelKind,
@@ -147,7 +151,7 @@ class ExtCertificate:
         return "".join((before, '\n  "pairs": [\n', ",\n".join(records), "\n  ],", after, "\n"))
 
     def rule_map(self) -> dict[tuple[str, str], str]:
-        """Pair-to-rule-name view, the convention-independent core."""
+        """Pair-to-rule-name view: the rule path each justified pair records."""
         return {(a, b): _rule_path(j) for a, b, j in self.pairs}
 
 
@@ -342,11 +346,7 @@ def _first_applying(chain, ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     return None
 
 
-def certify(
-    L: EvenLattice,
-    convention: Convention = Convention(),
-    disabled: frozenset = frozenset(),
-) -> ExtCertificate:
+def certify(L: EvenLattice, *, disabled: frozenset = frozenset()) -> ExtCertificate:
     """Certificate over all ordered pairs of irreducible labels.
 
     Deterministic: identical Gram matrices yield byte-identical output.
@@ -376,8 +376,8 @@ def certify(
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
         ("denominator", str(series_denominator(L))),
-        ("cocycle_mode", convention.cocycle_mode),
-        ("root_branch", str(convention.root_branch)),
+        ("cocycle_mode", "upper"),
+        ("root_branch", "1"),
         ("rule_order", RULE_ORDER),
     )
     return ExtCertificate(

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .branching import branch_orthogonal, branch_sublattice, verify_branch
+from .branching import SubmodulePart, TensorPart, branch_orthogonal, branch_sublattice, verify_branch
 from .certify import (
     ALL_RULES,
     VERDICT_RATIONAL,
@@ -32,7 +32,6 @@ from .certify import (
 )
 from .fusion import SignOracle, fusion_dim
 from .lattice import (
-    Convention,
     LatticeError,
     discriminant_group,
     mod_two_data,
@@ -44,6 +43,7 @@ from .qseries import character, series_denominator
 from .sectors import (
     classify_modules,
     contragredient,
+    format_coords,
     format_label,
     lowest_weight,
     parse_label,
@@ -103,16 +103,12 @@ def _load_oracle(path: str | None) -> SignOracle:
                 raise CliError(f'oracle table {path}: "{key}" entry "{entry}" is not 1 or -1')
 
     def pi(lam, two_mu):
-        return pi_table.get(_coords_key(lam) + "|" + _coords_key(two_mu))
+        return pi_table.get(format_coords(lam) + "|" + format_coords(two_mu))
 
     def c(chi, lam):
-        return c_table.get(f"{chi.index}|" + _coords_key(lam))
+        return c_table.get(f"{chi.index}|" + format_coords(lam))
 
     return SignOracle(pi=pi if pi_table else None, c=c if c_table else None)
-
-
-def _coords_key(coords) -> str:
-    return ",".join(str(Fraction(x)) for x in coords)
 
 
 def _emit_rows(rows, header, fmt, out):
@@ -283,8 +279,6 @@ def _parse_basis(data, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _part_str(p) -> str:
-    from .branching import SubmodulePart, TensorPart
-
     if isinstance(p, SubmodulePart):
         return format_label(p.label)
     if isinstance(p, TensorPart):
@@ -296,6 +290,9 @@ def _part_str(p) -> str:
 def cmd_certify(args, out):
     L = _load_gram(args.gram)
     if args.verify:
+        given = [flag for flag, v in (("--out", args.out), ("--disable-rule", args.disable_rule)) if v]
+        if given:
+            raise CliError(f"--verify re-checks a certificate file and takes no {' or '.join(given)}")
         try:
             with open(args.verify) as fh:
                 cert = load_certificate(fh.read())
@@ -308,9 +305,7 @@ def cmd_certify(args, out):
             return EXIT_INCOMPLETE
         out.write("certificate verified\n")
         return EXIT_OK
-    convention = Convention(cocycle_mode=args.cocycle, root_branch=args.root_branch)
-    disabled = frozenset(args.disable_rule or [])
-    cert = certify(L, convention=convention, disabled=disabled)
+    cert = certify(L, disabled=frozenset(args.disable_rule or []))
     text = cert.dumps()
     if args.out:
         try:
@@ -397,8 +392,6 @@ def build_parser(default_order: str, default_format: str, default_jobs: str) -> 
                     help="accepted for compatibility; certify runs in one process")
     sp.add_argument("--disable-rule", action="append", choices=ALL_RULES,
                     help="drop a rule from the chain (falsifiability hook)")
-    sp.add_argument("--cocycle", choices=("upper", "lower"), default="upper")
-    sp.add_argument("--root-branch", type=int, choices=(1, -1), default=1)
     sp.set_defaults(func=cmd_certify)
     return p
 

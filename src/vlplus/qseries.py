@@ -71,24 +71,8 @@ class QSeries:
     def order(self) -> Fraction:
         return Fraction(self.order_key, self.denom)
 
-    def coeff(self, e) -> int:
-        k = Fraction(e) * self.denom
-        if k.denominator != 1:
-            return 0
-        return self.nums.get(int(k), 0)
-
     def terms(self) -> dict[Fraction, int]:
         return {Fraction(k, self.denom): v for k, v in sorted(self.nums.items())}
-
-    def leading(self) -> tuple[Fraction, int] | None:
-        """(exponent, coefficient) of the lowest term, or None if zero."""
-        if not self.nums:
-            return None
-        k = min(self.nums)
-        return Fraction(k, self.denom), self.nums[k]
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __eq__(self, other) -> bool:
         # no constructor stores a zero, so on one grid equal series store equal integers
@@ -132,9 +116,6 @@ class QSeries:
             if k < order_key:
                 nums[k] = nums.get(k, 0) + v
         return QSeries(a.denom, order_key, {k: v for k, v in nums.items() if v})
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + other.scaled(-1)
 
     def scaled(self, c: int) -> "QSeries":
         c = operator.index(c)

@@ -237,10 +237,15 @@ def format_label(m: ModuleLabel) -> str:
     if m.kind == LabelKind.VAC_MINUS:
         return "V-"
     if m.kind == LabelKind.UNTWISTED:
-        return f"U[{_coords_str(m.coset.rep)}]"
+        return f"U[{format_coords(m.coset.rep)}]"
     if m.kind == LabelKind.COSET:
-        return f"C[{_coords_str(m.coset.rep)}]{_sign_str(m.sign)}"
+        return f"C[{format_coords(m.coset.rep)}]{_sign_str(m.sign)}"
     return f"T[{m.char.index}]{_sign_str(m.sign)}"
+
+
+def format_coords(coords) -> str:
+    """Exact coordinates joined by commas, as labels, notes and sign-oracle keys write them."""
+    return ",".join(str(c) for c in coords)
 
 
 def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
@@ -317,6 +322,3 @@ def _parse_sign(text: str) -> int:
 def _sign_str(sign: int) -> str:
     return "+" if sign == 1 else "-"
 
-
-def _coords_str(coords) -> str:
-    return ",".join(str(c) for c in coords)

@@ -5,14 +5,17 @@ the captured output); any failure is a hard assert.  All comparisons
 are exact rational equality; there are no tolerance knobs anywhere.
 """
 
-import json
+import inspect
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from conftest import A1, A2, D22, D24, D224, CERT_GRAMS, TEST_GRAMS, box_enumerate, lat
 from test_lattice import enumerate_coset_vectors
-from vlplus.branching import branch_orthogonal, branch_sublattice, verify_branch
+from vlplus.branching import SubmodulePart, branch_orthogonal, branch_sublattice, verify_branch
 from vlplus.certify import (
     ALL_RULES,
     VERDICT_INCOMPLETE,
@@ -105,9 +108,9 @@ def test_acceptance_3_zhu_dictionary():
     for gram in TEST_GRAMS:
         L = lat(gram)
         for m in classify_modules(L):
-            lead = character(L, m, order).leading()
-            assert lead is not None
-            e, c = lead
+            terms = character(L, m, order).terms()
+            assert terms, (gram, str(m))
+            e, c = min(terms.items())
             assert e == lowest_weight(L, m), (gram, str(m))
             assert c == top_level_dimension(L, m), (gram, str(m))
     report(3, "character leading data equals (lowest weight, top dimension) at order 12")
@@ -300,25 +303,33 @@ def test_acceptance_8_rationality_certificates():
 
 # 9 -------------------------------------------------------------------------
 
-def normalized(cert) -> str:
-    data = cert.to_json()
-    data["metadata"] = {
-        k: v
-        for k, v in data["metadata"].items()
-        if k not in ("cocycle_mode", "root_branch")
-    }
-    return json.dumps(data, sort_keys=True, indent=2)
-
-
 def test_acceptance_9_convention_independence():
+    # the cocycle and root-branch conventions act only where signs are
+    # computed: a sublattice branching's C signs.  certify reads none.
+    assert "convention" not in inspect.signature(certify).parameters
+    with pytest.raises(TypeError):
+        certify(lat(A2), Convention())
+    conventions = [Convention(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
+
+    def sign_blind(part):
+        if isinstance(part, SubmodulePart) and part.label.kind == LabelKind.COSET:
+            return replace(part.label, sign=None)
+        return part
+
+    branchings = flipped = 0
     for gram in CERT_GRAMS:
         L = lat(gram)
-        baseline = certify(L, Convention())
-        base_norm = normalized(baseline)
-        base_map = baseline.rule_map()
-        for mode, branch in (("lower", 1), ("upper", -1), ("lower", -1)):
-            other = certify(L, Convention(cocycle_mode=mode, root_branch=branch))
-            assert other.rule_map() == base_map, (gram, mode, branch)
-            assert normalized(other) == base_norm, (gram, mode, branch)
-    report(9, "alternate cocycle and root-branch conventions give byte-identical "
-              "normalized certificates")
+        basis = orthogonal_sublattice(L).basis
+        for m in classify_modules(L):
+            bls = [branch_sublattice(L, basis, m, c) for c in conventions]
+            branchings += len(bls)
+            for bl in bls:
+                assert verify_branch(bl, F(4)), (gram, str(m), bl.parts)
+                assert bl.notes == bls[0].notes, (gram, str(m))
+                assert list(map(sign_blind, bl.parts)) == list(map(sign_blind, bls[0].parts)), (
+                    gram, str(m))
+            flipped += len({bl.parts for bl in bls}) > 1
+    assert flipped, "no convention moved a C sign, so the check above shows nothing"
+    report(9, f"{branchings} sublattice branchings under four conventions verify with equal "
+              f"notes and equal parts up to C signs ({flipped} labels flip one); certify "
+              "takes no convention")

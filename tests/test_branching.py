@@ -160,7 +160,6 @@ def test_corrupted_branch_fails_verification():
     corrupted = BranchList(
         parent_lattice=bl.parent_lattice,
         parent=bl.parent,
-        route=bl.route,
         parts=bl.parts[:-1],  # drop a summand
         factors=bl.factors,
     )
@@ -168,7 +167,6 @@ def test_corrupted_branch_fails_verification():
     swapped = BranchList(
         parent_lattice=bl.parent_lattice,
         parent=VAC_MINUS,  # wrong parent
-        route=bl.route,
         parts=bl.parts,
         factors=bl.factors,
     )
@@ -483,8 +481,8 @@ def test_orthogonal_parts_are_derived_from_choices():
     bl = branch_orthogonal(L, VAC_PLUS)
     assert len(bl.choices) == 3 and len(bl.parts) == 4
     with pytest.raises(ValueError):
-        BranchList(parent_lattice=L, parent=VAC_PLUS, route="orthogonal", parts=bl.parts,
-                   factors=bl.factors, choices=bl.choices)
+        BranchList(parent_lattice=L, parent=VAC_PLUS, parts=bl.parts, factors=bl.factors,
+                   choices=bl.choices)
 
 
 def test_two_stage_consistency_character_level():

@@ -1,6 +1,8 @@
+import hashlib
 import json
+import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from conftest import A1, A2, D24, D224, CERT_GRAMS, E6, E8, TEST_GRAMS, even_grams, lat
 from vlplus.branching import sublattice_part_count
 from vlplus.fusion import admissible_triple
-from vlplus.lattice import Convention, coset_element, orthogonal_sublattice, zero_coset
+from vlplus.lattice import coset_element, orthogonal_sublattice, zero_coset
 from vlplus.certify import (
     ALL_RULES,
     CITATIONS,
@@ -436,29 +438,6 @@ def test_deleted_rule_reports_the_expected_pairs():
 
 
 # ---------------------------------------------------------------------------
-# convention independence
-# ---------------------------------------------------------------------------
-
-def normalized_dump(cert):
-    data = cert.to_json()
-    data["metadata"] = {
-        k: v for k, v in data["metadata"].items() if k not in ("cocycle_mode", "root_branch")
-    }
-    return json.dumps(data, sort_keys=True, indent=2)
-
-
-def test_certificates_independent_of_conventions():
-    for gram in CERT_GRAMS:
-        L = lat(gram)
-        base = certify(L, Convention())
-        for mode in ("upper", "lower"):
-            for branch in (1, -1):
-                other = certify(L, Convention(cocycle_mode=mode, root_branch=branch))
-                assert other.rule_map() == base.rule_map(), (gram, mode, branch)
-                assert normalized_dump(other) == normalized_dump(base)
-
-
-# ---------------------------------------------------------------------------
 # re-verification catches tampering
 # ---------------------------------------------------------------------------
 
@@ -575,7 +554,7 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
         "metadata removed": (mutant(lambda c: c.pop("metadata")), [keys, not_object]),
         "extra key": (mutant(lambda c: c.update(extra=1)), [keys]),
     }
-    from vlplus.cli import EXIT_INCOMPLETE, main
+    from vlplus.cli import EXIT_INCOMPLETE, EXIT_OK, main
 
     gram_path = tmp_path / "gram.json"
     gram_path.write_text(json.dumps({"gram": [[2, 0], [0, 6]]}))
@@ -586,9 +565,12 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys):
         assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) \
             == EXIT_INCOMPLETE, name
         assert capsys.readouterr().out == "".join(f"problem\t{p}\n" for p in problems), name
-    lower = certify(L, convention=Convention("lower", -1)).to_json()
-    assert lower["metadata"]["root_branch"] == "-1"
+    # older writers could record the other convention values; such a file still verifies
+    lower = mutant(lambda c: c["metadata"].update(cocycle_mode="lower", root_branch="-1"))
     assert verify_certificate(L, lower) == []
+    cert_path.write_text(json.dumps(lower))
+    assert main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)]) == EXIT_OK
+    assert capsys.readouterr().out == "certificate verified\n"
 
     # a pair may be counted once only, in pairs or in unknown, and every
     # unknown entry names two labels; the verdict is made to match
@@ -759,9 +741,6 @@ def test_rule_chain_respects_disabled_rules_and_order(gram):
                 for step, applies in order:
                     assert applies(ctx, m1, m2) is None, (gram, off, a, b, step)
             assert verify_certificate(L, cert.to_json()) == [], (gram, off)
-            lower = certify(L, Convention("lower", -1), disabled=disabled)
-            assert lower.rule_map() == cert.rule_map(), (gram, off)
-            assert verify_certificate(L, lower.to_json()) == [], (gram, off)
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -795,20 +774,17 @@ LADDER_GRAMS = [
 
 
 def assert_dumps_is_the_reference(L):
-    variants = [(Convention(), frozenset()), (Convention("lower", -1), frozenset()),
-                (Convention(), frozenset(ALL_RULES))]
-    variants += [(Convention(), frozenset({rule})) for rule in ALL_RULES]
-    for convention, disabled in variants:
-        cert = certify(L, convention, disabled=disabled)
+    variants = [frozenset(), frozenset(ALL_RULES)] + [frozenset({rule}) for rule in ALL_RULES]
+    for disabled in variants:
+        cert = certify(L, disabled=disabled)
         if disabled == frozenset(ALL_RULES):
             assert not cert.pairs and len(cert.unknown) == len(cert.labels) ** 2
         reference = json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
-        assert first_difference(cert.dumps(), reference) is None, (
-            L.gram, convention, sorted(disabled))
+        assert first_difference(cert.dumps(), reference) is None, (L.gram, sorted(disabled))
         # equal justifications are one object, so dumps() encodes each value once
         justifications = [j for _, _, j in cert.pairs]
         assert len(set(map(id, justifications))) == len(set(justifications)), (
-            L.gram, convention, sorted(disabled))
+            L.gram, sorted(disabled))
 
 
 def first_difference(text, reference):
@@ -844,3 +820,125 @@ def test_dumps_and_gap_table_on_generated_grams(gram):
     L = lat(gram)
     assert_dumps_is_the_reference(L)
     assert_gap_table_is_the_rule(L)
+
+
+# ---------------------------------------------------------------------------
+# pinned certificate bytes
+# ---------------------------------------------------------------------------
+
+DIAG26 = [[2, 0], [0, 6]]
+
+# sha256 of certify(L, disabled=...).dumps() in format v1: a change that
+# moves these bytes is a format change and updates them on purpose
+PINNED_DIGESTS = {
+    "A2": ([[2, -1], [-1, 2]], (),
+           "284da2d9f3c0976816a2eea7a400a57efce663b1f484ee2999ed2bafa7f30928"),
+    "A2 as [[2,1],[1,2]]": (A2, (),
+                            "f058e2535524b946ebe166dd32876678bf4d9f5764057e889ac1672175d9c56f"),
+    "D4": (LADDER_GRAMS[1], (),
+           "1f8c12b462a24c99bb7d51c9cf2026509c7305e9fc8883d871e0c903971ee4ac"),
+    "E6": (E6, (), "21038343ad542d9fa24468183022d0e0f63adb1463a103b51e74977a999712fd"),
+    "det36": (DET36, (), "bc35a6b8cd6cb0c97f80026d01a4d2cfd2cedc4599a7fce2977aea8e43ff51bd"),
+    "diag(2,6)": (DIAG26, (), "04d6959a02ca769aa4a63d9cf7b120306738b3dfb783bcffd55e691e9b37f33e"),
+    "skew diag(2,6)": ([[2, -2], [-2, 8]], (),
+                       "d173c6afeda14c1e7563b62e30684bfdf5fbafb1e203a08c8dcd83db3b8afce7"),
+    "A1^5": (LADDER_GRAMS[4], (),
+             "f361ee82eab70ce67e52bd16bb0a237a69b4c89643fbb8ea66511c47e11f4373"),
+    "diag(2,6) without WeightGap": (
+        DIAG26, (RULE_WEIGHT_GAP,),
+        "0e213e00e4162fe9c7d6d52c4fa3680728249915aa44682d86dbcdf0f73861d8"),
+    "diag(2,6) without FusionObstruction": (
+        DIAG26, (RULE_FUSION,),
+        "a39d67a47670502d3f514e05f327e2964daa6819fb1f5fcbac91701f9d8191d4"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_certificate_bytes_are_pinned(name):
+    gram, disabled, digest = PINNED_DIGESTS[name]
+    text = certify(lat(gram), disabled=frozenset(disabled)).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the verifier against every kind of record mutant
+# ---------------------------------------------------------------------------
+
+RECORD_KINDS = ("drop", "duplicate", "swap", "rename m1", "rename m2", "rule")
+MUTATION_KINDS = RECORD_KINDS + ("detail",)  # "detail": a 0 appended to one detail value
+# A2, then both FusionObstruction routes: orthogonal on diag(2,6), sublattice on det36
+SWEEP_GRAMS = {"A2": A2, "diag26": DIAG26, "det36": DET36}
+SWEEP_SAMPLE = 20  # mutants per kind and lattice; the whole product is 11,572 (about 70 s)
+
+
+def detail_paths(j, depth=0):
+    """(depth, key) of every detail value of a justification, inner ones included."""
+    paths = [(depth, key) for key in j["detail"]]
+    return paths + (detail_paths(j["inner"], depth + 1) if "inner" in j else [])
+
+
+def record_mutations(cert):
+    """(kind, record index, detail path) of every record mutant that can
+    never be valid; a swap of equal labels, equal to the original, is left out."""
+    for i, record in enumerate(cert["pairs"]):
+        for kind in RECORD_KINDS:
+            if kind != "swap" or record["m1"] != record["m2"]:
+                yield kind, i, None
+        for path in detail_paths(record["justification"]):
+            yield "detail", i, path
+
+
+def mutate_record(cert, kind, i, path):
+    """Apply one mutation of record_mutations to cert, in place."""
+    pairs = cert["pairs"]
+    record = pairs[i]
+    if kind == "drop":
+        del pairs[i]
+    elif kind == "duplicate":
+        pairs.insert(i, record)
+    elif kind == "swap":
+        record["m1"], record["m2"] = record["m2"], record["m1"]
+    elif kind in ("rename m1", "rename m2"):
+        record[kind[-2:]] = "X[0]"
+    elif kind == "rule":
+        record["justification"]["rule"] = "NoSuchRule"
+    else:
+        depth, key = path
+        j = record["justification"]
+        for _ in range(depth):
+            j = j["inner"]
+        j["detail"][key] += "0"
+
+
+@pytest.mark.parametrize("name", SWEEP_GRAMS)
+def test_verifier_rejects_a_sample_of_every_record_mutant(tmp_path, capsys, name):
+    # a derandomized sample of every kind; the first of each kind also goes
+    # through the CLI, which must exit 3 with problem lines only
+    from vlplus.cli import EXIT_INCOMPLETE, main
+
+    gram = SWEEP_GRAMS[name]
+    L = lat(gram)
+    text = certify(L).dumps()
+    original = json.loads(text)
+    by_kind = defaultdict(list)
+    for mutation in record_mutations(original):
+        by_kind[mutation[0]].append(mutation)
+    assert set(by_kind) == set(MUTATION_KINDS), name
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps({"gram": gram}))
+    cert_path = tmp_path / "mutant.cert"
+    rng = random.Random(name)
+    for kind in MUTATION_KINDS:
+        sample = rng.sample(by_kind[kind], min(SWEEP_SAMPLE, len(by_kind[kind])))
+        for n, (_, i, path) in enumerate(sample):
+            cert = json.loads(text)
+            mutate_record(cert, kind, i, path)
+            assert cert != original, (name, kind, i, path)
+            assert verify_certificate(L, cert), (name, kind, i, path)
+            if n == 0:
+                cert_path.write_text(json.dumps(cert))
+                code = main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)])
+                out, err = capsys.readouterr()
+                assert (code, err) == (EXIT_INCOMPLETE, ""), (name, kind, err)
+                lines = out.splitlines()
+                assert lines and all(line.startswith("problem\t") for line in lines), (name, kind)

@@ -250,6 +250,38 @@ def test_certify_verify_rejects_wrong_lattice(tmp_path, capsys):
     assert "problem" in out
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--out", "written.json"], "--out"),
+        (["--disable-rule", "WeightGap"], "--disable-rule"),
+        (["--disable-rule", "Vacuum", "--out", "written.json"], "--out or --disable-rule"),
+    ],
+)
+def test_certify_verify_refuses_out_and_disable_rule(tmp_path, capsys, flags, named):
+    # --verify only reads a file: a flag that would write one or change the
+    # rule chain is a conflict, not something to ignore
+    gram = write_gram(tmp_path, [[2, 0], [0, 6]])
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, ["certify", "--gram", gram, "--out", str(cert_path)])[0] == EXIT_OK
+    written = tmp_path / "written.json"
+    flags = [str(written) if f == "written.json" else f for f in flags]
+    code, out, err = run_cli(capsys, ["certify", "--gram", gram, "--verify", str(cert_path)] + flags)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: --verify re-checks a certificate file and takes no {named}\n"
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("flags", [["--cocycle", "lower"], ["--root-branch", "-1"]])
+def test_certify_has_no_convention_flags(tmp_path, capsys, flags):
+    # no certify rule reads a convention, so certify takes none
+    gram = write_gram(tmp_path, A2)
+    with pytest.raises(SystemExit) as e:
+        main(["certify", "--gram", gram] + flags)
+    assert e.value.code == EXIT_INVALID
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # error paths with exact exit codes
 # ---------------------------------------------------------------------------

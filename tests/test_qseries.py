@@ -152,17 +152,17 @@ def test_series_equality_is_grid_free_and_exact():
 def test_series_no_zero_coefficients_stored():
     a = QSeries.from_terms(2, F(3), {F(1): F(1), F(2): F(0)})
     assert a.terms() == {F(1): F(1)}
-    b = a - a
-    assert b.is_zero() and b == QSeries.zero(2, F(3))
+    b = a + a.scaled(-1)
+    assert b.terms() == {} and b == QSeries.zero(2, F(3))
 
 
 def test_series_mixed_grid_operations():
     a = QSeries.from_terms(2, F(2), {F(1, 2): F(1)})
     b = QSeries.from_terms(16, F(2), {F(1, 16): 3})
     s = a + b
-    assert s.coeff(F(1, 2)) == 1 and s.coeff(F(1, 16)) == 3
+    assert s.terms() == {F(1, 16): 3, F(1, 2): 1}
     p = a * b
-    assert p.coeff(F(9, 16)) == 3
+    assert p.terms() == {F(9, 16): 3}
 
 
 def test_series_truncation_orders():
@@ -229,7 +229,7 @@ def test_euler_product_alternating_matches_explicit_expansion():
     s = euler_product_inv(1, F(6), 1, alternating=True)
     for n in range(6):
         _, signed = multipartition_counts(F(n), [F(k) for k in range(1, n + 1)], 1)
-        assert s.coeff(F(n)) == signed
+        assert s.terms().get(F(n), 0) == signed
     # frozen values from the expansion: 1 - q + 0q^2 - q^3 + q^4 - q^5
     assert s.terms() == {F(0): F(1), F(1): F(-1), F(3): F(-1), F(4): F(1), F(5): F(-1)}
 
@@ -239,7 +239,7 @@ def test_euler_product_multicolor_matches_oracle():
         s = euler_product_inv(d, F(5), 1)
         for n in range(5):
             total, _ = multipartition_counts(F(n), [F(k) for k in range(1, n + 1)], d)
-            assert s.coeff(F(n)) == total
+            assert s.terms().get(F(n), 0) == total
 
 
 def test_euler_product_half_integer_matches_oracle():
@@ -249,7 +249,7 @@ def test_euler_product_half_integer_matches_oracle():
         for twice_n in range(8):
             n = F(twice_n, 2)
             total, signed = multipartition_counts(n, sizes, d)
-            assert s.coeff(n) == (signed if alt else total)
+            assert s.terms().get(n, 0) == (signed if alt else total)
 
 
 def test_euler_product_degree_zero():
@@ -334,8 +334,8 @@ def partition_numbers(n):
 def test_euler_product_partition_numbers_to_order_200():
     p = partition_numbers(200)
     assert (p[100], p[199]) == (190569292, 3646072432125)
-    s = euler_product_inv(1, F(200), 1)
-    assert [s.coeff(n) for n in range(200)] == p
+    terms = euler_product_inv(1, F(200), 1).terms()
+    assert [terms.get(n, 0) for n in range(200)] == p
 
 
 def test_euler_product_inverts_the_pentagonal_series():
@@ -420,7 +420,7 @@ def test_character_twisted_leading_exponent():
     L = lat(A1)
     labels = [m for m in classify_modules(L) if m.kind == LabelKind.TWISTED]
     minus = [m for m in labels if m.sign == -1][0]
-    e, c = character(L, minus, F(2)).leading()
+    e, c = min(character(L, minus, F(2)).terms().items())
     assert e == F(9, 16) and c == 1
 
 
@@ -429,7 +429,7 @@ def test_character_untwisted_leading_is_delta_size():
     for m in classify_modules(L):
         if m.kind != LabelKind.UNTWISTED:
             continue
-        e, c = character(L, m, F(4)).leading()
+        e, c = min(character(L, m, F(4)).terms().items())
         from vlplus.lattice import delta_set
 
         assert c == len(delta_set(L, m.coset))
@@ -447,7 +447,7 @@ def test_characters_match_state_count_oracle():
             w0 = lowest_weight(L, m)
             w = w0
             while w < order:
-                assert ch.coeff(w) == state_count_dimension(gram, m, w), (gram, str(m), w)
+                assert ch.terms().get(w, 0) == state_count_dimension(gram, m, w), (gram, str(m), w)
                 w += F(1, 2) if m.kind == LabelKind.TWISTED else F(1, 4)
 
 
@@ -472,7 +472,7 @@ def test_vacuum_characters_sum_to_full_algebra(gram):
     phi_inv = euler_product_inv(L.rank, order, denom)
     plus, minus = character(L, VAC_PLUS, order), character(L, VAC_MINUS, order)
     assert plus + minus == full_lattice_character(L, order)
-    assert plus - minus == euler_product_inv(L.rank, order, denom, alternating=True)
+    assert plus + minus.scaled(-1) == euler_product_inv(L.rank, order, denom, alternating=True)
     for m in classify_modules(L):
         full = theta_coset(L, m.coset, order, denom) * phi_inv if m.coset else None
         if m.kind == LabelKind.COSET and m.sign == 1:
@@ -502,15 +502,13 @@ def test_every_character_has_integer_coefficients(gram):
     for m in classify_modules(L):
         ch = character(L, m, F(6))
         assert all(type(c) is int for c in ch.terms().values()), (gram, str(m))
-        lead = ch.leading()
-        assert lead is None or type(lead[1]) is int
 
 
 def test_zhu_dictionary_leading_data():
     for gram in TEST_GRAMS:
         L = lat(gram)
         for m in classify_modules(L):
-            e, c = character(L, m, F(3)).leading()
+            e, c = min(character(L, m, F(3)).terms().items())
             assert e == lowest_weight(L, m)
             assert c == top_level_dimension(L, m)
 

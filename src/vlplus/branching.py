@@ -5,22 +5,24 @@ orthogonal base (diagonal Gram only), and over the fixed-point algebra
 of a full-rank sublattice.  An orthogonal branching is a structure: the
 rank-one labels each factor offers (frame_choices, on any index-one
 orthogonal frame), plus a parity, the parent's sign, that a part's
-signs must multiply to.  Its parts are that product expanded, and its
-character is checked in factored form, with the products of leading
-factor sums cached across branchings.  A sublattice branching walks
-the classes of (lambda + L)/L' in integers, one walk per +- pair, and
+signs must multiply to.  Its parts, one label per factor, are that
+product expanded for printing; its character is checked in factored
+form, with the products of leading factor sums cached across
+branchings.  A sublattice branching walks the classes of
+(lambda + L)/L' in integers, one walk per +- pair, and
 sublattice_part_count gives its part count from the Smith form alone.
-Its character is checked by one coset_character_sum over every untwisted
-part, V+- included: the parts' thetas summed in integers under one Euler
-product of the sublattice; a part whose coset's least norm reaches twice
-the order adds no theta there and is not walked.  Every decomposition is
-verified by an exact character identity, which is the normative check:
-for a nonzero self-paired coset the two signed modules have equal
-characters, so the sign chosen for such a part is reported as
-convention-dependent metadata, computed from the involution coefficient
-on the canonical lowest-weight vector.
+Its parts are labels over the sublattice, and its character is one
+coset_character_sum over all of them, V+- included: the parts' thetas
+summed in integers under one Euler product of the sublattice; a part
+whose coset's least norm reaches twice the order adds no theta there
+and is not walked.  Every decomposition is verified by an exact
+character identity, which is the normative check: for a nonzero
+self-paired coset the two signed modules have equal characters, so the
+sign chosen for such a part is reported as convention-dependent
+metadata, computed from the involution coefficient on the canonical
+lowest-weight vector.
 
-Twisted parents over a sublattice branch into abstract placeholders
+Twisted parents over a sublattice branch into one abstract block
 carrying only sign and multiplicity; the census of the finer twisted
 characters is not pinned down by the branching data, but the dimension
 bookkeeping (and hence the character identity) is.
@@ -47,7 +49,7 @@ from .lattice import (
     sublattice_classes,
     validate_even_lattice,
 )
-from .qseries import QSeries, character, coset_character_sum, series_denominator
+from .qseries import QSeries, character, coset_character_sum
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -62,20 +64,6 @@ from .sectors import (
 
 
 @dataclass(frozen=True)
-class SubmodulePart:
-    """One irreducible over the sublattice fixed-point algebra."""
-
-    label: ModuleLabel
-
-
-@dataclass(frozen=True)
-class TensorPart:
-    """One tensor product of rank-one labels over the orthogonal factors."""
-
-    labels: tuple[ModuleLabel, ...]
-
-
-@dataclass(frozen=True)
 class TwistedBlockPart:
     """Abstract twisted summands: only sign and total multiplicity are known."""
 
@@ -83,7 +71,8 @@ class TwistedBlockPart:
     multiplicity: int
 
 
-BranchPart = SubmodulePart | TensorPart | TwistedBlockPart
+# a label over the sublattice, one label per orthogonal factor, or a twisted block
+BranchPart = ModuleLabel | tuple[ModuleLabel, ...] | TwistedBlockPart
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,10 @@ class BranchList:
     An orthogonal branching is given by choices (the labels factor i
     offers) and the parent's sign; parts is derived from them here, as
     the combinations whose signs multiply to the parent's (all of them
-    for an orbit parent), so it is never passed alongside choices.
+    for an orbit parent), so it is never passed alongside choices.  Any
+    other branching is over a sublattice, and its parts are untwisted
+    labels or a single twisted block: the two shapes branch_sublattice
+    makes, and the two that branch_character computes.
     """
 
     parent_lattice: EvenLattice
@@ -108,11 +100,18 @@ class BranchList:
         if self.choices is not None:
             if self.parts:
                 raise ValueError("an orthogonal branching derives its parts from its choices")
+            if self.factors is None or len(self.factors) != len(self.choices):
+                raise ValueError("an orthogonal branching needs one factor per choice")
             sign = label_sign(self.parent)
             object.__setattr__(self, "parts", tuple(
-                TensorPart(combo) for combo in product(*self.choices)
+                combo for combo in product(*self.choices)
                 if sign is None or prod(map(label_sign, combo)) == sign
             ))
+        elif self.sublattice is None:
+            raise ValueError("a branching without choices needs a sublattice")
+        elif not (all(isinstance(p, ModuleLabel) and p.kind != LabelKind.TWISTED for p in self.parts)
+                  or len(self.parts) == 1 and isinstance(self.parts[0], TwistedBlockPart)):
+            raise ValueError("a sublattice branching's parts are untwisted labels or one twisted block")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def branch_sublattice(
         two_mu = tuple(exact_int(2 * x) for x in c.rep)
         return _root_unit(eps_1(two_mu, two_mu), convention.root_branch, not any(two_mu))
 
-    def signed_part(parent_sign: int, lam: CosetElement, c: CosetElement) -> SubmodulePart:
+    def signed_part(parent_sign: int, lam: CosetElement, c: CosetElement) -> ModuleLabel:
         # involution coefficient of the parent module on the canonical
         # vector of the class, divided by the local one
         two_lam = tuple(exact_int(2 * x) for x in lam.rep)
@@ -223,7 +222,7 @@ def branch_sublattice(
             sigma = parent_sign
         else:
             sigma = parent_sign * (1 if ratio == 0 else -1)
-        return SubmodulePart(coset_labels(sub, c)[sigma == -1])
+        return coset_labels(sub, c)[sigma == -1]
 
     parts: list[BranchPart] = []
     if m.kind == LabelKind.TWISTED:
@@ -237,7 +236,7 @@ def branch_sublattice(
         for c, self_paired in sublattice_classes(S, lam.rep):
             if not self_paired:
                 # c is already the smaller rep of the orbit {x, -x}
-                parts.append(SubmodulePart(ModuleLabel(LabelKind.UNTWISTED, coset=c)))
+                parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
             elif sign is None:
                 raise AssertionError("orbit parent cannot meet a self-paired class")
             else:
@@ -271,21 +270,6 @@ def sublattice_part_count(S: Sublattice, m: ModuleLabel) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def part_character(bl: BranchList, p: BranchPart, order: Fraction) -> QSeries:
-    order = Fraction(order)
-    if isinstance(p, SubmodulePart):
-        return character(bl.sublattice, p.label, order)
-    if isinstance(p, TensorPart):
-        out = None
-        for lat1, lab in zip(bl.factors, p.labels):
-            ch = character(lat1, lab, order)
-            out = ch if out is None else out * ch
-        return out
-    chi0 = central_characters(bl.sublattice)[0]
-    single = character(bl.sublattice, twisted_label(chi0, p.sign), order)
-    return single.scaled(p.multiplicity)
-
-
 @lru_cache(maxsize=None)
 def _factor_product(factors: tuple[EvenLattice, ...], choices: tuple[tuple[ModuleLabel, ...], ...],
                     order: Fraction, signed: bool) -> QSeries:
@@ -312,11 +296,11 @@ def branch_character(bl: BranchList, order) -> QSeries:
     orbit parent, (prod_i A_i + s prod_i B_i) / 2 for a parent of sign s,
     with A_i = sum ch(l) and B_i = sum sign(l) ch(l) over factor i's
     choices: a combination of sign product t counts (1 + s t) / 2 times.
-    Otherwise every untwisted part, V+- included, enters one
-    coset_character_sum over the sublattice: ch = (sum w theta phi^(-d) +
-    sum t psi^(-d)) / 2, the thetas summed in integers under one Euler
-    product; twisted blocks and the tensor parts of a hand-built BranchList
-    go through part_character one by one.
+    A sublattice branching of an untwisted parent is one
+    coset_character_sum over its labels, V+- included: ch = (sum w theta
+    phi^(-d) + sum t psi^(-d)) / 2, the thetas summed in integers under one
+    Euler product; a twisted parent's single block is its multiplicity
+    times the character of T[0] of that sign over the sublattice.
     """
     order = Fraction(order)
     if bl.choices is not None:
@@ -328,16 +312,11 @@ def branch_character(bl: BranchList, order) -> QSeries:
         # A_i - B_i is twice the sum over factor i's minus labels, so the
         # two products agree mod 2
         return (a + signed.scaled(sign)).halved()
-    total = QSeries.zero(series_denominator(bl.parent_lattice), order)
-    labels = []
-    for p in bl.parts:
-        if isinstance(p, SubmodulePart):
-            labels.append(p.label)
-        else:
-            total = total + part_character(bl, p, order)
-    if labels:
-        total = total + coset_character_sum(bl.sublattice, labels, order)
-    return total
+    if bl.parts and isinstance(bl.parts[0], TwistedBlockPart):
+        block = bl.parts[0]
+        chi0 = central_characters(bl.sublattice)[0]
+        return character(bl.sublattice, twisted_label(chi0, block.sign), order).scaled(block.multiplicity)
+    return coset_character_sum(bl.sublattice, bl.parts, order)
 
 
 def verify_branch(bl: BranchList, order) -> bool:

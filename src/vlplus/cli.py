@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .branching import SubmodulePart, TensorPart, branch_orthogonal, branch_sublattice, verify_branch
+from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
 from .certify import (
     ALL_RULES,
     VERDICT_RATIONAL,
@@ -223,7 +223,7 @@ def cmd_fusion(args, out):
             m1, m2, m3 = (parse_label(L, s) for s in t)
             ans = fusion_dim(L, m1, m2, m3, oracle)
         except ValueError as e:
-            raise CliError(str(e))
+            raise CliError(f"batch entry {i}: {e}" if args.batch else str(e))
         value = ans.value if ans.value != "unknown" else f"unknown ({ans.reason})"
         rows.append((t[0], t[1], t[2], value))
     _emit_rows(rows, ("m1", "m2", "m3", "fusion"), args.format, out)
@@ -279,12 +279,12 @@ def _parse_basis(data, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _part_str(p) -> str:
-    if isinstance(p, SubmodulePart):
-        return format_label(p.label)
-    if isinstance(p, TensorPart):
-        return " (x) ".join(format_label(l) for l in p.labels)
-    sign = "+" if p.sign == 1 else "-"
-    return f"twisted-block[{sign}]x{p.multiplicity}"
+    if isinstance(p, tuple):
+        return " (x) ".join(map(format_label, p))
+    if isinstance(p, TwistedBlockPart):
+        sign = "+" if p.sign == 1 else "-"
+        return f"twisted-block[{sign}]x{p.multiplicity}"
+    return format_label(p)
 
 
 def cmd_certify(args, out):

@@ -176,17 +176,11 @@ def fusion_dim(
     nu = label_coset(L, m3)
     if not admissible_triple(L, lam, mu, nu):
         return ZERO
-    orbit2 = m2.kind == LabelKind.UNTWISTED
-    orbit3 = m3.kind == LabelKind.UNTWISTED
-    if m1.kind == LabelKind.UNTWISTED:
-        # self-paired pairs cannot form an admissible triple with an
-        # orbit-type first slot, so every admissible case is One
+    # with an orbit first slot, m2 and m3 are never both self-paired (2 lam
+    # would lie in L); with a self-paired one, 2 mu lies in L iff 2 nu does.
+    # So only an all-self-paired triple reaches the sign rows
+    if m1.kind == LabelKind.UNTWISTED or m2.kind == LabelKind.UNTWISTED:
         return ONE
-    if orbit2 and orbit3:
-        return ONE
-    if orbit2 != orbit3:
-        # mixed torsion cannot be admissible with a self-paired first slot
-        return ZERO
     s1 = label_sign(m1)
     two_mu = tuple(2 * x for x in mu.rep)
     p = oracle.pi(lam.rep, two_mu) if oracle.pi is not None else None

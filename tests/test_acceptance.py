@@ -15,7 +15,7 @@ import pytest
 
 from conftest import A1, A2, D22, D24, D224, CERT_GRAMS, TEST_GRAMS, box_enumerate, lat
 from test_lattice import enumerate_coset_vectors
-from vlplus.branching import SubmodulePart, branch_orthogonal, branch_sublattice, verify_branch
+from vlplus.branching import branch_orthogonal, branch_sublattice, verify_branch
 from vlplus.certify import (
     ALL_RULES,
     VERDICT_INCOMPLETE,
@@ -32,6 +32,7 @@ from vlplus.lattice import (
 from vlplus.qseries import character
 from vlplus.sectors import (
     LabelKind,
+    ModuleLabel,
     VAC_MINUS,
     VAC_PLUS,
     classify_modules,
@@ -312,8 +313,8 @@ def test_acceptance_9_convention_independence():
     conventions = [Convention(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
 
     def sign_blind(part):
-        if isinstance(part, SubmodulePart) and part.label.kind == LabelKind.COSET:
-            return replace(part.label, sign=None)
+        if isinstance(part, ModuleLabel) and part.kind == LabelKind.COSET:
+            return replace(part, sign=None)
         return part
 
     branchings = flipped = 0

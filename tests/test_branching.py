@@ -1,5 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,14 +23,11 @@ from vlplus.lattice import (
 )
 from vlplus.branching import (
     BranchList,
-    SubmodulePart,
-    TensorPart,
     TwistedBlockPart,
     _root_unit,
     branch_character,
     branch_orthogonal,
     branch_sublattice,
-    part_character,
     sublattice_part_count,
     verify_branch,
 )
@@ -45,14 +44,26 @@ from vlplus.sectors import (
     label_coset,
     label_sign,
     lowest_weight,
+    twisted_label,
 )
 
 F = Fraction
 
 
-def tensor_signs(part: TensorPart):
+def part_character(bl: BranchList, p, order) -> QSeries:
+    """Oracle: one part's character, the term that branch_character sums in bulk."""
+    order = Fraction(order)
+    if isinstance(p, tuple):
+        return reduce(mul, (character(f, lab, order) for f, lab in zip(bl.factors, p)))
+    if isinstance(p, TwistedBlockPart):
+        chi0 = central_characters(bl.sublattice)[0]
+        return character(bl.sublattice, twisted_label(chi0, p.sign), order).scaled(p.multiplicity)
+    return character(bl.sublattice, p, order)
+
+
+def tensor_signs(part: tuple[ModuleLabel, ...]):
     out = []
-    for lab in part.labels:
+    for lab in part:
         if lab.kind in (LabelKind.VAC_PLUS, LabelKind.UNTWISTED):
             out.append(1 if lab.kind == LabelKind.VAC_PLUS else 0)
         elif lab.kind == LabelKind.VAC_MINUS:
@@ -75,11 +86,11 @@ def test_orthogonal_vacuum_parts_d22():
     L = lat(D22)
     plus = branch_orthogonal(L, VAC_PLUS)
     minus = branch_orthogonal(L, VAC_MINUS)
-    assert {p.labels for p in plus.parts} == {
+    assert set(plus.parts) == {
         (VAC_PLUS, VAC_PLUS),
         (VAC_MINUS, VAC_MINUS),
     }
-    assert {p.labels for p in minus.parts} == {
+    assert set(minus.parts) == {
         (VAC_PLUS, VAC_MINUS),
         (VAC_MINUS, VAC_PLUS),
     }
@@ -94,7 +105,7 @@ def test_orthogonal_orbit_parent_splits_trivial_factors():
     ][0]
     bl = branch_orthogonal(L, u)
     assert len(bl.parts) == 2
-    kinds = {tuple(l.kind for l in p.labels) for p in bl.parts}
+    kinds = {tuple(l.kind for l in p) for p in bl.parts}
     assert kinds == {
         (LabelKind.VAC_PLUS, LabelKind.UNTWISTED),
         (LabelKind.VAC_MINUS, LabelKind.UNTWISTED),
@@ -128,8 +139,8 @@ def test_orthogonal_twisted_characters_factor():
     for m in tw[:4]:
         bl = branch_orthogonal(L, m)
         for p in bl.parts:
-            assert all(l.kind == LabelKind.TWISTED for l in p.labels)
-            values = tuple(l.char.values[0] for l in p.labels)
+            assert all(l.kind == LabelKind.TWISTED for l in p)
+            values = tuple(l.char.values[0] for l in p)
             assert values == m.char.values
 
 
@@ -160,17 +171,22 @@ def test_corrupted_branch_fails_verification():
     corrupted = BranchList(
         parent_lattice=bl.parent_lattice,
         parent=bl.parent,
-        parts=bl.parts[:-1],  # drop a summand
         factors=bl.factors,
+        choices=(bl.choices[0][:-1],) + bl.choices[1:],  # drop a label from one factor
     )
     assert not verify_branch(corrupted, F(10))
+    # V+ and V- share their choices, so the wrong parent is a C label
+    wrong = next(m for m in classify_modules(L) if m.kind == LabelKind.COSET and m.sign == 1)
     swapped = BranchList(
         parent_lattice=bl.parent_lattice,
-        parent=VAC_MINUS,  # wrong parent
-        parts=bl.parts,
+        parent=wrong,
         factors=bl.factors,
+        choices=bl.choices,
     )
     assert not verify_branch(swapped, F(10))
+    sub = branch_sublattice(L, ((2, 0), (0, 2)), VAC_PLUS)
+    assert verify_branch(sub, F(10))
+    assert not verify_branch(replace(sub, parts=sub.parts[:-1]), F(10))  # drop a summand
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +205,7 @@ def test_corrupted_sublattice_branch_fails_verification():
     L = lat(D24)
     order = F(2)
     bl = branch_sublattice(L, ((2, 0), (0, 2)), VAC_PLUS)
-    weights = [lowest_weight(bl.sublattice, p.label) for p in bl.parts]
+    weights = [lowest_weight(bl.sublattice, p) for p in bl.parts]
     assert weights == [0, 1, 2, 3] and verify_branch(bl, order)
     below = bl.parts[1]
     assert not verify_branch(replace(bl, parts=bl.parts[:1] + bl.parts[2:]), order)
@@ -219,14 +235,14 @@ def test_factored_sublattice_sum_equals_expanded_sum(gram):
             assert branch_character(bl, order) == expanded, (gram, basis, str(m))
     # over 2L every nonzero class of L / 2L has norm >= 2: weight at or above 1
     bl = branch_sublattice(L, doubled, VAC_PLUS)
-    assert any(lowest_weight(bl.sublattice, p.label) >= order for p in bl.parts)
+    assert any(lowest_weight(bl.sublattice, p) >= order for p in bl.parts)
 
 
 def test_sublattice_vacuum_parts_a2():
     L, basis = a2_sublattice()
     bl = branch_sublattice(L, basis, VAC_PLUS)
     assert len(bl.parts) == 2
-    kinds = sorted(p.label.kind for p in bl.parts)
+    kinds = sorted(p.kind for p in bl.parts)
     assert kinds[0] in (LabelKind.VAC_PLUS,)
     assert kinds[1] == LabelKind.COSET
     assert verify_branch(bl, F(12))
@@ -240,13 +256,13 @@ def test_sublattice_vacuum_signs_complementary_a2():
 
     def coset_sign(bl):
         for p in bl.parts:
-            if p.label.kind == LabelKind.COSET:
-                return p.label.sign
+            if p.kind == LabelKind.COSET:
+                return p.sign
         raise AssertionError
 
     assert coset_sign(plus) == -coset_sign(minus)
     zero_kinds = {
-        p.label.kind for bl in (plus, minus) for p in bl.parts if p.label.kind != LabelKind.COSET
+        p.kind for bl in (plus, minus) for p in bl.parts if p.kind != LabelKind.COSET
     }
     assert zero_kinds == {LabelKind.VAC_PLUS, LabelKind.VAC_MINUS}
 
@@ -256,7 +272,7 @@ def test_sublattice_orbit_parent_a2():
     u = [m for m in classify_modules(L) if m.kind == LabelKind.UNTWISTED][0]
     bl = branch_sublattice(L, basis, u)
     assert len(bl.parts) == 2
-    assert all(p.label.kind == LabelKind.UNTWISTED for p in bl.parts)
+    assert all(p.kind == LabelKind.UNTWISTED for p in bl.parts)
     assert verify_branch(bl, F(12))
 
 
@@ -304,7 +320,7 @@ def test_sublattice_trivial_branching_is_identity():
         if m.kind == LabelKind.TWISTED:
             assert bl.parts == (TwistedBlockPart(sign=m.sign, multiplicity=1),)
         else:
-            assert bl.parts == (SubmodulePart(m),)
+            assert bl.parts == (m,)
 
 
 def test_sublattice_part_census_matches_quotient():
@@ -319,7 +335,7 @@ def test_sublattice_part_census_matches_quotient():
         bl = branch_sublattice(L, basis, m)
         total = 0
         for p in bl.parts:
-            if p.label.kind in (LabelKind.UNTWISTED,):
+            if p.kind in (LabelKind.UNTWISTED,):
                 is_orbit_pair = (
                     m.kind != LabelKind.UNTWISTED
                 )  # orbit parents list every class singly
@@ -364,9 +380,9 @@ def test_sublattice_part_count_and_constituent_classes(case):
             continue
         lam = zero if m.coset is None else m.coset.rep
         for p in bl.parts:
-            mu = zero if p.label.coset is None else S.to_parent(p.label.coset.rep)
+            mu = zero if p.coset is None else S.to_parent(p.coset.rep)
             assert any(all((x - s * y).denominator == 1 for x, y in zip(mu, lam))
-                       for s in (1, -1)), (str(m), str(p.label))
+                       for s in (1, -1)), (str(m), str(p))
 
 
 def residue(v, sign=1):
@@ -398,7 +414,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
         if not coset_two_torsion(sub, c):
             seen.add(residue(x))
             rep = min(c, coset_neg(sub, c), key=CosetElement.sort_key)
-            parts.append(SubmodulePart(ModuleLabel(LabelKind.UNTWISTED, coset=rep)))
+            parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=rep))
             continue
         zero = not any(two_lam)
         unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
@@ -412,7 +428,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
         if ratio % 2:
             notes.append(f"imaginary involution ratio on class [{','.join(map(str, c.rep))}]; reported +")
         sigma = sign if ratio % 2 or ratio == 0 else -sign
-        parts.append(SubmodulePart(coset_labels(sub, c)[sigma == -1]))
+        parts.append(coset_labels(sub, c)[sigma == -1])
     return parts, notes
 
 
@@ -436,7 +452,7 @@ def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
             assert parts_multiset(bl.parts) == parts_multiset(parts), (gram, str(m))
             assert set(bl.notes) == set(notes) and len(bl.notes) == len(notes), (gram, str(m))
             if m.kind != LabelKind.TWISTED:
-                reps = [p.label.coset or CosetElement(rep=(F(0),) * d, min_norm=F(0))
+                reps = [p.coset or CosetElement(rep=(F(0),) * d, min_norm=F(0))
                         for p in bl.parts]
                 assert reps == sorted(reps, key=CosetElement.sort_key)
 
@@ -485,6 +501,25 @@ def test_orthogonal_parts_are_derived_from_choices():
                    choices=bl.choices)
 
 
+def test_branch_list_refuses_shapes_that_no_route_makes():
+    # choices need one factor each; without choices a branching is over a
+    # sublattice, and its parts are untwisted labels or one twisted block
+    L = lat(D22)
+    tw = next(m for m in classify_modules(L) if m.kind == LabelKind.TWISTED)
+    block = TwistedBlockPart(sign=1, multiplicity=1)
+    tensor = branch_orthogonal(L, VAC_PLUS)
+    for factors in (None, tensor.factors[:1]):
+        with pytest.raises(ValueError, match="one factor per choice"):
+            BranchList(parent_lattice=L, parent=VAC_PLUS, factors=factors, choices=tensor.choices)
+    with pytest.raises(ValueError, match="needs a sublattice"):
+        BranchList(parent_lattice=L, parent=VAC_PLUS, parts=tensor.parts, factors=tensor.factors)
+    for parts in (tensor.parts, (VAC_PLUS, block), (block, block), (tw,)):
+        with pytest.raises(ValueError, match="untwisted labels or one twisted block"):
+            BranchList(parent_lattice=L, parent=VAC_PLUS, parts=parts, sublattice=L)
+    for parts in ((VAC_PLUS,), (block,), ()):
+        BranchList(parent_lattice=L, parent=VAC_PLUS, parts=parts, sublattice=L)
+
+
 def test_two_stage_consistency_character_level():
     # sublattice then orthogonal equals direct orthogonal, at character level
     L = lat(D24)
@@ -495,11 +530,9 @@ def test_two_stage_consistency_character_level():
         bl1 = branch_sublattice(L, sub_basis, m)
         direct = character(L, m, order)
         staged = None
-        from vlplus.branching import part_character
-
         for p in bl1.parts:
-            if isinstance(p, SubmodulePart):
-                bl2 = branch_orthogonal(bl1.sublattice, p.label)
+            if isinstance(p, ModuleLabel):
+                bl2 = branch_orthogonal(bl1.sublattice, p)
                 assert verify_branch(bl2, order)
             contrib = part_character(bl1, p, order)
             staged = contrib if staged is None else staged + contrib
@@ -513,7 +546,7 @@ def test_part_weights_dominate_parent():
             continue
         bl = branch_sublattice(L, basis, m)
         parent_w = lowest_weight(L, m)
-        part_ws = [lowest_weight(bl.sublattice, p.label) for p in bl.parts]
+        part_ws = [lowest_weight(bl.sublattice, p) for p in bl.parts]
         assert all(w >= parent_w for w in part_ws)
         assert parent_w in part_ws
 
@@ -524,7 +557,7 @@ def test_sign_metadata_flips_with_root_branch_but_verification_stands():
     b = branch_sublattice(L, basis, VAC_PLUS, Convention(root_branch=-1))
 
     def signs(bl):
-        return [p.label.sign for p in bl.parts if p.label.kind == LabelKind.COSET]
+        return [p.sign for p in bl.parts if p.kind == LabelKind.COSET]
 
     assert signs(a) == [-s for s in signs(b)]
     assert verify_branch(a, F(8)) and verify_branch(b, F(8))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, even_grams
+from conftest import A1, A2, D24, TEST_GRAMS, even_grams
 from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, build_parser, main
 from vlplus.lattice import validate_even_lattice
 from vlplus.sectors import classify_modules, format_label
@@ -210,6 +211,31 @@ def test_decompose_json_is_one_object(tmp_path, capsys, gram, argv, report):
     assert code == EXIT_OK
     assert json.loads(out) == report
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+DECOMPOSE_DIGEST = "8fd0bb97135b68131881aeee3d4adeeb9e047c8770c390c6331b2b6d540a6b05"
+
+
+def test_decompose_stdout_is_pinned_on_every_label(tmp_path, capsys):
+    """Every label of TEST_GRAMS over auto, 2I and (diagonal Grams) the
+    orthogonal base, tsv and json, at order 2: one digest of all stdout."""
+    digest, runs = hashlib.sha256(), 0
+    for gram in TEST_GRAMS:
+        L = validate_even_lattice(gram)
+        path = write_gram(tmp_path, gram)
+        two_i = json.dumps([[2 * (i == j) for j in range(L.rank)] for i in range(L.rank)])
+        routes = ["auto", two_i] + ["orthogonal-base"] * L.is_diagonal()
+        for name in map(format_label, classify_modules(L)):
+            for route in routes:
+                for fmt in ("tsv", "json"):
+                    argv = ["decompose", "--gram", path, "--module", name, "--sublattice", route,
+                            "--format", fmt, "--order", "2"]
+                    code, out, err = run_cli(capsys, argv)
+                    assert code == EXIT_OK and err == "", (gram, argv[4:])
+                    digest.update(f"{gram}\t{name}\t{route}\t{fmt}\n{out}".encode())
+                    runs += 1
+    assert runs == 858
+    assert digest.hexdigest() == DECOMPOSE_DIGEST
 
 
 def test_certify_roundtrip(tmp_path, capsys):
@@ -611,6 +637,22 @@ def test_malformed_batch_entry_exits_two(tmp_path, capsys, batch, entry):
     code, out, err = run_cli(capsys, ["fusion", "--gram", gram, "--batch", str(path)])
     assert code == EXIT_INVALID and out == ""
     assert err == f"error: batch entry {entry}\n"
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["T[0]+", "V+", "T[0]+"], "fusion with a twisted first argument is not among the supported rows"),
+    (["V+", "Q", "V+"], "unrecognized module label 'Q'"),
+])
+def test_batch_entry_errors_name_the_entry(tmp_path, capsys, bad, message):
+    gram = write_gram(tmp_path, [[2, 0], [0, 6]])
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([["V+", "V+", "V+"], bad]))
+    code, out, err = run_cli(capsys, ["fusion", "--gram", gram, "--batch", str(path)])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: batch entry 1: {message}\n"
+    # a single --triple has no entry to name
+    code, out, err = run_cli(capsys, ["fusion", "--gram", gram, "--triple", *bad])
+    assert code == EXIT_INVALID and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text", ["\xff\xfe[", "[" * 100000])

@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import A1, A2, D22, D24, lat
+from conftest import A1, A2, D22, D24, even_grams, lat
 from vlplus.lattice import coset_element, minimal_coset_reps
 from vlplus.fusion import (
     ONE,
@@ -23,6 +24,7 @@ from vlplus.sectors import (
     VAC_MINUS,
     VAC_PLUS,
     classify_modules,
+    label_coset,
     shift_character,
 )
 
@@ -225,6 +227,23 @@ def test_fusion_untwisted_rows_examples():
             )
             assert fusion_dim(L, u1, m2, m3) == expected
             assert fusion_dim(L, u1, m3, m2) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+def test_self_paired_first_slot_never_mixes_orbit_and_self_paired(gram):
+    """lam + mu + nu in L with 2 lam in L gives 2 mu in L iff 2 nu in L, so
+    an admissible triple with a self-paired first slot has m2 and m3 both
+    orbit labels or neither (the fusion row that reads only m2)."""
+    L = lat(gram)
+    untwisted = [m for m in classify_modules(L) if m.kind != LabelKind.TWISTED]
+    for m1 in untwisted:
+        if m1.kind == LabelKind.UNTWISTED:
+            continue
+        for m2, m3 in product(untwisted, repeat=2):
+            if admissible_triple(L, label_coset(L, m1), label_coset(L, m2), label_coset(L, m3)):
+                assert (m2.kind == LabelKind.UNTWISTED) == (m3.kind == LabelKind.UNTWISTED), (
+                    gram, m1, m2, m3)
 
 
 def test_fusion_vacuum_second_slot_requires_orbit_match():

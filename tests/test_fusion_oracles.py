@@ -18,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import lat
 from vlplus.branching import (
-    SubmodulePart,
     TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
@@ -34,6 +33,7 @@ from vlplus.lattice import coset_element, zero_coset
 from vlplus.sectors import (
     CentralCharacter,
     LabelKind,
+    ModuleLabel,
     VAC_PLUS,
     central_characters,
     character_values,
@@ -76,7 +76,7 @@ def orthogonal_oracle(ctx, m1, m2):
                 total += 1
                 answers = [
                     rank1_fusion(k, a, b, c)
-                    for k, a, b, c in zip(ks, n.labels, n2.labels, n1.labels)
+                    for k, a, b, c in zip(ks, n, n2, n1)
                 ]
                 if tensor_fusion(answers) != ZERO:
                     return None
@@ -90,13 +90,13 @@ def sublattice_parts(ctx, m):
 
 def part_is_twisted(p) -> bool:
     """A sublattice part is twisted iff it is a placeholder block or a twisted label."""
-    return isinstance(p, TwistedBlockPart) or p.label.kind == LabelKind.TWISTED
+    return isinstance(p, TwistedBlockPart) or p.kind == LabelKind.TWISTED
 
 
 def part_coset(sub, p):
-    if p.label.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
+    if p.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
         return zero_coset(sub)
-    return p.label.coset
+    return p.coset
 
 
 def sublattice_oracle(ctx, m1, m2):
@@ -106,7 +106,7 @@ def sublattice_oracle(ctx, m1, m2):
     parts_v, parts2, parts1 = (sublattice_parts(ctx, m) for m in (VAC_PLUS, m2, m1))
     total = zero_parity = zero_adm = 0
     for n in parts_v:
-        assert isinstance(n, SubmodulePart) and not part_is_twisted(n)
+        assert isinstance(n, ModuleLabel) and not part_is_twisted(n)
         for n2 in parts2:
             for n1 in parts1:
                 total += 1

@@ -152,8 +152,8 @@ def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkey
     order = Fraction(2)
     bl = branch_sublattice(L, orthogonal_sublattice(L).basis, VAC_PLUS)
     sub = bl.sublattice
-    vacuum = [p for p in bl.parts if p.label.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS)]
-    below = sum(p.label.coset is None or p.label.coset.min_norm < 2 * order for p in bl.parts)
+    vacuum = [p for p in bl.parts if p.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS)]
+    below = sum(p.coset is None or p.coset.min_norm < 2 * order for p in bl.parts)
     assert vacuum and below < len(bl.parts)
     phi_inv = euler_product_inv(sub.rank, order, series_denominator(sub))
     theta_coset.cache_clear()

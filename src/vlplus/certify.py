@@ -126,33 +126,48 @@ class ExtCertificate:
         """json.dumps(self.to_json(), sort_keys=True, indent=2) and a final
         newline, byte for byte.
 
-        Each distinct justification object is encoded once (WeightGap
-        pairs share one per weight pair) and its continuation lines are
-        indented to the depth of a pair record; the records are joined
-        and spliced into the encoding of the rest of the document.
+        _encode writes that layout directly.  Each distinct justification
+        object is encoded once (WeightGap pairs share one per weight pair)
+        at the depth of a pair record; the records are joined and spliced
+        into the encoding of the rest of the document.
         """
-        head = json.dumps(replace(self, pairs=()).to_json(), sort_keys=True, indent=2)
+        head = _encode(replace(self, pairs=()).to_json(), "\n")
         if not self.pairs:
             return head + "\n"
-        fragments: dict[int, str] = {}
-        quoted = {a: json.dumps(a) for a in self.labels}
-        records = []
-        for a, b, j in self.pairs:
-            frag = fragments.get(id(j))
-            if frag is None:
-                frag = json.dumps(j.to_json(), sort_keys=True, indent=2).replace("\n", "\n      ")
-                fragments[id(j)] = frag
-            qa, qb = quoted.get(a) or json.dumps(a), quoted.get(b) or json.dumps(b)
-            records.append(f'    {{\n      "justification": {frag},\n'
-                           f'      "m1": {qa},\n      "m2": {qb}\n    }}')
+        fragments = {k: _encode(j.to_json(), "\n      ")
+                     for k, j in {id(j): j for _, _, j in self.pairs}.items()}
+        quoted = _OnDemand(_quote)
+        records = [f'    {{\n      "justification": {fragments[id(j)]},\n'
+                   f'      "m1": {quoted[a]},\n      "m2": {quoted[b]}\n    }}'
+                   for a, b, j in self.pairs]
         # a key at depth one is the only place an unescaped quote can
         # follow a newline and two spaces, so the marker is unique
         before, after = head.split('\n  "pairs": [],', 1)
-        return "".join((before, '\n  "pairs": [\n', ",\n".join(records), "\n  ],", after, "\n"))
+        records[0] = before + '\n  "pairs": [\n' + records[0]
+        records[-1] += "\n  ]," + after + "\n"
+        return ",\n".join(records)
 
     def rule_map(self) -> dict[tuple[str, str], str]:
         """Pair-to-rule-name view: the rule path each justified pair records."""
         return {(a, b): _rule_path(j) for a, b, j in self.pairs}
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for strings, integers,
+    lists and string-keyed objects, each line break written as newline
+    (a line break and the enclosing indent)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
 
 
 def _rule_path(j: ExtJustification) -> str:
@@ -163,20 +178,33 @@ def _rule_path(j: ExtJustification) -> str:
     return f"{j.rule}({_rule_path(j.inner)})"
 
 
+class _OnDemand(dict):
+    """A dict that fills a missing key with fill(key) on its first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
-    names, duals, the WeightGap table over weight ids, the orthogonal
-    sublattice, the one FusionObstruction route it makes live, and each
-    label's constituents over that route's subalgebra."""
+    names, the WeightGap table over weight ids, the orthogonal
+    sublattice, the one FusionObstruction route it makes live, and, filled
+    per label on first lookup, duals and each label's constituents over
+    that route's subalgebra (only labels of pairs WeightGap leaves open)."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
         self.labels = classify_modules(L)
         self.names = [format_label(m) for m in self.labels]
-        self.duals = {m: contragredient(L, m) for m in self.labels}
+        self.duals = _OnDemand(partial(contragredient, L))
         # weight_ids[i] numbers the exact lowest weight of labels[i], keyed
         # by (numerator, denominator): Fraction and label hashes run in Python
         ids: dict[tuple[int, int], int] = {}
+        self.weights = []
         self.weight_reps: list[ModuleLabel] = []
         self.weight_ids = []
         for m in self.labels:
@@ -184,6 +212,7 @@ class _Context:
             key = (w.numerator, w.denominator)
             if key not in ids:
                 ids[key] = len(self.weight_reps)
+                self.weights.append(w)
                 self.weight_reps.append(m)
             self.weight_ids.append(ids[key])
         self.sub = orthogonal_sublattice(L)
@@ -193,7 +222,7 @@ class _Context:
         # there is no orthogonal frame, and the algebra has constituents
         # outside the complete rank-one rows
         self.route = "orthogonal" if self.sub.index == 1 else "sublattice"
-        self.constituents = {m: self._constituents(m) for m in self.labels}
+        self.constituents = _OnDemand(self._constituents)
 
     def _constituents(self, m: ModuleLabel) -> tuple:
         """(key, parity, parts): m's constituents over the live route's subalgebra.
@@ -217,12 +246,14 @@ class _Context:
     def gaps(self) -> list[list[ExtJustification | None]]:
         """gaps[w1][w2] is weight_gap_rule on labels of weight ids w1, w2.
 
-        The rule reads only the two lowest weights, so one call per
-        ordered pair of weights (on representative labels) decides every
-        pair of labels, and pairs of equal weights share one object.
+        The rule reads only the two lowest weights, so the table decides
+        every pair of labels: weight_gap_rule is called (on representative
+        labels) only for the pairs of weights whose gap is zero or not an
+        integer, and pairs of equal weights share one object.
         """
-        reps = self.weight_reps
-        return [[weight_gap_rule(self, a, b) for b in reps] for a in reps]
+        reps, weights = self.weight_reps, self.weights
+        return [[weight_gap_rule(self, a, b) if w1 == w2 or (w1 - w2).denominator != 1 else None
+                 for b, w2 in zip(reps, weights)] for a, w1 in zip(reps, weights)]
 
     @cached_property
     def gap_json(self) -> list[list[dict | None]]:
@@ -338,14 +369,6 @@ def _chain(disabled: frozenset, route: str) -> list:
     return chain
 
 
-def _first_applying(chain, ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
-    for rule in chain:
-        j = rule(ctx, m1, m2)
-        if j is not None:
-            return j
-    return None
-
-
 def certify(L: EvenLattice, *, disabled: frozenset = frozenset()) -> ExtCertificate:
     """Certificate over all ordered pairs of irreducible labels.
 
@@ -367,7 +390,7 @@ def certify(L: EvenLattice, *, disabled: frozenset = frozenset()) -> ExtCertific
         for m2, w2, b in rows:
             j = gap_row[w2]
             if j is None:
-                j = _first_applying(chain, ctx, m1, m2)
+                j = next(filter(None, (rule(ctx, m1, m2) for rule in chain)), None)
                 if j is None:
                     unknown.append((a, b))
                     continue
@@ -417,34 +440,46 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     if not isinstance(pairs, list) or not isinstance(unknown, list):
         return ["pairs and unknown must be lists"]
     index = {a: i for i, a in enumerate(ctx.names)}
+    n = len(index)
     problems = _header_problems(L, cert)
-    justified = set()
+    justified = set()  # i1 * n + i2 of each pair counted
     for i, entry in enumerate(pairs):
         a, b = (entry.get("m1"), entry.get("m2")) if isinstance(entry, dict) else (None, None)
-        if not _names_labels(index, a, b):
+        i1, i2 = _label_indices(index, a, b)
+        if i1 is None or i2 is None:
             problems.append(f"pairs[{i}] does not name two labels of the lattice")
             continue
-        if (a, b) in justified:
+        if i1 * n + i2 in justified:
             problems.append(f"duplicate pair ({a}, {b})")
             continue
-        justified.add((a, b))
-        problem = _recheck(ctx, index[a], index[b], entry.get("justification"))
-        if problem:
-            problems.append(f"pair ({a}, {b}): {problem}")
+        justified.add(i1 * n + i2)
+        j = entry.get("justification")
+        if not isinstance(j, dict):
+            problems.append(f"pair ({a}, {b}): justification missing")
+            continue
+        # a WeightGap record is one lookup in the table over weight ids
+        fresh = (ctx.gap_json[ctx.weight_ids[i1]][ctx.weight_ids[i2]]
+                 if j.get("rule") == RULE_WEIGHT_GAP else _recheck(ctx, i1, i2, j))
+        if fresh is None:
+            problems.append(f"pair ({a}, {b}): recorded rule {j.get('rule')!r:.60} does not apply")
+        elif fresh != j:
+            problems.append(f"pair ({a}, {b}): recorded justification differs")
     unresolved = set()
     for i, pair in enumerate(unknown):
         a, b = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
-        if not _names_labels(index, a, b):
+        i1, i2 = _label_indices(index, a, b)
+        if i1 is None or i2 is None:
             problems.append(f"unknown[{i}] does not name two labels of the lattice")
             continue
-        if (a, b) in justified:
+        key = i1 * n + i2
+        if key in justified:
             problems.append(f"pair ({a}, {b}) is both justified and unknown")
-        elif (a, b) in unresolved:
+        elif key in unresolved:
             problems.append(f"duplicate unknown pair ({a}, {b})")
         else:
-            unresolved.add((a, b))
+            unresolved.add(key)
     # every counted pair names two labels and is counted once
-    missing = len(index) ** 2 - len(justified) - len(unresolved)
+    missing = n * n - len(justified) - len(unresolved)
     if missing:
         problems.append(f"{missing} ordered pairs missing")
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
@@ -475,26 +510,19 @@ def _header_problems(L: EvenLattice, cert: dict) -> list[str]:
     return problems
 
 
-def _names_labels(index: dict[str, int], a, b) -> bool:
-    return isinstance(a, str) and isinstance(b, str) and a in index and b in index
+def _label_indices(index: dict[str, int], a, b) -> tuple[int | None, int | None]:
+    """The label indices of two names, None for a value that names no
+    label; a value that is not a string is never looked up, so never hashed."""
+    if isinstance(a, str) and isinstance(b, str):
+        return index.get(a), index.get(b)
+    return None, None
 
 
-def _recheck(ctx: _Context, i1: int, i2: int, j) -> str | None:
-    """Problem with the justification recorded for (labels[i1], labels[i2]), or None.
-
-    A WeightGap record is compared with the table entry for the two
-    weight ids; any other rule is re-run.
-    """
-    if not isinstance(j, dict):
-        return "justification missing"
-    if j.get("rule") == RULE_WEIGHT_GAP:
-        fresh = ctx.gap_json[ctx.weight_ids[i1]][ctx.weight_ids[i2]]
-    else:
-        rerun = _rerun(ctx, ctx.labels[i1], ctx.labels[i2], j)
-        fresh = None if rerun is None else rerun.to_json()
-    if fresh is None:
-        return f"recorded rule {j.get('rule')!r:.60} does not apply"
-    return None if fresh == j else "recorded justification differs"
+def _recheck(ctx: _Context, i1: int, i2: int, j: dict) -> dict | None:
+    """to_json() of what the rule (and route) named in j gives for
+    (labels[i1], labels[i2]), or None; WeightGap records never come here."""
+    rerun = _rerun(ctx, ctx.labels[i1], ctx.labels[i2], j)
+    return None if rerun is None else rerun.to_json()
 
 
 def _rerun(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict):

@@ -579,24 +579,24 @@ def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
 
 @lru_cache(maxsize=None)
 def orthogonal_sublattice(L: EvenLattice) -> Sublattice:
-    """Full-rank pairwise-orthogonal sublattice from rational Gram-Schmidt.
+    """Full-rank pairwise-orthogonal sublattice: the Gram-Schmidt basis, scaled.
 
-    Each orthogonalized basis vector is scaled by the least positive
-    integer clearing its coordinate denominators, so the sublattice
-    Gram is diagonal.  A diagonal input comes back with the identity
-    basis and index 1.
+    With G = C^T diag(d) C (C unit upper triangular), Gram-Schmidt vector
+    i is column i of C^-1, scaled by the least positive integer clearing
+    its denominators, so the sublattice Gram is diagonal.  Row k of C is
+    (P[k] e_k + C[k]) / P[k] in _ldl_cached's integer split, so the column
+    times P[0]...P[i-1] is integral: back substitution runs in integers,
+    and a gcd gives the scaling.  A diagonal input gives the identity basis.
     """
-    d = L.rank
-    basis_q: list[list[Fraction]] = []
+    _, _, P, C = _ldl_cached(L.gram)
     basis: list[Coords] = []
-    for i in range(d):
-        vec = [Fraction(int(i == j)) for j in range(d)]
-        for prev in basis_q:
-            mu = Fraction(L.pairing(vec, prev)) / Fraction(L.pairing(prev, prev))
-            vec = [x - mu * y for x, y in zip(vec, prev)]
-        basis_q.append(vec)
-        m = math.lcm(*(x.denominator for x in vec))
-        basis.append(tuple(int(x * m) for x in vec))
+    for i in range(L.rank):
+        y = [0] * L.rank
+        y[i] = math.prod(P[:i])
+        for k in range(i - 1, -1, -1):
+            y[k] = -sum(C[k][j] * y[j] for j in range(k + 1, i + 1)) // P[k]
+        g = math.gcd(*y)
+        basis.append(tuple(v // g for v in y))
     return sublattice(L, tuple(basis))
 
 

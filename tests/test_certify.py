@@ -668,6 +668,62 @@ def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
         assert capsys.readouterr().out == f"problem\t{problem}\n", name
 
 
+# m1, m2 or unknown values that name no label: none of them may be
+# looked up (hashed); Unhashable stands for a number that cannot be
+class Unhashable(int):
+    def __hash__(self):
+        raise AssertionError("the verifier hashed a value that is not a label name")
+
+
+HOSTILE_VALUES = {"list": ["V+"], "object": {"V+": "V+"}, "number": 3, "null": None, "true": True}
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES, ids=list(HOSTILE_VALUES))
+def test_verify_answers_hostile_label_values_with_problems(tmp_path, capsys, value):
+    from vlplus.cli import EXIT_INCOMPLETE, main
+
+    L = lat(DIAG26)
+    good = certify(L).to_json()
+    hostile = HOSTILE_VALUES[value]
+
+    def mutant(change):
+        cert = json.loads(json.dumps(good))
+        change(cert)
+        return cert
+
+    def unknown(entry):
+        return mutant(lambda c: c.update(unknown=[entry], verdict=VERDICT_INCOMPLETE))
+
+    not_pair = "pairs[0] does not name two labels of the lattice"
+    not_unknown = "unknown[0] does not name two labels of the lattice"
+    cases = {
+        "m1": (mutant(lambda c: c["pairs"][0].update(m1=hostile)), not_pair),
+        "m2": (mutant(lambda c: c["pairs"][0].update(m2=hostile)), not_pair),
+        "unknown entry": (unknown(hostile), not_unknown),
+        "unknown first": (unknown([hostile, "V+"]), not_unknown),
+        "unknown second": (unknown(["V+", hostile]), not_unknown),
+    }
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps({"gram": DIAG26}))
+    cert_path = tmp_path / "hostile.cert"
+    for name, (bad, problem) in cases.items():
+        assert problem in verify_certificate(L, bad), name
+        cert_path.write_text(json.dumps(bad))
+        code = main(["certify", "--gram", str(gram_path), "--verify", str(cert_path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_INCOMPLETE, ""), name
+        lines = out.splitlines()
+        assert f"problem\t{problem}" in lines, name
+        assert all(line.startswith("problem\t") for line in lines), name
+    if value == "number":
+        number = Unhashable(3)
+        for bad, problem in (
+                (mutant(lambda c: c["pairs"][0].update(m1=number)), not_pair),
+                (mutant(lambda c: c["pairs"][0].update(m2=number)), not_pair),
+                (unknown(number), not_unknown), (unknown(["V+", number]), not_unknown)):
+            assert problem in verify_certificate(L, bad)
+
+
 def test_load_certificate_roundtrip(tmp_path):
     cert = certify(lat(A1))
     path = tmp_path / "cert.json"
@@ -820,6 +876,47 @@ def test_dumps_and_gap_table_on_generated_grams(gram):
     L = lat(gram)
     assert_dumps_is_the_reference(L)
     assert_gap_table_is_the_rule(L)
+
+
+# ---------------------------------------------------------------------------
+# the per-label tables are built on demand
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gram", [LADDER_GRAMS[4], DET36], ids=["A1^5", "det36"])
+def test_label_tables_are_built_for_open_pairs_only(monkeypatch, gram):
+    # certify builds a label's constituents and dual only where WeightGap
+    # leaves one of its pairs open, and verify_certificate only for the
+    # labels of records of another rule; each at most once per context
+    import sys
+
+    module = sys.modules["vlplus.certify"]
+    constituents, duals = [], []
+    real_constituents, real_contragredient = _Context._constituents, module.contragredient
+
+    def counted_constituents(self, m):
+        constituents.append(m)
+        return real_constituents(self, m)
+
+    def counted_contragredient(L, m):
+        duals.append(m)
+        return real_contragredient(L, m)
+
+    monkeypatch.setattr(_Context, "_constituents", counted_constituents)
+    monkeypatch.setattr(module, "contragredient", counted_contragredient)
+    L = lat(gram)
+    by_name = dict(zip(map(format_label, classify_modules(L)), classify_modules(L)))
+    cert = certify(L)
+    open_labels = {by_name[name] for a, b, j in cert.pairs if j.rule != RULE_WEIGHT_GAP
+                   for name in (a, b)}
+    assert cert.verdict == VERDICT_RATIONAL and len(open_labels) < len(by_name)
+    for made in (constituents, duals):
+        assert made and set(made) <= open_labels and len(made) == len(set(made)), gram
+    data = json.loads(cert.dumps())
+    constituents.clear()
+    duals.clear()
+    assert verify_certificate(L, data) == []
+    for made in (constituents, duals):
+        assert made and set(made) <= open_labels and len(made) == len(set(made)), gram
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -444,6 +445,64 @@ def test_orthogonal_sublattice_identities():
         for i in range(d):
             det1 *= gram1[i][i]
         assert index * index * L.det == det1
+
+
+def gram_schmidt_oracle(L):
+    """Oracle: rational Gram-Schmidt on the standard basis, pairing by
+    pairing, each vector scaled by the least positive integer clearing
+    its denominators."""
+    d = L.rank
+    basis_q, basis = [], []
+    for i in range(d):
+        vec = [F(int(i == j)) for j in range(d)]
+        for prev in basis_q:
+            mu = F(L.pairing(vec, prev)) / F(L.pairing(prev, prev))
+            vec = [x - mu * y for x, y in zip(vec, prev)]
+        basis_q.append(vec)
+        m = math.lcm(*(x.denominator for x in vec))
+        basis.append(tuple(int(x * m) for x in vec))
+    return tuple(basis)
+
+
+@st.composite
+def unimodular_conjugates(draw):
+    """U G U^T for G from even_grams and U a product of row additions
+    with multipliers up to 9, so entries grow past 100."""
+    gram = draw(even_grams())
+    d = len(gram)
+    u = intmat.identity(d)
+    for _ in range(draw(st.integers(0, 6)) if d > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        q = draw(st.integers(-9, 9))
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return intmat.mat_mul(intmat.mat_mul(u, gram), [list(c) for c in zip(*u)])
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + [[[8, -14], [-14, 26]],
+                                                [[6, -1, 0], [-1, 6, -1], [0, -1, 2]]])
+def test_orthogonal_sublattice_is_the_gram_schmidt_oracle(gram):
+    L = lat(gram)
+    assert orthogonal_sublattice(L).basis == gram_schmidt_oracle(L)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unimodular_conjugates())
+def test_orthogonal_sublattice_is_the_gram_schmidt_oracle_on_generated_grams(gram):
+    L = lat(gram)
+    assert orthogonal_sublattice(L).basis == gram_schmidt_oracle(L)
+
+
+def test_unimodular_conjugates_pass_100():
+    # the generated property reaches Grams with entries past 100
+    seen = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(unimodular_conjugates())
+    def collect(gram):
+        seen.append(max(abs(x) for row in gram for x in row))
+
+    collect()
+    assert max(seen) > 100
 
 
 def test_coset_reps_mod_sublattice_a2():

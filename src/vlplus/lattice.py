@@ -13,8 +13,13 @@ nonzero entry (_oriented).  One class walker, driven by a Smith form,
 enumerates L°/L, L modulo a full-rank sublattice L', and the classes
 (lam + L)/L' that a sublattice branching meets, in integers and one walk
 per +- pair; dual_orbits, sublattice_classes and orbit_element keep that
-rep.  A sublattice is one Sublattice value (basis, Gram, index, the Smith
-form and transforms that give the change of basis both ways), cached.
+rep.  A diagonal Gram (every Gram-Schmidt sublattice, and sums of rank-one
+lattices such as A1^4) is neither counted nor canonicalized by a walk: its
+cosets are products of rank-one cosets, so norm counts are a convolution
+of per-coordinate counts and the minimal shell is the product of
+per-coordinate choices (_diagonal, decided once per Gram).  A sublattice
+is one Sublattice value (basis, Gram, index, the Smith form and transforms
+that give the change of basis both ways), cached.
 """
 
 from __future__ import annotations
@@ -88,8 +93,7 @@ class EvenLattice:
         return self.pairing(v, v)
 
     def is_diagonal(self) -> bool:
-        return all(self.gram[i][j] == 0
-                   for i in range(self.rank) for j in range(self.rank) if i != j)
+        return _diagonal(self.gram) is not None
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,18 @@ def _ldl_cached(gram: tuple[tuple[int, ...], ...]):
     return M, A, tuple(P), C
 
 
+@lru_cache(maxsize=None)
+def _diagonal(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
+    """The diagonal of a diagonal Gram matrix, None for any other: decided once per Gram.
+
+    A diagonal Gram's LDL^T split is itself (M = 1, A its diagonal), so its
+    cosets are counted and canonicalized coordinatewise, with no walk."""
+    n = len(gram)
+    if any(gram[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    return tuple(gram[i][i] for i in range(n))
+
+
 def _scaled(lam) -> tuple[int, list[int]]:
     """(D, nums) with lam = nums / D and D the least common denominator."""
     lam = [Fraction(x) for x in lam]
@@ -355,20 +371,45 @@ def enumerate_coset_with_norms(
 def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> tuple[int, dict[int, int]]:
     """(scale, {S: number of v in lam + L with norm S / scale}), over norms <= bound.
 
-    The counts are the walker's own, keyed by integer numerators over one
-    positive scale, so no norm is built as a Fraction."""
+    The counts are keyed by integer numerators over one positive scale, so
+    no norm is built as a Fraction.  A diagonal Gram's coset is the product
+    of its coordinates' cosets: each coordinate's values of g_ii w^2 are
+    counted and the counts convolved, truncated at the bound, at a cost
+    polynomial in the bound.  Any other Gram is walked."""
     D, nums = _scaled(lam)
     scale = _ldl_cached(L.gram)[0] * D * D
-    return scale, _walk(L.gram, D, nums, _budget(bound, scale), "counts")
+    budget = _budget(bound, scale)
+    diag = _diagonal(L.gram)
+    if diag is None:
+        return scale, _walk(L.gram, D, nums, budget, "counts")
+    counts = {0: 1}
+    for g, x in zip(diag, nums):
+        r = math.isqrt(budget // g)
+        axis: dict[int, int] = {}
+        for w in range(x - D * ((x + r) // D), r + 1, D):  # w = x (mod D), |w| <= r
+            axis[g * w * w] = axis.get(g * w * w, 0) + 1
+        total: dict[int, int] = {}
+        for s1, n1 in counts.items():
+            for s2, n2 in axis.items():
+                if s1 + s2 <= budget:
+                    total[s1 + s2] = total.get(s1 + s2, 0) + n1 * n2
+        counts = total
+    return scale, counts
 
 
 def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords]]:
     """(S, shell): the least S of the walk over nums (mod D) and every leaf at it.
 
     The minimal shell of -nums (mod D) is the negated shell, so one walk
-    canonicalizes a class and its negation."""
+    canonicalizes a class and its negation.  A diagonal Gram is not walked:
+    each coordinate is least on its own, at the centred numerator, where
+    -D/2 ties with D/2, and the shell is the product of those choices."""
     # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
     start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
+    diag = _diagonal(gram)
+    if diag is not None:
+        return (sum(g * x * x for g, x in zip(diag, start)),
+                list(product(*((x, -x) if 2 * x == -D else (x,) for x in start))))
     n = len(gram)
     budget = _ldl_cached(gram)[0] * sum(start[i] * gram[i][j] * start[j]
                                         for i in range(n) for j in range(n))
@@ -451,14 +492,21 @@ def _class_walks(gram, smith, v, shift, den: int):
     twice = [2 * t // den for t in shift]
     base = [top // f * t for t, f in zip(shift, smith)]
     step = [top // f * den for f in smith]
+    # nums = v (base + step c), kept up to date as c advances: each coordinate
+    # that changes adds its change times column i of v diag(step)
+    cols = [[row[i] * s for row in v] for i, s in enumerate(step)]
+    nums = [sum(a * b for a, b in zip(row, base)) for row in v]
+    prev = (0,) * len(smith)
     neg = None
     for c in product(*(range(f) for f in smith)):
+        for ci, pi, col in zip(c, prev, cols):
+            if ci != pi:
+                nums = [x + (ci - pi) * y for x, y in zip(nums, col)]
+        prev = c
         if closed:
             neg = tuple((-t - ci) % f for t, ci, f in zip(twice, c, smith))
             if neg < c:
                 continue  # came with the walk of its negation, the earlier class
-        y = [b + s * ci for b, s, ci in zip(base, step, c)]
-        nums = [sum(a * b for a, b in zip(row, y)) for row in v]
         yield (neg == c, *_coset_shell(gram, E, nums))
 
 

@@ -11,8 +11,11 @@ central-charge prefactor, so direct sums add and tensor products
 multiply as literal series identities.  Every untwisted character is
 (w theta phi^(-d) + t psi^(-d)) / 2, from the theta of the label's coset,
 the plain and the sign-alternating inverse Euler products and the (w, t)
-that THETA_PSI gives the label's kind.  The one division is halved(),
-which refuses an odd coefficient; each caller says why its sum is even.
+that THETA_PSI gives the label's kind; psi^(-d) is the finite product
+over odd n of (1 - q^n)^d (Euler).  The one division is halved(), which
+refuses an odd coefficient; each caller says why its sum is even.  A
+twisted character divides nothing: it keeps the terms of one inverse
+product at the integer or at the half-integer exponents.
 """
 
 from __future__ import annotations
@@ -194,7 +197,10 @@ def euler_product_inv(
     (1 + q^e)^(-d).  Integer coefficients live in one dense list on the
     factors' grid (step 1, or 1/2 for half_integer); each factor
     (1 - s q^e)^(-1) is one in-place pass c[k] += s c[k - e], k
-    ascending, applied d times per factor.
+    ascending, applied d times per factor.  The alternating product at
+    integer exponents is the finite one of Euler's identity,
+    prod (1 + q^n)^(-1) = prod over odd n of (1 - q^n): d passes
+    c[k] -= c[k - e], k descending, per odd e.
     """
     if d < 0:
         raise ValueError("exponent must be nonnegative")
@@ -205,11 +211,17 @@ def euler_product_inv(
     if d and half_integer and size > 1 and denom % 2:
         raise ValueError(f"exponent 1/2 is not on the grid 1/{denom}")
     c = [1] + [0] * (size - 1) if size else []
-    sign = -1 if alternating else 1
-    for e in range(1, size, unit):
-        for _ in range(d):
-            for k in range(e, size):
-                c[k] += sign * c[k - e]
+    if alternating and not half_integer:
+        for e in range(1, size, 2):
+            for _ in range(d):
+                for k in range(size - 1, e - 1, -1):
+                    c[k] -= c[k - e]
+    else:
+        sign = -1 if alternating else 1
+        for e in range(1, size, unit):
+            for _ in range(d):
+                for k in range(e, size):
+                    c[k] += sign * c[k - e]
     return QSeries(denom, order_key, {k * denom // unit: v for k, v in enumerate(c) if v})
 
 
@@ -221,20 +233,23 @@ def euler_product_inv(
 def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int | None = None) -> QSeries:
     """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order.
 
-    A count of norm S / scale sits at grid key S * denom / (2 * scale); a
-    coset whose least norm lam.min_norm reaches 2 * order is zero, unwalked."""
+    A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
+    counts stop at the last grid point below the order, norm 2 (order_key -
+    1) / denom, so the shell at the order itself is never enumerated; a
+    diagonal Gram's counts are a convolution, with no walk (see
+    coset_norm_counts).  A coset whose least norm lam.min_norm reaches
+    2 * order is zero, unwalked."""
     order = Fraction(order)
     denom = denom or series_denominator(L)
     order_key = _key(order, denom)
     nums: dict[int, int] = {}
     if 2 * order > lam.min_norm:
-        scale, counts = coset_norm_counts(L, lam.rep, 2 * order)
+        scale, counts = coset_norm_counts(L, lam.rep, Fraction(2 * (order_key - 1), denom))
         for S, n in counts.items():
             k, r = divmod(S * denom, 2 * scale)
             if r:
                 raise ValueError(f"exponent {Fraction(S, 2 * scale)} is not on the grid 1/{denom}")
-            if k < order_key:
-                nums[k] = n
+            nums[k] = n
     return QSeries(denom, order_key, nums)
 
 
@@ -250,8 +265,10 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
 
     Untwisted labels: coset_character_sum of the label alone, so V+- are
     (theta_L phi^(-d) +- psi^(-d))/2 with phi^(-d) and psi^(-d) the plain
-    and sign-alternating inverse Euler products.  Twisted sectors are
-    dim(T) q^(d/16) times the half-integer products.
+    and sign-alternating inverse Euler products.  A twisted sector T+- is
+    dim(T) q^(d/16) (h(q^(1/2)) +- h(-q^(1/2))) / 2 with h the inverse
+    product over the half-integer exponents: the terms of h at integer
+    exponents for T+, at half-integer ones for T-, with no division.
     """
     order = Fraction(order)
     if m.kind in THETA_PSI:
@@ -263,12 +280,12 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     inner = order - shift
     if inner <= 0:
         return QSeries.zero(denom, order)
-    halves_minus = euler_product_inv(d, inner, denom, half_integer=True)
-    halves_plus = euler_product_inv(d, inner, denom, alternating=True, half_integer=True)
-    # (1 + q^(1/2))^(-1) is (1 - q^(1/2))^(-1) at -q^(1/2): the two products'
-    # coefficients of q^(j/2) differ by (-1)^j, so their sum and difference are even
-    combo = (halves_minus + halves_plus.scaled(m.sign)).halved().scaled(m.char.dim_t)
-    return combo.shifted(shift)
+    h = euler_product_inv(d, inner, denom, half_integer=True)
+    # h(-q^(1/2)) flips the sign of h's q^(j/2) term for odd j: the half-sum
+    # keeps even j, the half-difference odd j
+    parity = 0 if m.sign > 0 else denom // 2
+    kept = {k: v * m.char.dim_t for k, v in h.nums.items() if k % denom == parity}
+    return QSeries(denom, h.order_key, kept).shifted(shift)
 
 
 def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:

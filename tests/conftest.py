@@ -35,6 +35,17 @@ TEST_GRAMS = [
     A3,
 ]
 
+# certify-ladder rungs that TEST_GRAMS lacks: A4, D4, E6, det 36, A1^5, diag(2,4,6)
+LADDER_GRAMS = [
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+     [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]],
+    [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]],
+    [[2 * (i == j) for j in range(5)] for i in range(5)],
+    [[2, 0, 0], [0, 4, 0], [0, 0, 6]],
+]
+
 CERT_GRAMS = [A1, A1_4, D22, D24, A2, D224]
 
 

@@ -11,7 +11,8 @@ from itertools import combinations, zip_longest
 
 from hypothesis import given, settings
 
-from conftest import A1, A2, D24, D224, CERT_GRAMS, E6, E8, TEST_GRAMS, even_grams, lat
+from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, TEST_GRAMS,
+                      even_grams, lat)
 from vlplus.branching import sublattice_part_count
 from vlplus.fusion import admissible_triple
 from vlplus.lattice import coset_element, orthogonal_sublattice, zero_coset
@@ -816,18 +817,6 @@ def test_contragredient_pair_decides_weight_gap_and_fusion_alike(gram):
 # ---------------------------------------------------------------------------
 # dumps() and the WeightGap table against their references
 # ---------------------------------------------------------------------------
-
-# certify-ladder rungs that TEST_GRAMS lacks: A4, D4, E6, det 36, A1^5, diag(2,4,6)
-LADDER_GRAMS = [
-    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-    [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
-     [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]],
-    [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]],
-    [[2 * (i == j) for j in range(5)] for i in range(5)],
-    [[2, 0, 0], [0, 4, 0], [0, 0, 6]],
-]
-
 
 def assert_dumps_is_the_reference(L):
     variants = [frozenset(), frozenset(ALL_RULES)] + [frozenset({rule}) for rule in ALL_RULES]

@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, TEST_GRAMS, even_grams
+from conftest import A1, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
 from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, build_parser, main
 from vlplus.lattice import validate_even_lattice
 from vlplus.sectors import classify_modules, format_label
@@ -236,6 +236,28 @@ def test_decompose_stdout_is_pinned_on_every_label(tmp_path, capsys):
                     runs += 1
     assert runs == 858
     assert digest.hexdigest() == DECOMPOSE_DIGEST
+
+
+CHAR_DIGEST = "901f63a09035e50d3cc211387f9e525eacd7875838166758c3caf0ce8ae70fe0"
+
+
+def test_char_stdout_is_pinned_on_every_label(tmp_path, capsys):
+    """Every label of TEST_GRAMS and the certify-ladder rungs at orders 1, 3
+    and 12, of A2 at order 200 and of E8 at orders 1, 3 and 6: one digest of
+    all stdout."""
+    cases = [(gram, order) for gram in TEST_GRAMS + LADDER_GRAMS for order in ("1", "3", "12")]
+    cases += [(A2, "200")] + [(E8, order) for order in ("1", "3", "6")]
+    digest, runs = hashlib.sha256(), 0
+    for gram, order in cases:
+        path = write_gram(tmp_path, gram)
+        for name in map(format_label, classify_modules(validate_even_lattice(gram))):
+            code, out, err = run_cli(capsys, ["char", "--gram", path, "--module", name,
+                                              "--order", order])
+            assert code == EXIT_OK and err == "", (gram, name, order)
+            digest.update(f"{gram}\t{name}\t{order}\n{out}".encode())
+            runs += 1
+    assert runs == 1184
+    assert digest.hexdigest() == CHAR_DIGEST
 
 
 def test_certify_roundtrip(tmp_path, capsys):

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, E6, TEST_GRAMS, box_enumerate, coset_neg, even_grams, lat
+from conftest import A1, A2, D24, D224, E6, E8, TEST_GRAMS, box_enumerate, coset_neg, even_grams, lat
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
@@ -17,9 +17,12 @@ from vlplus.lattice import (
     NotSymmetric,
     BoundNegative,
     CosetElement,
+    _budget,
     _class_minima,
     _coords_key,
     _coset_shell,
+    _scaled,
+    _walk,
     coset_element,
     coset_norm_counts,
     coset_reps_mod_sublattice,
@@ -35,6 +38,7 @@ from vlplus.lattice import (
     orthogonal_sublattice,
     sublattice,
     validate_even_lattice,
+    zero_coset,
 )
 from vlplus.qseries import theta_coset
 from vlplus.sectors import LabelKind, classify_modules
@@ -315,6 +319,71 @@ def test_negation_halves_walks_without_changing_results(gram, bound):
     S = orthogonal_sublattice(L)
     assert (_class_minima(S.lattice.gram, S.smith, S.smith_v)
             == class_minima_one_walk_each(S.lattice.gram, S.smith, S.smith_v))
+
+
+# ---------------------------------------------------------------------------
+# diagonal Grams: closed forms against the walker
+# ---------------------------------------------------------------------------
+
+@st.composite
+def diagonal_cosets(draw):
+    """(gram, lam): a diagonal Gram of rank 1..5 with even entries 2..20 and
+    a dual-space vector over a denominator up to 12; a coordinate drawn as
+    an odd multiple of D/2 sits exactly halfway between two numerators."""
+    d = draw(st.integers(1, 5))
+    gram = [[2 * draw(st.integers(1, 10)) * (i == j) for j in range(d)] for i in range(d)]
+    D = draw(st.integers(1, 12))
+    nums = []
+    for _ in range(d):
+        if D % 2 == 0 and draw(st.booleans()):
+            nums.append((2 * draw(st.integers(-2, 1)) + 1) * D // 2)
+        else:
+            nums.append(draw(st.integers(-2 * D, 2 * D)))
+    return gram, tuple(F(x, D) for x in nums)
+
+
+@GENERATED
+@given(diagonal_cosets(), st.sampled_from([F(0), F(1, 3), F(2), F(9, 2), F(8)]))
+def test_diagonal_closed_forms_match_the_walker(case, bound):
+    gram, lam = case
+    L = lat(gram)
+    D, nums = _scaled(lam)
+    scale, counts = coset_norm_counts(L, lam, bound)
+    assert scale == D * D  # a diagonal Gram's split has M = 1
+    assert counts == _walk(L.gram, D, nums, _budget(bound, scale), "counts")
+    S, shell = _coset_shell(L.gram, D, nums)
+    start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
+    budget = sum(g[i] * x * x for i, (g, x) in enumerate(zip(L.gram, start)))
+    walked_S, walked = _walk(L.gram, D, start, budget, "minimum")
+    assert S == walked_S and sorted(shell) == sorted(walked) and len(set(shell)) == len(shell)
+
+
+def test_diagonal_shells_at_exact_halves():
+    # +-1/2 tie in every halved coordinate: 2 and 2^2 least vectors
+    S, shell = _coset_shell(lat(A1).gram, 2, [1])
+    assert S == 2 and sorted(shell) == [(-1,), (1,)]
+    S, shell = _coset_shell(lat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]).gram, 2, [1, 1, 0])
+    assert S == 4 and sorted(shell) == [(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0)]
+
+
+def test_theta_counts_stop_below_the_order(monkeypatch):
+    # E8 at order 4 keeps norms 0, 2, 4, 6: 1 + 240 + 2160 + 6720 vectors;
+    # the 17,520 of norm 8 sit at the order and are never counted
+    from vlplus import qseries
+
+    seen = []
+
+    def spy(L, lam, bound):
+        scale, counts = coset_norm_counts(L, lam, bound)
+        seen.append((bound, sum(counts.values())))
+        return scale, counts
+
+    monkeypatch.setattr(qseries, "coset_norm_counts", spy)
+    L = lat(E8)
+    theta = qseries.theta_coset.__wrapped__(L, zero_coset(L), F(4))
+    assert theta.terms() == {F(0): 1, F(1): 240, F(2): 2160, F(3): 6720}
+    [(bound, vectors)] = seen
+    assert bound < 8 and vectors == 9121
 
 
 # ---------------------------------------------------------------------------

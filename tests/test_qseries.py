@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import A1, A2, D24, TEST_GRAMS, even_grams, lat
@@ -316,6 +317,18 @@ def test_euler_product_matches_factorwise_expansion(args):
         == fields_or_error(factorwise_euler_product_inv, *args)
 
 
+def test_psi_product_matches_factorwise_expansion_to_order_30():
+    # psi^(-d) is the finite product over odd n of Euler's identity; the
+    # factorwise oracle expands every (1 + q^n)^(-d), n < 30
+    for d in range(9):
+        oracle = factorwise_euler_product_inv(d, F(30), 1, alternating=True)
+        for order in range(31):
+            assert euler_product_inv.__wrapped__(d, F(order), 1, alternating=True) \
+                == oracle.truncate(F(order)), (d, order)
+            assert fields_or_error(euler_product_inv.__wrapped__, d, F(order), 16, True, False) \
+                == fields_or_error(factorwise_euler_product_inv, d, F(order), 16, True, False)
+
+
 def partition_numbers(n):
     """p(0..n-1) from Euler's pentagonal-number recurrence."""
     p = [1]
@@ -511,6 +524,23 @@ def test_zhu_dictionary_leading_data():
             e, c = min(character(L, m, F(3)).terms().items())
             assert e == lowest_weight(L, m)
             assert c == top_level_dimension(L, m)
+
+
+@pytest.mark.parametrize("order", [F(3), F(12)])
+def test_twisted_characters_match_the_two_product_form(order):
+    # T+- = dim(T) q^(d/16) (h + -h_alt) / 2 from the plain and the
+    # alternating half-integer products, which character() never builds
+    for gram in TEST_GRAMS:
+        L = lat(gram)
+        d, denom = L.rank, series_denominator(L)
+        inner = order - F(d, 16)
+        h = euler_product_inv(d, inner, denom, half_integer=True)
+        h_alt = euler_product_inv(d, inner, denom, alternating=True, half_integer=True)
+        twisted = [m for m in classify_modules(L) if m.kind == LabelKind.TWISTED]
+        assert twisted, gram
+        for m in twisted:
+            want = (h + h_alt.scaled(m.sign)).halved().scaled(m.char.dim_t).shifted(F(d, 16))
+            assert character(L, m, order) == want, (gram, str(m))
 
 
 def test_twisted_two_factor_split_identity():

@@ -104,15 +104,16 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
                                 minimal_coset_reps, orthogonal_sublattice)
     from vlplus.sectors import VAC_PLUS, classify_modules
 
-    # every enumeration and canonicalization goes through lattice._walk
+    # every class canonicalization goes through lattice._coset_shell: a walk,
+    # or the closed form of a diagonal Gram such as the Gram-Schmidt sublattice's
     calls = []
-    original = lattice._walk
+    original = lattice._coset_shell
 
     def counting(*args):
-        calls.append(args[-1])
+        calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lattice, "_walk", counting)
+    monkeypatch.setattr(lattice, "_coset_shell", counting)
     for cached in (dual_orbits, classify_modules, coset_reps_mod_sublattice):
         cached.cache_clear()
     L = lat(E6)
@@ -134,15 +135,15 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
 
 
 def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkeypatch):
-    # the tracer's qseries.mul layer and the walk counts see the character
-    # check: one theta walk for the parent and for each part whose least
+    # the tracer's qseries.mul layer and the norm counts see the character
+    # check: one theta count for the parent and for each part whose least
     # norm is below twice the order, and every part's theta summed under
     # one product with the sublattice's Euler product; the V+- parts now
     # share one walk of the sublattice's zero coset inside that product
     from fractions import Fraction
 
     from conftest import E6, lat
-    from vlplus import lattice
+    from vlplus import qseries
     from vlplus.branching import branch_sublattice, verify_branch
     from vlplus.lattice import orthogonal_sublattice
     from vlplus.qseries import QSeries, euler_product_inv, series_denominator, theta_coset
@@ -159,18 +160,18 @@ def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkey
     theta_coset.cache_clear()
 
     walks, products = [], []
-    walk, mul = lattice._walk, QSeries.__mul__
+    walk, mul = qseries.coset_norm_counts, QSeries.__mul__
 
     def counting_walk(*args):
-        walks.append(args[-1])
+        walks.append(args)
         return walk(*args)
 
     def counting_mul(self, other):
         products.append(self is phi_inv or other is phi_inv)
         return mul(self, other)
 
-    monkeypatch.setattr(lattice, "_walk", counting_walk)
+    monkeypatch.setattr(qseries, "coset_norm_counts", counting_walk)
     monkeypatch.setattr(QSeries, "__mul__", counting_mul)
     assert verify_branch(bl, order)
-    assert walks.count("counts") <= 1 + below
+    assert len(walks) <= 1 + below
     assert sum(products) <= 1

@@ -9,8 +9,8 @@ signs must multiply to.  Its parts, one label per factor, are that
 product expanded for printing; its character is checked in factored
 form, with the products of leading factor sums cached across
 branchings.  A sublattice branching walks the classes of
-(lambda + L)/L' in integers, one walk per +- pair, and
-sublattice_part_count gives its part count from the Smith form alone.
+(lambda + L)/L' in integers, one walk per +- pair (lattice.py owns
+that Smith-form arithmetic, and sublattice_orbit_count the part count).
 Its parts are labels over the sublattice, and its character is one
 coset_character_sum over all of them, V+- included: the parts' thetas
 summed in integers under one Euler product of the sublattice; a part
@@ -38,7 +38,6 @@ from math import prod
 
 from .lattice import (
     Convention,
-    CosetElement,
     EvenLattice,
     NotOrthogonalBase,
     Sublattice,
@@ -167,11 +166,15 @@ def _coordinate_labels(factor: EvenLattice, x: Fraction) -> tuple[ModuleLabel, .
 
 def _root_unit(eps_value: int, branch: int, is_zero: bool) -> int:
     """Square root of a cocycle value as a power of i (0..3); identity at zero."""
-    if is_zero:
-        return 0
-    if eps_value == 1:
-        return 0 if branch == 1 else 2
-    return 1 if branch == 1 else 3
+    return 0 if is_zero else (eps_value == -1) + 2 * (branch == -1)
+
+
+def _integers(coords) -> tuple[int, ...]:
+    """Coordinates that must be integers, as ints."""
+    out = tuple(coords)
+    if any(x.denominator != 1 for x in out):
+        raise AssertionError(f"expected integer coordinates, got [{format_coords(out)}]")
+    return tuple(x.numerator for x in out)
 
 
 def branch_sublattice(
@@ -188,82 +191,47 @@ def branch_sublattice(
     is imaginary the positive label is reported and flagged in notes.
     Paired classes contribute one orbit module per pair; twisted parents
     contribute placeholder blocks.  Parts and notes follow the sort_key
-    of the class representative.
+    of the class representative.  What the parent contributes to the
+    involution coefficient (2 lambda and its root unit) is computed once.
     """
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
-    eps_l = epsilon_cocycle(L, convention)
-    eps_1 = epsilon_cocycle(sub, convention)
-    notes: list[str] = []
-
-    def exact_int(x) -> int:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise AssertionError(f"expected an integer coordinate, got {f}")
-        return f.numerator
-
-    def local_unit(c: CosetElement) -> int:
-        two_mu = tuple(exact_int(2 * x) for x in c.rep)
-        return _root_unit(eps_1(two_mu, two_mu), convention.root_branch, not any(two_mu))
-
-    def signed_part(parent_sign: int, lam: CosetElement, c: CosetElement) -> ModuleLabel:
-        # involution coefficient of the parent module on the canonical
-        # vector of the class, divided by the local one
-        two_lam = tuple(exact_int(2 * x) for x in lam.rep)
-        zero = not any(two_lam)
-        unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
-        if not zero:
-            x_vec = tuple(exact_int(a - b) for a, b in zip(S.to_parent(c.rep), lam.rep))
-            if eps_l(x_vec, two_lam) == -1:
-                unit_g = (unit_g + 2) % 4
-        ratio = (unit_g - local_unit(c)) % 4
-        if ratio % 2 == 1:
-            notes.append(f"imaginary involution ratio on class [{format_coords(c.rep)}]; reported +")
-            sigma = parent_sign
-        else:
-            sigma = parent_sign * (1 if ratio == 0 else -1)
-        return coset_labels(sub, c)[sigma == -1]
-
-    parts: list[BranchPart] = []
     if m.kind == LabelKind.TWISTED:
-        sub_dim_t = central_characters(sub)[0].dim_t
-        mult, rem = divmod(m.char.dim_t, sub_dim_t)
+        mult, rem = divmod(m.char.dim_t, central_characters(sub)[0].dim_t)
         if rem:
             raise AssertionError("twisted dimensions must refine")
-        parts.append(TwistedBlockPart(sign=m.sign, multiplicity=mult))
-    else:
-        sign, lam = label_sign(m), label_coset(L, m)
-        for c, self_paired in sublattice_classes(S, lam.rep):
-            if not self_paired:
-                # c is already the smaller rep of the orbit {x, -x}
-                parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
-            elif sign is None:
-                raise AssertionError("orbit parent cannot meet a self-paired class")
-            else:
-                parts.append(signed_part(sign, lam, c))
-    return BranchList(
-        parent_lattice=L,
-        parent=m,
-        parts=tuple(parts),
-        sublattice=sub,
-        notes=tuple(notes),
-    )
-
-
-def sublattice_part_count(S: Sublattice, m: ModuleLabel) -> int:
-    """Number of parts branch_sublattice gives for m, from the Smith form.
-
-    An orbit parent has one per class of its coset mod the sublattice (N =
-    index); otherwise negation pairs the N classes of lambda + L and fixes
-    2^(#even d_i) of them iff U 2lambda is even in every slot of even d_i."""
-    if m.kind == LabelKind.TWISTED:
-        return 1
-    if m.kind == LabelKind.UNTWISTED:
-        return S.index
-    two_lam = [int(2 * x) for x in label_coset(S.parent, m).rep]
-    image = (sum(u * x for u, x in zip(row, two_lam)) for row in S.smith_u)
-    solvable = all(d % 2 or y % 2 == 0 for d, y in zip(S.smith, image))
-    return (S.index + solvable * 2 ** sum(d % 2 == 0 for d in S.smith)) // 2
+        return BranchList(parent_lattice=L, parent=m, sublattice=sub,
+                          parts=(TwistedBlockPart(sign=m.sign, multiplicity=mult),))
+    sign, lam = label_sign(m), label_coset(L, m)
+    if sign is not None:
+        eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
+        two_lam = _integers(2 * x for x in lam.rep)
+        zero = not any(two_lam)
+        unit_l = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
+    notes: list[str] = []
+    parts: list[BranchPart] = []
+    for c, self_paired in sublattice_classes(S, lam.rep):
+        if not self_paired:
+            # c is already the smaller rep of the orbit {x, -x}
+            parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
+            continue
+        if sign is None:
+            raise AssertionError("orbit parent cannot meet a self-paired class")
+        # involution coefficient of the parent module on the canonical
+        # vector of the class, divided by the local one
+        unit_g = unit_l
+        if not zero:
+            x = _integers(a - b for a, b in zip(S.to_parent(c.rep), lam.rep))
+            unit_g += 2 * (eps_l(x, two_lam) == -1)
+        two_mu = _integers(2 * x for x in c.rep)
+        ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
+                                     not any(two_mu))) % 4
+        if ratio % 2:
+            notes.append(f"imaginary involution ratio on class [{format_coords(c.rep)}]; reported +")
+        sigma = sign if ratio % 2 or ratio == 0 else -sign
+        parts.append(coset_labels(sub, c)[sigma == -1])
+    return BranchList(parent_lattice=L, parent=m, parts=tuple(parts), sublattice=sub,
+                      notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +290,4 @@ def branch_character(bl: BranchList, order) -> QSeries:
 def verify_branch(bl: BranchList, order) -> bool:
     """Exact character identity: parent equals the sum of the parts."""
     order = Fraction(order)
-    parent = character(bl.parent_lattice, bl.parent, order)
-    total = branch_character(bl, order)
-    common = min(parent.order, total.order)
-    return parent.truncate(common) == total.truncate(common)
+    return character(bl.parent_lattice, bl.parent, order) == branch_character(bl, order)

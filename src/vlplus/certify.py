@@ -32,8 +32,8 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
-from .branching import frame_choices, sublattice_part_count
-from .lattice import EvenLattice, orthogonal_sublattice
+from .branching import frame_choices
+from .lattice import EvenLattice, orthogonal_sublattice, sublattice_orbit_count
 from .qseries import series_denominator
 from .sectors import (
     LabelKind,
@@ -233,10 +233,12 @@ class _Context:
         convention), and the parts 2 to the number of factors offering
         two labels, halved by a parity.  Sublattice: the key is m's coset
         (None for a twisted label), with no parity, and the parts are
-        those branch_sublattice gives.
+        those branch_sublattice gives: the sublattice_orbit_count of the
+        coset, and one twisted block for a twisted label.
         """
         if self.route == "sublattice":
-            return label_coset(self.L, m), None, sublattice_part_count(self.sub, m)
+            c = label_coset(self.L, m)
+            return c, None, 1 if c is None else sublattice_orbit_count(self.sub, c.rep)
         choices = frame_choices(self.sub, m)
         parity = (None if m.kind == LabelKind.COSET and not self.L.is_diagonal()
                   else label_sign(m))

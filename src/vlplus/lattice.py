@@ -19,7 +19,10 @@ cosets are products of rank-one cosets, so norm counts are a convolution
 of per-coordinate counts and the minimal shell is the product of
 per-coordinate choices (_diagonal, decided once per Gram).  A sublattice
 is one Sublattice value (basis, Gram, index, the Smith form and transforms
-that give the change of basis both ways), cached.
+that give the change of basis both ways), cached.  This module is the only
+one that does Smith-form arithmetic: Sublattice.smith_class is the one
+place v -> U v is computed, and sublattice_orbit_count counts the classes
+of a sublattice branching in closed form.
 """
 
 from __future__ import annotations
@@ -591,12 +594,18 @@ class Sublattice:
     smith_u: tuple[Coords, ...]
     smith_v: tuple[Coords, ...]
 
+    def smith_class(self, v) -> tuple[int, list[int]]:
+        """(D, y): v = nums / D over its least common denominator, and y = U nums.
+
+        For a lattice vector (D = 1), y mod smith is its class modulo the sublattice."""
+        D, nums = _scaled(v)
+        return D, [sum(a * b for a, b in zip(nums, row)) for row in self.smith_u]
+
     def to_sub(self, v) -> DualCoords:
         """Parent coordinates to sublattice coordinates, v U^T diag(smith)^-1 V^T."""
-        D, nums = _scaled(v)
+        D, y = self.smith_class(v)
         top = self.smith[-1]
-        y = [top // f * sum(a * b for a, b in zip(nums, row))
-             for f, row in zip(self.smith, self.smith_u)]
+        y = [top // f * t for f, t in zip(self.smith, y)]
         return tuple(Fraction(sum(a * b for a, b in zip(y, row)), D * top) for row in self.smith_v)
 
     def to_parent(self, x) -> DualCoords:
@@ -662,10 +671,10 @@ def coset_reps_mod_sublattice(
     D = S.smith[-1]
 
     def lift(w):
-        vec = [sum(a * b for a, b in zip(w, col)) for col in zip(*S.basis)]
-        if any(x % D for x in vec):
+        vec = S.to_parent(tuple(Fraction(x, D) for x in w))
+        if any(x.denominator != 1 for x in vec):
             raise AssertionError("class representative is not a lattice vector")
-        return tuple(x // D for x in vec)
+        return tuple(map(int, vec))
 
     return tuple(v for _, v in _class_minima(S.lattice.gram, S.smith, S.smith_v, lift))
 
@@ -678,9 +687,21 @@ def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElemen
     {x + L', -x + L'}.  A parent vector lam + g with U g = c (mod smith) is
     x = V diag(smith)^-1 (U lam + c) in sublattice coordinates, so the
     classes are walked in integers, one walk per pair."""
-    D, nums = _scaled(lam)
-    shift = [sum(u * x for u, x in zip(row, nums)) for row in S.smith_u]
+    D, shift = S.smith_class(lam)
     return _orbits(S.lattice.gram, S.smith, S.smith_v, shift, D)
+
+
+def sublattice_orbit_count(S: Sublattice, lam: DualCoords) -> int:
+    """len(sublattice_classes(S, lam)) in closed form, from the Smith class of lam.
+
+    The index-many classes of lam + L stay unpaired unless 2 lam lies in L;
+    then negation pairs them and fixes 2^(#even smith_i) of them if U 2lam
+    is even in every slot of even smith_i, and none otherwise."""
+    D, y = S.smith_class(lam)
+    if any(2 * t % D for t in y):
+        return S.index
+    fixed = all(f % 2 or 2 * t // D % 2 == 0 for f, t in zip(S.smith, y))
+    return (S.index + fixed * 2 ** sum(f % 2 == 0 for f in S.smith)) // 2
 
 
 def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:

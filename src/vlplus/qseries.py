@@ -200,7 +200,10 @@ def euler_product_inv(
     ascending, applied d times per factor.  The alternating product at
     integer exponents is the finite one of Euler's identity,
     prod (1 + q^n)^(-1) = prod over odd n of (1 - q^n): d passes
-    c[k] -= c[k - e], k descending, per odd e.
+    c[k] -= c[k - e], k descending, per odd e.  No program path takes
+    alternating and half_integer together (a twisted character keeps terms
+    of the plain half-integer product); that product stays as the
+    two-product reference of tests/test_qseries.py and test_branching.py.
     """
     if d < 0:
         raise ValueError("exponent must be nonnegative")

@@ -18,7 +18,7 @@ even.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
@@ -87,27 +87,20 @@ VAC_PLUS = ModuleLabel(LabelKind.VAC_PLUS)
 VAC_MINUS = ModuleLabel(LabelKind.VAC_MINUS)
 
 
-def untwisted_label(L: EvenLattice, c: CosetElement) -> ModuleLabel:
-    """Label for a non-self-paired coset; stores the smaller orbit representative."""
-    return ModuleLabel(LabelKind.UNTWISTED, coset=orbit_element(L, c.rep))
-
-
-def coset_label(L: EvenLattice, c: CosetElement, sign: int) -> ModuleLabel:
-    return ModuleLabel(LabelKind.COSET, coset=c, sign=sign)
-
-
 def twisted_label(char: CentralCharacter, sign: int) -> ModuleLabel:
     return ModuleLabel(LabelKind.TWISTED, char=char, sign=sign)
 
 
 def coset_labels(L: EvenLattice, c: CosetElement) -> tuple[ModuleLabel, ...]:
     """The labels a dual coset gives: V+ and V- for the zero coset, the
-    signed pair (+ first) of a self-paired coset, else its orbit label."""
+    signed pair (+ first) of a self-paired coset, else its orbit label,
+    which stores the lesser rep of c and -c."""
     if coset_is_trivial(c):
         return (VAC_PLUS, VAC_MINUS)
     if coset_two_torsion(L, c):
-        return (coset_label(L, c, +1), coset_label(L, c, -1))
-    return (untwisted_label(L, c),)
+        return (ModuleLabel(LabelKind.COSET, coset=c, sign=+1),
+                ModuleLabel(LabelKind.COSET, coset=c, sign=-1))
+    return (ModuleLabel(LabelKind.UNTWISTED, coset=orbit_element(L, c.rep)),)
 
 
 def label_sign(m: ModuleLabel) -> int | None:
@@ -223,7 +216,7 @@ def contragredient(L: EvenLattice, m: ModuleLabel) -> ModuleLabel:
             raise AssertionError("self-paired coset must have half-integral norm")
         if int(doubled) % 2 == 0:
             return m
-        return coset_label(L, m.coset, -m.sign)
+        return replace(m, sign=-m.sign)
     return twisted_label(prime_character(L, m.char), m.sign)
 
 
@@ -281,7 +274,7 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         c = coset_element(L, coords)
         if not coset_two_torsion(L, c) or coset_is_trivial(c):
             raise ValueError(f"label {text!r}: C labels require a nonzero self-paired coset")
-        return coset_label(L, c, sign)
+        return ModuleLabel(LabelKind.COSET, coset=c, sign=sign)
     if kind == "T" and text[1:2] == "[":
         digits, chars = text[2:close], central_characters(L)
         if not re.fullmatch(r"[0-9]+", digits):

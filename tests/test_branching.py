@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -6,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A2, D22, D24, D224, coset_neg, even_grams, lat
+from conftest import A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
 from vlplus.lattice import (
     Convention,
     CosetElement,
@@ -19,6 +20,7 @@ from vlplus.lattice import (
     epsilon_cocycle,
     orthogonal_sublattice,
     sublattice,
+    sublattice_orbit_count,
     validate_even_lattice,
 )
 from vlplus.branching import (
@@ -28,7 +30,6 @@ from vlplus.branching import (
     branch_character,
     branch_orthogonal,
     branch_sublattice,
-    sublattice_part_count,
     verify_branch,
 )
 from vlplus.qseries import QSeries, character, euler_product_inv, series_denominator
@@ -39,8 +40,8 @@ from vlplus.sectors import (
     VAC_PLUS,
     central_characters,
     classify_modules,
-    coset_label,
     coset_labels,
+    format_label,
     label_coset,
     label_sign,
     lowest_weight,
@@ -120,7 +121,7 @@ def test_orthogonal_sign_vector_census():
         for pair in (
             (VAC_PLUS, VAC_MINUS),
             *[
-                (m, coset_label(L, m.coset, -1))
+                coset_labels(L, m.coset)
                 for m in classify_modules(L)
                 if m.kind == LabelKind.COSET and m.sign == 1
             ],
@@ -368,16 +369,18 @@ def sublattice_bases(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(sublattice_bases())
 def test_sublattice_part_count_and_constituent_classes(case):
-    # the closed-form count is the branching's length, and every untwisted
-    # constituent lifts to +- the parent's coset mod L
+    # the closed-form orbit count is the branching's length (one block for a
+    # twisted parent), and every untwisted constituent lifts to +- the
+    # parent's coset mod L
     L, basis = case
     S = sublattice(L, basis)
     zero = (0,) * L.rank
     for m in classify_modules(L):
         bl = branch_sublattice(L, basis, m)
-        assert sublattice_part_count(S, m) == len(bl.parts), str(m)
         if m.kind == LabelKind.TWISTED:
+            assert len(bl.parts) == 1, str(m)
             continue
+        assert sublattice_orbit_count(S, label_coset(L, m).rep) == len(bl.parts), str(m)
         lam = zero if m.coset is None else m.coset.rep
         for p in bl.parts:
             mu = zero if p.coset is None else S.to_parent(p.coset.rep)
@@ -455,6 +458,30 @@ def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
                 reps = [p.coset or CosetElement(rep=(F(0),) * d, min_norm=F(0))
                         for p in bl.parts]
                 assert reps == sorted(reps, key=CosetElement.sort_key)
+
+
+CONVENTION_DIGEST = "ff7d422d30b1508b52c2cdf31f75691d4cb66cdf275b72a93f9a81507bdab047"
+
+
+def test_sublattice_branchings_are_pinned_under_every_convention():
+    # one sha256 over (gram, label, basis, convention, parts, notes) for every
+    # label of TEST_GRAMS and the ladder rungs, over the Gram-Schmidt and the
+    # doubled bases, under both cocycle modes and both root branches
+    conventions = [Convention(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
+    digest = hashlib.sha256()
+    count = 0
+    for gram in TEST_GRAMS + LADDER_GRAMS:
+        L = lat(gram)
+        doubled = tuple(tuple(2 * (i == j) for j in range(L.rank)) for i in range(L.rank))
+        for basis in (orthogonal_sublattice(L).basis, doubled):
+            for m in classify_modules(L):
+                for c in conventions:
+                    bl = branch_sublattice(L, basis, m, c)
+                    digest.update(repr((gram, format_label(m), basis, c.cocycle_mode, c.root_branch,
+                                        list(map(str, bl.parts)), bl.notes)).encode())
+                    count += 1
+    assert count == 3112
+    assert digest.hexdigest() == CONVENTION_DIGEST
 
 
 def test_twisted_parent_is_not_refused_over_a_large_index():

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 
 from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, TEST_GRAMS,
                       even_grams, lat)
-from vlplus.branching import sublattice_part_count
+from vlplus.branching import branch_sublattice
 from vlplus.fusion import admissible_triple
 from vlplus.lattice import coset_element, orthogonal_sublattice, zero_coset
 from vlplus.certify import (
@@ -41,7 +42,7 @@ from vlplus.sectors import (
     VAC_PLUS,
     character_values,
     classify_modules,
-    coset_label,
+    coset_labels,
     format_label,
     label_coset,
     label_sign,
@@ -130,7 +131,7 @@ def test_weight_gap_covers_the_stated_pair_classes():
         for m in labels:
             if m.kind == LabelKind.COSET and m.sign == 1:
                 a = format_label(m)
-                b = format_label(coset_label(L, m.coset, -1))
+                b = format_label(coset_labels(L, m.coset)[1])
                 assert rule_of(cert, a, b).rule == RULE_WEIGHT_GAP
         for m in labels:
             for n in labels:
@@ -198,7 +199,7 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
     from vlplus.fusion import fusion_dim
     from vlplus.lattice import coset_element
     from vlplus.sectors import (
-        CentralCharacter, central_characters, character_values, twisted_label, untwisted_label)
+        CentralCharacter, central_characters, character_values, coset_labels, twisted_label)
     from vlplus.certify import _Context
 
     skew = lat([[2, -2], [-2, 8]])
@@ -217,7 +218,7 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
     u_skew = [m for m in classify_modules(skew) if m.kind == LabelKind.UNTWISTED]
     compared = 0
     for m in u_skew:
-        m_new = untwisted_label(rebased, move_coset(m.coset.rep))
+        (m_new,) = coset_labels(rebased, move_coset(m.coset.rep))
         for chi in central_characters(skew):
             for chj in central_characters(skew):
                 for s2 in (1, -1):
@@ -346,11 +347,16 @@ def frame_oracle(L, S, m):
     return (m.kind == LabelKind.TWISTED, families), parity, 2 ** (signed - (parity is not None))
 
 
+@lru_cache(maxsize=None)
+def branch_part_count(L, basis, m) -> int:
+    return len(branch_sublattice(L, basis, m).parts)
+
+
 def fusion_oracle(L, m1, m2, route):
     """Oracle: the FusionObstruction justification as JSON, decided per pair.
 
     Sublattice route: the admissible-triple gate on the cosets (0,
-    lambda2, lambda1), with part counts from sublattice_part_count.
+    lambda2, lambda1), with part counts from branch_sublattice itself.
     Orthogonal route: the integer rank-one families of frame_oracle."""
     S = orthogonal_sublattice(L)
     norms = ",".join(str(row[i]) for i, row in enumerate(S.lattice.gram))
@@ -362,7 +368,7 @@ def fusion_oracle(L, m1, m2, route):
             return None
         total = 1
         for m in (VAC_PLUS, m2, m1):
-            total *= sublattice_part_count(S, m)
+            total *= branch_part_count(L, S.basis, m)
         detail = (("route", route), ("subalgebra", f"fixed points over sublattice of norms [{norms}]"),
                   ("triples", str(total)), ("zero_by_parity", str(total if t1 != t2 else 0)),
                   ("zero_by_admissibility", str(0 if t1 != t2 else total)))

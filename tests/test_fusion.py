@@ -141,10 +141,10 @@ def test_rank1_specific_entries():
 def test_rank1_rejects_nonvacuum_rows():
     L = lat([[2]])
     half = coset_element(L, (F(1, 2),))
-    from vlplus.sectors import coset_label
+    from vlplus.sectors import coset_labels
 
     with pytest.raises(UnsupportedRow):
-        rank1_fusion(1, coset_label(L, half, +1), VAC_PLUS, VAC_PLUS)
+        rank1_fusion(1, coset_labels(L, half)[0], VAC_PLUS, VAC_PLUS)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from vlplus.sectors import (
     VAC_PLUS,
     central_characters,
     character_values,
-    coset_label,
+    coset_labels,
     twisted_label,
-    untwisted_label,
 )
 
 
@@ -56,11 +55,7 @@ def orthogonal_parts(ctx, m):
         chi = CentralCharacter(values=values, dim_t=m.char.dim_t)
         targets = [twisted_label(central_characters(rebased)[chi.index], m.sign)]
     else:
-        c = coset_element(rebased, ctx.sub.to_sub(m.coset.rep))
-        if m.kind == LabelKind.UNTWISTED:
-            targets = [untwisted_label(rebased, c)]
-        else:
-            targets = [coset_label(rebased, c, +1), coset_label(rebased, c, -1)]
+        targets = coset_labels(rebased, coset_element(rebased, ctx.sub.to_sub(m.coset.rep)))
     return tuple(p for t in targets for p in branch_orthogonal(rebased, t).parts)
 
 

@@ -37,6 +37,8 @@ from vlplus.lattice import (
     orbit_element,
     orthogonal_sublattice,
     sublattice,
+    sublattice_classes,
+    sublattice_orbit_count,
     validate_even_lattice,
     zero_coset,
 )
@@ -708,6 +710,30 @@ def grams_with_bases(draw):
 def test_smith_enumerators_match_fraction_paths(case):
     L, basis, vectors = case
     assert_matches_fraction_paths(L, basis, vectors + [tuple(basis[0])])
+
+
+def assert_orbit_counts_are_class_counts(L, basis):
+    """sublattice_orbit_count is len(sublattice_classes) on every coset of L
+    (0, self-paired and orbit cosets), at its rep and at a shifted copy."""
+    S = sublattice(L, basis)
+    shift = tuple((-1) ** i * (i + 1) for i in range(L.rank))
+    for c in minimal_coset_reps(L):
+        for lam in (c.rep, tuple(x + y for x, y in zip(c.rep, shift))):
+            assert sublattice_orbit_count(S, lam) == len(sublattice_classes(S, lam)), (basis, lam)
+
+
+@GENERATED
+@given(grams_with_bases())
+def test_orbit_count_is_the_number_of_classes(case):
+    L, basis, _ = case
+    assert_orbit_counts_are_class_counts(L, basis)
+
+
+def test_orbit_count_is_the_number_of_classes_e6():
+    L = lat(E6)
+    S = orthogonal_sublattice(L)
+    assert S.index == 240
+    assert_orbit_counts_are_class_counts(L, S.basis)
 
 
 # bases whose Smith transform V is not symmetric, so V and V^T give different classes

@@ -15,7 +15,6 @@ from vlplus.sectors import (
     central_characters,
     classify_modules,
     contragredient,
-    coset_label,
     coset_labels,
     format_label,
     label_coset,
@@ -134,7 +133,7 @@ def test_lowest_weights_a1():
     half = coset_element(L, (F(1, 2),))
     assert lowest_weight(L, VAC_PLUS) == 0
     assert lowest_weight(L, VAC_MINUS) == 1
-    assert lowest_weight(L, coset_label(L, half, +1)) == F(1, 4)
+    assert lowest_weight(L, coset_labels(L, half)[0]) == F(1, 4)
     chi = central_characters(L)[0]
     assert lowest_weight(L, twisted_label(chi, +1)) == F(1, 16)
     assert lowest_weight(L, twisted_label(chi, -1)) == F(9, 16)
@@ -188,13 +187,13 @@ def test_top_dimension_coset_split_is_even():
 def test_contragredient_examples():
     L = lat(A1)
     half = coset_element(L, (F(1, 2),))
-    plus = coset_label(L, half, +1)
-    assert contragredient(L, plus) == coset_label(L, half, -1)
+    plus, minus = coset_labels(L, half)
+    assert contragredient(L, plus) == minus
     assert contragredient(L, VAC_MINUS) == VAC_MINUS
 
     L24 = lat(D24)
     c = coset_element(L24, (F(0), F(1, 2)))
-    lab = coset_label(L24, c, +1)
+    lab = coset_labels(L24, c)[0]
     assert contragredient(L24, lab) == lab  # 2*(l,l) = 2 is even
 
 

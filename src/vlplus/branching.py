@@ -43,6 +43,7 @@ from .lattice import (
     Sublattice,
     coset_element,
     epsilon_cocycle,
+    integral_coords,
     orthogonal_sublattice,
     sublattice,
     sublattice_classes,
@@ -55,7 +56,7 @@ from .sectors import (
     central_characters,
     character_values,
     coset_labels,
-    format_coords,
+    format_coset,
     label_coset,
     label_sign,
     twisted_label,
@@ -169,14 +170,6 @@ def _root_unit(eps_value: int, branch: int, is_zero: bool) -> int:
     return 0 if is_zero else (eps_value == -1) + 2 * (branch == -1)
 
 
-def _integers(coords) -> tuple[int, ...]:
-    """Coordinates that must be integers, as ints."""
-    out = tuple(coords)
-    if any(x.denominator != 1 for x in out):
-        raise AssertionError(f"expected integer coordinates, got [{format_coords(out)}]")
-    return tuple(x.numerator for x in out)
-
-
 def branch_sublattice(
     L: EvenLattice,
     basis: tuple[tuple[int, ...], ...],
@@ -205,12 +198,12 @@ def branch_sublattice(
     sign, lam = label_sign(m), label_coset(L, m)
     if sign is not None:
         eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
-        two_lam = _integers(2 * x for x in lam.rep)
+        two_lam = integral_coords([2 * x for x in lam.nums], lam.den)
         zero = not any(two_lam)
         unit_l = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
     notes: list[str] = []
     parts: list[BranchPart] = []
-    for c, self_paired in sublattice_classes(S, lam.rep):
+    for c, self_paired in sublattice_classes(S, lam):
         if not self_paired:
             # c is already the smaller rep of the orbit {x, -x}
             parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
@@ -221,13 +214,14 @@ def branch_sublattice(
         # vector of the class, divided by the local one
         unit_g = unit_l
         if not zero:
-            x = _integers(a - b for a, b in zip(S.to_parent(c.rep), lam.rep))
+            # c.den = index^2 lam.den
+            x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)], c.den)
             unit_g += 2 * (eps_l(x, two_lam) == -1)
-        two_mu = _integers(2 * x for x in c.rep)
+        two_mu = integral_coords([2 * x for x in c.nums], c.den)
         ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
                                      not any(two_mu))) % 4
         if ratio % 2:
-            notes.append(f"imaginary involution ratio on class [{format_coords(c.rep)}]; reported +")
+            notes.append(f"imaginary involution ratio on class [{format_coset(c)}]; reported +")
         sigma = sign if ratio % 2 or ratio == 0 else -sign
         parts.append(coset_labels(sub, c)[sigma == -1])
     return BranchList(parent_lattice=L, parent=m, parts=tuple(parts), sublattice=sub,

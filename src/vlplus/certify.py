@@ -238,7 +238,7 @@ class _Context:
         """
         if self.route == "sublattice":
             c = label_coset(self.L, m)
-            return c, None, 1 if c is None else sublattice_orbit_count(self.sub, c.rep)
+            return c, None, 1 if c is None else sublattice_orbit_count(self.sub, c)
         choices = frame_choices(self.sub, m)
         parity = (None if m.kind == LabelKind.COSET and not self.L.is_diagonal()
                   else label_sign(m))

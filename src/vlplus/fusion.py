@@ -74,10 +74,11 @@ class UnsupportedFirstArgument(ValueError):
 def admissible_triple(
     L: EvenLattice, lam: CosetElement, mu: CosetElement, nu: CosetElement
 ) -> bool:
-    """True iff some sign combination of the three cosets lands in the lattice."""
-    mus = (mu.rep, tuple(-x for x in mu.rep))
-    nus = (nu.rep, tuple(-x for x in nu.rep))
-    return any(all((a + b + c).denominator == 1 for a, b, c in zip(lam.rep, m, n))
+    """True iff some sign combination of the three cosets (numerators over det) lands in the lattice."""
+    D = lam.den
+    mus = (mu.nums, tuple(-x for x in mu.nums))
+    nus = (nu.nums, tuple(-x for x in nu.nums))
+    return any(all((a + b + c) % D == 0 for a, b, c in zip(lam.nums, m, n))
                for m in mus for n in nus)
 
 
@@ -160,7 +161,7 @@ def fusion_dim(
     lam = label_coset(L, m1)
 
     if t2 and t3:
-        shifted = shift_character(L, m2.char, lam.rep)
+        shifted = shift_character(L, m2.char, lam)
         if m3.char != shifted:
             return ZERO
         if m1.kind == LabelKind.UNTWISTED:

@@ -1,15 +1,15 @@
 """Exact geometry of positive definite even lattices.
 
 A lattice is given by its integer Gram matrix in a fixed basis; lattice
-vectors are integer coordinate tuples, dual vectors are Fraction tuples
-in the same basis.  All operations below are pure and exact: coset
+vectors are integer coordinate tuples, a dual coset is its canonical rep's
+integer numerators over det (CosetElement).  All operations are exact: coset
 canonicalization, short-vector enumeration (Fincke-Pohst in integers
 only: the coset is scaled by its denominator and walked over the integer
 numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
 bilinear data.  The walker uses v -> -v: a class closed under negation is
 counted from half its tree, and one walk of a minimal shell gives a +-
-orbit's rep, its least vector once each is turned to a positive first
-nonzero entry (_oriented).  One class walker, driven by a Smith form,
+orbit's rep, the least of the shell and its negation (_least with signs
+(1, -1)).  One class walker, driven by a Smith form,
 enumerates L°/L, L modulo a full-rank sublattice L', and the classes
 (lam + L)/L' that a sublattice branching meets, in integers and one walk
 per +- pair; dual_orbits, sublattice_classes and orbit_element keep that
@@ -103,25 +103,28 @@ class EvenLattice:
 class CosetElement:
     """Canonical representative of a coset of the lattice inside its dual.
 
-    rep attains min_norm; among equal-norm vectors the representative is
+    The rep nums / den, over the lattice's determinant den, attains the
+    least norm norm_num / den; among equal-norm vectors the representative is
     the one whose coordinate tuple is smallest under the key
     (|c|, sign) per coordinate, nonnegative entries preferred.  This
-    tie-break is a convention fixed for reproducibility only.
+    tie-break is a convention fixed for reproducibility only.  rep and
+    min_norm are exact views for printing and for callers outside.
     """
 
-    rep: DualCoords
-    min_norm: Fraction
-
-    def __hash__(self):
-        # labels key certify's per-label tables: hash the Fractions once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.rep, self.min_norm))
-            object.__setattr__(self, "_hash", h)
-        return h
+    den: int
+    nums: Coords
+    norm_num: int
 
     def sort_key(self):
-        return (self.min_norm, _coords_key(self.rep))
+        return (self.norm_num, _coords_key(self.nums))
+
+    @property
+    def rep(self) -> DualCoords:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
+    def min_norm(self) -> Fraction:
+        return Fraction(self.norm_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -183,9 +186,9 @@ class ModTwoData:
         return (n // 2) & 1
 
 
-def _coords_key(v) -> tuple:
+def _coords_key(v: Coords) -> Coords:
     # minimal-norm ties break toward small absolute coordinates, nonnegative first
-    return tuple((abs(c), 0 if c >= 0 else 1) for c in v)
+    return tuple([2 * abs(c) + (c < 0) for c in v])
 
 
 def validate_even_lattice(gram) -> EvenLattice:
@@ -365,21 +368,21 @@ def enumerate_coset_with_norms(
     scale = _ldl_cached(L.gram)[0] * D * D
     leaves = _walk(L.gram, D, nums, _budget(bound, scale), "vectors")
     # v = w / D with D > 0, so the integer key orders exactly as (norm, key) of v
-    leaves.sort(key=lambda p: (p[0], *(2 * abs(x) + (x < 0) for x in p[1])))
+    leaves.sort(key=lambda p: (p[0], _coords_key(p[1])))
     coord = {x: Fraction(x, D) for x in {x for _, w in leaves for x in w}}
     norm = {S: Fraction(S, scale) for S in {S for S, _ in leaves}}
     return [(tuple(map(coord.__getitem__, w)), norm[S]) for S, w in leaves]
 
 
-def coset_norm_counts(L: EvenLattice, lam: DualCoords, bound) -> tuple[int, dict[int, int]]:
-    """(scale, {S: number of v in lam + L with norm S / scale}), over norms <= bound.
+def coset_norm_counts(L: EvenLattice, lam: CosetElement, bound) -> tuple[int, dict[int, int]]:
+    """(scale, {S: number of v in the coset lam with norm S / scale}), over norms <= bound.
 
     The counts are keyed by integer numerators over one positive scale, so
     no norm is built as a Fraction.  A diagonal Gram's coset is the product
     of its coordinates' cosets: each coordinate's values of g_ii w^2 are
     counted and the counts convolved, truncated at the bound, at a cost
     polynomial in the bound.  Any other Gram is walked."""
-    D, nums = _scaled(lam)
+    D, nums = lam.den, lam.nums
     scale = _ldl_cached(L.gram)[0] * D * D
     budget = _budget(bound, scale)
     diag = _diagonal(L.gram)
@@ -419,48 +422,55 @@ def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords]]:
     return _walk(gram, D, start, budget, "minimum")
 
 
-def _least(shell, sign: int = 1) -> Coords:
-    """The shell vector, negated when sign is -1, that is least under the key."""
-    return min((tuple(sign * x for x in w) for w in shell), key=_coords_key)
+def _least(shell, signs=(1,)) -> Coords:
+    """The least under the key of the shell vectors times each of signs."""
+    return min((tuple([s * x for x in w]) for w in shell for s in signs), key=_coords_key)
 
 
-def _oriented(w: Coords) -> Coords:
-    """w or -w, whichever has a positive first nonzero entry: the lesser under the key."""
-    return tuple(-x for x in w) if next((x for x in w if x), 0) < 0 else w
+def _element(L: EvenLattice, E: int, S: int, w: Coords) -> CosetElement:
+    """The coset element of the leaf w / E, of norm S / (M E^2), over the denominator det."""
+    det = L.det
+    return CosetElement(det, tuple(x * det // E for x in w), S * det // (_ldl_cached(L.gram)[0] * E * E))
 
 
-def _element(gram, D: int, S: int, w: Coords) -> CosetElement:
-    return CosetElement(rep=tuple(Fraction(x, D) for x in w),
-                        min_norm=Fraction(S, _ldl_cached(gram)[0] * D * D))
+def integral_coords(nums, den: int) -> Coords:
+    """nums / den for a vector that must lie in the lattice; AssertionError otherwise."""
+    if any(x % den for x in nums):
+        raise AssertionError(f"{list(nums)} / {den} is not a lattice vector")
+    return tuple(x // den for x in nums)
+
+
+def _canonical(L: EvenLattice, v: DualCoords, signs) -> CosetElement:
+    """The element of the dual vector v's coset at the least shell vector times signs."""
+    D, nums = _scaled(v)
+    if any(sum(g * x for g, x in zip(row, nums)) % D for row in L.gram):
+        raise ValueError("coordinates are not a dual vector (G v is not integral)")
+    S, shell = _coset_shell(L.gram, D, nums)
+    return _element(L, D, S, _least(shell, signs))
 
 
 def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
-    """Canonicalize an arbitrary dual vector to its coset representative."""
-    D, nums = _scaled(v)
-    S, shell = _coset_shell(L.gram, D, nums)
-    return _element(L.gram, D, S, _least(shell))
+    """Canonicalize a dual vector to its coset representative; ValueError for any other vector."""
+    return _canonical(L, v, (1,))
 
 
 def orbit_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """The lesser, under sort_key, of the canonical reps of v + L and -v + L: one walk."""
-    D, nums = _scaled(v)
-    S, shell = _coset_shell(L.gram, D, nums)
-    return _element(L.gram, D, S, min(map(_oriented, shell), key=_coords_key))
+    return _canonical(L, v, (1, -1))
 
 
 @lru_cache(maxsize=None)
 def zero_coset(L: EvenLattice) -> CosetElement:
-    z = tuple(Fraction(0) for _ in range(L.rank))
-    return CosetElement(rep=z, min_norm=Fraction(0))
+    return CosetElement(L.det, (0,) * L.rank, 0)
 
 
 def coset_is_trivial(c: CosetElement) -> bool:
-    return all(x.denominator == 1 for x in c.rep)
+    return not any(c.nums)
 
 
 def coset_two_torsion(L: EvenLattice, c: CosetElement) -> bool:
     """True iff twice the coset lies in the lattice."""
-    return all((2 * x).denominator == 1 for x in c.rep)
+    return all(2 * x % c.den == 0 for x in c.nums)
 
 
 @lru_cache(maxsize=None)
@@ -513,13 +523,14 @@ def _class_walks(gram, smith, v, shift, den: int):
         yield (neg == c, *_coset_shell(gram, E, nums))
 
 
-def _orbits(gram, smith, v, shift, den: int) -> list[tuple[CosetElement, bool]]:
-    """(c, self_paired) per class pair of _class_walks, sorted by sort_key: c is the
-    canonical rep of the lesser of x and -x (of x when self-paired), from one shell."""
-    reps = [(S, min(map(_oriented, shell), key=_coords_key), self_paired)
-            for self_paired, S, shell in _class_walks(gram, smith, v, shift, den)]
-    reps.sort(key=lambda r: (r[0], _coords_key(r[1])))
-    return [(_element(gram, den * smith[-1], S, w), self_paired) for S, w, self_paired in reps]
+def _orbits(L: EvenLattice, smith, v, shift, den: int) -> list[tuple[CosetElement, bool]]:
+    """(c, self_paired) per class pair of _class_walks in L, sorted by sort_key: c
+    is the canonical rep of the lesser of x and -x (of x when self-paired), from one shell."""
+    E = den * smith[-1]
+    out = [(_element(L, E, S, _least(shell, (1, -1))), self_paired)
+           for self_paired, S, shell in _class_walks(L.gram, smith, v, shift, den)]
+    out.sort(key=lambda r: r[0].sort_key())
+    return out
 
 
 def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
@@ -533,7 +544,7 @@ def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
     for self_paired, S, shell in _class_walks(gram, smith, v, [0] * len(smith), 1):
         out.append((S, _least(shell)))
         if not self_paired:
-            out.append((S, _least(shell, -1)))
+            out.append((S, _least(shell, (-1,))))
     if len({tuple(y % D for y in w) for _, w in out}) != math.prod(smith):
         raise AssertionError("duplicate class generated from the Smith form")
     out = sorted(((S, lift(w)) for S, w in out), key=lambda p: (p[0], _coords_key(p[1])))
@@ -546,7 +557,7 @@ def _class_minima(gram, smith, v, lift=tuple) -> list[tuple[int, tuple]]:
 def dual_orbits(L: EvenLattice) -> tuple[tuple[CosetElement, bool], ...]:
     """(c, self_paired) per +- orbit of L°/L, c its rep: the zero coset first, then by sort_key."""
     d, _, v = intmat.snf([list(r) for r in L.gram])
-    return tuple(_orbits(L.gram, d, v, [0] * len(d), 1))
+    return tuple(_orbits(L, d, v, [0] * len(d), 1))
 
 
 @lru_cache(maxsize=None)
@@ -556,23 +567,20 @@ def minimal_coset_reps(L: EvenLattice) -> tuple[CosetElement, ...]:
     The zero coset comes first; the rest are sorted by (min_norm, key).
     """
     d, _, v = intmat.snf([list(r) for r in L.gram])
-    return tuple(_element(L.gram, d[-1], S, w) for S, w in _class_minima(L.gram, d, v))
+    return tuple(_element(L, d[-1], S, w) for S, w in _class_minima(L.gram, d, v))
 
 
 def norm2_vectors(L: EvenLattice) -> tuple[Coords, ...]:
-    """All lattice vectors of norm exactly 2 (the root set), possibly empty."""
-    zero = tuple(Fraction(0) for _ in range(L.rank))
-    vecs = enumerate_coset_with_norms(L, zero, Fraction(2))
-    return tuple(
-        tuple(int(x) for x in v) for v, n in vecs if n == 2
-    )
+    """All lattice vectors of norm exactly 2 (the root set), possibly empty, sorted by key."""
+    two = 2 * _ldl_cached(L.gram)[0]
+    leaves = _walk(L.gram, 1, [0] * L.rank, two, "vectors")
+    return tuple(sorted((w for S, w in leaves if S == two), key=_coords_key))
 
 
 def delta_set(L: EvenLattice, lam: CosetElement) -> tuple[Coords, ...]:
     """Lattice shifts preserving the minimal coset norm: {a : |lam+a|^2 = |lam|^2}."""
-    D, nums = _scaled(lam.rep)
-    _, shell = _coset_shell(L.gram, D, nums)
-    return tuple(sorted(tuple((x - y) // D for x, y in zip(w, nums)) for w in shell))
+    _, shell = _coset_shell(L.gram, lam.den, lam.nums)
+    return tuple(sorted(tuple((x - y) // lam.den for x, y in zip(w, lam.nums)) for w in shell))
 
 
 @dataclass(frozen=True)
@@ -594,24 +602,25 @@ class Sublattice:
     smith_u: tuple[Coords, ...]
     smith_v: tuple[Coords, ...]
 
-    def smith_class(self, v) -> tuple[int, list[int]]:
-        """(D, y): v = nums / D over its least common denominator, and y = U nums.
+    def smith_class(self, nums) -> list[int]:
+        """U nums; for a lattice vector, U nums mod smith is its class modulo the sublattice."""
+        return [sum(a * b for a, b in zip(nums, row)) for row in self.smith_u]
 
-        For a lattice vector (D = 1), y mod smith is its class modulo the sublattice."""
-        D, nums = _scaled(v)
-        return D, [sum(a * b for a, b in zip(nums, row)) for row in self.smith_u]
+    def lift(self, nums) -> list[int]:
+        """nums B: sublattice numerators to parent ones over the same denominator."""
+        return [sum(a * b for a, b in zip(nums, col)) for col in zip(*self.basis)]
 
     def to_sub(self, v) -> DualCoords:
         """Parent coordinates to sublattice coordinates, v U^T diag(smith)^-1 V^T."""
-        D, y = self.smith_class(v)
+        D, nums = _scaled(v)
         top = self.smith[-1]
-        y = [top // f * t for f, t in zip(self.smith, y)]
+        y = [top // f * t for f, t in zip(self.smith, self.smith_class(nums))]
         return tuple(Fraction(sum(a * b for a, b in zip(y, row)), D * top) for row in self.smith_v)
 
     def to_parent(self, x) -> DualCoords:
         """Sublattice coordinates to parent coordinates, x B."""
         D, nums = _scaled(x)
-        return tuple(Fraction(sum(a * b for a, b in zip(nums, col)), D) for col in zip(*self.basis))
+        return tuple(Fraction(y, D) for y in self.lift(nums))
 
 
 @lru_cache(maxsize=None)
@@ -668,18 +677,11 @@ def coset_reps_mod_sublattice(
     sublattice coordinates, walked there and mapped back as w B / D.
     """
     S = sublattice(L, basis)
-    D = S.smith[-1]
-
-    def lift(w):
-        vec = S.to_parent(tuple(Fraction(x, D) for x in w))
-        if any(x.denominator != 1 for x in vec):
-            raise AssertionError("class representative is not a lattice vector")
-        return tuple(map(int, vec))
-
-    return tuple(v for _, v in _class_minima(S.lattice.gram, S.smith, S.smith_v, lift))
+    return tuple(v for _, v in _class_minima(S.lattice.gram, S.smith, S.smith_v,
+                                             lambda w: integral_coords(S.lift(w), S.smith[-1])))
 
 
-def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElement, bool]]:
+def sublattice_classes(S: Sublattice, lam: CosetElement) -> list[tuple[CosetElement, bool]]:
     """The classes of (lam + L) modulo the sublattice, up to negation, in its coordinates.
 
     One (c, self_paired) per class x, with x and -x counted once where both
@@ -687,17 +689,16 @@ def sublattice_classes(S: Sublattice, lam: DualCoords) -> list[tuple[CosetElemen
     {x + L', -x + L'}.  A parent vector lam + g with U g = c (mod smith) is
     x = V diag(smith)^-1 (U lam + c) in sublattice coordinates, so the
     classes are walked in integers, one walk per pair."""
-    D, shift = S.smith_class(lam)
-    return _orbits(S.lattice.gram, S.smith, S.smith_v, shift, D)
+    return _orbits(S.lattice, S.smith, S.smith_v, S.smith_class(lam.nums), lam.den)
 
 
-def sublattice_orbit_count(S: Sublattice, lam: DualCoords) -> int:
+def sublattice_orbit_count(S: Sublattice, lam: CosetElement) -> int:
     """len(sublattice_classes(S, lam)) in closed form, from the Smith class of lam.
 
     The index-many classes of lam + L stay unpaired unless 2 lam lies in L;
     then negation pairs them and fixes 2^(#even smith_i) of them if U 2lam
     is even in every slot of even smith_i, and none otherwise."""
-    D, y = S.smith_class(lam)
+    D, y = lam.den, S.smith_class(lam.nums)
     if any(2 * t % D for t in y):
         return S.index
     fixed = all(f % 2 or 2 * t // D % 2 == 0 for f, t in zip(S.smith, y))

@@ -240,14 +240,14 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
     counts stop at the last grid point below the order, norm 2 (order_key -
     1) / denom, so the shell at the order itself is never enumerated; a
     diagonal Gram's counts are a convolution, with no walk (see
-    coset_norm_counts).  A coset whose least norm lam.min_norm reaches
-    2 * order is zero, unwalked."""
+    coset_norm_counts).  A coset whose least norm lam.norm_num / lam.den
+    reaches 2 * order is zero, unwalked."""
     order = Fraction(order)
     denom = denom or series_denominator(L)
     order_key = _key(order, denom)
     nums: dict[int, int] = {}
-    if 2 * order > lam.min_norm:
-        scale, counts = coset_norm_counts(L, lam.rep, Fraction(2 * (order_key - 1), denom))
+    if 2 * order * lam.den > lam.norm_num:
+        scale, counts = coset_norm_counts(L, lam, Fraction(2 * (order_key - 1), denom))
         for S, n in counts.items():
             k, r = divmod(S * denom, 2 * scale)
             if r:
@@ -301,13 +301,14 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     reaches 2 * order adds no theta and its coset is not walked."""
     order = Fraction(order)
     denom = series_denominator(L)
+    cut = 2 * order * L.det  # a coset of L has least norm norm_num / det
     twice: dict[int, int] = {}
     psi_weight = 0
     for m in labels:
         w, t = THETA_PSI[m.kind]
         psi_weight += t
         lam = label_coset(L, m)
-        if lam.min_norm >= 2 * order:
+        if lam.norm_num >= cut:
             continue
         for k, n in theta_coset(L, lam, order, denom).nums.items():
             twice[k] = twice.get(k, 0) + w * n

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 from .lattice import (
     CosetElement,
@@ -131,16 +131,12 @@ def central_characters(L: EvenLattice) -> tuple[CentralCharacter, ...]:
     return tuple(chars)
 
 
-def shift_character(L: EvenLattice, chi: CentralCharacter, lam) -> CentralCharacter:
-    """Twist by a dual vector: multiply each value by (-1)^(r_i, lam)."""
+def shift_character(L: EvenLattice, chi: CentralCharacter, lam: CosetElement) -> CentralCharacter:
+    """Twist by a dual coset: multiply each value by (-1)^(r_i, lam), an integer."""
     m = mod_two_data(L)
-    new_vals = []
-    for r, v in zip(m.radical_basis, chi.values):
-        pair = L.pairing(r, lam)
-        if Fraction(pair).denominator != 1:
-            raise ValueError("character shift requires a dual vector")
-        new_vals.append(v * (-1 if int(pair) % 2 else 1))
-    return CentralCharacter(values=tuple(new_vals), dim_t=chi.dim_t)
+    new_vals = tuple(v * (-1 if L.pairing(r, lam.nums) // lam.den % 2 else 1)
+                     for r, v in zip(m.radical_basis, chi.values))
+    return CentralCharacter(values=new_vals, dim_t=chi.dim_t)
 
 
 def prime_character(L: EvenLattice, chi: CentralCharacter) -> CentralCharacter:
@@ -182,7 +178,7 @@ def lowest_weight(L: EvenLattice, m: ModuleLabel) -> Fraction:
     if m.kind == LabelKind.VAC_MINUS:
         return Fraction(1)
     if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
-        return m.coset.min_norm / 2
+        return Fraction(m.coset.norm_num, 2 * m.coset.den)
     d = L.rank
     if m.sign == 1:
         return Fraction(d, 16)
@@ -211,10 +207,10 @@ def contragredient(L: EvenLattice, m: ModuleLabel) -> ModuleLabel:
     if m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS, LabelKind.UNTWISTED):
         return m
     if m.kind == LabelKind.COSET:
-        doubled = 2 * m.coset.min_norm
-        if doubled.denominator != 1:
+        doubled, rem = divmod(2 * m.coset.norm_num, m.coset.den)
+        if rem:
             raise AssertionError("self-paired coset must have half-integral norm")
-        if int(doubled) % 2 == 0:
+        if doubled % 2 == 0:
             return m
         return replace(m, sign=-m.sign)
     return twisted_label(prime_character(L, m.char), m.sign)
@@ -230,15 +226,22 @@ def format_label(m: ModuleLabel) -> str:
     if m.kind == LabelKind.VAC_MINUS:
         return "V-"
     if m.kind == LabelKind.UNTWISTED:
-        return f"U[{format_coords(m.coset.rep)}]"
+        return f"U[{format_coset(m.coset)}]"
     if m.kind == LabelKind.COSET:
-        return f"C[{format_coords(m.coset.rep)}]{_sign_str(m.sign)}"
+        return f"C[{format_coset(m.coset)}]{_sign_str(m.sign)}"
     return f"T[{m.char.index}]{_sign_str(m.sign)}"
 
 
 def format_coords(coords) -> str:
     """Exact coordinates joined by commas, as labels, notes and sign-oracle keys write them."""
     return ",".join(str(c) for c in coords)
+
+
+def format_coset(c: CosetElement) -> str:
+    """format_coords of the coset's rep, each p/q reduced straight from the numerators."""
+    den = c.den
+    return ",".join([str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+                     for x in c.nums])
 
 
 def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
@@ -257,21 +260,18 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     if kind in ("U", "C") and text[1:2] == "[":
         try:
             coords = tuple(read_rational(p) for p in text[2:close].split(","))
+            if len(coords) != L.rank:
+                raise ValueError(f"has {len(coords)} coordinates, lattice rank is {L.rank}")
+            c = (orbit_element if kind == "U" else coset_element)(L, coords)  # checks G v integral
         except ValueError as e:
             raise ValueError(f"label {text!r}: {e}")
-        if len(coords) != L.rank:
-            raise ValueError(f"label {text!r}: has {len(coords)} coordinates, lattice rank is {L.rank}")
-        if any(sum(g * x for g, x in zip(row, coords)).denominator != 1 for row in L.gram):
-            raise ValueError(f"label {text!r}: coordinates are not a dual vector (G v is not integral)")
         if kind == "U":
             if text[close + 1:]:
                 raise ValueError(f"label {text!r}: untwisted labels carry no sign")
-            c = orbit_element(L, coords)
             if coset_two_torsion(L, c):
                 raise ValueError(f"label {text!r}: coset is self-paired; use a signed C label")
             return ModuleLabel(LabelKind.UNTWISTED, coset=c)
         sign = _parse_sign(text)
-        c = coset_element(L, coords)
         if not coset_two_torsion(L, c) or coset_is_trivial(c):
             raise ValueError(f"label {text!r}: C labels require a nonzero self-paired coset")
         return ModuleLabel(LabelKind.COSET, coset=c, sign=sign)

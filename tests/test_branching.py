@@ -22,6 +22,7 @@ from vlplus.lattice import (
     sublattice,
     sublattice_orbit_count,
     validate_even_lattice,
+    zero_coset,
 )
 from vlplus.branching import (
     BranchList,
@@ -380,7 +381,7 @@ def test_sublattice_part_count_and_constituent_classes(case):
         if m.kind == LabelKind.TWISTED:
             assert len(bl.parts) == 1, str(m)
             continue
-        assert sublattice_orbit_count(S, label_coset(L, m).rep) == len(bl.parts), str(m)
+        assert sublattice_orbit_count(S, label_coset(L, m)) == len(bl.parts), str(m)
         lam = zero if m.coset is None else m.coset.rep
         for p in bl.parts:
             mu = zero if p.coset is None else S.to_parent(p.coset.rep)
@@ -455,8 +456,7 @@ def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
             assert parts_multiset(bl.parts) == parts_multiset(parts), (gram, str(m))
             assert set(bl.notes) == set(notes) and len(bl.notes) == len(notes), (gram, str(m))
             if m.kind != LabelKind.TWISTED:
-                reps = [p.coset or CosetElement(rep=(F(0),) * d, min_norm=F(0))
-                        for p in bl.parts]
+                reps = [p.coset or zero_coset(bl.sublattice) for p in bl.parts]
                 assert reps == sorted(reps, key=CosetElement.sort_key)
 
 

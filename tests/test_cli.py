@@ -238,6 +238,31 @@ def test_decompose_stdout_is_pinned_on_every_label(tmp_path, capsys):
     assert digest.hexdigest() == DECOMPOSE_DIGEST
 
 
+LADDER_DECOMPOSE_DIGEST = "fac4edf95c24633ef57e60b35cc1bc84434738ee8ad87875332d65e0223bab4d"
+E8_DECOMPOSE_DIGEST = "6a267fb9438f69b01bfd302c1c1155c84be0dd59082064e6273aa15255ca7431"
+
+
+def test_decompose_stdout_is_pinned_on_the_ladder_and_e8(tmp_path, capsys):
+    """Every label of the certify-ladder rungs over auto at order 2: one
+    digest of exit codes and stdout; and E8 V+ over auto at order 1, whose
+    20,168 parts cover the index-40,320 Gram-Schmidt sublattice."""
+    digest, runs = hashlib.sha256(), 0
+    for gram in LADDER_GRAMS:
+        path = write_gram(tmp_path, gram)
+        for name in map(format_label, classify_modules(validate_even_lattice(gram))):
+            code, out, _ = run_cli(capsys, ["decompose", "--gram", path, "--module", name,
+                                            "--sublattice", "auto", "--order", "2"])
+            digest.update(f"{gram}\t{name}\t{code}\n{out}".encode())
+            runs += 1
+    assert runs == 239
+    assert digest.hexdigest() == LADDER_DECOMPOSE_DIGEST
+    code, out, err = run_cli(capsys, ["decompose", "--gram", write_gram(tmp_path, E8), "--module",
+                                      "V+", "--sublattice", "auto", "--order", "1"])
+    assert code == EXIT_OK and err == ""
+    assert len(out.encode()) == 833103
+    assert hashlib.sha256(out.encode()).hexdigest() == E8_DECOMPOSE_DIGEST
+
+
 CHAR_DIGEST = "901f63a09035e50d3cc211387f9e525eacd7875838166758c3caf0ce8ae70fe0"
 
 

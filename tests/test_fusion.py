@@ -265,7 +265,7 @@ def test_fusion_twisted_pairs_shift_gate():
             for t2 in tw:
                 for t3 in tw:
                     got = fusion_dim(L, m1, t2, t3)
-                    if t3.char == shift_character(L, t2.char, lam.rep):
+                    if t3.char == shift_character(L, t2.char, lam):
                         assert got == ONE
                     else:
                         assert got == ZERO
@@ -277,7 +277,7 @@ def test_fusion_twisted_pair_with_coset_first_slot_needs_oracle():
     c_plus = [m for m in kinds[LabelKind.COSET] if m.sign == 1][0]
     t_plus = [m for m in kinds[LabelKind.TWISTED] if m.sign == 1][0]
     lam = c_plus.coset
-    shifted_char = shift_character(L, t_plus.char, lam.rep)
+    shifted_char = shift_character(L, t_plus.char, lam)
     target = [m for m in kinds[LabelKind.TWISTED] if m.char == shifted_char and m.sign == 1][0]
     ans = fusion_dim(L, c_plus, t_plus, target)
     assert ans.value == "unknown"

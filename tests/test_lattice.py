@@ -259,8 +259,8 @@ def full_walk_counts(L, lam, bound):
 
 
 def norm_counts(L, lam, bound):
-    """coset_norm_counts with its integer keys S read as norms S / scale."""
-    scale, counts = coset_norm_counts(L, lam, bound)
+    """coset_norm_counts of the coset of lam with its integer keys S read as norms S / scale."""
+    scale, counts = coset_norm_counts(L, coset_element(L, lam), bound)
     return {F(S, scale): n for S, n in counts.items()}
 
 
@@ -282,7 +282,18 @@ def test_coset_element_is_first_of_full_enumeration(case):
     L, rep, a = case
     shifted = tuple(x + y for x, y in zip(rep, a))
     first, norm = enumerate_coset_with_norms(L, shifted, L.norm(shifted))[0]
-    assert coset_element(L, shifted) == CosetElement(rep=first, min_norm=norm)
+    c, again = coset_element(L, shifted), coset_element(L, rep)
+    # one integer form per coset: numerators over det(L), equal from any rep
+    assert (c.den, c.nums, c.norm_num) == (again.den, again.nums, again.norm_num)
+    assert c == again and hash(c) == hash(again) and c.den == L.det
+    assert c.rep == first and c.min_norm == norm
+
+
+def test_coset_element_rejects_a_non_dual_vector():
+    # (1/3, 0) is over A2's determinant 3 but not dual: G v = (2/3, 1/3)
+    for canonical in (coset_element, orbit_element):
+        with pytest.raises(ValueError, match="not a dual vector"):
+            canonical(lat(A2), (F(1, 3), F(0)))
 
 
 
@@ -350,9 +361,11 @@ def test_diagonal_closed_forms_match_the_walker(case, bound):
     gram, lam = case
     L = lat(gram)
     D, nums = _scaled(lam)
-    scale, counts = coset_norm_counts(L, lam, bound)
-    assert scale == D * D  # a diagonal Gram's split has M = 1
-    assert counts == _walk(L.gram, D, nums, _budget(bound, scale), "counts")
+    if is_dual_vector(L, lam):  # coset_norm_counts counts a coset of L in its dual
+        c = coset_element(L, lam)
+        scale, counts = coset_norm_counts(L, c, bound)
+        assert scale == c.den * c.den  # a diagonal Gram's split has M = 1
+        assert counts == _walk(L.gram, c.den, c.nums, _budget(bound, scale), "counts")
     S, shell = _coset_shell(L.gram, D, nums)
     start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
     budget = sum(g[i] * x * x for i, (g, x) in enumerate(zip(L.gram, start)))
@@ -718,7 +731,7 @@ def assert_orbit_counts_are_class_counts(L, basis):
     S = sublattice(L, basis)
     shift = tuple((-1) ** i * (i + 1) for i in range(L.rank))
     for c in minimal_coset_reps(L):
-        for lam in (c.rep, tuple(x + y for x, y in zip(c.rep, shift))):
+        for lam in (c, coset_element(L, tuple(x + y for x, y in zip(c.rep, shift)))):
             assert sublattice_orbit_count(S, lam) == len(sublattice_classes(S, lam)), (basis, lam)
 
 

@@ -224,7 +224,7 @@ def test_character_shift_is_involution():
         L = lat(gram)
         for c in minimal_coset_reps(L):
             for chi in central_characters(L):
-                twice = shift_character(L, shift_character(L, chi, c.rep), c.rep)
+                twice = shift_character(L, shift_character(L, chi, c), c)
                 assert twice == chi
 
 

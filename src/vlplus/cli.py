@@ -6,6 +6,13 @@ entries; rationals in all outputs are exact "p/q" strings in lowest
 terms.  Exit codes: 0 success, 2 validation or input error, 3 an
 incomplete certificate (or a failed certificate re-check).
 
+A flag takes its value as --flag value or --flag=value, and may be
+shortened to a unique prefix (--mod V+).  Given twice, a flag keeps its
+last value, except --disable-rule, which keeps every one.  A value led
+by a dash is read only if it is a number (--jobs -1) or written after
+"=".  -h or --help, alone or after a command, prints the usage read off
+the flag table; a malformed command line exits 2 with the usage.
+
 Defaults (stable): truncation order 12, tsv output.  The environment
 variables VLPLUS_ORDER and VLPLUS_FORMAT override them.  certify runs
 in one process; --jobs and VLPLUS_JOBS are still validated, for
@@ -14,13 +21,13 @@ compatibility only, and change nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
+from types import SimpleNamespace
 
 from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
 from .certify import (
@@ -125,8 +132,7 @@ def _emit_rows(rows, header, fmt, out):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, out):
-    L = _load_gram(args.gram)
+def cmd_analyze(L, args, out):
     dg = discriminant_group(L)
     m2 = mod_two_data(L)
     orth = orthogonal_sublattice(L)
@@ -150,8 +156,7 @@ def cmd_analyze(args, out):
     return EXIT_OK
 
 
-def cmd_modules(args, out):
-    L = _load_gram(args.gram)
+def cmd_modules(L, args, out):
     rows = []
     for m in classify_modules(L):
         rows.append(
@@ -186,8 +191,7 @@ def _check_grids(order: Fraction, lattices) -> None:
             raise CliError(f"order {order} is not on the grid 1/{n} of the characters")
 
 
-def cmd_char(args, out):
-    L = _load_gram(args.gram)
+def cmd_char(L, args, out):
     try:
         m = parse_label(L, args.module)
     except ValueError as e:
@@ -200,9 +204,10 @@ def cmd_char(args, out):
     return EXIT_OK
 
 
-def cmd_fusion(args, out):
-    L = _load_gram(args.gram)
+def cmd_fusion(L, args, out):
     oracle = _load_oracle(args.oracle)
+    if args.batch and args.triple:
+        raise CliError("fusion takes --triple or --batch, not both")
     if args.batch:
         try:
             with open(args.batch) as fh:
@@ -230,8 +235,7 @@ def cmd_fusion(args, out):
     return EXIT_OK
 
 
-def cmd_decompose(args, out):
-    L = _load_gram(args.gram)
+def cmd_decompose(L, args, out):
     try:
         m = parse_label(L, args.module)
     except ValueError as e:
@@ -287,8 +291,7 @@ def _part_str(p) -> str:
     return format_label(p)
 
 
-def cmd_certify(args, out):
-    L = _load_gram(args.gram)
+def cmd_certify(L, args, out):
     if args.verify:
         given = [flag for flag, v in (("--out", args.out), ("--disable-rule", args.disable_rule)) if v]
         if given:
@@ -325,84 +328,132 @@ def cmd_certify(args, out):
 
 def _output_format(text: str) -> str:
     if text not in FORMATS:
-        raise argparse.ArgumentTypeError(f"format must be tsv or json, got {text!r}")
+        raise ValueError(f"format must be tsv or json, got {text!r}")
     return text
 
 
 def _jobs(text: str) -> int:
     if not (text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"jobs must be a positive integer, got {text!r}")
+        raise ValueError(f"jobs must be a positive integer, got {text!r}")
     return int(text)
 
 
-@lru_cache(maxsize=8)
-def build_parser(default_order: str, default_format: str, default_jobs: str) -> argparse.ArgumentParser:
-    """The parser for one set of defaults (main passes VLPLUS_ORDER,
-    VLPLUS_FORMAT and VLPLUS_JOBS); built once per distinct set."""
-    # string defaults go through the argument's type, so a malformed
-    # environment value is reported like a malformed flag (exit 2)
-    p = argparse.ArgumentParser(prog="vlplus", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+# flag: (value count, required, repeats, choices); choices that are a
+# function read the value instead, raising ValueError on a bad one
+FLAGS = {
+    "--gram": (1, True, False, None),
+    "--format": (1, False, False, _output_format),
+    "--order": (1, False, False, None),
+    "--module": (1, True, False, None),
+    "--triple": (3, False, False, None),
+    "--batch": (1, False, False, None),
+    "--oracle": (1, False, False, None),
+    "--sublattice": (1, False, False, None),
+    "--out": (1, False, False, None),
+    "--verify": (1, False, False, None),
+    "--jobs": (1, False, False, _jobs),
+    "--disable-rule": (1, False, True, ALL_RULES),
+}
+COMMANDS = {  # command: (handler, help line, flags)
+    "analyze": (cmd_analyze, "lattice report", ("--gram", "--format")),
+    "modules": (cmd_modules, "irreducible-module table", ("--gram", "--format")),
+    "char": (cmd_char, "graded dimension of one module", ("--gram", "--order", "--module")),
+    "fusion": (cmd_fusion, "fusion-dimension queries",
+               ("--gram", "--format", "--triple", "--batch", "--oracle")),
+    "decompose": (cmd_decompose, "branch one module over a subalgebra",
+                  ("--gram", "--format", "--order", "--module", "--sublattice")),
+    "certify": (cmd_certify, "vanishing certificate for all ordered pairs",
+                ("--gram", "--out", "--verify", "--jobs", "--disable-rule")),
+}
 
-    def common(sp, order=False, fmt=True):
-        sp.add_argument("--gram", required=True, help="JSON file with the Gram matrix")
-        if fmt:
-            sp.add_argument("--format", type=_output_format, choices=FORMATS,
-                            default=default_format)
-        if order:
-            sp.add_argument("--order", default=default_order,
-                            help="truncation order (rational, default 12)")
 
-    sp = sub.add_parser("analyze", help="lattice report")
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
+def _exit(command, error=None):
+    """Print the help and exit 0, or the usage and an error and exit 2."""
+    if command is None:
+        usage = f"usage: vlplus [-h] {{{','.join(COMMANDS)}}} ..."
+        about = (__doc__ or "") + "\ncommands:\n" + "\n".join(
+            f"  {name:<10} {line}" for name, (_, line, _) in COMMANDS.items())
+    else:
+        usage, about = f"usage: vlplus {command} [-h]", COMMANDS[command][1]
+        for flag in COMMANDS[command][2]:
+            count, required, _, choices = FLAGS[flag]
+            value = "{" + ",".join(choices) + "}" if isinstance(choices, tuple) else flag[2:].upper()
+            usage += f" {flag}{f' {value}' * count}" if required else f" [{flag}{f' {value}' * count}]"
+    if error is None:
+        print(usage, about, sep="\n\n")
+        raise SystemExit(EXIT_OK)
+    prog = f"vlplus {command}" if command else "vlplus"
+    print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)
 
-    sp = sub.add_parser("modules", help="irreducible-module table")
-    common(sp)
-    sp.set_defaults(func=cmd_modules)
 
-    sp = sub.add_parser("char", help="graded dimension of one module")
-    common(sp, order=True, fmt=False)
-    sp.add_argument("--module", required=True, help='label, e.g. V+ or C[1/2]+')
-    sp.set_defaults(func=cmd_char)
+def _flag(token, names):
+    """The name that a token gives whole or by a unique prefix, and its =value."""
+    name, eq, value = token.partition("=")
+    found = [n for n in names if n == name] or [
+        n for n in names if name[:2] == "--" and len(name) > 2 and n.startswith(name)]
+    return (found[0] if len(found) == 1 else None), (value if eq else None)
 
-    sp = sub.add_parser("fusion", help="fusion-dimension queries")
-    common(sp)
-    sp.add_argument("--triple", nargs=3, metavar=("M1", "M2", "M3"))
-    sp.add_argument("--batch", help="JSON file with a list of label triples")
-    sp.add_argument("--oracle", help="JSON sign-oracle table")
-    sp.set_defaults(func=cmd_fusion)
 
-    sp = sub.add_parser("decompose", help="branch one module over a subalgebra")
-    common(sp, order=True)
-    sp.add_argument("--module", required=True)
-    sp.add_argument(
-        "--sublattice",
-        default="auto",
-        help="auto (orthogonal sublattice), orthogonal-base (rank-one factors), or a JSON basis",
-    )
-    sp.set_defaults(func=cmd_decompose)
+def _read(choices, text):
+    if callable(choices):
+        return choices(text)
+    if choices is not None and text not in choices:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
 
-    sp = sub.add_parser("certify", help="vanishing certificate for all ordered pairs")
-    common(sp, fmt=False)
-    sp.add_argument("--out", help="write the certificate JSON here")
-    sp.add_argument("--verify", help="re-check an existing certificate file")
-    sp.add_argument("--jobs", type=_jobs, default=default_jobs,
-                    help="accepted for compatibility; certify runs in one process")
-    sp.add_argument("--disable-rule", action="append", choices=ALL_RULES,
-                    help="drop a rule from the chain (falsifiability hook)")
-    sp.set_defaults(func=cmd_certify)
-    return p
+
+def _parse(argv):
+    """The handler and flag values of a command line; exits 2 on a malformed
+    one.  A flag not given takes its default, from VLPLUS_ORDER, VLPLUS_FORMAT
+    or VLPLUS_JOBS where set, and the default is checked as a value is."""
+    command = argv[0] if argv else _exit(None, "the following arguments are required: command")
+    if _flag(command, ("-h", "--help"))[0]:
+        _exit(None)
+    if command not in COMMANDS:
+        _exit(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, _, flags = COMMANDS[command]
+    env, stray, tokens = os.environ, [], iter(argv[1:])
+    # each flag's text values: its default until the command line gives some
+    texts = {"--order": [env.get("VLPLUS_ORDER", "12")], "--format": [env.get("VLPLUS_FORMAT", "tsv")],
+             "--jobs": [env.get("VLPLUS_JOBS", "1")], "--sublattice": ["auto"]}
+    for token in tokens:
+        flag, value = _flag(token, (*flags, "-h", "--help"))
+        if flag in ("-h", "--help"):
+            _exit(command)
+        if flag is None:
+            stray.append(token)
+            continue
+        count, _, repeats, _ = FLAGS[flag]
+        values = [value] if value is not None else list(islice(tokens, count))
+        # a value is led by a dash only as a negative number, as argparse
+        # reads one, so that command lines keep their meaning (--jobs -1)
+        if len(values) < count or value is None and not all(
+                v[:1] != "-" or v == "-" or v[1:].replace(".", "", 1).isdecimal() for v in values):
+            _exit(command, f"argument {flag}: expected "
+                           f"{'one argument' if count == 1 else f'{count} arguments'}")
+        texts[flag] = texts.get(flag, []) + values if repeats else values
+    args, missing = SimpleNamespace(), [flag for flag in flags if FLAGS[flag][1] and flag not in texts]
+    for flag in flags:
+        count, _, repeats, choices = FLAGS[flag]
+        try:
+            values = [_read(choices, text) for text in texts.get(flag, ())]
+        except ValueError as e:
+            _exit(command, f"argument {flag}: {e}")
+        setattr(args, flag[2:].replace("-", "_"), values[0] if values and count == 1 and not repeats
+                else values or None)
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        _exit(command, f"unrecognized arguments: {' '.join(stray)}")
+    return handler, args
 
 
 def main(argv=None) -> int:
-    env = os.environ
-    parser = build_parser(env.get("VLPLUS_ORDER", "12"), env.get("VLPLUS_FORMAT", "tsv"),
-                          env.get("VLPLUS_JOBS", "1"))
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args, sys.stdout)
+        return handler(_load_gram(args.gram), args, sys.stdout)
     except (CliError, LatticeError) as e:  # a lattice error is an input error
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "code", EXIT_INVALID)

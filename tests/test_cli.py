@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import A1, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
-from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, build_parser, main
+from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 from vlplus.lattice import validate_even_lattice
 from vlplus.sectors import classify_modules, format_label
 
@@ -355,6 +356,80 @@ def test_certify_has_no_convention_flags(tmp_path, capsys, flags):
     assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
 
 
+def run_parsed(capsys, argv):
+    """Exit code, stdout and stderr of main, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMANDS = ("analyze", "modules", "char", "fusion", "decompose", "certify")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["analyze", "--gram", "GRAM", "--bogus"], EXIT_INVALID, "unrecognized arguments: --bogus"),
+    (["analyze"], EXIT_INVALID, "required: --gram"),
+    (["char", "--gram", "GRAM"], EXIT_INVALID, "required: --module"),
+    (["char", "--gram", "GRAM", "--module"], EXIT_INVALID, "argument --module"),
+    (["fusion", "--gram", "GRAM", "--triple", "V+", "V+"], EXIT_INVALID, "argument --triple"),
+    (["certify", "--gram", "GRAM", "--disable-rule", "Bogus"], EXIT_INVALID,
+     "invalid choice: 'Bogus'"),
+    ([], EXIT_INVALID, "required: command"),
+    (["frob"], EXIT_INVALID, "invalid choice: 'frob'"),
+    (["--help"], EXIT_OK, COMMANDS),
+    (["certify", "--help"], EXIT_OK, ("--gram", "--out", "--verify", "--jobs", "--disable-rule")),
+    # a list is the command line whose exit code, stdout and stderr it must equal
+    (["modules", "--gram", "GRAM", "--format=json"], EXIT_OK,
+     ["modules", "--gram", "GRAM", "--format", "json"]),
+    (["char", "--gram", "GRAM", "--module=V-", "--order", "2"], EXIT_OK,
+     ["char", "--gram", "GRAM", "--module", "V-", "--order", "2"]),
+    (["decompose", "--gram", "GRAM", "--mod", "V+", "--order", "2"], EXIT_OK,
+     ["decompose", "--gram", "GRAM", "--module", "V+", "--order", "2"]),
+])
+def test_command_line_parsing(tmp_path, capsys, argv, code, expected):
+    # a rejected command line exits 2 naming the flag or token, with the
+    # message on stderr; --help prints to stdout and exits 0
+    gram = write_gram(tmp_path, A2)
+    got = run_parsed(capsys, [gram if a == "GRAM" else a for a in argv])
+    assert got[0] == code, got
+    if isinstance(expected, list):
+        assert got == run_parsed(capsys, [gram if a == "GRAM" else a for a in expected])
+    else:
+        stream = got[1] if code == EXIT_OK else got[2]
+        for fragment in (expected,) if isinstance(expected, str) else expected:
+            assert fragment in stream, (fragment, stream)
+
+
+def test_a_command_loads_no_argument_parser(tmp_path):
+    # the command line is read from the flag table: running a command
+    # imports neither argparse nor the gettext and locale it would pull in
+    gram = write_gram(tmp_path, A2)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import contextlib, io, sys\n"
+            "from vlplus.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['modules', '--gram', {gram!r}]) == 0\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_fusion_refuses_triple_with_batch(tmp_path, capsys):
+    gram = write_gram(tmp_path, A1)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([["V+", "V+", "V+"]]))
+    code, out, err = run_cli(capsys, ["fusion", "--gram", gram, "--triple", "V+", "V+", "V+",
+                                      "--batch", str(batch)])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: fusion takes --triple or --batch, not both\n"
+
+
 # ---------------------------------------------------------------------------
 # error paths with exact exit codes
 # ---------------------------------------------------------------------------
@@ -628,7 +703,7 @@ def test_jobs_variable_only_concerns_certify(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# labels off the dual lattice, malformed batch entries, cached parsers
+# labels off the dual lattice, malformed batch entries, environment changes
 # ---------------------------------------------------------------------------
 
 A2_NEG = [[2, -1], [-1, 2]]  # census V+-, U[1/3,-1/3], T[0]+-
@@ -716,7 +791,6 @@ def test_unreadable_json_files_exit_two(tmp_path, capsys, text):
 
 def test_env_order_change_between_calls_takes_effect(tmp_path, capsys, monkeypatch):
     gram = write_gram(tmp_path, A1)
-    build_parser.cache_clear()
     outs = []
     for order in ("2", "3", "2", "2"):
         monkeypatch.setenv("VLPLUS_ORDER", order)
@@ -724,8 +798,6 @@ def test_env_order_change_between_calls_takes_effect(tmp_path, capsys, monkeypat
         assert code == EXIT_OK
         outs.append(out.splitlines())
     assert outs == [["0\t1", "1\t1"], ["0\t1", "1\t1", "2\t2"], ["0\t1", "1\t1"], ["0\t1", "1\t1"]]
-    # one parser per distinct environment
-    assert build_parser.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------

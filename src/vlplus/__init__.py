@@ -30,16 +30,16 @@ from .lattice import (
     validate_even_lattice,
 )
 from .sectors import (
-    CentralCharacter,
     ModuleLabel,
     classify_modules,
     contragredient,
     format_label,
     lowest_weight,
     parse_label,
+    series_denominator,
     top_level_dimension,
 )
-from .qseries import QSeries, character, euler_product_inv, series_denominator, theta_coset
+from .qseries import QSeries, character, euler_product_inv, theta_coset
 from .fusion import (
     FusionAnswer,
     SignOracle,
@@ -58,7 +58,6 @@ from .certify import ExtCertificate, ExtJustification, certify, verify_certifica
 
 __all__ = [
     "BranchList",
-    "CentralCharacter",
     "Convention",
     "CosetElement",
     "DiscriminantGroup",

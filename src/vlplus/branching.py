@@ -53,12 +53,12 @@ from .qseries import QSeries, character, coset_character_sum
 from .sectors import (
     LabelKind,
     ModuleLabel,
-    central_characters,
     character_values,
     coset_labels,
     format_coset,
     label_coset,
     label_sign,
+    twisted_dimension,
     twisted_label,
 )
 
@@ -139,14 +139,13 @@ def frame_choices(S: Sublattice, m: ModuleLabel) -> tuple[tuple[ModuleLabel, ...
     coset, or of the factor character a twisted m takes on frame vector
     i, else the orbit label of the coordinate.
     """
-    factors = _factors(S.lattice)
     if m.kind == LabelKind.TWISTED:
-        # an orthogonal frame of index one forces the mod-2 form to vanish
-        values = character_values(S.parent, m.char, S.basis)
-        chars = (central_characters(f)[0 if v == 1 else 1] for f, v in zip(factors, values))
+        # an orthogonal frame of index one forces the mod-2 form to vanish;
+        # a rank-one factor's character is 1 where m's is -1 on its vector
+        chars = (int(v == -1) for v in character_values(S.parent, m.char, S.basis))
         return tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
     x = S.to_sub(label_coset(S.parent, m).rep)
-    return tuple(map(_coordinate_labels, factors, x))
+    return tuple(map(_coordinate_labels, _factors(S.lattice), x))
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +189,7 @@ def branch_sublattice(
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
     if m.kind == LabelKind.TWISTED:
-        mult, rem = divmod(m.char.dim_t, central_characters(sub)[0].dim_t)
+        mult, rem = divmod(twisted_dimension(L), twisted_dimension(sub))
         if rem:
             raise AssertionError("twisted dimensions must refine")
         return BranchList(parent_lattice=L, parent=m, sublattice=sub,
@@ -276,8 +275,7 @@ def branch_character(bl: BranchList, order) -> QSeries:
         return (a + signed.scaled(sign)).halved()
     if bl.parts and isinstance(bl.parts[0], TwistedBlockPart):
         block = bl.parts[0]
-        chi0 = central_characters(bl.sublattice)[0]
-        return character(bl.sublattice, twisted_label(chi0, block.sign), order).scaled(block.multiplicity)
+        return character(bl.sublattice, twisted_label(0, block.sign), order).scaled(block.multiplicity)
     return coset_character_sum(bl.sublattice, bl.parts, order)
 
 

@@ -34,7 +34,6 @@ from functools import cached_property, partial
 
 from .branching import frame_choices
 from .lattice import EvenLattice, orthogonal_sublattice, sublattice_orbit_count
-from .qseries import series_denominator
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -42,9 +41,11 @@ from .sectors import (
     classify_modules,
     contragredient,
     format_label,
+    format_ratio,
     label_coset,
     label_sign,
-    lowest_weight,
+    series_denominator,
+    weight_num,
 )
 
 RULE_WEIGHT_GAP = "WeightGap"
@@ -201,20 +202,18 @@ class _Context:
         self.labels = classify_modules(L)
         self.names = [format_label(m) for m in self.labels]
         self.duals = _OnDemand(partial(contragredient, L))
-        # weight_ids[i] numbers the exact lowest weight of labels[i], keyed
-        # by (numerator, denominator): Fraction and label hashes run in Python
-        ids: dict[tuple[int, int], int] = {}
-        self.weights = []
+        # weight_ids[i] numbers the lowest weight of labels[i], keyed by its
+        # integer numerator over the series grid; weight_reps[w] is the first
+        # label of weight id w
+        ids: dict[int, int] = {}
         self.weight_reps: list[ModuleLabel] = []
         self.weight_ids = []
         for m in self.labels:
-            w = lowest_weight(L, m)
-            key = (w.numerator, w.denominator)
-            if key not in ids:
-                ids[key] = len(self.weight_reps)
-                self.weights.append(w)
+            k = weight_num(L, m)
+            if k not in ids:
+                ids[k] = len(self.weight_reps)
                 self.weight_reps.append(m)
-            self.weight_ids.append(ids[key])
+            self.weight_ids.append(ids[k])
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
         # at index one the sublattice's fixed points are the algebra itself,
@@ -253,9 +252,10 @@ class _Context:
         labels) only for the pairs of weights whose gap is zero or not an
         integer, and pairs of equal weights share one object.
         """
-        reps, weights = self.weight_reps, self.weights
-        return [[weight_gap_rule(self, a, b) if w1 == w2 or (w1 - w2).denominator != 1 else None
-                 for b, w2 in zip(reps, weights)] for a, w1 in zip(reps, weights)]
+        reps, n = self.weight_reps, series_denominator(self.L)
+        nums = [weight_num(self.L, m) for m in reps]
+        return [[weight_gap_rule(self, a, b) if k1 == k2 or (k1 - k2) % n else None
+                 for b, k2 in zip(reps, nums)] for a, k1 in zip(reps, nums)]
 
     @cached_property
     def gap_json(self) -> list[list[dict | None]]:
@@ -264,16 +264,18 @@ class _Context:
 
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
-    w1, w2 = lowest_weight(ctx.L, m1), lowest_weight(ctx.L, m2)
-    gap = w1 - w2
-    if gap != 0 and gap.denominator == 1:
+    """Applies iff the lowest weights, numerators k1, k2 over the series
+    grid n, differ by zero or by a non-integer."""
+    n = series_denominator(ctx.L)
+    k1, k2 = weight_num(ctx.L, m1), weight_num(ctx.L, m2)
+    if k1 != k2 and (k1 - k2) % n == 0:
         return None
     return ExtJustification(
         rule=RULE_WEIGHT_GAP,
         citation=CITATIONS[RULE_WEIGHT_GAP],
         detail=(
-            ("gap", str(gap)),
-            ("weights", f"{w1},{w2}"),
+            ("gap", format_ratio(k1 - k2, n)),
+            ("weights", f"{format_ratio(k1, n)},{format_ratio(k2, n)}"),
         ),
     )
 

@@ -46,7 +46,7 @@ from .lattice import (
     orthogonal_sublattice,
     validate_even_lattice,
 )
-from .qseries import character, series_denominator
+from .qseries import character
 from .sectors import (
     classify_modules,
     contragredient,
@@ -55,6 +55,7 @@ from .sectors import (
     lowest_weight,
     parse_label,
     read_rational,
+    series_denominator,
     top_level_dimension,
 )
 
@@ -113,7 +114,7 @@ def _load_oracle(path: str | None) -> SignOracle:
         return pi_table.get(format_coords(lam) + "|" + format_coords(two_mu))
 
     def c(chi, lam):
-        return c_table.get(f"{chi.index}|" + format_coords(lam))
+        return c_table.get(f"{chi}|" + format_coords(lam))
 
     return SignOracle(pi=pi if pi_table else None, c=c if c_table else None)
 

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from .lattice import CosetElement, EvenLattice
 from .sectors import (
-    CentralCharacter,
     LabelKind,
     ModuleLabel,
     label_coset,
@@ -50,14 +49,14 @@ def unknown(reason: str) -> FusionAnswer:
 class SignOracle:
     """Optional refinement data for the two sign-dependent fusion rows.
 
-    pi(lam, two_mu) resolves the coset-pair sign; c(chi, lam) the
-    twisted-pair sign.  Either callable may be None, and a callable may
-    itself return None to decline a particular query; both cases leave
-    the query Unknown.
+    pi(lam, two_mu) resolves the coset-pair sign; c(chi, lam), with chi a
+    central character index, the twisted-pair sign.  Either callable may
+    be None, and a callable may itself return None to decline a
+    particular query; both cases leave the query Unknown.
     """
 
     pi: Optional[Callable[[tuple, tuple], int | None]] = None
-    c: Optional[Callable[[CentralCharacter, tuple], int | None]] = None
+    c: Optional[Callable[[int, tuple], int | None]] = None
 
 
 NO_ORACLE = SignOracle()

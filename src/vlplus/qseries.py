@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import CosetElement, EvenLattice, coset_norm_counts
-from .sectors import LabelKind, ModuleLabel, label_coset
+from .sectors import LabelKind, ModuleLabel, label_coset, series_denominator, twisted_dimension
 
 
 class QSeries:
@@ -178,11 +178,6 @@ def _align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
 # Euler-type inverse products
 # ---------------------------------------------------------------------------
 
-def series_denominator(L: EvenLattice) -> int:
-    """Exponent grid for the lattice: lcm(16, 2*det) holds every weight offset."""
-    return 16 * (2 * L.det) // math.gcd(16, 2 * L.det)
-
-
 @lru_cache(maxsize=None)
 def euler_product_inv(
     d: int,
@@ -287,7 +282,8 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     # h(-q^(1/2)) flips the sign of h's q^(j/2) term for odd j: the half-sum
     # keeps even j, the half-difference odd j
     parity = 0 if m.sign > 0 else denom // 2
-    kept = {k: v * m.char.dim_t for k, v in h.nums.items() if k % denom == parity}
+    dim = twisted_dimension(L)
+    kept = {k: v * dim for k, v in h.nums.items() if k % denom == parity}
     return QSeries(denom, h.order_key, kept).shifted(shift)
 
 

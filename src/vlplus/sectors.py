@@ -8,11 +8,16 @@ contragredient; the block dimensions of the associated finite
 semisimple algebra are recovered from the same data.
 
 Twisted sectors are parameterized by characters of the radical of the
-mod-2 bilinear form (values on a fixed radical basis), with a common
-top-level dimension 2^((d - r2)/2).  This is the unique assignment
-making the twisted block a 2^d-dimensional sum of matrix algebras and
-reduces to the familiar one-dimensional picture when every pairing is
-even.
+mod-2 bilinear form.  A character is an integer index: bit i is set iff
+it is -1 on radical basis vector i, which is the i of the label T[i].
+Every character shares one top-level dimension 2^((d - r2)/2)
+(twisted_dimension).  This is the unique assignment making the twisted
+block a 2^d-dimensional sum of matrix algebras and reduces to the
+familiar one-dimensional picture when every pairing is even.
+
+Every lowest weight lies on the series grid 1/series_denominator(L);
+weight_num gives it as an integer numerator over that grid, and
+lowest_weight is its Fraction view.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .lattice import (
     CosetElement,
@@ -48,27 +53,11 @@ class LabelKind(IntEnum):
 
 
 @dataclass(frozen=True)
-class CentralCharacter:
-    """Sign character on the radical basis of the mod-2 form; chi(kappa) = -1 implicit."""
-
-    values: tuple[int, ...]  # +-1 per radical basis vector
-    dim_t: int
-
-    @property
-    def index(self) -> int:
-        idx = 0
-        for i, v in enumerate(self.values):
-            if v == -1:
-                idx |= 1 << i
-        return idx
-
-
-@dataclass(frozen=True)
 class ModuleLabel:
     kind: LabelKind
     coset: CosetElement | None = None
     sign: int | None = None  # +-1 for COSET / TWISTED
-    char: CentralCharacter | None = None
+    char: int | None = None  # central character index, TWISTED only
 
     def sort_key(self):
         if self.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
@@ -77,7 +66,7 @@ class ModuleLabel:
             return (int(self.kind), *self.coset.sort_key())
         if self.kind == LabelKind.COSET:
             return (int(self.kind), *self.coset.sort_key(), 0 if self.sign == 1 else 1)
-        return (int(self.kind), self.char.index, 0 if self.sign == 1 else 1)
+        return (int(self.kind), self.char, 0 if self.sign == 1 else 1)
 
     def __str__(self) -> str:
         return format_label(self)
@@ -87,7 +76,7 @@ VAC_PLUS = ModuleLabel(LabelKind.VAC_PLUS)
 VAC_MINUS = ModuleLabel(LabelKind.VAC_MINUS)
 
 
-def twisted_label(char: CentralCharacter, sign: int) -> ModuleLabel:
+def twisted_label(char: int, sign: int) -> ModuleLabel:
     return ModuleLabel(LabelKind.TWISTED, char=char, sign=sign)
 
 
@@ -119,45 +108,40 @@ def label_coset(L: EvenLattice, m: ModuleLabel) -> CosetElement | None:
     return m.coset
 
 
-@lru_cache(maxsize=None)
-def central_characters(L: EvenLattice) -> tuple[CentralCharacter, ...]:
-    """All central characters, ordered by their sign-bit index."""
+def central_characters(L: EvenLattice) -> range:
+    """All central character indices: bit i set iff the character is -1 on
+    radical basis vector i (chi(kappa) = -1 is implicit)."""
+    return range(1 << mod_two_data(L).r2)
+
+
+def twisted_dimension(L: EvenLattice) -> int:
+    """The top-level dimension 2^((d - r2)/2) that every central character shares."""
+    return 1 << ((L.rank - mod_two_data(L).r2) // 2)
+
+
+def shift_character(L: EvenLattice, chi: int, lam: CosetElement) -> int:
+    """Twist by a dual coset: flip bit i where (r_i, lam), an integer, is odd."""
+    flips = (L.pairing(r, lam.nums) // lam.den % 2 for r in mod_two_data(L).radical_basis)
+    return chi ^ sum(f << i for i, f in enumerate(flips))
+
+
+def prime_character(L: EvenLattice, chi: int) -> int:
+    """Contragredient twist: flip bit i where (r_i, r_i)/2 is odd."""
     m = mod_two_data(L)
-    dim_t = 1 << ((L.rank - m.r2) // 2)
-    chars = []
-    for idx in range(1 << m.r2):
-        values = tuple(-1 if (idx >> i) & 1 else 1 for i in range(m.r2))
-        chars.append(CentralCharacter(values=values, dim_t=dim_t))
-    return tuple(chars)
+    return chi ^ sum(m.q(r) << i for i, r in enumerate(m.radical_basis))
 
 
-def shift_character(L: EvenLattice, chi: CentralCharacter, lam: CosetElement) -> CentralCharacter:
-    """Twist by a dual coset: multiply each value by (-1)^(r_i, lam), an integer."""
-    m = mod_two_data(L)
-    new_vals = tuple(v * (-1 if L.pairing(r, lam.nums) // lam.den % 2 else 1)
-                     for r, v in zip(m.radical_basis, chi.values))
-    return CentralCharacter(values=new_vals, dim_t=chi.dim_t)
-
-
-def prime_character(L: EvenLattice, chi: CentralCharacter) -> CentralCharacter:
-    """Contragredient twist: multiply each value by (-1)^((r_i, r_i)/2)."""
-    m = mod_two_data(L)
-    new_vals = tuple(
-        v * (-1 if m.q(r) else 1) for r, v in zip(m.radical_basis, chi.values)
-    )
-    return CentralCharacter(values=new_vals, dim_t=chi.dim_t)
-
-
-def character_values(L: EvenLattice, chi: CentralCharacter, vectors) -> tuple[int, ...]:
-    """chi at each integer vector, on a lattice whose mod-2 form vanishes.
+def character_values(L: EvenLattice, chi: int, vectors) -> tuple[int, ...]:
+    """chi at each integer vector, +-1, on a lattice whose mod-2 form vanishes.
 
     The radical is then all of L/2L on the standard basis, so chi(v) is
-    the product of chi's values over the odd coordinates of v.
+    -1 iff chi has an odd number of set bits at the odd coordinates of v.
     """
     d = L.rank
     if mod_two_data(L).radical_basis != tuple(tuple(int(i == j) for j in range(d)) for i in range(d)):
         raise AssertionError("character values need a vanishing mod-2 form")
-    return tuple(prod(x for x, c in zip(chi.values, v) if c % 2) for v in vectors)
+    return tuple(-1 if (chi & sum((c % 2) << i for i, c in enumerate(v))).bit_count() % 2 else 1
+                 for v in vectors)
 
 
 @lru_cache(maxsize=None)
@@ -171,18 +155,27 @@ def classify_modules(L: EvenLattice) -> tuple[ModuleLabel, ...]:
     return tuple(sorted(labels, key=ModuleLabel.sort_key))
 
 
+def series_denominator(L: EvenLattice) -> int:
+    """Exponent grid for the lattice: lcm(16, 2*det) holds every weight offset."""
+    return 16 * (2 * L.det) // gcd(16, 2 * L.det)
+
+
+def weight_num(L: EvenLattice, m: ModuleLabel) -> int:
+    """The lowest weight's numerator over series_denominator(L): a coset's
+    least norm norm_num / det halved, d/16 for T+ and (d + 8)/16 for T-."""
+    n = series_denominator(L)
+    if m.kind == LabelKind.VAC_PLUS:
+        return 0
+    if m.kind == LabelKind.VAC_MINUS:
+        return n
+    if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
+        return m.coset.norm_num * (n // (2 * m.coset.den))
+    return (L.rank if m.sign == 1 else L.rank + 8) * (n // 16)
+
+
 def lowest_weight(L: EvenLattice, m: ModuleLabel) -> Fraction:
     """Exact lowest conformal weight of the labelled module."""
-    if m.kind == LabelKind.VAC_PLUS:
-        return Fraction(0)
-    if m.kind == LabelKind.VAC_MINUS:
-        return Fraction(1)
-    if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
-        return Fraction(m.coset.norm_num, 2 * m.coset.den)
-    d = L.rank
-    if m.sign == 1:
-        return Fraction(d, 16)
-    return Fraction(d + 8, 16)
+    return Fraction(weight_num(L, m), series_denominator(L))
 
 
 def top_level_dimension(L: EvenLattice, m: ModuleLabel) -> int:
@@ -197,9 +190,7 @@ def top_level_dimension(L: EvenLattice, m: ModuleLabel) -> int:
         # the involution a -> -2*lam - a on the delta set is fixed-point free
         # for lam outside the lattice, so each sign receives half
         return len(delta_set(L, m.coset)) // 2
-    if m.sign == 1:
-        return m.char.dim_t
-    return L.rank * m.char.dim_t
+    return twisted_dimension(L) * (1 if m.sign == 1 else L.rank)
 
 
 def contragredient(L: EvenLattice, m: ModuleLabel) -> ModuleLabel:
@@ -229,7 +220,7 @@ def format_label(m: ModuleLabel) -> str:
         return f"U[{format_coset(m.coset)}]"
     if m.kind == LabelKind.COSET:
         return f"C[{format_coset(m.coset)}]{_sign_str(m.sign)}"
-    return f"T[{m.char.index}]{_sign_str(m.sign)}"
+    return f"T[{m.char}]{_sign_str(m.sign)}"
 
 
 def format_coords(coords) -> str:
@@ -237,11 +228,15 @@ def format_coords(coords) -> str:
     return ",".join(str(c) for c in coords)
 
 
+def format_ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, reduced straight from the integers."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def format_coset(c: CosetElement) -> str:
-    """format_coords of the coset's rep, each p/q reduced straight from the numerators."""
-    den = c.den
-    return ",".join([str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
-                     for x in c.nums])
+    """format_coords of the coset's rep, each coordinate a format_ratio."""
+    return ",".join([format_ratio(x, c.den) for x in c.nums])
 
 
 def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
@@ -283,7 +278,7 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         # lengths first: int() refuses more digits than Python converts
         if len(index) > len(str(len(chars))) or int(index) >= len(chars):
             raise ValueError(f"label {text!r}: character index {index:.60} out of range (have {len(chars)})")
-        return twisted_label(chars[int(index)], _parse_sign(text))
+        return twisted_label(int(index), _parse_sign(text))
     raise ValueError(f"unrecognized module label {text!r}")
 
 

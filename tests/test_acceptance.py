@@ -55,7 +55,6 @@ def _clear_caches():
         _qs.euler_product_inv,
         _qs.theta_coset,
         _qs.character,
-        _sec.central_characters,
         _sec.classify_modules,
     ):
         fn.cache_clear()

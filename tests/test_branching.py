@@ -46,6 +46,7 @@ from vlplus.sectors import (
     label_coset,
     label_sign,
     lowest_weight,
+    twisted_dimension,
     twisted_label,
 )
 
@@ -142,8 +143,8 @@ def test_orthogonal_twisted_characters_factor():
         bl = branch_orthogonal(L, m)
         for p in bl.parts:
             assert all(l.kind == LabelKind.TWISTED for l in p)
-            values = tuple(l.char.values[0] for l in p)
-            assert values == m.char.values
+            bits = tuple(l.char for l in p)
+            assert bits == tuple(m.char >> i & 1 for i in range(L.rank))
 
 
 @pytest.mark.parametrize("gram,order", [(D22, F(15)), (D24, F(15))])
@@ -404,7 +405,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
     S = sublattice(L, basis)
     sub = S.lattice
     if m.kind == LabelKind.TWISTED:
-        mult = m.char.dim_t // central_characters(sub)[0].dim_t
+        mult = twisted_dimension(L) // twisted_dimension(sub)
         return [TwistedBlockPart(sign=m.sign, multiplicity=mult)], []
     eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
     sign, lam = label_sign(m), label_coset(L, m)

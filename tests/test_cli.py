@@ -286,6 +286,67 @@ def test_char_stdout_is_pinned_on_every_label(tmp_path, capsys):
     assert digest.hexdigest() == CHAR_DIGEST
 
 
+MODULES_DIGEST = "b278dd8da78e0f7e88ac30d49f1797308ba4561197320637f19bef46fe74ea33"
+
+
+def test_modules_stdout_is_pinned(tmp_path, capsys):
+    """The module table (lowest weights, top dimensions, contragredients)
+    of TEST_GRAMS, the certify-ladder rungs and E8, tsv and json: one
+    digest of all stdout."""
+    digest, runs = hashlib.sha256(), 0
+    for gram in TEST_GRAMS + LADDER_GRAMS + [E8]:
+        path = write_gram(tmp_path, gram)
+        for fmt in ("tsv", "json"):
+            code, out, err = run_cli(capsys, ["modules", "--gram", path, "--format", fmt])
+            assert code == EXIT_OK and err == "", (gram, fmt)
+            digest.update(f"{gram}\t{fmt}\n{out}".encode())
+            runs += 1
+    assert runs == 34
+    assert digest.hexdigest() == MODULES_DIGEST
+
+
+FUSION_DIGEST = "caa9b2305019575ff6bfa67699c7298f7ef1ea2192799c307361d91c100c2a9e"
+D4 = LADDER_GRAMS[1]
+
+
+def test_fusion_batch_stdout_is_pinned(tmp_path, capsys):
+    """Every triple with an untwisted first label on A1, D4 and diag(2,6),
+    in one --batch each, then again with an oracle table that answers
+    every twisted-pair sign query: one digest of all stdout, and the
+    counts of One and Unknown answers without the oracle."""
+    digest, counts, asked = hashlib.sha256(), [], []
+    for gram in (A1, D4, [[2, 0], [0, 6]]):
+        path = write_gram(tmp_path, gram)
+        names = list(map(format_label, classify_modules(validate_even_lattice(gram))))
+        triples = [[a, b, c] for a in names if not a.startswith("T") for b in names for c in names]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(triples))
+        code, out, err = run_cli(capsys, ["fusion", "--gram", path, "--batch", str(batch)])
+        assert code == EXIT_OK and err == ""
+        answers = [line.split("\t")[3] for line in out.splitlines()[1:]]
+        counts.append((len(answers), answers.count("one"),
+                       sum(a.startswith("unknown") for a in answers)))
+        asked.append(out.count("c oracle"))
+        digest.update(f"{gram}\n{out}".encode())
+        # c(chi, lam) is asked with a signed first label's coset (V- gives
+        # 0) and a twisted second label's character index
+        cosets = {"V-": ",".join("0" * len(gram))}
+        cosets.update((a, a[2:a.index("]")]) for a in names if a.startswith("C"))
+        chars = sorted({b[2:b.index("]")] for b in names if b.startswith("T")}, key=int)
+        table = {"c": {f"{i}|{x}": (-1) ** (int(i) + len(x))
+                       for i in chars for x in cosets.values()}}
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, ["fusion", "--gram", path, "--batch", str(batch),
+                                          "--oracle", str(oracle)])
+        assert code == EXIT_OK and err == ""
+        assert "c oracle" not in out
+        digest.update(f"{gram}\toracle\n{out}".encode())
+    assert counts == [(256, 8, 48), (2048, 16, 224), (4800, 192, 224)]
+    assert asked == [24, 112, 112]
+    assert digest.hexdigest() == FUSION_DIGEST
+
+
 def test_certify_roundtrip(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     cert_path = tmp_path / "cert.json"

@@ -31,11 +31,9 @@ from vlplus.certify import (
 from vlplus.fusion import ZERO, admissible_triple, rank1_fusion, tensor_fusion
 from vlplus.lattice import coset_element, zero_coset
 from vlplus.sectors import (
-    CentralCharacter,
     LabelKind,
     ModuleLabel,
     VAC_PLUS,
-    central_characters,
     character_values,
     coset_labels,
     twisted_label,
@@ -52,8 +50,8 @@ def orthogonal_parts(ctx, m):
         targets = [m]
     elif m.kind == LabelKind.TWISTED:
         values = character_values(ctx.L, m.char, ctx.sub.basis)
-        chi = CentralCharacter(values=values, dim_t=m.char.dim_t)
-        targets = [twisted_label(central_characters(rebased)[chi.index], m.sign)]
+        chi = sum(1 << i for i, v in enumerate(values) if v == -1)
+        targets = [twisted_label(chi, m.sign)]
     else:
         targets = coset_labels(rebased, coset_element(rebased, ctx.sub.to_sub(m.coset.rep)))
     return tuple(p for t in targets for p in branch_orthogonal(rebased, t).parts)

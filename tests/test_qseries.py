@@ -23,6 +23,7 @@ from vlplus.sectors import (
     classify_modules,
     lowest_weight,
     top_level_dimension,
+    twisted_dimension,
 )
 
 F = Fraction
@@ -104,7 +105,7 @@ def state_count_dimension(gram, label, weight: Fraction) -> int:
     sign = 1 if label.sign == 1 else -1
     twice = t + sign * s
     assert twice % 2 == 0
-    return label.char.dim_t * (twice // 2)
+    return twisted_dimension(L) * (twice // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +540,7 @@ def test_twisted_characters_match_the_two_product_form(order):
         twisted = [m for m in classify_modules(L) if m.kind == LabelKind.TWISTED]
         assert twisted, gram
         for m in twisted:
-            want = (h + h_alt.scaled(m.sign)).halved().scaled(m.char.dim_t).shifted(F(d, 16))
+            want = (h + h_alt.scaled(m.sign)).halved().scaled(twisted_dimension(L)).shifted(F(d, 16))
             assert character(L, m, order) == want, (gram, str(m))
 
 

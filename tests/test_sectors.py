@@ -1,11 +1,13 @@
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, TEST_GRAMS, coset_neg, even_grams, lat
+from conftest import A1, A2, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
 from vlplus import intmat
+from vlplus.certify import _Context, weight_gap_rule
 from vlplus.lattice import coset_element, minimal_coset_reps, mod_two_data
 from vlplus.sectors import (
     LabelKind,
@@ -22,9 +24,11 @@ from vlplus.sectors import (
     lowest_weight,
     parse_label,
     prime_character,
+    series_denominator,
     shift_character,
     top_level_dimension,
     twisted_label,
+    weight_num,
 )
 
 F = Fraction
@@ -215,8 +219,8 @@ def test_twisted_contragredient_shifts_by_quadratic_form():
         m2 = mod_two_data(L)
         for chi in central_characters(L):
             primed = prime_character(L, chi)
-            for r, old, new in zip(m2.radical_basis, chi.values, primed.values):
-                assert new == old * (-1 if m2.q(r) else 1)
+            for i, r in enumerate(m2.radical_basis):
+                assert (primed >> i & 1) == (chi >> i & 1) ^ m2.q(r)
 
 
 def test_character_shift_is_involution():
@@ -352,3 +356,63 @@ def test_coordinates_parse_iff_they_form_a_dual_vector(gram, data):
             accepted.append(label)
     # a dual vector outside L names exactly one of an orbit or a self-paired coset
     assert len(accepted) == (dual and any(x.denominator != 1 for x in v))
+
+
+def check_integer_label_data(gram):
+    """Oracle for the integer forms of a lattice's label data.
+
+    A lowest weight is a Fraction from the label alone: the coset's least
+    norm halved, 0 and 1 for V+-, d/16 and (d+8)/16 for T+-; weight_num
+    is it times the grid lcm(16, 2 det).  WeightGap applies iff two of
+    these differ by zero or a non-integer, and writes them as str does.
+    A character is its +-1 values on the radical basis, and its shift by
+    lam and its contragredient multiply value i by (-1)^(r_i, lam) and
+    (-1)^((r_i, r_i)/2)."""
+    L = lat(gram)
+    d, grid = L.rank, math.lcm(16, 2 * L.det)
+    assert series_denominator(L) == grid
+    weights = {}
+    for m in classify_modules(L):
+        if m.kind == LabelKind.TWISTED:
+            w = F(d if m.sign == 1 else d + 8, 16)
+        elif m.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
+            w = F(m.kind == LabelKind.VAC_MINUS)
+        else:
+            w = m.coset.min_norm / 2
+        assert weight_num(L, m) == w * grid, (gram, str(m))
+        weights[m] = w
+    ctx = _Context(L)
+    for m1, w1 in weights.items():
+        for m2, w2 in weights.items():
+            gap = w1 - w2
+            j = weight_gap_rule(ctx, m1, m2)
+            assert (j is not None) == (gap == 0 or gap.denominator != 1), (gram, str(m1), str(m2))
+            if j is not None:
+                assert dict(j.detail) == {"gap": str(gap), "weights": f"{w1},{w2}"}
+
+    radical = mod_two_data(L).radical_basis
+
+    def pairing(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(d) for j in range(d))
+
+    def index(values):
+        return sum(1 << i for i, v in enumerate(values) if v == -1)
+
+    for chi in central_characters(L):
+        values = [-1 if chi >> i & 1 else 1 for i in range(len(radical))]
+        primed = [v * (-1) ** (pairing(r, r) // 2) for r, v in zip(radical, values)]
+        assert prime_character(L, chi) == index(primed), (gram, chi)
+        for lam in minimal_coset_reps(L):
+            shifted = [v * (-1) ** int(pairing(r, lam.rep)) for r, v in zip(radical, values)]
+            assert shift_character(L, chi, lam) == index(shifted), (gram, chi, lam.rep)
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS)
+def test_integer_label_data_on_fixed_grams(gram):
+    check_integer_label_data(gram)
+
+
+@GENERATED
+@given(even_grams())
+def test_integer_label_data_on_generated_grams(gram):
+    check_integer_label_data(gram)

@@ -51,23 +51,6 @@ class QSeries:
     def zero(denom: int, order: Fraction) -> "QSeries":
         return QSeries(denom, _key(order, denom), {})
 
-    @staticmethod
-    def from_terms(denom: int, order: Fraction, terms: dict[Fraction, int]) -> "QSeries":
-        order_key = _key(order, denom)
-        nums: dict[int, int] = {}
-        for e, c in terms.items():
-            e, c = Fraction(e), Fraction(c)
-            if c.denominator != 1:
-                raise ValueError(f"coefficient {c} of q^{e} is not an integer")
-            if c == 0:
-                continue
-            k = e * denom
-            if k.denominator != 1:
-                raise ValueError(f"exponent {e} is not on the grid 1/{denom}")
-            if int(k) < order_key:
-                nums[int(k)] = int(c)
-        return QSeries(denom, order_key, nums)
-
     # -- views --------------------------------------------------------------
 
     @property
@@ -104,12 +87,6 @@ class QSeries:
             raise ValueError("new grid must refine the old one")
         f = denom // self.denom
         return QSeries(denom, self.order_key * f, {k * f: v for k, v in self.nums.items()})
-
-    def truncate(self, order: Fraction) -> "QSeries":
-        key = _key(order, self.denom)
-        if key > self.order_key:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.denom, key, {k: v for k, v in self.nums.items() if k < key})
 
     def __add__(self, other: "QSeries") -> "QSeries":
         a, b = _align(self, other)
@@ -233,10 +210,11 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
 
     A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
     counts stop at the last grid point below the order, norm 2 (order_key -
-    1) / denom, so the shell at the order itself is never enumerated; a
-    diagonal Gram's counts are a convolution, with no walk (see
-    coset_norm_counts).  A coset whose least norm lam.norm_num / lam.den
-    reaches 2 * order is zero, unwalked."""
+    1) / denom, so the shell at the order itself is never counted.  The
+    counts are walked or taken through an orthogonal frame as products of
+    rank-one sums, by coset_norm_counts' rule; a diagonal Gram is its own
+    frame, of index one, and is never walked.  A coset whose least norm
+    lam.norm_num / lam.den reaches 2 * order is zero, uncounted."""
     order = Fraction(order)
     denom = denom or series_denominator(L)
     order_key = _key(order, denom)
@@ -294,7 +272,7 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     with (w, t) from THETA_PSI and theta_m the theta of label_coset: the
     thetas, integer counts, are summed in integers and each Euler product
     is taken once for the whole sum.  A label whose coset's least norm
-    reaches 2 * order adds no theta and its coset is not walked."""
+    reaches 2 * order adds no theta and its coset is not counted."""
     order = Fraction(order)
     denom = series_denominator(L)
     cut = 2 * order * L.det  # a coset of L has least norm norm_num / det

@@ -5,6 +5,7 @@ from hypothesis import assume, strategies as st
 
 from vlplus import intmat
 from vlplus.lattice import CosetElement, EvenLattice, coset_element, validate_even_lattice
+from vlplus.qseries import QSeries, _key
 
 A1 = [[2]]
 A1_4 = [[4]]
@@ -133,3 +134,32 @@ def _box(d, radius):
     for x in range(-radius, radius + 1):
         for rest in _box(d - 1, radius):
             yield (x,) + rest
+
+
+def from_terms(denom: int, order, terms) -> QSeries:
+    """The series sum c q^e over terms {e: c} on the grid 1/denom, truncated at order.
+
+    ValueError for an exponent or order off the grid, or a coefficient that
+    is not an integer; zero coefficients are not stored."""
+    order_key = _key(order, denom)
+    nums: dict[int, int] = {}
+    for e, c in terms.items():
+        e, c = Fraction(e), Fraction(c)
+        if c.denominator != 1:
+            raise ValueError(f"coefficient {c} of q^{e} is not an integer")
+        if c == 0:
+            continue
+        k = e * denom
+        if k.denominator != 1:
+            raise ValueError(f"exponent {e} is not on the grid 1/{denom}")
+        if k < order_key:
+            nums[int(k)] = int(c)
+    return QSeries(denom, order_key, nums)
+
+
+def truncate(s: QSeries, order) -> QSeries:
+    """s without its terms at or above order, which must not exceed s.order."""
+    key = _key(order, s.denom)
+    if key > s.order_key:
+        raise ValueError("cannot extend a truncated series")
+    return QSeries(s.denom, key, {k: v for k, v in s.nums.items() if k < key})

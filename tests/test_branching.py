@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
+from conftest import A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat, truncate
 from vlplus.lattice import (
     Convention,
     CosetElement,
@@ -613,7 +613,7 @@ def rank1_m1_branch(k: int, m, order) -> QSeries:
         total = (phi_inv + psi_inv.scaled(sign)).halved()
         mm = 1
         while Fraction(k) * mm * mm < order:
-            total = total + phi_inv.shifted(Fraction(k) * mm * mm).truncate(order)
+            total = total + truncate(phi_inv.shifted(Fraction(k) * mm * mm), order)
             mm += 1
         return total
     if m.kind == LabelKind.UNTWISTED:
@@ -621,7 +621,7 @@ def rank1_m1_branch(k: int, m, order) -> QSeries:
         for _, n in enumerate_coset_with_norms(L, m.coset.rep, 2 * order):
             e = Fraction(n) / 2
             if e < order:
-                total = total + phi_inv.shifted(e).truncate(order)
+                total = total + truncate(phi_inv.shifted(e), order)
         return total
     if m.kind == LabelKind.COSET:
         total = QSeries.zero(denom, order)
@@ -630,7 +630,7 @@ def rank1_m1_branch(k: int, m, order) -> QSeries:
             e = Fraction(k) * (Fraction(1, 2) + mm) ** 2
             if e >= order:
                 break
-            total = total + phi_inv.shifted(e).truncate(order)
+            total = total + truncate(phi_inv.shifted(e), order)
             mm += 1
         return total
     inner = order - Fraction(1, 16)

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, E6, E8, TEST_GRAMS, box_enumerate, coset_neg, even_grams, lat
+from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, TEST_GRAMS, box_enumerate,
+                      coset_neg, even_grams, lat)
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
@@ -21,6 +22,10 @@ from vlplus.lattice import (
     _class_minima,
     _coords_key,
     _coset_shell,
+    _diagonal,
+    _frame,
+    _frame_counts,
+    _ldl_cached,
     _scaled,
     _walk,
     coset_element,
@@ -399,6 +404,120 @@ def test_theta_counts_stop_below_the_order(monkeypatch):
     assert theta.terms() == {F(0): 1, F(1): 240, F(2): 2160, F(3): 6720}
     [(bound, vectors)] = seen
     assert bound < 8 and vectors == 9121
+
+
+# ---------------------------------------------------------------------------
+# theta counts through an orthogonal frame against the walker
+# ---------------------------------------------------------------------------
+
+def frame_and_walk_counts(L, lam, bound):
+    """({norm: count} through L's frame, {norm: count} walked) for the coset lam."""
+    scale, counts = _frame_counts(_frame(L), lam, bound)
+    walk_scale = _ldl_cached(L.gram)[0] * lam.den * lam.den
+    walked = _walk(L.gram, lam.den, lam.nums, _budget(bound, walk_scale), "counts")
+    return ({F(S, scale): n for S, n in counts.items()},
+            {F(S, walk_scale): n for S, n in walked.items()})
+
+
+def assert_frame_counts_match_the_walker(L, bounds):
+    frame = _frame(L)
+    assert frame is not None
+    shift = tuple(range(1, L.rank + 1))
+    for c in minimal_coset_reps(L):
+        # the classes are stepped from any rep of the coset, not only the canonical one
+        moved = CosetElement(c.den, tuple(x + c.den * a for x, a in zip(c.nums, shift)), c.norm_num)
+        for lam in (c, moved):
+            for bound in bounds:
+                by_frame, walked = frame_and_walk_counts(L, lam, bound)
+                assert by_frame == walked, (L.gram, lam, bound)
+
+
+FRAME_BOUNDS = [F(0), F(2), F(7, 3), F(6), F(13, 2), F(12)]
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [E8])
+def test_frame_counts_match_the_walker(gram):
+    assert_frame_counts_match_the_walker(lat(gram), FRAME_BOUNDS)
+
+
+@GENERATED
+@given(even_grams(), st.sampled_from([F(0), F(7, 3), F(4), F(13, 2), F(16)]))
+def test_frame_counts_match_the_walker_on_generated_grams(gram, bound):
+    assert_frame_counts_match_the_walker(lat(gram), [bound])
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [E8])
+def test_frames_are_orthogonal_of_full_rank(gram):
+    L = lat(gram)
+    frame = _frame(L)
+    basis = frame.basis
+    assert all(L.pairing(a, b) == 0 for i, a in enumerate(basis) for b in basis[:i])
+    assert abs(intmat.det_int([list(b) for b in basis])) == frame.index > 0
+    assert frame.index ** 2 * L.det == math.prod(L.norm(b) for b in basis)
+    assert frame.lattice.is_diagonal()
+    assert (frame.index == 1) == L.is_diagonal()
+
+
+def test_frames_of_the_root_lattices():
+    # E8 > A1^8 and D4 > A1^4 from roots alone; E6 needs its complement's norms 4 and 12
+    for gram, index, norms in ((E8, 16, [2] * 8), (LADDER_GRAMS[1], 2, [2] * 4),
+                               (E6, 16, [2, 2, 2, 2, 4, 12])):
+        frame = _frame(lat(gram))
+        assert frame.index == index
+        assert sorted(_diagonal(frame.lattice.gram)) == norms
+
+
+def test_frame_search_gives_up_within_its_node_bound(monkeypatch):
+    # E8 in a basis whose norm-2 vectors lie deep in the walk: the search
+    # stops after FRAME_NODES steps
+    from vlplus import lattice
+
+    rng = random.Random(3)
+    u = intmat.identity(8)
+    for _ in range(10):
+        i, j = rng.sample(range(8), 2)
+        q = rng.randint(-9, 9)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    assert _frame(lat(intmat.mat_mul(intmat.mat_mul(u, E8), [list(c) for c in zip(*u)]))) is None
+    # E8 with too few steps for its roots: no frame, so the same counts are walked
+    L = lat(E8)
+    scale, counts = coset_norm_counts(L, zero_coset(L), F(8))
+    monkeypatch.setattr(lattice, "FRAME_NODES", 100)
+    lattice._frame.cache_clear()
+    try:
+        assert lattice._frame(L) is None
+        walk_scale, walked = coset_norm_counts(L, zero_coset(L), F(8))
+    finally:
+        lattice._frame.cache_clear()
+    assert walk_scale == _ldl_cached(L.gram)[0] != scale
+    assert ({F(S, walk_scale): n for S, n in walked.items()}
+            == {F(S, scale): n for S, n in counts.items()})
+
+
+def test_theta_route_follows_the_documented_rule(monkeypatch):
+    # E8 at order 4 and D4 at order 12 count through their frames; A3 at
+    # order 12 (B^d det = 24^3 * 4) and E6 at order 2 are walked and never ask
+    # for a frame; a det-270 Gram at order 12 finds one of index 4, too large
+    # for B^d // det = 51, and walks; A1^4 is its own frame of index one
+    from vlplus import lattice, qseries
+
+    seen = []
+    frame, frame_counts, walk = lattice._frame, lattice._frame_counts, lattice._walk
+    monkeypatch.setattr(lattice, "_frame", lambda L: seen.append("_frame") or frame(L))
+    monkeypatch.setattr(lattice, "_frame_counts",
+                        lambda fr, lam, bound: seen.append(("frame", fr.index)) or frame_counts(fr, lam, bound))
+    monkeypatch.setattr(lattice, "_walk",
+                        lambda *args: seen.append("walk") or walk(*args))
+    for gram, order, route in ((E8, 4, ["_frame", ("frame", 16)]),
+                               (LADDER_GRAMS[1], 12, ["_frame", ("frame", 2)]),
+                               (A3, 12, ["walk"]), (E6, 2, ["walk"]),
+                               ([[6, -3, 0], [-3, 6, -3], [0, -3, 12]], 12, ["_frame", "walk"]),
+                               ([[2 * (i == j) for j in range(4)] for i in range(4)], 12,
+                                ["_frame", ("frame", 1)])):
+        seen.clear()
+        L = lat(gram)
+        qseries.theta_coset.__wrapped__(L, zero_coset(L), F(order))
+        assert seen == route, (gram, order)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import A1, A2, D24, TEST_GRAMS, even_grams, lat
+from conftest import A1, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, truncate
 from vlplus.intmat import rational_inverse
 from vlplus.lattice import coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
 from vlplus.qseries import (
@@ -117,7 +117,7 @@ def random_series(rng, denom, order_key):
     for _ in range(rng.randint(0, 8)):
         k = rng.randint(0, order_key - 1)
         terms[F(k, denom)] = rng.randint(-5, 5)
-    return QSeries.from_terms(denom, F(order_key, denom), terms)
+    return from_terms(denom, F(order_key, denom), terms)
 
 
 def test_series_ring_axioms_random():
@@ -144,23 +144,23 @@ def test_series_equality_is_grid_free_and_exact():
         assert a.rescale(a.denom * f) == a and hash(a.rescale(a.denom * f)) == hash(a)
         assert a.scaled(2).halved() == a
         k = F(rng.randint(0, a.order_key - 1), a.denom)
-        bumped = a + QSeries.from_terms(a.denom, a.order, {k: 1})
+        bumped = a + from_terms(a.denom, a.order, {k: 1})
         assert bumped != a and bumped.rescale(bumped.denom * f) != a
         if a.order_key > 1:
-            assert a.truncate(a.order - F(1, a.denom)) != a.truncate(a.order)
+            assert truncate(a, a.order - F(1, a.denom)) != truncate(a, a.order)
     assert QSeries.zero(2, F(1)) == QSeries.zero(4, F(1)) != QSeries.zero(4, F(3, 4))
 
 
 def test_series_no_zero_coefficients_stored():
-    a = QSeries.from_terms(2, F(3), {F(1): F(1), F(2): F(0)})
+    a = from_terms(2, F(3), {F(1): F(1), F(2): F(0)})
     assert a.terms() == {F(1): F(1)}
     b = a + a.scaled(-1)
     assert b.terms() == {} and b == QSeries.zero(2, F(3))
 
 
 def test_series_mixed_grid_operations():
-    a = QSeries.from_terms(2, F(2), {F(1, 2): F(1)})
-    b = QSeries.from_terms(16, F(2), {F(1, 16): 3})
+    a = from_terms(2, F(2), {F(1, 2): F(1)})
+    b = from_terms(16, F(2), {F(1, 16): 3})
     s = a + b
     assert s.terms() == {F(1, 16): 3, F(1, 2): 1}
     p = a * b
@@ -168,20 +168,20 @@ def test_series_mixed_grid_operations():
 
 
 def test_series_truncation_orders():
-    a = QSeries.from_terms(1, F(5), {F(0): F(1), F(4): F(2)})
-    b = QSeries.from_terms(1, F(2), {F(0): F(1)})
+    a = from_terms(1, F(5), {F(0): F(1), F(4): F(2)})
+    b = from_terms(1, F(2), {F(0): F(1)})
     assert (a * b).order == 2
     assert (a + b).order == 2
-    assert a.truncate(F(2)).terms() == {F(0): F(1)}
+    assert truncate(a, F(2)).terms() == {F(0): F(1)}
 
 
 def test_series_terms_beyond_order_are_dropped():
-    a = QSeries.from_terms(1, F(3), {F(0): F(1), F(3): F(5), F(7): F(1)})
+    a = from_terms(1, F(3), {F(0): F(1), F(3): F(5), F(7): F(1)})
     assert a.terms() == {F(0): F(1)}
 
 
 def test_series_fractional_shift_refines_grid():
-    a = QSeries.from_terms(1, F(2), {F(0): F(1), F(1): F(3)})
+    a = from_terms(1, F(2), {F(0): F(1), F(1): F(3)})
     s = a.shifted(F(3, 16))
     assert s.denom % 16 == 0
     assert s.terms() == {F(3, 16): F(1), F(19, 16): F(3)}
@@ -192,15 +192,15 @@ def test_series_off_grid_inputs_rejected():
     import pytest
 
     with pytest.raises(ValueError):
-        QSeries.from_terms(2, F(1), {F(1, 3): F(1)})
+        from_terms(2, F(1), {F(1, 3): F(1)})
     with pytest.raises(ValueError):
-        QSeries.from_terms(2, F(1, 3), {})
+        from_terms(2, F(1, 3), {})
 
 
 def test_series_cancellation_stores_no_zero():
     # (1 + q)(1 - q) = 1 - q^2 and (1 + q) + (1 - q) = 2: the cancelled q^1 is not kept
-    a = QSeries.from_terms(2, F(3), {F(0): 1, F(1): 1})
-    b = QSeries.from_terms(2, F(3), {F(0): 1, F(1): -1})
+    a = from_terms(2, F(3), {F(0): 1, F(1): 1})
+    b = from_terms(2, F(3), {F(0): 1, F(1): -1})
     assert (a * b).nums == {0: 1, 4: -1}
     assert (a + b).nums == {0: 2}
 
@@ -208,13 +208,13 @@ def test_series_cancellation_stores_no_zero():
 def test_halved_refuses_an_odd_coefficient():
     import pytest
 
-    a = QSeries.from_terms(2, F(3), {F(0): 2, F(1, 2): -4, F(2): 3})
+    a = from_terms(2, F(3), {F(0): 2, F(1, 2): -4, F(2): 3})
     with pytest.raises(AssertionError, match="odd coefficient 3 of q\\^2"):
         a.halved()
     assert a.scaled(2).halved() == a
-    assert (a + QSeries.from_terms(2, F(3), {F(2): 1})).halved().terms() == {F(0): 1, F(1, 2): -2, F(2): 2}
+    assert (a + from_terms(2, F(3), {F(2): 1})).halved().terms() == {F(0): 1, F(1, 2): -2, F(2): 2}
     with pytest.raises(ValueError, match="coefficient 1/2 of q\\^1 is not an integer"):
-        QSeries.from_terms(2, F(3), {F(1): F(1, 2)})
+        from_terms(2, F(3), {F(1): F(1, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def factorwise_euler_product_inv(d, order, denom, alternating=False, half_intege
     if d < 0:
         raise ValueError("exponent must be nonnegative")
     order = F(order)
-    result = QSeries.from_terms(denom, order, {F(0): F(1)})
+    result = from_terms(denom, order, {F(0): F(1)})
     if d == 0:
         return result
     sign = -1 if alternating else 1
@@ -278,7 +278,7 @@ def factorwise_euler_product_inv(d, order, denom, alternating=False, half_intege
         while m * e < order:
             terms[m * e] = F(math.comb(m + d - 1, d - 1) * sign**m)
             m += 1
-        result = result * QSeries.from_terms(denom, order, terms)
+        result = result * from_terms(denom, order, terms)
         n += 1
     return result
 
@@ -325,7 +325,7 @@ def test_psi_product_matches_factorwise_expansion_to_order_30():
         oracle = factorwise_euler_product_inv(d, F(30), 1, alternating=True)
         for order in range(31):
             assert euler_product_inv.__wrapped__(d, F(order), 1, alternating=True) \
-                == oracle.truncate(F(order)), (d, order)
+                == truncate(oracle, F(order)), (d, order)
             assert fields_or_error(euler_product_inv.__wrapped__, d, F(order), 16, True, False) \
                 == fields_or_error(factorwise_euler_product_inv, d, F(order), 16, True, False)
 
@@ -359,7 +359,7 @@ def test_euler_product_inverts_the_pentagonal_series():
         e = k * (3 * k - 1) // 2
         if e < 200:
             pentagonal[F(e)] = F((-1) ** k)
-    product = euler_product_inv(1, F(200), 48) * QSeries.from_terms(48, F(200), pentagonal)
+    product = euler_product_inv(1, F(200), 48) * from_terms(48, F(200), pentagonal)
     assert product.terms() == {F(0): F(1)} and product.order == 200
 
 
@@ -418,6 +418,46 @@ def test_theta_cosets_sum_to_dual_theta():
             if e < order:
                 dual_terms[e] = dual_terms.get(e, F(0)) + 1
         assert total.terms() == dual_terms
+
+
+# closed forms of theta series, computed here with integers only
+
+def sigma(n: int, k: int = 1) -> int:
+    return sum(e ** k for e in range(1, n + 1) if n % e == 0)
+
+
+def e4_coefficients(order: int) -> list[int]:
+    """E4 = 1 + 240 sum sigma_3(n) q^n below q^order (Serre, A Course in Arithmetic, ch. VII)."""
+    return [1] + [240 * sigma(n, 3) for n in range(1, order)]
+
+
+def test_theta_e8_is_the_eisenstein_series_e4():
+    L = lat(E8)
+    theta = theta_coset(L, zero_coset(L), F(30))
+    assert theta.terms() == {F(n): c for n, c in enumerate(e4_coefficients(30))}
+
+
+def test_theta_d4_counts_24_sigma_of_the_odd_part():
+    # r_D4(2n) = 24 sigma(m) for n = 2^a m with m odd: 24 roots, 24 vectors of norm 4, 96 of norm 6
+    L = lat(LADDER_GRAMS[1])
+    theta = theta_coset(L, zero_coset(L), F(40))
+    want = {F(0): 1} | {F(n): 24 * sigma(n // (n & -n)) for n in range(1, 40)}
+    assert theta.terms() == want
+
+
+def test_e8_vacuum_characters_sum_to_e4_over_phi8():
+    # ch V+ + ch V- = theta_E8 phi^-8, phi^-8 = prod (1 - q^n)^-8 expanded here
+    order = 30
+    phi = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for _ in range(8):
+            for k in range(n, order):
+                phi[k] += phi[k - n]
+    theta = e4_coefficients(order)
+    want = {F(k): sum(theta[i] * phi[k - i] for i in range(k + 1)) for k in range(order)}
+    L = lat(E8)
+    total = character(L, VAC_PLUS, F(order)) + character(L, VAC_MINUS, F(order))
+    assert total.terms() == want
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +542,7 @@ def test_character_extension_stability():
     for m in classify_modules(L):
         small = character(L, m, F(5))
         large = character(L, m, F(9))
-        assert large.truncate(F(5)) == small
+        assert truncate(large, F(5)) == small
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -560,4 +600,4 @@ def test_twisted_two_factor_split_identity():
         whole = m_pm(d1 + d2, sign)
         split = m_pm(d1, 1) * m_pm(d2, sign) + m_pm(d1, -1) * m_pm(d2, -sign)
         common = min(whole.order, split.order)
-        assert whole.truncate(common) == split.truncate(common)
+        assert truncate(whole, common) == truncate(split, common)

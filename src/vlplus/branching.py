@@ -144,8 +144,10 @@ def frame_choices(S: Sublattice, m: ModuleLabel) -> tuple[tuple[ModuleLabel, ...
         # a rank-one factor's character is 1 where m's is -1 on its vector
         chars = (int(v == -1) for v in character_values(S.parent, m.char, S.basis))
         return tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
-    x = S.to_sub(label_coset(S.parent, m).rep)
-    return tuple(map(_coordinate_labels, _factors(S.lattice), x))
+    lam = label_coset(S.parent, m)
+    den = lam.den * S.smith[-1]
+    return tuple(_coordinate_labels(factor, x % den, den)
+                 for factor, x in zip(_factors(S.lattice), S.sub_nums(lam.nums)))
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +157,9 @@ def _factors(frame: EvenLattice) -> tuple[EvenLattice, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coordinate_labels(factor: EvenLattice, x: Fraction) -> tuple[ModuleLabel, ...]:
-    """The labels the coset of x gives on a rank-one factor."""
-    return coset_labels(factor, coset_element(factor, (x,)))
+def _coordinate_labels(factor: EvenLattice, x: int, den: int) -> tuple[ModuleLabel, ...]:
+    """The labels the coset of x / den gives on a rank-one factor."""
+    return coset_labels(factor, coset_element(factor, (Fraction(x, den),)))
 
 
 # ---------------------------------------------------------------------------

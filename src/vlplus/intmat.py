@@ -1,7 +1,7 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers, for small dense matrices.
 
-Small dense matrices only; everything returns Python ints or Fractions,
-never floats.
+Everything returns Python ints, never floats: eliminations are fraction-free
+(Bareiss).  Only rational_inverse, an oracle for tests, works over Fractions.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ def det_int(m: list[list[int]]) -> int:
 
 
 def leading_minors(m: list[list[int]]) -> list[int]:
-    """Determinants of the leading principal submatrices, sizes 1..n."""
-    n = len(m)
-    return [det_int([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
+    """Leading principal minors of a symmetric matrix, up to the first that is not positive."""
+    return ldl(m)[0]
 
 
 def rational_inverse(m: list[list[int]]) -> list[list[Fraction]]:
@@ -120,26 +119,28 @@ def snf(m: list[list[int]]) -> tuple[list[int], IntMatrix, IntMatrix]:
     return [a[i][i] for i in range(n)], u, v
 
 
-def ldl(gram: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact LDL^T split of a positive definite Gram matrix.
+def ldl(gram) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL^T elimination of a symmetric integer matrix, without pivoting.
 
-    Returns (d, c) such that  q(x) = sum_i d[i] * (x_i + sum_{j>i} c[i][j] x_j)**2.
-    Positive definiteness guarantees all d[i] > 0; no square roots appear.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ZeroDivisionError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= d[i] * c[i][r] * c[i][s]
-    return d, c
+    (minors, rows): minors[k] is the leading principal minor of size k + 1 and
+    rows[k] the pivot row of step k from column k on, each entry a determinant
+    (Sylvester), so step k divides exactly by minors[k-1].  The pass ends at the
+    first minor that is not positive; for positive definite input
+    q(x) = sum_k (rows[k] . x[k:])^2 / (minors[k-1] minors[k])."""
+    a, n = [list(r) for r in gram], len(gram)
+    minors, rows, prev = [], [], 1
+    for k in range(n):
+        p = a[k][k]
+        minors.append(p)
+        rows.append(a[k][k:])
+        if p <= 0:
+            break
+        # the trailing block stays symmetric: update its upper triangle only
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] = (a[i][j] * p - a[k][i] * a[k][j]) // prev
+        prev = p
+    return minors, rows
 
 
 def gf2_nullspace(b: list[list[int]]) -> list[tuple[int, ...]]:

@@ -1,33 +1,28 @@
-"""Exact geometry of positive definite even lattices.
+"""Exact geometry of positive definite even lattices, in integers.
 
-A lattice is given by its integer Gram matrix in a fixed basis; lattice
-vectors are integer coordinate tuples, a dual coset is its canonical rep's
-integer numerators over det (CosetElement).  All operations are exact: coset
-canonicalization, short-vector enumeration (Fincke-Pohst in integers
-only: the coset is scaled by its denominator and walked over the integer
-numerators of an LDL^T split), the bimultiplicative 2-cocycle and mod-2
-bilinear data.  The walker uses v -> -v: a class closed under negation is
-counted from half its tree, and one walk of a minimal shell gives a +-
-orbit's rep, the least of the shell and its negation (_least with signs
-(1, -1)).  One class walker, driven by a Smith form,
-enumerates L°/L, L modulo a full-rank sublattice L', and the classes
-(lam + L)/L' that a sublattice branching meets, in integers and one walk
-per +- pair; dual_orbits, sublattice_classes and orbit_element keep that
-rep.  Norm counts (theta series) go through a frame where one pays: a
-sublattice of mutually orthogonal vectors, of small index N, found in
-integers once per lattice.  A coset is then N classes modulo the frame,
-each a product of rank-one cosets, so its counts are sums of convolutions
-of per-factor counts, at a cost polynomial in the bound; coset_norm_counts
-states the rule that picks this route or the walk.  A diagonal Gram (every
-Gram-Schmidt sublattice, and sums of rank-one lattices such as A1^4) is
-its own frame, of index one, and is never walked: its minimal shell is the
-product of per-coordinate choices (_diagonal, decided once per Gram).
-A sublattice is one Sublattice value (basis, Gram, index, the Smith form
-and transforms that give the change of basis both ways), cached.  This
-module is the only one that does Smith-form arithmetic:
-Sublattice.smith_class is the one place v -> U v is computed, and
-sublattice_orbit_count counts the classes of a sublattice branching in
-closed form.
+A lattice is its integer Gram matrix in a fixed basis; lattice vectors are
+integer coordinate tuples, a dual coset is its canonical rep's integer
+numerators over det (CosetElement).  Below the public functions every step
+is in integers, the LDL^T split one fraction-free pass (intmat.ldl);
+Fraction appears only where vectors enter or leave (_scaled, the rep,
+min_norm, to_sub and to_parent views, the discriminant generators).  Short
+vectors are enumerated by Fincke-Pohst over a coset's numerators, counting
+a class closed under v -> -v from half its tree; one walk of a minimal
+shell gives a +- orbit's rep (_least with signs (1, -1)).  One class
+walker, driven by a Smith form, enumerates L°/L, L modulo a full-rank
+sublattice L', and the classes (lam + L)/L' of a sublattice branching, one
+walk per +- pair.  Norm counts (theta series) go through a frame where one
+pays: mutually orthogonal vectors spanning a sublattice of small index N,
+found once per lattice, so a coset is N classes, each a product of
+rank-one cosets; coset_norm_counts states the rule that picks this route
+or the walk.  A diagonal Gram is its own frame (orthogonal_sublattice, of
+index one) and is never walked: its minimal shell is the product of
+per-coordinate choices (_diagonal).  A sublattice is one cached Sublattice
+value (basis, Gram, index, Smith form and transforms, which change
+coordinates both ways: sub_nums and lift).  Only this module does
+Smith-form arithmetic, v -> U v only in Sublattice.smith_class, and
+sublattice_orbit_count counts a sublattice branching's classes in closed
+form.  The 2-cocycle and the mod-2 bilinear data are here too.
 """
 
 from __future__ import annotations
@@ -240,21 +235,22 @@ def validate_even_lattice(gram) -> EvenLattice:
 
 @lru_cache(maxsize=None)
 def _ldl_cached(gram: tuple[tuple[int, ...], ...]):
-    """Integer LDL^T split of a Gram matrix: (M, A, P, C) with
+    """Integer LDL^T split of a positive definite Gram matrix: (M, A, P, C) with
 
         M * q(x) = sum_i A[i] * (P[i] * x_i + sum_{j>i} C[i][j] * x_j) ** 2,
 
-    all entries integers and M, A[i], P[i] positive.  P[i] clears the
-    denominators of row i of the rational split, M those of the weights.
+    all entries integers and M, A[i], P[i] positive: (P[i], C[i]) is pivot row
+    i of intmat.ldl over its gcd g[i], weight i is minors[i] / (minors[i-1]
+    P[i]^2) = g[i]^2 / (minors[i-1] minors[i]), M their least common denominator.
     """
-    d, c = intmat.ldl([list(r) for r in gram])
-    n = len(gram)
-    P = [math.lcm(*(c[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    C = tuple(tuple(int(c[i][j] * P[i]) if j > i else 0 for j in range(n)) for i in range(n))
-    weights = [d[i] / (P[i] * P[i]) for i in range(n)]
-    M = math.lcm(*(w.denominator for w in weights))
-    A = tuple(int(w * M) for w in weights)
-    return M, A, tuple(P), C
+    minors, rows = intmat.ldl(gram)
+    g = [math.gcd(*row) for row in rows]
+    den = [a * b for a, b in zip([1] + minors, minors)]  # weight i is g[i]^2 / den[i]
+    M = math.lcm(*(d // math.gcd(h * h, d) for h, d in zip(g, den)))
+    A = tuple(M * h * h // d for h, d in zip(g, den))
+    P = tuple(m // h for m, h in zip(minors, g))
+    C = tuple((0,) * (i + 1) + tuple(x // h for x in row[1:]) for i, (row, h) in enumerate(zip(rows, g)))
+    return M, A, P, C
 
 
 @lru_cache(maxsize=None)
@@ -596,12 +592,16 @@ class Sublattice:
         """nums B: sublattice numerators to parent ones over the same denominator."""
         return [sum(a * b for a, b in zip(nums, col)) for col in zip(*self.basis)]
 
-    def to_sub(self, v) -> DualCoords:
-        """Parent coordinates to sublattice coordinates, v U^T diag(smith)^-1 V^T."""
-        D, nums = _scaled(v)
+    def sub_nums(self, nums) -> list[int]:
+        """nums B^-1 smith[-1]: parent numerators to sublattice ones over smith[-1] times as much."""
         top = self.smith[-1]
         y = [top // f * t for f, t in zip(self.smith, self.smith_class(nums))]
-        return tuple(Fraction(sum(a * b for a, b in zip(y, row)), D * top) for row in self.smith_v)
+        return [sum(a * b for a, b in zip(y, row)) for row in self.smith_v]
+
+    def to_sub(self, v) -> DualCoords:
+        """Parent coordinates to sublattice coordinates, the Fraction view of sub_nums."""
+        D, nums = _scaled(v)
+        return tuple(Fraction(x, D * self.smith[-1]) for x in self.sub_nums(nums))
 
     def to_parent(self, x) -> DualCoords:
         """Sublattice coordinates to parent coordinates, x B."""
@@ -612,19 +612,19 @@ class Sublattice:
 @lru_cache(maxsize=None)
 def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
     """The sublattice spanned by the rows of basis; raises NotFullRank."""
-    d = L.rank
     rows = [list(b) for b in basis]
-    square = len(rows) == d and all(len(r) == d for r in rows)
-    index = abs(intmat.det_int(rows)) if square else 0
-    if index == 0:
+    if len(rows) != L.rank or any(len(r) != L.rank for r in rows):
         raise NotFullRank("sublattice basis must have full rank")
     try:
         sub = validate_even_lattice(intmat.mat_mul(intmat.mat_mul(rows, L.gram), list(zip(*rows))))
+    except NotPositiveDefinite:  # B G B^T is positive semidefinite, singular iff B is
+        raise NotFullRank("sublattice basis must have full rank")
     except LatticeError as e:  # only a determinant too long to print: L is valid
         raise LatticeError(f"sublattice: {e}")
+    smith, u, v = intmat.snf([list(c) for c in zip(*rows)])
+    index = math.prod(smith)  # |det B|
     if sub.det != index * index * L.det:
         raise AssertionError("sublattice determinant must be index^2 * det")
-    smith, u, v = intmat.snf([list(c) for c in zip(*rows)])
     return Sublattice(parent=L, basis=basis, lattice=sub, index=index, smith=tuple(smith),
                       smith_u=tuple(map(tuple, u)), smith_v=tuple(map(tuple, v)))
 
@@ -719,18 +719,16 @@ def _frame(L: EvenLattice) -> Sublattice | None:
     when the search takes more than FRAME_NODES enumeration steps or the
     frame has more than QuotientTooLarge.limit classes.
 
-    A diagonal Gram is its own frame, of index 1.  Otherwise the nonzero
-    vectors of norm at most the least diagonal entry are taken in (norm,
-    key) order, each kept if it is orthogonal to all kept so far; then,
-    while fewer than d are kept, the shortest vector of their orthogonal
-    complement (the integer kernel of the kept vectors times G, walked in
-    its own Gram) is kept.  E8 gets 8 roots (index 16), D4 4 roots (index
-    2), E6 4 roots and norms 4 and 12 (index 16)."""
+    A diagonal Gram's frame is orthogonal_sublattice(L), of index 1.
+    Otherwise the nonzero vectors of norm at most the least diagonal entry
+    are taken in (norm, key) order, each kept if it is orthogonal to all
+    kept so far; then, while fewer than d are kept, the shortest vector of
+    their orthogonal complement (the integer kernel of the kept vectors
+    times G, walked in its own Gram) is kept.  E8 gets 8 roots (index 16),
+    D4 4 roots (index 2), E6 4 roots and norms 4 and 12 (index 16)."""
     d, G = L.rank, L.gram
     if _diagonal(G) is not None:
-        one = tuple(map(tuple, intmat.identity(d)))
-        return Sublattice(parent=L, basis=one, lattice=L, index=1, smith=(1,) * d,
-                          smith_u=one, smith_v=one)
+        return orthogonal_sublattice(L)
     nodes = [FRAME_NODES]
     kept: list[Coords] = []
     forms: list[list[int]] = []  # G f per kept f: f . x is the pairing (f, x)
@@ -786,14 +784,12 @@ def _frame_counts(F: Sublattice, lam: CosetElement, bound) -> tuple[int, dict[in
     A class's vectors, in F's coordinates, are w / E with w_b = x_b (mod E),
     E = lam.den * smith[-1], of norm T / E^2 for T = sum_b n_b w_b^2: a
     product of rank-one cosets, counted once per sorted (n_b, x_b up to
-    sign), so a class and its negation share one product.  The scale is E^2."""
+    sign), so a class and its negation share one product.  The scale is E^2.
+    A frame of index one has one class, lam itself in F's coordinates."""
     E = lam.den * F.smith[-1]
     norms = _diagonal(F.lattice.gram)
     classes: dict[tuple, int] = {}
-    # a diagonal Gram is its own frame: one class, lam's own numerators (no Smith stepping)
-    steps = ([((), lam.nums)] if F.lattice is F.parent
-             else _class_steps(F.smith, F.smith_v, F.smith_class(lam.nums), lam.den))
-    for _, nums in steps:
+    for _, nums in _class_steps(F.smith, F.smith_v, F.smith_class(lam.nums), lam.den):
         key = tuple(sorted((n, min(x % E, -x % E)) for n, x in zip(norms, nums)))
         classes[key] = classes.get(key, 0) + 1
     cap = _budget(bound, E * E)

@@ -205,7 +205,7 @@ def euler_product_inv(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int | None = None) -> QSeries:
+def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction) -> QSeries:
     """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order.
 
     A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
@@ -216,7 +216,7 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction, denom: int |
     frame, of index one, and is never walked.  A coset whose least norm
     lam.norm_num / lam.den reaches 2 * order is zero, uncounted."""
     order = Fraction(order)
-    denom = denom or series_denominator(L)
+    denom = series_denominator(L)
     order_key = _key(order, denom)
     nums: dict[int, int] = {}
     if 2 * order * lam.den > lam.norm_num:
@@ -284,7 +284,7 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
         lam = label_coset(L, m)
         if lam.norm_num >= cut:
             continue
-        for k, n in theta_coset(L, lam, order, denom).nums.items():
+        for k, n in theta_coset(L, lam, order).nums.items():
             twice[k] = twice.get(k, 0) + w * n
     total = QSeries(denom, _key(order, denom), twice) * euler_product_inv(L.rank, order, denom)
     if psi_weight:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -404,6 +405,73 @@ def test_theta_counts_stop_below_the_order(monkeypatch):
     assert theta.terms() == {F(0): 1, F(1): 240, F(2): 2160, F(3): 6720}
     [(bound, vectors)] = seen
     assert bound < 8 and vectors == 9121
+
+
+# ---------------------------------------------------------------------------
+# the integer LDL^T split and the leading minors
+# ---------------------------------------------------------------------------
+
+def block_minors(m):
+    """Oracle: det_int of each leading block, up to and including the first that is not positive."""
+    out = []
+    for k in range(len(m)):
+        out.append(intmat.det_int([row[:k + 1] for row in m[:k + 1]]))
+        if out[-1] <= 0:
+            break
+    return out
+
+
+def assert_split_is_exact(gram, seed):
+    """leading_minors against det_int, and M q(x) = sum_i A_i (P_i x_i + sum_{j>i} C_ij x_j)^2
+    at random integer x, with M, P_i, A_i positive and each (P_i, C_i) primitive."""
+    minors = block_minors(gram)
+    assert intmat.leading_minors(gram)[:len(minors)] == minors
+    d = len(gram)
+    M, A, P, C = _ldl_cached(tuple(map(tuple, gram)))
+    assert M > 0 and min(A) > 0 and min(P) > 0
+    assert all(math.gcd(p, *c) == 1 for p, c in zip(P, C))
+    assert all(C[i][j] == 0 for i in range(d) for j in range(i + 1))
+    rng = random.Random(seed)
+    for _ in range(20):
+        x = [rng.randint(-9, 9) for _ in range(d)]
+        q = sum(x[i] * gram[i][j] * x[j] for i in range(d) for j in range(d))
+        assert M * q == sum(a * (p * xi + sum(map(operator.mul, c, x))) ** 2
+                            for a, p, xi, c in zip(A, P, x, C)), (gram, x)
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [E8])
+def test_ldl_split_is_exact(gram):
+    assert_split_is_exact(gram, len(gram))
+
+
+@GENERATED
+@given(even_grams())
+def test_ldl_split_is_exact_on_generated_grams(gram):
+    assert_split_is_exact(gram, len(gram))
+
+
+def test_leading_minors_of_matrices_that_are_not_positive_definite():
+    # symmetric with an even diagonal, so a rejection is NotPositiveDefinite at
+    # the first leading block whose determinant is not positive
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        m = [[0] * d for _ in range(d)]
+        for i in range(d):
+            m[i][i] = 2 * rng.randint(-2, 4)
+            for j in range(i):
+                m[i][j] = m[j][i] = rng.randint(-6, 6)
+        minors = block_minors(m)
+        assert intmat.leading_minors(m)[:len(minors)] == minors, m
+        if minors[-1] > 0:
+            assert validate_even_lattice(m).det == minors[-1]
+            continue
+        rejected += 1
+        with pytest.raises(NotPositiveDefinite) as e:
+            validate_even_lattice(m)
+        assert e.value.index == len(minors), m
+    assert rejected > 200
 
 
 # ---------------------------------------------------------------------------

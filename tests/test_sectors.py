@@ -1,11 +1,12 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
+from conftest import A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
 from vlplus import intmat
 from vlplus.certify import _Context, weight_gap_rule
 from vlplus.lattice import coset_element, minimal_coset_reps, mod_two_data
@@ -416,3 +417,74 @@ def test_integer_label_data_on_fixed_grams(gram):
 @given(even_grams())
 def test_integer_label_data_on_generated_grams(gram):
     check_integer_label_data(gram)
+
+
+# ---------------------------------------------------------------------------
+# modular data: the census against the Gauss sum, exactly in Z[zeta_N]
+# ---------------------------------------------------------------------------
+
+def poly_divmod(p, m):
+    """(quotient, remainder) of p by the monic m, integer coefficients, constant term first."""
+    p, k = list(p), len(m) - 1
+    q = [0] * max(len(p) - k, 0)
+    for i in range(len(p) - 1, k - 1, -1):
+        c = q[i - k] = p[i]
+        for j, x in enumerate(m):
+            p[i - k + j] -= c * x
+    return q, p[:k]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """Phi_n in integers: x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rest = poly_divmod(poly, cyclotomic(d))
+            assert not any(rest)
+    return tuple(poly)
+
+
+def census_dimensions(L):
+    """[(q^2, weight numerator over N)] per label: q = 1 for V+- and C+-, 2 for U,
+    and q^2 = |L°/L| / 2^r2 for T+-."""
+    squares = {LabelKind.VAC_PLUS: 1, LabelKind.VAC_MINUS: 1, LabelKind.COSET: 1,
+               LabelKind.UNTWISTED: 4, LabelKind.TWISTED: L.det // 2 ** mod_two_data(L).r2}
+    return [(squares[m.kind], weight_num(L, m)) for m in classify_modules(L)]
+
+
+def modular_data_holds(L, census):
+    """sum q^2 = 4 |L°/L| and (sum q^2 e(h))^2 = 4 |L°/L| i^d in Z[zeta_N], N the series grid.
+
+    e(h) is zeta_N to the weight numerator; the sums are kept modulo x^N - 1
+    and the difference is reduced modulo Phi_N.  T+ and T- differ by 1/2 in
+    weight, so their terms cancel in pairs."""
+    N, det = series_denominator(L), L.det
+    gauss = [0] * N
+    for q2, w in census:
+        gauss[w % N] += q2
+    square = [0] * N
+    for a, x in enumerate(gauss):
+        for b, y in enumerate(gauss):
+            if x and y:
+                square[(a + b) % N] += x * y
+    square[L.rank * N // 4 % N] -= 4 * det
+    return sum(q2 for q2, _ in census) == 4 * det and not any(poly_divmod(square, cyclotomic(N))[1])
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [E8])
+def test_census_satisfies_the_modular_data(gram):
+    L = lat(gram)
+    census = census_dimensions(L)
+    assert modular_data_holds(L, census)
+    # one U weight moved by 1/N breaks the Gauss sum
+    orbits = [i for i, m in enumerate(classify_modules(L)) if m.kind == LabelKind.UNTWISTED]
+    if orbits:
+        q2, w = census[orbits[0]]
+        assert not modular_data_holds(L, census[:orbits[0]] + [(q2, w + 1)] + census[orbits[0] + 1:])
+
+
+@GENERATED
+@given(even_grams())
+def test_census_satisfies_the_modular_data_on_generated_grams(gram):
+    assert modular_data_holds(lat(gram), census_dimensions(lat(gram)))

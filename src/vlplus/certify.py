@@ -24,6 +24,13 @@ that lift the involution: the algebra and its modules do not depend on
 them, so neither is an input.  The v1 metadata still records the
 defaults (cocycle_mode "upper", root_branch "1"), and verification
 also accepts "lower" and "-1", which older writers could record.
+
+A certificate file is verified by re-deriving it (verify_text): a file
+whose text is what certify writes for the lattice is verified by that
+equality alone, and any other file is parsed and re-checked record by
+record (verify_certificate).  A v1 certificate lists all n^2 ordered
+pairs of the n labels, so certify and verify_text refuse a census of
+more than TooManyPairs.limit pairs before building any of them.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from .branching import frame_choices
-from .lattice import EvenLattice, orthogonal_sublattice, sublattice_orbit_count
+from .lattice import EvenLattice, LatticeError, orthogonal_sublattice, sublattice_orbit_count
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -84,6 +91,21 @@ CITATIONS = {
         "with the same conformal vector, so any extension is a module map"
     ),
 }
+
+
+class TooManyPairs(LatticeError):
+    """A census with more ordered pairs than a v1 certificate is built for.
+
+    A1^8's 1,048,576 pairs take about 1.7 s and 0.95 GB to certify and
+    1.4 s more to write (413 MB); the limit, twice that count, keeps a
+    certificate under about 2 GB.
+    """
+
+    limit = 1 << 21
+
+    def __init__(self, n: int):
+        super().__init__(f"{n * n} ordered pairs of {n} labels are more than the "
+                         f"{self.limit} a certificate holds")
 
 
 @dataclass(frozen=True)
@@ -195,11 +217,15 @@ class _Context:
     names, the WeightGap table over weight ids, the orthogonal
     sublattice, the one FusionObstruction route it makes live, and, filled
     per label on first lookup, duals and each label's constituents over
-    that route's subalgebra (only labels of pairs WeightGap leaves open)."""
+    that route's subalgebra (only labels of pairs WeightGap leaves open).
+    Raises TooManyPairs, after the census, for more than its limit of
+    ordered pairs of labels."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
         self.labels = classify_modules(L)
+        if len(self.labels) ** 2 > TooManyPairs.limit:
+            raise TooManyPairs(len(self.labels))
         self.names = [format_label(m) for m in self.labels]
         self.duals = _OnDemand(partial(contragredient, L))
         # weight_ids[i] numbers the lowest weight of labels[i], keyed by its
@@ -378,8 +404,14 @@ def certify(L: EvenLattice, *, disabled: frozenset = frozenset()) -> ExtCertific
 
     Deterministic: identical Gram matrices yield byte-identical output.
     Each pair is justified by the first rule of the chain that applies.
+    Raises TooManyPairs for a census of more than its limit of pairs.
     """
-    ctx = _Context(L)
+    return _certify(_Context(L), disabled)
+
+
+def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate:
+    """certify over a context that the caller has built."""
+    L = ctx.L
     chain = _chain(disabled, ctx.route)
     # WeightGap heads rule_order; the per-weight table stands in for it
     n = len(ctx.weight_reps)
@@ -421,7 +453,29 @@ def certify(L: EvenLattice, *, disabled: frozenset = frozenset()) -> ExtCertific
 # certificate re-verification
 # ---------------------------------------------------------------------------
 
-def verify_certificate(L: EvenLattice, cert) -> list[str]:
+def verify_text(L: EvenLattice, text: str) -> list[str]:
+    """Verify a certificate file's text: verify_certificate's problems,
+    found by re-deriving the file before parsing any of it.
+
+    If text is certify(L).dumps(), there are none.  Every record certify
+    writes is, by construction, the value its rule (and route) returns for
+    that pair, which is what the per-record check recomputes and compares;
+    each pair is written once, justified or unknown; the verdict is the one
+    its unknown list gives; and the metadata holds the defaults.  So
+    verify_certificate returns [] on the parsed text, and byte equality is
+    as strong a check as the per-record one.  Any other text (a disabled
+    rule, "lower" or "-1" metadata, another layout, any tampering) is
+    parsed and checked record by record over the context the re-derivation
+    built.  ValueError if the text is not a certificate file; TooManyPairs
+    for a census too large to certify.
+    """
+    ctx = _Context(L)
+    if text == _certify(ctx).dumps():
+        return []
+    return verify_certificate(L, load_certificate(text), ctx=ctx)
+
+
+def verify_certificate(L: EvenLattice, cert, *, ctx: _Context | None = None) -> list[str]:
     """Re-check every recorded justification from scratch.
 
     Returns a list of problems; an empty list means the certificate
@@ -431,11 +485,14 @@ def verify_certificate(L: EvenLattice, cert) -> list[str]:
     in full; coverage of the ordered-pair square is checked, and the
     verdict is recomputed.  The top-level keys must be exactly those of
     the format, and the metadata must hold the lattice's series
-    denominator, the fixed rule order and a known convention.
+    denominator, the fixed rule order and a known convention.  ctx, a
+    _Context of L, saves building another.  A certificate file goes
+    through verify_text, which calls this only for text that differs
+    from what certify writes.
     """
     if not isinstance(cert, dict):
         return ["certificate is not a JSON object"]
-    ctx = _Context(L)
+    ctx = ctx or _Context(L)
     if cert.get("labels") != ctx.names:
         return ["label census does not match the lattice"]
     if cert.get("gram") != [list(r) for r in L.gram]:

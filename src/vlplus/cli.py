@@ -3,8 +3,9 @@
 Subcommands: analyze, modules, char, fusion, decompose, certify.  The
 Gram matrix comes from a JSON file {"gram": [[...], ...]} with integer
 entries; rationals in all outputs are exact "p/q" strings in lowest
-terms.  Exit codes: 0 success, 2 validation or input error, 3 an
-incomplete certificate (or a failed certificate re-check).
+terms.  Exit codes: 0 success, 2 validation or input error (an input
+too large to certify, or one that runs out of memory), 3 an incomplete
+certificate (or a failed certificate re-check).
 
 A flag takes its value as --flag value or --flag=value, and may be
 shortened to a unique prefix (--mod V+).  Given twice, a flag keeps its
@@ -30,13 +31,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
-from .certify import (
-    ALL_RULES,
-    VERDICT_RATIONAL,
-    certify,
-    load_certificate,
-    verify_certificate,
-)
+from .certify import ALL_RULES, VERDICT_RATIONAL, certify, verify_text
 from .fusion import SignOracle, fusion_dim
 from .lattice import (
     LatticeError,
@@ -299,10 +294,11 @@ def cmd_certify(L, args, out):
             raise CliError(f"--verify re-checks a certificate file and takes no {' or '.join(given)}")
         try:
             with open(args.verify) as fh:
-                cert = load_certificate(fh.read())
+                problems = verify_text(L, fh.read())
+        except LatticeError:  # a census too large to certify: not about the file
+            raise
         except (OSError, ValueError) as e:
             raise CliError(f"cannot load certificate: {e}")
-        problems = verify_certificate(L, cert)
         if problems:
             for p in problems:
                 out.write(f"problem\t{p}\n")
@@ -452,12 +448,16 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    handler, args = _parse(argv)
     try:
         return handler(_load_gram(args.gram), args, sys.stdout)
     except (CliError, LatticeError) as e:  # a lattice error is an input error
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "code", EXIT_INVALID)
+    except MemoryError:  # a backstop: the known limits refuse before they allocate
+        print(f"error: vlplus {argv[0]} ran out of memory", file=sys.stderr)
+        return EXIT_INVALID
     except BrokenPipeError:
         return EXIT_OK
 

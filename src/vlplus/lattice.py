@@ -219,19 +219,27 @@ def validate_even_lattice(gram) -> EvenLattice:
     for i in range(d):
         if rows[i][i] % 2 != 0:
             raise NotEven(i + 1)
-    minors = intmat.leading_minors(rows)
+    gram = tuple(map(tuple, rows))
+    minors = _ldl_pass(gram)[0]
     for i, m in enumerate(minors):
         if m <= 0:
             raise NotPositiveDefinite(i + 1)
     digits = sys.get_int_max_str_digits()
     if digits and minors[-1] >= 10**digits:
         raise LatticeError(f"the determinant has more than {digits} digits")
-    return EvenLattice(gram=tuple(tuple(r) for r in rows), det=minors[-1])
+    return EvenLattice(gram=gram, det=minors[-1])
 
 
 # ---------------------------------------------------------------------------
 # short vector enumeration
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _ldl_pass(gram: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[list[int]]]:
+    """intmat.ldl(gram), run once per Gram: validate_even_lattice reads its
+    leading minors and _ldl_cached its pivot rows (neither writes to them)."""
+    return intmat.ldl(gram)
+
 
 @lru_cache(maxsize=None)
 def _ldl_cached(gram: tuple[tuple[int, ...], ...]):
@@ -243,7 +251,7 @@ def _ldl_cached(gram: tuple[tuple[int, ...], ...]):
     i of intmat.ldl over its gcd g[i], weight i is minors[i] / (minors[i-1]
     P[i]^2) = g[i]^2 / (minors[i-1] minors[i]), M their least common denominator.
     """
-    minors, rows = intmat.ldl(gram)
+    minors, rows = _ldl_pass(gram)
     g = [math.gcd(*row) for row in rows]
     den = [a * b for a, b in zip([1] + minors, minors)]  # weight i is g[i]^2 / den[i]
     M = math.lcm(*(d // math.gcd(h * h, d) for h, d in zip(g, den)))

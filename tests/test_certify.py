@@ -33,6 +33,7 @@ from vlplus.certify import (
     fusion_obstruction_rule,
     load_certificate,
     verify_certificate,
+    verify_text,
     weight_gap_rule,
     vacuum_rule,
 )
@@ -263,6 +264,7 @@ def test_seeded_random_lattices_certify_rational():
         cert = certify(L)
         assert cert.verdict == VERDICT_RATIONAL, (g, list(cert.unknown)[:4])
         assert verify_certificate(L, cert.to_json()) == [], g
+        assert_written_bytes_pass_the_record_check(L)
 
 
 def test_sublattice_route_fires_in_chain_on_nondiagonal_lattice():
@@ -728,6 +730,33 @@ def test_verify_answers_hostile_label_values_with_problems(tmp_path, capsys, val
                 (mutant(lambda c: c["pairs"][0].update(m2=number)), not_pair),
                 (unknown(number), not_unknown), (unknown(["V+", number]), not_unknown)):
             assert problem in verify_certificate(L, bad)
+
+
+def assert_written_bytes_pass_the_record_check(L):
+    """verify_text accepts certify's own text unparsed; that is sound only
+    because the per-record check accepts the text parsed."""
+    text = certify(L).dumps()
+    assert verify_certificate(L, json.loads(text)) == [], L.gram
+    assert verify_text(L, text) == [], L.gram
+
+
+@pytest.mark.parametrize("gram", CERT_GRAMS + LADDER_GRAMS)
+def test_written_bytes_pass_the_record_check(gram):
+    assert_written_bytes_pass_the_record_check(lat(gram))
+
+
+def test_verify_text_checks_other_text_as_verify_certificate_does():
+    # a file other than certify's bytes gets the per-record check's problems,
+    # and one that is not a certificate a ValueError
+    L = lat(DIAG26)
+    good = certify(L).to_json()
+    assert verify_text(L, json.dumps(good)) == []
+    bad = json.loads(json.dumps(good))
+    bad["pairs"][0]["justification"]["detail"]["gap"] += "0"
+    assert verify_text(L, json.dumps(bad)) == verify_certificate(L, bad) != []
+    for text in ("{}", "[" * 100000, certify(L).dumps()[:-2]):
+        with pytest.raises(ValueError):
+            verify_text(L, text)
 
 
 def test_load_certificate_roundtrip(tmp_path):

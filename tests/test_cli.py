@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
+from conftest import A1, A1_4, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
 from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 from vlplus.lattice import validate_even_lattice
 from vlplus.sectors import classify_modules, format_label
@@ -632,6 +633,106 @@ def test_certify_out_to_a_directory_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["certify", "--gram", gram, "--out", str(tmp_path)])
     assert code == EXIT_INVALID and out == ""
     assert err.startswith(f"error: cannot write certificate to {tmp_path}")
+
+
+# [[2,1],[1,2000]] has 2,003 labels: 4,012,009 ordered pairs, past the limit
+PAIR_LIMIT_GRAM = [[2, 1], [1, 2000]]
+
+
+def test_certify_refuses_past_the_pair_limit_within_one_gigabyte(tmp_path):
+    # certify and --verify's re-derivation refuse after the census, before
+    # building a pair: in a child limited to 1 GB of address space, exit 2
+    # with one line naming the pair count, well inside 5 s
+    import resource
+
+    def one_gigabyte():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    gram = write_gram(tmp_path, PAIR_LIMIT_GRAM)
+    cert = tmp_path / "any.cert"
+    cert.write_text("{}")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for extra in ([], ["--out", str(tmp_path / "unwritten.cert")], ["--verify", str(cert)]):
+        start = time.monotonic()
+        run = subprocess.run([sys.executable, "-m", "vlplus.cli", "certify", "--gram", gram, *extra],
+                             env=env, capture_output=True, text=True, timeout=60,
+                             preexec_fn=one_gigabyte)
+        assert time.monotonic() - start < 5, extra
+        assert (run.returncode, run.stdout) == (EXIT_INVALID, ""), (extra, run.stderr)
+        assert run.stderr == ("error: 4012009 ordered pairs of 2003 labels are more than "
+                              "the 2097152 a certificate holds\n"), extra
+    assert not (tmp_path / "unwritten.cert").exists()
+
+
+def test_the_pair_limit_admits_a1_8_and_the_ladder():
+    from vlplus.certify import TooManyPairs
+
+    a1_8 = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    counts = [len(classify_modules(validate_even_lattice(g))) ** 2 for g in [a1_8] + LADDER_GRAMS]
+    assert counts[0] == 1048576
+    assert max(counts) <= TooManyPairs.limit < 4012009
+
+
+def test_running_out_of_memory_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # a backstop behind the limits that refuse known-large inputs
+    def exhausted(L, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["vlplus.cli"], "certify", exhausted)
+    code, out, err = run_cli(capsys, ["certify", "--gram", write_gram(tmp_path, A1)])
+    assert (code, out, err) == (EXIT_INVALID, "", "error: vlplus certify ran out of memory\n")
+
+
+def test_verify_parses_no_json_for_a_certificate_certify_wrote(tmp_path, capsys, monkeypatch):
+    # the file is verified by writing the certificate again and comparing
+    def refuse(text):
+        raise AssertionError("a certificate that certify wrote was parsed")
+
+    for module in ("vlplus.certify", "vlplus.cli"):
+        monkeypatch.setattr(sys.modules[module], "load_certificate", refuse, raising=False)
+    gram = write_gram(tmp_path, LADDER_GRAMS[4])  # A1^5: 16,384 pairs
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, ["certify", "--gram", gram, "--out", str(cert)])[0] == EXIT_OK
+    assert run_cli(capsys, ["certify", "--gram", gram, "--verify", str(cert)]) \
+        == (EXIT_OK, "certificate verified\n", "")
+
+
+DET36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("gram", [A1_4, DET36], ids=["A1^4", "det36"])
+def test_verify_checks_other_bytes_record_by_record(tmp_path, capsys, monkeypatch, gram):
+    # a re-indented copy and a certificate written with Vacuum disabled are
+    # not certify's bytes: each is parsed and checked record by record, over
+    # the one context the re-derivation built, and verifies
+    module = sys.modules["vlplus.certify"]
+    checked, contexts = [], []
+    real_check, real_init = module.verify_certificate, module._Context.__init__
+
+    def counted_check(L, cert, **kwargs):
+        checked.append(kwargs.get("ctx"))
+        return real_check(L, cert, **kwargs)
+
+    def counted_init(self, L):
+        contexts.append(self)
+        real_init(self, L)
+
+    monkeypatch.setattr(module, "verify_certificate", counted_check)
+    monkeypatch.setattr(module._Context, "__init__", counted_init)
+    gram_path = write_gram(tmp_path, gram)
+    written, reindented, vacuum = (tmp_path / f"{n}.cert" for n in ("written", "reindented", "vacuum"))
+    assert run_cli(capsys, ["certify", "--gram", gram_path, "--out", str(written)])[0] == EXIT_OK
+    reindented.write_text(json.dumps(json.loads(written.read_text()), indent=1))
+    # det36 leaves pairs unknown without Vacuum: an Incomplete certificate verifies too
+    run_cli(capsys, ["certify", "--gram", gram_path, "--disable-rule", "Vacuum", "--out", str(vacuum)])
+    assert vacuum.read_text() != written.read_text()
+    for path in (reindented, vacuum):
+        checked.clear()
+        contexts.clear()
+        assert run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(path)]) \
+            == (EXIT_OK, "certificate verified\n", ""), path.name
+        assert len(contexts) == 1 and checked == contexts, path.name
 
 
 # the sign entry an A1 query reads from each table, and that query

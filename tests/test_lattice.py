@@ -450,6 +450,30 @@ def test_ldl_split_is_exact_on_generated_grams(gram):
     assert_split_is_exact(gram, len(gram))
 
 
+def test_each_gram_is_eliminated_once(monkeypatch):
+    # validation and the integer split share one LDL^T pass per Gram: certify
+    # on diag(2,4,6,8) eliminates the Gram once, where validation, the identity
+    # basis's sublattice() and _ldl_cached each eliminated it in turn
+    import vlplus.lattice as lattice
+    from vlplus.certify import certify
+
+    calls = []
+    real = intmat.ldl
+
+    def counted(gram):
+        calls.append(tuple(map(tuple, gram)))
+        return real(gram)
+
+    monkeypatch.setattr(intmat, "ldl", counted)
+    for fn in vars(lattice).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    L = validate_even_lattice([[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 6, 0], [0, 0, 0, 8]])
+    certify(L).dumps()
+    assert calls.count(L.gram) == 1
+    assert len(calls) == len(set(calls)), calls
+
+
 def test_leading_minors_of_matrices_that_are_not_positive_definite():
     # symmetric with an even diagonal, so a rejection is NotPositiveDefinite at
     # the first leading block whose determinant is not positive

@@ -453,26 +453,33 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
 # certificate re-verification
 # ---------------------------------------------------------------------------
 
-def verify_text(L: EvenLattice, text: str) -> list[str]:
+def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
     """Verify a certificate file's text: verify_certificate's problems,
-    found by re-deriving the file before parsing any of it.
+    found by re-deriving the file before parsing any of it, and the
+    verdict of a file that has none (None when there are problems).
 
-    If text is certify(L).dumps(), there are none.  Every record certify
-    writes is, by construction, the value its rule (and route) returns for
-    that pair, which is what the per-record check recomputes and compares;
-    each pair is written once, justified or unknown; the verdict is the one
-    its unknown list gives; and the metadata holds the defaults.  So
+    If text is certify(L).dumps(), there are none, and the verdict is the
+    re-derived certificate's.  Every record certify writes is, by
+    construction, the value its rule (and route) returns for that pair,
+    which is what the per-record check recomputes and compares; each pair
+    is written once, justified or unknown; the verdict is the one its
+    unknown list gives; and the metadata holds the defaults.  So
     verify_certificate returns [] on the parsed text, and byte equality is
     as strong a check as the per-record one.  Any other text (a disabled
     rule, "lower" or "-1" metadata, another layout, any tampering) is
     parsed and checked record by record over the context the re-derivation
-    built.  ValueError if the text is not a certificate file; TooManyPairs
-    for a census too large to certify.
+    built, and a file without problems has the verdict it records, which
+    the check found consistent with its unknown list.  ValueError if the
+    text is not a certificate file; TooManyPairs for a census too large to
+    certify.
     """
     ctx = _Context(L)
-    if text == _certify(ctx).dumps():
-        return []
-    return verify_certificate(L, load_certificate(text), ctx=ctx)
+    derived = _certify(ctx)
+    if text == derived.dumps():
+        return [], derived.verdict
+    cert = load_certificate(text)
+    problems = verify_certificate(L, cert, ctx=ctx)
+    return problems, None if problems else cert["verdict"]
 
 
 def verify_certificate(L: EvenLattice, cert, *, ctx: _Context | None = None) -> list[str]:

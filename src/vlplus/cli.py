@@ -294,7 +294,7 @@ def cmd_certify(L, args, out):
             raise CliError(f"--verify re-checks a certificate file and takes no {' or '.join(given)}")
         try:
             with open(args.verify) as fh:
-                problems = verify_text(L, fh.read())
+                problems, verdict = verify_text(L, fh.read())
         except LatticeError:  # a census too large to certify: not about the file
             raise
         except (OSError, ValueError) as e:
@@ -302,6 +302,10 @@ def cmd_certify(L, args, out):
         if problems:
             for p in problems:
                 out.write(f"problem\t{p}\n")
+            return EXIT_INCOMPLETE
+        if verdict != VERDICT_RATIONAL:
+            # a consistent file of an Incomplete verdict exits as certify did on it
+            out.write(f"certificate verified\tverdict\t{verdict}\n")
             return EXIT_INCOMPLETE
         out.write("certificate verified\n")
         return EXIT_OK

@@ -11,17 +11,24 @@ central-charge prefactor, so direct sums add and tensor products
 multiply as literal series identities.  Every untwisted character is
 (w theta phi^(-d) + t psi^(-d)) / 2, from the theta of the label's coset,
 the plain and the sign-alternating inverse Euler products and the (w, t)
-that THETA_PSI gives the label's kind; psi^(-d) is the finite product
-over odd n of (1 - q^n)^d (Euler).  The one division is halved(), which
-refuses an odd coefficient; each caller says why its sum is even.  A
-twisted character divides nothing: it keeps the terms of one inverse
+that THETA_PSI gives the label's kind.  The one division is halved(),
+which refuses an odd coefficient; each caller says why its sum is even.
+A twisted character divides nothing: it keeps the terms of one inverse
 product at the integer or at the half-integer exponents.
+
+Each inverse Euler product is the d-th power of a quotient of P(t) =
+prod (1 - t^n), t = q or q^(1/2): partition numbers from Euler's
+pentagonal recurrence times P's few pentagonal terms.  Every product of
+coefficient lists is one big-integer multiplication (Kronecker
+substitution, _convolve), exact because it is integer arithmetic with a
+digit wide enough for every coefficient.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -155,6 +162,132 @@ def _align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
 # Euler-type inverse products
 # ---------------------------------------------------------------------------
 
+# each product of euler_product_inv at d = 1 as a quotient of P(t) = prod
+# (1 - t^n), n >= 1, on its grid t = q (integer exponents) or t = q^(1/2):
+# (s, e) is the factor P(t^s)^e.  prod (1 + t^n) = P(t^2) / P(t), and the
+# factors over odd n are P(t) / P(t^2)
+_QUOTIENTS = {
+    (False, False): ((1, -1),),                # 1 / P(q)
+    (True, False): ((1, 1), (2, -1)),          # P(q) / P(q^2)
+    (False, True): ((2, 1), (1, -1)),          # P(t^2) / P(t)
+    (True, True): ((1, 1), (4, 1), (2, -2)),   # P(t) P(t^4) / P(t^2)^2
+}
+
+_PARTITIONS = (1,)  # p(0), p(1), ...: replaced by a longer tuple on demand
+
+
+def _partition_numbers(size: int) -> tuple[int, ...]:
+    """p(0), ..., p(size - 1), the coefficients of 1 / P(t), by Euler's
+    pentagonal recurrence p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - g_k)
+    + p(m - g_k - k)), g_k = k (3k - 1) / 2, a term whose index is negative
+    left out: O(size^1.5) additions, made once per interpreter for the
+    largest size asked."""
+    global _PARTITIONS
+    if size > len(_PARTITIONS):
+        p = list(_PARTITIONS)
+        for m in range(len(p), size):
+            total, k, g = 0, 1, 1
+            while g <= m:
+                t = p[m - g] + p[m - g - k] if g + k <= m else p[m - g]
+                total += t if k % 2 else -t
+                k += 1
+                g += 3 * k - 2  # g_k - g_(k-1)
+            p.append(total)
+        _PARTITIONS = tuple(p)  # one rebinding: a reader never sees a partial table
+    return _PARTITIONS[:size]
+
+
+def _pentagonal(size: int, step: int) -> list[int]:
+    """P(t^step) to size terms: (-1)^k at t^(step k (3k -+ 1) / 2), k >= 0
+    (Euler's pentagonal number theorem), so about 2 sqrt(2 size / 3) terms."""
+    c = [0] * size
+    k = 0
+    while step * k * (3 * k - 1) // 2 < size:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * e < size:
+                c[step * e] = -1 if k % 2 else 1
+        k += 1
+    return c
+
+
+def _factor(size: int, step: int, power: int) -> list[int]:
+    """P(t^step) to size terms for a positive power, else 1 / P(t^step)."""
+    if power > 0:
+        return _pentagonal(size, step)
+    c = [0] * size
+    c[::step] = _partition_numbers(len(c[::step]))
+    return c
+
+
+@lru_cache(maxsize=None)
+def _euler_row(size: int, alternating: bool, half_integer: bool) -> tuple[int, ...]:
+    """euler_product_inv at d = 1 to size terms on its grid, from _QUOTIENTS."""
+    row = [1]
+    for step, power in _QUOTIENTS[alternating, half_integer]:
+        factor = _factor(size, step, power)
+        for _ in range(abs(power)):
+            row = _convolve(row, factor, size)
+    return tuple(row)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """The product of two integer polynomials, coefficient lists from the
+    constant term up, truncated to min(size, len(a) + len(b) - 1) terms.
+
+    Kronecker substitution: each list is evaluated at B = 2^(8w), with w
+    bytes enough for any product coefficient and its sign: |sum a_i b_j|
+    < 2^bits, bits = bit lengths of max|a|, max|b| and min(len(a),
+    len(b)), and 8w - 1 >= bits.  A coefficient c is packed as the w-byte
+    digit c + B/2, which lies in [0, B), and the bias of those digits is
+    taken off as one integer.  One big-integer product then holds every
+    product coefficient r_k as sum r_k B^k, and adding the bias back to
+    its low digits makes each of them r_k + B/2 in [0, B): the r_k are
+    read off digit by digit, with no carry between them.  All of it is
+    integer arithmetic, so the result is exact.  A one-term operand is a
+    scalar and skips the packing.
+    """
+    square = a is b
+    a, b = a[:size], b[:size]
+    if not a or not b:
+        return []
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        return [a[0] * v for v in b]
+    n = min(size, len(a) + len(b) - 1)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    x = _pack(a, w, half)
+    z = x * x if square else x * _pack(b, w, half)
+    raw = ((z + _bias(n, w)) & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _bias(n: int, w: int) -> int:
+    """sum over k < n of 2^(8w - 1) 2^(8wk): the bias of n packed digits."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(c: Sequence[int], w: int, half: int) -> int:
+    """sum c_k 2^(8wk) for |c_k| < half = 2^(8w - 1)."""
+    digits = b"".join([(v + half).to_bytes(w, "little") for v in c])
+    return int.from_bytes(digits, "little") - _bias(len(c), w)
+
+
+def _power(row: Sequence[int], d: int, size: int) -> list[int]:
+    """row^d to size terms by binary powering: at most 2 log2(d) + 1 products."""
+    result = [1][:size]
+    while d:
+        if d & 1:
+            result = _convolve(result, row, size)
+        d >>= 1
+        if d:
+            row = _convolve(row, row, size)
+    return result
+
+
 @lru_cache(maxsize=None)
 def euler_product_inv(
     d: int,
@@ -166,16 +299,25 @@ def euler_product_inv(
     """Inverse product over n >= 1 of (1 -+ q^e)^d with e = n or n - 1/2.
 
     alternating=False gives (1 - q^e)^(-d); alternating=True gives
-    (1 + q^e)^(-d).  Integer coefficients live in one dense list on the
-    factors' grid (step 1, or 1/2 for half_integer); each factor
-    (1 - s q^e)^(-1) is one in-place pass c[k] += s c[k - e], k
-    ascending, applied d times per factor.  The alternating product at
-    integer exponents is the finite one of Euler's identity,
-    prod (1 + q^n)^(-1) = prod over odd n of (1 - q^n): d passes
-    c[k] -= c[k - e], k descending, per odd e.  No program path takes
-    alternating and half_integer together (a twisted character keeps terms
-    of the plain half-integer product); that product stays as the
-    two-product reference of tests/test_qseries.py and test_branching.py.
+    (1 + q^e)^(-d).  On the factors' grid t (q, or q^(1/2) for
+    half_integer) each product is, at d = 1, a quotient of P(t) = prod
+    (1 - t^n) (_QUOTIENTS):
+
+        plain                      1 / P(q)
+        alternating                P(q) / P(q^2)
+        half-integer               P(t^2) / P(t)
+        alternating half-integer   P(t) P(t^4) / P(t^2)^2
+
+    1 / P is the partition numbers, from the pentagonal recurrence, and P
+    itself has only the signs at the pentagonal numbers, so the d = 1
+    series is a few products, cached per size.  Its d-th power is taken by
+    binary powering, each product one big-integer multiplication
+    (_convolve, Kronecker substitution): about 2 log2(d) of them in place
+    of d passes per factor.  Every step is integer arithmetic, so the
+    coefficients are exact.  No program path takes alternating and
+    half_integer together (a twisted character keeps terms of the plain
+    half-integer product); that product stays as the two-product reference
+    of tests/test_qseries.py and test_branching.py.
     """
     if d < 0:
         raise ValueError("exponent must be nonnegative")
@@ -185,18 +327,7 @@ def euler_product_inv(
     size = max(0, math.ceil(unit * order))
     if d and half_integer and size > 1 and denom % 2:
         raise ValueError(f"exponent 1/2 is not on the grid 1/{denom}")
-    c = [1] + [0] * (size - 1) if size else []
-    if alternating and not half_integer:
-        for e in range(1, size, 2):
-            for _ in range(d):
-                for k in range(size - 1, e - 1, -1):
-                    c[k] -= c[k - e]
-    else:
-        sign = -1 if alternating else 1
-        for e in range(1, size, unit):
-            for _ in range(d):
-                for k in range(e, size):
-                    c[k] += sign * c[k - e]
+    c = _power(_euler_row(size, alternating, half_integer), d, size)
     return QSeries(denom, order_key, {k * denom // unit: v for k, v in enumerate(c) if v})
 
 

@@ -737,7 +737,7 @@ def assert_written_bytes_pass_the_record_check(L):
     because the per-record check accepts the text parsed."""
     text = certify(L).dumps()
     assert verify_certificate(L, json.loads(text)) == [], L.gram
-    assert verify_text(L, text) == [], L.gram
+    assert verify_text(L, text) == ([], json.loads(text)["verdict"]), L.gram
 
 
 @pytest.mark.parametrize("gram", CERT_GRAMS + LADDER_GRAMS)
@@ -750,10 +750,11 @@ def test_verify_text_checks_other_text_as_verify_certificate_does():
     # and one that is not a certificate a ValueError
     L = lat(DIAG26)
     good = certify(L).to_json()
-    assert verify_text(L, json.dumps(good)) == []
+    assert verify_text(L, json.dumps(good)) == ([], good["verdict"])
     bad = json.loads(json.dumps(good))
     bad["pairs"][0]["justification"]["detail"]["gap"] += "0"
-    assert verify_text(L, json.dumps(bad)) == verify_certificate(L, bad) != []
+    problems, verdict = verify_text(L, json.dumps(bad))
+    assert problems == verify_certificate(L, bad) != [] and verdict is None
     for text in ("{}", "[" * 100000, certify(L).dumps()[:-2]):
         with pytest.raises(ValueError):
             verify_text(L, text)

@@ -724,15 +724,52 @@ def test_verify_checks_other_bytes_record_by_record(tmp_path, capsys, monkeypatc
     written, reindented, vacuum = (tmp_path / f"{n}.cert" for n in ("written", "reindented", "vacuum"))
     assert run_cli(capsys, ["certify", "--gram", gram_path, "--out", str(written)])[0] == EXIT_OK
     reindented.write_text(json.dumps(json.loads(written.read_text()), indent=1))
-    # det36 leaves pairs unknown without Vacuum: an Incomplete certificate verifies too
+    # det36 leaves pairs unknown without Vacuum: an Incomplete certificate verifies
+    # too, and exits 3 with its verdict named, as certify did on writing it
     run_cli(capsys, ["certify", "--gram", gram_path, "--disable-rule", "Vacuum", "--out", str(vacuum)])
     assert vacuum.read_text() != written.read_text()
-    for path in (reindented, vacuum):
+    verified = (EXIT_OK, "certificate verified\n", "")
+    incomplete = (EXIT_INCOMPLETE, "certificate verified\tverdict\tIncomplete\n", "")
+    for path, expected in ((reindented, verified), (vacuum, incomplete if gram == DET36 else verified)):
         checked.clear()
         contexts.clear()
         assert run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(path)]) \
-            == (EXIT_OK, "certificate verified\n", ""), path.name
+            == expected, path.name
         assert len(contexts) == 1 and checked == contexts, path.name
+
+
+@pytest.mark.parametrize("rule", ["WeightGap", "Vacuum", "Duality", "FusionObstruction"])
+@pytest.mark.parametrize("gram", [A1_4, DET36], ids=["A1_4", "det36"])
+def test_verify_exits_as_certify_did_on_the_file(tmp_path, capsys, gram, rule):
+    # a file certify wrote with a rule disabled verifies; --verify exits with
+    # certify's code and names the verdict when it is not Rational
+    gram_path = write_gram(tmp_path, gram)
+    cert = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, ["certify", "--gram", gram_path, "--disable-rule", rule,
+                                    "--out", str(cert)])
+    verdict = out.split("\t")[1]
+    line = "certificate verified\n" if verdict == "Rational" else f"certificate verified\tverdict\t{verdict}\n"
+    assert run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(cert)]) == (code, line, "")
+    assert (code == EXIT_OK) == (verdict == "Rational")
+
+
+def test_verify_names_an_incomplete_verdict_of_certify_bytes_unparsed(tmp_path, capsys, monkeypatch):
+    # with Vacuum out of every chain, det36's own bytes are Incomplete: they
+    # are verified by equality, with no JSON parsed, and exit 3 as certify did
+    module = sys.modules["vlplus.certify"]
+    real_chain = module._chain
+    monkeypatch.setattr(module, "_chain", lambda disabled, route: real_chain(disabled | {"Vacuum"}, route))
+
+    def refuse(text):
+        raise AssertionError("a certificate that certify wrote was parsed")
+
+    monkeypatch.setattr(module, "load_certificate", refuse)
+    gram_path = write_gram(tmp_path, DET36)
+    cert = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, ["certify", "--gram", gram_path, "--out", str(cert)])
+    assert (code, out.split("\t")[1]) == (EXIT_INCOMPLETE, "Incomplete")
+    assert run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(cert)]) \
+        == (EXIT_INCOMPLETE, "certificate verified\tverdict\tIncomplete\n", "")
 
 
 # the sign entry an A1 query reads from each table, and that query

@@ -11,6 +11,7 @@ from vlplus.intmat import rational_inverse
 from vlplus.lattice import coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
 from vlplus.qseries import (
     QSeries,
+    _convolve,
     character,
     euler_product_inv,
     series_denominator,
@@ -22,6 +23,7 @@ from vlplus.sectors import (
     VAC_PLUS,
     classify_modules,
     lowest_weight,
+    parse_label,
     top_level_dimension,
     twisted_dimension,
 )
@@ -330,6 +332,44 @@ def test_psi_product_matches_factorwise_expansion_to_order_30():
                 == fields_or_error(factorwise_euler_product_inv, d, F(order), 16, True, False)
 
 
+@pytest.mark.parametrize("d", [16, 24])
+def test_euler_products_at_large_rank_match_factorwise_expansion(d):
+    # the ranks of E8 + E8 and of the Leech-type lattices: every row on the
+    # integer grid, the twisted character's and the two sublattice checks'
+    for alternating in (False, True):
+        for half_integer in (False, True):
+            for denom in (1, 2, 48):
+                args = (alternating, half_integer)
+                if half_integer and denom % 2:
+                    assert fields_or_error(euler_product_inv.__wrapped__, d, F(30), denom, *args) \
+                        == fields_or_error(factorwise_euler_product_inv, d, F(30), denom, *args) \
+                        == ValueError
+                    continue
+                oracle = factorwise_euler_product_inv(d, F(30), denom, *args)
+                step = F(1, 2) if denom % 2 == 0 else F(1)
+                for k in range(int(30 / step) + 1):
+                    assert euler_product_inv.__wrapped__(d, k * step, denom, *args) \
+                        == truncate(oracle, k * step), (d, denom, args, k * step)
+
+
+def distinct_partition_counts(n):
+    """q(0..n-1): partitions into distinct parts, one part size at a time."""
+    q = [1] + [0] * (n - 1)
+    for part in range(1, n):
+        for m in range(n - 1, part - 1, -1):
+            q[m] += q[m - part]
+    return q
+
+
+def test_half_integer_product_counts_distinct_partitions():
+    # prod over odd m of (1 - t^m)^(-1), t = q^(1/2), counts partitions into
+    # odd parts, which Euler's bijection makes partitions into distinct parts
+    q = distinct_partition_counts(201)
+    assert q[100] == 444793
+    terms = euler_product_inv(1, F(201, 2), 2, half_integer=True).terms()
+    assert [terms.get(F(m, 2), 0) for m in range(201)] == q
+
+
 def partition_numbers(n):
     """p(0..n-1) from Euler's pentagonal-number recurrence."""
     p = [1]
@@ -361,6 +401,36 @@ def test_euler_product_inverts_the_pentagonal_series():
             pentagonal[F(e)] = F((-1) ** k)
     product = euler_product_inv(1, F(200), 48) * from_terms(48, F(200), pentagonal)
     assert product.terms() == {F(0): F(1)} and product.order == 200
+
+
+def schoolbook(a, b, size):
+    """The product of two coefficient lists, truncated as _convolve truncates."""
+    n = min(size, len(a) + len(b) - 1) if a and b else 0
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+
+
+# small, wide, and at the edge of a byte: w bytes hold products up to 2^(8w - 1)
+coefficients = (st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+                | st.sampled_from([s * (2**k - 1) for k in (7, 8, 31, 63, 64) for s in (1, -1)]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(coefficients, max_size=14), st.lists(coefficients, max_size=14), st.integers(0, 30))
+@example([], [1, 2], 5)                          # an empty operand
+@example([1, 2], [], 0)
+@example([-7], [1, -2, 3], 5)                    # one-term operands
+@example([3, 4, 5], [2], 2)
+@example([0, 0, 0], [1, 2, 3], 5)                # all zero
+@example([0], [0, 0], 4)
+@example([1, 2, 3, 4, 5], [6, 7, 8, 9], 2)       # size shorter than either operand
+@example([2**64 + 1, -(2**70), 2**64], [2**65, 3, -(2**64)], 6)  # past 2^64
+@example([1, 1], [1, -1], 3)                     # (1 + t)(1 - t): a zero coefficient
+@example([1, -1, 1], [-1, -2, -3], 5)            # negative coefficients
+@example([2**63, -(2**63)], [2**63, 2**63], 3)   # product coefficients of 2^126, 0, -2^126
+@example([2**63 - 1] * 3, [2**63 - 1] * 3, 5)     # three products of 126 bits in one coefficient
+def test_convolve_is_the_schoolbook_truncated_product(a, b, size):
+    assert _convolve(a, b, size) == schoolbook(a, b, size)
+    assert _convolve(a, a, size) == schoolbook(a, a, size)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +527,42 @@ def test_e8_vacuum_characters_sum_to_e4_over_phi8():
     L = lat(E8)
     total = character(L, VAC_PLUS, F(order)) + character(L, VAC_MINUS, F(order))
     assert total.terms() == want
+
+
+def euler_product(d, order):
+    """prod (1 - q^n)^d below q^order, in integers: d passes per factor."""
+    c = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for _ in range(d):
+            for k in range(order - 1, n - 1, -1):
+                c[k] -= c[k - n]
+    return c
+
+
+def series_product(a, b, order):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order)]
+
+
+@pytest.mark.parametrize("copies, twisted, order", [(1, "T[0]-", 30), (2, "T[0]+", 8)],
+                         ids=["E8", "E8+E8"])
+def test_z2_orbifold_of_a_unimodular_lattice_is_its_lattice_algebra(copies, twisted, order):
+    # V+ + T, T the twisted sector of integer weights, is the lattice algebra
+    # of an even unimodular lattice of rank d = 8 or 16 (E8, or D16+ for
+    # E8 + E8), whose theta is the weight-d/2 modular form E4^copies: the
+    # character times prod (1 - q^n)^d is E4^copies.  The test builds no
+    # inverse Euler product, so the twisted character's is checked against
+    # a closed form
+    d = 8 * copies
+    gram = [[E8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(d)] for i in range(d)]
+    L = lat(gram)
+    total = character(L, VAC_PLUS, F(order)) + character(L, parse_label(L, twisted), F(order))
+    terms = total.terms()
+    assert set(terms) <= {F(n) for n in range(order)}
+    ch = [terms.get(F(n), 0) for n in range(order)]
+    want = e4_coefficients(order)
+    for _ in range(copies - 1):
+        want = series_product(want, e4_coefficients(order), order)
+    assert series_product(ch, euler_product(d, order), order) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,21 @@ A lattice is its integer Gram matrix in a fixed basis; lattice vectors are
 integer coordinate tuples, a dual coset is its canonical rep's integer
 numerators over det (CosetElement).  Below the public functions every step
 is in integers, the LDL^T split one fraction-free pass (intmat.ldl);
-Fraction appears only where vectors enter or leave (_scaled, the rep,
-min_norm, to_sub and to_parent views, the discriminant generators).  Short
-vectors are enumerated by Fincke-Pohst over a coset's numerators, counting
-a class closed under v -> -v from half its tree; one walk of a minimal
-shell gives a +- orbit's rep (_least with signs (1, -1)).  One class
+Fraction appears only where vectors enter or leave (_scaled, the rep and
+min_norm views, the discriminant generators).  Short vectors are
+enumerated by Fincke-Pohst over a coset's numerators, counting a class
+closed under v -> -v from half its tree; one walk of a minimal shell
+gives a +- orbit's rep (_least with signs (1, -1)).  One class
 walker, driven by a Smith form, enumerates L°/L, L modulo a full-rank
 sublattice L', and the classes (lam + L)/L' of a sublattice branching, one
 walk per +- pair.  Norm counts (theta series) go through a frame where one
 pays: mutually orthogonal vectors spanning a sublattice of small index N,
 found once per lattice, so a coset is N classes, each a product of
 rank-one cosets; coset_norm_counts states the rule that picks this route
-or the walk.  A diagonal Gram is its own frame (orthogonal_sublattice, of
-index one) and is never walked: its minimal shell is the product of
+or the walk.  The same frame is the orthogonal sublattice every other
+caller reads (orthogonal_sublattice), with the Gram-Schmidt basis only
+where the search gives up.  A diagonal Gram is its own frame, of index
+one, and is never walked: its minimal shell is the product of
 per-coordinate choices (_diagonal).  A sublattice is one cached Sublattice
 value (basis, Gram, index, Smith form and transforms, which change
 coordinates both ways: sub_nums and lift).  Only this module does
@@ -421,9 +423,9 @@ def integral_coords(nums, den: int) -> Coords:
     return tuple(x // den for x in nums)
 
 
-def _canonical(L: EvenLattice, v: DualCoords, signs) -> CosetElement:
-    """The element of the dual vector v's coset at the least shell vector times signs."""
-    D, nums = _scaled(v)
+def _canonical(L: EvenLattice, D: int, nums, signs) -> CosetElement:
+    """The element of the coset nums / D + L at the least shell vector times signs;
+    ValueError unless nums / D is a dual vector."""
     if any(sum(g * x for g, x in zip(row, nums)) % D for row in L.gram):
         raise ValueError("coordinates are not a dual vector (G v is not integral)")
     S, shell = _coset_shell(L.gram, D, nums)
@@ -432,12 +434,12 @@ def _canonical(L: EvenLattice, v: DualCoords, signs) -> CosetElement:
 
 def coset_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """Canonicalize a dual vector to its coset representative; ValueError for any other vector."""
-    return _canonical(L, v, (1,))
+    return _canonical(L, *_scaled(v), (1,))
 
 
 def orbit_element(L: EvenLattice, v: DualCoords) -> CosetElement:
     """The lesser, under sort_key, of the canonical reps of v + L and -v + L: one walk."""
-    return _canonical(L, v, (1, -1))
+    return _canonical(L, *_scaled(v), (1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -606,16 +608,6 @@ class Sublattice:
         y = [top // f * t for f, t in zip(self.smith, self.smith_class(nums))]
         return [sum(a * b for a, b in zip(y, row)) for row in self.smith_v]
 
-    def to_sub(self, v) -> DualCoords:
-        """Parent coordinates to sublattice coordinates, the Fraction view of sub_nums."""
-        D, nums = _scaled(v)
-        return tuple(Fraction(x, D * self.smith[-1]) for x in self.sub_nums(nums))
-
-    def to_parent(self, x) -> DualCoords:
-        """Sublattice coordinates to parent coordinates, x B."""
-        D, nums = _scaled(x)
-        return tuple(Fraction(y, D) for y in self.lift(nums))
-
 
 @lru_cache(maxsize=None)
 def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
@@ -637,9 +629,15 @@ def sublattice(L: EvenLattice, basis: tuple[Coords, ...]) -> Sublattice:
                       smith_u=tuple(map(tuple, u)), smith_v=tuple(map(tuple, v)))
 
 
-@lru_cache(maxsize=None)
 def orthogonal_sublattice(L: EvenLattice) -> Sublattice:
-    """Full-rank pairwise-orthogonal sublattice: the Gram-Schmidt basis, scaled.
+    """Full-rank pairwise-orthogonal sublattice: the frame _frame finds, else
+    (no frame within its bounds) the Gram-Schmidt basis; both are cached."""
+    return _frame(L) or _gram_schmidt(L)
+
+
+@lru_cache(maxsize=None)
+def _gram_schmidt(L: EvenLattice) -> Sublattice:
+    """The Gram-Schmidt basis, scaled, as a full-rank pairwise-orthogonal sublattice.
 
     With G = C^T diag(d) C (C unit upper triangular), Gram-Schmidt vector
     i is column i of C^-1, scaled by the least positive integer clearing
@@ -727,7 +725,7 @@ def _frame(L: EvenLattice) -> Sublattice | None:
     when the search takes more than FRAME_NODES enumeration steps or the
     frame has more than QuotientTooLarge.limit classes.
 
-    A diagonal Gram's frame is orthogonal_sublattice(L), of index 1.
+    A diagonal Gram's frame is _gram_schmidt(L), of index 1.
     Otherwise the nonzero vectors of norm at most the least diagonal entry
     are taken in (norm, key) order, each kept if it is orthogonal to all
     kept so far; then, while fewer than d are kept, the shortest vector of
@@ -736,7 +734,7 @@ def _frame(L: EvenLattice) -> Sublattice | None:
     D4 4 roots (index 2), E6 4 roots and norms 4 and 12 (index 16)."""
     d, G = L.rank, L.gram
     if _diagonal(G) is not None:
-        return orthogonal_sublattice(L)
+        return _gram_schmidt(L)
     nodes = [FRAME_NODES]
     kept: list[Coords] = []
     forms: list[list[int]] = []  # G f per kept f: f . x is the pairing (f, x)

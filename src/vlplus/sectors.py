@@ -32,6 +32,7 @@ from math import gcd
 from .lattice import (
     CosetElement,
     EvenLattice,
+    _canonical,
     coset_element,
     coset_two_torsion,
     coset_is_trivial,
@@ -89,7 +90,7 @@ def coset_labels(L: EvenLattice, c: CosetElement) -> tuple[ModuleLabel, ...]:
     if coset_two_torsion(L, c):
         return (ModuleLabel(LabelKind.COSET, coset=c, sign=+1),
                 ModuleLabel(LabelKind.COSET, coset=c, sign=-1))
-    return (ModuleLabel(LabelKind.UNTWISTED, coset=orbit_element(L, c.rep)),)
+    return (ModuleLabel(LabelKind.UNTWISTED, coset=_canonical(L, c.den, c.nums, (1, -1))),)
 
 
 def label_sign(m: ModuleLabel) -> int | None:

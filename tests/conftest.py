@@ -1,4 +1,8 @@
+import importlib.util
+import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -50,6 +54,32 @@ LADDER_GRAMS = [
 CERT_GRAMS = [A1, A1_4, D22, D24, A2, D224]
 
 
+def _skewed_e8():
+    rng = random.Random(3)
+    u = intmat.identity(8)
+    for _ in range(10):
+        i, j = rng.sample(range(8), 2)
+        q = rng.randint(-9, 9)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return intmat.mat_mul(intmat.mat_mul(u, E8), [list(c) for c in zip(*u)])
+
+
+# E8 in a basis whose norm-2 vectors lie deep in the walk (entries up to
+# 9.2e6): the frame search gives up, so its orthogonal sublattice is the
+# Gram-Schmidt fallback
+SKEWED_E8 = _skewed_e8()
+
+
+@cache
+def small_even_grams() -> list:
+    """The benchmark's fixed family of 936 rank 2-4 Grams (perfbench/oracle.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.small_even_grams()
+
+
 def lat(gram) -> EvenLattice:
     return validate_even_lattice(gram)
 
@@ -91,6 +121,17 @@ def d224():
 def coset_neg(L: EvenLattice, c: CosetElement) -> CosetElement:
     """Oracle: the canonical representative of -c, from a walk of its own."""
     return coset_element(L, tuple(-x for x in c.rep))
+
+
+def fraction_to_sub(basis, v):
+    """Oracle: v B^-1, parent coordinates to sublattice ones, over Fractions."""
+    inverse = intmat.rational_inverse([list(b) for b in basis])
+    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*inverse))
+
+
+def fraction_to_parent(basis, x):
+    """Oracle: x B, sublattice coordinates to parent ones."""
+    return tuple(sum(a * b for a, b in zip(x, col)) for col in zip(*basis))
 
 
 def frac(s) -> Fraction:

@@ -7,12 +7,14 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat, truncate
+from conftest import (A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams,
+                      fraction_to_parent, fraction_to_sub, lat, truncate)
 from vlplus.lattice import (
     Convention,
     CosetElement,
     NotOrthogonalBase,
     QuotientTooLarge,
+    _gram_schmidt,
     coset_element,
     coset_reps_mod_sublattice,
     coset_two_torsion,
@@ -351,7 +353,7 @@ def test_sublattice_part_census_matches_quotient():
 @st.composite
 def sublattice_bases(draw):
     """(L, B): a generated lattice and a full-rank basis B of a sublattice,
-    Gram-Schmidt, doubled, or T U with T lower triangular (diagonal 1..3)
+    orthogonal, doubled, or T U with T lower triangular (diagonal 1..3)
     and U upper unitriangular, so |det B| <= 27."""
     L = lat(draw(even_grams()))
     d = L.rank
@@ -385,7 +387,7 @@ def test_sublattice_part_count_and_constituent_classes(case):
         assert sublattice_orbit_count(S, label_coset(L, m)) == len(bl.parts), str(m)
         lam = zero if m.coset is None else m.coset.rep
         for p in bl.parts:
-            mu = zero if p.coset is None else S.to_parent(p.coset.rep)
+            mu = zero if p.coset is None else fraction_to_parent(basis, p.coset.rep)
             assert any(all((x - s * y).denominator == 1 for x, y in zip(mu, lam))
                        for s in (1, -1)), (str(m), str(p))
 
@@ -399,7 +401,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
     """Oracle: (parts, notes) from the Fraction path.
 
     Lifts every class rep of L/L' by lambda, takes it to sublattice
-    coordinates with S.to_sub and canonicalizes it and its negation with a
+    coordinates with fraction_to_sub and canonicalizes it and its negation with a
     walk each, skipping a class whose negation was met; it shares no class
     walk with sublattice_classes."""
     S = sublattice(L, basis)
@@ -412,7 +414,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
     two_lam = tuple(int(2 * x) for x in lam.rep)
     parts, notes, seen = [], [], set()
     for g in coset_reps_mod_sublattice(L, S.basis):
-        x = S.to_sub(tuple(a + b for a, b in zip(g, lam.rep)))
+        x = fraction_to_sub(basis, tuple(a + b for a, b in zip(g, lam.rep)))
         if residue(x, -1) in seen:
             continue
         c = coset_element(sub, x)
@@ -424,7 +426,7 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
         zero = not any(two_lam)
         unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
         if not zero:
-            x_vec = tuple(int(a - b) for a, b in zip(S.to_parent(c.rep), lam.rep))
+            x_vec = tuple(int(a - b) for a, b in zip(fraction_to_parent(basis, c.rep), lam.rep))
             if eps_l(x_vec, two_lam) == -1:
                 unit_g = (unit_g + 2) % 4
         two_mu = tuple(int(2 * x) for x in c.rep)
@@ -445,7 +447,7 @@ def parts_multiset(parts):
 @given(even_grams(), st.sampled_from((1, -1)))
 def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
     # the integer class walk gives the parts and notes of the Fraction path,
-    # over the Gram-Schmidt and the doubled bases, in the sort_key order
+    # over the orthogonal sublattice and the doubled basis, in the sort_key order
     L = lat(gram)
     d = L.rank
     convention = Convention(root_branch=root_branch)
@@ -474,7 +476,7 @@ def test_sublattice_branchings_are_pinned_under_every_convention():
     for gram in TEST_GRAMS + LADDER_GRAMS:
         L = lat(gram)
         doubled = tuple(tuple(2 * (i == j) for j in range(L.rank)) for i in range(L.rank))
-        for basis in (orthogonal_sublattice(L).basis, doubled):
+        for basis in (_gram_schmidt(L).basis, doubled):
             for m in classify_modules(L):
                 for c in conventions:
                     bl = branch_sublattice(L, basis, m, c)
@@ -654,7 +656,7 @@ def test_rank1_free_field_assembly_matches_characters(k):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(even_grams())
 def test_verify_branch_holds_on_generated_grams(gram):
-    # both routes on every label: the Gram-Schmidt sublattice for every draw,
+    # both routes on every label: the orthogonal sublattice for every draw,
     # the orthogonal base where the Gram is diagonal
     L = lat(gram)
     basis = orthogonal_sublattice(L).basis

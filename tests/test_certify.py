@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -12,11 +13,11 @@ from itertools import combinations, zip_longest
 
 from hypothesis import given, settings
 
-from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, TEST_GRAMS,
-                      even_grams, lat)
+from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
+                      even_grams, fraction_to_sub, lat, small_even_grams)
 from vlplus.branching import branch_sublattice
 from vlplus.fusion import admissible_triple
-from vlplus.lattice import coset_element, orthogonal_sublattice, zero_coset
+from vlplus.lattice import _gram_schmidt, coset_element, orthogonal_sublattice, zero_coset
 from vlplus.certify import (
     ALL_RULES,
     CITATIONS,
@@ -72,10 +73,10 @@ def test_certify_a1_complete():
     assert verify_certificate(L, cert.to_json()) == []
 
 
-def test_certify_e8_index_40320_sublattice_route(tmp_path):
-    # two pairs reach FusionObstruction over the index-40320 Gram-Schmidt
-    # sublattice; the route reads the labels and a Smith form, so this
-    # certifies and re-verifies in well under a second
+def test_certify_e8_index_16_sublattice_route(tmp_path):
+    # two pairs reach FusionObstruction over E8's frame A1^8 of index 16 (the
+    # Gram-Schmidt sublattice has index 40320); the route reads the labels
+    # and a Smith form, so this certifies and re-verifies in well under a second
     from vlplus.cli import EXIT_OK, main
 
     L = lat(E8)
@@ -87,7 +88,7 @@ def test_certify_e8_index_40320_sublattice_route(tmp_path):
         "FusionObstruction[sublattice]": 2,
     }
     for pair in (("V+", "T[0]-"), ("T[0]-", "V+")):
-        assert dict(rule_of(cert, *pair).detail)["triples"] == "406748224"
+        assert dict(rule_of(cert, *pair).detail)["triples"] == "256"
     assert verify_certificate(L, cert.to_json()) == []
     gram, cert_path = tmp_path / "e8.json", tmp_path / "e8.cert"
     gram.write_text(json.dumps({"gram": E8}))
@@ -209,7 +210,7 @@ def test_rebased_twisted_transport_matches_intrinsic_fusion():
     rebased, basis = ctx.sub.lattice, ctx.sub.basis
 
     def move_coset(rep):
-        return coset_element(rebased, ctx.sub.to_sub(rep))
+        return coset_element(rebased, fraction_to_sub(basis, rep))
 
     def move_char(chi):
         values = character_values(skew, chi, basis)
@@ -281,13 +282,78 @@ def test_sublattice_route_fires_in_chain_on_nondiagonal_lattice():
     assert verify_certificate(L, cert.to_json()) == []
 
 
-def test_index_210_gram_schmidt_lattice_certifies():
-    # Gram-Schmidt sublattice of norms 6, 210, 2240: its sublattice-route
-    # pairs must be decided from class sets, not 210-part triple loops
+def test_index_210_gram_schmidt_lattice_certifies(monkeypatch):
+    # Gram-Schmidt sublattice of norms 6, 210, 2240 (the lattice's frame has
+    # index 6): its sublattice-route pairs must be decided from class sets,
+    # not 210-part triple loops
+    monkeypatch.setattr(sys.modules["vlplus.certify"], "orthogonal_sublattice", _gram_schmidt)
     L = lat([[6, -1, 0], [-1, 6, -1], [0, -1, 2]])
     cert = certify(L)
     assert cert.verdict == VERDICT_RATIONAL
     assert verify_certificate(L, cert.to_json()) == []
+
+
+def test_skewed_e8_certifies_over_the_gram_schmidt_fallback():
+    # the frame search gives up on this basis, so the subalgebra is Gram-Schmidt
+    L = lat(SKEWED_E8)
+    assert orthogonal_sublattice(L) == _gram_schmidt(L) == _Context(L).sub
+    cert = certify(L)
+    assert cert.verdict == VERDICT_RATIONAL
+    assert verify_certificate(L, cert.to_json()) == []
+
+
+# ---------------------------------------------------------------------------
+# the frame against the Gram-Schmidt sublattice
+# ---------------------------------------------------------------------------
+
+def gram_schmidt_certify(L):
+    """certify(L) with _Context reading the Gram-Schmidt sublattice, not the frame."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["vlplus.certify"], "orthogonal_sublattice", _gram_schmidt)
+        return certify(L)
+
+
+def rule_counts(cert):
+    """Pairs per rule path with the route names dropped, and the unknown pairs."""
+    paths = Counter(re.sub(r"\[\w+\]", "", path) for path in cert.rule_map().values())
+    return cert.verdict, paths, cert.unknown
+
+
+def assert_frame_and_gram_schmidt_agree(gram):
+    L = lat(gram)
+    by_frame, by_gram_schmidt = certify(L), gram_schmidt_certify(L)
+    assert rule_counts(by_frame) == rule_counts(by_gram_schmidt), gram
+    return Counter(by_frame.rule_map().values()), Counter(by_gram_schmidt.rule_map().values())
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [
+    E8, SKEWED_E8, [[6, -1, 0], [-1, 6, -1], [0, -1, 2]]])
+def test_frame_and_gram_schmidt_certify_alike(gram):
+    # the verdict and the pairs per rule do not depend on which orthogonal
+    # sublattice _Context reads
+    assert_frame_and_gram_schmidt_agree(gram)
+
+
+def test_frame_and_gram_schmidt_certify_alike_on_the_benchmark_family():
+    for gram in small_even_grams():
+        assert_frame_and_gram_schmidt_agree(gram)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(even_grams())
+def test_frame_and_gram_schmidt_certify_alike_on_generated_grams(gram):
+    # diagonal entries up to 8 and off-diagonal ones up to 3, outside that family
+    assert_frame_and_gram_schmidt_agree(gram)
+
+
+def test_skew_diag26_takes_the_orthogonal_route_over_its_frame():
+    # diag(2,6) typed as [[8,-14],[-14,26]]: its frame has index one, its
+    # Gram-Schmidt sublattice does not, so the same 4 pairs change route
+    by_frame, by_gram_schmidt = assert_frame_and_gram_schmidt_agree([[8, -14], [-14, 26]])
+    assert (by_frame["FusionObstruction[orthogonal]"]
+            == by_gram_schmidt["FusionObstruction[sublattice]"] == 4)
+    assert "FusionObstruction[sublattice]" not in by_frame
+    assert "FusionObstruction[orthogonal]" not in by_gram_schmidt
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +405,8 @@ def frame_oracle(L, S, m):
     if m.kind == LabelKind.TWISTED:
         families, signed = character_values(L, m.char, S.basis), L.rank
     else:
-        coords = [int(v * n) % n for v, n in zip(S.to_sub(label_coset(L, m).rep), norms)]
+        coords = [int(v * n) % n
+                  for v, n in zip(fraction_to_sub(S.basis, label_coset(L, m).rep), norms)]
         families = tuple(min(c, n - c) for c, n in zip(coords, norms))
         signed = sum(2 * c % n == 0 for c, n in zip(families, norms))
         if m.kind == LabelKind.COSET and not L.is_diagonal():
@@ -957,9 +1024,9 @@ PINNED_DIGESTS = {
     "A2 as [[2,1],[1,2]]": (A2, (),
                             "f058e2535524b946ebe166dd32876678bf4d9f5764057e889ac1672175d9c56f"),
     "D4": (LADDER_GRAMS[1], (),
-           "1f8c12b462a24c99bb7d51c9cf2026509c7305e9fc8883d871e0c903971ee4ac"),
-    "E6": (E6, (), "21038343ad542d9fa24468183022d0e0f63adb1463a103b51e74977a999712fd"),
-    "det36": (DET36, (), "bc35a6b8cd6cb0c97f80026d01a4d2cfd2cedc4599a7fce2977aea8e43ff51bd"),
+           "82143dcf97bcc4d381253823a0c00f6c41174ac32dc2e37ce1f6732e7bd6d88f"),
+    "E6": (E6, (), "b5fd3966cdbec6cc2088c5fd36805ffddc6fdfd354fe5ceaea1e601a3f127818"),
+    "det36": (DET36, (), "899172e749915c19bd332261b32f7a554a9b7fbf50a64216e427f80173d286e3"),
     "diag(2,6)": (DIAG26, (), "04d6959a02ca769aa4a63d9cf7b120306738b3dfb783bcffd55e691e9b37f33e"),
     "skew diag(2,6)": ([[2, -2], [-2, 8]], (),
                        "d173c6afeda14c1e7563b62e30684bfdf5fbafb1e203a08c8dcd83db3b8afce7"),

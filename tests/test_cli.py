@@ -42,6 +42,16 @@ def test_analyze_a2(tmp_path, capsys):
     assert lines["orthogonal_sublattice_norms"] == "[2, 6]"
 
 
+def test_analyze_reports_the_frame(tmp_path, capsys):
+    # E8's orthogonal sublattice is its frame A1^8, not the index-40320 Gram-Schmidt basis
+    code, out, _ = run_cli(capsys, ["analyze", "--gram", write_gram(tmp_path, E8),
+                                    "--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["orthogonal_sublattice_norms"] == [2] * 8
+    assert report["orthogonal_sublattice_index"] == 16
+
+
 def test_analyze_json_format(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     code, out, _ = run_cli(capsys, ["analyze", "--gram", gram, "--format", "json"])
@@ -215,7 +225,7 @@ def test_decompose_json_is_one_object(tmp_path, capsys, gram, argv, report):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-DECOMPOSE_DIGEST = "8fd0bb97135b68131881aeee3d4adeeb9e047c8770c390c6331b2b6d540a6b05"
+DECOMPOSE_DIGEST = "e5c727bc08c63694254dc75fa418e7692eda4b430805235ee33a34f54f885611"
 
 
 def test_decompose_stdout_is_pinned_on_every_label(tmp_path, capsys):
@@ -240,14 +250,14 @@ def test_decompose_stdout_is_pinned_on_every_label(tmp_path, capsys):
     assert digest.hexdigest() == DECOMPOSE_DIGEST
 
 
-LADDER_DECOMPOSE_DIGEST = "fac4edf95c24633ef57e60b35cc1bc84434738ee8ad87875332d65e0223bab4d"
-E8_DECOMPOSE_DIGEST = "6a267fb9438f69b01bfd302c1c1155c84be0dd59082064e6273aa15255ca7431"
+LADDER_DECOMPOSE_DIGEST = "4d2f59abdd251be593b096c959cba5769db2caf73195c7709c9b770ebad1bc1a"
+E8_DECOMPOSE_DIGEST = "6126afb9fab77f744c521889e4a50129536b363310bec9fcf7fbb17a30070323"
 
 
 def test_decompose_stdout_is_pinned_on_the_ladder_and_e8(tmp_path, capsys):
     """Every label of the certify-ladder rungs over auto at order 2: one
     digest of exit codes and stdout; and E8 V+ over auto at order 1, whose
-    20,168 parts cover the index-40,320 Gram-Schmidt sublattice."""
+    16 parts cover the index-16 frame A1^8."""
     digest, runs = hashlib.sha256(), 0
     for gram in LADDER_GRAMS:
         path = write_gram(tmp_path, gram)
@@ -261,7 +271,7 @@ def test_decompose_stdout_is_pinned_on_the_ladder_and_e8(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["decompose", "--gram", write_gram(tmp_path, E8), "--module",
                                       "V+", "--sublattice", "auto", "--order", "1"])
     assert code == EXIT_OK and err == ""
-    assert len(out.encode()) == 833103
+    assert len(out.encode()) == 503
     assert hashlib.sha256(out.encode()).hexdigest() == E8_DECOMPOSE_DIGEST
 
 
@@ -701,7 +711,7 @@ def test_verify_parses_no_json_for_a_certificate_certify_wrote(tmp_path, capsys,
 DET36 = [[2, -1, 0, -1], [-1, 4, 0, -1], [0, 0, 6, 0], [-1, -1, 0, 2]]
 
 
-@pytest.mark.parametrize("gram", [A1_4, DET36], ids=["A1^4", "det36"])
+@pytest.mark.parametrize("gram", [A1_4, DET36], ids=["A1_4", "det36"])
 def test_verify_checks_other_bytes_record_by_record(tmp_path, capsys, monkeypatch, gram):
     # a re-indented copy and a certificate written with Vacuum disabled are
     # not certify's bytes: each is parsed and checked record by record, over

@@ -16,7 +16,7 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import lat
+from conftest import fraction_to_sub, lat
 from vlplus.branching import (
     TwistedBlockPart,
     branch_orthogonal,
@@ -53,7 +53,8 @@ def orthogonal_parts(ctx, m):
         chi = sum(1 << i for i, v in enumerate(values) if v == -1)
         targets = [twisted_label(chi, m.sign)]
     else:
-        targets = coset_labels(rebased, coset_element(rebased, ctx.sub.to_sub(m.coset.rep)))
+        moved = coset_element(rebased, fraction_to_sub(ctx.sub.basis, m.coset.rep))
+        targets = coset_labels(rebased, moved)
     return tuple(p for t in targets for p in branch_orthogonal(rebased, t).parts)
 
 
@@ -199,8 +200,9 @@ def test_orthogonal_route_matches_oracle_on_generated_diagonals(gram):
 @st.composite
 def skew_orthogonal_grams(draw):
     """U D U^T for a diagonal D of norms 2-6 and a lower unitriangular U
-    with entries in -2..2: the Gram-Schmidt frame of the rows of U is the
-    orthogonal basis of D itself, so the orthogonal sublattice has index one."""
+    with entries in -2..2: the rows of U are an orthogonal basis of the
+    lattice, so its orthogonal sublattice (the searched frame, or
+    Gram-Schmidt on the rows of U) has index one."""
     d = draw(st.integers(2, 3))
     norms = [2 * draw(st.integers(1, 3)) for _ in range(d)]
     assume(prod(norms) <= 16)

@@ -7,8 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, TEST_GRAMS, box_enumerate,
-                      coset_neg, even_grams, lat)
+from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
+                      box_enumerate, coset_neg, even_grams, fraction_to_parent, fraction_to_sub,
+                      lat, small_even_grams)
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
@@ -26,6 +27,7 @@ from vlplus.lattice import (
     _diagonal,
     _frame,
     _frame_counts,
+    _gram_schmidt,
     _ldl_cached,
     _scaled,
     _walk,
@@ -564,26 +566,44 @@ def test_frame_search_gives_up_within_its_node_bound(monkeypatch):
     # stops after FRAME_NODES steps
     from vlplus import lattice
 
-    rng = random.Random(3)
-    u = intmat.identity(8)
-    for _ in range(10):
-        i, j = rng.sample(range(8), 2)
-        q = rng.randint(-9, 9)
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-    assert _frame(lat(intmat.mat_mul(intmat.mat_mul(u, E8), [list(c) for c in zip(*u)]))) is None
-    # E8 with too few steps for its roots: no frame, so the same counts are walked
+    assert _frame(lat(SKEWED_E8)) is None
+    # E8 with too few steps for its roots: no frame, so the same counts are
+    # walked and the orthogonal sublattice is Gram-Schmidt; orthogonal_sublattice
+    # keeps no cache of its own, so clearing _frame's is enough either way
     L = lat(E8)
     scale, counts = coset_norm_counts(L, zero_coset(L), F(8))
-    monkeypatch.setattr(lattice, "FRAME_NODES", 100)
-    lattice._frame.cache_clear()
-    try:
-        assert lattice._frame(L) is None
-        walk_scale, walked = coset_norm_counts(L, zero_coset(L), F(8))
-    finally:
+    with monkeypatch.context() as patched:
+        patched.setattr(lattice, "FRAME_NODES", 100)
         lattice._frame.cache_clear()
+        try:
+            assert lattice._frame(L) is None
+            assert orthogonal_sublattice(L) == _gram_schmidt(L)
+            walk_scale, walked = coset_norm_counts(L, zero_coset(L), F(8))
+        finally:
+            lattice._frame.cache_clear()
+    assert orthogonal_sublattice(L) == _frame(L) != _gram_schmidt(L)
     assert walk_scale == _ldl_cached(L.gram)[0] != scale
     assert ({F(S, walk_scale): n for S, n in walked.items()}
             == {F(S, scale): n for S, n in counts.items()})
+
+
+def test_orthogonal_sublattice_is_the_frame_else_gram_schmidt():
+    # the searched frame wherever it is found, Gram-Schmidt where the search gives up
+    for gram in TEST_GRAMS + LADDER_GRAMS + [E8]:
+        L = lat(gram)
+        assert orthogonal_sublattice(L) == _frame(L), gram
+    L = lat(SKEWED_E8)
+    assert _frame(L) is None and orthogonal_sublattice(L) == _gram_schmidt(L)
+
+
+def test_orthogonal_sublattice_index_is_at_most_gram_schmidt():
+    # never a larger index than Gram-Schmidt's, and far smaller off the diagonal
+    for gram in small_even_grams() + TEST_GRAMS + LADDER_GRAMS + [E8]:
+        L = lat(gram)
+        assert orthogonal_sublattice(L).index <= _gram_schmidt(L).index, gram
+    for gram, frame, gram_schmidt in ((E8, 16, 40320), (E6, 16, 240), (LADDER_GRAMS[3], 2, 14)):
+        L = lat(gram)
+        assert (orthogonal_sublattice(L).index, _gram_schmidt(L).index) == (frame, gram_schmidt)
 
 
 def test_theta_route_follows_the_documented_rule(monkeypatch):
@@ -719,7 +739,7 @@ def test_orthogonal_sublattice_diagonal_fixed_point():
 
 def test_orthogonal_sublattice_a2():
     L = lat(A2)
-    S = orthogonal_sublattice(L)
+    S = _gram_schmidt(L)
     assert S.lattice.gram == ((2, 0), (0, 6))
     assert S.index == 2
     assert S.basis[1] in ((-1, 2), (1, -2))  # beta_2 = +-(2a_2 - a_1)
@@ -777,14 +797,14 @@ def unimodular_conjugates(draw):
                                                 [[6, -1, 0], [-1, 6, -1], [0, -1, 2]]])
 def test_orthogonal_sublattice_is_the_gram_schmidt_oracle(gram):
     L = lat(gram)
-    assert orthogonal_sublattice(L).basis == gram_schmidt_oracle(L)
+    assert _gram_schmidt(L).basis == gram_schmidt_oracle(L)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(unimodular_conjugates())
 def test_orthogonal_sublattice_is_the_gram_schmidt_oracle_on_generated_grams(gram):
     L = lat(gram)
-    assert orthogonal_sublattice(L).basis == gram_schmidt_oracle(L)
+    assert _gram_schmidt(L).basis == gram_schmidt_oracle(L)
 
 
 def test_unimodular_conjugates_pass_100():
@@ -802,7 +822,7 @@ def test_unimodular_conjugates_pass_100():
 
 def test_coset_reps_mod_sublattice_a2():
     L = lat(A2)
-    S = orthogonal_sublattice(L)
+    S = _gram_schmidt(L)
     reps = coset_reps_mod_sublattice(L, S.basis)
     assert len(reps) == S.index == 2
     assert reps == ((0, 0), (0, 1))  # zero first, then the second simple root
@@ -830,10 +850,12 @@ def test_sublattice_change_of_basis(case, doubled):
         S = sublattice(L, tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d)))
     else:
         S = orthogonal_sublattice(L)
+    top = S.smith[-1]
     for v in (a, tuple(x + y for x, y in zip(rep, a))):
-        assert S.to_parent(S.to_sub(v)) == v
+        _, nums = _scaled(v)
+        assert S.lift(S.sub_nums(nums)) == [top * x for x in nums]
     for i, b in enumerate(S.basis):
-        assert S.to_sub(b) == tuple(int(i == j) for j in range(d))
+        assert S.sub_nums(b) == [top * (i == j) for j in range(d)]
         for j, c in enumerate(S.basis):
             assert S.lattice.gram[i][j] == L.pairing(b, c)
     assert S.index == abs(intmat.det_int([list(b) for b in S.basis]))
@@ -872,15 +894,6 @@ def fraction_minimal_coset_reps(L):
     return tuple(sorted(reps, key=CosetElement.sort_key))
 
 
-def fraction_to_sub(basis, v):
-    inverse = intmat.rational_inverse([list(b) for b in basis])
-    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*inverse))
-
-
-def fraction_to_parent(basis, x):
-    return tuple(sum(a * b for a, b in zip(x, col)) for col in zip(*basis))
-
-
 def fraction_reps_mod_sublattice(L, basis):
     """u^-1 of the Smith form of B^T over Fractions, then B^-1, canonicalize, x B."""
     S = sublattice(L, basis)
@@ -904,19 +917,21 @@ def assert_matches_fraction_paths(L, basis, vectors=()):
     S = sublattice(L, basis)
     assert S.smith[-1] % S.smith[0] == 0 and len(S.smith_v) == L.rank
     for v in vectors:
-        x = S.to_sub(v)
+        D, nums = _scaled(v)
+        x = tuple(F(y, D * S.smith[-1]) for y in S.sub_nums(nums))
         assert x == fraction_to_sub(basis, v)
-        assert S.to_parent(x) == fraction_to_parent(basis, x) == tuple(v)
+        E, x_nums = _scaled(x)
+        assert tuple(F(y, E) for y in S.lift(x_nums)) == fraction_to_parent(basis, x) == tuple(v)
 
 
 @st.composite
 def grams_with_bases(draw):
     """(L, basis, vectors): an even_grams lattice, a full-rank sublattice basis
-    (Gram-Schmidt, doubled standard or drawn with |det| <= 12) and dual vectors."""
+    (orthogonal, doubled standard or drawn with |det| <= 12) and dual vectors."""
     L = lat(draw(even_grams()))
     d = L.rank
-    kind = draw(st.sampled_from(["gram-schmidt", "doubled", "drawn"]))
-    if kind == "gram-schmidt":
+    kind = draw(st.sampled_from(["orthogonal", "doubled", "drawn"]))
+    if kind == "orthogonal":
         basis = orthogonal_sublattice(L).basis
     elif kind == "doubled":
         basis = tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))
@@ -955,7 +970,7 @@ def test_orbit_count_is_the_number_of_classes(case):
 
 def test_orbit_count_is_the_number_of_classes_e6():
     L = lat(E6)
-    S = orthogonal_sublattice(L)
+    S = _gram_schmidt(L)
     assert S.index == 240
     assert_orbit_counts_are_class_counts(L, S.basis)
 
@@ -975,7 +990,7 @@ def test_smith_enumerators_match_fraction_paths_skew_bases(gram, basis):
 
 def test_smith_enumerators_match_fraction_paths_e6():
     L = lat(E6)
-    S = orthogonal_sublattice(L)
+    S = _gram_schmidt(L)
     assert S.index == 240
     assert_matches_fraction_paths(L, S.basis, [c.rep for c in minimal_coset_reps(L)])
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
 from vlplus import intmat
 from vlplus.certify import _Context, weight_gap_rule
-from vlplus.lattice import coset_element, minimal_coset_reps, mod_two_data
+from vlplus.lattice import (coset_element, coset_is_trivial, coset_two_torsion, minimal_coset_reps,
+                            mod_two_data, orbit_element)
 from vlplus.sectors import (
     LabelKind,
     ModuleLabel,
@@ -33,6 +34,22 @@ from vlplus.sectors import (
 )
 
 F = Fraction
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [
+    E8, [[6, -1, 0], [-1, 6, -1], [0, -1, 2]]])
+def test_orbit_labels_from_integers_match_orbit_element(gram):
+    # coset_labels reads an orbit label off the coset's integer numerators;
+    # orbit_element reaches the same rep from the Fraction coordinates
+    L = lat(gram)
+    orbits = 0
+    for c in minimal_coset_reps(L):
+        if coset_is_trivial(c) or coset_two_torsion(L, c):
+            continue
+        (m,) = coset_labels(L, c)
+        assert m.kind == LabelKind.UNTWISTED and m.coset == orbit_element(L, c.rep), (gram, c)
+        orbits += 1
+    assert orbits == sum(m.kind == LabelKind.UNTWISTED for m in classify_modules(L)) * 2
 
 
 def census_by_hand(gram):

@@ -100,8 +100,8 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
     from conftest import A3, E6, lat
     from vlplus import lattice
     from vlplus.branching import branch_sublattice
-    from vlplus.lattice import (coset_reps_mod_sublattice, coset_two_torsion, dual_orbits,
-                                minimal_coset_reps, orthogonal_sublattice)
+    from vlplus.lattice import (_gram_schmidt, coset_reps_mod_sublattice, coset_two_torsion,
+                                dual_orbits, minimal_coset_reps)
     from vlplus.sectors import VAC_PLUS, classify_modules
 
     # every class canonicalization goes through lattice._coset_shell: a walk,
@@ -124,10 +124,10 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
     assert pairs == 2 and walks <= pairs
 
     L = lat(A3)
-    S = orthogonal_sublattice(L)
+    S = _gram_schmidt(L)
     calls.clear()
     classes = coset_reps_mod_sublattice(L, S.basis)
-    self_paired = sum(all((2 * x).denominator == 1 for x in S.to_sub(g)) for g in classes)
+    self_paired = sum(all(2 * y % S.smith[-1] == 0 for y in S.sub_nums(g)) for g in classes)
     assert len(calls) <= (len(classes) + self_paired) // 2
     calls.clear()
     bl = branch_sublattice(L, S.basis, VAC_PLUS)

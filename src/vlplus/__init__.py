@@ -19,11 +19,9 @@ from .lattice import (
     EvenLattice,
     LatticeError,
     coset_element,
-    coset_reps_mod_sublattice,
     delta_set,
     discriminant_group,
     epsilon_cocycle,
-    minimal_coset_reps,
     mod_two_data,
     norm2_vectors,
     orthogonal_sublattice,
@@ -45,8 +43,6 @@ from .fusion import (
     SignOracle,
     admissible_triple,
     fusion_dim,
-    rank1_fusion,
-    tensor_fusion,
 )
 from .branching import (
     BranchList,
@@ -77,7 +73,6 @@ __all__ = [
     "classify_modules",
     "contragredient",
     "coset_element",
-    "coset_reps_mod_sublattice",
     "delta_set",
     "discriminant_group",
     "epsilon_cocycle",
@@ -85,14 +80,11 @@ __all__ = [
     "format_label",
     "fusion_dim",
     "lowest_weight",
-    "minimal_coset_reps",
     "mod_two_data",
     "norm2_vectors",
     "orthogonal_sublattice",
     "parse_label",
-    "rank1_fusion",
     "series_denominator",
-    "tensor_fusion",
     "theta_coset",
     "top_level_dimension",
     "validate_even_lattice",

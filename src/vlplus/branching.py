@@ -41,7 +41,7 @@ from .lattice import (
     EvenLattice,
     NotOrthogonalBase,
     Sublattice,
-    coset_element,
+    _canonical,
     epsilon_cocycle,
     integral_coords,
     orthogonal_sublattice,
@@ -159,7 +159,7 @@ def _factors(frame: EvenLattice) -> tuple[EvenLattice, ...]:
 @lru_cache(maxsize=None)
 def _coordinate_labels(factor: EvenLattice, x: int, den: int) -> tuple[ModuleLabel, ...]:
     """The labels the coset of x / den gives on a rank-one factor."""
-    return coset_labels(factor, coset_element(factor, (Fraction(x, den),)))
+    return coset_labels(factor, _canonical(factor, den, (x,), (1,)))
 
 
 # ---------------------------------------------------------------------------

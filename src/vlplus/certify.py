@@ -274,14 +274,11 @@ class _Context:
         """gaps[w1][w2] is weight_gap_rule on labels of weight ids w1, w2.
 
         The rule reads only the two lowest weights, so the table decides
-        every pair of labels: weight_gap_rule is called (on representative
-        labels) only for the pairs of weights whose gap is zero or not an
-        integer, and pairs of equal weights share one object.
+        every pair of labels: weight_gap_rule is called once per pair of
+        weights, on representative labels, and the label pairs of two
+        weights share its one object.
         """
-        reps, n = self.weight_reps, series_denominator(self.L)
-        nums = [weight_num(self.L, m) for m in reps]
-        return [[weight_gap_rule(self, a, b) if k1 == k2 or (k1 - k2) % n else None
-                 for b, k2 in zip(reps, nums)] for a, k1 in zip(reps, nums)]
+        return [[weight_gap_rule(self, a, b) for b in self.weight_reps] for a in self.weight_reps]
 
     @cached_property
     def gap_json(self) -> list[list[dict | None]]:
@@ -526,8 +523,11 @@ def verify_certificate(L: EvenLattice, cert, *, ctx: _Context | None = None) -> 
             problems.append(f"pair ({a}, {b}): justification missing")
             continue
         # a WeightGap record is one lookup in the table over weight ids
-        fresh = (ctx.gap_json[ctx.weight_ids[i1]][ctx.weight_ids[i2]]
-                 if j.get("rule") == RULE_WEIGHT_GAP else _recheck(ctx, i1, i2, j))
+        if j.get("rule") == RULE_WEIGHT_GAP:
+            fresh = ctx.gap_json[ctx.weight_ids[i1]][ctx.weight_ids[i2]]
+        else:
+            fresh = _rerun(ctx, ctx.labels[i1], ctx.labels[i2], j)
+            fresh = None if fresh is None else fresh.to_json()
         if fresh is None:
             problems.append(f"pair ({a}, {b}): recorded rule {j.get('rule')!r:.60} does not apply")
         elif fresh != j:
@@ -584,13 +584,6 @@ def _label_indices(index: dict[str, int], a, b) -> tuple[int | None, int | None]
     if isinstance(a, str) and isinstance(b, str):
         return index.get(a), index.get(b)
     return None, None
-
-
-def _recheck(ctx: _Context, i1: int, i2: int, j: dict) -> dict | None:
-    """to_json() of what the rule (and route) named in j gives for
-    (labels[i1], labels[i2]), or None; WeightGap records never come here."""
-    rerun = _rerun(ctx, ctx.labels[i1], ctx.labels[i2], j)
-    return None if rerun is None else rerun.to_json()
 
 
 def _rerun(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, j: dict):

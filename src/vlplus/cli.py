@@ -14,6 +14,10 @@ by a dash is read only if it is a number (--jobs -1) or written after
 "=".  -h or --help, alone or after a command, prints the usage read off
 the flag table; a malformed command line exits 2 with the usage.
 
+decompose --sublattice auto over an index-one frame (any diagonal Gram,
+[[8,-14],[-14,26]]) branches over the algebra itself: diag(2,4,6) V+
+prints "V+ 1" alone, and orthogonal-base gives the tensor branching.
+
 Defaults (stable): truncation order 12, tsv output.  The environment
 variables VLPLUS_ORDER and VLPLUS_FORMAT override them.  certify runs
 in one process; --jobs and VLPLUS_JOBS are still validated, for

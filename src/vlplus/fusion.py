@@ -160,17 +160,13 @@ def fusion_dim(
     lam = label_coset(L, m1)
 
     if t2 and t3:
-        shifted = shift_character(L, m2.char, lam)
-        if m3.char != shifted:
+        if m3.char != shift_character(L, m2.char, lam):
             return ZERO
         if m1.kind == LabelKind.UNTWISTED:
             return ONE
-        s1 = label_sign(m1)
         c = oracle.c(m2.char, lam.rep) if oracle.c is not None else None
-        if c is None:
-            return unknown("twisted-pair sign requires the c oracle")
-        want_same = (c == 1) if s1 == 1 else (c == -1)
-        return ONE if (m2.sign == m3.sign) == want_same else ZERO
+        return _sign_row(c, label_sign(m1), m2.sign == m3.sign,
+                         "twisted-pair sign requires the c oracle")
 
     mu = label_coset(L, m2)
     nu = label_coset(L, m3)
@@ -181,11 +177,14 @@ def fusion_dim(
     # So only an all-self-paired triple reaches the sign rows
     if m1.kind == LabelKind.UNTWISTED or m2.kind == LabelKind.UNTWISTED:
         return ONE
-    s1 = label_sign(m1)
     two_mu = tuple(2 * x for x in mu.rep)
     p = oracle.pi(lam.rep, two_mu) if oracle.pi is not None else None
-    if p is None:
-        return unknown("coset-pair sign requires the pi oracle")
-    want_same = (p == 1) if s1 == 1 else (p == -1)
     same = label_sign(m2) == label_sign(m3)
-    return ONE if same == want_same else ZERO
+    return _sign_row(p, label_sign(m1), same, "coset-pair sign requires the pi oracle")
+
+
+def _sign_row(sign: int | None, s1: int, same: bool, reason: str) -> FusionAnswer:
+    """Unknown (reason) without an oracle sign; One iff m2, m3 share a sign just when sign is s1."""
+    if sign is None:
+        return unknown(reason)
+    return ONE if same == (sign == s1) else ZERO

@@ -227,7 +227,8 @@ def validate_even_lattice(gram) -> EvenLattice:
         if m <= 0:
             raise NotPositiveDefinite(i + 1)
     digits = sys.get_int_max_str_digits()
-    if digits and minors[-1] >= 10**digits:
+    # 10**digits > 2**(3 * digits), so a shorter determinant needs no power built
+    if digits and minors[-1].bit_length() > 3 * digits and minors[-1] >= 10**digits:
         raise LatticeError(f"the determinant has more than {digits} digits")
     return EvenLattice(gram=gram, det=minors[-1])
 

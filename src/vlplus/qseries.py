@@ -406,16 +406,12 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     reaches 2 * order adds no theta and its coset is not counted."""
     order = Fraction(order)
     denom = series_denominator(L)
-    cut = 2 * order * L.det  # a coset of L has least norm norm_num / det
     twice: dict[int, int] = {}
     psi_weight = 0
     for m in labels:
         w, t = THETA_PSI[m.kind]
         psi_weight += t
-        lam = label_coset(L, m)
-        if lam.norm_num >= cut:
-            continue
-        for k, n in theta_coset(L, lam, order).nums.items():
+        for k, n in theta_coset(L, label_coset(L, m), order).nums.items():
             twice[k] = twice.get(k, 0) + w * n
     total = QSeries(denom, _key(order, denom), twice) * euler_product_inv(L.rank, order, denom)
     if psi_weight:

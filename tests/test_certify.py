@@ -1048,6 +1048,41 @@ def test_certificate_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# frame coordinates are integers from the Gram to the certificate bytes
+INTEGER_FRAME_DIGESTS = {
+    "diag(2,4,6,8)": ([[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 6, 0], [0, 0, 0, 8]],
+                      "1e8a7fa9ddf11ee5ac6ae90004bc742cb2d18e6847f98c92ebde57a8df0406f1"),
+    "A1^5": (LADDER_GRAMS[4], PINNED_DIGESTS["A1^5"][2]),
+    "skew diag(2,6)": ([[2, -2], [-2, 8]], PINNED_DIGESTS["skew diag(2,6)"][2]),
+    "E8": (E8, "aec4cb8800b645a3a4adce9cec05ab5c5dc86d9bc4c7cc55fafadb1c085ad7df"),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FRAME_DIGESTS)
+def test_certify_never_scales_a_fraction_vector(monkeypatch, name):
+    """Certify enters the coset layer through integer numerators only:
+    lattice._scaled, the entry of vectors given as fractions, is never
+    called, and the certificate keeps its bytes."""
+    from vlplus import branching, lattice, sectors
+
+    for module in (lattice, sectors, branching):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    real = lattice._scaled
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(lattice, "_scaled", counted)
+    gram, digest = INTEGER_FRAME_DIGESTS[name]
+    text = certify(lat(gram)).dumps()
+    assert calls == []
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # the verifier against every kind of record mutant
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, SKEWED_E8, TE
 from vlplus import intmat
 from vlplus.lattice import (
     Convention,
+    LatticeError,
     NotEven,
     NotFullRank,
     QuotientTooLarge,
@@ -108,6 +110,18 @@ def test_validate_rejects_indefinite():
 def test_validate_rejects_non_integer_entries():
     with pytest.raises(NotSymmetric):
         validate_even_lattice([[2.0]])
+
+
+def test_validate_refuses_a_determinant_at_the_digit_limit():
+    # the least refused determinant is 10**limit; the largest even one below it passes
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(LatticeError, match="the determinant has more than 640 digits"):
+            validate_even_lattice([[10**640]])
+        assert validate_even_lattice([[10**640 - 2]]).det == 10**640 - 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

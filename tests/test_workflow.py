@@ -55,8 +55,8 @@ def installed_script_steps() -> dict[str, str]:
 STEPS = installed_script_steps()
 
 
-def test_the_workflow_has_fourteen_installed_script_steps():
-    assert len(STEPS) == 14
+def test_the_workflow_has_fifteen_installed_script_steps():
+    assert len(STEPS) == 15
 
 
 @pytest.mark.parametrize("name", STEPS)

@@ -25,18 +25,25 @@ them, so neither is an input.  The v1 metadata still records the
 defaults (cocycle_mode "upper", root_branch "1"), and verification
 also accepts "lower" and "-1", which older writers could record.
 
-A certificate file is verified by re-deriving it (verify_text): a file
-whose text is what certify writes for the lattice is verified by that
-equality alone, and any other file is parsed and re-checked record by
-record (verify_certificate).  A v1 certificate lists all n^2 ordered
-pairs of the n labels, so certify and verify_text refuse a census of
-more than TooManyPairs.limit pairs before building any of them.
+A certificate holds one row of justifications per label.  The labels of
+one lowest weight whose row WeightGap decides alone share that row, and
+only the pairs WeightGap leaves open walk the rest of the chain.  Its
+text is written a row at a time (ExtCertificate.chunks), never as one
+string.  A certificate file is verified by re-deriving it (verify_text)
+and comparing the file's text with it chunk by chunk: a file whose text
+is what certify writes for the lattice is verified by that equality
+alone, and any other file, where the comparison stops at the first chunk
+that differs, is parsed and re-checked record by record
+(verify_certificate).  A v1 certificate lists all n^2 ordered pairs of
+the n labels, so certify and verify_text refuse a census of more than
+TooManyPairs.limit pairs before building any of them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .branching import frame_choices
@@ -96,9 +103,11 @@ CITATIONS = {
 class TooManyPairs(LatticeError):
     """A census with more ordered pairs than a v1 certificate is built for.
 
-    A1^8's 1,048,576 pairs take about 1.7 s and 0.95 GB to certify and
-    1.4 s more to write (413 MB); the limit, twice that count, keeps a
-    certificate under about 2 GB.
+    Through the CLI, A1^8's 1,048,576 pairs take about 1.0-1.6 s and
+    28 MB of peak RSS to certify and write a row at a time (413 MB), and
+    1.5-2.3 s and 0.8 GB to verify, which holds the file's text; the
+    limit, twice that count, keeps a file under about 1 GB and its
+    verification under about 2 GB.
     """
 
     limit = 1 << 21
@@ -125,12 +134,22 @@ class ExtJustification:
 
 @dataclass(frozen=True)
 class ExtCertificate:
+    """rows[i][k] justifies the pair (labels[i], labels[k]), or is None
+    where that pair is in unknown; labels whose rows certify builds from
+    WeightGap alone share one tuple."""
+
     gram: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    pairs: tuple[tuple[str, str, ExtJustification], ...]
+    rows: tuple[tuple[ExtJustification | None, ...], ...]
     unknown: tuple[tuple[str, str], ...]
     verdict: str
     metadata: tuple[tuple[str, str], ...] = ()
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str, ExtJustification], ...]:
+        """(m1, m2, justification) of each justified pair, row by row."""
+        return tuple((a, b, j) for a, row in zip(self.labels, self.rows)
+                     for b, j in zip(self.labels, row) if j is not None)
 
     def to_json(self) -> dict:
         return {
@@ -147,28 +166,42 @@ class ExtCertificate:
 
     def dumps(self) -> str:
         """json.dumps(self.to_json(), sort_keys=True, indent=2) and a final
-        newline, byte for byte.
+        newline, byte for byte: the chunks joined."""
+        return "".join(self.chunks())
 
-        _encode writes that layout directly.  Each distinct justification
-        object is encoded once (WeightGap pairs share one per weight pair)
-        at the depth of a pair record; the records are joined and spliced
-        into the encoding of the rest of the document.
+    def chunks(self):
+        """dumps() in pieces: the text before the first pair record, the
+        records of each row that has one, and the rest.
+
+        Sorted keys put "pairs" between "metadata" and "unknown".  A record
+        is a front (its justification, encoded at the depth of a record),
+        its quoted m1 and a tail (its quoted m2).  Each distinct
+        justification's front is built once, and so are the pieces between
+        the m1s of a row that several labels share; a row's text is its
+        pieces joined by its label's quoted name.
         """
-        head = _encode(replace(self, pairs=()).to_json(), "\n")
-        if not self.pairs:
-            return head + "\n"
-        fragments = {k: _encode(j.to_json(), "\n      ")
-                     for k, j in {id(j): j for _, _, j in self.pairs}.items()}
-        quoted = _OnDemand(_quote)
-        records = [f'    {{\n      "justification": {fragments[id(j)]},\n'
-                   f'      "m1": {quoted[a]},\n      "m2": {quoted[b]}\n    }}'
-                   for a, b, j in self.pairs]
-        # a key at depth one is the only place an unescaped quote can
-        # follow a newline and two spaces, so the marker is unique
-        before, after = head.split('\n  "pairs": [],', 1)
-        records[0] = before + '\n  "pairs": [\n' + records[0]
-        records[-1] += "\n  ]," + after + "\n"
-        return ",\n".join(records)
+        justified = len(self.unknown) < len(self.labels) ** 2
+        yield ("{" + _members((("format", CERT_FORMAT), ("gram", [list(r) for r in self.gram]),
+                               ("labels", list(self.labels)), ("metadata", dict(self.metadata))))
+               + ',\n  "pairs": ' + ("[\n" if justified else "[],"))
+        quoted = [_quote(a) for a in self.labels]
+        tails = [',\n      "m2": ' + q + "\n    }" for q in quoted]
+        fronts: dict[int, str] = {}  # id(j) -> front of j
+        repeated = {k for k, count in Counter(map(id, self.rows)).items() if count > 1}
+        pieces = {}  # id(row) -> the pieces of a row that several labels share
+        separator = ""
+        for q, row in zip(quoted, self.rows):
+            cut = pieces.get(id(row))
+            if cut is None:
+                cut = _row_pieces(row, fronts, tails)
+                if id(row) in repeated:
+                    pieces[id(row)] = cut
+            if cut:
+                yield separator + q.join(cut)
+                separator = ",\n"
+        yield (("\n  ]," if justified else "")
+               + _members((("unknown", [list(p) for p in self.unknown]), ("verdict", self.verdict)))
+               + "\n}\n")
 
     def rule_map(self) -> dict[tuple[str, str], str]:
         """Pair-to-rule-name view: the rule path each justified pair records."""
@@ -176,6 +209,30 @@ class ExtCertificate:
 
 
 _quote = json.encoder.encode_basestring_ascii
+
+
+def _row_pieces(row, fronts: dict[int, str], tails: list[str]) -> list[str]:
+    """A row's records cut at each quoted m1: the first front, each tail
+    with the next front, and the last tail ([] for a row of no record)."""
+    cols = [k for k, j in enumerate(row) if j is not None]
+    if not cols:
+        return []
+    texts = [fronts.get(id(row[k])) or _front(fronts, row[k]) for k in cols]
+    return texts[:1] + [tails[k] + ",\n" + t for k, t in zip(cols, texts[1:])] + [tails[cols[-1]]]
+
+
+def _front(fronts: dict[int, str], j: ExtJustification) -> str:
+    """The text of a record of j up to its quoted m1, cached in fronts by id(j)."""
+    fronts[id(j)] = text = ('    {\n      "justification": ' + _encode(j.to_json(), "\n      ")
+                            + ',\n      "m1": ')
+    return text
+
+
+def _members(items) -> str:
+    """The members (key, value) of a top-level object as json.dumps(...,
+    sort_keys=True, indent=2) writes them, comma-separated, each after a
+    line break."""
+    return ",".join("\n  " + _quote(k) + ": " + _encode(v, "\n  ") for k, v in items)
 
 
 def _encode(value, newline: str) -> str:
@@ -413,22 +470,25 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
     # WeightGap heads rule_order; the per-weight table stands in for it
     n = len(ctx.weight_reps)
     gaps = [[None] * n] * n if RULE_WEIGHT_GAP in disabled else ctx.gaps
-    rows = list(zip(ctx.labels, ctx.weight_ids, ctx.names))
-    pairs = []
+    # per weight id: its row of table entries, and the columns that row leaves open
+    gap_rows = [tuple(map(gap_row.__getitem__, ctx.weight_ids)) for gap_row in gaps]
+    open_cols = [[k for k, j in enumerate(row) if j is None] for row in gap_rows]
+    rows = []
     unknown = []
-    # equal chain justifications share the first object, so dumps() encodes each once
+    # equal chain justifications share the first object, so chunks() encodes each once
     shared: dict[ExtJustification, ExtJustification] = {}
-    for m1, w1, a in rows:
-        gap_row = gaps[w1]
-        for m2, w2, b in rows:
-            j = gap_row[w2]
-            if j is None:
-                j = next(filter(None, (rule(ctx, m1, m2) for rule in chain)), None)
+    for m1, w1, a in zip(ctx.labels, ctx.weight_ids, ctx.names):
+        row = gap_rows[w1]
+        if open_cols[w1]:
+            row = list(row)
+            for k in open_cols[w1]:
+                j = next(filter(None, (rule(ctx, m1, ctx.labels[k]) for rule in chain)), None)
                 if j is None:
-                    unknown.append((a, b))
-                    continue
-                j = shared.setdefault(j, j)
-            pairs.append((a, b, j))
+                    unknown.append((a, ctx.names[k]))
+                else:
+                    row[k] = shared.setdefault(j, j)
+            row = tuple(row)
+        rows.append(row)
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
         ("denominator", str(series_denominator(L))),
@@ -439,7 +499,7 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
     return ExtCertificate(
         gram=L.gram,
         labels=tuple(ctx.names),
-        pairs=tuple(pairs),
+        rows=tuple(rows),
         unknown=tuple(unknown),
         verdict=verdict,
         metadata=metadata,
@@ -455,8 +515,12 @@ def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
     found by re-deriving the file before parsing any of it, and the
     verdict of a file that has none (None when there are problems).
 
-    If text is certify(L).dumps(), there are none, and the verdict is the
-    re-derived certificate's.  Every record certify writes is, by
+    The text is compared with the re-derived certificate's chunks() as
+    they are made, and the comparison stops at the first chunk that
+    differs: a file in another layout stops at the head, before any row
+    is encoded.  If text is certify(L).dumps(), every chunk matches and
+    the text ends with the last; there are no problems, and the verdict
+    is the re-derived certificate's.  Every record certify writes is, by
     construction, the value its rule (and route) returns for that pair,
     which is what the per-record check recomputes and compares; each pair
     is written once, justified or unknown; the verdict is the one its
@@ -472,8 +536,14 @@ def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
     """
     ctx = _Context(L)
     derived = _certify(ctx)
-    if text == derived.dumps():
-        return [], derived.verdict
+    end = 0
+    for chunk in derived.chunks():
+        if not text.startswith(chunk, end):
+            break
+        end += len(chunk)
+    else:
+        if end == len(text):
+            return [], derived.verdict
     cert = load_certificate(text)
     problems = verify_certificate(L, cert, ctx=ctx)
     return problems, None if problems else cert["verdict"]

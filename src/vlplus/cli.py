@@ -314,16 +314,16 @@ def cmd_certify(L, args, out):
         out.write("certificate verified\n")
         return EXIT_OK
     cert = certify(L, disabled=frozenset(args.disable_rule or []))
-    text = cert.dumps()
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(cert.chunks())
         except OSError as e:
             raise CliError(f"cannot write certificate to {args.out}: {e.strerror or e}")
-        out.write(f"verdict\t{cert.verdict}\tpairs\t{len(cert.pairs)}\tunknown\t{len(cert.unknown)}\n")
+        justified = len(cert.labels) ** 2 - len(cert.unknown)
+        out.write(f"verdict\t{cert.verdict}\tpairs\t{justified}\tunknown\t{len(cert.unknown)}\n")
     else:
-        out.write(text)
+        out.writelines(cert.chunks())
     return EXIT_OK if cert.verdict == VERDICT_RATIONAL else EXIT_INCOMPLETE
 
 

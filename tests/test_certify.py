@@ -827,6 +827,49 @@ def test_verify_text_checks_other_text_as_verify_certificate_does():
             verify_text(L, text)
 
 
+def assert_verify_text_is_the_record_check(L, text):
+    """verify_text gives what verify_certificate gives on the parsed text,
+    with the recorded verdict where there is no problem, or ValueError
+    where the text does not parse as a certificate."""
+    try:
+        cert = load_certificate(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            verify_text(L, text)
+        return
+    problems = verify_certificate(L, cert)
+    assert verify_text(L, text) == (problems, None if problems else cert["verdict"]), L.gram
+
+
+def assert_chunk_compare_is_byte_equality(L):
+    # verify_text compares the file chunk by chunk; a file cut at a chunk
+    # boundary, one with bytes after the end, and one whose verdict alone
+    # differs are each answered as the per-record check answers them
+    chunks = list(certify(L).chunks())
+    text = "".join(chunks)
+    for cut in sorted({1, len(chunks) // 2, len(chunks) - 1}):
+        assert_verify_text_is_the_record_check(L, "".join(chunks[:cut]))
+    for trailing in ("\n", " ", "x", "{}"):
+        assert_verify_text_is_the_record_check(L, text + trailing)
+    verdict = json.loads(text)["verdict"]
+    other = VERDICT_INCOMPLETE if verdict == VERDICT_RATIONAL else VERDICT_RATIONAL
+    head, tail = text.rsplit(f'"verdict": "{verdict}"', 1)
+    flipped = f'{head}"verdict": "{other}"{tail}'
+    assert_verify_text_is_the_record_check(L, flipped)
+    assert verify_text(L, flipped) == (["verdict inconsistent with the unknown list"], None)
+
+
+@pytest.mark.parametrize("gram", CERT_GRAMS + LADDER_GRAMS + [[[2, 0], [0, 6]]])
+def test_chunk_compare_on_fixed_grams(gram):
+    assert_chunk_compare_is_byte_equality(lat(gram))
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(even_grams())
+def test_chunk_compare_on_generated_grams(gram):
+    assert_chunk_compare_is_byte_equality(lat(gram))
+
+
 def test_load_certificate_roundtrip(tmp_path):
     cert = certify(lat(A1))
     path = tmp_path / "cert.json"
@@ -922,12 +965,21 @@ def test_contragredient_pair_decides_weight_gap_and_fusion_alike(gram):
 
 def assert_dumps_is_the_reference(L):
     variants = [frozenset(), frozenset(ALL_RULES)] + [frozenset({rule}) for rule in ALL_RULES]
+    weight_ids = _Context(L).weight_ids
     for disabled in variants:
         cert = certify(L, disabled=disabled)
         if disabled == frozenset(ALL_RULES):
             assert not cert.pairs and len(cert.unknown) == len(cert.labels) ** 2
         reference = json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
         assert first_difference(cert.dumps(), reference) is None, (L.gram, sorted(disabled))
+        assert first_difference("".join(cert.chunks()), reference) is None, (
+            L.gram, sorted(disabled))
+        # a row of WeightGap entries alone is the one row object of its weight id
+        gap_rows = defaultdict(set)
+        for w, row in zip(weight_ids, cert.rows):
+            if all(j is not None and j.rule == RULE_WEIGHT_GAP for j in row):
+                gap_rows[w].add(id(row))
+        assert all(len(ids) == 1 for ids in gap_rows.values()), (L.gram, sorted(disabled))
         # equal justifications are one object, so dumps() encodes each value once
         justifications = [j for _, _, j in cert.pairs]
         assert len(set(map(id, justifications))) == len(set(justifications)), (

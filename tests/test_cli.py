@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import A1, A1_4, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
+from test_certify import PINNED_DIGESTS
+from vlplus.certify import certify
 from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 from vlplus.lattice import validate_even_lattice
 from vlplus.sectors import classify_modules, format_label
@@ -371,6 +373,22 @@ def test_certify_roundtrip(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "certificate verified" in out
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_certify_writes_and_prints_the_dumps_text(tmp_path, capsys, name):
+    # --out and stdout are written a row at a time; both hold dumps() byte
+    # for byte, and the pair count is the justified pairs'
+    gram, disabled, _ = PINNED_DIGESTS[name]
+    cert = certify(validate_even_lattice(gram), disabled=frozenset(disabled))
+    flags = [flag for rule in disabled for flag in ("--disable-rule", rule)]
+    gram_path, path = write_gram(tmp_path, gram), tmp_path / "cert.json"
+    code = EXIT_OK if cert.verdict == "Rational" else EXIT_INCOMPLETE
+    assert run_cli(capsys, ["certify", "--gram", gram_path, "--out", str(path)] + flags) == (
+        code, f"verdict\t{cert.verdict}\tpairs\t{len(cert.pairs)}\tunknown\t{len(cert.unknown)}\n",
+        "")
+    assert path.read_bytes() == cert.dumps().encode()
+    assert run_cli(capsys, ["certify", "--gram", gram_path] + flags) == (code, cert.dumps(), "")
 
 
 def test_certify_incomplete_exit_code(tmp_path, capsys):

@@ -175,3 +175,27 @@ def test_sublattice_check_walks_parts_below_the_order_and_multiplies_once(monkey
     assert verify_branch(bl, order)
     assert len(walks) <= 1 + below
     assert sum(products) <= 1
+
+
+def test_verify_of_another_layout_encodes_no_justification(monkeypatch):
+    # verify_text compares the file chunk by chunk as it derives them: a
+    # file in another layout (every tampered file of certify-ladder is
+    # unindented json.dumps) differs in the head chunk, so no row is encoded
+    import json
+
+    from vlplus.lattice import validate_even_lattice
+
+    module = importlib.import_module("vlplus.certify")
+    L = validate_even_lattice([[2, 0], [0, 6]])
+    good = module.certify(L).to_json()
+    drawn = []
+    chunks = module.ExtCertificate.chunks
+
+    def counted(self):
+        for chunk in chunks(self):
+            drawn.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(module.ExtCertificate, "chunks", counted)
+    assert module.verify_text(L, json.dumps(good)) == ([], good["verdict"])
+    assert len(drawn) == 1 and '"justification"' not in drawn[0]

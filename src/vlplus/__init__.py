@@ -13,7 +13,6 @@ no tolerances.  The main entry points:
 """
 
 from .lattice import (
-    Convention,
     CosetElement,
     DiscriminantGroup,
     EvenLattice,
@@ -54,7 +53,6 @@ from .certify import ExtCertificate, ExtJustification, certify, verify_certifica
 
 __all__ = [
     "BranchList",
-    "Convention",
     "CosetElement",
     "DiscriminantGroup",
     "EvenLattice",

@@ -18,9 +18,9 @@ whose coset's least norm reaches twice the order adds no theta there
 and is not walked.  Every decomposition is verified by an exact
 character identity, which is the normative check: for a nonzero
 self-paired coset the two signed modules have equal characters, so the
-sign chosen for such a part is reported as convention-dependent
-metadata, computed from the involution coefficient on the canonical
-lowest-weight vector.
+sign chosen for such a part is metadata: computed from the involution
+coefficient on the canonical lowest-weight vector, it flips with the
+square-root branch (root_branch) of the involution's lift.
 
 Twisted parents over a sublattice branch into one abstract block
 carrying only sign and multiplicity; the census of the finer twisted
@@ -37,7 +37,6 @@ from itertools import product
 from math import prod
 
 from .lattice import (
-    Convention,
     EvenLattice,
     NotOrthogonalBase,
     Sublattice,
@@ -175,7 +174,7 @@ def branch_sublattice(
     L: EvenLattice,
     basis: tuple[tuple[int, ...], ...],
     m: ModuleLabel,
-    convention: Convention = Convention(),
+    root_branch: int = 1,
 ) -> BranchList:
     """Decompose over the fixed-point algebra of a full-rank sublattice.
 
@@ -183,6 +182,8 @@ def branch_sublattice(
     the parent sign times the ratio of the parent and local involution
     coefficients on the canonical lowest-weight vector; when that ratio
     is imaginary the positive label is reported and flagged in notes.
+    root_branch (+1 or -1) picks the square root of eps(2 lambda, 2
+    lambda) in those coefficients; only these C signs depend on it.
     Paired classes contribute one orbit module per pair; twisted parents
     contribute placeholder blocks.  Parts and notes follow the sort_key
     of the class representative.  What the parent contributes to the
@@ -198,10 +199,9 @@ def branch_sublattice(
                           parts=(TwistedBlockPart(sign=m.sign, multiplicity=mult),))
     sign, lam = label_sign(m), label_coset(L, m)
     if sign is not None:
-        eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
         two_lam = integral_coords([2 * x for x in lam.nums], lam.den)
         zero = not any(two_lam)
-        unit_l = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
+        unit_l = _root_unit(epsilon_cocycle(L, two_lam, two_lam), root_branch, zero)
     notes: list[str] = []
     parts: list[BranchPart] = []
     for c, self_paired in sublattice_classes(S, lam):
@@ -217,9 +217,9 @@ def branch_sublattice(
         if not zero:
             # c.den = index^2 lam.den
             x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)], c.den)
-            unit_g += 2 * (eps_l(x, two_lam) == -1)
+            unit_g += 2 * (epsilon_cocycle(L, x, two_lam) == -1)
         two_mu = integral_coords([2 * x for x in c.nums], c.den)
-        ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
+        ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
                                      not any(two_mu))) % 4
         if ratio % 2:
             notes.append(f"imaginary involution ratio on class [{format_coset(c)}]; reported +")

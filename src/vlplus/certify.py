@@ -35,8 +35,9 @@ is what certify writes for the lattice is verified by that equality
 alone, and any other file, where the comparison stops at the first chunk
 that differs, is parsed and re-checked record by record
 (verify_certificate).  A v1 certificate lists all n^2 ordered pairs of
-the n labels, so certify and verify_text refuse a census of more than
-TooManyPairs.limit pairs before building any of them.
+the n labels, so certify and verify_text refuse a lattice whose census
+size (module_count) makes more than TooManyPairs.limit pairs, before
+taking the census.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .sectors import (
     format_ratio,
     label_coset,
     label_sign,
+    module_count,
     series_denominator,
     weight_num,
 )
@@ -275,14 +277,15 @@ class _Context:
     sublattice, the one FusionObstruction route it makes live, and, filled
     per label on first lookup, duals and each label's constituents over
     that route's subalgebra (only labels of pairs WeightGap leaves open).
-    Raises TooManyPairs, after the census, for more than its limit of
-    ordered pairs of labels."""
+    Raises TooManyPairs, from module_count before the census, for more
+    than its limit of ordered pairs of labels."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
+        n = module_count(L)
+        if n * n > TooManyPairs.limit:
+            raise TooManyPairs(n)
         self.labels = classify_modules(L)
-        if len(self.labels) ** 2 > TooManyPairs.limit:
-            raise TooManyPairs(len(self.labels))
         self.names = [format_label(m) for m in self.labels]
         self.duals = _OnDemand(partial(contragredient, L))
         # weight_ids[i] numbers the lowest weight of labels[i], keyed by its

@@ -52,6 +52,7 @@ from .sectors import (
     format_coords,
     format_label,
     lowest_weight,
+    module_count,
     parse_label,
     read_rational,
     series_denominator,
@@ -144,7 +145,7 @@ def cmd_analyze(L, args, out):
         "r2": m2.r2,
         "orthogonal_sublattice_norms": [orth.lattice.gram[i][i] for i in range(L.rank)],
         "orthogonal_sublattice_index": orth.index,
-        "module_count": len(classify_modules(L)),
+        "module_count": module_count(L),
         "series_denominator": series_denominator(L),
     }
     if args.format == "json":

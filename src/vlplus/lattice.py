@@ -138,42 +138,6 @@ class DiscriminantGroup:
 
 
 @dataclass(frozen=True)
-class TwoCocycle:
-    """Bimultiplicative sign cocycle on lattice vectors.
-
-    table[i][j] holds the value on the (i, j) basis pair; the defining
-    skew relation eps(a,b)*eps(b,a) = (-1)^(a,b) holds for either
-    normalization mode.
-    """
-
-    table: tuple[tuple[int, ...], ...]
-
-    def __call__(self, a: Coords, b: Coords) -> int:
-        par = 0
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.table[i]
-            for j, bj in enumerate(b):
-                if bj and row[j] == -1:
-                    par ^= (ai * bj) & 1
-        return -1 if par else 1
-
-
-@dataclass(frozen=True)
-class Convention:
-    """Bookkeeping choices the outputs must not depend on.
-
-    cocycle_mode picks which triangle of the basis table carries the
-    signs; root_branch picks the square root c of eps(2l, 2l) used in
-    the involution on self-paired cosets (+1 for the principal branch).
-    """
-
-    cocycle_mode: str = "upper"  # "upper" | "lower"
-    root_branch: int = 1  # +1 | -1
-
-
-@dataclass(frozen=True)
 class ModTwoData:
     """Mod-2 reduction of the form: bilinear matrix, its radical, quadratic form."""
 
@@ -880,20 +844,14 @@ def sublattice_orbit_count(S: Sublattice, lam: CosetElement) -> int:
     return (S.index + fixed * 2 ** sum(f % 2 == 0 for f in S.smith)) // 2
 
 
-def epsilon_cocycle(L: EvenLattice, convention: Convention = Convention()) -> TwoCocycle:
-    """Bimultiplicative cocycle normalized to +1 on one triangle of the basis.
+def epsilon_cocycle(L: EvenLattice, a: Coords, b: Coords) -> int:
+    """The sign cocycle (-1)^(sum_{i>j} a_i G_ij b_j), bimultiplicative.
 
-    The other triangle carries (-1)^(b_i, b_j); certificate-level outputs
-    must not depend on which triangle is chosen.
-    """
-    d = L.rank
-    table = [[1] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            carries = i > j if convention.cocycle_mode == "upper" else i < j
-            if carries and L.gram[i][j] % 2 != 0:
-                table[i][j] = -1
-    return TwoCocycle(table=tuple(tuple(r) for r in table))
+    As G_ii is even, eps(a,b) eps(b,a) = (-1)^(a,b).  The other triangle's
+    cocycle is eps times (-1)^(a,b), the coboundary of (-1)^((a,a)/2); the
+    two agree on the pairs of even pairing, the only ones branching reads."""
+    g = L.gram
+    return -1 if sum(a[i] * g[i][j] * b[j] for i in range(L.rank) for j in range(i)) % 2 else 1
 
 
 @lru_cache(maxsize=None)

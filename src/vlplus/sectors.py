@@ -156,6 +156,16 @@ def classify_modules(L: EvenLattice) -> tuple[ModuleLabel, ...]:
     return tuple(sorted(labels, key=ModuleLabel.sort_key))
 
 
+def module_count(L: EvenLattice) -> int:
+    """len(classify_modules(L)) in closed form: (det + 7 * 2^r2) / 2.
+
+    The 2^r2 cosets with 2 lam in L (the radical of the mod-2 form) give
+    two labels each (V+- for the zero coset, else a signed pair), the
+    other det - 2^r2 one label per +- pair, and the 2^r2 central
+    characters two twisted labels each."""
+    return (L.det + 7 * (1 << mod_two_data(L).r2)) // 2
+
+
 def series_denominator(L: EvenLattice) -> int:
     """Exponent grid for the lattice: lcm(16, 2*det) holds every weight offset."""
     return 16 * (2 * L.det) // gcd(16, 2 * L.det)

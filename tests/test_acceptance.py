@@ -25,7 +25,6 @@ from vlplus.certify import (
 )
 from vlplus.fusion import ONE, ZERO, admissible_triple, rank1_fusion
 from vlplus.lattice import (
-    Convention,
     minimal_coset_reps,
     orthogonal_sublattice,
 )
@@ -304,12 +303,12 @@ def test_acceptance_8_rationality_certificates():
 # 9 -------------------------------------------------------------------------
 
 def test_acceptance_9_convention_independence():
-    # the cocycle and root-branch conventions act only where signs are
-    # computed: a sublattice branching's C signs.  certify reads none.
-    assert "convention" not in inspect.signature(certify).parameters
+    # the square-root branch of the involution's lift, the one convention
+    # left, acts only where signs are computed: a sublattice branching's
+    # C signs.  certify reads none.
+    assert {"convention", "root_branch"}.isdisjoint(inspect.signature(certify).parameters)
     with pytest.raises(TypeError):
-        certify(lat(A2), Convention())
-    conventions = [Convention(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
+        certify(lat(A2), -1)
 
     def sign_blind(part):
         if isinstance(part, ModuleLabel) and part.kind == LabelKind.COSET:
@@ -321,7 +320,7 @@ def test_acceptance_9_convention_independence():
         L = lat(gram)
         basis = orthogonal_sublattice(L).basis
         for m in classify_modules(L):
-            bls = [branch_sublattice(L, basis, m, c) for c in conventions]
+            bls = [branch_sublattice(L, basis, m, branch) for branch in (1, -1)]
             branchings += len(bls)
             for bl in bls:
                 assert verify_branch(bl, F(4)), (gram, str(m), bl.parts)
@@ -329,7 +328,7 @@ def test_acceptance_9_convention_independence():
                 assert list(map(sign_blind, bl.parts)) == list(map(sign_blind, bls[0].parts)), (
                     gram, str(m))
             flipped += len({bl.parts for bl in bls}) > 1
-    assert flipped, "no convention moved a C sign, so the check above shows nothing"
-    report(9, f"{branchings} sublattice branchings under four conventions verify with equal "
+    assert flipped, "no root branch moved a C sign, so the check above shows nothing"
+    report(9, f"{branchings} sublattice branchings under both root branches verify with equal "
               f"notes and equal parts up to C signs ({flipped} labels flip one); certify "
               "takes no convention")

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams,
                       fraction_to_parent, fraction_to_sub, lat, truncate)
 from vlplus.lattice import (
-    Convention,
     CosetElement,
     NotOrthogonalBase,
     QuotientTooLarge,
@@ -397,7 +396,7 @@ def residue(v, sign=1):
     return tuple((sign * x.numerator % x.denominator, x.denominator) for x in v)
 
 
-def oracle_branch_sublattice(L, basis, m, convention=Convention()):
+def oracle_branch_sublattice(L, basis, m, root_branch=1):
     """Oracle: (parts, notes) from the Fraction path.
 
     Lifts every class rep of L/L' by lambda, takes it to sublattice
@@ -409,7 +408,6 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
     if m.kind == LabelKind.TWISTED:
         mult = twisted_dimension(L) // twisted_dimension(sub)
         return [TwistedBlockPart(sign=m.sign, multiplicity=mult)], []
-    eps_l, eps_1 = epsilon_cocycle(L, convention), epsilon_cocycle(sub, convention)
     sign, lam = label_sign(m), label_coset(L, m)
     two_lam = tuple(int(2 * x) for x in lam.rep)
     parts, notes, seen = [], [], set()
@@ -424,13 +422,13 @@ def oracle_branch_sublattice(L, basis, m, convention=Convention()):
             parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=rep))
             continue
         zero = not any(two_lam)
-        unit_g = _root_unit(eps_l(two_lam, two_lam), convention.root_branch, zero)
+        unit_g = _root_unit(epsilon_cocycle(L, two_lam, two_lam), root_branch, zero)
         if not zero:
             x_vec = tuple(int(a - b) for a, b in zip(fraction_to_parent(basis, c.rep), lam.rep))
-            if eps_l(x_vec, two_lam) == -1:
+            if epsilon_cocycle(L, x_vec, two_lam) == -1:
                 unit_g = (unit_g + 2) % 4
         two_mu = tuple(int(2 * x) for x in c.rep)
-        ratio = (unit_g - _root_unit(eps_1(two_mu, two_mu), convention.root_branch,
+        ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
                                      not any(two_mu))) % 4
         if ratio % 2:
             notes.append(f"imaginary involution ratio on class [{','.join(map(str, c.rep))}]; reported +")
@@ -450,12 +448,11 @@ def test_sublattice_branching_matches_fraction_oracle(gram, root_branch):
     # over the orthogonal sublattice and the doubled basis, in the sort_key order
     L = lat(gram)
     d = L.rank
-    convention = Convention(root_branch=root_branch)
     for basis in (orthogonal_sublattice(L).basis,
                   tuple(tuple(2 * (i == j) for j in range(d)) for i in range(d))):
         for m in classify_modules(L):
-            bl = branch_sublattice(L, basis, m, convention)
-            parts, notes = oracle_branch_sublattice(L, basis, m, convention)
+            bl = branch_sublattice(L, basis, m, root_branch)
+            parts, notes = oracle_branch_sublattice(L, basis, m, root_branch)
             assert parts_multiset(bl.parts) == parts_multiset(parts), (gram, str(m))
             assert set(bl.notes) == set(notes) and len(bl.notes) == len(notes), (gram, str(m))
             if m.kind != LabelKind.TWISTED:
@@ -467,10 +464,13 @@ CONVENTION_DIGEST = "ff7d422d30b1508b52c2cdf31f75691d4cb66cdf275b72a93f9a81507bd
 
 
 def test_sublattice_branchings_are_pinned_under_every_convention():
-    # one sha256 over (gram, label, basis, convention, parts, notes) for every
-    # label of TEST_GRAMS and the ladder rungs, over the Gram-Schmidt and the
-    # doubled bases, under both cocycle modes and both root branches
-    conventions = [Convention(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
+    # one sha256 over (gram, label, basis, cocycle mode, root branch, parts,
+    # notes) for every label of TEST_GRAMS and the ladder rungs, over the
+    # Gram-Schmidt and the doubled bases.  The pin was taken when a cocycle
+    # mode ("upper" or "lower" triangle) was an input; each entry is now
+    # computed from the root branch alone, so the pin holding shows that no
+    # output depended on the mode
+    conventions = [(mode, branch) for mode in ("upper", "lower") for branch in (1, -1)]
     digest = hashlib.sha256()
     count = 0
     for gram in TEST_GRAMS + LADDER_GRAMS:
@@ -478,9 +478,9 @@ def test_sublattice_branchings_are_pinned_under_every_convention():
         doubled = tuple(tuple(2 * (i == j) for j in range(L.rank)) for i in range(L.rank))
         for basis in (_gram_schmidt(L).basis, doubled):
             for m in classify_modules(L):
-                for c in conventions:
-                    bl = branch_sublattice(L, basis, m, c)
-                    digest.update(repr((gram, format_label(m), basis, c.cocycle_mode, c.root_branch,
+                for mode, branch in conventions:
+                    bl = branch_sublattice(L, basis, m, branch)
+                    digest.update(repr((gram, format_label(m), basis, mode, branch,
                                         list(map(str, bl.parts)), bl.notes)).encode())
                     count += 1
     assert count == 3112
@@ -583,8 +583,8 @@ def test_part_weights_dominate_parent():
 
 def test_sign_metadata_flips_with_root_branch_but_verification_stands():
     L, basis = a2_sublattice()
-    a = branch_sublattice(L, basis, VAC_PLUS, Convention(root_branch=1))
-    b = branch_sublattice(L, basis, VAC_PLUS, Convention(root_branch=-1))
+    a = branch_sublattice(L, basis, VAC_PLUS, root_branch=1)
+    b = branch_sublattice(L, basis, VAC_PLUS, root_branch=-1)
 
     def signs(bl):
         return [p.sign for p in bl.parts if p.kind == LabelKind.COSET]

@@ -62,6 +62,28 @@ def test_analyze_json_format(tmp_path, capsys):
     assert data["det"] == 2 and data["module_count"] == 8
 
 
+def test_analyze_takes_no_census_within_one_gigabyte(tmp_path):
+    # det 3,999,999 is past the quotient limit, so a census would exit 2;
+    # module_count is its closed-form size, and the rest of the report is
+    # as cheap, so analyze exits 0 well inside 1 s in a child limited to
+    # 1 GB of address space
+    import resource
+
+    def one_gigabyte():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    gram = write_gram(tmp_path, [[2, 1], [1, 2000000]])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "vlplus.cli", "analyze", "--gram", gram],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=60, preexec_fn=one_gigabyte)
+    assert time.monotonic() - start < 1
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    lines = dict(line.split("\t") for line in run.stdout.splitlines())
+    assert (lines["det"], lines["module_count"]) == ("3999999", "2000003")
+
+
 def test_modules_table(tmp_path, capsys):
     gram = write_gram(tmp_path, A1)
     code, out, _ = run_cli(capsys, ["modules", "--gram", gram])
@@ -586,13 +608,25 @@ def test_decompose_deeply_nested_basis_exits_two(tmp_path, capsys):
 HUGE_DET = [[99999999999999999999999999999998]]
 
 
-@pytest.mark.parametrize("command", ["analyze", "modules", "certify"])
+@pytest.mark.parametrize("command", ["modules"])
 def test_oversized_discriminant_group_exits_two(tmp_path, capsys, command):
     gram = write_gram(tmp_path, HUGE_DET)
     code, out, err = run_cli(capsys, [command, "--gram", gram])
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("error: the quotient has 99999999999999999999999999999998 classes")
     assert "at most 1000000" in err
+
+
+def test_oversized_discriminant_group_is_counted_not_enumerated(tmp_path, capsys):
+    # analyze and certify read the census size from module_count and walk
+    # no class: analyze reports it, certify refuses its pairs
+    gram = write_gram(tmp_path, HUGE_DET)
+    n = (HUGE_DET[0][0] + 7 * 2) // 2
+    code, out, err = run_cli(capsys, ["analyze", "--gram", gram])
+    assert (code, err) == (EXIT_OK, "") and f"module_count\t{n}\n" in out
+    code, out, err = run_cli(capsys, ["certify", "--gram", gram])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: {n * n} ordered pairs of {n} labels are more than the 2097152 a certificate holds\n"
 
 
 def test_oversized_sublattice_quotient_exits_two(tmp_path, capsys):
@@ -668,8 +702,8 @@ PAIR_LIMIT_GRAM = [[2, 1], [1, 2000]]
 
 
 def test_certify_refuses_past_the_pair_limit_within_one_gigabyte(tmp_path):
-    # certify and --verify's re-derivation refuse after the census, before
-    # building a pair: in a child limited to 1 GB of address space, exit 2
+    # certify and --verify's re-derivation refuse from the census's size,
+    # before building a pair: in a child limited to 1 GB of address space, exit 2
     # with one line naming the pair count, well inside 5 s
     import resource
 

@@ -13,7 +13,6 @@ from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, SKEWED_E8, TE
                       lat, small_even_grams)
 from vlplus import intmat
 from vlplus.lattice import (
-    Convention,
     LatticeError,
     NotEven,
     NotFullRank,
@@ -1022,42 +1021,66 @@ def test_oversized_quotients_raise_a_named_error():
 
 def test_epsilon_a2_basis_values():
     L = lat(A2)
-    eps = epsilon_cocycle(L)
-    assert eps((0, 1), (1, 0)) == -1  # eps(a2, a1) carries the sign
-    assert eps((1, 0), (0, 1)) == 1
+    assert epsilon_cocycle(L, (0, 1), (1, 0)) == -1  # eps(a2, a1) carries the sign
+    assert epsilon_cocycle(L, (1, 0), (0, 1)) == 1
+
+
+def table_cocycle(L, lower):
+    """A sign table's cocycle: -1 on the basis pairs (i, j) of odd G_ij
+    with i > j (or i < j if lower), extended bimultiplicatively."""
+    d = L.rank
+    odd = [(i, j) for i in range(d) for j in range(d)
+           if L.gram[i][j] % 2 and (i < j if lower else i > j)]
+    return lambda a, b: -1 if sum(a[i] * b[j] for i, j in odd) % 2 else 1
+
+
+def test_epsilon_is_the_upper_table_and_the_lower_differs_on_odd_pairs():
+    # the bilinear parity is the table cocycle signed below the diagonal;
+    # the table signed above it agrees exactly where (a, b) is even
+    rng = random.Random(11)
+    for gram in TEST_GRAMS:
+        L = lat(gram)
+        upper, lower = table_cocycle(L, False), table_cocycle(L, True)
+        odd_seen = False
+        for _ in range(100):
+            a = tuple(rng.randint(-4, 4) for _ in range(L.rank))
+            b = tuple(rng.randint(-4, 4) for _ in range(L.rank))
+            eps = epsilon_cocycle(L, a, b)
+            parity = -1 if L.pairing(a, b) % 2 else 1
+            assert eps == upper(a, b)
+            assert lower(a, b) == eps * parity
+            odd_seen |= parity == -1
+        assert odd_seen or mod_two_data(L).r2 == L.rank, gram
 
 
 def test_epsilon_skew_relation_random_pairs():
     rng = random.Random(11)
     for gram in TEST_GRAMS:
         L = lat(gram)
-        for mode in ("upper", "lower"):
-            eps = epsilon_cocycle(L, Convention(cocycle_mode=mode))
-            for _ in range(100):
-                a = tuple(rng.randint(-4, 4) for _ in range(L.rank))
-                b = tuple(rng.randint(-4, 4) for _ in range(L.rank))
-                lhs = eps(a, b) * eps(b, a)
-                rhs = -1 if L.pairing(a, b) % 2 else 1
-                assert lhs == rhs
+        for _ in range(100):
+            a = tuple(rng.randint(-4, 4) for _ in range(L.rank))
+            b = tuple(rng.randint(-4, 4) for _ in range(L.rank))
+            lhs = epsilon_cocycle(L, a, b) * epsilon_cocycle(L, b, a)
+            rhs = -1 if L.pairing(a, b) % 2 else 1
+            assert lhs == rhs
 
 
 def test_epsilon_bimultiplicative():
     rng = random.Random(13)
     L = lat(A2)
-    eps = epsilon_cocycle(L)
     for _ in range(50):
         a, a2, b = (
             tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(3)
         )
         asum = tuple(x + y for x, y in zip(a, a2))
-        assert eps(asum, b) == eps(a, b) * eps(a2, b)
-        assert eps(b, asum) == eps(b, a) * eps(b, a2)
+        assert epsilon_cocycle(L, asum, b) == epsilon_cocycle(L, a, b) * epsilon_cocycle(L, a2, b)
+        assert epsilon_cocycle(L, b, asum) == epsilon_cocycle(L, b, a) * epsilon_cocycle(L, b, a2)
 
 
 def test_epsilon_diagonal_lattice_trivial():
     L = lat(D24)
-    eps = epsilon_cocycle(L)
-    assert all(x == 1 for row in eps.table for x in row)
+    assert all(epsilon_cocycle(L, a, b) == 1
+               for a in product(range(-2, 3), repeat=2) for b in product(range(-2, 3), repeat=2))
 
 
 def test_mod_two_data():

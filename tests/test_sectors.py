@@ -6,7 +6,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat
+from conftest import (A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat,
+                      small_even_grams)
 from vlplus import intmat
 from vlplus.certify import _Context, weight_gap_rule
 from vlplus.lattice import (coset_element, coset_is_trivial, coset_two_torsion, minimal_coset_reps,
@@ -24,6 +25,7 @@ from vlplus.sectors import (
     label_coset,
     label_sign,
     lowest_weight,
+    module_count,
     parse_label,
     prime_character,
     series_denominator,
@@ -102,6 +104,13 @@ def test_census_counts(gram, count):
 def test_census_matches_hand_count_everywhere():
     for gram in TEST_GRAMS:
         assert len(classify_modules(lat(gram))) == census_by_hand(gram)
+
+
+def test_module_count_is_the_census_size():
+    # (det + 7 * 2^r2) / 2 on the benchmark's small family and every test lattice
+    for gram in small_even_grams() + TEST_GRAMS + LADDER_GRAMS:
+        L = lat(gram)
+        assert module_count(L) == len(classify_modules(L)), gram
 
 
 def test_labels_unique_and_sorted():

@@ -55,8 +55,11 @@ def installed_script_steps() -> dict[str, str]:
 STEPS = installed_script_steps()
 
 
-def test_the_workflow_has_fifteen_installed_script_steps():
-    assert len(STEPS) == 15
+def test_every_installed_script_step_is_parsed():
+    # one step per `working-directory: ${{ runner.temp }}` line, each with a script
+    lines = WORKFLOW.read_text().splitlines()
+    assert len(STEPS) == sum(line.strip() == IN_TEMP for line in lines) > 0
+    assert all(script.strip() for script in STEPS.values())
 
 
 @pytest.mark.parametrize("name", STEPS)

@@ -606,27 +606,33 @@ def test_decompose_deeply_nested_basis_exits_two(tmp_path, capsys):
 
 
 HUGE_DET = [[99999999999999999999999999999998]]
+HUGE_COUNT = (HUGE_DET[0][0] + 7 * 2) // 2  # module_count: r2 = 1
+# determinants past Python's int-to-str digit limit (4300 by default): the
+# first has 4401 digits, the second is the sublattice's, index^2 * det
+TOO_LONG_DET = [[2 * 10**2200, 0], [0, 2 * 10**2200]]
+TOO_LONG = f"the determinant has more than {sys.get_int_max_str_digits()} digits"
 
 
-@pytest.mark.parametrize("command", ["modules"])
-def test_oversized_discriminant_group_exits_two(tmp_path, capsys, command):
-    gram = write_gram(tmp_path, HUGE_DET)
-    code, out, err = run_cli(capsys, [command, "--gram", gram])
-    assert code == EXIT_INVALID and out == ""
-    assert err.startswith("error: the quotient has 99999999999999999999999999999998 classes")
-    assert "at most 1000000" in err
+# each command past its own bound on the discriminant group: modules
+# enumerates at most 10^6 classes, certify holds at most 2^21 ordered pairs
+# of labels, and analyze, which takes no census, needs only a determinant
+# it can print
+@pytest.mark.parametrize("command,gram,error", [
+    ("analyze", TOO_LONG_DET, f"invalid lattice: {TOO_LONG}"),
+    ("modules", HUGE_DET,
+     f"the quotient has {HUGE_DET[0][0]} classes; at most 1000000 can be enumerated"),
+    ("certify", HUGE_DET, f"{HUGE_COUNT ** 2} ordered pairs of {HUGE_COUNT} labels are more "
+                          "than the 2097152 a certificate holds"),
+], ids=["analyze", "modules", "certify"])
+def test_oversized_discriminant_group_exits_two(tmp_path, capsys, command, gram, error):
+    code, out, err = run_cli(capsys, [command, "--gram", write_gram(tmp_path, gram)])
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: {error}\n")
 
 
-def test_oversized_discriminant_group_is_counted_not_enumerated(tmp_path, capsys):
-    # analyze and certify read the census size from module_count and walk
-    # no class: analyze reports it, certify refuses its pairs
-    gram = write_gram(tmp_path, HUGE_DET)
-    n = (HUGE_DET[0][0] + 7 * 2) // 2
-    code, out, err = run_cli(capsys, ["analyze", "--gram", gram])
-    assert (code, err) == (EXIT_OK, "") and f"module_count\t{n}\n" in out
-    code, out, err = run_cli(capsys, ["certify", "--gram", gram])
-    assert (code, out) == (EXIT_INVALID, "")
-    assert err == f"error: {n * n} ordered pairs of {n} labels are more than the 2097152 a certificate holds\n"
+def test_analyze_counts_an_oversized_discriminant_group(tmp_path, capsys):
+    # analyze reads the census size from module_count and walks no class
+    code, out, err = run_cli(capsys, ["analyze", "--gram", write_gram(tmp_path, HUGE_DET)])
+    assert (code, err) == (EXIT_OK, "") and f"module_count\t{HUGE_COUNT}\n" in out
 
 
 def test_oversized_sublattice_quotient_exits_two(tmp_path, capsys):
@@ -637,14 +643,9 @@ def test_oversized_sublattice_quotient_exits_two(tmp_path, capsys):
     assert "100000000000000000000000 classes; at most 1000000" in err
 
 
-# determinants past Python's int-to-str digit limit (4300 by default): the
-# first has 4401 digits, the second is the sublattice's, index^2 * det
-TOO_LONG = f"the determinant has more than {sys.get_int_max_str_digits()} digits"
-
-
 @pytest.mark.parametrize("command", ["analyze", "modules"])
 def test_determinant_too_long_to_print_exits_two(tmp_path, capsys, command):
-    gram = write_gram(tmp_path, [[2 * 10**2200, 0], [0, 2 * 10**2200]])
+    gram = write_gram(tmp_path, TOO_LONG_DET)
     code, out, err = run_cli(capsys, [command, "--gram", gram])
     assert code == EXIT_INVALID and out == ""
     assert err == f"error: invalid lattice: {TOO_LONG}\n"

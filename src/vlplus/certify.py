@@ -29,23 +29,25 @@ A certificate holds one row of justifications per label.  The labels of
 one lowest weight whose row WeightGap decides alone share that row, and
 only the pairs WeightGap leaves open walk the rest of the chain.  Its
 text is written a row at a time (ExtCertificate.chunks), never as one
-string.  A certificate file is verified by re-deriving it (verify_text)
-and comparing the file's text with it chunk by chunk: a file whose text
-is what certify writes for the lattice is verified by that equality
-alone, and any other file, where the comparison stops at the first chunk
-that differs, is parsed and re-checked record by record
-(verify_certificate).  A v1 certificate lists all n^2 ordered pairs of
-the n labels, so certify and verify_text refuse a lattice whose census
-size (module_count) makes more than TooManyPairs.limit pairs, before
-taking the census.
+string.  A certificate file is verified by re-deriving it (verify_stream)
+and comparing each chunk with the file's next characters as it is read,
+never holding its text: a file whose text is what certify writes for the
+lattice is verified by that equality alone, and any other file, where
+the comparison stops at the first chunk that differs, is read whole,
+parsed and re-checked record by record (verify_certificate).  A v1
+certificate lists all n^2 ordered pairs of the n labels, so certify and
+verify_stream refuse a lattice whose census size (module_count) makes
+more than TooManyPairs.limit pairs, before taking the census.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 
 from .branching import frame_choices
 from .lattice import EvenLattice, LatticeError, orthogonal_sublattice, sublattice_orbit_count
@@ -105,11 +107,11 @@ CITATIONS = {
 class TooManyPairs(LatticeError):
     """A census with more ordered pairs than a v1 certificate is built for.
 
-    Through the CLI, A1^8's 1,048,576 pairs take about 1.0-1.6 s and
+    Through the CLI, A1^8's 1,048,576 pairs take about 1.1-1.7 s and
     28 MB of peak RSS to certify and write a row at a time (413 MB), and
-    1.5-2.3 s and 0.8 GB to verify, which holds the file's text; the
-    limit, twice that count, keeps a file under about 1 GB and its
-    verification under about 2 GB.
+    0.9-1.5 s and 30 MB to verify, comparing the file as it is read (a
+    file that differs is read whole); the limit, twice that count, keeps
+    a file under about 1 GB.
     """
 
     limit = 1 << 21
@@ -514,40 +516,50 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
 # ---------------------------------------------------------------------------
 
 def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
-    """Verify a certificate file's text: verify_certificate's problems,
-    found by re-deriving the file before parsing any of it, and the
-    verdict of a file that has none (None when there are problems).
+    """verify_stream over the text of a certificate file."""
+    return verify_stream(L, io.StringIO(text))
 
-    The text is compared with the re-derived certificate's chunks() as
-    they are made, and the comparison stops at the first chunk that
-    differs: a file in another layout stops at the head, before any row
-    is encoded.  If text is certify(L).dumps(), every chunk matches and
-    the text ends with the last; there are no problems, and the verdict
-    is the re-derived certificate's.  Every record certify writes is, by
+
+def verify_stream(L: EvenLattice, fh) -> tuple[list[str], str | None]:
+    """Verify a certificate file read from fh: verify_certificate's
+    problems, found by re-deriving the file before parsing any of it, and
+    the verdict of a file that has none (None when there are problems).
+
+    The re-derived certificate's chunks() are compared, as they are made,
+    with as many characters read from fh, and the comparison stops at the
+    first chunk that differs: a file in another layout stops at the head,
+    before any row is encoded.  fh is read forward only, never whole
+    while the chunks match, and never seeked, so a pipe serves.  If the
+    file is certify(L).dumps(), every chunk matches and one more read
+    finds its end; there are no problems, and the verdict is the
+    re-derived certificate's.  Every record certify writes is, by
     construction, the value its rule (and route) returns for that pair,
     which is what the per-record check recomputes and compares; each pair
     is written once, justified or unknown; the verdict is the one its
     unknown list gives; and the metadata holds the defaults.  So
-    verify_certificate returns [] on the parsed text, and byte equality is
-    as strong a check as the per-record one.  Any other text (a disabled
-    rule, "lower" or "-1" metadata, another layout, any tampering) is
-    parsed and checked record by record over the context the re-derivation
-    built, and a file without problems has the verdict it records, which
-    the check found consistent with its unknown list.  ValueError if the
-    text is not a certificate file; TooManyPairs for a census too large to
-    certify.
+    verify_certificate returns [] on the parsed text, and equality is as
+    strong a check as the per-record one.  Any other file (a disabled
+    rule, "lower" or "-1" metadata, another layout, any tampering) has its
+    text rebuilt from the chunks that matched, the characters that did
+    not and the rest of fh, and is parsed and checked record by record
+    over the context the re-derivation built; a file without problems has
+    the verdict it records, which the check found consistent with its
+    unknown list.  ValueError if the file is not a certificate file (or
+    does not decode); TooManyPairs for a census too large to certify.
     """
     ctx = _Context(L)
     derived = _certify(ctx)
-    end = 0
+    matched = 0
     for chunk in derived.chunks():
-        if not text.startswith(chunk, end):
+        read = fh.read(len(chunk))
+        if read != chunk:
             break
-        end += len(chunk)
+        matched += 1
     else:
-        if end == len(text):
+        read = fh.read(1)
+        if not read:
             return [], derived.verdict
-    cert = load_certificate(text)
+    cert = load_certificate("".join(islice(derived.chunks(), matched)) + read + fh.read())
     problems = verify_certificate(L, cert, ctx=ctx)
     return problems, None if problems else cert["verdict"]
 
@@ -564,7 +576,7 @@ def verify_certificate(L: EvenLattice, cert, *, ctx: _Context | None = None) -> 
     the format, and the metadata must hold the lattice's series
     denominator, the fixed rule order and a known convention.  ctx, a
     _Context of L, saves building another.  A certificate file goes
-    through verify_text, which calls this only for text that differs
+    through verify_stream, which calls this only for a file that differs
     from what certify writes.
     """
     if not isinstance(cert, dict):

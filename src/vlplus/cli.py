@@ -35,7 +35,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
-from .certify import ALL_RULES, VERDICT_RATIONAL, certify, verify_text
+from .certify import ALL_RULES, VERDICT_RATIONAL, certify, verify_stream
 from .fusion import SignOracle, fusion_dim
 from .lattice import (
     LatticeError,
@@ -299,7 +299,7 @@ def cmd_certify(L, args, out):
             raise CliError(f"--verify re-checks a certificate file and takes no {' or '.join(given)}")
         try:
             with open(args.verify) as fh:
-                problems, verdict = verify_text(L, fh.read())
+                problems, verdict = verify_stream(L, fh)
         except LatticeError:  # a census too large to certify: not about the file
             raise
         except (OSError, ValueError) as e:

@@ -835,6 +835,85 @@ def test_verify_names_an_incomplete_verdict_of_certify_bytes_unparsed(tmp_path, 
         == (EXIT_INCOMPLETE, "certificate verified\tverdict\tIncomplete\n", "")
 
 
+# runs argv and prints its exit code and peak RSS in KiB; a child's
+# ru_maxrss counts the RSS of the process it was started from, so commands
+# are measured from this bare interpreter, which is smaller than any of them
+PEAK_RSS = """import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_verify_peaks_within_eight_megabytes_of_writing(tmp_path):
+    # --verify compares the file with the re-derived chunks as it reads it,
+    # never holding the file's text: on A1^6 (a 25 MB file) it peaks near
+    # certify --out's 18 MB, where reading the text whole peaked at 65 MB
+    gram = write_gram(tmp_path, [[2 * (i == j) for j in range(6)] for i in range(6)])
+    cert = str(tmp_path / "cert.json")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    peaks = []
+    for flag in ("--out", "--verify"):
+        run = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "vlplus.cli",
+                              "certify", "--gram", gram, flag, cert],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, timeout=60)
+        code, peak = map(int, run.stdout.split()[-2:])
+        assert code == EXIT_OK, (flag, run.stdout, run.stderr)
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 8 * 1024, peaks
+
+
+def test_verify_reads_a_pipe_as_it_reads_a_path(tmp_path, capsys):
+    # --verify never seeks: each file piped to /dev/stdin gets the exit code
+    # and stdout it gets by path, on the equal-bytes path, the per-record
+    # path, a problem and a file cut mid-row that does not parse
+    diag26 = [[2, 0], [0, 6]]
+    chunks = list(certify(validate_even_lattice(diag26)).chunks())
+    text = "".join(chunks)
+    perturbed = json.loads(text)
+    j = next(p["justification"] for p in perturbed["pairs"]
+             if p["justification"]["rule"] == "WeightGap")
+    j["detail"]["gap"] += "0"
+    files = {"written": (text, EXIT_OK),
+             "reindented": (json.dumps(json.loads(text), indent=1), EXIT_OK),
+             "perturbed": (json.dumps(perturbed, sort_keys=True, indent=2), EXIT_INCOMPLETE),
+             "cut": (chunks[0] + chunks[1][:len(chunks[1]) // 2], EXIT_INVALID)}
+    gram = write_gram(tmp_path, diag26)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for name, (content, code) in files.items():
+        path = tmp_path / f"{name}.cert"
+        path.write_text(content)
+        by_path = run_cli(capsys, ["certify", "--gram", gram, "--verify", str(path)])
+        piped = subprocess.run([sys.executable, "-m", "vlplus.cli", "certify", "--gram", gram,
+                                "--verify", "/dev/stdin"], input=content, capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert by_path[0] == code, name
+        assert (piped.returncode, piped.stdout) == by_path[:2], name
+
+
+def test_verify_reads_the_file_as_text(tmp_path, capsys, monkeypatch):
+    # the file is opened in text mode: a CRLF copy of certify's bytes reads
+    # as certify's text and verifies by equality, with no JSON parsed, and a
+    # byte that does not decode, inside a row, is a file that cannot be loaded
+    def refuse(text):
+        raise AssertionError("a certificate that certify wrote was parsed")
+
+    monkeypatch.setattr(sys.modules["vlplus.certify"], "load_certificate", refuse)
+    gram = [[2 * (i == j) for j in range(4)] for i in range(4)]
+    chunks = list(certify(validate_even_lattice(gram)).chunks())
+    gram_path, cert = write_gram(tmp_path, gram), tmp_path / "cert.json"
+    data = "".join(chunks).encode()
+    cert.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(cert)]) \
+        == (EXIT_OK, "certificate verified\n", "")
+    inside = len(chunks[0]) + len(chunks[1]) // 2
+    cert.write_bytes(data[:inside] + b"\xff" + data[inside + 1:])
+    code, out, err = run_cli(capsys, ["certify", "--gram", gram_path, "--verify", str(cert)])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: cannot load certificate: ") and "0xff" in err, err
+
+
 # the sign entry an A1 query reads from each table, and that query
 ORACLE_QUERIES = {"pi": ("1/2|1", ["C[1/2]+", "C[1/2]+", "V+"]),
                   "c": ("0|1/2", ["C[1/2]+", "T[0]+", "T[0]-"])}

@@ -19,18 +19,20 @@ product at the integer or at the half-integer exponents.
 Each inverse Euler product is the d-th power of a quotient of P(t) =
 prod (1 - t^n), t = q or q^(1/2): partition numbers from Euler's
 pentagonal recurrence times P's few pentagonal terms.  Every product of
-coefficient lists is one big-integer multiplication (Kronecker
-substitution, _convolve), exact because it is integer arithmetic with a
-digit wide enough for every coefficient.
+coefficient lists, series products included, is one big-integer
+multiplication (Kronecker substitution, _convolve), exact because it is
+integer arithmetic with a digit wide enough for every coefficient.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 
 from .lattice import CosetElement, EvenLattice, coset_norm_counts
 from .sectors import LabelKind, ModuleLabel, label_coset, series_denominator, twisted_dimension
@@ -65,7 +67,7 @@ class QSeries:
         return Fraction(self.order_key, self.denom)
 
     def terms(self) -> dict[Fraction, int]:
-        return {Fraction(k, self.denom): v for k, v in sorted(self.nums.items())}
+        return {_exponent(k, self.denom): v for k, v in sorted(self.nums.items())}
 
     def __eq__(self, other) -> bool:
         # no constructor stores a zero, so on one grid equal series store equal integers
@@ -76,7 +78,7 @@ class QSeries:
 
     def __hash__(self):
         # grid-free, as equality aligns grids
-        return hash((self.order, frozenset((Fraction(k, self.denom), v) for k, v in self.nums.items())))
+        return hash((self.order, frozenset((_exponent(k, self.denom), v) for k, v in self.nums.items())))
 
     def __repr__(self) -> str:
         parts = [f"{c}*q^{e}" for e, c in list(self.terms().items())[:6]]
@@ -117,21 +119,35 @@ class QSeries:
         return QSeries(self.denom, self.order_key, {k: v // 2 for k, v in self.nums.items()})
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """One _convolve of both operands packed on the common stride of
+        their keys, or, when the finer operand fills only some of the
+        residue classes mod the coarser one's stride that it could, one per
+        class present packed on that stride, so no row pads the coarser."""
         a, b = _align(self, other)
-        if a.nums and min(a.nums) < 0 or b.nums and min(b.nums) < 0:
-            raise ValueError("truncated products require nonnegative exponents")
         order_key = min(a.order_key, b.order_key)
+        an, bn = a.nums, b.nums
+        a0, b0 = min(an, default=order_key), min(bn, default=order_key)
+        if a0 < 0 or b0 < 0:
+            raise ValueError("truncated products require nonnegative exponents")
+        ga, gb = math.gcd(*map(a0.__rsub__, an)), math.gcd(*map(b0.__rsub__, bn))  # k - a0, k - b0
+        if ga > gb:
+            an, a0, bn, b0, ga, gb = bn, b0, an, a0, gb, ga
+        g = math.gcd(ga, gb) or 1
+        classes = [an]
+        if gb > g:
+            residues: dict[int, dict[int, int]] = {}
+            for k, v in an.items():
+                residues.setdefault(k % gb, {})[k] = v
+            if len(residues) < gb // g:
+                classes, g = list(residues.values()), gb
         nums: dict[int, int] = {}
-        bi = sorted((k, v) for k, v in b.nums.items() if k < order_key)
-        for k1, v1 in a.nums.items():
-            if k1 >= order_key:
-                continue
-            lim = order_key - k1
-            for k2, v2 in bi:
-                if k2 >= lim:
-                    break
-                nums[k1 + k2] = nums.get(k1 + k2, 0) + v1 * v2
-        return QSeries(a.denom, order_key, {k: v for k, v in nums.items() if v})
+        row = _dense(bn, b0, g, -((a0 + b0 - order_key) // g))
+        for cls in classes:
+            k0 = min(cls, default=order_key)
+            n = -((k0 + b0 - order_key) // g)  # the product's slots k0 + b0 + g i < order_key
+            c = _convolve(_dense(cls, k0, g, n), row, n)
+            nums.update(compress(zip(range(k0 + b0, order_key, g), c), c))
+        return QSeries(a.denom, order_key, nums)
 
     def shifted(self, e) -> "QSeries":
         """Multiply by q^e; the truncation order moves with the terms."""
@@ -144,11 +160,20 @@ class QSeries:
         return QSeries(self.denom, self.order_key + k, {kk + k: v for kk, v in self.nums.items()})
 
 
+_exponent = lru_cache(maxsize=None)(Fraction)  # key / denom, built once per grid point
+
+
 def _key(order, denom: int) -> int:
     k = Fraction(order) * denom
     if k.denominator != 1:
         raise ValueError(f"order {order} is not on the grid 1/{denom}")
     return int(k)
+
+
+def _dense(nums: dict[int, int], base: int, step: int, size: int) -> list[int]:
+    """The coefficients of nums at the keys base + step i, i < size (none if size <= 0)."""
+    stop = min(base + step * size, max(nums, default=base) + 1)
+    return list(map(nums.get, range(base, stop, step), repeat(0)))
 
 
 def _align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
@@ -237,14 +262,15 @@ def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     Kronecker substitution: each list is evaluated at B = 2^(8w), with w
     bytes enough for any product coefficient and its sign: |sum a_i b_j|
     < 2^bits, bits = bit lengths of max|a|, max|b| and min(len(a),
-    len(b)), and 8w - 1 >= bits.  A coefficient c is packed as the w-byte
-    digit c + B/2, which lies in [0, B), and the bias of those digits is
-    taken off as one integer.  One big-integer product then holds every
-    product coefficient r_k as sum r_k B^k, and adding the bias back to
-    its low digits makes each of them r_k + B/2 in [0, B): the r_k are
-    read off digit by digit, with no carry between them.  All of it is
-    integer arithmetic, so the result is exact.  A one-term operand is a
-    scalar and skips the packing.
+    len(b)), and 8w - 1 >= bits (w is 1, 2, 4 or 8 below 64 bits, which
+    struct packs).  A list's two's-complement digits c mod B, each top
+    bit flipped by XOR with the bias (n digits of h = B/2), are c + h;
+    taking off the bias leaves sum c_k B^k.  One big-integer product holds
+    every product coefficient r_k as sum r_k B^k; adding the bias makes
+    its low n digits r_k + h in [0, B), with no carry between them, and
+    the XOR turns them back into r_k mod B, read as signed digits.  All
+    of it is integer arithmetic, so the result is exact.  A one-term
+    operand is a scalar and skips the packing.
     """
     square = a is b
     a, b = a[:size], b[:size]
@@ -257,23 +283,24 @@ def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     n = min(size, len(a) + len(b) - 1)
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length())
-    w = bits // 8 + 1
-    half = 1 << (8 * w - 1)
-    x = _pack(a, w, half)
-    z = x * x if square else x * _pack(b, w, half)
-    raw = ((z + _bias(n, w)) & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    w = bits // 8 + 1 if bits > 63 else 1 << (bits // 8).bit_length()
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    x = _pack(a, w, bias)
+    z = x * x if square else x * _pack(b, w, bias)
+    raw = (((z + bias) ^ bias) & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    if w in _FORMATS:
+        return list(struct.unpack(f"<{n}{_FORMATS[w]}", raw))
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * n, w)]
 
 
-def _bias(n: int, w: int) -> int:
-    """sum over k < n of 2^(8w - 1) 2^(8wk): the bias of n packed digits."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's little-endian signed w-byte digits
 
 
-def _pack(c: Sequence[int], w: int, half: int) -> int:
-    """sum c_k 2^(8wk) for |c_k| < half = 2^(8w - 1)."""
-    digits = b"".join([(v + half).to_bytes(w, "little") for v in c])
-    return int.from_bytes(digits, "little") - _bias(len(c), w)
+def _pack(c: Sequence[int], w: int, bias: int) -> int:
+    """sum c_k 2^(8wk) for |c_k| < 2^(8w - 1); bias has at least len(c) digits."""
+    raw = (struct.pack(f"<{len(c)}{_FORMATS[w]}", *c) if w in _FORMATS
+           else b"".join([v.to_bytes(w, "little", signed=True) for v in c]))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _power(row: Sequence[int], d: int, size: int) -> list[int]:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,13 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import A1, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, truncate
+from conftest import A1, A2, D24, E6, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, truncate
 from vlplus.intmat import rational_inverse
-from vlplus.lattice import coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
+from vlplus import qseries
+from vlplus.branching import branch_sublattice
+from vlplus.lattice import _gram_schmidt, coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
 from vlplus.qseries import (
     QSeries,
     _convolve,
     character,
+    coset_character_sum,
     euler_product_inv,
     series_denominator,
     theta_coset,
@@ -431,6 +435,118 @@ coefficients = (st.integers(-3, 3) | st.integers(-(2**80), 2**80)
 def test_convolve_is_the_schoolbook_truncated_product(a, b, size):
     assert _convolve(a, b, size) == schoolbook(a, b, size)
     assert _convolve(a, a, size) == schoolbook(a, a, size)
+
+
+def pairwise_product(a, b):
+    """a * b term by term: every pair of terms whose exponents sum below the
+    lesser order, on the common grid, with no zero stored."""
+    denom = math.lcm(a.denom, b.denom)
+    a, b = a.rescale(denom), b.rescale(denom)
+    if a.nums and min(a.nums) < 0 or b.nums and min(b.nums) < 0:
+        raise ValueError("truncated products require nonnegative exponents")
+    order_key = min(a.order_key, b.order_key)
+    nums = {}
+    bi = sorted((k, v) for k, v in b.nums.items() if k < order_key)
+    for k1, v1 in a.nums.items():
+        if k1 >= order_key:
+            continue
+        lim = order_key - k1
+        for k2, v2 in bi:
+            if k2 >= lim:
+                break
+            nums[k1 + k2] = nums.get(k1 + k2, 0) + v1 * v2
+    return QSeries(denom, order_key, {k: v for k, v in nums.items() if v})
+
+
+# grids with common factors and coprime pairs (3 and 16, 5 and 48, 7 and 96)
+PRODUCT_GRIDS = (1, 2, 3, 5, 7, 16, 48, 96)
+
+
+@st.composite
+def product_operands(draw):
+    """A series on one of PRODUCT_GRIDS: a sparse support anywhere below the
+    order, or a dense run on some stride from a shifted first key; the
+    order's last key is drawn often, so products reach the order exactly."""
+    denom = draw(st.sampled_from(PRODUCT_GRIDS))
+    order_key = draw(st.integers(0, 160))
+    if order_key and draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, order_key - 1) | st.just(order_key - 1), max_size=8))
+    else:
+        stride = draw(st.sampled_from((1, 2, 3, denom, 2 * denom)))
+        start = draw(st.integers(0, max(order_key - 1, 0)))
+        keys = range(start, order_key, stride)[:draw(st.integers(0, 40))]
+    nums = {k: draw(coefficients) for k in keys}
+    return QSeries(denom, order_key, {k: v for k, v in nums.items() if v})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(product_operands(), product_operands())
+@example(QSeries(1, 5, {}), QSeries(3, 6, {0: 1, 7: 2}))                  # an empty operand
+@example(QSeries(16, 32, {5: -3}), QSeries(3, 6, {0: 1, 2: 2, 4: 5}))     # one term
+@example(QSeries(2, 4, {3: 2**70}), QSeries(2, 4, {0: 2**65 + 1, 1: -(2**64)}))  # past 2^64
+@example(QSeries(1, 6, {0: 1, 3: 1, 5: 1}), QSeries(1, 6, {1: 1, 2: 1, 3: 1}))  # sums at 6 dropped
+@example(QSeries(48, 96, {0: 1, 48: 1}), QSeries(48, 96, {0: 1, 48: -1}))       # cancels at q^1
+@example(QSeries(7, 21, {1: 2, 8: 1}), QSeries(96, 288, {0: 1, 96: 2, 192: 1}))  # coprime grids
+@example(QSeries(1, 5, {-1: 1}), QSeries(1, 5, {0: 1}))                  # negative exponent
+@example(QSeries(2, 3, {0: 1}), QSeries(16, 20, {-4: 1}))
+@example(QSeries(1, 4, {}), QSeries(1, 4, {-2: 1}))
+def test_series_product_is_the_pairwise_product(a, b):
+    # the same grid, order and stored integers, or a ValueError from both
+    assert fields_or_error(operator.mul, a, b) == fields_or_error(pairwise_product, a, b)
+    assert fields_or_error(operator.mul, b, a) == fields_or_error(pairwise_product, a, b)
+
+
+def packed_lengths(monkeypatch):
+    """Record the length of every list that _convolve packs."""
+    lengths = []
+    convolve = qseries._convolve
+
+    def recording(a, b, size):
+        lengths.extend((len(a[:size]), len(b[:size])))
+        return convolve(a, b, size)
+
+    monkeypatch.setattr(qseries, "_convolve", recording)
+    return lengths
+
+
+def test_sparse_products_on_a_fine_grid_pack_no_dense_rows(monkeypatch):
+    # keys {0, 5, 691195} x {0, 345600} below 691200 on the grid 1/345600:
+    # one stride for both would be 5, and rows of 138,240 and 69,121 slots
+    a = QSeries(345600, 691200, {0: 1, 5: 2, 691195: 3})
+    b = QSeries(345600, 691200, {0: 4, 345600: 5})
+    lengths = packed_lengths(monkeypatch)
+    assert a * b == pairwise_product(a, b)
+    assert b * a == pairwise_product(a, b)
+    assert lengths and max(lengths) <= len(a.nums) + len(b.nums)
+
+
+def test_operands_filling_every_residue_class_pack_once(monkeypatch):
+    # 2 terms on the stride 288 times 12 on the stride 48, below 576: the
+    # finer operand fills all six classes mod 288, so both pack on 48 at once
+    a = QSeries(48, 576, {0: 3, 288: -1})
+    b = QSeries(48, 576, {48 * i: i + 1 for i in range(12)})
+    lengths = packed_lengths(monkeypatch)
+    assert a * b == pairwise_product(a, b)
+    assert sorted(lengths) == [7, 12]
+
+
+def test_e6_index_240_character_sum_packs_no_dense_rows(monkeypatch):
+    # the Gram-Schmidt sublattice of E6 has index 240 and the series grid
+    # 1/345600; its summed theta and Euler product meet in one product
+    L = lat(E6)
+    bl = branch_sublattice(L, _gram_schmidt(L).basis, VAC_PLUS)
+    order = F(4)
+    expected = coset_character_sum(bl.sublattice, bl.parts, order)  # warms every cache
+    operands, multiply = [], QSeries.__mul__
+
+    def recording(a, b):
+        operands.append(len(a.nums) + len(b.nums))
+        return multiply(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", recording)
+    lengths = packed_lengths(monkeypatch)
+    assert coset_character_sum(bl.sublattice, bl.parts, order) == expected
+    assert operands and lengths and max(lengths) <= max(operands)
 
 
 # ---------------------------------------------------------------------------

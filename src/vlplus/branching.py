@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
 
 from .lattice import (
@@ -41,6 +41,7 @@ from .lattice import (
     NotOrthogonalBase,
     Sublattice,
     _canonical,
+    _fraction,
     epsilon_cocycle,
     integral_coords,
     orthogonal_sublattice,
@@ -81,7 +82,8 @@ class BranchList:
     An orthogonal branching is given by choices (the labels factor i
     offers) and the parent's sign; parts is derived from them here, as
     the combinations whose signs multiply to the parent's (all of them
-    for an orbit parent), so it is never passed alongside choices.  Any
+    for an orbit parent), so it is never passed alongside choices; the
+    filter multiplies per-factor sign tuples, each label's read once.  Any
     other branching is over a sublattice, and its parts are untwisted
     labels or a single twisted block: the two shapes branch_sublattice
     makes, and the two that branch_character computes.
@@ -101,11 +103,11 @@ class BranchList:
                 raise ValueError("an orthogonal branching derives its parts from its choices")
             if self.factors is None or len(self.factors) != len(self.choices):
                 raise ValueError("an orthogonal branching needs one factor per choice")
-            sign = label_sign(self.parent)
-            object.__setattr__(self, "parts", tuple(
-                combo for combo in product(*self.choices)
-                if sign is None or prod(map(label_sign, combo)) == sign
-            ))
+            sign, parts = label_sign(self.parent), product(*self.choices)
+            if sign is not None:
+                signs = product(*(tuple(map(label_sign, c)) for c in self.choices))
+                parts = compress(parts, [prod(t) == sign for t in signs])
+            object.__setattr__(self, "parts", tuple(parts))
         elif self.sublattice is None:
             raise ValueError("a branching without choices needs a sublattice")
         elif not (all(isinstance(p, ModuleLabel) and p.kind != LabelKind.TWISTED for p in self.parts)
@@ -265,7 +267,7 @@ def branch_character(bl: BranchList, order) -> QSeries:
     Euler product; a twisted parent's single block is its multiplicity
     times the character of T[0] of that sign over the sublattice.
     """
-    order = Fraction(order)
+    order = _fraction(order)
     if bl.choices is not None:
         a = _factor_product(bl.factors, bl.choices, order, False)
         sign = label_sign(bl.parent)
@@ -283,5 +285,5 @@ def branch_character(bl: BranchList, order) -> QSeries:
 
 def verify_branch(bl: BranchList, order) -> bool:
     """Exact character identity: parent equals the sum of the parts."""
-    order = Fraction(order)
+    order = _fraction(order)
     return character(bl.parent_lattice, bl.parent, order) == branch_character(bl, order)

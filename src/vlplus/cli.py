@@ -31,7 +31,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
@@ -186,10 +186,10 @@ def _parse_order(text) -> Fraction:
 
 
 def _check_grids(order: Fraction, lattices) -> None:
-    """Exit 2 unless the order lies on the series grid of every lattice."""
+    """Exit 2 unless the order lies on the series grid 1/n of every lattice: its denominator divides n."""
     for M in lattices:
         n = series_denominator(M)
-        if (order * n).denominator != 1:
+        if n % order.denominator:
             raise CliError(f"order {order} is not on the grid 1/{n} of the characters")
 
 
@@ -255,7 +255,11 @@ def cmd_decompose(L, args, out):
                 raise CliError(f"--sublattice takes auto, orthogonal-base, or a JSON basis ({e})")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
-    counts = Counter(map(_part_str, bl.parts))
+    if bl.choices is not None:  # each factor label named once, not once per part
+        name = {lab: format_label(lab) for lab in set(chain(*bl.choices))}
+        counts = Counter(" (x) ".join(map(name.__getitem__, p)) for p in bl.parts)
+    else:
+        counts = Counter(map(_part_str, bl.parts))
     ok = verify_branch(bl, order)
     rows = sorted(counts.items())
     if args.format == "json":
@@ -285,8 +289,6 @@ def _parse_basis(data, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _part_str(p) -> str:
-    if isinstance(p, tuple):
-        return " (x) ".join(map(format_label, p))
     if isinstance(p, TwistedBlockPart):
         sign = "+" if p.sign == 1 else "-"
         return f"twisted-block[{sign}]x{p.multiplicity}"

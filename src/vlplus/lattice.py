@@ -240,16 +240,21 @@ def _diagonal(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     return tuple(gram[i][i] for i in range(n))
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction: x itself when it is one, so an entry builds at most one."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _scaled(lam) -> tuple[int, list[int]]:
     """(D, nums) with lam = nums / D and D the least common denominator."""
-    lam = [Fraction(x) for x in lam]
+    lam = list(map(_fraction, lam))
     D = math.lcm(*(x.denominator for x in lam))
     return D, [x.numerator * (D // x.denominator) for x in lam]
 
 
 def _budget(bound, scale: int) -> int:
     """Largest integer S with S / scale <= bound, for a nonnegative bound."""
-    bound = Fraction(bound)
+    bound = _fraction(bound)
     if bound < 0:
         raise BoundNegative("enumeration bound must be nonnegative")
     return scale * bound.numerator // bound.denominator
@@ -730,23 +735,30 @@ def _frame(L: EvenLattice) -> Sublattice | None:
     return F if F.index <= QuotientTooLarge.limit else None
 
 
-def _add_rank_one_product(total: dict[int, int], factors, E: int, cap: int, mult: int) -> None:
-    """Add mult times {T: count} of T = sum_b n_b w_b^2 <= cap over w_b = x_b (mod E),
-    for (n_b, x_b) in factors, to total: each factor's values are counted and
-    convolved, truncated at cap, and the last convolution lands in total."""
-    counts = {0: mult}
-    last = len(factors) - 1
-    for i, (n, x) in enumerate(factors):
-        r = math.isqrt(cap // n)
-        axis: dict[int, int] = {}
-        for w in range(x - E * ((x + r) // E), r + 1, E):  # w = x (mod E), |w| <= r
-            axis[n * w * w] = axis.get(n * w * w, 0) + 1
-        out = total if i == last else {}
-        for s1, n1 in counts.items():
-            for s2, n2 in axis.items():
-                if s1 + s2 <= cap:
-                    out[s1 + s2] = out.get(s1 + s2, 0) + n1 * n2
-        counts = out
+@lru_cache(maxsize=None)
+def _rank_one_row(n: int, x: int, E: int, cap: int) -> dict[int, int]:
+    """{n w^2: count} over w = x (mod E) with n w^2 <= cap: one rank-one coset's norms."""
+    r = math.isqrt(cap // n)
+    row: dict[int, int] = {}
+    for w in range(x - E * ((x + r) // E), r + 1, E):  # w = x (mod E), |w| <= r
+        row[n * w * w] = row.get(n * w * w, 0) + 1
+    return row
+
+
+@lru_cache(maxsize=None)
+def _rank_one_product(key: tuple[tuple[int, int], ...], E: int, cap: int) -> dict[int, int]:
+    """{T: count} of T = sum_b n_b w_b^2 <= cap over w_b = x_b (mod E), for (n_b, x_b)
+    in key: the cached product of key's prefix times the row of its last factor.
+    Rows and products are shared by every caller, so none is ever written to."""
+    row = _rank_one_row(*key[-1], E, cap)
+    if len(key) == 1:
+        return row
+    out: dict[int, int] = {}
+    for s1, n1 in _rank_one_product(key[:-1], E, cap).items():
+        for s2, n2 in row.items():
+            if s1 + s2 <= cap:
+                out[s1 + s2] = out.get(s1 + s2, 0) + n1 * n2
+    return out
 
 
 def _frame_counts(F: Sublattice, lam: CosetElement, bound) -> tuple[int, dict[int, int]]:
@@ -754,9 +766,12 @@ def _frame_counts(F: Sublattice, lam: CosetElement, bound) -> tuple[int, dict[in
 
     A class's vectors, in F's coordinates, are w / E with w_b = x_b (mod E),
     E = lam.den * smith[-1], of norm T / E^2 for T = sum_b n_b w_b^2: a
-    product of rank-one cosets, counted once per sorted (n_b, x_b up to
-    sign), so a class and its negation share one product.  The scale is E^2.
-    A frame of index one has one class, lam itself in F's coordinates."""
+    product of rank-one cosets, keyed by the sorted (n_b, x_b up to sign),
+    so a class and its negation share one product: cached rank-one rows on
+    the cached product of the key's prefix (_rank_one_product), shared by
+    cosets and lattices of equal frame norms.  mult times it is added to
+    this call's own total.  The scale is E^2.  A frame of index one has one
+    class, lam itself in F's coordinates."""
     E = lam.den * F.smith[-1]
     norms = _diagonal(F.lattice.gram)
     classes: dict[tuple, int] = {}
@@ -766,7 +781,8 @@ def _frame_counts(F: Sublattice, lam: CosetElement, bound) -> tuple[int, dict[in
     cap = _budget(bound, E * E)
     total: dict[int, int] = {}
     for key, mult in classes.items():
-        _add_rank_one_product(total, key, E, cap, mult)
+        for T, n in _rank_one_product(key, E, cap).items():
+            total[T] = total.get(T, 0) + mult * n
     return E * E, total
 
 

@@ -21,7 +21,10 @@ prod (1 - t^n), t = q or q^(1/2): partition numbers from Euler's
 pentagonal recurrence times P's few pentagonal terms.  Every product of
 coefficient lists, series products included, is one big-integer
 multiplication (Kronecker substitution, _convolve), exact because it is
-integer arithmetic with a digit wide enough for every coefficient.
+integer arithmetic with a digit wide enough for every coefficient.  An
+order is one Fraction at each entry point (_fraction keeps one as it is)
+and integers below: grid keys, the theta cutoff and shifts compare
+numerators and denominators.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .lattice import CosetElement, EvenLattice, coset_norm_counts
+from .lattice import CosetElement, EvenLattice, _fraction, coset_norm_counts
 from .sectors import LabelKind, ModuleLabel, label_coset, series_denominator, twisted_dimension
 
 
@@ -150,13 +153,11 @@ class QSeries:
         return QSeries(a.denom, order_key, nums)
 
     def shifted(self, e) -> "QSeries":
-        """Multiply by q^e; the truncation order moves with the terms."""
-        e = Fraction(e)
-        k = e * self.denom
-        if k.denominator != 1:
-            denom = self.denom * k.denominator
-            return self.rescale(denom).shifted(e)
-        k = int(k)
+        """Multiply by q^e, on the grid lcm(denom, e's denominator); the order moves with the terms."""
+        e = _fraction(e)
+        k, r = divmod(e.numerator * self.denom, e.denominator)
+        if r:
+            return self.rescale(math.lcm(self.denom, e.denominator)).shifted(e)
         return QSeries(self.denom, self.order_key + k, {kk + k: v for kk, v in self.nums.items()})
 
 
@@ -164,10 +165,12 @@ _exponent = lru_cache(maxsize=None)(Fraction)  # key / denom, built once per gri
 
 
 def _key(order, denom: int) -> int:
-    k = Fraction(order) * denom
-    if k.denominator != 1:
+    """The grid key order * denom, in integers from the order's numerator and denominator."""
+    p, q = _fraction(order).as_integer_ratio()
+    k, r = divmod(p * denom, q)
+    if r:
         raise ValueError(f"order {order} is not on the grid 1/{denom}")
-    return int(k)
+    return k
 
 
 def _dense(nums: dict[int, int], base: int, step: int, size: int) -> list[int]:
@@ -348,10 +351,9 @@ def euler_product_inv(
     """
     if d < 0:
         raise ValueError("exponent must be nonnegative")
-    order = Fraction(order)
     order_key = _key(order, denom)
     unit = 2 if half_integer else 1
-    size = max(0, math.ceil(unit * order))
+    size = max(0, -(-unit * order_key // denom))  # ceil(unit * order)
     if d and half_integer and size > 1 and denom % 2:
         raise ValueError(f"exponent 1/2 is not on the grid 1/{denom}")
     c = _power(_euler_row(size, alternating, half_integer), d, size)
@@ -373,11 +375,10 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction) -> QSeries:
     rank-one sums, by coset_norm_counts' rule; a diagonal Gram is its own
     frame, of index one, and is never walked.  A coset whose least norm
     lam.norm_num / lam.den reaches 2 * order is zero, uncounted."""
-    order = Fraction(order)
     denom = series_denominator(L)
     order_key = _key(order, denom)
     nums: dict[int, int] = {}
-    if 2 * order * lam.den > lam.norm_num:
+    if 2 * order_key * lam.den > lam.norm_num * denom:
         scale, counts = coset_norm_counts(L, lam, Fraction(2 * (order_key - 1), denom))
         for S, n in counts.items():
             k, r = divmod(S * denom, 2 * scale)
@@ -404,7 +405,7 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     product over the half-integer exponents: the terms of h at integer
     exponents for T+, at half-integer ones for T-, with no division.
     """
-    order = Fraction(order)
+    order = _fraction(order)
     if m.kind in THETA_PSI:
         return coset_character_sum(L, (m,), order)
     # twisted: build at a shifted order so the final truncation is exact
@@ -431,7 +432,7 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     thetas, integer counts, are summed in integers and each Euler product
     is taken once for the whole sum.  A label whose coset's least norm
     reaches 2 * order adds no theta and its coset is not counted."""
-    order = Fraction(order)
+    order = _fraction(order)
     denom = series_denominator(L)
     twice: dict[int, int] = {}
     psi_weight = 0

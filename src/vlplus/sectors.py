@@ -293,17 +293,22 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     raise ValueError(f"unrecognized module label {text!r}")
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def read_rational(text: str) -> Fraction:
     """An optionally signed integer or p/q over ASCII digits, as a Fraction.
 
     ValueError naming the text for any other form, a zero denominator or
     a part past Python's int-to-str digit limit.  Fraction() alone would
-    also take an exponent, whose 10^exp can take seconds to build.
+    also take an exponent, whose 10^exp can take seconds to build.  The
+    parts its one pattern matched are read as ints, and the text no further.
     """
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+    if not (match := _RATIONAL.fullmatch(text)):
         raise ValueError(f"{text!r:.60} is not an integer or p/q")
+    p, q = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError:
         raise ValueError(f"{text!r:.60} has a zero denominator")
     except ValueError:

@@ -2,6 +2,8 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from itertools import product
+from math import prod
 from operator import mul
 
 import pytest
@@ -529,6 +531,24 @@ def test_orthogonal_parts_are_derived_from_choices():
     with pytest.raises(ValueError):
         BranchList(parent_lattice=L, parent=VAC_PLUS, parts=bl.parts, factors=bl.factors,
                    choices=bl.choices)
+
+
+def per_combination_parts(bl: BranchList):
+    """Oracle: the combinations of bl's choices whose label signs multiply to
+    the parent's, each combination's signs read and multiplied on its own."""
+    sign = label_sign(bl.parent)
+    return tuple(combo for combo in product(*bl.choices)
+                 if sign is None or prod(map(label_sign, combo)) == sign)
+
+
+@pytest.mark.parametrize("gram", [g for g in TEST_GRAMS + LADDER_GRAMS if lat(g).is_diagonal()])
+def test_orthogonal_parts_are_the_per_combination_sign_filter(gram):
+    L = lat(gram)
+    for m in classify_modules(L):
+        bl = branch_orthogonal(L, m)
+        assert bl.parts == per_combination_parts(bl), (gram, format_label(m))
+        if label_sign(m) is not None and len(bl.choices) > 1:
+            assert len(bl.parts) < prod(map(len, bl.choices)), (gram, format_label(m))
 
 
 def test_branch_list_refuses_shapes_that_no_route_makes():

@@ -8,16 +8,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import A1, A1_4, A2, D24, E8, LADDER_GRAMS, TEST_GRAMS, even_grams
 from test_certify import PINNED_DIGESTS
 from vlplus.certify import certify
-from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
+from vlplus.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, CliError, _check_grids, main
 from vlplus.lattice import validate_even_lattice
-from vlplus.sectors import classify_modules, format_label
+from vlplus.sectors import classify_modules, format_label, series_denominator
 
 
 def write_gram(tmp_path, gram, name="gram.json"):
@@ -992,6 +993,41 @@ def test_orders_on_every_grid_still_run(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.splitlines() == ["part\tmultiplicity", "C[1/2,1/2]+\t1", "U[0,1/3]\t1",
                                 "U[1/2,1/6]\t1", "V+\t1", "verified\ttrue\torder\t49/48"]
+
+
+def fraction_check_grids(order, lattices):
+    """_check_grids as Fraction arithmetic: order * n must be an integer."""
+    for M in lattices:
+        n = series_denominator(M)
+        if (order * n).denominator != 1:
+            raise CliError(f"order {order} is not on the grid 1/{n} of the characters")
+
+
+def grid_verdict(check, order, lattices):
+    try:
+        check(order, lattices)
+    except CliError as e:
+        return str(e)
+    return None
+
+
+# grids 1/16 (A1, E8), 1/48 (A2, diag(2,6)), 1/32 (A1^4) and 1/96 (diag(2,4,6))
+GRID_LATTICES = [validate_even_lattice(g) for g in (
+    A1, A2, [[2, 0], [0, 6]], [[2 * (i == j) for j in range(4)] for i in range(4)], E8,
+    [[2, 0, 0], [0, 4, 0], [0, 0, 6]])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**4 * 192), st.sampled_from((1, 2, 3, 5, 7, 16, 32, 48, 64, 96, 192, 10**4)),
+       st.lists(st.sampled_from(GRID_LATTICES), min_size=1, max_size=3))
+@example(4, 3, GRID_LATTICES[:1])             # 4/3 off A1's grid 1/16: the first lattice's message
+@example(10, 7, GRID_LATTICES[1:2])
+@example(4, 3, GRID_LATTICES[2:0:-1] + GRID_LATTICES[:1])
+@example(49, 48, GRID_LATTICES[1:3])          # on 1/48 for both
+@example(49, 48, GRID_LATTICES[1:4])          # off A1^4's grid 1/32
+def test_check_grids_is_the_fraction_check(num, den, lattices):
+    order = Fraction(num, den)
+    assert grid_verdict(_check_grids, order, lattices) == grid_verdict(fraction_check_grids, order, lattices)
 
 
 def test_env_var_defaults(tmp_path, capsys, monkeypatch):

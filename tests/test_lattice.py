@@ -553,6 +553,37 @@ def test_frame_counts_match_the_walker_on_generated_grams(gram, bound):
     assert_frame_counts_match_the_walker(lat(gram), [bound])
 
 
+def diagonal(*norms):
+    return [[n * (i == j) for j in range(len(norms))] for i, n in enumerate(norms)]
+
+
+# lattices whose frames share norms: A1^4 and A1^5, diag(2,4,6) and
+# diag(2,4,6,8), E8 and its frame A1^8
+SHARED_FRAME_NORMS = [(diagonal(2, 2, 2, 2), diagonal(2, 2, 2, 2, 2)),
+                      (diagonal(2, 4, 6), diagonal(2, 4, 6, 8)),
+                      (E8, diagonal(*[2] * 8))]
+
+
+@pytest.mark.parametrize("grams", SHARED_FRAME_NORMS + [g[::-1] for g in SHARED_FRAME_NORMS])
+def test_frame_counts_with_warm_caches_match_the_walker(grams):
+    # the rank-one rows and prefix products are cached across cosets and
+    # lattices; every count read from a warm cache is the walk's, and a
+    # caller that clears the counts it was handed changes no later count
+    from vlplus import lattice
+
+    lattice._rank_one_row.cache_clear()
+    lattice._rank_one_product.cache_clear()
+    for gram in grams:
+        L = lat(gram)
+        for lam in minimal_coset_reps(L):
+            for bound in (F(4), F(13, 2)):
+                for _ in range(2):
+                    by_frame, walked = frame_and_walk_counts(L, lam, bound)
+                    assert by_frame == walked, (gram, lam, bound)
+                    _frame_counts(_frame(L), lam, bound)[1].clear()
+    assert lattice._rank_one_product.cache_info().hits > 0
+
+
 @pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS + [E8])
 def test_frames_are_orthogonal_of_full_rank(gram):
     L = lat(gram)

@@ -822,3 +822,100 @@ def test_twisted_two_factor_split_identity():
         split = m_pm(d1, 1) * m_pm(d2, sign) + m_pm(d1, -1) * m_pm(d2, -sign)
         common = min(whole.order, split.order)
         assert truncate(whole, common) == truncate(split, common)
+
+
+# ---------------------------------------------------------------------------
+# the order in integers against the Fraction forms it replaced
+# ---------------------------------------------------------------------------
+
+def fraction_key(order, denom):
+    """The grid key as Fraction arithmetic: Fraction(order) * denom, a
+    ValueError off the grid."""
+    k = Fraction(order) * denom
+    if k.denominator != 1:
+        raise ValueError(f"order {order} is not on the grid 1/{denom}")
+    return int(k)
+
+
+def fraction_shifted(s, e):
+    """s.shifted(e) as Fraction arithmetic: e * denom, refining the grid by
+    its denominator when that is not 1."""
+    e = Fraction(e)
+    k = e * s.denom
+    if k.denominator != 1:
+        return fraction_shifted(s.rescale(s.denom * k.denominator), e)
+    k = int(k)
+    return QSeries(s.denom, s.order_key + k, {kk + k: v for kk, v in s.nums.items()})
+
+
+def value_or_message(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+# grids of the series and of their rank-one factors, coprime pairs among them
+KEY_GRIDS = (1, 2, 3, 5, 7, 16, 48, 96, 240, 345600)
+
+
+@st.composite
+def grid_orders(draw):
+    """(order, denom): an int or a Fraction order on a grid 1/g that
+    divides 1/denom often, and on another grid at times."""
+    denom = draw(st.sampled_from(KEY_GRIDS))
+    g = draw(st.sampled_from((1, denom, denom, 2 * denom) + KEY_GRIDS))
+    order = F(draw(st.integers(-10**6, 10**6) | st.integers(-(10**40), 10**40)), g)
+    return (int(order) if order.denominator == 1 and draw(st.booleans()) else order), denom
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grid_orders())
+@example((12, 48))             # an int order
+@example((F(12), 48))          # the same as a Fraction
+@example((F(49, 48), 48))      # one grid step past an integer
+@example((F(1, 3), 16))        # off the grid: ValueError
+@example((F(-7, 2), 2))        # negative, on the grid
+@example((F(5, 96), 48))       # half a grid step: ValueError
+@example((0, 1))
+def test_key_is_the_fraction_product(case):
+    order, denom = case
+    assert value_or_message(qseries._key, order, denom) == value_or_message(fraction_key, order, denom)
+
+
+SHIFTS = (st.integers(-40, 40)
+          | st.builds(F, st.integers(-400, 400), st.sampled_from((1, 2, 3, 5, 7, 16, 48, 96))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(product_operands(), SHIFTS)
+@example(QSeries(3, 6, {0: 1, 2: 5}), F(0))             # by zero
+@example(QSeries(3, 6, {0: 1, 2: 5}), 0)
+@example(QSeries(48, 96, {0: 1, 48: -2}), F(-1))        # negative, on the grid
+@example(QSeries(3, 6, {0: 1, 2: 5}), F(1, 2))          # half-integer on a coprime grid: to 1/6
+@example(QSeries(7, 21, {3: 1, 8: 2}), F(-5, 2))        # negative half-integer: to 1/14
+@example(QSeries(16, 32, {0: 1}), F(-1, 3))             # to 1/48
+@example(QSeries(5, 10, {}), F(1, 2))                   # an empty series moves its order too
+def test_shifted_is_the_fraction_shift(s, e):
+    assert fields_or_error(QSeries.shifted, s, e) == fields_or_error(fraction_shifted, s, e)
+
+
+@pytest.mark.parametrize("gram", TEST_GRAMS + LADDER_GRAMS[:2])
+def test_theta_cutoff_at_exactly_twice_the_order(monkeypatch, gram):
+    # a coset whose least norm is exactly 2 * order is zero, and its counts
+    # are never asked for; one grid step higher its least shell leads
+    L = lat(gram)
+    denom = series_denominator(L)
+    counted = []
+    counts = qseries.coset_norm_counts
+    monkeypatch.setattr(qseries, "coset_norm_counts", lambda *args: counted.append(args) or counts(*args))
+    for c in minimal_coset_reps(L):
+        order = F(c.norm_num, 2 * c.den)
+        if not order:
+            continue
+        assert not 2 * order * c.den > c.norm_num  # the cutoff as Fraction arithmetic
+        for o in (order, int(order)) if order.denominator == 1 else (order,):
+            assert theta_coset.__wrapped__(L, c, o).nums == {} and counted == [], (gram, c, o)
+        above = theta_coset.__wrapped__(L, c, order + F(1, denom))
+        assert len(counted) == 1 and min(above.terms()) == order, (gram, c)
+        counted.clear()

@@ -1,10 +1,12 @@
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat,
                       small_even_grams)
@@ -28,6 +30,7 @@ from vlplus.sectors import (
     module_count,
     parse_label,
     prime_character,
+    read_rational,
     series_denominator,
     shift_character,
     top_level_dimension,
@@ -514,3 +517,68 @@ def test_census_satisfies_the_modular_data(gram):
 @given(even_grams())
 def test_census_satisfies_the_modular_data_on_generated_grams(gram):
     assert modular_data_holds(lat(gram), census_dimensions(lat(gram)))
+
+
+# ---------------------------------------------------------------------------
+# read_rational against Fraction(text), the parse it replaced
+# ---------------------------------------------------------------------------
+
+def fraction_rational(text):
+    """read_rational as Fraction(text) behind the same pattern and messages."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"{text!r:.60} is not an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r:.60} has a zero denominator")
+    except ValueError:
+        raise ValueError(f"{text!r:.60} has too many digits")
+
+
+def rational_or_message(text):
+    try:
+        value = read_rational(text)
+    except ValueError as e:
+        return str(e)
+    assert type(value) is Fraction
+    return value
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300  # 0 would mean no limit
+DIGITS = (st.text("0123456789", min_size=1, max_size=12)
+          | st.builds(lambda zeros, digits: "0" * zeros + digits, st.integers(1, 6),
+                      st.text("0123456789", min_size=1, max_size=6))
+          | st.sampled_from(["0", "000", "1" * LIMIT, "1" * (LIMIT + 1), "0" * (LIMIT + 1)]))
+
+
+@st.composite
+def rational_texts(draw):
+    """Every form the pattern accepts, a sign, leading zeros, unreduced and
+    zero denominators, parts at and past the digit limit, and other text."""
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(DIGITS)
+    if draw(st.booleans()):
+        text += "/" + draw(DIGITS)
+    suffix = draw(st.sampled_from(["e3", " ", ".5", "/"]))
+    return draw(st.just(text) | st.just(text + suffix) | st.text(max_size=10))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rational_texts())
+@example("-007/014")                            # leading zeros, unreduced
+@example("+6/4")
+@example("-0/5")
+@example("3/0")                                 # zero denominators
+@example("-0/000")
+@example("1" * (LIMIT + 1) + "/0")              # too many digits before a zero denominator
+@example("-" + "1" * (LIMIT + 1))
+@example("7/" + "2" * (LIMIT + 1))
+@example("1" * LIMIT + "/" + "3" * LIMIT)       # at the limit
+@example("1e5")
+@example("1_000")                               # Fraction() takes underscores, the pattern does not
+@example("\uff11")                             # a non-ASCII digit one
+def test_read_rational_is_fraction_of_the_text(text):
+    try:
+        want = fraction_rational(text)
+    except ValueError as e:
+        want = str(e)
+    assert rational_or_message(text) == want

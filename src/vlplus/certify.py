@@ -514,22 +514,6 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
 # certificate re-verification
 # ---------------------------------------------------------------------------
 
-def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
-    """verify_stream over the text of a certificate file."""
-    return verify_stream(L, _TextReader(text))
-
-
-class _TextReader:
-    """fh.read over a string, by slicing it where io.StringIO copies it whole."""
-
-    def __init__(self, text: str):
-        self.text, self.at = text, 0
-
-    def read(self, size: int = -1) -> str:
-        start, self.at = self.at, len(self.text) if size < 0 else self.at + size
-        return self.text[start:self.at]
-
-
 def verify_stream(L: EvenLattice, fh) -> tuple[list[str], str | None]:
     """Verify a certificate file read from fh: verify_certificate's
     problems, found by re-deriving the file before parsing any of it, and

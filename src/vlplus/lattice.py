@@ -6,25 +6,26 @@ numerators over det (CosetElement).  Below the public functions every step
 is in integers, the LDL^T split one fraction-free pass (intmat.ldl);
 Fraction appears only where vectors enter or leave (_scaled, the rep and
 min_norm views, the discriminant generators).  Short vectors are
-enumerated by Fincke-Pohst over a coset's numerators, counting a class
-closed under v -> -v from half its tree; one walk of a minimal shell
-gives a +- orbit's rep (_least with signs (1, -1)).  One class
+enumerated by one Fincke-Pohst walk (_walk) over a coset's numerators,
+counting a class closed under v -> -v from half its tree; one walk of a
+minimal shell gives a +- orbit's rep (_least with signs (1, -1)).  One class
 walker, driven by a Smith form, enumerates L°/L, L modulo a full-rank
 sublattice L', and the classes (lam + L)/L' of a sublattice branching, one
 walk per +- pair.  Norm counts (theta series) go through a frame where one
 pays: mutually orthogonal vectors spanning a sublattice of small index N,
-found once per lattice, so a coset is N classes, each a product of
-rank-one cosets; coset_norm_counts states the rule that picks this route
-or the walk.  The same frame is the orthogonal sublattice every other
-caller reads (orthogonal_sublattice), with the Gram-Schmidt basis only
-where the search gives up.  A diagonal Gram is its own frame, of index
-one, and is never walked: its minimal shell is the product of
-per-coordinate choices (_diagonal).  A sublattice is one cached Sublattice
-value (basis, Gram, index, Smith form and transforms, which change
-coordinates both ways: sub_nums and lift).  Only this module does
-Smith-form arithmetic, v -> U v only in Sublattice.smith_class, and
-sublattice_orbit_count counts a sublattice branching's classes in closed
-form.  The 2-cocycle and the mod-2 bilinear data are here too.
+found once per lattice by the same walk under a node budget (_frame), so
+a coset is N classes, each a product of rank-one cosets; coset_norm_counts
+states the rule that picks this route or the walk.  The same frame is
+the orthogonal sublattice every other caller reads (orthogonal_sublattice),
+with the Gram-Schmidt basis only where the search gives up.  A diagonal
+Gram is its own frame, of index one, and is never walked: its minimal
+shell is the product of per-coordinate choices (_diagonal).  A sublattice
+is one cached Sublattice value (basis, Gram, index, Smith form and
+transforms, which change coordinates both ways: sub_nums and lift).  Only
+this module does Smith-form arithmetic, v -> U v only in
+Sublattice.smith_class, and sublattice_orbit_count counts a sublattice
+branching's classes in closed form.  The 2-cocycle and the mod-2 bilinear
+data are here too.
 """
 
 from __future__ import annotations
@@ -260,17 +261,25 @@ def _budget(bound, scale: int) -> int:
     return scale * bound.numerator // bound.denominator
 
 
-def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
+class _OutOfNodes(Exception):
+    """A walk's node budget ran out."""
+
+
+def _walk(gram, D: int, nums: list[int], budget: int, mode: str, nodes: list[int] | None = None):
     """Fincke-Pohst over the integer vectors w = nums (mod D), in integers only.
 
     A leaf is w with S = M * q(w) <= budget, so w / D lies in the coset
     nums / D + L with norm S / (M * D^2).  mode "vectors" returns every
-    leaf as (S, w) unsorted, "counts" returns {S: leaf count}, and
+    leaf as (S, w) unsorted, "counts" returns {S: leaf count}, "pairs"
+    returns one (S, w) of each +- pair of nonzero leaves, unsorted, and
     "minimum" returns (S, shell), the least S and every leaf at it; it
     lowers the budget to the best S found, so only the minimal shell is
-    walked.  In "counts" a class closed under negation (2 nums = 0 mod D)
-    is walked over x >= 0 at each level where every coordinate above is
-    0; a subtree under x > 0 stands for its negation too and counts twice.
+    walked.  In "counts" and "pairs" a class closed under negation (2 nums
+    = 0 mod D) is walked over x >= 0 at each level where every coordinate
+    above is 0; a subtree under x > 0 stands for its negation too, counts
+    twice and gives the leaves whose last nonzero coordinate is positive.
+    With nodes, each level charges its hi - lo candidates to nodes[0] and
+    the walk raises _OutOfNodes once that is negative.
     """
     _, A, P, C = _ldl_cached(gram)
     d = len(gram)
@@ -295,16 +304,22 @@ def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
             lo = -((r + s) // p)
             lo += (nums[i] - lo) % D
         else:
-            s, lo, k = 0, nums[i] % D, 2
+            s, lo = 0, nums[i] % D
+        hi = (r - s) // p + 1
+        if nodes is not None:
+            nodes[0] -= hi - lo
+            if nodes[0] < 0:
+                raise _OutOfNodes
+        if not k:
+            k = 2
             if lo == 0:
                 # x = 0 is its own negation: keep halving below it
                 w[i] = 0
                 if i:
                     rec(i - 1, used, budget, 0)
-                else:
+                elif mode == "counts":
                     counts[used] = counts.get(used, 0) + 1
                 lo = D
-        hi = (r - s) // p + 1
         if i:
             a = A[i]
             for x in range(lo, hi, D):
@@ -318,7 +333,7 @@ def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
                 y = p0 * x + s
                 S = used + a0 * y * y
                 counts[S] = counts.get(S, 0) + k
-        elif mode == "vectors":
+        elif mode != "minimum":
             for x in range(lo, hi, D):
                 y = p0 * x + s
                 out.append((used + a0 * y * y, (x,) + tail))
@@ -333,13 +348,13 @@ def _walk(gram, D: int, nums: list[int], budget: int, mode: str):
                     shell.append((x,) + tail)
         return budget
 
-    closed = mode == "counts" and all(2 * x % D == 0 for x in nums)
+    closed = mode in ("counts", "pairs") and all(2 * x % D == 0 for x in nums)
     budget = rec(d - 1, 0, budget, 0 if closed else 1)
     if mode == "counts":
         return counts
-    if mode == "vectors":
-        return out
-    return budget, shell
+    if mode == "minimum":
+        return budget, shell
+    return out
 
 
 def enumerate_coset_with_norms(
@@ -637,39 +652,6 @@ FRAME_SEARCH = 1 << 16  # B^d det above which coset_norm_counts searches for a f
 FRAME_RATIO = 1 << 4  # a frame of index N is used when FRAME_RATIO N^2 <= B^d // det
 
 
-def _short_vectors(gram, budget: int, nodes: list[int]) -> list[tuple[int, Coords]] | None:
-    """[(S, w)]: one of each +- pair of nonzero lattice vectors w with S = M q(w)
-    <= budget, the one whose last nonzero coordinate is positive, by (S, key).
-
-    The walk of _walk over the zero coset, with every step charged to
-    nodes[0]; None once that runs out."""
-    _, A, P, C = _ldl_cached(gram)
-    w = [0] * len(gram)
-    out: list = []
-
-    def rec(i: int, used: int, free: bool) -> bool:
-        # free: every coordinate above i is 0, so x < 0 would repeat a negation
-        r = math.isqrt((budget - used) // A[i])
-        s = sum(map(operator.mul, C[i], w))  # C[i][j] = 0 for j <= i
-        lo, hi = 0 if free else -((r + s) // P[i]), (r - s) // P[i] + 1
-        nodes[0] -= hi - lo
-        if nodes[0] < 0:
-            return False
-        for x in range(lo, hi):
-            w[i] = x
-            y = P[i] * x + s
-            if i:
-                if not rec(i - 1, used + A[i] * y * y, free and not x):
-                    return False
-            elif x or not free:
-                out.append((used + A[0] * y * y, tuple(w)))
-        return True
-
-    if not rec(len(gram) - 1, 0, True):
-        return None
-    return sorted(out, key=lambda p: (p[0], _coords_key(p[1])))
-
-
 def _kernel(rows, n: int) -> list[list[int]]:
     """A basis, as rows, of the integer vectors x with r . x = 0 for every r in rows.
 
@@ -695,13 +677,15 @@ def _frame(L: EvenLattice) -> Sublattice | None:
     when the search takes more than FRAME_NODES enumeration steps or the
     frame has more than QuotientTooLarge.limit classes.
 
-    A diagonal Gram's frame is _gram_schmidt(L), of index 1.
-    Otherwise the nonzero vectors of norm at most the least diagonal entry
-    are taken in (norm, key) order, each kept if it is orthogonal to all
-    kept so far; then, while fewer than d are kept, the shortest vector of
-    their orthogonal complement (the integer kernel of the kept vectors
-    times G, walked in its own Gram) is kept.  E8 gets 8 roots (index 16),
-    D4 4 roots (index 2), E6 4 roots and norms 4 and 12 (index 16)."""
+    A diagonal Gram's frame is _gram_schmidt(L), of index 1.  Otherwise
+    each walk is _walk's "pairs" mode, all charged to one nodes budget of
+    FRAME_NODES.  One of each +- pair of nonzero vectors of norm at most
+    the least diagonal entry is taken in (norm, key) order, each kept if
+    it is orthogonal to all kept so far; then, while fewer than d are
+    kept, the shortest vector of their orthogonal complement (the integer
+    kernel of the kept vectors times G, walked in its own Gram) is kept.
+    E8 gets 8 roots (index 16), D4 4 roots (index 2), E6 4 roots and norms
+    4 and 12 (index 16)."""
     d, G = L.rank, L.gram
     if _diagonal(G) is not None:
         return _gram_schmidt(L)
@@ -713,24 +697,25 @@ def _frame(L: EvenLattice) -> Sublattice | None:
         kept.append(f)
         forms.append([sum(map(operator.mul, row, f)) for row in G])
 
-    short = _short_vectors(G, _ldl_cached(G)[0] * min(r[i] for i, r in enumerate(G)), nodes)
-    if short is None:
+    def short(gram, least: int) -> list[tuple[int, Coords]]:
+        # one of each +- pair of nonzero vectors of norm <= least, by (S, key)
+        leaves = _walk(gram, 1, [0] * len(gram), _ldl_cached(gram)[0] * least, "pairs", nodes)
+        return sorted(leaves, key=lambda p: (p[0], _coords_key(p[1])))
+
+    try:
+        for _, f in short(G, min(r[i] for i, r in enumerate(G))):
+            if len(kept) == d:
+                break
+            if not any(sum(map(operator.mul, g, f)) for g in forms):
+                keep(f)
+        while len(kept) < d:
+            K = _kernel(forms, d)
+            GK = [[sum(map(operator.mul, row, y)) for row in G] for y in K]
+            sub = tuple(tuple(sum(map(operator.mul, x, gy)) for x in K) for gy in GK)
+            y = short(sub, min(r[i] for i, r in enumerate(sub)))[0][1]
+            keep(tuple(sum(c * x[j] for c, x in zip(y, K)) for j in range(d)))
+    except _OutOfNodes:
         return None
-    for _, f in short:
-        if len(kept) == d:
-            break
-        if not any(sum(map(operator.mul, g, f)) for g in forms):
-            keep(f)
-    while len(kept) < d:
-        K = _kernel(forms, d)
-        GK = [[sum(map(operator.mul, row, y)) for row in G] for y in K]
-        sub = tuple(tuple(sum(map(operator.mul, x, gy)) for x in K) for gy in GK)
-        least = min(r[i] for i, r in enumerate(sub))
-        short = _short_vectors(sub, _ldl_cached(sub)[0] * least, nodes)
-        if short is None:
-            return None
-        y = short[0][1]
-        keep(tuple(sum(c * x[j] for c, x in zip(y, K)) for j in range(d)))
     F = sublattice(L, tuple(kept))
     return F if F.index <= QuotientTooLarge.limit else None
 

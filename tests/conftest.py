@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import random
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from vlplus import intmat
+from vlplus.certify import verify_stream
 from vlplus.lattice import CosetElement, EvenLattice, coset_element, validate_even_lattice
 from vlplus.qseries import QSeries, _key
 
@@ -82,6 +84,11 @@ def small_even_grams() -> list:
 
 def lat(gram) -> EvenLattice:
     return validate_even_lattice(gram)
+
+
+def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:
+    """verify_stream over the text of a certificate file."""
+    return verify_stream(L, io.StringIO(text))
 
 
 @st.composite

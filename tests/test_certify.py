@@ -14,7 +14,7 @@ from itertools import combinations, zip_longest
 from hypothesis import given, settings
 
 from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
-                      even_grams, fraction_to_sub, lat, small_even_grams)
+                      even_grams, fraction_to_sub, lat, small_even_grams, verify_text)
 from vlplus.branching import branch_sublattice
 from vlplus.fusion import admissible_triple
 from vlplus.lattice import _gram_schmidt, coset_element, orthogonal_sublattice, zero_coset
@@ -34,7 +34,6 @@ from vlplus.certify import (
     fusion_obstruction_rule,
     load_certificate,
     verify_certificate,
-    verify_text,
     weight_gap_rule,
     vacuum_rule,
 )

@@ -29,6 +29,7 @@ from vlplus.lattice import (
     _frame,
     _frame_counts,
     _gram_schmidt,
+    _OutOfNodes,
     _ldl_cached,
     _scaled,
     _walk,
@@ -631,6 +632,26 @@ def test_frame_search_gives_up_within_its_node_bound(monkeypatch):
             == {F(S, scale): n for S, n in counts.items()})
 
 
+@pytest.mark.parametrize("gram, least", [
+    (E8, 373), (E6, 105), (LADDER_GRAMS[1], 27), (LADDER_GRAMS[0], 32), (LADDER_GRAMS[3], 19),
+    (A2, 8), (A3, 15), ([[6, -1, 0], [-1, 6, -1], [0, -1, 2]], 11)])
+def test_frame_search_needs_its_pinned_node_budget(monkeypatch, gram, least):
+    # the least FRAME_NODES at which each frame is found: one node fewer
+    # gives up, so every level's charge to the budget is pinned
+    from vlplus import lattice
+
+    L = lat(gram)
+    frame = _frame(L)
+    with monkeypatch.context() as patched:
+        try:
+            for nodes, found in ((least - 1, None), (least, frame)):
+                patched.setattr(lattice, "FRAME_NODES", nodes)
+                lattice._frame.cache_clear()
+                assert lattice._frame(L) == found, (gram, nodes)
+        finally:
+            lattice._frame.cache_clear()
+
+
 def test_orthogonal_sublattice_is_the_frame_else_gram_schmidt():
     # the searched frame wherever it is found, Gram-Schmidt where the search gives up
     for gram in TEST_GRAMS + LADDER_GRAMS + [E8]:
@@ -662,8 +683,9 @@ def test_theta_route_follows_the_documented_rule(monkeypatch):
     monkeypatch.setattr(lattice, "_frame", lambda L: seen.append("_frame") or frame(L))
     monkeypatch.setattr(lattice, "_frame_counts",
                         lambda fr, lam, bound: seen.append(("frame", fr.index)) or frame_counts(fr, lam, bound))
+    # the frame search walks too; only the walks that count norms are the route
     monkeypatch.setattr(lattice, "_walk",
-                        lambda *args: seen.append("walk") or walk(*args))
+                        lambda *args: args[4] == "counts" and seen.append("walk") or walk(*args))
     for gram, order, route in ((E8, 4, ["_frame", ("frame", 16)]),
                                (LADDER_GRAMS[1], 12, ["_frame", ("frame", 2)]),
                                (A3, 12, ["walk"]), (E6, 2, ["walk"]),
@@ -862,6 +884,57 @@ def test_unimodular_conjugates_pass_100():
 
     collect()
     assert max(seen) > 100
+
+
+def short_vectors_oracle(gram, budget: int, nodes: list[int]):
+    """Oracle: a Fincke-Pohst walk of its own for the frame search: one of
+    each +- pair of nonzero w with S = M q(w) <= budget, the one whose last
+    nonzero coordinate is positive, sorted by (S, key), every level
+    charging its hi - lo candidates to nodes[0]; None once that runs out."""
+    _, A, P, C = _ldl_cached(gram)
+    w = [0] * len(gram)
+    out = []
+
+    def rec(i, used, free):
+        # free: every coordinate above i is 0, so x < 0 would repeat a negation
+        r = math.isqrt((budget - used) // A[i])
+        s = sum(map(operator.mul, C[i], w))  # C[i][j] = 0 for j <= i
+        lo, hi = 0 if free else -((r + s) // P[i]), (r - s) // P[i] + 1
+        nodes[0] -= hi - lo
+        if nodes[0] < 0:
+            return False
+        for x in range(lo, hi):
+            w[i] = x
+            y = P[i] * x + s
+            if i:
+                if not rec(i - 1, used + A[i] * y * y, free and not x):
+                    return False
+            elif x or not free:
+                out.append((used + A[0] * y * y, tuple(w)))
+        return True
+
+    if not rec(len(gram) - 1, 0, True):
+        return None
+    return sorted(out, key=lambda p: (p[0], _coords_key(p[1])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(even_grams(), unimodular_conjugates(), st.sampled_from([E8, E6, SKEWED_E8])))
+def test_pairs_walk_is_the_short_vector_oracle(gram):
+    # _walk's "pairs" mode under a node budget finds the same leaves as the
+    # oracle, or gives up where it does, having charged the same nodes
+    G = lat(gram).gram
+    d, M = len(G), _ldl_cached(G)[0]
+    for bound in (0, 2, 4, min(G[i][i] for i in range(d)), 7):
+        for budget in (1, 2, 5, 17, 100, 4096):
+            walked, oracle = [budget], [budget]
+            want = short_vectors_oracle(G, M * bound, oracle)
+            try:
+                got = sorted(_walk(G, 1, [0] * d, M * bound, "pairs", walked),
+                             key=lambda p: (p[0], _coords_key(p[1])))
+            except _OutOfNodes:
+                got = None
+            assert got == want and walked == oracle, (gram, bound, budget)
 
 
 def test_coset_reps_mod_sublattice_a2():

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import verify_text
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -197,5 +199,5 @@ def test_verify_of_another_layout_encodes_no_justification(monkeypatch):
             yield chunk
 
     monkeypatch.setattr(module.ExtCertificate, "chunks", counted)
-    assert module.verify_text(L, json.dumps(good)) == ([], good["verdict"])
+    assert verify_text(L, json.dumps(good)) == ([], good["verdict"])
     assert len(drawn) == 1 and '"justification"' not in drawn[0]

@@ -29,13 +29,17 @@ A certificate holds one row of justifications per label.  The labels of
 one lowest weight whose row WeightGap decides alone share that row, and
 only the pairs WeightGap leaves open walk the rest of the chain.  Its
 text is written a row at a time (ExtCertificate.chunks), never as one
-string.  A certificate file is verified by re-deriving it (verify_stream)
-and comparing each chunk with the file's next characters as it is read,
-never holding its text: a file whose text is what certify writes for the
-lattice is verified by that equality alone, and any other file, where
-the comparison stops at the first chunk that differs, is read whole,
-parsed and re-checked record by record (verify_certificate).  A v1
-certificate lists all n^2 ordered pairs of the n labels, so certify and
+string, at string-formatting cost: each distinct lowest weight's text is
+formatted once per lattice, a WeightGap record's front is one template
+filled with its quoted gap and weights strings, and only a record of
+another rule is encoded, once per distinct justification.  A certificate
+file is verified by re-deriving it (verify_stream) and comparing each
+chunk with the file's next characters as it is read, never holding its
+text: a file whose text is what certify writes for the lattice is
+verified by that equality alone, and any other file, where the
+comparison stops at the first chunk that differs, is read whole, parsed
+and re-checked record by record (verify_certificate).  A v1 certificate
+lists all n^2 ordered pairs of the n labels, so certify and
 verify_stream refuse a lattice whose census size (module_count) makes
 more than TooManyPairs.limit pairs, before taking the census.
 """
@@ -47,6 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
+from typing import NamedTuple
 
 from .branching import frame_choices
 from .lattice import EvenLattice, LatticeError, orthogonal_sublattice, sublattice_orbit_count
@@ -106,11 +111,12 @@ CITATIONS = {
 class TooManyPairs(LatticeError):
     """A census with more ordered pairs than a v1 certificate is built for.
 
-    Through the CLI, A1^8's 1,048,576 pairs take about 1.1-1.7 s and
-    28 MB of peak RSS to certify and write a row at a time (413 MB), and
-    0.9-1.5 s and 30 MB to verify, comparing the file as it is read (a
-    file that differs is read whole); the limit, twice that count, keeps
-    a file under about 1 GB.
+    Through the CLI, A1^8's 1,048,576 pairs take about 0.9-1.3 s and
+    21 MB of peak RSS to certify and write a row at a time (413 MB), and
+    0.7-1.0 s and 23 MB to verify, comparing the file as it is read (a
+    file that differs is read whole): ten fresh processes of each on 2
+    shared vCPUs, peak RSS from os.wait4.  The limit, twice that count,
+    keeps a file under about 1 GB.
     """
 
     limit = 1 << 21
@@ -120,8 +126,10 @@ class TooManyPairs(LatticeError):
                          f"{self.limit} a certificate holds")
 
 
-@dataclass(frozen=True)
-class ExtJustification:
+class ExtJustification(NamedTuple):
+    """One pair's reason: a tuple, so it compares equal to a plain tuple
+    of the same fields, and hashes in C."""
+
     rule: str
     citation: str
     detail: tuple[tuple[str, str], ...] = ()
@@ -138,8 +146,8 @@ class ExtJustification:
 @dataclass(frozen=True)
 class ExtCertificate:
     """rows[i][k] justifies the pair (labels[i], labels[k]), or is None
-    where that pair is in unknown; labels whose rows certify builds from
-    WeightGap alone share one tuple."""
+    where that pair is in unknown; labels whose rows certify builds equal
+    share one tuple."""
 
     gram: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
@@ -177,11 +185,13 @@ class ExtCertificate:
         records of each row that has one, and the rest.
 
         Sorted keys put "pairs" between "metadata" and "unknown".  A record
-        is a front (its justification, encoded at the depth of a record),
-        its quoted m1 and a tail (its quoted m2).  Each distinct
-        justification's front is built once, and so are the pieces between
-        the m1s of a row that several labels share; a row's text is its
-        pieces joined by its label's quoted name.
+        is a front (its justification at the depth of a record), its
+        quoted m1 and a tail (its quoted m2).  Each distinct
+        justification's front is built once (_front: a WeightGap one fills
+        the _GAP_FRONT template, any other is encoded), and so are the
+        pieces between the m1s of a row that several labels share, kept
+        until its last label's text is made; a row's text is its pieces
+        joined by its label's quoted name.
         """
         justified = len(self.unknown) < len(self.labels) ** 2
         yield ("{" + _members((("format", CERT_FORMAT), ("gram", [list(r) for r in self.gram]),
@@ -190,17 +200,19 @@ class ExtCertificate:
         quoted = [_quote(a) for a in self.labels]
         tails = [',\n      "m2": ' + q + "\n    }" for q in quoted]
         fronts: dict[int, str] = {}  # id(j) -> front of j
-        repeated = {k for k, count in Counter(map(id, self.rows)).items() if count > 1}
-        pieces = {}  # id(row) -> the pieces of a row that several labels share
+        uses = Counter(map(id, self.rows))  # id(row) -> its labels left to write
+        pieces = {}  # id(row) -> the pieces of a row that labels left to write share
         separator = ""
         for q, row in zip(quoted, self.rows):
-            cut = pieces.get(id(row))
+            cut = pieces.pop(id(row), None)
             if cut is None:
                 cut = _row_pieces(row, fronts, tails)
-                if id(row) in repeated:
-                    pieces[id(row)] = cut
+            uses[id(row)] -= 1
+            if uses[id(row)]:
+                pieces[id(row)] = cut
             if cut:
-                yield separator + q.join(cut)
+                # the separator joins the first piece, not the row's text
+                yield q.join([separator + cut[0], *cut[1:]])
                 separator = ",\n"
         yield (("\n  ]," if justified else "")
                + _members((("unknown", [list(p) for p in self.unknown]), ("verdict", self.verdict)))
@@ -225,9 +237,19 @@ def _row_pieces(row, fronts: dict[int, str], tails: list[str]) -> list[str]:
 
 
 def _front(fronts: dict[int, str], j: ExtJustification) -> str:
-    """The text of a record of j up to its quoted m1, cached in fronts by id(j)."""
-    fronts[id(j)] = text = ('    {\n      "justification": ' + _encode(j.to_json(), "\n      ")
-                            + ',\n      "m1": ')
+    """The text of a record of j up to its quoted m1, cached in fronts by
+    id(j).  A WeightGap justification of the shape weight_gap_rule builds
+    (its citation, gap and weights keys in that order, no inner) is
+    _GAP_FRONT's three pieces around its two strings, each through _quote;
+    any other justification is encoded."""
+    rule, citation, detail, inner = j
+    if (rule == RULE_WEIGHT_GAP and citation == _GAP_CITATION and inner is None
+            and len(detail) == 2 and detail[0][0] == "gap" and detail[1][0] == "weights"):
+        head, middle, tail = _GAP_FRONT
+        text = head + _quote(detail[0][1]) + middle + _quote(detail[1][1]) + tail
+    else:
+        text = _RECORD_HEAD + _encode(j.to_json(), "\n      ") + _RECORD_M1
+    fronts[id(j)] = text
     return text
 
 
@@ -244,6 +266,8 @@ def _encode(value, newline: str) -> str:
     (a line break and the enclosing indent)."""
     if isinstance(value, str):
         return _quote(value)
+    if type(value) is int:
+        return repr(value)
     if not value or not isinstance(value, (dict, list)):
         return json.dumps(value)
     inner = newline + "  "
@@ -251,6 +275,15 @@ def _encode(value, newline: str) -> str:
         items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
+
+
+_RECORD_HEAD, _RECORD_M1 = '    {\n      "justification": ', ',\n      "m1": '
+_GAP_CITATION = CITATIONS[RULE_WEIGHT_GAP]
+# the front of every WeightGap record, cut where its quoted gap and weights
+# strings go: _encode of a justification that holds a placeholder for each
+_GAP_FRONT = (_RECORD_HEAD + _encode(ExtJustification(
+    RULE_WEIGHT_GAP, _GAP_CITATION, (("gap", "\0"), ("weights", "\0"))).to_json(), "\n      ")
+    + _RECORD_M1).split(_quote("\0"))
 
 
 def _rule_path(j: ExtJustification) -> str:
@@ -274,10 +307,11 @@ class _OnDemand(dict):
 
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
-    names, the WeightGap table over weight ids, the orthogonal
-    sublattice, the one FusionObstruction route it makes live, and, filled
-    per label on first lookup, duals and each label's constituents over
-    that route's subalgebra (only labels of pairs WeightGap leaves open).
+    names, each distinct lowest weight's numerator and text, the WeightGap
+    table over weight ids, the orthogonal sublattice, the one
+    FusionObstruction route it makes live, and, filled per label on first
+    lookup, duals and each label's constituents over that route's
+    subalgebra (only labels of pairs WeightGap leaves open).
     Raises TooManyPairs, from module_count before the census, for more
     than its limit of ordered pairs of labels."""
 
@@ -289,18 +323,23 @@ class _Context:
         self.labels = classify_modules(L)
         self.names = [format_label(m) for m in self.labels]
         self.duals = _OnDemand(partial(contragredient, L))
-        # weight_ids[i] numbers the lowest weight of labels[i], keyed by its
-        # integer numerator over the series grid; weight_reps[w] is the first
-        # label of weight id w
-        ids: dict[int, int] = {}
+        # weights[m] is (weight id, numerator over the series grid, its
+        # format_ratio text) of label m's lowest weight, each made once per
+        # distinct weight; weight_ids[i] is the weight id of labels[i], and
+        # weight_reps[w] the first label of weight id w
+        self.grid = series_denominator(L)
+        seen: dict[int, tuple[int, int, str]] = {}  # numerator -> weights entry
+        self.weights: dict[ModuleLabel, tuple[int, int, str]] = {}
         self.weight_reps: list[ModuleLabel] = []
         self.weight_ids = []
         for m in self.labels:
             k = weight_num(L, m)
-            if k not in ids:
-                ids[k] = len(self.weight_reps)
+            if k not in seen:
+                seen[k] = (len(self.weight_reps), k, format_ratio(k, self.grid))
                 self.weight_reps.append(m)
-            self.weight_ids.append(ids[k])
+            self.weights[m] = seen[k]
+            self.weight_ids.append(seen[k][0])
+        self.gap_texts = _OnDemand(partial(format_ratio, q=self.grid))  # k1 - k2 -> its text
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
         # at index one the sublattice's fixed points are the algebra itself,
@@ -337,31 +376,29 @@ class _Context:
         The rule reads only the two lowest weights, so the table decides
         every pair of labels: weight_gap_rule is called once per pair of
         weights, on representative labels, and the label pairs of two
-        weights share its one object.
+        weights share its one object.  Each entry's strings are the two
+        weights' texts from weights, joined, and its gap's text, formatted
+        once per distinct difference.
         """
         return [[weight_gap_rule(self, a, b) for b in self.weight_reps] for a in self.weight_reps]
 
     @cached_property
     def gap_json(self) -> list[list[dict | None]]:
-        """to_json() of each gaps entry, for comparing recorded WeightGap pairs."""
+        """to_json() of each gaps entry, for comparing recorded WeightGap
+        pairs: dicts of the entries' own strings."""
         return [[None if j is None else j.to_json() for j in row] for row in self.gaps]
 
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     """Applies iff the lowest weights, numerators k1, k2 over the series
-    grid n, differ by zero or by a non-integer."""
-    n = series_denominator(ctx.L)
-    k1, k2 = weight_num(ctx.L, m1), weight_num(ctx.L, m2)
-    if k1 != k2 and (k1 - k2) % n == 0:
+    grid, differ by zero or by a non-integer.  Nothing is formatted per
+    call: the numerators and the weights string's two texts are the
+    labels' ctx.weights entries, and the gap's text is ctx.gap_texts'."""
+    (_, k1, t1), (_, k2, t2) = ctx.weights[m1], ctx.weights[m2]
+    if k1 != k2 and (k1 - k2) % ctx.grid == 0:
         return None
-    return ExtJustification(
-        rule=RULE_WEIGHT_GAP,
-        citation=CITATIONS[RULE_WEIGHT_GAP],
-        detail=(
-            ("gap", format_ratio(k1 - k2, n)),
-            ("weights", f"{format_ratio(k1, n)},{format_ratio(k2, n)}"),
-        ),
-    )
+    return ExtJustification(RULE_WEIGHT_GAP, _GAP_CITATION,
+                            (("gap", ctx.gap_texts[k1 - k2]), ("weights", t1 + "," + t2)))
 
 
 def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
@@ -479,8 +516,10 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
     open_cols = [[k for k, j in enumerate(row) if j is None] for row in gap_rows]
     rows = []
     unknown = []
-    # equal chain justifications share the first object, so chunks() encodes each once
+    # equal chain justifications share the first object, and then equal rows,
+    # keyed by their entries' ids, do too: chunks() builds each once
     shared: dict[ExtJustification, ExtJustification] = {}
+    shared_rows: dict[tuple[int, ...], tuple] = {}
     for m1, w1, a in zip(ctx.labels, ctx.weight_ids, ctx.names):
         row = gap_rows[w1]
         if open_cols[w1]:
@@ -491,11 +530,11 @@ def _certify(ctx: _Context, disabled: frozenset = frozenset()) -> ExtCertificate
                     unknown.append((a, ctx.names[k]))
                 else:
                     row[k] = shared.setdefault(j, j)
-            row = tuple(row)
+            row = shared_rows.setdefault(tuple(map(id, row)), tuple(row))
         rows.append(row)
     verdict = VERDICT_RATIONAL if not unknown else VERDICT_INCOMPLETE
     metadata = (
-        ("denominator", str(series_denominator(L))),
+        ("denominator", str(ctx.grid)),
         ("cocycle_mode", "upper"),
         ("root_branch", "1"),
         ("rule_order", RULE_ORDER),

@@ -27,6 +27,7 @@ from vlplus.certify import (
     RULE_WEIGHT_GAP,
     VERDICT_INCOMPLETE,
     VERDICT_RATIONAL,
+    ExtCertificate,
     ExtJustification,
     _Context,
     certify,
@@ -1018,6 +1019,39 @@ def test_dumps_and_gap_table_on_generated_grams(gram):
     L = lat(gram)
     assert_dumps_is_the_reference(L)
     assert_gap_table_is_the_rule(L)
+
+
+def test_hand_built_certificate_escapes_as_the_stdlib():
+    # a WeightGap front is a template filled with its two quoted strings;
+    # labels and ratios that a lattice gives never need escaping, so these
+    # strings hold a quote, a backslash, control characters and non-ASCII text
+    odd = ['q"uote', "back\\slash", "ctrl\x01\x1f\n", "non-ASCII \xe9 ✓ \U0001d53d"]
+
+    def gap(a, b):
+        return ExtJustification(RULE_WEIGHT_GAP, CITATIONS[RULE_WEIGHT_GAP],
+                                (("gap", a), ("weights", b)))
+
+    vacuum = ExtJustification(RULE_VACUUM, CITATIONS[RULE_VACUUM], (("subalgebra", odd[3]),))
+    # WeightGap records not of the shape weight_gap_rule builds are encoded
+    reordered = ExtJustification(RULE_WEIGHT_GAP, CITATIONS[RULE_WEIGHT_GAP],
+                                 (("weights", odd[0]), ("gap", odd[1])))
+    nested = ExtJustification(RULE_DUALITY, CITATIONS[RULE_DUALITY], (("dual_pair", odd[2]),),
+                              inner=gap(odd[1], odd[2]))
+    shared = (gap(odd[0], odd[1]), gap(odd[2], odd[3]), None, vacuum)
+    rows = (shared, shared, (reordered, None, gap(odd[3], odd[0]), nested), (None,) * 4)
+    cert = ExtCertificate(
+        gram=((2,),),
+        labels=tuple(odd),
+        rows=rows,
+        unknown=tuple((odd[i], odd[k]) for i, row in enumerate(rows)
+                      for k, j in enumerate(row) if j is None),
+        verdict=VERDICT_INCOMPLETE,
+        metadata=(("note", odd[2]),),
+    )
+    reference = json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n"
+    assert all(s in reference for s in (r'q\"uote', r"k\\s", r"\u0001", r"\ud835\udd3d"))
+    assert "".join(cert.chunks()) == cert.dumps() == reference
+    assert len(cert.pairs) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,34 @@ def test_verify_of_another_layout_encodes_no_justification(monkeypatch):
     monkeypatch.setattr(module.ExtCertificate, "chunks", counted)
     assert verify_text(L, json.dumps(good)) == ([], good["verdict"])
     assert len(drawn) == 1 and '"justification"' not in drawn[0]
+
+
+def test_certify_encodes_each_other_justification_once_and_no_weight_gap(monkeypatch):
+    # a WeightGap record's front is one template filled with its two quoted
+    # strings, never _encode; a justification of another rule goes through
+    # _encode once, however many pairs share it
+    import json
+
+    from vlplus.lattice import validate_even_lattice
+
+    module = importlib.import_module("vlplus.certify")
+    L = validate_even_lattice([[2, 0, 0], [0, 4, 0], [0, 0, 6]])
+    reference = module.certify(L).dumps()
+    encoded = []  # (value, newline) of each justification _encode is given
+    encode = module._encode
+
+    def counted(value, newline):
+        if isinstance(value, dict) and "rule" in value:
+            encoded.append((value, newline))
+        return encode(value, newline)
+
+    monkeypatch.setattr(module, "_encode", counted)
+    cert = module.certify(L)
+    assert cert.dumps() == reference
+    assert all(value["rule"] != module.RULE_WEIGHT_GAP for value, _ in encoded)
+    # a record's justification sits at the indent of a record; an inner one deeper
+    records = [json.dumps(value, sort_keys=True) for value, newline in encoded
+               if newline == "\n      "]
+    others = {json.dumps(j.to_json(), sort_keys=True) for _, _, j in cert.pairs
+              if j.rule != module.RULE_WEIGHT_GAP}
+    assert len(records) == len(set(records)) and set(records) == others and others

@@ -4,8 +4,9 @@
 (characters, decompositions, certificates, module tables, fusion answers)
 in steps that run in the runner's temporary directory.  Each such step's
 `run:` block is read from the file and run under `bash -e` in a fresh
-directory, with `vlplus` a shim for `python -m vlplus.cli` on the source
-tree, so a stale pin fails here and not only in CI.
+directory, with `vlplus` a shim for `python -m vlplus.cli` and `python`
+one for the interpreter, both with the source tree on PYTHONPATH, so a
+stale pin fails here and not only in CI.
 """
 
 import os
@@ -69,9 +70,8 @@ def test_installed_script_step_passes(tmp_path, name):
         pytest.skip(f"the workflow's steps need {', '.join(missing)}")
     shims = tmp_path / "bin"
     shims.mkdir()
-    python = f'exec "{sys.executable}"'
-    for tool, command in (("python", f'{python} "$@"'),
-                          ("vlplus", f'PYTHONPATH="{ROOT / "src"}" {python} -m vlplus.cli "$@"')):
+    python = f'PYTHONPATH="{ROOT / "src"}" exec "{sys.executable}"'
+    for tool, command in (("python", f'{python} "$@"'), ("vlplus", f'{python} -m vlplus.cli "$@"')):
         shim = shims / tool
         shim.write_text(f"#!/bin/sh\n{command}\n")
         shim.chmod(0o755)

@@ -10,7 +10,9 @@ product expanded for printing; its character is checked in factored
 form, with the products of leading factor sums cached across
 branchings.  A sublattice branching walks the classes of
 (lambda + L)/L' in integers, one walk per +- pair (lattice.py owns
-that Smith-form arithmetic, and sublattice_orbit_count the part count).
+that Smith-form arithmetic, and sublattice_orbit_count the part count),
+into one cached table per coset and square-root branch that V+- and
+both signs of a C label share (_class_table).
 Its parts are labels over the sublattice, and its character is one
 coset_character_sum over all of them, V+- included: the parts' thetas
 summed in integers under one Euler product of the sublattice; a part
@@ -37,11 +39,13 @@ from itertools import compress, product
 from math import prod
 
 from .lattice import (
+    CosetElement,
     EvenLattice,
     NotOrthogonalBase,
     Sublattice,
     _canonical,
     _fraction,
+    coset_two_torsion,
     epsilon_cocycle,
     integral_coords,
     orthogonal_sublattice,
@@ -172,6 +176,42 @@ def _root_unit(eps_value: int, branch: int, is_zero: bool) -> int:
     return 0 if is_zero else (eps_value == -1) + 2 * (branch == -1)
 
 
+@lru_cache(maxsize=None)
+def _class_table(S: Sublattice, lam: CosetElement,
+                 root_branch: int) -> tuple[tuple[CosetElement, int | None], ...]:
+    """(c, ratio) per class of sublattice_classes(S, lam), in its order.
+
+    ratio is None for a paired class; for a self-paired one it is the
+    ratio of the parent and local involution coefficients on the
+    canonical vector c, as a power of i (0..3) under root_branch.  It
+    depends on the coset and the class, not on a label's sign, so V+- (and
+    the two signs of a C label) share one table, one class walk and one
+    set of cocycle calls; what the parent contributes (2 lam and its root
+    unit) is computed once."""
+    L, sub = S.parent, S.lattice
+    if coset_two_torsion(L, lam):
+        two_lam = integral_coords([2 * x for x in lam.nums], lam.den)
+        zero = not any(two_lam)
+        unit_l = _root_unit(epsilon_cocycle(L, two_lam, two_lam), root_branch, zero)
+    rows = []
+    for c, self_paired in sublattice_classes(S, lam):
+        ratio = None
+        if self_paired:
+            # involution coefficient of the parent module on the canonical
+            # vector of the class, divided by the local one
+            unit_g = unit_l
+            if not zero:
+                # c.den = index^2 lam.den
+                x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)],
+                                    c.den)
+                unit_g += 2 * (epsilon_cocycle(L, x, two_lam) == -1)
+            two_mu = integral_coords([2 * x for x in c.nums], c.den)
+            ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
+                                         not any(two_mu))) % 4
+        rows.append((c, ratio))
+    return tuple(rows)
+
+
 def branch_sublattice(
     L: EvenLattice,
     basis: tuple[tuple[int, ...], ...],
@@ -188,8 +228,9 @@ def branch_sublattice(
     lambda) in those coefficients; only these C signs depend on it.
     Paired classes contribute one orbit module per pair; twisted parents
     contribute placeholder blocks.  Parts and notes follow the sort_key
-    of the class representative.  What the parent contributes to the
-    involution coefficient (2 lambda and its root unit) is computed once.
+    of the class representative.  The classes and their ratios are one
+    cached table per (sublattice, coset, root_branch) (_class_table), so
+    only the label's sign is read per call.
     """
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
@@ -199,30 +240,16 @@ def branch_sublattice(
             raise AssertionError("twisted dimensions must refine")
         return BranchList(parent_lattice=L, parent=m, sublattice=sub,
                           parts=(TwistedBlockPart(sign=m.sign, multiplicity=mult),))
-    sign, lam = label_sign(m), label_coset(L, m)
-    if sign is not None:
-        two_lam = integral_coords([2 * x for x in lam.nums], lam.den)
-        zero = not any(two_lam)
-        unit_l = _root_unit(epsilon_cocycle(L, two_lam, two_lam), root_branch, zero)
+    sign = label_sign(m)
     notes: list[str] = []
     parts: list[BranchPart] = []
-    for c, self_paired in sublattice_classes(S, lam):
-        if not self_paired:
+    for c, ratio in _class_table(S, label_coset(L, m), root_branch):
+        if ratio is None:
             # c is already the smaller rep of the orbit {x, -x}
             parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
             continue
         if sign is None:
             raise AssertionError("orbit parent cannot meet a self-paired class")
-        # involution coefficient of the parent module on the canonical
-        # vector of the class, divided by the local one
-        unit_g = unit_l
-        if not zero:
-            # c.den = index^2 lam.den
-            x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)], c.den)
-            unit_g += 2 * (epsilon_cocycle(L, x, two_lam) == -1)
-        two_mu = integral_coords([2 * x for x in c.nums], c.den)
-        ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
-                                     not any(two_mu))) % 4
         if ratio % 2:
             notes.append(f"imaginary involution ratio on class [{format_coset(c)}]; reported +")
         sigma = sign if ratio % 2 or ratio == 0 else -sign

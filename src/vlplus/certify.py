@@ -47,7 +47,6 @@ more than TooManyPairs.limit pairs, before taking the census.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
@@ -200,7 +199,9 @@ class ExtCertificate:
         quoted = [_quote(a) for a in self.labels]
         tails = [',\n      "m2": ' + q + "\n    }" for q in quoted]
         fronts: dict[int, str] = {}  # id(j) -> front of j
-        uses = Counter(map(id, self.rows))  # id(row) -> its labels left to write
+        uses: dict[int, int] = {}  # id(row) -> its labels left to write
+        for row in self.rows:
+            uses[id(row)] = uses.get(id(row), 0) + 1
         pieces = {}  # id(row) -> the pieces of a row that labels left to write share
         separator = ""
         for q, row in zip(quoted, self.rows):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -257,9 +256,12 @@ def cmd_decompose(L, args, out):
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
     if bl.choices is not None:  # each factor label named once, not once per part
         name = {lab: format_label(lab) for lab in set(chain(*bl.choices))}
-        counts = Counter(" (x) ".join(map(name.__getitem__, p)) for p in bl.parts)
+        # distinct by construction: one label per factor, each factor's labels distinct
+        counts = dict.fromkeys((" (x) ".join(map(name.__getitem__, p)) for p in bl.parts), 1)
     else:
-        counts = Counter(map(_part_str, bl.parts))
+        counts = {}
+        for text in map(_part_str, bl.parts):
+            counts[text] = counts.get(text, 0) + 1
     ok = verify_branch(bl, order)
     rows = sorted(counts.items())
     if args.format == "json":

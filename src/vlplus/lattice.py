@@ -8,10 +8,12 @@ Fraction appears only where vectors enter or leave (_scaled, the rep and
 min_norm views, the discriminant generators).  Short vectors are
 enumerated by one Fincke-Pohst walk (_walk) over a coset's numerators,
 counting a class closed under v -> -v from half its tree; one walk of a
-minimal shell gives a +- orbit's rep (_least with signs (1, -1)).  One class
-walker, driven by a Smith form, enumerates L°/L, L modulo a full-rank
-sublattice L', and the classes (lam + L)/L' of a sublattice branching, one
-walk per +- pair.  Norm counts (theta series) go through a frame where one
+minimal shell gives a +- orbit's rep (_least with signs (1, -1)), and every
+shell comes from _coset_shell.  One class walker, driven by a Smith form,
+enumerates L°/L, L modulo a full-rank sublattice L', and the classes
+(lam + L)/L' of a sublattice branching, one walk per +- pair and one cached
+table per (sublattice, coset), which every label on the coset reads
+(sublattice_classes).  Norm counts (theta series) go through a frame where one
 pays: mutually orthogonal vectors spanning a sublattice of small index N,
 found once per lattice by the same walk under a node budget (_frame), so
 a coset is N classes, each a product of rank-one cosets; coset_norm_counts
@@ -19,7 +21,10 @@ states the rule that picks this route or the walk.  The same frame is
 the orthogonal sublattice every other caller reads (orthogonal_sublattice),
 with the Gram-Schmidt basis only where the search gives up.  A diagonal
 Gram is its own frame, of index one, and is never walked: its minimal
-shell is the product of per-coordinate choices (_diagonal).  A sublattice
+shell is the product of per-coordinate choices (_diagonal), kept
+unexpanded (_TieProduct), and its least vector is read off in closed form:
+each tied coordinate at +D/2, and for a +- orbit the sign that makes the
+first untied nonzero coordinate positive.  A sublattice
 is one cached Sublattice value (basis, Gram, index, Smith form and
 transforms, which change coordinates both ways: sub_nums and lift).  Only
 this module does Smith-form arithmetic, v -> U v only in
@@ -254,11 +259,17 @@ def _scaled(lam) -> tuple[int, list[int]]:
 
 
 def _budget(bound, scale: int) -> int:
-    """Largest integer S with S / scale <= bound, for a nonnegative bound."""
-    bound = _fraction(bound)
-    if bound < 0:
+    """Largest integer S with S / scale <= bound, for a nonnegative bound: a
+    rational, or a pair (num, den) of integers, den > 0, read as num / den
+    with no Fraction built."""
+    if isinstance(bound, tuple):
+        num, den = bound
+    else:
+        bound = _fraction(bound)
+        num, den = bound.numerator, bound.denominator
+    if num < 0:
         raise BoundNegative("enumeration bound must be nonnegative")
-    return scale * bound.numerator // bound.denominator
+    return scale * num // den
 
 
 class _OutOfNodes(Exception):
@@ -371,27 +382,58 @@ def enumerate_coset_with_norms(
     return [(tuple(map(coord.__getitem__, w)), norm[S]) for S, w in leaves]
 
 
-def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords]]:
+def _coset_shell(gram, D: int, nums) -> tuple[int, list[Coords] | _TieProduct]:
     """(S, shell): the least S of the walk over nums (mod D) and every leaf at it.
 
-    The minimal shell of -nums (mod D) is the negated shell, so one walk
-    canonicalizes a class and its negation.  A diagonal Gram is not walked:
-    each coordinate is least on its own, at the centred numerator, where
-    -D/2 ties with D/2, and the shell is the product of those choices."""
+    Every canonicalization reads its shell here.  The minimal shell of
+    -nums (mod D) is the negated shell, so one walk canonicalizes a class
+    and its negation.  A diagonal Gram is not walked: each coordinate is
+    least on its own, at the centred numerator, where -D/2 ties with D/2,
+    and the shell is the product of those choices, kept unexpanded
+    (_TieProduct): _least reads it in closed form, and iterating it
+    expands it (delta_set)."""
     # center the coordinates in [-1/2, 1/2) so the initial norm bound is small
     start = [x - D * ((2 * x + D) // (2 * D)) for x in nums]
     diag = _diagonal(gram)
     if diag is not None:
-        return (sum(g * x * x for g, x in zip(diag, start)),
-                list(product(*((x, -x) if 2 * x == -D else (x,) for x in start))))
+        return sum(g * x * x for g, x in zip(diag, start)), _TieProduct(start, D)
     n = len(gram)
     budget = _ldl_cached(gram)[0] * sum(start[i] * gram[i][j] * start[j]
                                         for i in range(n) for j in range(n))
     return _walk(gram, D, start, budget, "minimum")
 
 
+class _TieProduct:
+    """The minimal shell of a coset nums / D + L of a diagonal Gram, unexpanded.
+
+    start holds the centred numerators, in [-D/2, D/2); a coordinate at
+    -D/2 ties with D/2, so t ties make a shell of 2^t vectors, the product
+    of the per-coordinate choices.  Iterating yields that product."""
+
+    __slots__ = ("start", "D")
+
+    def __init__(self, start: list[int], D: int):
+        self.start, self.D = start, D
+
+    def __iter__(self):
+        return product(*((x, -x) if 2 * x == -self.D else (x,) for x in self.start))
+
+    def __len__(self) -> int:
+        return 2 ** sum(2 * x == -self.D for x in self.start)
+
+
 def _least(shell, signs=(1,)) -> Coords:
-    """The least under the key of the shell vectors times each of signs."""
+    """The least under the key of the shell vectors times each of signs.
+
+    A diagonal Gram's shell (_TieProduct) is never expanded: times a sign,
+    a tied coordinate is least at +D/2 and any other is the sign times its
+    numerator.  Two signs give vectors that differ only off the ties, so
+    the first nonzero coordinate there decides: the sign making it positive."""
+    if isinstance(shell, _TieProduct):
+        D, s = shell.D, signs[0]
+        if len(signs) > 1:
+            s = next((1 if x > 0 else -1 for x in shell.start if x and 2 * x != -D), 1)
+        return tuple([-x if 2 * x == -D else s * x for x in shell.start])
     return min((tuple([s * x for x in w]) for w in shell for s in signs), key=_coords_key)
 
 
@@ -774,7 +816,9 @@ def _frame_counts(F: Sublattice, lam: CosetElement, bound) -> tuple[int, dict[in
 def coset_norm_counts(L: EvenLattice, lam: CosetElement, bound) -> tuple[int, dict[int, int]]:
     """(scale, {S: number of v in the coset lam with norm S / scale}), over norms <= bound.
 
-    The counts are keyed by integer numerators over one positive scale, so
+    The bound is a rational, or a pair (num, den) of integers for num /
+    den, as theta_coset passes its cutoff (_budget); BoundNegative if it is
+    negative.  The counts are keyed by integer numerators over one positive scale, so
     no norm is built as a Fraction.  They are walked (_walk, scale M
     lam.den^2 with M of the integer LDL^T split) or counted through a frame
     (_frame_counts), by a fixed rule; both give the same counts.  A
@@ -821,15 +865,18 @@ def coset_reps_mod_sublattice(
                                              lambda w: integral_coords(S.lift(w), S.smith[-1])))
 
 
-def sublattice_classes(S: Sublattice, lam: CosetElement) -> list[tuple[CosetElement, bool]]:
+@lru_cache(maxsize=None)
+def sublattice_classes(S: Sublattice, lam: CosetElement) -> tuple[tuple[CosetElement, bool], ...]:
     """The classes of (lam + L) modulo the sublattice, up to negation, in its coordinates.
 
     One (c, self_paired) per class x, with x and -x counted once where both
     are classes (2 lam in L), sorted by sort_key: c is the orbit rep of
     {x + L', -x + L'}.  A parent vector lam + g with U g = c (mod smith) is
     x = V diag(smith)^-1 (U lam + c) in sublattice coordinates, so the
-    classes are walked in integers, one walk per pair."""
-    return _orbits(S.lattice, S.smith, S.smith_v, S.smith_class(lam.nums), lam.den)
+    classes are walked in integers, one walk per pair.  The table is
+    cached per (sublattice, coset): every label on the coset (V+- on the
+    zero coset, both signs of a C label) reads one walk of its classes."""
+    return tuple(_orbits(S.lattice, S.smith, S.smith_v, S.smith_class(lam.nums), lam.den))
 
 
 def sublattice_orbit_count(S: Sublattice, lam: CosetElement) -> int:

@@ -370,16 +370,17 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction) -> QSeries:
 
     A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
     counts stop at the last grid point below the order, norm 2 (order_key -
-    1) / denom, so the shell at the order itself is never counted.  The
-    counts are walked or taken through an orthogonal frame as products of
-    rank-one sums, by coset_norm_counts' rule; a diagonal Gram is its own
-    frame, of index one, and is never walked.  A coset whose least norm
+    1) / denom, passed as that pair of integers, so the shell at the order
+    itself is never counted.  The counts are walked or taken through an
+    orthogonal frame as products of rank-one sums, by coset_norm_counts'
+    rule; a diagonal Gram is its own frame, of index one, and is never
+    walked.  A coset whose least norm
     lam.norm_num / lam.den reaches 2 * order is zero, uncounted."""
     denom = series_denominator(L)
     order_key = _key(order, denom)
     nums: dict[int, int] = {}
     if 2 * order_key * lam.den > lam.norm_num * denom:
-        scale, counts = coset_norm_counts(L, lam, Fraction(2 * (order_key - 1), denom))
+        scale, counts = coset_norm_counts(L, lam, (2 * (order_key - 1), denom))
         for S, n in counts.items():
             k, r = divmod(S * denom, 2 * scale)
             if r:

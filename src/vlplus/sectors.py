@@ -27,20 +27,18 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     CosetElement,
     EvenLattice,
     _canonical,
-    coset_element,
     coset_two_torsion,
     coset_is_trivial,
     delta_set,
     dual_orbits,
     mod_two_data,
     norm2_vectors,
-    orbit_element,
     zero_coset,
 )
 
@@ -265,10 +263,13 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         raise ValueError(f"label {text!r} lacks its closing ']'")
     if kind in ("U", "C") and text[1:2] == "[":
         try:
-            coords = tuple(read_rational(p) for p in text[2:close].split(","))
+            coords = [_read_ratio(p) for p in text[2:close].split(",")]
             if len(coords) != L.rank:
                 raise ValueError(f"has {len(coords)} coordinates, lattice rank is {L.rank}")
-            c = (orbit_element if kind == "U" else coset_element)(L, coords)  # checks G v integral
+            # the numerators over the least common denominator D, as _scaled makes them
+            D = lcm(*(q for _, q in coords))
+            c = _canonical(L, D, [p * (D // q) for p, q in coords],  # checks G v integral
+                           (1, -1) if kind == "U" else (1,))
         except ValueError as e:
             raise ValueError(f"label {text!r}: {e}")
         if kind == "U":
@@ -304,15 +305,22 @@ def read_rational(text: str) -> Fraction:
     also take an exponent, whose 10^exp can take seconds to build.  The
     parts its one pattern matched are read as ints, and the text no further.
     """
+    return Fraction(*_read_ratio(text))
+
+
+def _read_ratio(text: str) -> tuple[int, int]:
+    """read_rational's value as integers (p, q) in lowest terms, q > 0, with its messages."""
     if not (match := _RATIONAL.fullmatch(text)):
         raise ValueError(f"{text!r:.60} is not an integer or p/q")
     p, q = match.groups()
     try:
-        return Fraction(int(p), int(q or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r:.60} has a zero denominator")
+        p, q = int(p), int(q or 1)
     except ValueError:
         raise ValueError(f"{text!r:.60} has too many digits")
+    if not q:
+        raise ValueError(f"{text!r:.60} has a zero denominator")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _parse_sign(text: str) -> int:

@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (A2, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams,
+from conftest import (A2, A3, D22, D24, D224, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams,
                       fraction_to_parent, fraction_to_sub, lat, truncate)
 from vlplus.lattice import (
     CosetElement,
@@ -487,6 +487,38 @@ def test_sublattice_branchings_are_pinned_under_every_convention():
                     count += 1
     assert count == 3112
     assert digest.hexdigest() == CONVENTION_DIGEST
+
+
+@pytest.mark.parametrize("gram", [A3, LADDER_GRAMS[1]], ids=["A3", "D4"])
+def test_labels_on_one_coset_share_one_class_table(monkeypatch, gram):
+    # V+ and V-, and the two signs of a C label, sit on one coset: after the
+    # first label the second walks no class of its own, and its parts and
+    # notes are those it gets with the class caches cleared before it
+    from vlplus import branching, lattice
+
+    calls = []
+    original = lattice._coset_shell
+    monkeypatch.setattr(lattice, "_coset_shell", lambda *args: calls.append(args) or original(*args))
+
+    def cleared():
+        lattice.sublattice_classes.cache_clear()
+        branching._class_table.cache_clear()
+
+    L = lat(gram)
+    basis = _gram_schmidt(L).basis
+    pairs = [(VAC_PLUS, VAC_MINUS)] + [(m, replace(m, sign=-1)) for m in classify_modules(L)
+                                       if m.kind == LabelKind.COSET and m.sign == 1]
+    assert len(pairs) > 1
+    for first, second in pairs:
+        cleared()
+        calls.clear()
+        branch_sublattice(L, basis, first)
+        alone = len(calls)
+        shared = branch_sublattice(L, basis, second)
+        assert alone > 0 and len(calls) == alone, (gram, str(first))
+        cleared()
+        fresh = branch_sublattice(L, basis, second)
+        assert (shared.parts, shared.notes) == (fresh.parts, fresh.notes), (gram, str(second))
 
 
 def test_twisted_parent_is_not_refused_over_a_large_index():

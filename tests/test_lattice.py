@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
                       box_enumerate, coset_neg, even_grams, fraction_to_parent, fraction_to_sub,
@@ -29,6 +29,7 @@ from vlplus.lattice import (
     _frame,
     _frame_counts,
     _gram_schmidt,
+    _least,
     _OutOfNodes,
     _ldl_cached,
     _scaled,
@@ -395,6 +396,28 @@ def test_diagonal_closed_forms_match_the_walker(case, bound):
     assert S == walked_S and sorted(shell) == sorted(walked) and len(set(shell)) == len(shell)
 
 
+@GENERATED
+@given(diagonal_cosets())
+@example(([[2]], (F(-1, 2),)))
+@example(([[2, 0, 0], [0, 4, 0], [0, 0, 6]], (F(-1, 2), F(1, 2), F(3, 2))))
+@example(([[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 20, 0], [0, 0, 0, 2]],
+          (F(-1, 2), F(5, 2), F(-3, 2), F(1, 2))))
+def test_diagonal_least_is_closed_form_without_the_tie_product(case):
+    # _least of a diagonal shell is the least over the expanded product of
+    # its ties times each sign, and is found without iterating that product;
+    # the examples put every coordinate at -D/2 (2^d ties) after centring
+    gram, lam = case
+    D, nums = _scaled(lam)
+    _, shell = _coset_shell(lat(gram).gram, D, nums)
+    expanded = list(shell)
+    assert len(expanded) == len(shell)
+    for signs in ((1,), (-1,), (1, -1)):
+        expected = min((tuple(s * x for x in w) for w in expanded for s in signs), key=_coords_key)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(shell), "__iter__", lambda self: pytest.fail("tie product iterated"))
+            assert _least(shell, signs) == expected, (gram, lam, signs)
+
+
 def test_diagonal_shells_at_exact_halves():
     # +-1/2 tie in every halved coordinate: 2 and 2^2 least vectors
     S, shell = _coset_shell(lat(A1).gram, 2, [1])
@@ -419,8 +442,8 @@ def test_theta_counts_stop_below_the_order(monkeypatch):
     L = lat(E8)
     theta = qseries.theta_coset.__wrapped__(L, zero_coset(L), F(4))
     assert theta.terms() == {F(0): 1, F(1): 240, F(2): 2160, F(3): 6720}
-    [(bound, vectors)] = seen
-    assert bound < 8 and vectors == 9121
+    [(bound, vectors)] = seen  # the cutoff as the integer pair (num, den)
+    assert F(*bound) < 8 and vectors == 9121
 
 
 # ---------------------------------------------------------------------------

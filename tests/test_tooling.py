@@ -101,9 +101,9 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
     # of each +- pair and the branching one class of each orbit
     from conftest import A3, E6, lat
     from vlplus import lattice
-    from vlplus.branching import branch_sublattice
+    from vlplus.branching import _class_table, branch_sublattice
     from vlplus.lattice import (_gram_schmidt, coset_reps_mod_sublattice, coset_two_torsion,
-                                dual_orbits, minimal_coset_reps)
+                                dual_orbits, minimal_coset_reps, sublattice_classes)
     from vlplus.sectors import VAC_PLUS, classify_modules
 
     # every class canonicalization goes through lattice._coset_shell: a walk,
@@ -116,7 +116,8 @@ def test_census_and_branching_walk_once_per_negation_pair(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lattice, "_coset_shell", counting)
-    for cached in (dual_orbits, classify_modules, coset_reps_mod_sublattice):
+    for cached in (dual_orbits, classify_modules, coset_reps_mod_sublattice, sublattice_classes,
+                   _class_table):
         cached.cache_clear()
     L = lat(E6)
     classify_modules(L)

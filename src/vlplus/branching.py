@@ -6,12 +6,14 @@ of a full-rank sublattice.  An orthogonal branching is a structure: the
 rank-one labels each factor offers (frame_choices, on any index-one
 orthogonal frame), plus a parity, the parent's sign, that a part's
 signs must multiply to.  Its parts, one label per factor, are that
-product expanded for printing; its character is checked in factored
-form, with the products of leading factor sums cached across
-branchings.  A sublattice branching walks the classes of
-(lambda + L)/L' in integers, one walk per +- pair (lattice.py owns
-that Smith-form arithmetic, and sublattice_orbit_count the part count),
-into one cached table per coset and square-root branch that V+- and
+product expanded for printing, generated under the parity (every factor
+but the last free, the last's sign forced); its character is checked in
+factored form, with the products of leading factor sums cached across
+branchings, and compared with the parent's in one pass on one grid.  A
+sublattice branching walks the classes of (lambda + L)/L' in integers,
+one walk per +- pair (lattice.py owns that Smith-form arithmetic, and
+sublattice_orbit_count the part count), into one cached table of
+classes and their labels per coset and square-root branch that V+- and
 both signs of a C label share (_class_table).
 Its parts are labels over the sublattice, and its character is one
 coset_character_sum over all of them, V+- included: the parts' thetas
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from math import prod
 
 from .lattice import (
@@ -44,7 +46,7 @@ from .lattice import (
     NotOrthogonalBase,
     Sublattice,
     _canonical,
-    _fraction,
+    _rational,
     coset_two_torsion,
     epsilon_cocycle,
     integral_coords,
@@ -53,7 +55,7 @@ from .lattice import (
     sublattice_classes,
     validate_even_lattice,
 )
-from .qseries import QSeries, character, coset_character_sum
+from .qseries import QSeries, character, character_label, coset_character_sum
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -64,6 +66,7 @@ from .sectors import (
     label_sign,
     twisted_dimension,
     twisted_label,
+    twisted_pair,
 )
 
 
@@ -86,8 +89,8 @@ class BranchList:
     An orthogonal branching is given by choices (the labels factor i
     offers) and the parent's sign; parts is derived from them here, as
     the combinations whose signs multiply to the parent's (all of them
-    for an orbit parent), so it is never passed alongside choices; the
-    filter multiplies per-factor sign tuples, each label's read once.  Any
+    for an orbit parent), in product order, so it is never passed
+    alongside choices (parity_product builds them).  Any
     other branching is over a sublattice, and its parts are untwisted
     labels or a single twisted block: the two shapes branch_sublattice
     makes, and the two that branch_character computes.
@@ -107,16 +110,28 @@ class BranchList:
                 raise ValueError("an orthogonal branching derives its parts from its choices")
             if self.factors is None or len(self.factors) != len(self.choices):
                 raise ValueError("an orthogonal branching needs one factor per choice")
-            sign, parts = label_sign(self.parent), product(*self.choices)
-            if sign is not None:
-                signs = product(*(tuple(map(label_sign, c)) for c in self.choices))
-                parts = compress(parts, [prod(t) == sign for t in signs])
-            object.__setattr__(self, "parts", tuple(parts))
+            object.__setattr__(self, "parts", tuple(parity_product(
+                self.choices, [tuple(map(label_sign, c)) for c in self.choices], label_sign(self.parent))))
         elif self.sublattice is None:
             raise ValueError("a branching without choices needs a sublattice")
         elif not (all(isinstance(p, ModuleLabel) and p.kind != LabelKind.TWISTED for p in self.parts)
                   or len(self.parts) == 1 and isinstance(self.parts[0], TwistedBlockPart)):
             raise ValueError("a sublattice branching's parts are untwisted labels or one twisted block")
+
+
+def parity_product(rows, signs, sign: int | None) -> list[tuple]:
+    """The tuples of product(*rows), in its order, whose entries' signs
+    (signs[i][j] for rows[i][j], +-1) multiply to sign; all of them for sign
+    None.  Built under the constraint, not filtered: every row but the last
+    is free, and the last gives each prefix only its entries of the sign
+    that completes the prefix's sign product to sign."""
+    if sign is None:
+        return list(product(*rows))
+    last = {1: [], -1: []}
+    for x, s in zip(rows[-1], signs[-1]):
+        last[s].append((x,))
+    heads = zip(product(*rows[:-1]), map(prod, product(*signs[:-1])))
+    return [head + x for head, t in heads for x in last[sign * t]]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,7 @@ def frame_choices(S: Sublattice, m: ModuleLabel) -> tuple[tuple[ModuleLabel, ...
         # an orthogonal frame of index one forces the mod-2 form to vanish;
         # a rank-one factor's character is 1 where m's is -1 on its vector
         chars = (int(v == -1) for v in character_values(S.parent, m.char, S.basis))
-        return tuple((twisted_label(c, +1), twisted_label(c, -1)) for c in chars)
+        return tuple(map(twisted_pair, chars))
     lam = label_coset(S.parent, m)
     den = lam.den * S.smith[-1]
     return tuple(_coordinate_labels(factor, x % den, den)
@@ -177,11 +192,14 @@ def _root_unit(eps_value: int, branch: int, is_zero: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _class_table(S: Sublattice, lam: CosetElement,
-                 root_branch: int) -> tuple[tuple[CosetElement, int | None], ...]:
-    """(c, ratio) per class of sublattice_classes(S, lam), in its order.
+def _class_table(S: Sublattice, lam: CosetElement, root_branch: int
+                 ) -> tuple[tuple[CosetElement, tuple[ModuleLabel, ...], int | None], ...]:
+    """(c, labels, ratio) per class of sublattice_classes(S, lam), in its order.
 
-    ratio is None for a paired class; for a self-paired one it is the
+    labels are the labels the class gives over the sublattice: the orbit
+    label of a paired class, the signed pair (+ first) of a self-paired
+    one, made once here rather than per branching.  ratio is None for a
+    paired class; for a self-paired one it is the
     ratio of the parent and local involution coefficients on the
     canonical vector c, as a power of i (0..3) under root_branch.  It
     depends on the coset and the class, not on a label's sign, so V+- (and
@@ -195,20 +213,22 @@ def _class_table(S: Sublattice, lam: CosetElement,
         unit_l = _root_unit(epsilon_cocycle(L, two_lam, two_lam), root_branch, zero)
     rows = []
     for c, self_paired in sublattice_classes(S, lam):
-        ratio = None
-        if self_paired:
-            # involution coefficient of the parent module on the canonical
-            # vector of the class, divided by the local one
-            unit_g = unit_l
-            if not zero:
-                # c.den = index^2 lam.den
-                x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)],
-                                    c.den)
-                unit_g += 2 * (epsilon_cocycle(L, x, two_lam) == -1)
-            two_mu = integral_coords([2 * x for x in c.nums], c.den)
-            ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
-                                         not any(two_mu))) % 4
-        rows.append((c, ratio))
+        if not self_paired:
+            # c is already the smaller rep of the orbit {x, -x}
+            rows.append((c, (ModuleLabel(LabelKind.UNTWISTED, coset=c),), None))
+            continue
+        # involution coefficient of the parent module on the canonical
+        # vector of the class, divided by the local one
+        unit_g = unit_l
+        if not zero:
+            # c.den = index^2 lam.den
+            x = integral_coords([a - S.index ** 2 * b for a, b in zip(S.lift(c.nums), lam.nums)],
+                                c.den)
+            unit_g += 2 * (epsilon_cocycle(L, x, two_lam) == -1)
+        two_mu = integral_coords([2 * x for x in c.nums], c.den)
+        ratio = (unit_g - _root_unit(epsilon_cocycle(sub, two_mu, two_mu), root_branch,
+                                     not any(two_mu))) % 4
+        rows.append((c, coset_labels(sub, c), ratio))
     return tuple(rows)
 
 
@@ -228,9 +248,9 @@ def branch_sublattice(
     lambda) in those coefficients; only these C signs depend on it.
     Paired classes contribute one orbit module per pair; twisted parents
     contribute placeholder blocks.  Parts and notes follow the sort_key
-    of the class representative.  The classes and their ratios are one
-    cached table per (sublattice, coset, root_branch) (_class_table), so
-    only the label's sign is read per call.
+    of the class representative.  The classes, their labels and their
+    ratios are one cached table per (sublattice, coset, root_branch)
+    (_class_table), so only the label's sign is read per call.
     """
     S = sublattice(L, tuple(map(tuple, basis)))
     sub = S.lattice
@@ -243,17 +263,16 @@ def branch_sublattice(
     sign = label_sign(m)
     notes: list[str] = []
     parts: list[BranchPart] = []
-    for c, ratio in _class_table(S, label_coset(L, m), root_branch):
+    for c, labels, ratio in _class_table(S, label_coset(L, m), root_branch):
         if ratio is None:
-            # c is already the smaller rep of the orbit {x, -x}
-            parts.append(ModuleLabel(LabelKind.UNTWISTED, coset=c))
+            parts.append(labels[0])
             continue
         if sign is None:
             raise AssertionError("orbit parent cannot meet a self-paired class")
         if ratio % 2:
             notes.append(f"imaginary involution ratio on class [{format_coset(c)}]; reported +")
         sigma = sign if ratio % 2 or ratio == 0 else -sign
-        parts.append(coset_labels(sub, c)[sigma == -1])
+        parts.append(labels[sigma == -1])
     return BranchList(parent_lattice=L, parent=m, parts=tuple(parts), sublattice=sub,
                       notes=tuple(notes))
 
@@ -264,21 +283,43 @@ def branch_sublattice(
 
 @lru_cache(maxsize=None)
 def _factor_product(factors: tuple[EvenLattice, ...], choices: tuple[tuple[ModuleLabel, ...], ...],
-                    order: Fraction, signed: bool) -> QSeries:
+                    order: int | Fraction, signed: bool) -> QSeries:
     """prod_i sum_l ch(l) over factor i's choices, each term times sign(l) if signed.
 
-    Cached per prefix of the factors, so branchings whose leading choices
-    agree (V+ and V-, or the two signs of a self-paired coset) share their
-    partial products."""
+    V+ and V-, or the two signs of a self-paired coset, share their choices
+    and so this cached product.  A twisted label's character depends on its
+    lattice and sign alone, not on its central character (character_label),
+    so the product is taken with each twisted label read as T[0] of its
+    sign, which keeps the signs a signed sum reads: the twisted branchings of
+    all central characters then share one product (_prefix_product)."""
+    twisted = LabelKind.TWISTED
+    return _prefix_product(factors, tuple(tuple(character_label(lab) if lab.kind == twisted else lab
+                                                for lab in choice) for choice in choices),
+                           order, signed)
+
+
+@lru_cache(maxsize=None)
+def _prefix_product(factors: tuple[EvenLattice, ...], choices: tuple[tuple[ModuleLabel, ...], ...],
+                    order: int | Fraction, signed: bool) -> QSeries:
+    """_factor_product of these choices, cached per prefix of the factors:
+    each prefix product is the shorter prefix's times one factor sum."""
+    s = _factor_sum(factors[-1], choices[-1], order, signed)
+    if len(choices) == 1:
+        return s
+    return _prefix_product(factors[:-1], choices[:-1], order, signed) * s
+
+
+@lru_cache(maxsize=None)
+def _factor_sum(factor: EvenLattice, choice: tuple[ModuleLabel, ...], order: int | Fraction,
+                signed: bool) -> QSeries:
+    """sum_l ch(l) over one factor's choice, each term times sign(l) if signed."""
     s = None
-    for lab in choices[-1]:
-        ch = character(factors[-1], lab, order)
+    for lab in choice:
+        ch = character(factor, lab, order)
         if signed and label_sign(lab) == -1:
             ch = ch.scaled(-1)
         s = ch if s is None else s + ch
-    if len(choices) == 1:
-        return s
-    return _factor_product(factors[:-1], choices[:-1], order, signed) * s
+    return s
 
 
 def branch_character(bl: BranchList, order) -> QSeries:
@@ -294,7 +335,7 @@ def branch_character(bl: BranchList, order) -> QSeries:
     Euler product; a twisted parent's single block is its multiplicity
     times the character of T[0] of that sign over the sublattice.
     """
-    order = _fraction(order)
+    order = _rational(order)
     if bl.choices is not None:
         a = _factor_product(bl.factors, bl.choices, order, False)
         sign = label_sign(bl.parent)
@@ -311,6 +352,17 @@ def branch_character(bl: BranchList, order) -> QSeries:
 
 
 def verify_branch(bl: BranchList, order) -> bool:
-    """Exact character identity: parent equals the sum of the parts."""
-    order = _fraction(order)
-    return character(bl.parent_lattice, bl.parent, order) == branch_character(bl, order)
+    """Exact character identity: parent equals the sum of the parts.
+
+    An orthogonal branching of a parent of sign s is checked as 2 ch =
+    prod_i A_i + s prod_i B_i (branch_character's factored form), term by
+    term in one pass on the parent's grid (QSeries.is_half_sum), with no
+    sum or half built; any other branching compares ch with
+    branch_character, in one pass over the terms where the grids differ."""
+    order = _rational(order)
+    ch = character(bl.parent_lattice, bl.parent, order)
+    sign = label_sign(bl.parent)
+    if bl.choices is None or sign is None:
+        return ch == branch_character(bl, order)
+    return ch.is_half_sum(_factor_product(bl.factors, bl.choices, order, False),
+                          _factor_product(bl.factors, bl.choices, order, True), sign)

@@ -30,10 +30,17 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import islice
 from types import SimpleNamespace
 
-from .branching import TwistedBlockPart, branch_orthogonal, branch_sublattice, verify_branch
+from .branching import (
+    TwistedBlockPart,
+    branch_orthogonal,
+    branch_sublattice,
+    parity_product,
+    verify_branch,
+)
 from .certify import ALL_RULES, VERDICT_RATIONAL, certify, verify_stream
 from .fusion import SignOracle, fusion_dim
 from .lattice import (
@@ -46,14 +53,16 @@ from .lattice import (
 )
 from .qseries import character
 from .sectors import (
+    _read_ratio,
     classify_modules,
     contragredient,
     format_coords,
     format_label,
+    format_ratio,
+    label_sign,
     lowest_weight,
     module_count,
     parse_label,
-    read_rational,
     series_denominator,
     top_level_dimension,
 )
@@ -75,17 +84,31 @@ class CliError(Exception):
 
 
 def _load_gram(path: str):
+    """The lattice of a gram file, read on every call; its text is parsed and
+    validated once (_lattice_of_text), so calls in one process that read
+    the same file share the lattice."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            L = _lattice_of_text(fh.read())
     except FileNotFoundError:
         raise CliError(f"gram file not found: {path}")
     except OSError as e:
         raise CliError(f"cannot read gram file {path}: {e}")
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
         raise CliError(f"malformed JSON in {path}: {e}")
-    if not isinstance(data, dict) or "gram" not in data:
+    if L is None:
         raise CliError(f'{path}: expected an object with a "gram" key')
+    return L
+
+
+@lru_cache(maxsize=16)
+def _lattice_of_text(text: str):
+    """The validated lattice a gram file's text holds, None without a "gram"
+    key; bad JSON raises ValueError or RecursionError, and an invalid Gram
+    CliError (not a ValueError, so never read as bad JSON)."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or "gram" not in data:
+        return None
     try:
         return validate_even_lattice(data["gram"])
     except LatticeError as e:
@@ -172,11 +195,14 @@ def cmd_modules(L, args, out):
     return EXIT_OK
 
 
-def _parse_order(text) -> Fraction:
+def _parse_order(text) -> int | Fraction:
+    """The order as read_rational reads it (from its integers, _read_ratio),
+    an int when it is integral."""
     try:
-        order = read_rational(text)
+        p, q = _read_ratio(text)
     except ValueError as e:
         raise CliError(f"order must be a rational number: {e}")
+    order = p if q == 1 else Fraction(p, q)
     if order < 1:
         raise CliError("order must be at least 1")
     if order > MAX_ORDER:
@@ -184,7 +210,7 @@ def _parse_order(text) -> Fraction:
     return order
 
 
-def _check_grids(order: Fraction, lattices) -> None:
+def _check_grids(order: int | Fraction, lattices) -> None:
     """Exit 2 unless the order lies on the series grid 1/n of every lattice: its denominator divides n."""
     for M in lattices:
         n = series_denominator(M)
@@ -200,8 +226,8 @@ def cmd_char(L, args, out):
     order = _parse_order(args.order)
     _check_grids(order, [L])
     ch = character(L, m, order)
-    for e, c in ch.terms().items():
-        out.write(f"{e}\t{c}\n")
+    # each exponent is its integer key over the grid, printed as str(Fraction) prints it
+    out.write("".join([f"{format_ratio(k, ch.denom)}\t{c}\n" for k, c in ch.keyed_terms()]))
     return EXIT_OK
 
 
@@ -254,10 +280,13 @@ def cmd_decompose(L, args, out):
                 raise CliError(f"--sublattice takes auto, orthogonal-base, or a JSON basis ({e})")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
-    if bl.choices is not None:  # each factor label named once, not once per part
-        name = {lab: format_label(lab) for lab in set(chain(*bl.choices))}
-        # distinct by construction: one label per factor, each factor's labels distinct
-        counts = dict.fromkeys((" (x) ".join(map(name.__getitem__, p)) for p in bl.parts), 1)
+    if bl.choices is not None:
+        # the parts' names are made as the parts are, by parity_product over
+        # each factor's label names: one label per factor, each factor's
+        # labels distinct, so the names are distinct
+        signs = [tuple(map(label_sign, c)) for c in bl.choices]
+        rows = [tuple(map(_label_name, c)) for c in bl.choices]
+        counts = dict.fromkeys(map(" (x) ".join, parity_product(rows, signs, label_sign(m))), 1)
     else:
         counts = {}
         for text in map(_part_str, bl.parts):
@@ -267,13 +296,11 @@ def cmd_decompose(L, args, out):
     if args.format == "json":
         report = {"notes": list(bl.notes), "order": str(order), "verified": ok,
                   "parts": [{"multiplicity": n, "part": p} for p, n in rows]}
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        _emit_rows(rows, ("part", "multiplicity"), args.format, out)
-        for note in bl.notes:
-            out.write(f"# note: {note}\n")
-        out.write(f"verified\t{str(ok).lower()}\torder\t{order}\n")
+        out.write("".join(["part\tmultiplicity\n", *[f"{p}\t{n}\n" for p, n in rows],
+                           *[f"# note: {note}\n" for note in bl.notes],
+                           f"verified\t{str(ok).lower()}\torder\t{order}\n"]))
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -294,7 +321,12 @@ def _part_str(p) -> str:
     if isinstance(p, TwistedBlockPart):
         sign = "+" if p.sign == 1 else "-"
         return f"twisted-block[{sign}]x{p.multiplicity}"
-    return format_label(p)
+    return _label_name(p)
+
+
+# format_label made once per label: a decomposition names the same factor or
+# sublattice labels across its parts and across calls
+_label_name = lru_cache(maxsize=None)(format_label)
 
 
 def cmd_certify(L, args, out):
@@ -365,6 +397,13 @@ FLAGS = {
     "--jobs": (1, False, False, _jobs),
     "--disable-rule": (1, False, True, ALL_RULES),
 }
+# flag: (environment variable or None, default text) for a flag not given
+DEFAULTS = {
+    "--order": ("VLPLUS_ORDER", "12"),
+    "--format": ("VLPLUS_FORMAT", "tsv"),
+    "--jobs": ("VLPLUS_JOBS", "1"),
+    "--sublattice": (None, "auto"),
+}
 COMMANDS = {  # command: (handler, help line, flags)
     "analyze": (cmd_analyze, "lattice report", ("--gram", "--format")),
     "modules": (cmd_modules, "irreducible-module table", ("--gram", "--format")),
@@ -401,9 +440,10 @@ def _exit(command, error=None):
 def _flag(token, names):
     """The name that a token gives whole or by a unique prefix, and its =value."""
     name, eq, value = token.partition("=")
-    found = [n for n in names if n == name] or [
-        n for n in names if name[:2] == "--" and len(name) > 2 and n.startswith(name)]
-    return (found[0] if len(found) == 1 else None), (value if eq else None)
+    if name not in names:
+        found = [n for n in names if name[:2] == "--" and len(name) > 2 and n.startswith(name)]
+        name = found[0] if len(found) == 1 else None
+    return name, (value if eq else None)
 
 
 def _read(choices, text):
@@ -425,12 +465,9 @@ def _parse(argv):
         _exit(None, f"argument command: invalid choice: {command!r} "
                     f"(choose from {', '.join(map(repr, COMMANDS))})")
     handler, _, flags = COMMANDS[command]
-    env, stray, tokens = os.environ, [], iter(argv[1:])
-    # each flag's text values: its default until the command line gives some
-    texts = {"--order": [env.get("VLPLUS_ORDER", "12")], "--format": [env.get("VLPLUS_FORMAT", "tsv")],
-             "--jobs": [env.get("VLPLUS_JOBS", "1")], "--sublattice": ["auto"]}
+    names, stray, tokens, texts = (*flags, "-h", "--help"), [], iter(argv[1:]), {}
     for token in tokens:
-        flag, value = _flag(token, (*flags, "-h", "--help"))
+        flag, value = _flag(token, names)
         if flag in ("-h", "--help"):
             _exit(command)
         if flag is None:
@@ -445,6 +482,10 @@ def _parse(argv):
             _exit(command, f"argument {flag}: expected "
                            f"{'one argument' if count == 1 else f'{count} arguments'}")
         texts[flag] = texts.get(flag, []) + values if repeats else values
+    # a flag the command takes and the line does not give: its default text
+    for flag, (variable, default) in DEFAULTS.items():
+        if flag in flags and flag not in texts:
+            texts[flag] = [os.environ.get(variable, default) if variable else default]
     args, missing = SimpleNamespace(), [flag for flag in flags if FLAGS[flag][1] and flag not in texts]
     for flag in flags:
         count, _, repeats, choices = FLAGS[flag]

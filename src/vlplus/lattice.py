@@ -246,14 +246,21 @@ def _diagonal(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     return tuple(gram[i][i] for i in range(n))
 
 
-def _fraction(x) -> Fraction:
-    """x as a Fraction: x itself when it is one, so an entry builds at most one."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _rational(x) -> int | Fraction:
+    """x as an exact rational: an int when it is integral, else a Fraction
+    (x itself when it is one, so an entry builds at most one).  An int's
+    hash is C code and a Fraction's Python code, so an integral order keys
+    the caches below the entry points as an int."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _scaled(lam) -> tuple[int, list[int]]:
     """(D, nums) with lam = nums / D and D the least common denominator."""
-    lam = list(map(_fraction, lam))
+    lam = list(map(_rational, lam))
     D = math.lcm(*(x.denominator for x in lam))
     return D, [x.numerator * (D // x.denominator) for x in lam]
 
@@ -265,7 +272,7 @@ def _budget(bound, scale: int) -> int:
     if isinstance(bound, tuple):
         num, den = bound
     else:
-        bound = _fraction(bound)
+        bound = _rational(bound)
         num, den = bound.numerator, bound.denominator
     if num < 0:
         raise BoundNegative("enumeration bound must be nonnegative")
@@ -453,7 +460,7 @@ def integral_coords(nums, den: int) -> Coords:
 def _canonical(L: EvenLattice, D: int, nums, signs) -> CosetElement:
     """The element of the coset nums / D + L at the least shell vector times signs;
     ValueError unless nums / D is a dual vector."""
-    if any(sum(g * x for g, x in zip(row, nums)) % D for row in L.gram):
+    if any(sum(map(operator.mul, row, nums)) % D for row in L.gram):
         raise ValueError("coordinates are not a dual vector (G v is not integral)")
     S, shell = _coset_shell(L.gram, D, nums)
     return _element(L, D, S, _least(shell, signs))
@@ -507,7 +514,7 @@ def _class_steps(smith, v, shift, den: int):
                                f"{QuotientTooLarge.limit} can be enumerated")
     top = smith[-1]
     base = [top // f * t for t, f in zip(shift, smith)]
-    nums = [sum(a * b for a, b in zip(row, base)) for row in v]
+    nums = [sum(map(operator.mul, row, base)) for row in v]
     # nums = v (base + step c), kept up to date as c advances: each coordinate
     # that changes adds its change times column i of v diag(step)
     steps = [(top // f * den, i) for i, f in enumerate(smith) if f > 1]
@@ -623,17 +630,17 @@ class Sublattice:
 
     def smith_class(self, nums) -> list[int]:
         """U nums; for a lattice vector, U nums mod smith is its class modulo the sublattice."""
-        return [sum(a * b for a, b in zip(nums, row)) for row in self.smith_u]
+        return [sum(map(operator.mul, nums, row)) for row in self.smith_u]
 
     def lift(self, nums) -> list[int]:
         """nums B: sublattice numerators to parent ones over the same denominator."""
-        return [sum(a * b for a, b in zip(nums, col)) for col in zip(*self.basis)]
+        return [sum(map(operator.mul, nums, col)) for col in zip(*self.basis)]
 
     def sub_nums(self, nums) -> list[int]:
         """nums B^-1 smith[-1]: parent numerators to sublattice ones over smith[-1] times as much."""
         top = self.smith[-1]
         y = [top // f * t for f, t in zip(self.smith, self.smith_class(nums))]
-        return [sum(a * b for a, b in zip(y, row)) for row in self.smith_v]
+        return [sum(map(operator.mul, y, row)) for row in self.smith_v]
 
 
 @lru_cache(maxsize=None)

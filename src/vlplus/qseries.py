@@ -22,9 +22,10 @@ pentagonal recurrence times P's few pentagonal terms.  Every product of
 coefficient lists, series products included, is one big-integer
 multiplication (Kronecker substitution, _convolve), exact because it is
 integer arithmetic with a digit wide enough for every coefficient.  An
-order is one Fraction at each entry point (_fraction keeps one as it is)
-and integers below: grid keys, the theta cutoff and shifts compare
-numerators and denominators.
+order is read once at each entry point (_rational: an int when it is
+integral, else one Fraction), so an integral order keys the caches below
+as an int, whose hash is C code; below that, grid keys, the theta cutoff
+and shifts compare numerators and denominators.
 """
 
 from __future__ import annotations
@@ -37,8 +38,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .lattice import CosetElement, EvenLattice, _fraction, coset_norm_counts
-from .sectors import LabelKind, ModuleLabel, label_coset, series_denominator, twisted_dimension
+from .lattice import CosetElement, EvenLattice, _rational, coset_norm_counts
+from .sectors import (
+    LabelKind,
+    ModuleLabel,
+    label_coset,
+    series_denominator,
+    twisted_dimension,
+    twisted_pair,
+)
 
 
 class QSeries:
@@ -60,7 +68,7 @@ class QSeries:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def zero(denom: int, order: Fraction) -> "QSeries":
+    def zero(denom: int, order: int | Fraction) -> "QSeries":
         return QSeries(denom, _key(order, denom), {})
 
     # -- views --------------------------------------------------------------
@@ -69,15 +77,51 @@ class QSeries:
     def order(self) -> Fraction:
         return Fraction(self.order_key, self.denom)
 
+    def keyed_terms(self) -> list[tuple[int, int]]:
+        """(key, coefficient) in exponent order: the term q^(key / denom), no Fraction built."""
+        return sorted(self.nums.items())
+
     def terms(self) -> dict[Fraction, int]:
-        return {_exponent(k, self.denom): v for k, v in sorted(self.nums.items())}
+        """{exponent: coefficient} in exponent order, each exponent a Fraction."""
+        return {_exponent(k, self.denom): v for k, v in self.keyed_terms()}
 
     def __eq__(self, other) -> bool:
         # no constructor stores a zero, so on one grid equal series store equal integers
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = _align(self, other)
-        return a.order_key == b.order_key and a.nums == b.nums
+        if self.denom == other.denom:
+            return self.order_key == other.order_key and self.nums == other.nums
+        # on two grids, each term is looked up at its key on the other grid:
+        # one pass, and no rescaled copy
+        fa, fb = _refinements(self.denom, other.denom)
+        if self.order_key * fa != other.order_key * fb or len(self.nums) != len(other.nums):
+            return False
+        get = other.nums.get
+        for k, v in self.nums.items():
+            kb, r = divmod(k * fa, fb)
+            if r or get(kb) != v:
+                return False
+        return True
+
+    def is_half_sum(self, a: "QSeries", b: "QSeries", sign: int) -> bool:
+        """self == (a + sign b) / 2, decided in one pass over the keys of a
+        and b, each combined coefficient compared with twice self's at its
+        key on self's grid: no sum, half or rescaled copy is built.  An odd
+        combined coefficient is a mismatch, as twice self's is even."""
+        a, b = _align(a, b)
+        fs, fa = _refinements(self.denom, a.denom)
+        if self.order_key * fs != a.order_key * fa or a.order_key != b.order_key:
+            return False
+        an, bn, get = a.nums, b.nums, self.nums.get
+        matched = 0
+        for k in an.keys() | bn.keys():
+            v = an.get(k, 0) + sign * bn.get(k, 0)
+            if v:
+                ks, r = divmod(k * fa, fs)
+                if r or 2 * get(ks, 0) != v:
+                    return False
+                matched += 1
+        return matched == len(self.nums)
 
     def __hash__(self):
         # grid-free, as equality aligns grids
@@ -132,7 +176,9 @@ class QSeries:
         a0, b0 = min(an, default=order_key), min(bn, default=order_key)
         if a0 < 0 or b0 < 0:
             raise ValueError("truncated products require nonnegative exponents")
-        ga, gb = math.gcd(*map(a0.__rsub__, an)), math.gcd(*map(b0.__rsub__, bn))  # k - a0, k - b0
+        if not (an and bn):
+            return QSeries(a.denom, order_key, {})
+        ga, gb = math.gcd(*[k - a0 for k in an]), math.gcd(*[k - b0 for k in bn])
         if ga > gb:
             an, a0, bn, b0, ga, gb = bn, b0, an, a0, gb, ga
         g = math.gcd(ga, gb) or 1
@@ -154,7 +200,7 @@ class QSeries:
 
     def shifted(self, e) -> "QSeries":
         """Multiply by q^e, on the grid lcm(denom, e's denominator); the order moves with the terms."""
-        e = _fraction(e)
+        e = _rational(e)
         k, r = divmod(e.numerator * self.denom, e.denominator)
         if r:
             return self.rescale(math.lcm(self.denom, e.denominator)).shifted(e)
@@ -166,7 +212,7 @@ _exponent = lru_cache(maxsize=None)(Fraction)  # key / denom, built once per gri
 
 def _key(order, denom: int) -> int:
     """The grid key order * denom, in integers from the order's numerator and denominator."""
-    p, q = _fraction(order).as_integer_ratio()
+    p, q = _rational(order).as_integer_ratio()
     k, r = divmod(p * denom, q)
     if r:
         raise ValueError(f"order {order} is not on the grid 1/{denom}")
@@ -177,6 +223,13 @@ def _dense(nums: dict[int, int], base: int, step: int, size: int) -> list[int]:
     """The coefficients of nums at the keys base + step i, i < size (none if size <= 0)."""
     stop = min(base + step * size, max(nums, default=base) + 1)
     return list(map(nums.get, range(base, stop, step), repeat(0)))
+
+
+def _refinements(da: int, db: int) -> tuple[int, int]:
+    """(D // da, D // db) for D = lcm(da, db): the factors taking keys on
+    grids 1/da and 1/db to their common grid."""
+    g = math.gcd(da, db)
+    return db // g, da // g
 
 
 def _align(a: QSeries, b: QSeries) -> tuple[QSeries, QSeries]:
@@ -321,7 +374,7 @@ def _power(row: Sequence[int], d: int, size: int) -> list[int]:
 @lru_cache(maxsize=None)
 def euler_product_inv(
     d: int,
-    order: Fraction,
+    order: int | Fraction,
     denom: int,
     alternating: bool = False,
     half_integer: bool = False,
@@ -365,7 +418,7 @@ def euler_product_inv(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def theta_coset(L: EvenLattice, lam: CosetElement, order: Fraction) -> QSeries:
+def theta_coset(L: EvenLattice, lam: CosetElement, order: int | Fraction) -> QSeries:
     """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order.
 
     A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
@@ -396,7 +449,7 @@ THETA_PSI = {LabelKind.VAC_PLUS: (1, 1), LabelKind.VAC_MINUS: (1, -1),
 
 
 @lru_cache(maxsize=None)
-def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
+def character(L: EvenLattice, m: ModuleLabel, order: int | Fraction) -> QSeries:
     """Graded dimension of the labelled irreducible, exact to the given order.
 
     Untwisted labels: coset_character_sum of the label alone, so V+- are
@@ -405,15 +458,20 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     dim(T) q^(d/16) (h(q^(1/2)) +- h(-q^(1/2))) / 2 with h the inverse
     product over the half-integer exponents: the terms of h at integer
     exponents for T+, at half-integer ones for T-, with no division.
+    Neither formula reads a C label's sign or a twisted label's central
+    character, so C- and T[i] return the cached series of character_label.
     """
-    order = _fraction(order)
+    order = _rational(order)
+    same = character_label(m)
+    if same is not m:
+        return character(L, same, order)
     if m.kind in THETA_PSI:
         return coset_character_sum(L, (m,), order)
     # twisted: build at a shifted order so the final truncation is exact
     denom = series_denominator(L)
     d = L.rank
     shift = Fraction(d, 16)
-    inner = order - shift
+    inner = _rational(order - shift)
     if inner <= 0:
         return QSeries.zero(denom, order)
     h = euler_product_inv(d, inner, denom, half_integer=True)
@@ -425,6 +483,17 @@ def character(L: EvenLattice, m: ModuleLabel, order: Fraction) -> QSeries:
     return QSeries(denom, h.order_key, kept).shifted(shift)
 
 
+def character_label(m: ModuleLabel) -> ModuleLabel:
+    """The label whose character equals m's by its formula (character): C+
+    for either sign of a self-paired coset, T[0] for a twisted label of
+    the same sign, m itself for V+-, U and C+."""
+    if m.kind == LabelKind.COSET:
+        return m if m.sign == 1 else ModuleLabel(LabelKind.COSET, coset=m.coset, sign=1)
+    if m.kind == LabelKind.TWISTED:
+        return m if m.char == 0 else twisted_pair(0)[m.sign == -1]
+    return m
+
+
 def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     """Sum of character(L, m, order) over untwisted labels m, V+- included.
 
@@ -433,7 +502,7 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
     thetas, integer counts, are summed in integers and each Euler product
     is taken once for the whole sum.  A label whose coset's least norm
     reaches 2 * order adds no theta and its coset is not counted."""
-    order = _fraction(order)
+    order = _rational(order)
     denom = series_denominator(L)
     twice: dict[int, int] = {}
     psi_weight = 0

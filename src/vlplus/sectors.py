@@ -73,10 +73,17 @@ class ModuleLabel:
 
 VAC_PLUS = ModuleLabel(LabelKind.VAC_PLUS)
 VAC_MINUS = ModuleLabel(LabelKind.VAC_MINUS)
+_VACUUM_SIGNS = {LabelKind.VAC_PLUS: 1, LabelKind.VAC_MINUS: -1}  # V+- carry no sign field
 
 
 def twisted_label(char: int, sign: int) -> ModuleLabel:
     return ModuleLabel(LabelKind.TWISTED, char=char, sign=sign)
+
+
+@lru_cache(maxsize=None)
+def twisted_pair(char: int) -> tuple[ModuleLabel, ModuleLabel]:
+    """T[char]+ and T[char]-, built once per character index."""
+    return twisted_label(char, +1), twisted_label(char, -1)
 
 
 def coset_labels(L: EvenLattice, c: CosetElement) -> tuple[ModuleLabel, ...]:
@@ -93,11 +100,7 @@ def coset_labels(L: EvenLattice, c: CosetElement) -> tuple[ModuleLabel, ...]:
 
 def label_sign(m: ModuleLabel) -> int | None:
     """+1 for V+, -1 for V-, the sign of any other signed label; None for an orbit label."""
-    if m.kind == LabelKind.VAC_PLUS:
-        return 1
-    if m.kind == LabelKind.VAC_MINUS:
-        return -1
-    return m.sign
+    return _VACUUM_SIGNS.get(m.kind, m.sign)
 
 
 def label_coset(L: EvenLattice, m: ModuleLabel) -> CosetElement | None:
@@ -136,11 +139,16 @@ def character_values(L: EvenLattice, chi: int, vectors) -> tuple[int, ...]:
     The radical is then all of L/2L on the standard basis, so chi(v) is
     -1 iff chi has an odd number of set bits at the odd coordinates of v.
     """
-    d = L.rank
-    if mod_two_data(L).radical_basis != tuple(tuple(int(i == j) for j in range(d)) for i in range(d)):
+    if mod_two_data(L).radical_basis != _standard_basis(L.rank):
         raise AssertionError("character values need a vanishing mod-2 form")
     return tuple(-1 if (chi & sum((c % 2) << i for i, c in enumerate(v))).bit_count() % 2 else 1
                  for v in vectors)
+
+
+@lru_cache(maxsize=None)
+def _standard_basis(d: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the d x d identity, built once per rank."""
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +259,7 @@ def format_coset(c: CosetElement) -> str:
 def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     """Parse a label string; accepts VacPlus/VacMinus as spelled-out aliases."""
     text = text.strip()
-    aliases = {"VacPlus": "V+", "VacMinus": "V-"}
-    text = aliases.get(text, text)
+    text = _ALIASES.get(text, text)
     if text == "V+":
         return VAC_PLUS
     if text == "V-":
@@ -284,7 +291,7 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
         return ModuleLabel(LabelKind.COSET, coset=c, sign=sign)
     if kind == "T" and text[1:2] == "[":
         digits, chars = text[2:close], central_characters(L)
-        if not re.fullmatch(r"[0-9]+", digits):
+        if not _DIGITS.fullmatch(digits):
             raise ValueError(f"label {text!r}: character index {digits!r:.60} is not ASCII digits")
         index = digits.lstrip("0") or "0"
         # lengths first: int() refuses more digits than Python converts
@@ -294,6 +301,8 @@ def parse_label(L: EvenLattice, text: str) -> ModuleLabel:
     raise ValueError(f"unrecognized module label {text!r}")
 
 
+_ALIASES = {"VacPlus": "V+", "VacMinus": "V-"}
+_DIGITS = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 

@@ -196,6 +196,97 @@ def test_corrupted_branch_fails_verification():
 
 
 # ---------------------------------------------------------------------------
+# the character check on broken branchings
+# ---------------------------------------------------------------------------
+
+CHECK_ORDER = 3  # above every lowest weight of these rungs' labels (at most 13/16 + 1)
+DIAGONAL_RUNGS = [g for g in TEST_GRAMS + LADDER_GRAMS if lat(g).is_diagonal()]
+GRAM_SCHMIDT_RUNGS = [A3, LADDER_GRAMS[0], LADDER_GRAMS[1]]  # A3, A4, D4
+
+
+def summed_check(bl: BranchList, order) -> bool:
+    """Oracle: the check as it was made as a sum, a half and an aligned comparison."""
+    return character(bl.parent_lattice, bl.parent, order) == branch_character(bl, order)
+
+
+def other_sign(lab):
+    """lab's partner of the other sign where their characters differ (V+-, T+-), else None:
+    the two signs of a C label share one character."""
+    if lab.kind in (LabelKind.VAC_PLUS, LabelKind.VAC_MINUS):
+        return VAC_MINUS if lab.kind == LabelKind.VAC_PLUS else VAC_PLUS
+    if lab.kind == LabelKind.TWISTED:
+        return twisted_label(lab.char, -lab.sign)
+    return None
+
+
+def broken_branchings(bl: BranchList) -> list[tuple[str, BranchList]]:
+    """bl with one part dropped, duplicated or sign-flipped, where it has such a part.
+
+    An orthogonal branching's parts follow from its choices, so it is broken in
+    one factor's choice, at a label of its first part: the label dropped (from
+    a factor offering two), offered twice, or replaced by its partner of the
+    other sign.  A sublattice branching loses or repeats its lowest part (one
+    below the order), flips the sign of a V+- part or of its twisted block, or
+    adds one to the block's multiplicity."""
+    broken = []
+    if bl.choices is not None:
+        first = bl.parts[0]
+
+        def with_choice(i, old, new):
+            choice = list(bl.choices[i])
+            choice[choice.index(old):choice.index(old) + 1] = new
+            return replace(bl, parts=(), choices=bl.choices[:i] + (tuple(choice),) + bl.choices[i + 1:])
+
+        dropped = next((i for i, choice in enumerate(bl.choices) if len(choice) > 1), None)
+        if dropped is not None:
+            broken.append(("dropped", with_choice(dropped, first[dropped], [])))
+        broken.append(("duplicated", with_choice(0, first[0], [first[0]] * 2)))
+        flip = next((i for i, lab in enumerate(first) if other_sign(lab)), None)
+        if flip is not None:
+            broken.append(("sign-flipped", with_choice(flip, first[flip], [other_sign(first[flip])])))
+        return broken
+    if isinstance(bl.parts[0], TwistedBlockPart):
+        block = bl.parts[0]
+        return [("dropped", replace(bl, parts=())),
+                ("duplicated", replace(bl, parts=(replace(block, multiplicity=block.multiplicity + 1),))),
+                ("sign-flipped", replace(bl, parts=(replace(block, sign=-block.sign),)))]
+    low = min(range(len(bl.parts)), key=lambda i: lowest_weight(bl.sublattice, bl.parts[i]))
+    broken += [("dropped", replace(bl, parts=bl.parts[:low] + bl.parts[low + 1:])),
+               ("duplicated", replace(bl, parts=bl.parts + bl.parts[low:low + 1]))]
+    flip = next((i for i, p in enumerate(bl.parts) if other_sign(p)), None)
+    if flip is not None:
+        parts = bl.parts[:flip] + (other_sign(bl.parts[flip]),) + bl.parts[flip + 1:]
+        broken.append(("sign-flipped", replace(bl, parts=parts)))
+    return broken
+
+
+@pytest.mark.parametrize("route, gram", [("orthogonal", g) for g in DIAGONAL_RUNGS]
+                         + [("gram-schmidt", g) for g in GRAM_SCHMIDT_RUNGS])
+def test_check_refuses_broken_branchings_as_the_summed_check_does(route, gram):
+    # the orthogonal check is one pass over the factored form, and the
+    # sublattice check one pass on two grids: each agrees with the summed
+    # check on every label and every broken branching.  A dropped or repeated
+    # part below the order always changes the character; a flipped sign need
+    # not (V+ x V- and V- x V+ of D22 have one character), but on each rung
+    # some flip does
+    L = lat(gram)
+    refused = set()
+    for m in classify_modules(L):
+        if route == "orthogonal":
+            bl = branch_orthogonal(L, m)
+        else:
+            bl = branch_sublattice(L, _gram_schmidt(L).basis, m)
+        assert verify_branch(bl, CHECK_ORDER) and summed_check(bl, CHECK_ORDER), format_label(m)
+        for kind, broken in broken_branchings(bl):
+            ok = verify_branch(broken, CHECK_ORDER)
+            assert ok == summed_check(broken, CHECK_ORDER), (format_label(m), kind)
+            assert not ok or kind == "sign-flipped", (format_label(m), kind)
+            if not ok:
+                refused.add(kind)
+    assert refused == {"dropped", "duplicated", "sign-flipped"}
+
+
+# ---------------------------------------------------------------------------
 # sublattice route
 # ---------------------------------------------------------------------------
 

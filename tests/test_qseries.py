@@ -140,6 +140,27 @@ def test_series_ring_axioms_random():
         assert a + b == b + a
 
 
+def test_is_half_sum_is_the_halved_sum():
+    # the one-pass check against the sum, its half and a comparison on a
+    # common grid: ch on a grid that refines the operands', as a parent's
+    # character refines its factors' grid
+    rng = random.Random(11)
+    for _ in range(120):
+        denom, order_key = rng.choice([1, 2, 16]), rng.randint(1, 24)
+        a = random_series(rng, denom, order_key)
+        b = a + random_series(rng, denom, order_key).scaled(2)  # a + s b is even
+        sign = rng.choice([1, -1])
+        half = (a + b.scaled(sign)).halved()
+        ch = half.rescale(half.denom * rng.choice([1, 2, 3]))
+        assert ch.is_half_sum(a, b, sign)
+        assert ch.is_half_sum(b, a, sign) == (sign == 1 or not half.nums)  # (b - a) / 2 = -half
+        k = F(rng.randint(0, order_key - 1), denom)
+        assert not (ch + from_terms(denom, ch.order, {k: 1})).is_half_sum(a, b, sign)
+        assert not truncate(ch, ch.order - F(1, ch.denom)).is_half_sum(a, b, sign)
+        odd = a + from_terms(denom, a.order, {k: 1})  # odd at k: no series is half of it
+        assert not ch.is_half_sum(odd, b, sign) and not half.is_half_sum(odd, b, sign)
+
+
 def test_series_equality_is_grid_free_and_exact():
     # equality compares integers on a common grid: a rescale is the same
     # series, one coefficient or the order apart is not, and equal series hash equal
@@ -777,6 +798,19 @@ def test_every_character_has_integer_coefficients(gram):
     for m in classify_modules(L):
         ch = character(L, m, F(6))
         assert all(type(c) is int for c in ch.terms().values()), (gram, str(m))
+
+
+def test_integral_order_shares_one_cache_entry():
+    # an integral order keys the cache as an int; a Fraction of the same
+    # value, equal and of equal hash, finds the entry the int made
+    L = lat([[2, 0], [0, 10]])
+    info = character.cache_info()
+    first = character(L, VAC_PLUS, 12)
+    made = character.cache_info()
+    assert made.misses == info.misses + 1 and made.currsize == info.currsize + 1
+    assert character(L, VAC_PLUS, F(12)) is first
+    found = character.cache_info()
+    assert found.hits == made.hits + 1 and found.currsize == made.currsize
 
 
 def test_zhu_dictionary_leading_data():

@@ -6,21 +6,23 @@ of a full-rank sublattice.  An orthogonal branching is a structure: the
 rank-one labels each factor offers (frame_choices, on any index-one
 orthogonal frame), plus a parity, the parent's sign, that a part's
 signs must multiply to.  Its parts, one label per factor, are that
-product expanded for printing, generated under the parity (every factor
-but the last free, the last's sign forced); its character is checked in
-factored form, with the products of leading factor sums cached across
-branchings, and compared with the parent's in one pass on one grid.  A
+product expanded under the parity (every factor but the last free, the
+last's sign forced), which is what the CLI names; its character stays
+in factored form, with the products of leading factor sums cached across
+branchings.  A
 sublattice branching walks the classes of (lambda + L)/L' in integers,
 one walk per +- pair (lattice.py owns that Smith-form arithmetic, and
 sublattice_orbit_count the part count), into one cached table of
 classes and their labels per coset and square-root branch that V+- and
 both signs of a C label share (_class_table).
-Its parts are labels over the sublattice, and its character is one
-coset_character_sum over all of them, V+- included: the parts' thetas
+Its parts are labels over the sublattice, and its character is the
+coset_character_halves of all of them, V+- included: the parts' thetas
 summed in integers under one Euler product of the sublattice; a part
 whose coset's least norm reaches twice the order adds no theta there
-and is not walked.  Every decomposition is verified by an exact
-character identity, which is the normative check: for a nonzero
+and is not walked.  Every route writes its character as (a + s b) / 2
+(_character_halves), and every decomposition is verified by one exact
+character identity, 2 ch = a + s b against the parent's character in one
+pass on its grid, which is the normative check: for a nonzero
 self-paired coset the two signed modules have equal characters, so the
 sign chosen for such a part is metadata: computed from the involution
 coefficient on the canonical lowest-weight vector, it flips with the
@@ -55,7 +57,7 @@ from .lattice import (
     sublattice_classes,
     validate_even_lattice,
 )
-from .qseries import QSeries, character, character_label, coset_character_sum
+from .qseries import QSeries, character, character_label, coset_character_halves
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -93,7 +95,7 @@ class BranchList:
     alongside choices (parity_product builds them).  Any
     other branching is over a sublattice, and its parts are untwisted
     labels or a single twisted block: the two shapes branch_sublattice
-    makes, and the two that branch_character computes.
+    makes, and the two that _character_halves computes.
     """
 
     parent_lattice: EvenLattice
@@ -110,8 +112,7 @@ class BranchList:
                 raise ValueError("an orthogonal branching derives its parts from its choices")
             if self.factors is None or len(self.factors) != len(self.choices):
                 raise ValueError("an orthogonal branching needs one factor per choice")
-            object.__setattr__(self, "parts", tuple(parity_product(
-                self.choices, [tuple(map(label_sign, c)) for c in self.choices], label_sign(self.parent))))
+            object.__setattr__(self, "parts", tuple(parity_product(self.choices, label_sign(self.parent))))
         elif self.sublattice is None:
             raise ValueError("a branching without choices needs a sublattice")
         elif not (all(isinstance(p, ModuleLabel) and p.kind != LabelKind.TWISTED for p in self.parts)
@@ -119,18 +120,19 @@ class BranchList:
             raise ValueError("a sublattice branching's parts are untwisted labels or one twisted block")
 
 
-def parity_product(rows, signs, sign: int | None) -> list[tuple]:
-    """The tuples of product(*rows), in its order, whose entries' signs
-    (signs[i][j] for rows[i][j], +-1) multiply to sign; all of them for sign
-    None.  Built under the constraint, not filtered: every row but the last
-    is free, and the last gives each prefix only its entries of the sign
-    that completes the prefix's sign product to sign."""
+def parity_product(choices, sign: int | None) -> list[tuple[ModuleLabel, ...]]:
+    """The tuples of product(*choices), in its order, whose labels' signs
+    multiply to sign; all of them for sign None.  Built under the
+    constraint, not filtered: every factor but the last is free, and the
+    last gives each prefix only its labels of the sign that completes the
+    prefix's sign product to sign."""
     if sign is None:
-        return list(product(*rows))
+        return list(product(*choices))
     last = {1: [], -1: []}
-    for x, s in zip(rows[-1], signs[-1]):
-        last[s].append((x,))
-    heads = zip(product(*rows[:-1]), map(prod, product(*signs[:-1])))
+    for lab in choices[-1]:
+        last[label_sign(lab)].append((lab,))
+    signs = [map(label_sign, c) for c in choices[:-1]]
+    heads = zip(product(*choices[:-1]), map(prod, product(*signs)))
     return [head + x for head, t in heads for x in last[sign * t]]
 
 
@@ -322,47 +324,38 @@ def _factor_sum(factor: EvenLattice, choice: tuple[ModuleLabel, ...], order: int
     return s
 
 
-def branch_character(bl: BranchList, order) -> QSeries:
-    """Character of the sum of the parts, exact to the given order.
+def _character_halves(bl: BranchList, order: int | Fraction) -> tuple[QSeries, QSeries, int]:
+    """(a, b, s) with the character of bl's parts (a + s b) / 2.
 
-    An orthogonal branching is summed in factored form: prod_i A_i for an
-    orbit parent, (prod_i A_i + s prod_i B_i) / 2 for a parent of sign s,
-    with A_i = sum ch(l) and B_i = sum sign(l) ch(l) over factor i's
-    choices: a combination of sign product t counts (1 + s t) / 2 times.
-    A sublattice branching of an untwisted parent is one
-    coset_character_sum over its labels, V+- included: ch = (sum w theta
-    phi^(-d) + sum t psi^(-d)) / 2, the thetas summed in integers under one
-    Euler product; a twisted parent's single block is its multiplicity
-    times the character of T[0] of that sign over the sublattice.
+    An orthogonal branching is in factored form, with A_i = sum ch(l) and
+    B_i = sum sign(l) ch(l) over factor i's choices: (prod_i A_i, prod_i
+    B_i, s) for a parent of sign s, as a combination of sign product t
+    counts (1 + s t) / 2 times, and (prod_i A_i, prod_i A_i, 1) for an
+    orbit parent.  A sublattice branching of an untwisted parent is the
+    coset_character_halves of its labels, V+- included, with s = 1; a
+    twisted parent's single block is (x, x, 1), x its multiplicity times
+    the character of T[0] of that sign over the sublattice.
     """
-    order = _rational(order)
     if bl.choices is not None:
         a = _factor_product(bl.factors, bl.choices, order, False)
         sign = label_sign(bl.parent)
         if sign is None:
-            return a
-        signed = _factor_product(bl.factors, bl.choices, order, True)
+            return a, a, 1
         # A_i - B_i is twice the sum over factor i's minus labels, so the
         # two products agree mod 2
-        return (a + signed.scaled(sign)).halved()
+        return a, _factor_product(bl.factors, bl.choices, order, True), sign
     if bl.parts and isinstance(bl.parts[0], TwistedBlockPart):
         block = bl.parts[0]
-        return character(bl.sublattice, twisted_label(0, block.sign), order).scaled(block.multiplicity)
-    return coset_character_sum(bl.sublattice, bl.parts, order)
+        x = character(bl.sublattice, twisted_label(0, block.sign), order).scaled(block.multiplicity)
+        return x, x, 1
+    return (*coset_character_halves(bl.sublattice, bl.parts, order), 1)
 
 
 def verify_branch(bl: BranchList, order) -> bool:
     """Exact character identity: parent equals the sum of the parts.
 
-    An orthogonal branching of a parent of sign s is checked as 2 ch =
-    prod_i A_i + s prod_i B_i (branch_character's factored form), term by
-    term in one pass on the parent's grid (QSeries.is_half_sum), with no
-    sum or half built; any other branching compares ch with
-    branch_character, in one pass over the terms where the grids differ."""
+    Checked as 2 ch = a + s b for the (a, b, s) of _character_halves, term
+    by term in one pass on the parent's grid (QSeries.is_half_sum), with
+    no sum or half built, on every route."""
     order = _rational(order)
-    ch = character(bl.parent_lattice, bl.parent, order)
-    sign = label_sign(bl.parent)
-    if bl.choices is None or sign is None:
-        return ch == branch_character(bl, order)
-    return ch.is_half_sum(_factor_product(bl.factors, bl.choices, order, False),
-                          _factor_product(bl.factors, bl.choices, order, True), sign)
+    return character(bl.parent_lattice, bl.parent, order).is_half_sum(*_character_halves(bl, order))

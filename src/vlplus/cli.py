@@ -38,7 +38,6 @@ from .branching import (
     TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
-    parity_product,
     verify_branch,
 )
 from .certify import ALL_RULES, VERDICT_RATIONAL, certify, verify_stream
@@ -59,7 +58,6 @@ from .sectors import (
     format_coords,
     format_label,
     format_ratio,
-    label_sign,
     lowest_weight,
     module_count,
     parse_label,
@@ -280,17 +278,9 @@ def cmd_decompose(L, args, out):
                 raise CliError(f"--sublattice takes auto, orthogonal-base, or a JSON basis ({e})")
         bl = branch_sublattice(L, basis, m)
     _check_grids(order, [M for M in (L, bl.sublattice, *(bl.factors or ())) if M is not None])
-    if bl.choices is not None:
-        # the parts' names are made as the parts are, by parity_product over
-        # each factor's label names: one label per factor, each factor's
-        # labels distinct, so the names are distinct
-        signs = [tuple(map(label_sign, c)) for c in bl.choices]
-        rows = [tuple(map(_label_name, c)) for c in bl.choices]
-        counts = dict.fromkeys(map(" (x) ".join, parity_product(rows, signs, label_sign(m))), 1)
-    else:
-        counts = {}
-        for text in map(_part_str, bl.parts):
-            counts[text] = counts.get(text, 0) + 1
+    counts = {}
+    for text in map(_part_str, bl.parts):
+        counts[text] = counts.get(text, 0) + 1
     ok = verify_branch(bl, order)
     rows = sorted(counts.items())
     if args.format == "json":
@@ -318,6 +308,8 @@ def _parse_basis(data, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _part_str(p) -> str:
+    if isinstance(p, tuple):  # one label per orthogonal factor
+        return " (x) ".join(map(_label_name, p))
     if isinstance(p, TwistedBlockPart):
         sign = "+" if p.sign == 1 else "-"
         return f"twisted-block[{sign}]x{p.multiplicity}"

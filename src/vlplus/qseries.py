@@ -11,10 +11,14 @@ central-charge prefactor, so direct sums add and tensor products
 multiply as literal series identities.  Every untwisted character is
 (w theta phi^(-d) + t psi^(-d)) / 2, from the theta of the label's coset,
 the plain and the sign-alternating inverse Euler products and the (w, t)
-that THETA_PSI gives the label's kind.  The one division is halved(),
-which refuses an odd coefficient; each caller says why its sum is even.
-A twisted character divides nothing: it keeps the terms of one inverse
-product at the integer or at the half-integer exponents.
+that THETA_PSI gives the label's kind; a sum of them is kept as its two
+halves (coset_character_halves), so that a check can compare it with
+is_half_sum, which decides self == (a + s b) / 2 in one pass with no
+sum or half built.  The one division is halved(), which refuses an odd
+coefficient; each caller says why its sum is even.  A twisted character
+divides nothing: it keeps the terms of one inverse product at the
+integer or at the half-integer exponents.  Two series compare equal
+when they store the same integers on their common grid.
 
 Each inverse Euler product is the d-th power of a quotient of P(t) =
 prod (1 - t^n), t = q or q^(1/2): partition numbers from Euler's
@@ -86,22 +90,11 @@ class QSeries:
         return {_exponent(k, self.denom): v for k, v in self.keyed_terms()}
 
     def __eq__(self, other) -> bool:
-        # no constructor stores a zero, so on one grid equal series store equal integers
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.denom == other.denom:
-            return self.order_key == other.order_key and self.nums == other.nums
-        # on two grids, each term is looked up at its key on the other grid:
-        # one pass, and no rescaled copy
-        fa, fb = _refinements(self.denom, other.denom)
-        if self.order_key * fa != other.order_key * fb or len(self.nums) != len(other.nums):
-            return False
-        get = other.nums.get
-        for k, v in self.nums.items():
-            kb, r = divmod(k * fa, fb)
-            if r or get(kb) != v:
-                return False
-        return True
+        # no constructor stores a zero, so on one grid equal series store equal integers
+        a, b = _align(self, other)
+        return a.order_key == b.order_key and a.nums == b.nums
 
     def is_half_sum(self, a: "QSeries", b: "QSeries", sign: int) -> bool:
         """self == (a + sign b) / 2, decided in one pass over the keys of a
@@ -494,14 +487,16 @@ def character_label(m: ModuleLabel) -> ModuleLabel:
     return m
 
 
-def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
-    """Sum of character(L, m, order) over untwisted labels m, V+- included.
+def coset_character_halves(L: EvenLattice, labels, order) -> tuple[QSeries, QSeries]:
+    """(a, b) with the sum of character(L, m, order) over untwisted labels m,
+    V+- included, equal to (a + b) / 2.
 
-    By linearity (sum_m w_m theta_m phi^(-d) + (sum_m t_m) psi^(-d)) / 2
-    with (w, t) from THETA_PSI and theta_m the theta of label_coset: the
-    thetas, integer counts, are summed in integers and each Euler product
-    is taken once for the whole sum.  A label whose coset's least norm
-    reaches 2 * order adds no theta and its coset is not counted."""
+    By linearity a = sum_m w_m theta_m phi^(-d) and b = (sum_m t_m)
+    psi^(-d), with (w, t) from THETA_PSI and theta_m the theta of
+    label_coset: the thetas, integer counts, are summed in integers and
+    each Euler product is taken once for the whole sum.  A label whose
+    coset's least norm reaches 2 * order adds no theta and its coset is not
+    counted."""
     order = _rational(order)
     denom = series_denominator(L)
     twice: dict[int, int] = {}
@@ -511,9 +506,16 @@ def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
         psi_weight += t
         for k, n in theta_coset(L, label_coset(L, m), order).nums.items():
             twice[k] = twice.get(k, 0) + w * n
-    total = QSeries(denom, _key(order, denom), twice) * euler_product_inv(L.rank, order, denom)
-    if psi_weight:
-        total = total + euler_product_inv(L.rank, order, denom, alternating=True).scaled(psi_weight)
+    order_key = _key(order, denom)
+    # the alternating product only where some label reads it
+    psi = (euler_product_inv(L.rank, order, denom, alternating=True).scaled(psi_weight)
+           if psi_weight else QSeries(denom, order_key, {}))
+    return QSeries(denom, order_key, twice) * euler_product_inv(L.rank, order, denom), psi
+
+
+def coset_character_sum(L: EvenLattice, labels, order) -> QSeries:
+    """Sum of character(L, m, order) over untwisted labels m: coset_character_halves halved."""
+    a, b = coset_character_halves(L, labels, order)
     # even term by term: phi^(-d) = psi^(-d) mod 2; v -> -v pairs the vectors of
     # a coset but for 0 in L, so theta_L = 1 and a C coset's theta = 0 mod 2; w_U = 2
-    return total.halved()
+    return (a + b).halved()

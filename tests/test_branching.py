@@ -30,8 +30,8 @@ from vlplus.lattice import (
 from vlplus.branching import (
     BranchList,
     TwistedBlockPart,
+    _character_halves,
     _root_unit,
-    branch_character,
     branch_orthogonal,
     branch_sublattice,
     verify_branch,
@@ -65,6 +65,12 @@ def part_character(bl: BranchList, p, order) -> QSeries:
         chi0 = central_characters(bl.sublattice)[0]
         return character(bl.sublattice, twisted_label(chi0, p.sign), order).scaled(p.multiplicity)
     return character(bl.sublattice, p, order)
+
+
+def branch_character(bl: BranchList, order) -> QSeries:
+    """The character of the sum of bl's parts, (a + s b) / 2 over verify_branch's split."""
+    a, b, s = _character_halves(bl, order)
+    return (a + b.scaled(s)).halved()
 
 
 def tensor_signs(part: tuple[ModuleLabel, ...]):
@@ -205,8 +211,11 @@ GRAM_SCHMIDT_RUNGS = [A3, LADDER_GRAMS[0], LADDER_GRAMS[1]]  # A3, A4, D4
 
 
 def summed_check(bl: BranchList, order) -> bool:
-    """Oracle: the check as it was made as a sum, a half and an aligned comparison."""
-    return character(bl.parent_lattice, bl.parent, order) == branch_character(bl, order)
+    """Oracle: the parent's character against the sum of part_character over bl's parts."""
+    expanded = QSeries.zero(series_denominator(bl.parent_lattice), order)
+    for p in bl.parts:
+        expanded = expanded + part_character(bl, p, order)
+    return character(bl.parent_lattice, bl.parent, order) == expanded
 
 
 def other_sign(lab):
@@ -284,6 +293,36 @@ def test_check_refuses_broken_branchings_as_the_summed_check_does(route, gram):
             if not ok:
                 refused.add(kind)
     assert refused == {"dropped", "duplicated", "sign-flipped"}
+
+
+def test_every_route_is_checked_by_one_half_sum(monkeypatch):
+    # a signed and an orbit parent over the orthogonal base, an untwisted and
+    # a twisted parent over a sublattice: each check is one is_half_sum, with
+    # no half taken and no two series compared (after a first call has built
+    # the parent's character, which halves its own sum)
+    a3, diag = lat(A3), lat([[2, 0, 0], [0, 4, 0], [0, 0, 6]])
+    orbit = next(m for m in classify_modules(diag) if label_sign(m) is None)
+    basis = _gram_schmidt(a3).basis
+    rungs = [branch_orthogonal(diag, VAC_PLUS), branch_orthogonal(diag, orbit),
+             branch_sublattice(a3, basis, VAC_PLUS), branch_sublattice(a3, basis, twisted_label(0, 1))]
+    assert isinstance(rungs[-1].parts[0], TwistedBlockPart)
+    calls = []
+
+    def spy(name):
+        method = getattr(QSeries, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+        return counted
+
+    for bl in rungs:
+        assert verify_branch(bl, CHECK_ORDER), format_label(bl.parent)
+    for name in ("is_half_sum", "halved", "__eq__"):
+        monkeypatch.setattr(QSeries, name, spy(name))
+    for bl in rungs:
+        calls.clear()
+        assert verify_branch(bl, CHECK_ORDER) and calls == ["is_half_sum"], (format_label(bl.parent), calls)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from vlplus.qseries import (
     QSeries,
     _convolve,
     character,
+    coset_character_halves,
     coset_character_sum,
     euler_product_inv,
     series_denominator,
@@ -558,6 +559,8 @@ def test_e6_index_240_character_sum_packs_no_dense_rows(monkeypatch):
     bl = branch_sublattice(L, _gram_schmidt(L).basis, VAC_PLUS)
     order = F(4)
     expected = coset_character_sum(bl.sublattice, bl.parts, order)  # warms every cache
+    a, b = coset_character_halves(bl.sublattice, bl.parts, order)
+    assert (a + b).halved() == expected
     operands, multiply = [], QSeries.__mul__
 
     def recording(a, b):

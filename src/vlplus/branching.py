@@ -32,6 +32,10 @@ Twisted parents over a sublattice branch into one abstract block
 carrying only sign and multiplicity; the census of the finer twisted
 characters is not pinned down by the branching data, but the dimension
 bookkeeping (and hence the character identity) is.
+
+label_row is what certify reads of a label over either route's
+subalgebra: its contragredient and its constituents' key, parity and
+part count, with no branching and no census.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 from .lattice import (
     CosetElement,
@@ -55,6 +60,7 @@ from .lattice import (
     orthogonal_sublattice,
     sublattice,
     sublattice_classes,
+    sublattice_orbit_count,
     validate_even_lattice,
 )
 from .qseries import QSeries, character, character_label, coset_character_halves
@@ -62,6 +68,7 @@ from .sectors import (
     LabelKind,
     ModuleLabel,
     character_values,
+    contragredient,
     coset_labels,
     format_coset,
     label_coset,
@@ -182,6 +189,46 @@ def _factors(frame: EvenLattice) -> tuple[EvenLattice, ...]:
 def _coordinate_labels(factor: EvenLattice, x: int, den: int) -> tuple[ModuleLabel, ...]:
     """The labels the coset of x / den gives on a rank-one factor."""
     return coset_labels(factor, _canonical(factor, den, (x,), (1,)))
+
+
+class LabelRow(NamedTuple):
+    """label_row's facts: the contragredient, and the key, parity and part
+    count of the label's constituents over a subalgebra."""
+
+    dual: ModuleLabel
+    key: tuple[tuple[ModuleLabel, ...], ...] | CosetElement | None
+    parity: int | None
+    parts: int
+
+
+def subalgebra_route(S: Sublattice) -> str:
+    """"orthogonal" (a tensor product of rank-one algebras) iff S has index
+    one, else "sublattice": at index one the fixed points of S are the
+    algebra itself, and above it S is no orthogonal frame of the parent."""
+    return "orthogonal" if S.index == 1 else "sublattice"
+
+
+@lru_cache(maxsize=None)
+def label_row(S: Sublattice, m: ModuleLabel) -> LabelRow:
+    """m's row over the fixed points of S, read off S and m alone (no census).
+
+    Orthogonal route: the key is frame_choices(S, m), the parity m's sign
+    (None for an orbit label, and for a coset label on a non-diagonal
+    parent, whose rebased sign is set by convention), and the parts those
+    parity_product expands: 2 to the number of factors offering two
+    labels, halved by a parity.  Sublattice route: the key is m's coset
+    (None for a twisted label), with no parity, and the parts those
+    branch_sublattice gives: the sublattice_orbit_count of the coset, or
+    one twisted block.
+    """
+    L = S.parent
+    dual = contragredient(L, m)
+    if subalgebra_route(S) == "sublattice":
+        c = label_coset(L, m)
+        return LabelRow(dual, c, None, 1 if c is None else sublattice_orbit_count(S, c))
+    key = frame_choices(S, m)
+    parity = None if m.kind == LabelKind.COSET and not L.is_diagonal() else label_sign(m)
+    return LabelRow(dual, key, parity, 2 ** (sum(len(c) == 2 for c in key) - (parity is not None)))
 
 
 # ---------------------------------------------------------------------------

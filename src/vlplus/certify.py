@@ -11,8 +11,7 @@ m1 splits, and records the first rule that applies:
   FusionObstruction  every intertwiner type over a proper rational
                      fixed-point subalgebra vanishes: the two labels'
                      constituent keys differ, or their parities do
-                     (one route is live per lattice: orthogonal over an
-                     index-one frame, else sublattice)
+                     (subalgebra_route makes one route live per lattice)
 
 A rule is recorded only when its hypothesis is decided exactly; an
 Unknown never counts as vanishing.  If no rule applies the pair is
@@ -24,6 +23,11 @@ that lift the involution: the algebra and its modules do not depend on
 them, so neither is an input.  The v1 metadata still records the
 defaults (cocycle_mode "upper", root_branch "1"), and verification
 also accepts "lower" and "-1", which older writers could record.
+
+This module keeps the census, the per-weight WeightGap table and the v1
+writer; what the other rules read of a label is its label_row over the
+orthogonal sublattice (branching.py), made only for labels of pairs
+WeightGap leaves open.
 
 A certificate holds one row of justifications per label.  The labels of
 one lowest weight whose row WeightGap decides alone share that row, and
@@ -52,18 +56,15 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import NamedTuple
 
-from .branching import frame_choices
-from .lattice import EvenLattice, LatticeError, orthogonal_sublattice, sublattice_orbit_count
+from .branching import label_row, subalgebra_route
+from .lattice import EvenLattice, LatticeError, orthogonal_sublattice
 from .sectors import (
     LabelKind,
     ModuleLabel,
     VAC_PLUS,
     classify_modules,
-    contragredient,
     format_label,
     format_ratio,
-    label_coset,
-    label_sign,
     module_count,
     series_denominator,
     weight_num,
@@ -295,26 +296,12 @@ def _rule_path(j: ExtJustification) -> str:
     return f"{j.rule}({_rule_path(j.inner)})"
 
 
-class _OnDemand(dict):
-    """A dict that fills a missing key with fill(key) on its first lookup."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        self[key] = value = self.fill(key)
-        return value
-
-
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
     names, each distinct lowest weight's numerator and text, the WeightGap
-    table over weight ids, the orthogonal sublattice, the one
-    FusionObstruction route it makes live, and, filled per label on first
-    lookup, duals and each label's constituents over that route's
-    subalgebra (only labels of pairs WeightGap leaves open).
-    Raises TooManyPairs, from module_count before the census, for more
-    than its limit of ordered pairs of labels."""
+    table over weight ids, and the sublattice sub whose label_rows the
+    other rules read, with its route.  Raises TooManyPairs, from
+    module_count before the census, for more than its limit of pairs."""
 
     def __init__(self, L: EvenLattice):
         self.L = L
@@ -323,7 +310,6 @@ class _Context:
             raise TooManyPairs(n)
         self.labels = classify_modules(L)
         self.names = [format_label(m) for m in self.labels]
-        self.duals = _OnDemand(partial(contragredient, L))
         # weights[m] is (weight id, numerator over the series grid, its
         # format_ratio text) of label m's lowest weight, each made once per
         # distinct weight; weight_ids[i] is the weight id of labels[i], and
@@ -340,35 +326,9 @@ class _Context:
                 self.weight_reps.append(m)
             self.weights[m] = seen[k]
             self.weight_ids.append(seen[k][0])
-        self.gap_texts = _OnDemand(partial(format_ratio, q=self.grid))  # k1 - k2 -> its text
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
-        # at index one the sublattice's fixed points are the algebra itself,
-        # which a certificate must not cite for its own verdict; above it
-        # there is no orthogonal frame, and the algebra has constituents
-        # outside the complete rank-one rows
-        self.route = "orthogonal" if self.sub.index == 1 else "sublattice"
-        self.constituents = _OnDemand(self._constituents)
-
-    def _constituents(self, m: ModuleLabel) -> tuple:
-        """(key, parity, parts): m's constituents over the live route's subalgebra.
-
-        Orthogonal: the key is the rank-one labels each frame factor
-        offers, the parity m's sign (None for an orbit label, and for a
-        coset label on a non-diagonal frame, whose rebased sign is set by
-        convention), and the parts 2 to the number of factors offering
-        two labels, halved by a parity.  Sublattice: the key is m's coset
-        (None for a twisted label), with no parity, and the parts are
-        those branch_sublattice gives: the sublattice_orbit_count of the
-        coset, and one twisted block for a twisted label.
-        """
-        if self.route == "sublattice":
-            c = label_coset(self.L, m)
-            return c, None, 1 if c is None else sublattice_orbit_count(self.sub, c)
-        choices = frame_choices(self.sub, m)
-        parity = (None if m.kind == LabelKind.COSET and not self.L.is_diagonal()
-                  else label_sign(m))
-        return choices, parity, 2 ** (sum(len(c) == 2 for c in choices) - (parity is not None))
+        self.route = subalgebra_route(self.sub)
 
     @cached_property
     def gaps(self) -> list[list[ExtJustification | None]]:
@@ -377,9 +337,7 @@ class _Context:
         The rule reads only the two lowest weights, so the table decides
         every pair of labels: weight_gap_rule is called once per pair of
         weights, on representative labels, and the label pairs of two
-        weights share its one object.  Each entry's strings are the two
-        weights' texts from weights, joined, and its gap's text, formatted
-        once per distinct difference.
+        weights share its one object.
         """
         return [[weight_gap_rule(self, a, b) for b in self.weight_reps] for a in self.weight_reps]
 
@@ -392,14 +350,14 @@ class _Context:
 
 def weight_gap_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
     """Applies iff the lowest weights, numerators k1, k2 over the series
-    grid, differ by zero or by a non-integer.  Nothing is formatted per
-    call: the numerators and the weights string's two texts are the
-    labels' ctx.weights entries, and the gap's text is ctx.gap_texts'."""
+    grid, differ by zero or by a non-integer.  The numerators and the
+    weights' texts are the labels' ctx.weights entries; only the gap is
+    formatted per call, once per pair of weights through ctx.gaps."""
     (_, k1, t1), (_, k2, t2) = ctx.weights[m1], ctx.weights[m2]
     if k1 != k2 and (k1 - k2) % ctx.grid == 0:
         return None
     return ExtJustification(RULE_WEIGHT_GAP, _GAP_CITATION,
-                            (("gap", ctx.gap_texts[k1 - k2]), ("weights", t1 + "," + t2)))
+                            (("gap", format_ratio(k1 - k2, ctx.grid)), ("weights", t1 + "," + t2)))
 
 
 def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
@@ -415,7 +373,8 @@ def vacuum_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel):
 def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, route: str):
     """Obstruction rule: every subalgebra intertwiner type must be Zero.
 
-    Only the lattice's live route applies.  On either route some triple
+    Only the lattice's live route applies, and each label's key, parity
+    and part count are its label_row over ctx.sub.  On either route some triple
     (V+ part, m2 part, m1 part) is nonzero iff the two labels have equal
     keys and, where both have one, equal parities; so the rule applies
     iff the keys differ or both parities are set and differ.
@@ -437,10 +396,10 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     """
     if route != ctx.route:
         return None
-    (k2, p2, n2), (k1, p1, n1) = ctx.constituents[m2], ctx.constituents[m1]
+    (_, k2, p2, n2), (_, k1, p1, n1) = label_row(ctx.sub, m2), label_row(ctx.sub, m1)
     if k2 == k1 and (p2 is None or p1 is None or p2 == p1):
         return None
-    triples = str(ctx.constituents[VAC_PLUS][2] * n2 * n1)
+    triples = str(label_row(ctx.sub, VAC_PLUS).parts * n2 * n1)
     if route == "orthogonal":
         detail = (
             ("route", route),
@@ -460,7 +419,7 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
 
 
 def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):
-    d1, d2 = ctx.duals[m2], ctx.duals[m1]
+    d1, d2 = label_row(ctx.sub, m2).dual, label_row(ctx.sub, m1).dual
     for fn in base_rules:
         inner = fn(ctx, d1, d2)
         if inner is not None:

@@ -58,11 +58,11 @@ from .sectors import (
     format_coords,
     format_label,
     format_ratio,
-    lowest_weight,
     module_count,
     parse_label,
     series_denominator,
     top_level_dimension,
+    weight_num,
 )
 
 EXIT_OK = 0
@@ -179,16 +179,9 @@ def cmd_analyze(L, args, out):
 
 
 def cmd_modules(L, args, out):
-    rows = []
-    for m in classify_modules(L):
-        rows.append(
-            (
-                format_label(m),
-                str(lowest_weight(L, m)),
-                top_level_dimension(L, m),
-                format_label(contragredient(L, m)),
-            )
-        )
+    grid = series_denominator(L)
+    rows = [(format_label(m), format_ratio(weight_num(L, m), grid), top_level_dimension(L, m),
+             format_label(contragredient(L, m))) for m in classify_modules(L)]
     _emit_rows(rows, ("label", "lowest_weight", "top_dim", "contragredient"), args.format, out)
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from vlplus.branching import (
     TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
+    label_row,
 )
 from vlplus.certify import (
     _Context,
@@ -126,7 +127,7 @@ def reached_or_twisted(ctx, m1, m2):
     if LabelKind.TWISTED in (m1.kind, m2.kind):
         return True
     return all(rule(ctx, a, b) is None
-               for a, b in ((m1, m2), (ctx.duals[m2], ctx.duals[m1]))
+               for a, b in ((m1, m2), (label_row(ctx.sub, m2).dual, label_row(ctx.sub, m1).dual))
                for rule in (weight_gap_rule, vacuum_rule))
 
 

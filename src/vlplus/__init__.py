@@ -31,7 +31,6 @@ from .sectors import (
     classify_modules,
     contragredient,
     format_label,
-    lowest_weight,
     parse_label,
     series_denominator,
     top_level_dimension,
@@ -77,7 +76,6 @@ __all__ = [
     "euler_product_inv",
     "format_label",
     "fusion_dim",
-    "lowest_weight",
     "mod_two_data",
     "norm2_vectors",
     "orthogonal_sublattice",

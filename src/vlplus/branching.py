@@ -35,17 +35,17 @@ bookkeeping (and hence the character identity) is.
 
 label_row is what certify reads of a label over either route's
 subalgebra: its contragredient and its constituents' key, parity and
-part count, with no branching and no census.
+part count, with no branching and no census; label_rows caches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .lattice import (
     CosetElement,
@@ -208,7 +208,6 @@ def subalgebra_route(S: Sublattice) -> str:
     return "orthogonal" if S.index == 1 else "sublattice"
 
 
-@lru_cache(maxsize=None)
 def label_row(S: Sublattice, m: ModuleLabel) -> LabelRow:
     """m's row over the fixed points of S, read off S and m alone (no census).
 
@@ -229,6 +228,13 @@ def label_row(S: Sublattice, m: ModuleLabel) -> LabelRow:
     key = frame_choices(S, m)
     parity = None if m.kind == LabelKind.COSET and not L.is_diagonal() else label_sign(m)
     return LabelRow(dual, key, parity, 2 ** (sum(len(c) == 2 for c in key) - (parity is not None)))
+
+
+@lru_cache(maxsize=None)
+def label_rows(S: Sublattice) -> Callable[[ModuleLabel], LabelRow]:
+    """label_row over S, cached per label: a caller hashes S once, then
+    reads rows by label alone, and each (S, label) row is made once."""
+    return lru_cache(maxsize=None)(partial(label_row, S))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ defaults (cocycle_mode "upper", root_branch "1"), and verification
 also accepts "lower" and "-1", which older writers could record.
 
 This module keeps the census, the per-weight WeightGap table and the v1
-writer; what the other rules read of a label is its label_row over the
-orthogonal sublattice (branching.py), made only for labels of pairs
-WeightGap leaves open.
+writer; what the other rules read of a label is its row over the
+orthogonal sublattice from label_rows (branching.py), made only for
+labels of pairs WeightGap leaves open.
 
 A certificate holds one row of justifications per label.  The labels of
 one lowest weight whose row WeightGap decides alone share that row, and
@@ -56,7 +56,7 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import NamedTuple
 
-from .branching import label_row, subalgebra_route
+from .branching import label_rows, subalgebra_route
 from .lattice import EvenLattice, LatticeError, orthogonal_sublattice
 from .sectors import (
     LabelKind,
@@ -299,8 +299,8 @@ def _rule_path(j: ExtJustification) -> str:
 class _Context:
     """Shared per-lattice data for the rule chain: labels and their
     names, each distinct lowest weight's numerator and text, the WeightGap
-    table over weight ids, and the sublattice sub whose label_rows the
-    other rules read, with its route.  Raises TooManyPairs, from
+    table over weight ids, the sublattice sub with its route, and rows,
+    label_rows(sub), which the other rules read.  Raises TooManyPairs, from
     module_count before the census, for more than its limit of pairs."""
 
     def __init__(self, L: EvenLattice):
@@ -329,6 +329,7 @@ class _Context:
         self.sub = orthogonal_sublattice(L)
         self.sub_norms = ",".join(str(row[i]) for i, row in enumerate(self.sub.lattice.gram))
         self.route = subalgebra_route(self.sub)
+        self.rows = label_rows(self.sub)
 
     @cached_property
     def gaps(self) -> list[list[ExtJustification | None]]:
@@ -374,7 +375,7 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     """Obstruction rule: every subalgebra intertwiner type must be Zero.
 
     Only the lattice's live route applies, and each label's key, parity
-    and part count are its label_row over ctx.sub.  On either route some triple
+    and part count are its ctx.rows row.  On either route some triple
     (V+ part, m2 part, m1 part) is nonzero iff the two labels have equal
     keys and, where both have one, equal parities; so the rule applies
     iff the keys differ or both parities are set and differ.
@@ -396,10 +397,10 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
     """
     if route != ctx.route:
         return None
-    (_, k2, p2, n2), (_, k1, p1, n1) = label_row(ctx.sub, m2), label_row(ctx.sub, m1)
+    (_, k2, p2, n2), (_, k1, p1, n1) = ctx.rows(m2), ctx.rows(m1)
     if k2 == k1 and (p2 is None or p1 is None or p2 == p1):
         return None
-    triples = str(label_row(ctx.sub, VAC_PLUS).parts * n2 * n1)
+    triples = str(ctx.rows(VAC_PLUS).parts * n2 * n1)
     if route == "orthogonal":
         detail = (
             ("route", route),
@@ -419,7 +420,7 @@ def fusion_obstruction_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, rou
 
 
 def duality_rule(ctx: _Context, m1: ModuleLabel, m2: ModuleLabel, base_rules):
-    d1, d2 = label_row(ctx.sub, m2).dual, label_row(ctx.sub, m1).dual
+    d1, d2 = ctx.rows(m2).dual, ctx.rows(m1).dual
     for fn in base_rules:
         inner = fn(ctx, d1, d2)
         if inner is not None:

@@ -16,8 +16,7 @@ block a 2^d-dimensional sum of matrix algebras and reduces to the
 familiar one-dimensional picture when every pairing is even.
 
 Every lowest weight lies on the series grid 1/series_denominator(L);
-weight_num gives it as an integer numerator over that grid, and
-lowest_weight is its Fraction view.
+weight_num gives it as an integer numerator over that grid.
 """
 
 from __future__ import annotations
@@ -188,11 +187,6 @@ def weight_num(L: EvenLattice, m: ModuleLabel) -> int:
     if m.kind in (LabelKind.UNTWISTED, LabelKind.COSET):
         return m.coset.norm_num * (n // (2 * m.coset.den))
     return (L.rank if m.sign == 1 else L.rank + 8) * (n // 16)
-
-
-def lowest_weight(L: EvenLattice, m: ModuleLabel) -> Fraction:
-    """Exact lowest conformal weight of the labelled module."""
-    return Fraction(weight_num(L, m), series_denominator(L))
 
 
 def top_level_dimension(L: EvenLattice, m: ModuleLabel) -> int:

@@ -12,6 +12,7 @@ from vlplus import intmat
 from vlplus.certify import verify_stream
 from vlplus.lattice import CosetElement, EvenLattice, coset_element, validate_even_lattice
 from vlplus.qseries import QSeries, _key
+from vlplus.sectors import series_denominator, weight_num
 
 A1 = [[2]]
 A1_4 = [[4]]
@@ -84,6 +85,11 @@ def small_even_grams() -> list:
 
 def lat(gram) -> EvenLattice:
     return validate_even_lattice(gram)
+
+
+def lowest_weight(L, m):
+    """A label's exact lowest conformal weight, as a Fraction."""
+    return Fraction(weight_num(L, m), series_denominator(L))
 
 
 def verify_text(L: EvenLattice, text: str) -> tuple[list[str], str | None]:

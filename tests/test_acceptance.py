@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from conftest import A1, A2, D22, D24, D224, CERT_GRAMS, TEST_GRAMS, box_enumerate, lat
+from conftest import A1, A2, D22, D24, D224, CERT_GRAMS, TEST_GRAMS, box_enumerate, lat, lowest_weight
 from test_lattice import enumerate_coset_vectors
 from vlplus.branching import branch_orthogonal, branch_sublattice, verify_branch
 from vlplus.certify import (
@@ -36,7 +36,6 @@ from vlplus.sectors import (
     VAC_PLUS,
     classify_modules,
     format_label,
-    lowest_weight,
     top_level_dimension,
 )
 

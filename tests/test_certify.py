@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from conftest import (A1, A2, D24, D224, CERT_GRAMS, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
                       even_grams, fraction_to_sub, lat, small_even_grams, verify_text)
-from vlplus.branching import branch_sublattice, label_row
+from vlplus.branching import branch_sublattice, label_rows
 from vlplus.fusion import admissible_triple
 from vlplus.lattice import _gram_schmidt, coset_element, orthogonal_sublattice, zero_coset
 from vlplus.certify import (
@@ -693,7 +693,7 @@ def test_verify_rejects_orthogonal_route_mutants(tmp_path, capsys, gram):
     other = {"orthogonal": "sublattice", "sublattice": "orthogonal"}[ctx.route]
 
     def key(i, side):
-        return label_row(ctx.sub, by_name[good["pairs"][i][side]])[1:3]
+        return ctx.rows(by_name[good["pairs"][i][side]])[1:3]
 
     # a pair whose labels have equal keys and parities, two distinct
     # labels where the lattice has such a pair
@@ -954,7 +954,7 @@ def test_contragredient_pair_decides_weight_gap_and_fusion_alike(gram):
     rules = (weight_gap_rule, lambda c, a, b: fusion_obstruction_rule(c, a, b, route=ctx.route))
     for m1 in ctx.labels:
         for m2 in ctx.labels:
-            d1, d2 = label_row(ctx.sub, m2).dual, label_row(ctx.sub, m1).dual
+            d1, d2 = ctx.rows(m2).dual, ctx.rows(m1).dual
             for rule in rules:
                 assert (rule(ctx, m1, m2) is None) == (rule(ctx, d1, d2) is None), (gram, m1, m2)
 
@@ -1062,7 +1062,7 @@ def test_hand_built_certificate_escapes_as_the_stdlib():
 def test_label_tables_are_built_for_open_pairs_only(monkeypatch, gram):
     # certify computes a label's row only where WeightGap leaves one of its
     # pairs open, and verify_certificate only for the labels of records of
-    # another rule; each row once, as label_row caches it
+    # another rule; each row once, as label_rows caches it
     import sys
 
     module = sys.modules["vlplus.branching"]
@@ -1076,7 +1076,7 @@ def test_label_tables_are_built_for_open_pairs_only(monkeypatch, gram):
     monkeypatch.setattr(module, "contragredient", counted_contragredient)
     L = lat(gram)
     by_name = dict(zip(map(format_label, classify_modules(L)), classify_modules(L)))
-    label_row.cache_clear()
+    label_rows.cache_clear()
     cert = certify(L)
     open_labels = {by_name[name] for a, b, j in cert.pairs if j.rule != RULE_WEIGHT_GAP
                    for name in (a, b)}
@@ -1084,7 +1084,7 @@ def test_label_tables_are_built_for_open_pairs_only(monkeypatch, gram):
     assert made and set(made) <= open_labels and len(made) == len(set(made)), gram
     data = json.loads(cert.dumps())
     made.clear()
-    label_row.cache_clear()
+    label_rows.cache_clear()
     assert verify_certificate(L, data) == []
     assert made and set(made) <= open_labels and len(made) == len(set(made)), gram
 

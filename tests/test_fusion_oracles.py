@@ -21,7 +21,6 @@ from vlplus.branching import (
     TwistedBlockPart,
     branch_orthogonal,
     branch_sublattice,
-    label_row,
 )
 from vlplus.certify import (
     _Context,
@@ -127,7 +126,7 @@ def reached_or_twisted(ctx, m1, m2):
     if LabelKind.TWISTED in (m1.kind, m2.kind):
         return True
     return all(rule(ctx, a, b) is None
-               for a, b in ((m1, m2), (label_row(ctx.sub, m2).dual, label_row(ctx.sub, m1).dual))
+               for a, b in ((m1, m2), (ctx.rows(m2).dual, ctx.rows(m1).dual))
                for rule in (weight_gap_rule, vacuum_rule))
 
 

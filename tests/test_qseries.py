@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import A1, A2, D24, E6, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, truncate
+from conftest import (A1, A2, D24, E6, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, lowest_weight,
+                      truncate)
 from vlplus.intmat import rational_inverse
 from vlplus import qseries
 from vlplus.branching import branch_sublattice
@@ -27,7 +28,6 @@ from vlplus.sectors import (
     VAC_MINUS,
     VAC_PLUS,
     classify_modules,
-    lowest_weight,
     parse_label,
     top_level_dimension,
     twisted_dimension,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (A1, A2, D24, D224, E8, LADDER_GRAMS, TEST_GRAMS, coset_neg, even_grams, lat,
-                      small_even_grams)
+                      lowest_weight, small_even_grams)
 from vlplus import intmat
 from vlplus.certify import _Context, weight_gap_rule
 from vlplus.lattice import (coset_element, coset_is_trivial, coset_two_torsion, minimal_coset_reps,
@@ -26,7 +26,6 @@ from vlplus.sectors import (
     format_label,
     label_coset,
     label_sign,
-    lowest_weight,
     module_count,
     parse_label,
     prime_character,

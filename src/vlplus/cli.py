@@ -99,13 +99,30 @@ def _load_gram(path: str):
     return L
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; CliError for a key given twice,
+    which json.loads would otherwise read as its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise CliError(f'gram file key "{key}" is given twice')
+        data[key] = value
+    return data
+
+
 @lru_cache(maxsize=16)
 def _lattice_of_text(text: str):
     """The validated lattice a gram file's text holds, None without a "gram"
-    key; bad JSON raises ValueError or RecursionError, and an invalid Gram
-    CliError (not a ValueError, so never read as bad JSON)."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "gram" not in data:
+    key; bad JSON raises ValueError or RecursionError, and a key given
+    twice, a top-level key other than "gram" or an invalid Gram CliError
+    (not a ValueError, so never read as bad JSON)."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(data, dict):
+        return None
+    for key in data:
+        if key != "gram":
+            raise CliError(f'unknown gram file key "{key}": the file holds "gram" alone')
+    if "gram" not in data:
         return None
     try:
         return validate_even_lattice(data["gram"])

@@ -17,12 +17,15 @@ table per (sublattice, coset), which every label on the coset reads
 pays: mutually orthogonal vectors spanning a sublattice of small index N,
 found once per lattice by the same walk under a node budget (_frame), so
 a coset is N classes, each a product of rank-one cosets; coset_norm_counts
-states the rule that picks this route or the walk.  The same frame is
-the orthogonal sublattice every other caller reads (orthogonal_sublattice),
-with the Gram-Schmidt basis only where the search gives up.  A diagonal
-Gram is its own frame, of index one, and is never walked: its minimal
-shell is the product of per-coordinate choices (_diagonal), kept
-unexpanded (_TieProduct), and its least vector is read off in closed form:
+states the rule that picks this route or the walk.  A lattice of det 1 is
+asked for no counts below rank 24, and for its norms up to 2 (d // 24)
+from rank 24 on: its theta is a modular form (qseries.theta_coset).  The
+same frame is the orthogonal sublattice every other caller reads
+(orthogonal_sublattice), with the Gram-Schmidt basis only where the
+search gives up.  A diagonal Gram is its own frame, of index one, and is
+never walked: its minimal shell is the product of per-coordinate
+choices (_diagonal), kept unexpanded (_TieProduct), and its least
+vector is read off in closed form:
 each tied coordinate at +D/2, and for a +- orbit the sign that makes the
 first untied nonzero coordinate positive.  A sublattice
 is one cached Sublattice value (basis, Gram, index, Smith form and
@@ -845,7 +848,10 @@ def coset_norm_counts(L: EvenLattice, lam: CosetElement, bound) -> tuple[int, di
     order 6 (82,944) in 0.60 against 0.25 plus 0.19.  Taking: a rank 3
     Gram of det 270 and N = 4 at order 12 (B^d // det = 3.2 N^2) walks in
     8.1 ms against 14.8 through the frame; one of rank 5, det 78 and N =
-    72 at order 12 (20 N^2) in 155 against 141."""
+    72 at order 12 (20 N^2) in 155 against 141.  theta_coset does not
+    call this on a det-1 lattice below rank 24, and from rank 24 on calls it
+    once, to norm 2 (d // 24): a unimodular theta is a modular form, built
+    from those shells alone."""
     if L.is_diagonal():
         return _frame_counts(_frame(L), lam, bound)
     B = _budget(bound, 1) + 1

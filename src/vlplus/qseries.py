@@ -25,11 +25,14 @@ prod (1 - t^n), t = q or q^(1/2): partition numbers from Euler's
 pentagonal recurrence times P's few pentagonal terms.  Every product of
 coefficient lists, series products included, is one big-integer
 multiplication (Kronecker substitution, _convolve), exact because it is
-integer arithmetic with a digit wide enough for every coefficient.  An
-order is read once at each entry point (_rational: an int when it is
-integral, else one Fraction), so an integral order keys the caches below
-as an int, whose hash is C code; below that, grid keys, the theta cutoff
-and shifts compare numerators and denominators.
+integer arithmetic with a digit wide enough for every coefficient.  The
+theta of a lattice of det 1 is a modular form: powers of E4 and of Delta
+= q P(q)^24, from the same pentagonal series, with coefficients solved
+from its first d // 24 shell counts.  An order is read once at each
+entry point (_rational: an int when it is integral, else one Fraction),
+so an integral order keys the caches below as an int, whose hash is C
+code; below that, grid keys, the theta cutoff and shifts compare
+numerators and denominators.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 
-from .lattice import CosetElement, EvenLattice, _rational, coset_norm_counts
+from .lattice import CosetElement, EvenLattice, _rational, coset_norm_counts, zero_coset
 from .sectors import (
     LabelKind,
     ModuleLabel,
@@ -406,6 +409,45 @@ def euler_product_inv(
     return QSeries(denom, order_key, {k * denom // unit: v for k, v in enumerate(c) if v})
 
 
+def _eisenstein4(size: int) -> list[int]:
+    """E4 = 1 + 240 sum sigma_3(n) q^n to size terms, sigma_3 by a divisor sieve."""
+    row = [0] * size
+    for m in range(1, size):
+        cube = 240 * m ** 3
+        for n in range(m, size, m):
+            row[n] += cube
+    return [1] + row[1:] if size else []
+
+
+def _unimodular_theta(L: EvenLattice, size: int) -> list[int]:
+    """theta_L to size integer exponents for det(L) = 1, so 8 | d.
+
+    theta_L is a modular form of weight d/2 for SL2(Z), and the forms
+    E4^(d/8 - 3j) Delta^j, j <= d/24, are a basis of that space (Serre, A
+    Course in Arithmetic, VII.3), Delta = q P(q)^24.  Delta^j starts at
+    q^j with coefficient 1, so the c_j of theta_L = sum_j c_j E4^(d/8 - 3j)
+    Delta^j follow one by one from the shell counts N_j = #{v: (v, v) =
+    2j}: c_j is N_j less the q^j coefficient of the forms before it.  Only
+    c_j with j < size reach the result, so N_1 .. N_J, J = min(d // 24,
+    size - 1), are counted in one coset_norm_counts call to norm 2J, made
+    only when J > 0: E8 and E8 + E8 count nothing."""
+    d = L.rank
+    top = min(d // 24, size - 1)
+    shells = [1] + [0] * top
+    if top > 0:
+        scale, counts = coset_norm_counts(L, zero_coset(L), (2 * top, 1))
+        for S, n in counts.items():
+            shells[S // (2 * scale)] = n
+    e4, p24 = _eisenstein4(size), _power(_pentagonal(size, 1), 24, size)
+    theta = [0] * size
+    for j in range(top + 1):
+        c, n = shells[j] - theta[j], size - j
+        form = _convolve(_power(e4, d // 8 - 3 * j, n), _power(p24, j, n), n)
+        for k, v in enumerate(form, j):
+            theta[k] += c * v
+    return theta
+
+
 # ---------------------------------------------------------------------------
 # theta series and characters
 # ---------------------------------------------------------------------------
@@ -414,6 +456,11 @@ def euler_product_inv(
 def theta_coset(L: EvenLattice, lam: CosetElement, order: int | Fraction) -> QSeries:
     """Sum of q^((v,v)/2) over coset vectors with (v,v)/2 strictly below order.
 
+    For det(L) = 1, whose only coset is L, theta_L is a modular form, sum_j
+    c_j E4^(d/8 - 3j) Delta^j, built in integers (_unimodular_theta): below
+    rank 24 nothing is counted and no frame is searched, and from rank 24
+    on the shells of norm 2 .. 2 (d // 24) are counted, once.  Every other
+    lattice counts its coset's norms.
     A count of norm S / scale sits at grid key S * denom / (2 * scale).  The
     counts stop at the last grid point below the order, norm 2 (order_key -
     1) / denom, passed as that pair of integers, so the shell at the order
@@ -424,6 +471,9 @@ def theta_coset(L: EvenLattice, lam: CosetElement, order: int | Fraction) -> QSe
     lam.norm_num / lam.den reaches 2 * order is zero, uncounted."""
     denom = series_denominator(L)
     order_key = _key(order, denom)
+    if L.det == 1:
+        theta = _unimodular_theta(L, max(0, -(-order_key // denom)))
+        return QSeries(denom, order_key, {n * denom: v for n, v in enumerate(theta) if v})
     nums: dict[int, int] = {}
     if 2 * order_key * lam.den > lam.norm_num * denom:
         scale, counts = coset_norm_counts(L, lam, (2 * (order_key - 1), denom))

@@ -10,7 +10,7 @@ from hypothesis import assume, strategies as st
 
 from vlplus import intmat
 from vlplus.certify import verify_stream
-from vlplus.lattice import CosetElement, EvenLattice, coset_element, validate_even_lattice
+from vlplus.lattice import CosetElement, EvenLattice, coset_element, norm2_vectors, validate_even_lattice
 from vlplus.qseries import QSeries, _key
 from vlplus.sectors import series_denominator, weight_num
 
@@ -71,6 +71,47 @@ def _skewed_e8():
 # 9.2e6): the frame search gives up, so its orthogonal sublattice is the
 # Gram-Schmidt fallback
 SKEWED_E8 = _skewed_e8()
+
+
+def _unimodular(gram, roots: int):
+    """gram, asserted even, of det 1 and with the given number of norm-2 vectors."""
+    L = validate_even_lattice(gram)
+    assert L.det == 1 and len(norm2_vectors(L)) == roots
+    return gram
+
+
+def _gram(basis, scale: int):
+    """The Gram (b, b') / scale of integer basis rows b."""
+    return [[sum(x * y for x, y in zip(a, b)) // scale for b in basis] for a in basis]
+
+
+def _niemeier_a1_24():
+    # Construction A on the Golay code [I | J - A], A the icosahedron's
+    # adjacency (vertex 0, upper ring 1-5, lower ring 6-10, vertex 11): rows
+    # (e_i, (J - A)_i) and 2 e_j, j >= 12, over sqrt 2
+    adjacent = set()
+    for k in range(5):
+        u, u1, w, w1 = 1 + k, 1 + (k + 1) % 5, 6 + k, 6 + (k + 1) % 5
+        adjacent |= {(0, u), (u, u1), (w, w1), (u, w), (u, w1), (w, 11)}
+    adjacent |= {(b, a) for a, b in adjacent}
+    basis = [[int(i == j) for j in range(12)] + [int((i, j) not in adjacent) for j in range(12)]
+             for i in range(12)]
+    basis += [[2 * (j == 12 + i) for j in range(24)] for i in range(12)]
+    return _gram(basis, 2)
+
+
+def _d16_plus():
+    # D16 plus the glue (1/2)^16, rows doubled: the glue in place of the
+    # root e1 - e2, whose coefficient in the glue over D16's simple roots is 1/2
+    basis = [[1] * 16] + [[2 * (j == i) - 2 * (j == i + 1) for j in range(16)] for i in range(1, 15)]
+    basis += [[2 * (j >= 14) for j in range(16)]]
+    return _gram(basis, 4)
+
+
+# even unimodular lattices of rank 16 and 24, whose thetas are modular forms
+E8_E8 = _unimodular([row + [0] * 8 for row in E8] + [[0] * 8 + row for row in E8], 480)
+D16_PLUS = _unimodular(_d16_plus(), 480)
+N_A1_24 = _unimodular(_niemeier_a1_24(), 48)  # the Niemeier lattice with root system A1^24
 
 
 @cache

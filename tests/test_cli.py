@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -83,6 +84,24 @@ def test_analyze_takes_no_census_within_one_gigabyte(tmp_path):
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
     lines = dict(line.split("\t") for line in run.stdout.splitlines())
     assert (lines["det"], lines["module_count"]) == ("3999999", "2000003")
+
+
+@pytest.mark.parametrize("version", [(3, 10), (3, 12), (3, 13)], ids=["3.10", "3.12", "3.13"])
+def test_other_interpreters_print_the_same_bytes(tmp_path, version):
+    # requires-python is >=3.10.7: python3.10, python3.12 and python3.13,
+    # where one found on PATH runs and is at least 3.10.7, print what this
+    # interpreter prints for E8's V+ (its modular theta) and A2's certificate
+    python = shutil.which("python%d.%d" % version)
+    probe = "import sys; sys.exit(sys.version_info[:2] != %r or sys.version_info < (3, 10, 7))" % (version,)
+    if python is None or subprocess.run([python, "-c", probe], capture_output=True, timeout=60).returncode:
+        pytest.skip("no python%d.%d that runs is on PATH" % version)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    e8, a2 = write_gram(tmp_path, E8, "e8.json"), write_gram(tmp_path, A2, "a2.json")
+    for argv in (["char", "--gram", e8, "--module", "V+", "--order", "30"], ["certify", "--gram", a2]):
+        runs = [subprocess.run([exe, "-m", "vlplus.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, timeout=60) for exe in (sys.executable, python)]
+        assert runs[0].returncode == runs[1].returncode == EXIT_OK, runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout, argv
 
 
 def test_modules_table(tmp_path, capsys):
@@ -557,6 +576,22 @@ def test_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, ["analyze", "--gram", str(bad)])
     assert code == EXIT_INVALID and "malformed JSON" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"gram": [[2, 1], [1, 2]], "gram": [[2]]}', 'key "gram" is given twice'),
+    ('{"gram": [[2, 1], [1, 2]], "name": "A2"}', 'unknown gram file key "name"'),
+    ('{"name": "A2"}', 'unknown gram file key "name"'),
+    ('{"gram": [[2, 1], [1, {"x": 1, "x": 2}]]}', 'key "x" is given twice'),
+], ids=["duplicate", "unknown", "unknown-alone", "nested-duplicate"])
+def test_gram_file_refuses_duplicated_and_unknown_keys(tmp_path, capsys, text, key):
+    # json.loads keeps a repeated key's last value, so A2 then [[2]] would be
+    # analyzed as A1; an extra key would be ignored: each exits 2 with one line
+    path = tmp_path / "gram.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["analyze", "--gram", str(path)])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
 
 def test_invalid_lattice_reports_invariant(tmp_path, capsys):

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, SKEWED_E8, TEST_GRAMS,
+from conftest import (A1, A2, A3, D24, D224, E6, E8, LADDER_GRAMS, N_A1_24, SKEWED_E8, TEST_GRAMS,
                       box_enumerate, coset_neg, even_grams, fraction_to_parent, fraction_to_sub,
                       lat, small_even_grams)
 from vlplus import intmat
@@ -54,7 +54,7 @@ from vlplus.lattice import (
     zero_coset,
 )
 from vlplus.qseries import theta_coset
-from vlplus.sectors import LabelKind, classify_modules
+from vlplus.sectors import LabelKind, classify_modules, series_denominator
 
 F = Fraction
 
@@ -427,10 +427,19 @@ def test_diagonal_shells_at_exact_halves():
 
 
 def test_theta_counts_stop_below_the_order(monkeypatch):
-    # E8 at order 4 keeps norms 0, 2, 4, 6: 1 + 240 + 2160 + 6720 vectors;
-    # the 17,520 of norm 8 sit at the order and are never counted
+    # the cutoff theta_coset passes at order 4 on E8's grid 1/16, the last
+    # grid point below the order, keeps norms 0, 2, 4, 6: 1 + 240 + 2160 +
+    # 6720 vectors; the 17,520 of norm 8 sit at the order and are never
+    # counted.  E8's theta is modular and counts nothing, so the counts are
+    # asked for directly; D4's theta_coset passes its own cutoff
     from vlplus import qseries
 
+    L = lat(E8)
+    denom = series_denominator(L)
+    bound = (2 * (4 * denom - 1), denom)
+    scale, counts = coset_norm_counts(L, zero_coset(L), bound)
+    assert F(*bound) < 8 and sum(counts.values()) == 9121
+    assert {F(S, scale): n for S, n in counts.items()} == {0: 1, 2: 240, 4: 2160, 6: 6720}
     seen = []
 
     def spy(L, lam, bound):
@@ -439,11 +448,11 @@ def test_theta_counts_stop_below_the_order(monkeypatch):
         return scale, counts
 
     monkeypatch.setattr(qseries, "coset_norm_counts", spy)
-    L = lat(E8)
-    theta = qseries.theta_coset.__wrapped__(L, zero_coset(L), F(4))
-    assert theta.terms() == {F(0): 1, F(1): 240, F(2): 2160, F(3): 6720}
+    L = lat(LADDER_GRAMS[1])
+    theta = qseries.theta_coset.__wrapped__(L, zero_coset(L), F(2))
+    assert theta.terms() == {F(0): 1, F(1): 24}
     [(bound, vectors)] = seen  # the cutoff as the integer pair (num, den)
-    assert F(*bound) < 8 and vectors == 9121
+    assert F(*bound) < 4 and vectors == 25
 
 
 # ---------------------------------------------------------------------------
@@ -695,30 +704,42 @@ def test_orthogonal_sublattice_index_is_at_most_gram_schmidt():
 
 
 def test_theta_route_follows_the_documented_rule(monkeypatch):
-    # E8 at order 4 and D4 at order 12 count through their frames; A3 at
+    # det 1 is modular: E8 at order 4 counts nothing and searches no frame,
+    # and N(A1^24) at order 4 counts N_1 in one walk to norm 2 after a frame
+    # search that gives up.  D4 at order 12 counts through its frame; A3 at
     # order 12 (B^d det = 24^3 * 4) and E6 at order 2 are walked and never ask
     # for a frame; a det-270 Gram at order 12 finds one of index 4, too large
-    # for B^d // det = 51, and walks; A1^4 is its own frame of index one
+    # for B^d // det = 51, and walks; A1^4 is its own frame of index one.
+    # E8's index-16 frame counts its norms when they are asked for directly
     from vlplus import lattice, qseries
 
-    seen = []
+    seen, bounds = [], []
     frame, frame_counts, walk = lattice._frame, lattice._frame_counts, lattice._walk
+    counts = qseries.coset_norm_counts
     monkeypatch.setattr(lattice, "_frame", lambda L: seen.append("_frame") or frame(L))
     monkeypatch.setattr(lattice, "_frame_counts",
                         lambda fr, lam, bound: seen.append(("frame", fr.index)) or frame_counts(fr, lam, bound))
     # the frame search walks too; only the walks that count norms are the route
     monkeypatch.setattr(lattice, "_walk",
                         lambda *args: args[4] == "counts" and seen.append("walk") or walk(*args))
-    for gram, order, route in ((E8, 4, ["_frame", ("frame", 16)]),
+    monkeypatch.setattr(qseries, "coset_norm_counts", lambda *args: bounds.append(args[2]) or counts(*args))
+    for gram, order, route in ((E8, 4, []), (N_A1_24, 4, ["_frame", "walk"]),
                                (LADDER_GRAMS[1], 12, ["_frame", ("frame", 2)]),
                                (A3, 12, ["walk"]), (E6, 2, ["walk"]),
                                ([[6, -3, 0], [-3, 6, -3], [0, -3, 12]], 12, ["_frame", "walk"]),
                                ([[2 * (i == j) for j in range(4)] for i in range(4)], 12,
                                 ["_frame", ("frame", 1)])):
         seen.clear()
+        bounds.clear()
         L = lat(gram)
         qseries.theta_coset.__wrapped__(L, zero_coset(L), F(order))
         assert seen == route, (gram, order)
+        if L.det == 1:
+            assert bounds == ([(2, 1)] if L.rank >= 24 else []), (gram, order)
+    seen.clear()
+    L = lat(E8)
+    coset_norm_counts(L, zero_coset(L), (126, 16))  # theta_coset's cutoff at order 4
+    assert seen == ["_frame", ("frame", 16)]
 
 
 # ---------------------------------------------------------------------------

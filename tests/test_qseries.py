@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (A1, A2, D24, E6, E8, LADDER_GRAMS, TEST_GRAMS, even_grams, from_terms, lat, lowest_weight,
-                      truncate)
+from conftest import (A1, A2, D16_PLUS, D24, E6, E8, E8_E8, LADDER_GRAMS, N_A1_24, TEST_GRAMS, even_grams,
+                      from_terms, lat, lowest_weight, truncate)
 from vlplus.intmat import rational_inverse
 from vlplus import qseries
 from vlplus.branching import branch_sublattice
-from vlplus.lattice import _gram_schmidt, coset_element, minimal_coset_reps, validate_even_lattice, zero_coset
+from vlplus.lattice import (_frame_counts, _gram_schmidt, coset_element, coset_norm_counts, minimal_coset_reps,
+                            norm2_vectors, sublattice, validate_even_lattice, zero_coset)
 from vlplus.qseries import (
     QSeries,
     _convolve,
@@ -644,6 +645,54 @@ def test_theta_e8_is_the_eisenstein_series_e4():
     L = lat(E8)
     theta = theta_coset(L, zero_coset(L), F(30))
     assert theta.terms() == {F(n): c for n, c in enumerate(e4_coefficients(30))}
+
+
+def root_frame(L):
+    """The frame of mutually orthogonal roots picked greedily from norm2_vectors."""
+    kept = []
+    for r in norm2_vectors(L):
+        if not any(L.pairing(r, f) for f in kept):
+            kept.append(r)
+    return sublattice(L, tuple(kept))
+
+
+def counted_theta(L, order: int, frame=None) -> dict:
+    """{n: #{v: (v, v) = 2n}} below q^order from norm counts: coset_norm_counts,
+    or _frame_counts through frame."""
+    lam, bound = zero_coset(L), 2 * order - 2
+    scale, counts = coset_norm_counts(L, lam, bound) if frame is None else _frame_counts(frame, lam, bound)
+    return {F(S, 2 * scale): n for S, n in counts.items()}
+
+
+@pytest.mark.parametrize("name", ["E8", "E8+E8", "D16+", "N(A1^24)"])
+def test_unimodular_theta_is_the_counted_theta(name):
+    # det 1 takes the modular route, sum_j c_j E4^(d/8 - 3j) Delta^j, which
+    # counts nothing below rank 24; the counted route is coset_norm_counts
+    # (E8, E8 + E8 and D16+ through their searched frames, each well under
+    # 10 s at order 50), except on N(A1^24), whose frame search gives up and
+    # whose walk reaches only order 3 in 10 s: it is counted through its
+    # frame of 24 orthogonal roots (index 4096) instead
+    gram = {"E8": E8, "E8+E8": E8_E8, "D16+": D16_PLUS, "N(A1^24)": N_A1_24}[name]
+    L = lat(gram)
+    frame = root_frame(L) if name == "N(A1^24)" else None
+    assert frame is None or frame.index == 4096
+    assert theta_coset.__wrapped__(L, zero_coset(L), 50).terms() == counted_theta(L, 50, frame)
+
+
+def test_unimodular_theta_reads_the_root_count(monkeypatch):
+    # one root too many in N_1 changes c_1, so the rank-24 theta leaves the
+    # counted one from q^1 on
+    counts = qseries.coset_norm_counts
+
+    def one_more_root(L, lam, bound):
+        scale, c = counts(L, lam, bound)
+        return scale, c | {2 * scale: c[2 * scale] + 1}
+
+    monkeypatch.setattr(qseries, "coset_norm_counts", one_more_root)
+    L = lat(N_A1_24)
+    want = counted_theta(L, 4, root_frame(L))
+    got = theta_coset.__wrapped__(L, zero_coset(L), 4).terms()
+    assert got != want and got[F(0)] == want[F(0)] and got[F(1)] == want[F(1)] + 1
 
 
 def test_theta_d4_counts_24_sigma_of_the_odd_part():
